@@ -16,6 +16,7 @@ use quant_circuit::{Circuit, Gate};
 use quant_device::{Block, Calibration, DeviceModel, LoweredProgram};
 use quant_math::C64;
 use quant_pulse::{Channel, Instruction, Schedule, ScheduleFinding, Waveform};
+use std::collections::BTreeMap;
 use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
 /// Errors from lowering.
@@ -92,10 +93,15 @@ impl<'a> Lowering<'a> {
     ///
     /// Accepted gates: `Rz`, `U3` (standard two-pulse form), `DirectX`,
     /// `DirectRx`, `Cnot`, `Cr`. Anything else is a [`LowerError`].
+    ///
+    /// Every distinct pulse is rendered once per call and shared by
+    /// reference afterwards (see [`RenderMemo`]); only the frame rotation
+    /// baked into each single-qubit pulse is computed per gate.
     pub fn lower(&self, circuit: &Circuit) -> Result<LoweredProgram, LowerError> {
         let n = circuit.num_qubits();
         let mut frames = vec![0.0_f64; n as usize];
         let mut blocks: Vec<Block> = Vec::new();
+        let mut memo = RenderMemo::new(n as usize);
 
         let ops = circuit.ops();
         let mut i = 0usize;
@@ -111,9 +117,9 @@ impl<'a> Lowering<'a> {
                     let q = op.qubits[0];
                     let mut waveforms = Vec::with_capacity(2);
                     frames[q as usize] += -lambda;
-                    self.emit_rx90(q, &mut frames, &mut waveforms);
+                    self.emit_rx90(q, &mut memo, &mut frames, &mut waveforms);
                     frames[q as usize] += -(theta + PI);
-                    self.emit_rx90(q, &mut frames, &mut waveforms);
+                    self.emit_rx90(q, &mut memo, &mut frames, &mut waveforms);
                     frames[q as usize] += -(phi + PI);
                     blocks.push(Block::Gate1Q {
                         qubit: q,
@@ -125,9 +131,7 @@ impl<'a> Lowering<'a> {
                     let cal = self.calibration.qubit(q);
                     let (a, c) = cal.rx180_phase;
                     let phase = frames[q as usize] + c;
-                    let w = cal
-                        .rx180_waveform(format!("x_d{q}"))
-                        .scaled_complex(C64::cis(phase));
+                    let w = self.rx180(q, &mut memo).scaled_complex(C64::cis(phase));
                     frames[q as usize] += a + c;
                     blocks.push(Block::Gate1Q {
                         qubit: q,
@@ -144,8 +148,12 @@ impl<'a> Lowering<'a> {
                     let cal = self.calibration.qubit(q);
                     let (a, c) = cal.direct_rx_phase(theta);
                     let phase = frames[q as usize] + c;
-                    let w = cal
-                        .direct_rx_waveform(theta, format!("rx({theta:.3})_d{q}"))
+                    // QubitCalibration::direct_rx_waveform: the rx180 pulse
+                    // scaled by θ/π, from the shared render.
+                    let w = self
+                        .rx180(q, &mut memo)
+                        .renamed(format!("rx({theta:.3})_d{q}"))
+                        .scaled(theta / PI)
                         .scaled_complex(C64::cis(phase));
                     frames[q as usize] += a + c;
                     blocks.push(Block::Gate1Q {
@@ -160,28 +168,8 @@ impl<'a> Lowering<'a> {
                     let cancel = self.options.pulse_cancellation
                         && matches!(op.gate, Gate::Cnot | Gate::Cr(_))
                         && pop_cancellable_x(&mut blocks, control);
-                    let mut schedule = match op.gate {
-                        Gate::Cnot => self.cnot_schedule(control, target, cancel)?,
-                        Gate::Cr(theta) => {
-                            let s = if cancel {
-                                self.calibration.echoed_cr_schedule_cancelled(
-                                    self.device,
-                                    control,
-                                    target,
-                                    theta,
-                                )
-                            } else {
-                                self.calibration.echoed_cr_schedule(
-                                    self.device,
-                                    control,
-                                    target,
-                                    theta,
-                                )
-                            };
-                            s.ok_or(LowerError::UncoupledPair(control, target))?
-                        }
-                        _ => unreachable!(),
-                    };
+                    let mut schedule =
+                        self.two_qubit_block(&op.gate, control, target, cancel, &mut memo)?;
                     // Entry frames (before every t = 0 pulse), then harvest
                     // the block's net frame advance per drive channel: the
                     // prepended entry phase equals the old tracker value,
@@ -304,15 +292,64 @@ impl<'a> Lowering<'a> {
 
     /// Emits one rx90 pulse at the current frame, updating the frame with
     /// the pulse's phase-correction wrapper.
-    fn emit_rx90(&self, q: u32, frames: &mut [f64], out: &mut Vec<Waveform>) {
+    fn emit_rx90(
+        &self,
+        q: u32,
+        memo: &mut RenderMemo,
+        frames: &mut [f64],
+        out: &mut Vec<Waveform>,
+    ) {
         let cal = self.calibration.qubit(q);
         let (a, c) = cal.rx90_phase;
         let phase = frames[q as usize] + c;
-        out.push(
-            cal.rx90_waveform(format!("rx90_d{q}"))
-                .scaled_complex(C64::cis(phase)),
-        );
+        let base =
+            memo.rx90[q as usize].get_or_insert_with(|| cal.rx90_waveform(format!("rx90_d{q}")));
+        out.push(base.scaled_complex(C64::cis(phase)));
         frames[q as usize] += a + c;
+    }
+
+    /// The calibrated rx180 pulse of qubit `q` (frame not yet applied),
+    /// rendered on first use in this call.
+    fn rx180<'m>(&self, q: u32, memo: &'m mut RenderMemo) -> &'m Waveform {
+        memo.rx180[q as usize]
+            .get_or_insert_with(|| self.calibration.qubit(q).rx180_waveform(format!("x_d{q}")))
+    }
+
+    /// The echoed two-qubit block for a `Cnot` or `Cr(θ)` gate, before its
+    /// entry frames: built on first use in this call, cloned (sharing every
+    /// waveform buffer) after that.
+    fn two_qubit_block(
+        &self,
+        gate: &Gate,
+        control: u32,
+        target: u32,
+        cancel: bool,
+        memo: &mut RenderMemo,
+    ) -> Result<Schedule, LowerError> {
+        // `None` is the CNOT. The key holds the CR angle's exact bits, so
+        // only bit-equal angles share a block.
+        let cr_theta = match *gate {
+            Gate::Cnot => None,
+            Gate::Cr(theta) => Some(theta),
+            ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
+        };
+        let key = (control, target, cr_theta.map(f64::to_bits), cancel);
+        if let Some(block) = memo.blocks.get(&key) {
+            return Ok(block.clone());
+        }
+        let block = match cr_theta {
+            None => self.cnot_schedule(control, target, cancel)?,
+            Some(theta) => if cancel {
+                self.calibration
+                    .echoed_cr_schedule_cancelled(self.device, control, target, theta)
+            } else {
+                self.calibration
+                    .echoed_cr_schedule(self.device, control, target, theta)
+            }
+            .ok_or(LowerError::UncoupledPair(control, target))?,
+        };
+        memo.blocks.insert(key, block.clone());
+        Ok(block)
     }
 
     /// CNOT = Rz_c(90°)·Rx90_t·CR(−90°): the echoed block plus a target
@@ -352,6 +389,28 @@ impl<'a> Lowering<'a> {
             channel: Channel::Drive(control),
         });
         Ok(s.named(format!("cx q{control},q{target}")))
+    }
+}
+
+/// Pulses rendered by one [`Lowering::lower`] call. Local to the call, so
+/// nothing outlives it and a recalibration can never see a stale pulse.
+struct RenderMemo {
+    /// Per-qubit rx90 envelope (detuning baked in, no frame).
+    rx90: Vec<Option<Waveform>>,
+    /// Per-qubit rx180 envelope (detuning baked in, no frame).
+    rx180: Vec<Option<Waveform>>,
+    /// Two-qubit blocks keyed by (control, target, CR θ bits or `None`
+    /// for a CNOT, leading X cancelled).
+    blocks: BTreeMap<(u32, u32, Option<u64>, bool), Schedule>,
+}
+
+impl RenderMemo {
+    fn new(num_qubits: usize) -> Self {
+        RenderMemo {
+            rx90: vec![None; num_qubits],
+            rx180: vec![None; num_qubits],
+            blocks: BTreeMap::new(),
+        }
     }
 }
 
@@ -575,6 +634,30 @@ mod tests {
         let out = exec.run(&cancelled, &mut rng);
         // open-CNOT on |00⟩: control 0 is |0⟩ → target flips → index 2.
         assert!(out.probabilities[2] > 0.95, "p = {:?}", out.probabilities);
+    }
+
+    #[test]
+    fn shared_blocks_keep_cancelled_and_plain_forms_apart() {
+        // One pair carries a plain CNOT, an X-absorbing one, then a plain
+        // one again: the per-call block memo must key on the cancellation,
+        // or one form would be replayed in place of the other.
+        let c2 = ctx(2);
+        let mut c = Circuit::new(2);
+        c.cnot(0, 1).x(0).cnot(0, 1).cnot(0, 1);
+        let basis = to_basis(&c, BasisKind::Augmented);
+        let mk = |cancel: bool| {
+            Lowering::new(
+                &c2.device,
+                &c2.calibration,
+                LowerOptions {
+                    pulse_cancellation: cancel,
+                },
+            )
+            .lower(&basis)
+            .unwrap()
+        };
+        assert_eq!(mk(true).pulse_count(), mk(false).pulse_count() - 2);
+        assert_distribution(&c2, &c, BasisKind::Augmented, 0.05);
     }
 
     #[test]

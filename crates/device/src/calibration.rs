@@ -397,21 +397,24 @@ impl Calibration {
 
         // U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2, so the first CR
         // half (in time) carries −sign and the second +sign.
+        // Render each envelope once; the two echo X pulses share a buffer.
+        let xc = qc.rx180_waveform("xc");
+        let cr_half = half.waveform("cr_half");
         let mut s = Schedule::new(format!("cr({theta:.3}) q{control},q{target}"));
         if !cancel_leading_x {
-            qc.append_rx180(&mut s, d_c, &barrier, "xc");
+            append_corrected(&mut s, xc.clone(), qc.rx180_phase, d_c, &barrier);
         }
         s.append_after(
             Instruction::Play {
-                waveform: half.waveform("cr_half").scaled(-sign),
+                waveform: cr_half.scaled(-sign),
                 channel: u_ch,
             },
             &barrier,
         );
-        qc.append_rx180(&mut s, d_c, &barrier, "xc");
+        append_corrected(&mut s, xc, qc.rx180_phase, d_c, &barrier);
         s.append_after(
             Instruction::Play {
-                waveform: half.waveform("cr_half").scaled(sign),
+                waveform: cr_half.scaled(sign),
                 channel: u_ch,
             },
             &barrier,

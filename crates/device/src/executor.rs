@@ -53,6 +53,24 @@ pub enum ExecError {
         /// Target qubit of the offending block.
         target: u32,
     },
+    /// The program's register is empty or wider than the device.
+    RegisterWidth {
+        /// Qubits the program declares.
+        program: u32,
+        /// Qubits the device has.
+        device: usize,
+    },
+}
+
+impl ExecError {
+    /// Checks that a program's register fits the device: at least one
+    /// qubit and no more than the device has.
+    pub(crate) fn check_width(program: u32, device: usize) -> Result<(), ExecError> {
+        if program == 0 || program as usize > device {
+            return Err(ExecError::RegisterWidth { program, device });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for ExecError {
@@ -67,6 +85,11 @@ impl fmt::Display for ExecError {
                 f,
                 "coupled pair {control},{target} has no CR control channel \
                  (inconsistent device topology)"
+            ),
+            ExecError::RegisterWidth { program, device } => write!(
+                f,
+                "program register of {program} qubit(s) does not fit a \
+                 {device}-qubit device (needs 1..={device})"
             ),
         }
     }
@@ -252,15 +275,16 @@ impl<'a> PulseExecutor<'a> {
         }
     }
 
-    /// Runs a lowered program, reporting topology mismatches as
-    /// [`ExecError`] instead of panicking.
+    /// Runs a lowered program, reporting a register that does not fit the
+    /// device and topology mismatches as [`ExecError`] instead of
+    /// panicking.
     pub fn try_run(
         &self,
         program: &LoweredProgram,
         rng: &mut impl Rng,
     ) -> Result<ExecOutcome, ExecError> {
+        ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
         let n = program.num_qubits as usize;
-        assert!(n >= 1 && n <= self.device.num_qubits());
         let mut rho = DensityMatrix::zero_qubits(n);
         let mut ctx = EvolveCtx::new();
         // Thermal SPAM: imperfect reset leaves residual |1⟩ population that
@@ -973,6 +997,48 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("not coupled"), "{err}");
+    }
+
+    #[test]
+    fn register_width_is_a_typed_error_on_both_executors() {
+        let device = DeviceModel::ideal(2);
+        let pulse = quant_pulse::Constant {
+            duration: 16,
+            amp: 0.1,
+        }
+        .waveform("p");
+        // An empty register, and one whose third qubit the device lacks
+        // (a block on it would index past the device's qubits).
+        for (width, blocks) in [
+            (0, vec![]),
+            (
+                3,
+                vec![Block::Gate1Q {
+                    qubit: 2,
+                    waveforms: vec![pulse],
+                }],
+            ),
+        ] {
+            let program = LoweredProgram {
+                num_qubits: width,
+                blocks,
+                schedule: Schedule::new("width"),
+            };
+            let want = ExecError::RegisterWidth {
+                program: width,
+                device: 2,
+            };
+            let density = PulseExecutor::noiseless(&device).try_run(&program, &mut seeded(1));
+            assert_eq!(density.unwrap_err(), want);
+            let trajectory = crate::TrajectoryExecutor::new(&device, 2).try_run_pooled(
+                &program,
+                16,
+                1,
+                &ShotPool::serial(),
+            );
+            assert_eq!(trajectory.unwrap_err(), want);
+            assert!(want.to_string().contains("2-qubit device"), "{want}");
+        }
     }
 
     #[test]

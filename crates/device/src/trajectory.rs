@@ -258,8 +258,8 @@ impl<'a> TrajectoryExecutor<'a> {
         }
     }
 
-    /// Runs the program, reporting topology mismatches as [`ExecError`]
-    /// instead of panicking. Draws one `u64` root from `rng`; the pool
+    /// Runs the program, reporting a register that does not fit the device
+    /// and topology mismatches as [`ExecError`] instead of panicking. Draws one `u64` root from `rng`; the pool
     /// size comes from `OPC_THREADS`.
     pub fn try_run(
         &self,
@@ -286,6 +286,7 @@ impl<'a> TrajectoryExecutor<'a> {
         root: u64,
         pool: &ShotPool,
     ) -> Result<Vec<u64>, ExecError> {
+        ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
         let n = program.num_qubits as usize;
         let fused = if self.fusion_enabled() {
             Some(self.build_plan(program)?)

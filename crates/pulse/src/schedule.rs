@@ -125,10 +125,19 @@ pub struct TimedInstruction {
 }
 
 /// A pulse schedule: instructions with absolute start times.
+///
+/// Alongside the instruction list the schedule keeps a per-channel end-time
+/// index (sorted by channel, maintained by every insertion), so the
+/// alignment queries — [`Schedule::channel_duration`],
+/// [`Schedule::duration`], [`Schedule::channels`] and the `append*`
+/// family built on them — cost O(channels), not O(instructions).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
     name: String,
     instructions: Vec<TimedInstruction>,
+    /// `(channel, latest instruction end on it)` for every channel used,
+    /// sorted by channel.
+    ends: Vec<(Channel, u64)>,
 }
 
 impl Schedule {
@@ -137,6 +146,7 @@ impl Schedule {
         Schedule {
             name: name.into(),
             instructions: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -156,9 +166,21 @@ impl Schedule {
         &self.instructions
     }
 
+    /// Records that `channel` is busy until at least `end`.
+    fn note_end(&mut self, channel: Channel, end: u64) {
+        match self.ends.binary_search_by_key(&channel, |&(c, _)| c) {
+            Ok(i) => self.ends[i].1 = self.ends[i].1.max(end),
+            Err(i) => self.ends.insert(i, (channel, end)),
+        }
+    }
+
     /// Inserts an instruction at an absolute time (after any instructions
     /// already at that time).
     pub fn insert(&mut self, start: u64, instruction: Instruction) {
+        self.note_end(
+            instruction.channel(),
+            start.saturating_add(instruction.duration()),
+        );
         let pos = self.instructions.partition_point(|ti| ti.start <= start);
         self.instructions
             .insert(pos, TimedInstruction { start, instruction });
@@ -167,6 +189,7 @@ impl Schedule {
     /// Inserts an instruction at time 0, *before* everything else —
     /// needed for entry frame changes that must precede t = 0 pulses.
     pub fn prepend(&mut self, instruction: Instruction) {
+        self.note_end(instruction.channel(), instruction.duration());
         self.instructions.insert(
             0,
             TimedInstruction {
@@ -203,14 +226,12 @@ impl Schedule {
     /// left alignment).
     pub fn append_schedule(&mut self, other: &Schedule) {
         let offset = other
-            .channels()
-            .into_iter()
-            .map(|c| self.channel_duration(c))
+            .ends
+            .iter()
+            .map(|&(c, _)| self.channel_duration(c))
             .max()
             .unwrap_or(0);
-        for ti in &other.instructions {
-            self.insert(offset + ti.start, ti.instruction.clone());
-        }
+        self.insert_schedule(offset, other);
     }
 
     /// Inserts an entire schedule at an absolute offset.
@@ -232,38 +253,30 @@ impl Schedule {
                     instruction: ti.instruction.clone(),
                 })
                 .collect(),
+            ends: self
+                .ends
+                .iter()
+                .map(|&(c, end)| (c, end + offset))
+                .collect(),
         }
     }
 
     /// Total duration: the latest instruction end over all channels.
     pub fn duration(&self) -> u64 {
-        self.instructions
-            .iter()
-            .map(|ti| ti.start + ti.instruction.duration())
-            .max()
-            .unwrap_or(0)
+        self.ends.iter().map(|&(_, end)| end).max().unwrap_or(0)
     }
 
-    /// End time of the busiest point on one channel.
+    /// End time of the busiest point on one channel (0 if unused).
     pub fn channel_duration(&self, channel: Channel) -> u64 {
-        self.instructions
-            .iter()
-            .filter(|ti| ti.instruction.channel() == channel)
-            .map(|ti| ti.start + ti.instruction.duration())
-            .max()
-            .unwrap_or(0)
+        match self.ends.binary_search_by_key(&channel, |&(c, _)| c) {
+            Ok(i) => self.ends[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// The set of channels used, sorted.
     pub fn channels(&self) -> Vec<Channel> {
-        let mut set: Vec<Channel> = self
-            .instructions
-            .iter()
-            .map(|ti| ti.instruction.channel())
-            .collect();
-        set.sort();
-        set.dedup();
-        set
+        self.ends.iter().map(|&(c, _)| c).collect()
     }
 
     /// Number of `Play` instructions (pulse count) — the unit of §5's

@@ -12,12 +12,20 @@
 //!   flat-top of the calibrated echoed-CR GaussianSquare).
 
 use quant_math::C64;
+use std::sync::Arc;
 
 /// A sampled complex envelope.
+///
+/// The samples live in a shared immutable buffer, so `clone()` and
+/// [`Waveform::renamed`] are O(1) and never copy a sample; every transform
+/// renders a fresh buffer. The peak `max |d|` is recorded by the same pass
+/// that enforces the norm bound at construction, so [`Waveform::peak`] is
+/// O(1) as well.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Waveform {
     name: String,
-    samples: Vec<C64>,
+    samples: Arc<[C64]>,
+    peak: f64,
 }
 
 impl Waveform {
@@ -28,15 +36,39 @@ impl Waveform {
     /// Panics if any sample has modulus greater than 1 + 1e-9 (the AWG's
     /// norm constraint `|d_j(t)| ≤ 1`).
     pub fn new(name: impl Into<String>, samples: Vec<C64>) -> Self {
-        let name = name.into();
+        Waveform::from_buffer(name.into(), samples.into())
+    }
+
+    /// Creates a waveform over an already-rendered buffer: the render and
+    /// scale paths collect straight into an `Arc<[C64]>` and land here.
+    ///
+    /// # Panics
+    ///
+    /// As [`Waveform::new`].
+    fn from_buffer(name: String, samples: Arc<[C64]>) -> Self {
+        let mut peak = 0.0_f64;
         for (i, s) in samples.iter().enumerate() {
+            let a = s.abs();
             assert!(
-                s.abs() <= 1.0 + 1e-9,
-                "waveform '{name}' sample {i} violates |d(t)| ≤ 1: {}",
-                s.abs()
+                a <= 1.0 + 1e-9,
+                "waveform '{name}' sample {i} violates |d(t)| ≤ 1: {a}"
             );
+            peak = peak.max(a);
         }
-        Waveform { name, samples }
+        Waveform {
+            name,
+            samples,
+            peak,
+        }
+    }
+
+    /// The same envelope under another name, sharing the sample buffer.
+    pub fn renamed(&self, name: impl Into<String>) -> Waveform {
+        Waveform {
+            name: name.into(),
+            samples: Arc::clone(&self.samples),
+            peak: self.peak,
+        }
     }
 
     /// Waveform name (for display and cmd_def bookkeeping).
@@ -74,7 +106,7 @@ impl Waveform {
             h
         }
         let mut h = fold(OFFSET, self.samples.len() as u64);
-        for s in &self.samples {
+        for s in self.samples.iter() {
             h = fold(h, s.re.to_bits());
             h = fold(h, s.im.to_bits());
         }
@@ -95,15 +127,16 @@ impl Waveform {
         self.samples.iter().map(|s| s.abs()).sum()
     }
 
-    /// Peak amplitude `max |samples|`.
+    /// Peak amplitude `max |samples|` (0 for an empty waveform), recorded
+    /// at construction.
     pub fn peak(&self) -> f64 {
-        self.samples.iter().map(|s| s.abs()).fold(0.0, f64::max)
+        self.peak
     }
 
     /// Returns a copy with every sample multiplied by a real factor
     /// (vertical/amplitude scaling).
     pub fn scaled(&self, factor: f64) -> Waveform {
-        Waveform::new(
+        Waveform::from_buffer(
             format!("{}*{factor:.4}", self.name),
             self.samples.iter().map(|&s| s * factor).collect(),
         )
@@ -112,7 +145,7 @@ impl Waveform {
     /// Returns a copy with every sample multiplied by a complex factor
     /// (amplitude scaling plus a phase rotation).
     pub fn scaled_complex(&self, factor: C64) -> Waveform {
-        Waveform::new(
+        Waveform::from_buffer(
             format!("{}*z", self.name),
             self.samples.iter().map(|&s| s * factor).collect(),
         )
@@ -120,9 +153,10 @@ impl Waveform {
 
     /// Returns the time-reversed, conjugated waveform (the "echo" partner).
     pub fn reversed_conj(&self) -> Waveform {
-        let mut samples: Vec<C64> = self.samples.iter().map(|s| s.conj()).collect();
-        samples.reverse();
-        Waveform::new(format!("{}_rev", self.name), samples)
+        Waveform::from_buffer(
+            format!("{}_rev", self.name),
+            self.samples.iter().rev().map(|s| s.conj()).collect(),
+        )
     }
 
     /// Returns a copy negated in amplitude (180° phase flip), as used by the
@@ -164,7 +198,7 @@ impl Gaussian {
                 C64::real(self.amp * (g - edge) / (1.0 - edge))
             })
             .collect();
-        Waveform::new(name, samples)
+        Waveform::from_buffer(name.into(), samples)
     }
 }
 
@@ -211,7 +245,7 @@ impl Drag {
                 C64::new(g, self.beta * dg) * C64::cis(-rad_per_sample * t as f64)
             })
             .collect();
-        Waveform::new(name, samples)
+        Waveform::from_buffer(name.into(), samples)
     }
 }
 
@@ -259,7 +293,7 @@ impl GaussianSquare {
                 C64::real(v)
             })
             .collect();
-        Waveform::new(name, samples)
+        Waveform::from_buffer(name.into(), samples)
     }
 
     /// Horizontal stretch: returns a pulse whose *flat-top* is scaled so
@@ -314,7 +348,10 @@ pub struct Constant {
 impl Constant {
     /// Renders to samples.
     pub fn waveform(&self, name: impl Into<String>) -> Waveform {
-        Waveform::new(name, vec![C64::real(self.amp); self.duration as usize])
+        Waveform::from_buffer(
+            name.into(),
+            std::iter::repeat_n(C64::real(self.amp), self.duration as usize).collect(),
+        )
     }
 }
 

@@ -4,8 +4,10 @@
 //! test draws random pulse shapes from a deterministic RNG and asserts the
 //! same invariants the original property suite checked.
 
-use quant_math::seeded;
-use quant_pulse::{Channel, Drag, Gaussian, GaussianSquare, Instruction, Schedule};
+use quant_math::{seeded, C64};
+use quant_pulse::{
+    Channel, Constant, Drag, Gaussian, GaussianSquare, Instruction, Schedule, Waveform,
+};
 use rand::Rng;
 
 const CASES: usize = 96;
@@ -199,4 +201,240 @@ fn scaled_complex_preserves_magnitudes() {
             assert!((a.abs() - b.abs()).abs() < 1e-12);
         }
     }
+}
+
+/// Brute-force end of one channel: a scan of every instruction.
+fn scan_channel_end(s: &Schedule, ch: Channel) -> u64 {
+    s.instructions()
+        .iter()
+        .filter(|ti| ti.instruction.channel() == ch)
+        .map(|ti| ti.start + ti.instruction.duration())
+        .max()
+        .unwrap_or(0)
+}
+
+fn rand_channel(rng: &mut impl Rng, pool: &[Channel]) -> Channel {
+    pool[rng.gen_range(0..pool.len())]
+}
+
+fn rand_instruction(rng: &mut impl Rng, pool: &[Channel]) -> Instruction {
+    let channel = rand_channel(rng, pool);
+    match rng.gen_range(0..5) {
+        0 | 1 => Instruction::Play {
+            waveform: Constant {
+                duration: rng.gen_range(1u64..48),
+                amp: rng.gen_range(-0.9..0.9),
+            }
+            .waveform("p"),
+            channel,
+        },
+        2 => Instruction::ShiftPhase {
+            phase: rng.gen_range(-3.0..3.0),
+            channel,
+        },
+        3 => Instruction::Delay {
+            duration: rng.gen_range(0u64..40),
+            channel,
+        },
+        _ => Instruction::Acquire {
+            duration: rng.gen_range(1u64..40),
+            qubit: 0,
+            channel,
+        },
+    }
+}
+
+/// A short random schedule over the channel pool (used as the operand of
+/// `append_schedule` / `insert_schedule`).
+fn rand_fragment(rng: &mut impl Rng, pool: &[Channel]) -> Schedule {
+    let mut f = Schedule::new("frag");
+    for _ in 0..rng.gen_range(0..5) {
+        let i = rand_instruction(rng, pool);
+        if rng.gen_bool(0.5) {
+            f.append(i);
+        } else {
+            f.insert(rng.gen_range(0u64..64), i);
+        }
+    }
+    f
+}
+
+fn assert_index_matches_scan(s: &Schedule, pool: &[Channel], step: usize) {
+    let starts: Vec<u64> = s.instructions().iter().map(|ti| ti.start).collect();
+    assert!(
+        starts.windows(2).all(|w| w[0] <= w[1]),
+        "step {step}: starts out of order {starts:?}"
+    );
+    for &ch in pool {
+        assert_eq!(
+            s.channel_duration(ch),
+            scan_channel_end(s, ch),
+            "step {step}: channel {ch}"
+        );
+    }
+    let scan_total = s
+        .instructions()
+        .iter()
+        .map(|ti| ti.start + ti.instruction.duration())
+        .max()
+        .unwrap_or(0);
+    assert_eq!(s.duration(), scan_total, "step {step}: duration");
+    let mut scan_channels: Vec<Channel> = s
+        .instructions()
+        .iter()
+        .map(|ti| ti.instruction.channel())
+        .collect();
+    scan_channels.sort();
+    scan_channels.dedup();
+    assert_eq!(s.channels(), scan_channels, "step {step}: channels");
+}
+
+#[test]
+fn channel_index_matches_brute_force_scan() {
+    let mut rng = seeded(0x2a);
+    let all = [
+        Channel::Drive(0),
+        Channel::Drive(1),
+        Channel::Drive(2),
+        Channel::Control(0),
+        Channel::Control(1),
+        Channel::Measure(0),
+        Channel::Acquire(0),
+    ];
+    for _ in 0..CASES {
+        let k = rng.gen_range(2usize..7);
+        let start = rng.gen_range(0..all.len() - k + 1);
+        let pool = &all[start..start + k];
+        let mut s = Schedule::new("s");
+        for step in 0..rng.gen_range(1usize..40) {
+            match rng.gen_range(0..7) {
+                0 => {
+                    let i = rand_instruction(&mut rng, pool);
+                    s.insert(rng.gen_range(0u64..200), i);
+                }
+                1 => s.prepend(rand_instruction(&mut rng, pool)),
+                2 => s.append(rand_instruction(&mut rng, pool)),
+                3 => {
+                    let barrier: Vec<Channel> = (0..rng.gen_range(0..3))
+                        .map(|_| rand_channel(&mut rng, pool))
+                        .collect();
+                    s.append_after(rand_instruction(&mut rng, pool), &barrier);
+                }
+                4 => s.append_schedule(&rand_fragment(&mut rng, pool)),
+                5 => {
+                    let offset = rng.gen_range(0u64..100);
+                    s.insert_schedule(offset, &rand_fragment(&mut rng, pool));
+                }
+                _ => s = s.shifted(rng.gen_range(0u64..50)),
+            }
+            assert_index_matches_scan(&s, pool, step);
+        }
+    }
+}
+
+#[test]
+fn append_variants_start_where_the_scan_says() {
+    let mut rng = seeded(0x2b);
+    let pool = [Channel::Drive(0), Channel::Drive(1), Channel::Control(0)];
+    for _ in 0..CASES {
+        let mut s = rand_fragment(&mut rng, &pool);
+        let barrier = [rand_channel(&mut rng, &pool), rand_channel(&mut rng, &pool)];
+        let i = rand_instruction(&mut rng, &pool);
+        let expect = barrier
+            .iter()
+            .chain(std::iter::once(&i.channel()))
+            .map(|&c| scan_channel_end(&s, c))
+            .max()
+            .unwrap_or(0);
+        let before = s.instructions().len();
+        s.append_after(i.clone(), &barrier);
+        // Ties go after existing instructions at the same start, so the
+        // new one is the last at `expect`.
+        let pos = s
+            .instructions()
+            .iter()
+            .rposition(|ti| ti.start == expect)
+            .expect("appended instruction present");
+        assert_eq!(s.instructions().len(), before + 1);
+        assert_eq!(s.instructions()[pos].instruction, i);
+    }
+}
+
+/// Brute-force peak: a scan of every sample's modulus.
+fn scan_peak(w: &Waveform) -> f64 {
+    w.samples().iter().map(|s| s.abs()).fold(0.0, f64::max)
+}
+
+#[test]
+fn recorded_peak_matches_sample_scan_on_every_path() {
+    let mut rng = seeded(0x2c);
+    let empty = Waveform::new("empty", Vec::new());
+    assert_eq!(empty.peak().to_bits(), 0.0f64.to_bits());
+    assert_eq!(
+        Constant {
+            duration: 0,
+            amp: 0.5
+        }
+        .waveform("c")
+        .peak()
+        .to_bits(),
+        0
+    );
+    for _ in 0..CASES {
+        let g = rand_gaussian(&mut rng);
+        let d = Drag {
+            duration: g.duration,
+            amp: g.amp,
+            sigma: g.sigma,
+            beta: rng.gen_range(-3.0..3.0),
+        };
+        let base = d.waveform("d");
+        let factor = rng.gen_range(-1.0..1.0);
+        let z = C64::cis(rng.gen_range(-6.3..6.3)) * rng.gen_range(0.0..1.0);
+        let raw: Vec<C64> = base.samples().iter().map(|&s| s * 0.5).collect();
+        let cases = [
+            g.waveform("g"),
+            base.clone(),
+            d.waveform_detuned("dd", rng.gen_range(-0.05..0.05)),
+            rand_gaussian_square(&mut rng).waveform("gs"),
+            Constant {
+                duration: rng.gen_range(1u64..64),
+                amp: rng.gen_range(-1.0..1.0),
+            }
+            .waveform("c"),
+            base.scaled(factor),
+            base.scaled_complex(z),
+            base.reversed_conj(),
+            base.negated(),
+            base.renamed("other"),
+            Waveform::new("raw", raw),
+        ];
+        for w in &cases {
+            assert_eq!(
+                w.peak().to_bits(),
+                scan_peak(w).to_bits(),
+                "{}: recorded {} vs scanned {}",
+                w.name(),
+                w.peak(),
+                scan_peak(w)
+            );
+        }
+    }
+}
+
+#[test]
+fn clones_and_renames_share_samples() {
+    let w = Drag {
+        duration: 64,
+        amp: 0.4,
+        sigma: 16.0,
+        beta: 0.5,
+    }
+    .waveform("w");
+    let c = w.clone();
+    let r = w.renamed("r");
+    assert_eq!(r.name(), "r");
+    assert!(std::ptr::eq(w.samples(), c.samples()));
+    assert!(std::ptr::eq(w.samples(), r.samples()));
+    assert_eq!(r.samples(), w.samples());
 }
