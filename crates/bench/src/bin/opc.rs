@@ -589,6 +589,12 @@ fn cmd_corpus(rest: &[String]) -> ! {
             other => die(&format!("unknown flag `{other}` (try --help)")),
         }
     }
+    // Create the output directory up front, so a bad path fails before the
+    // corpus run rather than after it.
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("opc corpus: create {out_dir}: {e}");
+        std::process::exit(1);
+    }
     // Wall-clock columns come from an injected clock: the corpus library
     // itself is clock-free per the determinism lint.
     let t0 = std::time::Instant::now();

@@ -9,9 +9,11 @@
 //!
 //! Everything is deterministic from `(device, calibration, circuit,
 //! config)`: jitter, sampling, and trajectory roots are derived from the
-//! config seed via [`quant_math::stream_seed`], and wide-register runs go
-//! through [`TrajectoryExecutor::try_run_pooled`] with an explicit root,
-//! so counts are bit-identical at any `OPC_THREADS`.
+//! config seed via [`quant_math::stream_seed`]. Narrow registers go
+//! through [`PulseExecutor::try_run_pooled`] (pulse integration fans out,
+//! jitter and evolution stay in program order) and wide ones through
+//! [`TrajectoryExecutor::try_run_pooled`] with an explicit root, so counts
+//! are bit-identical at any `OPC_THREADS`.
 
 use pulse_compiler::{route, CompileMode, Compiled, Compiler, CouplingMap, LowerError, RouteError};
 use quant_char::{counts_to_distribution, hellinger_fidelity};
@@ -188,8 +190,9 @@ pub fn compile_circuit(
 
 /// Executes a compiled circuit and scores it against the routed circuit's
 /// ideal distribution. Registers up to `config.density_max_qubits` wide go
-/// through exact density-matrix evolution; wider ones through
-/// pool-parallel trajectories with an explicit root seed.
+/// through exact density-matrix evolution with pool-parallel pulse
+/// integration; wider ones through pool-parallel trajectories with an
+/// explicit root seed.
 pub fn execute_compiled(
     device: &DeviceModel,
     cc: &CompiledCircuit,
@@ -208,7 +211,7 @@ pub fn execute_compiled(
             exec = exec.with_reference_path();
         }
         let mut jitter = seeded(stream_seed(config.seed, 0));
-        let outcome = exec.try_run(&compiled.program, &mut jitter)?;
+        let outcome = exec.try_run_pooled(&compiled.program, &mut jitter, pool)?;
         let counts = outcome.sample_counts_deterministic(stream_seed(config.seed, 1), config.shots);
         Ok((ExecutorKind::Density, counts))
     } else {

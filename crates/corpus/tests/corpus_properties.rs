@@ -10,9 +10,10 @@
 //! 2. Every full-tier circuit survives a QASM print → parse round trip
 //!    op-for-op (the corpus doubles as the emitter's test vector set),
 //!    and the reparsed circuit's unitary matches on small registers.
-//! 3. Trajectory execution of a wide corpus circuit is bit-identical
-//!    across explicit pool sizes (serial vs 4 threads) — the in-process
-//!    witness for the wide path's thread contract.
+//! 3. Trajectory execution of a wide corpus circuit, and density
+//!    execution of a narrow one, are bit-identical across explicit pool
+//!    sizes (serial vs 4 threads) — the in-process witnesses for both
+//!    executors' thread contracts.
 
 use pulse_compiler::CompileMode;
 use quant_circuit::qasm;
@@ -123,6 +124,38 @@ fn wide_trajectory_counts_are_pool_size_independent() {
     assert_eq!(kind_pooled.name(), "trajectory");
     assert_eq!(serial, pooled, "trajectory counts depend on the pool size");
     assert_eq!(serial.iter().sum::<u64>(), 256);
+}
+
+#[test]
+fn density_counts_are_pool_size_independent() {
+    // The smoke adder is the smoke tier's longest density program: its
+    // echoed-CR blocks are what the pooled executor integrates in parallel.
+    let entry = generate(Tier::Smoke)
+        .into_iter()
+        .find(|e| e.name == "adder_1b_a1_b1")
+        .expect("adder_1b_a1_b1 in smoke tier");
+    let (device, calibration) = backend(entry.width, 7);
+    for mode in [CompileMode::Standard, CompileMode::Optimized] {
+        let cc = compile_circuit(&device, &calibration, &entry.circuit, mode)
+            .expect("compile adder_1b_a1_b1");
+        let config = PipelineConfig {
+            mode,
+            shots: 512,
+            seed: 17,
+            ..PipelineConfig::default()
+        };
+        let (kind_serial, serial) =
+            execute_compiled(&device, &cc, &config, &ShotPool::serial()).expect("serial run");
+        let (kind_pooled, pooled) =
+            execute_compiled(&device, &cc, &config, &ShotPool::new(4)).expect("pooled run");
+        assert_eq!(kind_serial.name(), "density");
+        assert_eq!(kind_pooled.name(), "density");
+        assert_eq!(
+            serial, pooled,
+            "{mode:?}: density counts depend on the pool size"
+        );
+        assert_eq!(serial.iter().sum::<u64>(), 512);
+    }
 }
 
 #[test]

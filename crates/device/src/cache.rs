@@ -12,9 +12,14 @@
 //! waveform samples, frame state, transmon/CR parameters *after* drift —
 //! is folded bit-for-bit into the key. Two lookups collide only when the
 //! integrations would be bit-identical, so a hit can never return a stale
-//! or approximate propagator. Per-pulse amplitude jitter therefore misses
-//! by construction (the jittered samples differ), and calibration drift
-//! changes the parameter bits, retiring every stale entry automatically.
+//! or approximate propagator. Calibration drift changes the parameter
+//! bits, retiring every stale entry automatically.
+//!
+//! **Who uses it.** Noiseless and zero-jitter executions, whose pulses
+//! replay bit-for-bit (calibration sweeps, repeated noiseless runs). A
+//! jittered pulse could only ever miss — its samples are fresh draws — so
+//! executions that draw jitter integrate directly and never touch the
+//! cache: no key is built, nothing is looked up or stored.
 //!
 //! **Invalidation.** [`crate::DeviceModel::redraw_drift`] and
 //! [`crate::DeviceModel::set_drift`] additionally call
@@ -34,9 +39,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Hard cap on resident entries; inserts beyond it are dropped. Keeps
-/// pathological workloads (per-pulse jitter → every key unique) from
-/// growing the map without bound.
+/// Hard cap on resident entries; inserts beyond it are dropped. Jittered
+/// executions bypass the cache, so the cap only bounds workloads that
+/// replay many distinct noiseless pulses (long sweeps between drift
+/// redraws).
 const MAX_ENTRIES: usize = 4096;
 
 /// A bit-exact content address for one pulse integration.

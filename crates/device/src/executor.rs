@@ -20,10 +20,12 @@
 //! full 3-level density matrix and produces simulated IQ readout points for
 //! the paper's §7 counter experiment.
 
+use crate::cache::PulseCache;
 use crate::device::DeviceModel;
 use crate::params::DT;
 use crate::readout;
-use crate::transmon::DriveState;
+use crate::transmon::{DriveState, Transmon};
+use crate::twoqubit::CrPair;
 use quant_math::{normal, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::{channels, DensityMatrix, KernelScratch};
@@ -226,6 +228,27 @@ impl EvolveCtx {
     }
 }
 
+/// One unit of work of [`PulseExecutor::try_run_pooled`], prepared in
+/// program order with its topology resolved and its jitter drawn.
+enum Task {
+    /// Idling for `duration` dt.
+    Idle { qubit: u32, duration: u64 },
+    /// One single-qubit waveform, integrated from a fresh frame.
+    Play {
+        qubit: u32,
+        transmon: Transmon,
+        waveform: quant_pulse::Waveform,
+    },
+    /// One two-qubit block on a coupled pair.
+    Pair {
+        control: u32,
+        target: u32,
+        pair: CrPair,
+        channel: Channel,
+        schedule: Schedule,
+    },
+}
+
 /// The executor.
 #[derive(Clone, Debug)]
 pub struct PulseExecutor<'a> {
@@ -277,13 +300,51 @@ impl<'a> PulseExecutor<'a> {
 
     /// Runs a lowered program, reporting a register that does not fit the
     /// device and topology mismatches as [`ExecError`] instead of
-    /// panicking.
+    /// panicking. Serial: [`PulseExecutor::try_run_pooled`] on
+    /// [`ShotPool::serial`].
     pub fn try_run(
         &self,
         program: &LoweredProgram,
         rng: &mut impl Rng,
     ) -> Result<ExecOutcome, ExecError> {
+        self.try_run_pooled(program, rng, &ShotPool::serial())
+    }
+
+    /// Runs a lowered program with its pulse integrations fanned out over
+    /// `pool`. The outcome is bit-identical at every thread count, and to
+    /// [`PulseExecutor::try_run`], because the run has three phases and
+    /// only the pure one is parallel:
+    ///
+    /// 1. **Prepare** (serial, program order): resolve each two-qubit
+    ///    block's CR pair and control channel — the first topology error
+    ///    in program order is the one returned — and draw every amplitude
+    ///    jitter from `rng`, so the random stream is consumed exactly as a
+    ///    one-pass loop would consume it.
+    /// 2. **Integrate** (parallel, pure): each prepared pulse becomes its
+    ///    propagator and then its Kraus channel. Jittered pulses never
+    ///    repeat, so a run that draws jitter integrates directly and
+    ///    leaves the [`PulseCache`] untouched; noiseless and
+    ///    zero-jitter runs go through the cache, where replays hit.
+    /// 3. **Evolve** (serial, program order): the density matrix takes
+    ///    each channel and the relaxation for each qubit's wall-clock
+    ///    time, in the same order as ever.
+    ///
+    /// The compile service calls the serial [`PulseExecutor::try_run`]
+    /// per job on purpose: its workers already occupy every core, and a
+    /// nested fan-out would oversubscribe them.
+    pub fn try_run_pooled(
+        &self,
+        program: &LoweredProgram,
+        rng: &mut impl Rng,
+        pool: &ShotPool,
+    ) -> Result<ExecOutcome, ExecError> {
         ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
+        let tasks = self.prepare(program, rng)?;
+        // A run that draws jitter never repeats a pulse: looking one up
+        // could only miss, and storing it would only cost memory.
+        let cache = (!self.draws_jitter()).then(|| self.device.pulse_cache());
+        let channels = pool.map(&tasks, |_, task| integrate(task, cache));
+
         let n = program.num_qubits as usize;
         let mut rho = DensityMatrix::zero_qubits(n);
         let mut ctx = EvolveCtx::new();
@@ -301,41 +362,30 @@ impl<'a> PulseExecutor<'a> {
         }
         let mut cursor = vec![0u64; n];
 
-        for block in &program.blocks {
-            match block {
-                Block::Idle { qubit, duration } => {
+        for (task, kraus) in tasks.iter().zip(&channels) {
+            match task {
+                Task::Idle { qubit, duration } => {
                     if self.noisy {
                         self.relax(&mut rho, *qubit, *duration, &mut ctx);
                     }
                     cursor[*qubit as usize] += duration;
                 }
-                Block::Gate1Q { qubit, waveforms } => {
+                Task::Play {
+                    qubit, waveform, ..
+                } => {
                     let q = *qubit as usize;
-                    let transmon = self.device.transmon_exec(*qubit);
-                    for w in waveforms {
-                        let w = self.jittered(w, rng);
-                        let key = crate::cache::single_play_key(
-                            transmon.params(),
-                            &DriveState::default(),
-                            &w,
-                        );
-                        let u3x3 = self.device.pulse_cache().get_or_integrate(key, || {
-                            let mut state = DriveState::default();
-                            transmon.integrate_play(&mut state, &w)
-                        });
-                        let kraus = qubit_block_kraus(&u3x3);
-                        self.apply_kraus_ctx(&mut rho, &kraus, &[q], &mut ctx);
-                        let dur = w.duration();
-                        if self.noisy {
-                            self.relax(&mut rho, *qubit, dur, &mut ctx);
-                        }
-                        cursor[q] += dur;
+                    self.apply_kraus_ctx(&mut rho, kraus, &[q], &mut ctx);
+                    let dur = waveform.duration();
+                    if self.noisy {
+                        self.relax(&mut rho, *qubit, dur, &mut ctx);
                     }
+                    cursor[q] += dur;
                 }
-                Block::Gate2Q {
+                Task::Pair {
                     control,
                     target,
                     schedule,
+                    ..
                 } => {
                     let (c, t) = (*control as usize, *target as usize);
                     // Synchronize the two qubits (ASAP alignment): the
@@ -348,50 +398,7 @@ impl<'a> PulseExecutor<'a> {
                         }
                         cursor[q as usize] = start;
                     }
-                    let pair = self.device.pair_exec(*control, *target).ok_or(
-                        ExecError::UncoupledPair {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
-                    let u_ch = self.device.control_channel(*control, *target).ok_or(
-                        ExecError::MissingControlChannel {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
-                    let schedule = if self.noisy {
-                        jitter_schedule(schedule, self.device.pulse_amp_jitter(), rng)
-                    } else {
-                        schedule.clone()
-                    };
-                    let key = crate::cache::pair_schedule_key(
-                        pair.control_params(),
-                        pair.target_params(),
-                        pair.cr_params(),
-                        &schedule,
-                        Channel::Drive(*control),
-                        Channel::Drive(*target),
-                        u_ch,
-                    );
-                    let unitary = self.device.pulse_cache().get_or_integrate(key, || {
-                        pair.integrate(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        )
-                        .unitary
-                    });
-                    // The raw propagator is what physically happened;
-                    // leftover virtual-Z frames are compiler bookkeeping
-                    // (baked into *subsequent* pulses by the lowering pass)
-                    // and must not be realized here. Any frame pending at
-                    // the end of the program is a pure Z rotation, which a
-                    // computational-basis measurement cannot see. The qubit
-                    // block is slightly sub-unitary (|2⟩ leakage); complete
-                    // it to a CPTP channel.
-                    self.apply_kraus_ctx(&mut rho, &contraction_kraus(&unitary), &[c, t], &mut ctx);
+                    self.apply_kraus_ctx(&mut rho, kraus, &[c, t], &mut ctx);
                     let dur = schedule.duration();
                     if self.noisy {
                         self.relax(&mut rho, *control, dur, &mut ctx);
@@ -427,6 +434,63 @@ impl<'a> PulseExecutor<'a> {
             true_probabilities,
             duration: end,
         })
+    }
+
+    /// Phase 1 of [`PulseExecutor::try_run_pooled`]: walks the program in
+    /// order, resolving topology and drawing jitter, and flattens each
+    /// single-qubit block into one task per waveform.
+    fn prepare(
+        &self,
+        program: &LoweredProgram,
+        rng: &mut impl Rng,
+    ) -> Result<Vec<Task>, ExecError> {
+        let mut tasks = Vec::with_capacity(program.blocks.len());
+        for block in &program.blocks {
+            match block {
+                Block::Idle { qubit, duration } => tasks.push(Task::Idle {
+                    qubit: *qubit,
+                    duration: *duration,
+                }),
+                Block::Gate1Q { qubit, waveforms } => {
+                    let transmon = self.device.transmon_exec(*qubit);
+                    for w in waveforms {
+                        tasks.push(Task::Play {
+                            qubit: *qubit,
+                            transmon: transmon.clone(),
+                            waveform: self.jittered(w, rng),
+                        });
+                    }
+                }
+                Block::Gate2Q {
+                    control,
+                    target,
+                    schedule,
+                } => {
+                    let (control, target) = (*control, *target);
+                    let pair = self
+                        .device
+                        .pair_exec(control, target)
+                        .ok_or(ExecError::UncoupledPair { control, target })?;
+                    let channel = self
+                        .device
+                        .control_channel(control, target)
+                        .ok_or(ExecError::MissingControlChannel { control, target })?;
+                    let schedule = if self.noisy {
+                        jitter_schedule(schedule, self.device.pulse_amp_jitter(), rng)
+                    } else {
+                        schedule.clone()
+                    };
+                    tasks.push(Task::Pair {
+                        control,
+                        target,
+                        pair,
+                        channel,
+                        schedule,
+                    });
+                }
+            }
+        }
+        Ok(tasks)
     }
 
     /// Runs a raw single-qutrit schedule (drive channel 0) on the 3-level
@@ -492,13 +556,18 @@ impl<'a> PulseExecutor<'a> {
         }
     }
 
+    /// Whether runs draw per-pulse amplitude jitter.
+    fn draws_jitter(&self) -> bool {
+        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
+        self.noisy && self.device.pulse_amp_jitter() != 0.0
+    }
+
     /// Applies per-pulse additive amplitude jitter.
     fn jittered(&self, w: &quant_pulse::Waveform, rng: &mut impl Rng) -> quant_pulse::Waveform {
-        let sigma = self.device.pulse_amp_jitter();
-        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
-        if !self.noisy || sigma == 0.0 {
+        if !self.draws_jitter() {
             return w.clone();
         }
+        let sigma = self.device.pulse_amp_jitter();
         let peak = w.peak();
         if peak < 1e-12 {
             return w.clone();
@@ -805,6 +874,65 @@ fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Sched
         out.insert(ti.start, instruction);
     }
     out
+}
+
+/// Phase 2 of [`PulseExecutor::try_run_pooled`]: one task's Kraus channel
+/// (empty for idles), through `cache` when given. Pure, so any thread may
+/// run it.
+fn integrate(task: &Task, cache: Option<&PulseCache>) -> Vec<CMat> {
+    match task {
+        Task::Idle { .. } => Vec::new(),
+        Task::Play {
+            transmon, waveform, ..
+        } => {
+            let integrate = || transmon.integrate_play(&mut DriveState::default(), waveform);
+            let u3x3 = match cache {
+                Some(cache) => {
+                    let key = crate::cache::single_play_key(
+                        transmon.params(),
+                        &DriveState::default(),
+                        waveform,
+                    );
+                    cache.get_or_integrate(key, integrate)
+                }
+                None => integrate(),
+            };
+            qubit_block_kraus(&u3x3)
+        }
+        Task::Pair {
+            control,
+            target,
+            pair,
+            channel,
+            schedule,
+        } => {
+            let (c_drive, t_drive) = (Channel::Drive(*control), Channel::Drive(*target));
+            let integrate = || pair.integrate(schedule, c_drive, t_drive, *channel).unitary;
+            let unitary = match cache {
+                Some(cache) => {
+                    let key = crate::cache::pair_schedule_key(
+                        pair.control_params(),
+                        pair.target_params(),
+                        pair.cr_params(),
+                        schedule,
+                        c_drive,
+                        t_drive,
+                        *channel,
+                    );
+                    cache.get_or_integrate(key, integrate)
+                }
+                None => integrate(),
+            };
+            // The raw propagator is what physically happened; leftover
+            // virtual-Z frames are compiler bookkeeping (baked into
+            // *subsequent* pulses by the lowering pass) and must not be
+            // realized here. Any frame pending at the end of the program
+            // is a pure Z rotation, which a computational-basis measurement
+            // cannot see. The qubit block is slightly sub-unitary (|2⟩
+            // leakage); complete it to a CPTP channel.
+            contraction_kraus(&unitary)
+        }
+    }
 }
 
 /// Turns the 3-level propagator of a single-qubit pulse into a qubit-space

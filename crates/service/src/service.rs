@@ -726,6 +726,8 @@ fn execute(
         PulseExecutor::noiseless(&data.device)
     };
     let mut rng = seeded(stream_seed(job.seed, EXEC_STREAM));
+    // Serial per job: the workers already occupy every core, so the
+    // pooled executor would only oversubscribe them.
     let outcome = executor
         .try_run(&compiled.program, &mut rng)
         .map_err(ServiceError::Exec)?;
