@@ -25,6 +25,7 @@
 //!             [--noiseless] [--trajectories N] program.qasm
 //! opc corpus  [--tier smoke|full] [--shots N] [--seed N]
 //!             [--device-seed N] [--out DIR] [--check]
+//! opc verify  [--tier smoke|full] [--device-seed N]
 //! ```
 //!
 //! `opc compile` runs QASM → routing → compilation → pulse schedule →
@@ -33,6 +34,10 @@
 //! corpus under both compilation flows and writes `CORPUS_REPORT.json` +
 //! `CORPUS_REPORT.md`; `--check` exits nonzero unless pulse-level
 //! compilation beats gate-level on schedule duration for ≥ 3 families.
+//! `opc verify` compiles every corpus circuit (full tier by default) in
+//! both flows without executing it and runs `pulse::verify` on each
+//! schedule; it exits 1 on a compile failure or any finding, 2 on a
+//! usage error.
 //!
 //! Two service subcommands turn the same pipeline into a job engine
 //! (see `quant-service`):
@@ -53,9 +58,10 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_circuit::qasm;
 use quant_corpus::{CorpusOptions, PipelineConfig, Tier};
-use quant_device::{calibrate, DeviceModel, PulseExecutor, ShotPool, DT};
-use quant_math::seeded;
+use quant_device::{calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, DT};
+use quant_math::{seeded, stream_seed};
 use quant_service::{wire, CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -539,6 +545,10 @@ fn cmd_compile(rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
+fn parse_tier(name: &str, die: fn(&str) -> !) -> Tier {
+    Tier::parse(name).unwrap_or_else(|| die(&format!("unknown tier `{name}`")))
+}
+
 /// `opc corpus`: the comparative benchmark platform.
 fn die_corpus(msg: &str) -> ! {
     eprintln!("opc corpus: {msg}");
@@ -558,13 +568,7 @@ fn cmd_corpus(rest: &[String]) -> ! {
                 .unwrap_or_else(|| die(&format!("{what} needs a value")))
         };
         match arg.as_str() {
-            "--tier" => {
-                options.tier = match take("--tier").as_str() {
-                    "smoke" => Tier::Smoke,
-                    "full" => Tier::Full,
-                    other => die(&format!("unknown tier `{other}`")),
-                }
-            }
+            "--tier" => options.tier = parse_tier(&take("--tier"), die),
             "--shots" => {
                 options.shots = take("--shots")
                     .parse()
@@ -629,6 +633,87 @@ fn cmd_corpus(rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// `opc verify`: static schedule verification over the corpus.
+fn die_verify(msg: &str) -> ! {
+    eprintln!("opc verify: {msg}");
+    std::process::exit(2);
+}
+
+fn cmd_verify(rest: &[String]) -> ! {
+    let die = die_verify;
+    let mut tier = Tier::Full;
+    let mut device_seed = 7u64;
+    let mut iter = rest.iter();
+    while let Some(arg) = iter.next() {
+        let mut take = |what: &str| -> String {
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| die(&format!("{what} needs a value")))
+        };
+        match arg.as_str() {
+            "--tier" => tier = parse_tier(&take("--tier"), die),
+            "--device-seed" => {
+                device_seed = take("--device-seed")
+                    .parse()
+                    .unwrap_or_else(|_| die("--device-seed needs an integer"))
+            }
+            "--help" | "-h" => die("usage: opc verify [--tier smoke|full] [--device-seed N]"),
+            other => die(&format!("unknown flag `{other}` (try --help)")),
+        }
+    }
+    let entries = quant_corpus::generate(tier);
+    let mut backends: BTreeMap<u32, (DeviceModel, Calibration)> = BTreeMap::new();
+    let mut schedules = 0usize;
+    let mut total_findings = 0usize;
+    for entry in &entries {
+        let (device, calibration) = backends.entry(entry.width).or_insert_with(|| {
+            let mut rng = seeded(stream_seed(device_seed, entry.width as u64));
+            let device = DeviceModel::almaden_like(entry.width as usize, &mut rng);
+            let calibration = calibrate(&device, &mut rng);
+            (device, calibration)
+        });
+        let spec = device.verify_spec();
+        for mode in [CompileMode::Standard, CompileMode::Optimized] {
+            let cc = match quant_corpus::compile_circuit(device, calibration, &entry.circuit, mode)
+            {
+                Ok(cc) => cc,
+                Err(e) => {
+                    eprintln!("opc verify: {} ({mode:?}): compile failed: {e}", entry.name);
+                    std::process::exit(1);
+                }
+            };
+            schedules += 1;
+            let findings = quant_pulse::verify(&cc.compiled.program.schedule, &spec);
+            if !findings.is_empty() {
+                total_findings += findings.len();
+                println!(
+                    "FAIL {} ({mode:?}): {} finding(s)",
+                    entry.name,
+                    findings.len()
+                );
+                for f in &findings {
+                    println!("  {f}");
+                }
+            }
+        }
+    }
+    let tier_name = tier.name();
+    if total_findings > 0 {
+        println!(
+            "opc verify: {total_findings} finding(s) across {schedules} schedule(s) \
+             ({tier_name} tier)"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "opc verify: {schedules} schedule(s) across {} {tier_name}-tier circuit(s) \
+         verify clean ({} static rules)",
+        entries.len(),
+        quant_pulse::VERIFY_RULES.len()
+    );
+    std::process::exit(0);
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
@@ -636,6 +721,7 @@ fn main() {
         Some("submit") => cmd_submit(&argv[1..]),
         Some("compile") => cmd_compile(&argv[1..]),
         Some("corpus") => cmd_corpus(&argv[1..]),
+        Some("verify") => cmd_verify(&argv[1..]),
         _ => {}
     }
     let args = match parse_args() {

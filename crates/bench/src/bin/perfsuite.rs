@@ -52,7 +52,7 @@ use quant_device::{
     CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
-use quant_math::{seeded, unitary_exp, CMat, PropagatorScratch, C64};
+use quant_math::{fnv1a, seeded, unitary_exp, CMat, PropagatorScratch, C64, FNV_OFFSET};
 use quant_service::{CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
 use quant_sim::{channels, gates, DensityMatrix, KernelScratch};
 use rand::Rng;
@@ -310,7 +310,6 @@ fn service_throughput_run(jobs: &[JobSpec], workers: usize) -> (f64, f64, f64, f
         workers,
         queue_capacity: 64,
         clock: Some(clock),
-        ..ServiceConfig::default()
     }) {
         Ok(s) => s,
         Err(e) => die(format_args!("service start failed: {e}")),
@@ -348,13 +347,8 @@ fn service_throughput_run(jobs: &[JobSpec], workers: usize) -> (f64, f64, f64, f
         }
     }
     let mut latencies_us = Vec::with_capacity(tickets.len());
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |w: u64| {
-        for byte in w.to_le_bytes() {
-            checksum ^= byte as u64;
-            checksum = checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut checksum = FNV_OFFSET;
+    let mut fold = |w: u64| checksum = fnv1a(checksum, w);
     for (submit_tick, ticket) in tickets {
         let out = match ticket.wait() {
             Ok(out) => out,
@@ -437,7 +431,7 @@ fn theta_sweep_workload(
     cache: bool,
     shots: usize,
 ) -> usize {
-    setup.device.set_pulse_cache_enabled(cache);
+    setup.device.pulse_cache().set_enabled(cache);
     setup.device.pulse_cache().invalidate();
     let exec = PulseExecutor::noiseless(&setup.device);
     for _ in 0..repeats {
@@ -446,7 +440,7 @@ fn theta_sweep_workload(
             std::hint::black_box(out.sample_counts_deterministic(505 ^ i as u64, shots));
         }
     }
-    setup.device.set_pulse_cache_enabled(true);
+    setup.device.pulse_cache().set_enabled(true);
     repeats * programs.len() * shots
 }
 

@@ -17,37 +17,27 @@ use quant_device::{
     Block, CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     ShotPool,
 };
-use quant_math::{seeded, stream_seed};
+use quant_math::{fnv1a, seeded, stream_seed, FNV_OFFSET};
 use quant_pulse::{Instruction, Schedule};
 use rand::Rng;
 
 /// Digest of the smoke tier lowered on the corpus's default device seed.
 const PINNED: u64 = 0x1ef1_921a_e556_c8b6;
 
-const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const PRIME: u64 = 0x100_0000_01b3;
-
-fn fold(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(PRIME);
-    }
-    h
-}
-
 fn fold_schedule(mut h: u64, schedule: &Schedule) -> u64 {
-    h = fold(h, schedule.instructions().len() as u64);
+    h = fnv1a(h, schedule.instructions().len() as u64);
     for ti in schedule.instructions() {
-        h = fold(h, ti.start);
+        h = fnv1a(h, ti.start);
         match &ti.instruction {
             Instruction::Play { waveform, .. } => {
-                h = fold(h, waveform.duration());
+                h = fnv1a(h, waveform.duration());
                 for s in waveform.samples() {
-                    h = fold(h, s.re.to_bits());
-                    h = fold(h, s.im.to_bits());
+                    h = fnv1a(h, s.re.to_bits());
+                    h = fnv1a(h, s.im.to_bits());
                 }
             }
-            Instruction::ShiftPhase { phase, .. } => h = fold(h, phase.to_bits()),
-            other => h = fold(h, other.duration()),
+            Instruction::ShiftPhase { phase, .. } => h = fnv1a(h, phase.to_bits()),
+            other => h = fnv1a(h, other.duration()),
         }
     }
     h
@@ -59,13 +49,13 @@ fn fold_program(mut h: u64, program: &LoweredProgram) -> u64 {
             Block::Gate1Q { waveforms, .. } => {
                 for w in waveforms {
                     for s in w.samples() {
-                        h = fold(h, s.re.to_bits());
-                        h = fold(h, s.im.to_bits());
+                        h = fnv1a(h, s.re.to_bits());
+                        h = fnv1a(h, s.im.to_bits());
                     }
                 }
             }
             Block::Gate2Q { schedule, .. } => h = fold_schedule(h, schedule),
-            Block::Idle { duration, .. } => h = fold(h, *duration),
+            Block::Idle { duration, .. } => h = fnv1a(h, *duration),
         }
     }
     fold_schedule(h, &program.schedule)
@@ -91,7 +81,7 @@ fn backend(width: u32) -> (DeviceModel, Calibration) {
 #[test]
 fn smoke_tier_lowering_is_bit_identical() {
     let mut backends: Vec<(u32, DeviceModel, Calibration)> = Vec::new();
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     for entry in generate(Tier::Smoke) {
         let i = match backends.iter().position(|(w, _, _)| *w == entry.width) {
             Some(i) => i,

@@ -95,6 +95,23 @@ pub enum Tier {
     Full,
 }
 
+impl Tier {
+    /// Stable lower-case name, as reports and command lines spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Smoke => "smoke",
+            Tier::Full => "full",
+        }
+    }
+
+    /// The tier a [`Tier::name`] spells, if any.
+    pub fn parse(name: &str) -> Option<Tier> {
+        [Tier::Smoke, Tier::Full]
+            .into_iter()
+            .find(|t| t.name() == name)
+    }
+}
+
 /// Appends a controlled-phase CP(θ) in the textbook Rz/CNOT decomposition
 /// (up to global phase), so the assembly stage stays in the parser's gate
 /// set and the optimized flow's ZZ detection has something to find.

@@ -20,10 +20,7 @@ use std::fmt::Write as _;
 /// line per circuit, in generation order).
 pub fn render(report: &CorpusReport) -> String {
     let mut out = String::new();
-    let tier = match report.tier {
-        crate::generators::Tier::Smoke => "smoke",
-        crate::generators::Tier::Full => "full",
-    };
+    let tier = report.tier.name();
     let _ = writeln!(
         out,
         "corpus tier={tier} shots={} seed={} device_seed={} checksum={:016x}",

@@ -34,6 +34,8 @@ pub enum PipelineError {
     Lower(LowerError),
     /// Execution failed (topology mismatch).
     Exec(ExecError),
+    /// The configuration asks for zero shots or zero trajectories.
+    Config(&'static str),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -43,6 +45,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Route(e) => write!(f, "route: {e}"),
             PipelineError::Lower(e) => write!(f, "lower: {e}"),
             PipelineError::Exec(e) => write!(f, "execute: {e}"),
+            PipelineError::Config(msg) => write!(f, "config: {msg}"),
         }
     }
 }
@@ -113,10 +116,6 @@ pub struct PipelineConfig {
     /// Route both executors through their retained reference
     /// implementations (slow; equivalence tests only).
     pub reference: bool,
-    /// Gate fusion on the trajectory path: `None` inherits the
-    /// `OPC_FUSION` environment default, `Some(_)` forces it. Ignored on
-    /// the density path and the reference route.
-    pub fusion: Option<bool>,
 }
 
 impl Default for PipelineConfig {
@@ -129,7 +128,6 @@ impl Default for PipelineConfig {
             density_max_qubits: 6,
             trajectories: 16,
             reference: false,
-            fusion: None,
         }
     }
 }
@@ -192,13 +190,20 @@ pub fn compile_circuit(
 /// ideal distribution. Registers up to `config.density_max_qubits` wide go
 /// through exact density-matrix evolution with pool-parallel pulse
 /// integration; wider ones through pool-parallel trajectories with an
-/// explicit root seed.
+/// explicit root seed (gate fusion follows `OPC_FUSION`). Zero shots or
+/// zero trajectories are rejected before any work.
 pub fn execute_compiled(
     device: &DeviceModel,
     cc: &CompiledCircuit,
     config: &PipelineConfig,
     pool: &ShotPool,
 ) -> Result<(ExecutorKind, Vec<u64>), PipelineError> {
+    if config.shots == 0 {
+        return Err(PipelineError::Config("shots must be at least 1"));
+    }
+    if config.trajectories == 0 {
+        return Err(PipelineError::Config("trajectories must be at least 1"));
+    }
     let compiled = &cc.compiled;
     let width = cc.routed.circuit.num_qubits();
     if width <= config.density_max_qubits {
@@ -216,9 +221,6 @@ pub fn execute_compiled(
         Ok((ExecutorKind::Density, counts))
     } else {
         let mut exec = TrajectoryExecutor::new(device, config.trajectories);
-        if let Some(fusion) = config.fusion {
-            exec = exec.with_fusion(fusion);
-        }
         if config.reference {
             exec = exec.with_reference_path();
         }
@@ -334,6 +336,32 @@ mod tests {
         match err {
             PipelineError::Parse(e) => assert_eq!(e.line, 3),
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn zero_shots_or_trajectories_is_a_config_error() {
+        let (device, calibration) = setup(2);
+        let circuit = crate::generators::qft(2);
+        for config in [
+            PipelineConfig {
+                shots: 0,
+                ..PipelineConfig::default()
+            },
+            PipelineConfig {
+                trajectories: 0,
+                ..PipelineConfig::default()
+            },
+        ] {
+            let err = run_circuit(
+                &device,
+                &calibration,
+                &circuit,
+                &config,
+                &ShotPool::serial(),
+            )
+            .expect_err("nothing to sample");
+            assert!(matches!(err, PipelineError::Config(_)), "{err}");
         }
     }
 

@@ -17,7 +17,7 @@ use crate::pipeline::{
 use pulse_compiler::CompileMode;
 use quant_char::{counts_to_distribution, hellinger_fidelity};
 use quant_device::{Calibration, CalibrationOptions, DeviceModel, ShotPool};
-use quant_math::{seeded, stream_seed};
+use quant_math::{fnv1a, seeded, stream_seed, FNV_OFFSET};
 use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -40,8 +40,6 @@ pub struct CorpusOptions {
     /// Root seed for device physics + calibration; width `w` gets
     /// `stream_seed(device_seed, w)`.
     pub device_seed: u64,
-    /// Trajectory count for registers past the density wall.
-    pub trajectories: usize,
     /// Optional wall clock for compile-time columns.
     pub clock: Option<Clock>,
 }
@@ -53,7 +51,6 @@ impl Default for CorpusOptions {
             shots: 2048,
             seed: 7,
             device_seed: 7,
-            trajectories: 16,
             clock: None,
         }
     }
@@ -66,7 +63,6 @@ impl fmt::Debug for CorpusOptions {
             .field("shots", &self.shots)
             .field("seed", &self.seed)
             .field("device_seed", &self.device_seed)
-            .field("trajectories", &self.trajectories)
             .field("clock", &self.clock.as_ref().map(|_| "<fn>"))
             .finish()
     }
@@ -180,18 +176,6 @@ pub struct CorpusReport {
     pub circuits: Vec<CircuitReport>,
 }
 
-/// FNV-1a fold of one `u64` word.
-fn fnv1a(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for byte in word.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// FNV-1a checksum of a counts vector.
 pub fn counts_checksum(counts: &[u64]) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, counts.len() as u64);
@@ -267,10 +251,7 @@ impl CorpusReport {
     /// The report as a JSON document (hand-rolled; no serde in-tree).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096 + 512 * self.circuits.len());
-        let tier = match self.tier {
-            Tier::Smoke => "smoke",
-            Tier::Full => "full",
-        };
+        let tier = self.tier.name();
         out.push_str("{\n");
         out.push_str(&format!("  \"tier\": \"{tier}\",\n"));
         out.push_str(&format!("  \"shots\": {},\n", self.shots));
@@ -340,10 +321,7 @@ impl CorpusReport {
     /// verdict line, and the full per-circuit table.
     pub fn to_markdown(&self) -> String {
         let mut out = String::with_capacity(2048 + 256 * self.circuits.len());
-        let tier = match self.tier {
-            Tier::Smoke => "smoke",
-            Tier::Full => "full",
-        };
+        let tier = self.tier.name();
         out.push_str(&format!(
             "# Corpus report ({tier} tier, {} circuits, {} shots, seed {})\n\n",
             self.circuits.len(),
@@ -488,7 +466,6 @@ pub fn run_corpus(options: &CorpusOptions, pool: &ShotPool) -> Result<CorpusRepo
         let base = PipelineConfig {
             shots: options.shots,
             seed: stream_seed(options.seed, i as u64),
-            trajectories: options.trajectories,
             ..PipelineConfig::default()
         };
         let idx = backends.index_of(entry.width);

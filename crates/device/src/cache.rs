@@ -1,49 +1,54 @@
-//! Content-addressed memoization of integrated pulse unitaries.
+//! Content-addressed memoization of integrated pulses: one exact-key
+//! cache type, [`ExactCache`], in two instantiations.
 //!
 //! Integrating a pulse schedule is by far the most expensive step of a
 //! simulated experiment: every 0.22 ns sample costs one matrix exponential.
 //! But experiment suites replay the *same* waveforms thousands of times — a
 //! 41-point θ-sweep executes 41 distinct rotation pulses while the
-//! surrounding basis pulses never change. [`PulseCache`] memoizes the
-//! integrated propagator of each distinct (pulse content, device physics)
-//! pair so each is integrated exactly once per calibration epoch.
+//! surrounding basis pulses never change, and a device tune-up revisits
+//! the same probe points. So:
 //!
-//! **Keying.** Keys are exact: every f64 that enters the Hamiltonian —
-//! waveform samples, frame state, transmon/CR parameters *after* drift —
-//! is folded bit-for-bit into the key. Two lookups collide only when the
-//! integrations would be bit-identical, so a hit can never return a stale
-//! or approximate propagator. Calibration drift changes the parameter
-//! bits, retiring every stale entry automatically.
+//! - [`PulseCache`] memoizes the integrated propagator of each distinct
+//!   (pulse content, device physics) pair, so each is integrated exactly
+//!   once per calibration epoch;
+//! - [`ProbeCache`] memoizes noiseless calibration probes across every
+//!   qubit task of a tune-up.
 //!
-//! **Who uses it.** Noiseless and zero-jitter executions, whose pulses
-//! replay bit-for-bit (calibration sweeps, repeated noiseless runs). A
-//! jittered pulse could only ever miss — its samples are fresh draws — so
-//! executions that draw jitter integrate directly and never touch the
-//! cache: no key is built, nothing is looked up or stored.
+//! **Keying.** [`PulseKey`]s are exact: every f64 that enters the
+//! Hamiltonian — waveform samples, frame state, transmon/CR parameters
+//! *after* drift — is folded bit-for-bit into the key. Two lookups collide
+//! only when the integrations would be bit-identical, so a hit can never
+//! return a stale or approximate propagator. Calibration drift changes the
+//! parameter bits, retiring every stale entry automatically. [`ProbeKey`]s
+//! are compact (see its docs) over quantized probe inputs.
+//!
+//! **Who uses the pulse cache.** Noiseless and zero-jitter executions,
+//! whose pulses replay bit-for-bit (calibration sweeps, repeated noiseless
+//! runs). A jittered pulse could only ever miss — its samples are fresh
+//! draws — so executions that draw jitter integrate directly and never
+//! touch the cache: no key is built, nothing is looked up or stored.
 //!
 //! **Invalidation.** [`crate::DeviceModel::redraw_drift`] and
 //! [`crate::DeviceModel::set_drift`] additionally call
-//! [`PulseCache::invalidate`], dropping all entries and bumping the
-//! generation counter. This keeps the map from accumulating entries for
-//! parameter sets that can never be looked up again.
+//! [`ExactCache::invalidate`] on the pulse cache, dropping all entries and
+//! bumping the generation counter. This keeps the map from accumulating
+//! entries for parameter sets that can never be looked up again. Probe
+//! keys embed the calibration-time physics, which never drifts, so the
+//! probe cache is never invalidated.
 //!
-//! **Knob.** The cache is on by default; set `OPC_PULSE_CACHE=0` (or call
-//! [`crate::DeviceModel::set_pulse_cache_enabled`]) to disable it, e.g.
-//! when measuring raw integrator throughput.
+//! **Switch.** Both caches are on by default. [`ExactCache::with_enabled`]
+//! and [`ExactCache::set_enabled`] turn one off — the exactness tests
+//! compare results with and without, and perfsuite times raw integrator
+//! throughput that way.
 
 use crate::params::{CrParams, TransmonParams};
 use crate::transmon::{DriveState, FrameResult};
 use quant_math::CMat;
 use quant_pulse::{Channel, Instruction, Schedule, Waveform};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Hard cap on resident entries; inserts beyond it are dropped. Jittered
-/// executions bypass the cache, so the cap only bounds workloads that
-/// replay many distinct noiseless pulses (long sweeps between drift
-/// redraws).
-const MAX_ENTRIES: usize = 4096;
+use std::sync::{Mutex, MutexGuard};
 
 /// A bit-exact content address for one pulse integration.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -244,38 +249,83 @@ pub struct CacheStats {
     pub generation: u64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
+/// An exact content address for an [`ExactCache`], carrying that cache's
+/// resident-entry cap.
+pub trait CacheKey: Eq + Hash {
+    /// Hard cap on resident entries; inserts beyond it are dropped (the
+    /// value is still computed and returned, just not stored).
+    const MAX_ENTRIES: usize;
+}
+
+/// Jittered executions bypass the pulse cache, so this cap only bounds
+/// workloads that replay many distinct noiseless pulses (long sweeps
+/// between drift redraws).
+impl CacheKey for PulseKey {
+    const MAX_ENTRIES: usize = 4096;
+}
+
+/// A full qubit tune-up issues a few thousand distinct probes; 2¹⁶ covers
+/// a 20-qubit device with room to spare while bounding memory at a few
+/// tens of MB of 3×3 propagators.
+impl CacheKey for ProbeKey {
+    const MAX_ENTRIES: usize = 1 << 16;
+}
+
+#[derive(Debug)]
+struct Inner<K, V> {
     // opclint: allow(unordered-iter): lookup-only memo — get/insert/len/
     // clear via exact content keys; never iterated, so iteration order
     // cannot reach any result. HashMap keeps shot-loop lookups O(1).
-    map: HashMap<PulseKey, CMat>,
+    map: HashMap<K, V>,
     hits: u64,
     misses: u64,
     generation: u64,
 }
 
-/// Thread-safe memo table from pulse content to integrated propagator.
+/// Thread-safe memo table from an exact content key to the integration
+/// result it addresses. Values are pure functions of their keys, so a hit
+/// is bit-identical to a recomputation no matter which thread inserted it,
+/// and turning the cache off can change only cost, never a result.
 #[derive(Debug)]
-pub struct PulseCache {
+pub struct ExactCache<K, V> {
     enabled: AtomicBool,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<K, V>>,
 }
 
-impl Default for PulseCache {
+/// Pulse content → integrated propagator, owned by each
+/// [`crate::DeviceModel`] and consulted by noiseless and zero-jitter
+/// executions.
+pub type PulseCache = ExactCache<PulseKey, CMat>;
+
+/// Noiseless calibration probe → integrated [`FrameResult`]. One cache is
+/// shared by all qubit tasks of a calibration run, so identical probes —
+/// golden-section re-probes on one qubit, or identical sweep points across
+/// the identical qubits of an ideal device — integrate once.
+pub type ProbeCache = ExactCache<ProbeKey, FrameResult>;
+
+impl<K: CacheKey, V: Clone> Default for ExactCache<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl PulseCache {
-    /// An empty cache. Enabled unless `OPC_PULSE_CACHE` is set to `0`,
-    /// `off` or `false`.
+impl<K: CacheKey, V: Clone> ExactCache<K, V> {
+    /// An empty, enabled cache.
     pub fn new() -> Self {
-        let enabled = crate::knobs::pulse_cache();
-        PulseCache {
+        Self::with_enabled(true)
+    }
+
+    /// An empty cache with memoization explicitly on or off.
+    pub fn with_enabled(enabled: bool) -> Self {
+        ExactCache {
             enabled: AtomicBool::new(enabled),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                // opclint: allow(unordered-iter): constructor of the lookup-only memo declared above.
+                map: HashMap::new(),
+                hits: 0,
+                misses: 0,
+                generation: 0,
+            }),
         }
     }
 
@@ -284,48 +334,42 @@ impl PulseCache {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Returns the cached propagator for `key`, or computes it with
+    /// Returns the cached value for `key`, or computes it with
     /// `integrate`, stores it, and returns it. The closure runs outside
-    /// the lock, so concurrent shot threads never serialize on an
-    /// integration (at worst two threads race to integrate the same new
-    /// pulse once).
-    pub fn get_or_integrate(&self, key: PulseKey, integrate: impl FnOnce() -> CMat) -> CMat {
-        if !self.is_enabled() {
+    /// the lock, so concurrent threads never serialize on an integration
+    /// (at worst two threads race to integrate the same new key once).
+    pub fn get_or_integrate(&self, key: K, integrate: impl FnOnce() -> V) -> V {
+        if !self.enabled.load(Ordering::Relaxed) {
             return integrate();
         }
         {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(u) = inner.map.get(&key) {
-                let u = u.clone();
+            let mut inner = self.lock();
+            if let Some(v) = inner.map.get(&key) {
+                let v = v.clone();
                 inner.hits += 1;
-                return u;
+                return v;
             }
             inner.misses += 1;
         }
-        let u = integrate();
-        let mut inner = self.inner.lock().unwrap();
-        if inner.map.len() < MAX_ENTRIES {
-            inner.map.insert(key, u.clone());
+        let v = integrate();
+        let mut inner = self.lock();
+        if inner.map.len() < K::MAX_ENTRIES {
+            inner.map.insert(key, v.clone());
         }
-        u
+        v
     }
 
     /// Drops every entry and bumps the generation counter. Called when
     /// calibration drift mutates the device physics.
     pub fn invalidate(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.map.clear();
         inner.generation += 1;
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -336,111 +380,16 @@ impl PulseCache {
 
     /// Zeroes the hit/miss counters (entries stay resident).
     pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.hits = 0;
         inner.misses = 0;
     }
-}
 
-/// Cap on resident probe entries. A full qubit tune-up issues a few
-/// thousand distinct probes; 2¹⁶ covers a 20-qubit device with room to
-/// spare while bounding memory at a few tens of MB of 3×3 propagators.
-const MAX_PROBE_ENTRIES: usize = 1 << 16;
-
-#[derive(Debug, Default)]
-struct ProbeInner {
-    // opclint: allow(unordered-iter): lookup-only memo — get/insert/len
-    // via fixed-size content keys; never iterated (values are pure
-    // functions of the key, so there is nothing order-dependent to walk).
-    map: HashMap<ProbeKey, FrameResult>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Memo table for noiseless calibration probe integrations (layer 2 of the
-/// calibration fast path): maps [`ProbeKey`] to the integrated
-/// [`FrameResult`].
-///
-/// One cache is shared by all qubit tasks of a calibration run, so
-/// identical probes — golden-section re-probes on one qubit, or identical
-/// sweep points across the identical qubits of an ideal device — integrate
-/// once. Values are pure functions of the key (quantized inputs, no noise
-/// draws), so a hit is bit-identical to a recomputation no matter which
-/// task inserted it; enabling or disabling the cache can therefore never
-/// change a calibration result, only its cost.
-#[derive(Debug)]
-pub struct ProbeCache {
-    enabled: bool,
-    inner: Mutex<ProbeInner>,
-}
-
-impl Default for ProbeCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProbeCache {
-    /// An empty probe cache. Enabled unless `OPC_PROBE_CACHE` is set to
-    /// `0`, `off` or `false`.
-    pub fn new() -> Self {
-        let enabled = crate::knobs::probe_cache();
-        Self::with_enabled(enabled)
-    }
-
-    /// An empty probe cache with memoization explicitly on or off
-    /// (env-independent — what the equivalence tests and benches use).
-    pub fn with_enabled(enabled: bool) -> Self {
-        ProbeCache {
-            enabled,
-            inner: Mutex::new(ProbeInner::default()),
-        }
-    }
-
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Returns the cached probe result for `key`, or computes it with
-    /// `integrate`, stores it, and returns it. As with
-    /// [`PulseCache::get_or_integrate`], the closure runs outside the lock.
-    pub fn get_or_integrate(
-        &self,
-        key: ProbeKey,
-        integrate: impl FnOnce() -> FrameResult,
-    ) -> FrameResult {
-        if !self.enabled {
-            return integrate();
-        }
-        {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(r) = inner.map.get(&key) {
-                let r = r.clone();
-                inner.hits += 1;
-                return r;
-            }
-            inner.misses += 1;
-        }
-        let r = integrate();
-        let mut inner = self.inner.lock().unwrap();
-        if inner.map.len() < MAX_PROBE_ENTRIES {
-            inner.map.insert(key, r.clone());
-        }
-        r
-    }
-
-    /// Current counters (`generation` is always 0: probe keys embed the
-    /// calibration-time physics, which never drifts, so the cache is never
-    /// invalidated).
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.map.len(),
-            generation: 0,
-        }
+    /// Recovers a poisoned lock: every entry is a pure function of its
+    /// key and the counters are statistics, so each single update leaves
+    /// the table valid.
+    fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -459,23 +408,147 @@ mod tests {
         .waveform("w")
     }
 
-    #[test]
-    fn identical_content_hits() {
-        let p = TransmonParams::almaden_like();
-        let s = DriveState::default();
-        let cache = PulseCache::new();
-        cache.set_enabled(true);
-        let mut calls = 0;
-        for _ in 0..3 {
-            let k = single_play_key(&p, &s, &wf(0.25));
-            cache.get_or_integrate(k, || {
-                calls += 1;
-                CMat::identity(3)
-            });
+    /// One instantiation of [`ExactCache`] under test: distinct keys and
+    /// values indexed by `i`, plus the bits that identify a value.
+    struct Case<K, V> {
+        key: fn(usize) -> K,
+        value: fn(usize) -> V,
+        bits: fn(&V) -> u64,
+    }
+
+    fn pulse_case() -> Case<PulseKey, CMat> {
+        Case {
+            key: |i| PulseKey {
+                words: vec![TAG_1Q, i as u64],
+            },
+            value: |i| CMat::identity(1).scale(C64::real(i as f64)),
+            bits: |v| v[(0, 0)].re.to_bits(),
         }
-        assert_eq!(calls, 1);
+    }
+
+    fn probe_case() -> Case<ProbeKey, FrameResult> {
+        Case {
+            key: |i| ProbeKey([TAG_PROBE, i as u64, 0, 0, 0, 0, 0, 0]),
+            value: |i| FrameResult {
+                unitary: CMat::identity(1),
+                frame_phase: i as f64,
+                duration: i as u64,
+            },
+            bits: |v| v.frame_phase.to_bits(),
+        }
+    }
+
+    fn hits_identical_keys_and_respects_disable<K: CacheKey + Clone, V: Clone>(c: Case<K, V>) {
+        for (enabled, calls_want, stats_want) in [(true, 1, (2, 1, 1)), (false, 3, (0, 0, 0))] {
+            let cache = ExactCache::<K, V>::with_enabled(enabled);
+            let mut calls = 0;
+            for _ in 0..3 {
+                let v = cache.get_or_integrate((c.key)(7), || {
+                    calls += 1;
+                    (c.value)(7)
+                });
+                assert_eq!((c.bits)(&v), (c.bits)(&(c.value)(7)));
+            }
+            assert_eq!(calls, calls_want, "enabled = {enabled}");
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), stats_want);
+        }
+        // The switch also works after construction.
+        let cache = ExactCache::<K, V>::new();
+        cache.set_enabled(false);
+        cache.get_or_integrate((c.key)(1), || (c.value)(1));
+        assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    fn invalidate_and_reset_stats<K: CacheKey + Clone, V: Clone>(c: Case<K, V>) {
+        let cache = ExactCache::<K, V>::new();
+        cache.get_or_integrate((c.key)(3), || (c.value)(3));
+        cache.get_or_integrate((c.key)(3), || (c.value)(3));
+        cache.reset_stats();
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 1));
+        cache.invalidate();
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.generation), (0, 1));
+        // Next lookup must re-integrate.
+        let mut calls = 0;
+        cache.get_or_integrate((c.key)(3), || {
+            calls += 1;
+            (c.value)(3)
+        });
+        assert_eq!(calls, 1);
+    }
+
+    fn inserts_past_the_cap_are_dropped<K: CacheKey + Clone, V: Clone>(c: Case<K, V>) {
+        let cache = ExactCache::<K, V>::new();
+        let cap = K::MAX_ENTRIES;
+        for i in 0..=cap {
+            cache.get_or_integrate((c.key)(i), || (c.value)(i));
+        }
+        assert_eq!(cache.stats().entries, cap);
+        // The overflow key was computed but not stored: it integrates
+        // again, and still returns its own value.
+        let mut calls = 0;
+        for _ in 0..2 {
+            let v = cache.get_or_integrate((c.key)(cap), || {
+                calls += 1;
+                (c.value)(cap)
+            });
+            assert_eq!((c.bits)(&v), (c.bits)(&(c.value)(cap)));
+        }
+        assert_eq!(calls, 2);
+        // Resident keys still hit with their own values.
+        for i in [0, cap - 1] {
+            let v = cache.get_or_integrate((c.key)(i), || unreachable!("key {i} is resident"));
+            assert_eq!((c.bits)(&v), (c.bits)(&(c.value)(i)));
+        }
+        assert_eq!(cache.stats().entries, cap);
+    }
+
+    #[test]
+    fn pulse_cache_hits_identical_keys_and_respects_disable() {
+        hits_identical_keys_and_respects_disable(pulse_case());
+    }
+
+    #[test]
+    fn probe_cache_hits_identical_keys_and_respects_disable() {
+        hits_identical_keys_and_respects_disable(probe_case());
+    }
+
+    #[test]
+    fn pulse_cache_invalidate_and_reset_stats() {
+        invalidate_and_reset_stats(pulse_case());
+    }
+
+    #[test]
+    fn probe_cache_invalidate_and_reset_stats() {
+        invalidate_and_reset_stats(probe_case());
+    }
+
+    #[test]
+    fn pulse_cache_drops_inserts_past_its_cap() {
+        assert_eq!(PulseKey::MAX_ENTRIES, 4096);
+        inserts_past_the_cap_are_dropped(pulse_case());
+    }
+
+    #[test]
+    fn probe_cache_drops_inserts_past_its_cap() {
+        assert_eq!(ProbeKey::MAX_ENTRIES, 1 << 16);
+        inserts_past_the_cap_are_dropped(probe_case());
+    }
+
+    #[test]
+    fn probe_hit_is_bit_identical_to_a_real_integration() {
+        let p = TransmonParams::almaden_like();
+        let t = crate::transmon::Transmon::new(p);
+        let w = wf(0.25);
+        let cache = ProbeCache::new();
+        let first = cache.get_or_integrate(probe_key(&p, &w), || t.integrate_waveform(&w));
+        let hit = cache.get_or_integrate(probe_key(&p, &w), || unreachable!("second probe hits"));
+        assert_eq!(
+            first.unitary[(1, 0)].re.to_bits(),
+            hit.unitary[(1, 0)].re.to_bits()
+        );
     }
 
     #[test]
@@ -489,44 +562,6 @@ mod tests {
         drifted.rabi_hz_per_amp *= 1.0 + 1e-9;
         let k3 = single_play_key(&drifted, &s, &wf(0.25));
         assert_ne!(k1, k3, "parameter drift must change the key");
-    }
-
-    #[test]
-    fn invalidate_clears_entries() {
-        let cache = PulseCache::new();
-        cache.set_enabled(true);
-        let p = TransmonParams::almaden_like();
-        let k = single_play_key(&p, &DriveState::default(), &wf(0.3));
-        cache.get_or_integrate(k.clone(), || CMat::identity(3));
-        assert_eq!(cache.stats().entries, 1);
-        cache.invalidate();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.generation, 1);
-        // Next lookup must re-integrate.
-        let mut calls = 0;
-        cache.get_or_integrate(k, || {
-            calls += 1;
-            CMat::identity(3)
-        });
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn disabled_cache_always_integrates() {
-        let cache = PulseCache::new();
-        cache.set_enabled(false);
-        let p = TransmonParams::almaden_like();
-        let mut calls = 0;
-        for _ in 0..2 {
-            let k = single_play_key(&p, &DriveState::default(), &wf(0.3));
-            cache.get_or_integrate(k, || {
-                calls += 1;
-                CMat::identity(3)
-            });
-        }
-        assert_eq!(calls, 2);
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
@@ -573,30 +608,6 @@ mod tests {
         assert_eq!(quantize_probe(0.0), 0.0);
         assert!(quantize_probe(-x) < 0.0, "sign must survive quantization");
         assert!((quantize_probe(x) / x - 1.0).abs() < 3e-10);
-    }
-
-    #[test]
-    fn probe_cache_hits_identical_probes_and_respects_disable() {
-        let p = TransmonParams::almaden_like();
-        let t = crate::transmon::Transmon::new(p);
-        let w = wf(0.25);
-        for (enabled, expected_calls) in [(true, 1), (false, 2)] {
-            let cache = ProbeCache::with_enabled(enabled);
-            let mut calls = 0;
-            let mut results = Vec::new();
-            for _ in 0..2 {
-                results.push(cache.get_or_integrate(probe_key(&p, &w), || {
-                    calls += 1;
-                    t.integrate_waveform(&w)
-                }));
-            }
-            assert_eq!(calls, expected_calls);
-            // A hit returns the bit-identical propagator.
-            assert_eq!(
-                results[0].unitary[(1, 0)].re.to_bits(),
-                results[1].unitary[(1, 0)].re.to_bits()
-            );
-        }
     }
 
     #[test]

@@ -232,8 +232,8 @@ impl Calibration {
     }
 
     /// Runs the calibration from an explicit root seed, with the snapshot
-    /// store, thread pool and probe cache taken from the environment
-    /// (`OPC_CAL_CACHE`, `OPC_THREADS`, `OPC_PROBE_CACHE`).
+    /// store and thread pool taken from the environment (`OPC_CAL_CACHE`,
+    /// `OPC_THREADS`) and a fresh, enabled probe cache.
     pub fn run_seeded(device: &DeviceModel, opts: &CalibrationOptions, root: u64) -> Self {
         Self::run_seeded_with(
             device,

@@ -217,11 +217,6 @@ impl DeviceModel {
         &self.pulse_cache
     }
 
-    /// Enables or disables pulse-propagator memoization.
-    pub fn set_pulse_cache_enabled(&self, enabled: bool) {
-        self.pulse_cache.set_enabled(enabled);
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.qubits.len()

@@ -62,6 +62,8 @@ pub enum ExecError {
         /// Qubits the device has.
         device: usize,
     },
+    /// A trajectory executor was asked to average over zero trajectories.
+    NoTrajectories,
 }
 
 impl ExecError {
@@ -93,6 +95,7 @@ impl fmt::Display for ExecError {
                 "program register of {program} qubit(s) does not fit a \
                  {device}-qubit device (needs 1..={device})"
             ),
+            ExecError::NoTrajectories => write!(f, "trajectory count must be at least 1"),
         }
     }
 }

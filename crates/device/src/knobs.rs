@@ -10,8 +10,6 @@
 //! | knob | accessor | default |
 //! |---|---|---|
 //! | `OPC_FUSION` | [`fusion`] | on (off only at `0`) |
-//! | `OPC_PULSE_CACHE` | [`pulse_cache`] | on (off at `0`/`off`/`false`) |
-//! | `OPC_PROBE_CACHE` | [`probe_cache`] | on (off at `0`/`off`/`false`) |
 //! | `OPC_CAL_CACHE` | [`cal_cache`] | default store under `target/` |
 //! | `OPC_OVERSUBSCRIBE` | [`oversubscribe`] | off (on only at `1`) |
 //! | `OPC_THREADS` | [`threads`] | unset (available parallelism) |
@@ -22,24 +20,6 @@
 pub fn fusion() -> bool {
     match std::env::var("OPC_FUSION") {
         Ok(v) => v != "0",
-        Err(_) => true,
-    }
-}
-
-/// `OPC_PULSE_CACHE`: the content-addressed pulse-unitary cache. Enabled
-/// unless set to `0`, `off` or `false`.
-pub fn pulse_cache() -> bool {
-    match std::env::var("OPC_PULSE_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// `OPC_PROBE_CACHE`: the calibration probe memo. Enabled unless set to
-/// `0`, `off` or `false`.
-pub fn probe_cache() -> bool {
-    match std::env::var("OPC_PROBE_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
         Err(_) => true,
     }
 }

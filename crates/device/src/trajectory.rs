@@ -206,9 +206,10 @@ impl<'a> TrajectoryExecutor<'a> {
     /// Creates an executor that averages over `trajectories` noise
     /// realizations. Gate fusion defaults to the `OPC_FUSION`
     /// environment knob (on unless `OPC_FUSION=0`); override it
-    /// programmatically with [`TrajectoryExecutor::with_fusion`].
+    /// programmatically with [`TrajectoryExecutor::with_fusion`]. A zero
+    /// count is reported by the run methods as
+    /// [`ExecError::NoTrajectories`].
     pub fn new(device: &'a DeviceModel, trajectories: usize) -> Self {
-        assert!(trajectories >= 1);
         TrajectoryExecutor {
             device,
             trajectories,
@@ -287,6 +288,9 @@ impl<'a> TrajectoryExecutor<'a> {
         pool: &ShotPool,
     ) -> Result<Vec<u64>, ExecError> {
         ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
+        if self.trajectories == 0 {
+            return Err(ExecError::NoTrajectories);
+        }
         let n = program.num_qubits as usize;
         let fused = if self.fusion_enabled() {
             Some(self.build_plan(program)?)
@@ -915,6 +919,25 @@ mod tests {
     use crate::calibration::calibrate;
     use crate::executor::PulseExecutor;
     use quant_math::seeded;
+
+    #[test]
+    fn zero_trajectories_is_an_error_not_a_panic() {
+        let device = DeviceModel::almaden_like(2, &mut seeded(2));
+        let program = LoweredProgram {
+            num_qubits: 2,
+            blocks: Vec::new(),
+            schedule: Schedule::new("p"),
+        };
+        let exec = TrajectoryExecutor::new(&device, 0);
+        assert_eq!(
+            exec.try_run_pooled(&program, 100, 1, &ShotPool::serial()),
+            Err(ExecError::NoTrajectories)
+        );
+        assert_eq!(
+            exec.try_run(&program, 100, &mut seeded(3)),
+            Err(ExecError::NoTrajectories)
+        );
+    }
 
     #[test]
     fn trajectories_match_density_matrix_on_bell_pair() {

@@ -95,7 +95,7 @@ fn counts_identical_cache_on_and_off() {
     let program = bell_ish_program(&device);
 
     let run_with_cache = |enabled: bool| -> (Vec<f64>, Vec<u64>) {
-        device.set_pulse_cache_enabled(enabled);
+        device.pulse_cache().set_enabled(enabled);
         device.pulse_cache().invalidate();
         let exec = PulseExecutor::new(&device);
         // Two runs: jittered runs bypass the cache, so the second must not
@@ -110,7 +110,7 @@ fn counts_identical_cache_on_and_off() {
 
     let (p_off, c_off) = run_with_cache(false);
     let (p_on, c_on) = run_with_cache(true);
-    device.set_pulse_cache_enabled(true);
+    device.pulse_cache().set_enabled(true);
     assert!(
         p_off
             .iter()
@@ -125,7 +125,6 @@ fn counts_identical_cache_on_and_off() {
 fn cache_hits_repeated_noiseless_runs_and_drift_invalidates() {
     let mut rng = seeded(17);
     let mut device = DeviceModel::almaden_like(2, &mut rng);
-    device.set_pulse_cache_enabled(true);
     let program = bell_ish_program(&device);
     let exec = PulseExecutor::noiseless(&device);
 
@@ -409,7 +408,6 @@ fn pooled_density_errors_match_serial() {
 fn jittered_runs_bypass_the_pulse_cache() {
     let (mut device, cal) = chain(2, 61);
     let program = fig12_class_program(&cal, 2);
-    device.set_pulse_cache_enabled(true);
     let fresh = |device: &DeviceModel| {
         device.pulse_cache().invalidate();
         device.pulse_cache().reset_stats();

@@ -11,7 +11,7 @@
 //! * **horizontal stretching** (Optimization 3: `CR(θ)` stretches the
 //!   flat-top of the calibrated echoed-CR GaussianSquare).
 
-use quant_math::C64;
+use quant_math::{fnv1a, C64, FNV_OFFSET};
 use std::sync::Arc;
 
 /// A sampled complex envelope.
@@ -97,18 +97,10 @@ impl Waveform {
     /// pulse-cache keys) fold the full sample bits instead; the calibration
     /// probe cache uses this hash for compact keys.
     pub fn content_hash64(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        fn fold(mut h: u64, word: u64) -> u64 {
-            for byte in word.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
-            }
-            h
-        }
-        let mut h = fold(OFFSET, self.samples.len() as u64);
+        let mut h = fnv1a(FNV_OFFSET, self.samples.len() as u64);
         for s in self.samples.iter() {
-            h = fold(h, s.re.to_bits());
-            h = fold(h, s.im.to_bits());
+            h = fnv1a(h, s.re.to_bits());
+            h = fnv1a(h, s.im.to_bits());
         }
         h
     }
@@ -358,6 +350,17 @@ impl Constant {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn content_hash_value_is_pinned() {
+        let w = Gaussian {
+            duration: 32,
+            amp: 0.25,
+            sigma: 8.0,
+        }
+        .waveform("g");
+        assert_eq!(w.content_hash64(), 0x42d3_eab7_c464_7c39);
+    }
 
     #[test]
     fn gaussian_symmetry_and_peak() {

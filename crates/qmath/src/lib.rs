@@ -23,6 +23,7 @@
 mod complex;
 mod eig;
 mod fit;
+mod fnv;
 mod mat;
 mod optimize;
 mod poly;
@@ -32,6 +33,7 @@ mod rng;
 pub use complex::C64;
 pub use eig::{eigh, expm, unitary_exp, HermitianEig};
 pub use fit::{fit_cosine, fit_exp_decay, linear_least_squares, CosineFit, ExpDecayFit};
+pub use fnv::{fnv1a, fnv1a_bytes, FNV_OFFSET};
 pub use mat::CMat;
 pub use optimize::{
     cobyla_lite, nelder_mead, nelder_mead_multistart, CobylaOptions, Constraint, NelderMeadOptions,

@@ -17,8 +17,8 @@
 //!   its full semantic content (device spec, circuit ops, compile mode,
 //!   shots, seed, noise flag — like the calibration `snapshot_key`).
 //!   A job identical to one already in flight coalesces onto the same
-//!   computation; a job identical to a recently completed one is answered
-//!   from a bounded result memo without queueing at all.
+//!   computation; a job identical to one of the last 512 completed ones
+//!   is answered from the result memo without queueing at all.
 //! * **Per-device calibration shards.** The expensive per-device state
 //!   (the [`DeviceModel`](quant_device::DeviceModel) and its
 //!   [`Calibration`](quant_device::Calibration)) is built once per device
@@ -28,7 +28,7 @@
 //!   (which also shares the device's pulse cache across all jobs on that
 //!   shard).
 //! * **Same-device batching.** A worker that pops a job also claims up to
-//!   `batch_max - 1` more queued jobs for the *same* device shard, so a
+//!   seven more queued jobs for the *same* device shard, so a
 //!   burst of traffic against one device amortizes the shard lookup and
 //!   keeps its caches hot instead of interleaving devices across workers.
 //!

@@ -21,6 +21,19 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// so a job seed never aliases its own raw `seeded(seed)` stream.
 const EXEC_STREAM: u64 = 0x5eb;
 
+/// Maximum jobs a worker claims per batch (all on one device shard).
+const BATCH_MAX: usize = 8;
+
+/// Completed results kept for memo hits (FIFO eviction).
+const MEMO_ENTRIES: usize = 512;
+
+/// Largest register a job may target — a cap on untrusted input, not a
+/// simulator limit (the ideal-distribution check is `O(2ⁿ)`).
+const MAX_QUBITS: u32 = 10;
+
+/// Largest shot count a job may request.
+const MAX_SHOTS: usize = 1 << 20;
+
 /// Everything that can go wrong with a job, as a value. The service never
 /// panics on untrusted input or load: malformed programs come back as
 /// [`ServiceError::Parse`]/[`ServiceError::InvalidRequest`] (the 4xx
@@ -91,17 +104,6 @@ pub struct ServiceConfig {
     /// Maximum queued (not yet claimed) jobs before submissions are
     /// rejected with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
-    /// Maximum jobs a worker claims per batch (all on one device shard).
-    pub batch_max: usize,
-    /// Coalesce identical jobs (in-flight sharing + completed-result memo).
-    pub dedup: bool,
-    /// Completed results kept for memo hits (FIFO eviction).
-    pub result_cache_entries: usize,
-    /// Largest register a job may target — a cap on untrusted input, not
-    /// a simulator limit (the ideal-distribution check is `O(2ⁿ)`).
-    pub max_qubits: u32,
-    /// Largest shot count a job may request.
-    pub max_shots: usize,
     /// Optional monotonic tick source (e.g. microseconds since service
     /// start). Library code takes no wall clock of its own — the
     /// determinism lint bans it — so latency accounting is injected:
@@ -114,11 +116,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: ShotPool::from_env().threads(),
             queue_capacity: 256,
-            batch_max: 8,
-            dedup: true,
-            result_cache_entries: 512,
-            max_qubits: 10,
-            max_shots: 1 << 20,
             clock: None,
         }
     }
@@ -129,11 +126,6 @@ impl fmt::Debug for ServiceConfig {
         f.debug_struct("ServiceConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("batch_max", &self.batch_max)
-            .field("dedup", &self.dedup)
-            .field("result_cache_entries", &self.result_cache_entries)
-            .field("max_qubits", &self.max_qubits)
-            .field("max_shots", &self.max_shots)
             .field("clock", &self.clock.as_ref().map(|_| "<fn>"))
             .finish()
     }
@@ -345,8 +337,6 @@ impl CompileService {
                 "queue_capacity must be at least 1".into(),
             ));
         }
-        let mut cfg = cfg;
-        cfg.batch_max = cfg.batch_max.max(1);
         let workers = cfg.workers;
         let inner = Arc::new(ServiceInner {
             cfg,
@@ -407,23 +397,21 @@ impl CompileService {
         if st.shutdown {
             return Err(ServiceError::ShutDown);
         }
-        if self.inner.cfg.dedup {
-            if let Some(out) = st.memo.get(&key) {
-                self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Ticket {
-                    slot: Arc::new(JobSlot::ready(Ok(Arc::clone(out)))),
-                    key,
-                    deduped: true,
-                });
-            }
-            if let Some(slot) = st.inflight.get(&key) {
-                self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Ticket {
-                    slot: Arc::clone(slot),
-                    key,
-                    deduped: true,
-                });
-            }
+        if let Some(out) = st.memo.get(&key) {
+            self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Ticket {
+                slot: Arc::new(JobSlot::ready(Ok(Arc::clone(out)))),
+                key,
+                deduped: true,
+            });
+        }
+        if let Some(slot) = st.inflight.get(&key) {
+            self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Ticket {
+                slot: Arc::clone(slot),
+                key,
+                deduped: true,
+            });
         }
         if st.queue.len() >= self.inner.cfg.queue_capacity {
             self.inner.overloads.fetch_add(1, Ordering::Relaxed);
@@ -512,7 +500,6 @@ impl CompileService {
     /// Parses + validates a spec into the executable form. All untrusted
     /// input is rejected here, before the job consumes queue space.
     fn resolve(&self, spec: JobSpec) -> Result<ResolvedJob, ServiceError> {
-        let cfg = &self.inner.cfg;
         let circuit = match spec.circuit {
             CircuitSource::Qasm(src) => qasm::parse(&src).map_err(ServiceError::Parse)?,
             CircuitSource::Ir(c) => c,
@@ -521,10 +508,9 @@ impl CompileService {
         if n == 0 {
             return Err(ServiceError::InvalidRequest("circuit has no qubits".into()));
         }
-        if n > cfg.max_qubits {
+        if n > MAX_QUBITS {
             return Err(ServiceError::InvalidRequest(format!(
-                "circuit uses {n} qubits; service limit is {}",
-                cfg.max_qubits
+                "circuit uses {n} qubits; service limit is {MAX_QUBITS}"
             )));
         }
         let device_qubits = spec.device.num_qubits();
@@ -534,16 +520,15 @@ impl CompileService {
                 spec.device.kind.name()
             )));
         }
-        if device_qubits > cfg.max_qubits {
+        if device_qubits > MAX_QUBITS {
             return Err(ServiceError::InvalidRequest(format!(
-                "device width {device_qubits} exceeds service limit {}",
-                cfg.max_qubits
+                "device width {device_qubits} exceeds service limit {MAX_QUBITS}"
             )));
         }
-        if spec.shots == 0 || spec.shots > cfg.max_shots {
+        if spec.shots == 0 || spec.shots > MAX_SHOTS {
             return Err(ServiceError::InvalidRequest(format!(
-                "shots must be in 1..={}, got {}",
-                cfg.max_shots, spec.shots
+                "shots must be in 1..={MAX_SHOTS}, got {}",
+                spec.shots
             )));
         }
         if circuit
@@ -617,7 +602,7 @@ fn drain_one(inner: &ServiceInner) -> bool {
         let shard_key = first.job.device.shard_key();
         let mut batch = vec![first];
         let mut i = 0;
-        while i < st.queue.len() && batch.len() < inner.cfg.batch_max {
+        while i < st.queue.len() && batch.len() < BATCH_MAX {
             if st.queue[i].job.device.shard_key() == shard_key {
                 if let Some(claimed) = st.queue.remove(i) {
                     batch.push(claimed);
@@ -641,15 +626,13 @@ fn drain_one(inner: &ServiceInner) -> bool {
         {
             let mut st = lock(&inner.state);
             st.inflight.remove(&pending.key);
-            if inner.cfg.dedup && inner.cfg.result_cache_entries > 0 {
-                if let Ok(out) = &result {
-                    if st.memo.insert(pending.key, Arc::clone(out)).is_none() {
-                        st.memo_order.push_back(pending.key);
-                    }
-                    while st.memo_order.len() > inner.cfg.result_cache_entries {
-                        if let Some(evicted) = st.memo_order.pop_front() {
-                            st.memo.remove(&evicted);
-                        }
+            if let Ok(out) = &result {
+                if st.memo.insert(pending.key, Arc::clone(out)).is_none() {
+                    st.memo_order.push_back(pending.key);
+                }
+                while st.memo_order.len() > MEMO_ENTRIES {
+                    if let Some(evicted) = st.memo_order.pop_front() {
+                        st.memo.remove(&evicted);
                     }
                 }
             }

@@ -3,7 +3,7 @@
 use pulse_compiler::CompileMode;
 use quant_circuit::{Circuit, Gate};
 use quant_device::DeviceModel;
-use quant_math::seeded;
+use quant_math::{fnv1a, fnv1a_bytes, seeded, FNV_OFFSET};
 
 /// Bumped whenever the service's execution semantics change, so stale
 /// dedup keys from older algorithm versions can never alias new results
@@ -153,24 +153,6 @@ impl JobSpec {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Parameter words of a gate, by exact bit pattern (the same "floats enter
 /// the key verbatim" rule the pulse cache uses — dedup must never equate
 /// almost-equal angles).
@@ -232,6 +214,17 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1);
         c
+    }
+
+    #[test]
+    fn key_value_is_pinned() {
+        // Dedup keys must not move silently: pin one value, covering the
+        // word fold, the gate-name byte fold and the parameter bits.
+        let d = DeviceSpec::new(DeviceKind::Almaden, 2, 7);
+        let mut c = bell();
+        c.rx(1, 0.25);
+        let key = job_key(&d, &c, CompileMode::Optimized, 4000, 7, true);
+        assert_eq!(key, 0x91f4_0d0c_7ecb_9c8b);
     }
 
     #[test]

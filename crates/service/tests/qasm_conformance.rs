@@ -40,7 +40,7 @@ fn service() -> CompileService {
 
 fn job_for(source: &str) -> JobSpec {
     // 10 qubits covers every fixture width and stays at the service's
-    // default `max_qubits` ceiling.
+    // 10-qubit ceiling.
     JobSpec::qasm(
         DeviceSpec::new(DeviceKind::Almaden, 10, 42),
         source.to_string(),

@@ -221,6 +221,58 @@ fn bad_programs_are_rejected_before_queueing() {
 }
 
 #[test]
+fn width_and_shot_limits_sit_at_ten_qubits_and_two_to_the_twenty() {
+    let svc = service(0);
+    let on = |qubits: u32, shots: usize| {
+        let mut job = JobSpec::qasm(
+            DeviceSpec::new(DeviceKind::Almaden, qubits, 7),
+            "qreg q[1]; x q[0];",
+        );
+        job.shots = shots;
+        svc.submit(job)
+    };
+    assert!(on(10, 1).is_ok(), "a 10-qubit device is servable");
+    match on(11, 1) {
+        Err(quant_service::ServiceError::InvalidRequest(msg)) => {
+            assert!(msg.contains("limit 10"), "{msg}")
+        }
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    assert!(on(2, 1 << 20).is_ok(), "2^20 shots are servable");
+    match on(2, (1 << 20) + 1) {
+        Err(quant_service::ServiceError::InvalidRequest(msg)) => {
+            assert!(msg.contains(&(1u64 << 20).to_string()), "{msg}")
+        }
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    assert_eq!(svc.stats().submitted, 2);
+}
+
+#[test]
+fn result_memo_keeps_the_last_512_completed_jobs() {
+    let svc = service(0);
+    let job = |seed: u64| {
+        let mut j = JobSpec::qasm(
+            DeviceSpec::new(DeviceKind::Armonk, 1, 7),
+            "qreg q[1]; x q[0];",
+        );
+        j.shots = 1;
+        j.noisy = false;
+        j.seed = seed;
+        j
+    };
+    for seed in 0..513 {
+        assert!(!svc.submit(job(seed)).expect("distinct job").deduped());
+        svc.run_pending();
+    }
+    assert_eq!(svc.stats().completed, 513);
+    // The memo is FIFO over completions: the oldest fell out, the newest
+    // is answered without queueing.
+    assert!(svc.submit(job(512)).expect("newest").deduped());
+    assert!(!svc.submit(job(0)).expect("oldest").deduped());
+}
+
+#[test]
 fn uncoupled_pairs_come_back_as_compile_errors() {
     // A CZ between qubits 0 and 2 on a 3-qubit line: no direct coupling,
     // and the service's compiler does not route — the job must fail as a
