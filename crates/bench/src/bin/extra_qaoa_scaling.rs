@@ -10,15 +10,17 @@
 //! cargo run --release -p repro-bench --bin extra_qaoa_scaling
 //! ```
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_algos::LineGraph;
-use quant_char::{counts_to_distribution, hellinger_distance};
-use quant_device::TrajectoryExecutor;
+use quant_char::hellinger_distance;
+use quant_device::ShotPool;
 use quant_math::seeded;
-use repro_bench::Setup;
+use rand::Rng;
+use repro_bench::{run_noisy_trajectory, Setup};
 
 fn main() {
     let trajectories = 32;
+    let pool = ShotPool::from_env();
     println!("QAOA-MAXCUT error vs size (trajectory executor, {trajectories} trajectories)\n");
     println!(
         "{:<8} {:>10} {:>10} {:>9} {:>10}",
@@ -39,14 +41,10 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-                .compile(&circuit)
-                .unwrap();
-            let exec = TrajectoryExecutor::new(&setup.device, trajectories);
-            let mut rng = seeded(6_000 + (n * 10 + m) as u64);
-            let counts = exec.run(&compiled.program, shots, &mut rng);
-            let measured = counts_to_distribution(&counts);
-            let mitigated = setup.mitigator(n).mitigate(&measured);
+            let root = seeded(6_000 + (n * 10 + m) as u64).gen::<u64>();
+            let mitigated =
+                run_noisy_trajectory(&setup, &circuit, mode, trajectories, shots, root, &pool)
+                    .distribution;
             errs[m] = hellinger_distance(&ideal, &mitigated);
             if m == 1 {
                 opt_cut = g.expected_cut(&mitigated);

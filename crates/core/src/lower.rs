@@ -95,7 +95,7 @@ impl<'a> Lowering<'a> {
     /// `DirectRx`, `Cnot`, `Cr`. Anything else is a [`LowerError`].
     ///
     /// Every distinct pulse is rendered once per call and shared by
-    /// reference afterwards (see [`RenderMemo`]); only the frame rotation
+    /// reference afterwards (see `RenderMemo`); only the frame rotation
     /// baked into each single-qubit pulse is computed per gate.
     pub fn lower(&self, circuit: &Circuit) -> Result<LoweredProgram, LowerError> {
         let n = circuit.num_qubits();

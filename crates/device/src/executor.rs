@@ -24,13 +24,13 @@ use crate::cache::PulseCache;
 use crate::device::DeviceModel;
 use crate::params::DT;
 use crate::readout;
-use crate::transmon::{DriveState, Transmon};
-use crate::twoqubit::CrPair;
+use crate::timeline::{timeline, Event};
+use crate::transmon::DriveState;
 use quant_math::{normal, CMat, C64};
-use quant_pulse::{Channel, Instruction, Schedule};
+use quant_pulse::{Channel, Instruction, Schedule, Waveform};
 use quant_sim::{channels, DensityMatrix, KernelScratch};
 use rand::Rng;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Execution failure: the lowered program asked the device for something
@@ -207,51 +207,6 @@ impl ExecOutcome {
     }
 }
 
-/// Per-run evolution context: the stride-kernel scratch shared by every
-/// operator application in the block loop, plus the memo of coalesced
-/// thermal-relaxation channels keyed by `(qubit, duration)`. Programs
-/// repeat a handful of distinct idle/gate durations many times, so after
-/// the first few blocks the hot loop neither allocates nor recomposes
-/// channels.
-struct EvolveCtx {
-    scratch: KernelScratch,
-    // opclint: allow(unordered-iter): lookup-only memo — entry()/get keyed
-    // by exact (qubit, duration); never iterated, so its order cannot leak
-    // into results. HashMap keeps the hot relax() path O(1).
-    relax_memo: HashMap<(u32, u64), Vec<CMat>>,
-}
-
-impl EvolveCtx {
-    fn new() -> Self {
-        EvolveCtx {
-            scratch: KernelScratch::new(),
-            // opclint: allow(unordered-iter): constructor of the lookup-only memo above.
-            relax_memo: HashMap::new(),
-        }
-    }
-}
-
-/// One unit of work of [`PulseExecutor::try_run_pooled`], prepared in
-/// program order with its topology resolved and its jitter drawn.
-enum Task {
-    /// Idling for `duration` dt.
-    Idle { qubit: u32, duration: u64 },
-    /// One single-qubit waveform, integrated from a fresh frame.
-    Play {
-        qubit: u32,
-        transmon: Transmon,
-        waveform: quant_pulse::Waveform,
-    },
-    /// One two-qubit block on a coupled pair.
-    Pair {
-        control: u32,
-        target: u32,
-        pair: CrPair,
-        channel: Channel,
-        schedule: Schedule,
-    },
-}
-
 /// The executor.
 #[derive(Clone, Debug)]
 pub struct PulseExecutor<'a> {
@@ -318,19 +273,23 @@ impl<'a> PulseExecutor<'a> {
     /// [`PulseExecutor::try_run`], because the run has three phases and
     /// only the pure one is parallel:
     ///
-    /// 1. **Prepare** (serial, program order): resolve each two-qubit
-    ///    block's CR pair and control channel — the first topology error
-    ///    in program order is the one returned — and draw every amplitude
-    ///    jitter from `rng`, so the random stream is consumed exactly as a
-    ///    one-pass loop would consume it.
-    /// 2. **Integrate** (parallel, pure): each prepared pulse becomes its
+    /// 1. **Prepare** (serial, program order): walk the program's
+    ///    timeline — the one as-soon-as-possible alignment and
+    ///    trailing-idle rule every executor follows — which resolves each
+    ///    two-qubit block's CR pair and control channel (the first
+    ///    topology error in program order is the one returned), and draw
+    ///    every amplitude jitter from `rng` in the same pass, so the
+    ///    random stream is consumed exactly as a one-pass loop would
+    ///    consume it.
+    /// 2. **Integrate** (parallel, pure): each pulse becomes its
     ///    propagator and then its Kraus channel. Jittered pulses never
     ///    repeat, so a run that draws jitter integrates directly and
     ///    leaves the [`PulseCache`] untouched; noiseless and
     ///    zero-jitter runs go through the cache, where replays hit.
     /// 3. **Evolve** (serial, program order): the density matrix takes
-    ///    each channel and the relaxation for each qubit's wall-clock
-    ///    time, in the same order as ever.
+    ///    the timeline's events in order — each pulse's channel, and the
+    ///    relaxation for each qubit's wall-clock time, composed once per
+    ///    distinct `(qubit, duration)`.
     ///
     /// The compile service calls the serial [`PulseExecutor::try_run`]
     /// per job on purpose: its workers already occupy every core, and a
@@ -341,93 +300,96 @@ impl<'a> PulseExecutor<'a> {
         rng: &mut impl Rng,
         pool: &ShotPool,
     ) -> Result<ExecOutcome, ExecError> {
-        ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
-        let tasks = self.prepare(program, rng)?;
+        let device = self.device;
+        ExecError::check_width(program.num_qubits, device.num_qubits())?;
+        let sigma = self.jitter_sigma();
+        let line = timeline(device, program, |event| match event {
+            Event::Play { qubit, waveform } => Event::Play {
+                qubit,
+                waveform: jittered(waveform, sigma, rng),
+            },
+            Event::Pair {
+                control,
+                target,
+                pair,
+                channel,
+                schedule,
+            } if self.noisy => Event::Pair {
+                control,
+                target,
+                pair,
+                channel,
+                schedule: Cow::Owned(jitter_schedule(&schedule, device.pulse_amp_jitter(), rng)),
+            },
+            other => other,
+        })?;
         // A run that draws jitter never repeats a pulse: looking one up
         // could only miss, and storing it would only cost memory.
-        let cache = (!self.draws_jitter()).then(|| self.device.pulse_cache());
-        let channels = pool.map(&tasks, |_, task| integrate(task, cache));
+        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
+        let cache = (sigma == 0.0).then(|| device.pulse_cache());
+        let channels = pool.map(&line.events, |_, event| integrate(device, event, cache));
+
+        // Relaxation stages per distinct (qubit, duration): one composed
+        // channel on the kernel path, the per-stage channels on the
+        // reference path (float-identical to the pre-kernel route), none
+        // when decoherence is off.
+        let relax: Vec<(usize, Vec<Vec<CMat>>)> = line
+            .relax
+            .iter()
+            .map(|&(q, samples)| {
+                let p = device.qubit(q);
+                let t = samples as f64 * DT;
+                let stages = if !self.noisy {
+                    Vec::new()
+                } else if self.reference {
+                    channels::thermal_relaxation(t, p.t1, p.t2)
+                } else {
+                    vec![channels::thermal_relaxation_kraus(t, p.t1, p.t2)]
+                };
+                (q as usize, stages)
+            })
+            .collect();
+        // Thermal SPAM: imperfect reset leaves residual |1⟩ population that
+        // readout mitigation (a measurement-side correction) cannot remove.
+        let p_reset = device.reset_excited_prob();
+        let flip = (self.noisy && p_reset > 0.0).then(|| {
+            vec![
+                CMat::identity(2).scale(C64::real((1.0 - p_reset).sqrt())),
+                quant_sim::gates::x().scale(C64::real(p_reset.sqrt())),
+            ]
+        });
 
         let n = program.num_qubits as usize;
         let mut rho = DensityMatrix::zero_qubits(n);
-        let mut ctx = EvolveCtx::new();
-        // Thermal SPAM: imperfect reset leaves residual |1⟩ population that
-        // readout mitigation (a measurement-side correction) cannot remove.
-        let p_reset = self.device.reset_excited_prob();
-        if self.noisy && p_reset > 0.0 {
-            let flip = vec![
-                CMat::identity(2).scale(C64::real((1.0 - p_reset).sqrt())),
-                quant_sim::gates::x().scale(C64::real(p_reset.sqrt())),
-            ];
-            for q in 0..n {
-                self.apply_kraus_ctx(&mut rho, &flip, &[q], &mut ctx);
-            }
-        }
-        let mut cursor = vec![0u64; n];
-
-        for (task, kraus) in tasks.iter().zip(&channels) {
-            match task {
-                Task::Idle { qubit, duration } => {
-                    if self.noisy {
-                        self.relax(&mut rho, *qubit, *duration, &mut ctx);
+        let mut scratch = KernelScratch::new();
+        for (event, kraus) in line.events.iter().zip(&channels) {
+            match event {
+                Event::Spam(q) => {
+                    if let Some(flip) = &flip {
+                        self.apply_kraus(&mut rho, flip, &[*q as usize], &mut scratch);
                     }
-                    cursor[*qubit as usize] += duration;
                 }
-                Task::Play {
-                    qubit, waveform, ..
+                Event::Relax(id) => {
+                    let (q, stages) = &relax[*id];
+                    for stage in stages {
+                        self.apply_kraus(&mut rho, stage, &[*q], &mut scratch);
+                    }
+                }
+                Event::Play { qubit, .. } => {
+                    self.apply_kraus(&mut rho, kraus, &[*qubit as usize], &mut scratch);
+                }
+                Event::Pair {
+                    control, target, ..
                 } => {
-                    let q = *qubit as usize;
-                    self.apply_kraus_ctx(&mut rho, kraus, &[q], &mut ctx);
-                    let dur = waveform.duration();
-                    if self.noisy {
-                        self.relax(&mut rho, *qubit, dur, &mut ctx);
-                    }
-                    cursor[q] += dur;
-                }
-                Task::Pair {
-                    control,
-                    target,
-                    schedule,
-                    ..
-                } => {
-                    let (c, t) = (*control as usize, *target as usize);
-                    // Synchronize the two qubits (ASAP alignment): the
-                    // later cursor wins; the earlier qubit idles.
-                    let start = cursor[c].max(cursor[t]);
-                    for &q in &[*control, *target] {
-                        let idle = start - cursor[q as usize];
-                        if idle > 0 && self.noisy {
-                            self.relax(&mut rho, q, idle, &mut ctx);
-                        }
-                        cursor[q as usize] = start;
-                    }
-                    self.apply_kraus_ctx(&mut rho, kraus, &[c, t], &mut ctx);
-                    let dur = schedule.duration();
-                    if self.noisy {
-                        self.relax(&mut rho, *control, dur, &mut ctx);
-                        self.relax(&mut rho, *target, dur, &mut ctx);
-                    }
-                    cursor[c] += dur;
-                    cursor[t] += dur;
-                }
-            }
-        }
-
-        // Trailing idle: every qubit waits for the slowest one before the
-        // simultaneous measurement.
-        let end = cursor.iter().copied().max().unwrap_or(0);
-        if self.noisy {
-            for q in 0..n as u32 {
-                let idle = end - cursor[q as usize];
-                if idle > 0 {
-                    self.relax(&mut rho, q, idle, &mut ctx);
+                    let targets = [*control as usize, *target as usize];
+                    self.apply_kraus(&mut rho, kraus, &targets, &mut scratch);
                 }
             }
         }
 
         let true_probabilities = rho.probabilities();
         let probabilities = if self.noisy {
-            let readouts: Vec<_> = (0..n as u32).map(|q| *self.device.readout(q)).collect();
+            let readouts: Vec<_> = (0..n as u32).map(|q| *device.readout(q)).collect();
             readout::apply_confusion(&true_probabilities, &readouts)
         } else {
             true_probabilities.clone()
@@ -435,65 +397,8 @@ impl<'a> PulseExecutor<'a> {
         Ok(ExecOutcome {
             probabilities,
             true_probabilities,
-            duration: end,
+            duration: line.end,
         })
-    }
-
-    /// Phase 1 of [`PulseExecutor::try_run_pooled`]: walks the program in
-    /// order, resolving topology and drawing jitter, and flattens each
-    /// single-qubit block into one task per waveform.
-    fn prepare(
-        &self,
-        program: &LoweredProgram,
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Task>, ExecError> {
-        let mut tasks = Vec::with_capacity(program.blocks.len());
-        for block in &program.blocks {
-            match block {
-                Block::Idle { qubit, duration } => tasks.push(Task::Idle {
-                    qubit: *qubit,
-                    duration: *duration,
-                }),
-                Block::Gate1Q { qubit, waveforms } => {
-                    let transmon = self.device.transmon_exec(*qubit);
-                    for w in waveforms {
-                        tasks.push(Task::Play {
-                            qubit: *qubit,
-                            transmon: transmon.clone(),
-                            waveform: self.jittered(w, rng),
-                        });
-                    }
-                }
-                Block::Gate2Q {
-                    control,
-                    target,
-                    schedule,
-                } => {
-                    let (control, target) = (*control, *target);
-                    let pair = self
-                        .device
-                        .pair_exec(control, target)
-                        .ok_or(ExecError::UncoupledPair { control, target })?;
-                    let channel = self
-                        .device
-                        .control_channel(control, target)
-                        .ok_or(ExecError::MissingControlChannel { control, target })?;
-                    let schedule = if self.noisy {
-                        jitter_schedule(schedule, self.device.pulse_amp_jitter(), rng)
-                    } else {
-                        schedule.clone()
-                    };
-                    tasks.push(Task::Pair {
-                        control,
-                        target,
-                        pair,
-                        channel,
-                        schedule,
-                    });
-                }
-            }
-        }
-        Ok(tasks)
     }
 
     /// Runs a raw single-qutrit schedule (drive channel 0) on the 3-level
@@ -543,13 +448,16 @@ impl<'a> PulseExecutor<'a> {
                     cursor += duration;
                 }
                 Instruction::Play { waveform, .. } => {
-                    let w = self.jittered(waveform, rng);
+                    let w = jittered(Cow::Borrowed(waveform), self.jitter_sigma(), rng);
                     let u = transmon.integrate_play(&mut state, &w);
                     rho.apply_unitary_scratch(&u, &[0], &mut scratch);
                     relax3(&mut rho, w.duration(), &mut scratch);
                     cursor += w.duration();
                 }
-                _ => unreachable!(),
+                // Consumed by `apply_frame_instruction` above.
+                Instruction::ShiftPhase { .. }
+                | Instruction::SetFrequency { .. }
+                | Instruction::ShiftFrequency { .. } => {}
             }
         }
 
@@ -559,68 +467,30 @@ impl<'a> PulseExecutor<'a> {
         }
     }
 
-    /// Whether runs draw per-pulse amplitude jitter.
-    fn draws_jitter(&self) -> bool {
-        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
-        self.noisy && self.device.pulse_amp_jitter() != 0.0
-    }
-
-    /// Applies per-pulse additive amplitude jitter.
-    fn jittered(&self, w: &quant_pulse::Waveform, rng: &mut impl Rng) -> quant_pulse::Waveform {
-        if !self.draws_jitter() {
-            return w.clone();
+    /// The per-pulse amplitude jitter (1σ) runs draw: the device's, or 0
+    /// when the noise model is off.
+    fn jitter_sigma(&self) -> f64 {
+        if self.noisy {
+            self.device.pulse_amp_jitter()
+        } else {
+            0.0
         }
-        let sigma = self.device.pulse_amp_jitter();
-        let peak = w.peak();
-        if peak < 1e-12 {
-            return w.clone();
-        }
-        // Additive amplitude noise ξ (absolute units) realized as a
-        // relative factor 1 + ξ/peak — large pulses are relatively cleaner.
-        let xi = normal(rng, 0.0, sigma);
-        w.scaled((1.0 + xi / peak).clamp(0.0, 1.0 / peak))
     }
 
     /// Applies a Kraus channel via the stride kernel and the shared
     /// scratch, or via the embed reference when the reference path is on.
-    fn apply_kraus_ctx(
+    fn apply_kraus(
         &self,
         rho: &mut DensityMatrix,
         kraus: &[CMat],
         targets: &[usize],
-        ctx: &mut EvolveCtx,
+        scratch: &mut KernelScratch,
     ) {
         if self.reference {
             rho.apply_kraus_ref(kraus, targets);
         } else {
-            rho.apply_kraus_scratch(kraus, targets, &mut ctx.scratch);
+            rho.apply_kraus_scratch(kraus, targets, scratch);
         }
-    }
-
-    /// Thermal relaxation on one qubit for `samples` of wall-clock time.
-    ///
-    /// Fast path: the T1/T2 stages are composed into one Kraus channel and
-    /// memoized per `(qubit, duration)` — programs reuse a handful of
-    /// distinct durations, so composition happens once per distinct pair.
-    /// Reference path: one `apply_kraus_ref` per stage, float-identical to
-    /// the pre-kernel implementation.
-    fn relax(&self, rho: &mut DensityMatrix, qubit: u32, samples: u64, ctx: &mut EvolveCtx) {
-        let p = self.device.qubit(qubit);
-        let t = samples as f64 * DT;
-        if self.reference {
-            for stage in channels::thermal_relaxation(t, p.t1, p.t2) {
-                rho.apply_kraus_ref(&stage, &[qubit as usize]);
-            }
-            return;
-        }
-        let EvolveCtx {
-            scratch,
-            relax_memo,
-        } = ctx;
-        let kraus = relax_memo
-            .entry((qubit, samples))
-            .or_insert_with(|| channels::thermal_relaxation_kraus(t, p.t1, p.t2));
-        rho.apply_kraus_scratch(kraus, &[qubit as usize], scratch);
     }
 }
 
@@ -842,6 +712,28 @@ impl QutritOutcome {
     }
 }
 
+/// Applies fresh additive amplitude jitter of `sigma` (1σ) to a waveform;
+/// returns it untouched, drawing nothing, when `sigma` is 0 or the
+/// waveform's peak is (near) zero.
+pub(crate) fn jittered<'a>(
+    w: Cow<'a, Waveform>,
+    sigma: f64,
+    rng: &mut impl Rng,
+) -> Cow<'a, Waveform> {
+    // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
+    if sigma == 0.0 {
+        return w;
+    }
+    let peak = w.peak();
+    if peak < 1e-12 {
+        return w;
+    }
+    // Additive amplitude noise ξ (absolute units) realized as a relative
+    // factor 1 + ξ/peak — large pulses are relatively cleaner.
+    let xi = normal(rng, 0.0, sigma);
+    Cow::Owned(w.scaled((1.0 + xi / peak).clamp(0.0, 1.0 / peak)))
+}
+
 /// Returns a copy of a schedule with fresh additive amplitude jitter on
 /// every `Play`.
 fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Schedule {
@@ -879,15 +771,14 @@ fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Sched
     out
 }
 
-/// Phase 2 of [`PulseExecutor::try_run_pooled`]: one task's Kraus channel
-/// (empty for idles), through `cache` when given. Pure, so any thread may
-/// run it.
-fn integrate(task: &Task, cache: Option<&PulseCache>) -> Vec<CMat> {
-    match task {
-        Task::Idle { .. } => Vec::new(),
-        Task::Play {
-            transmon, waveform, ..
-        } => {
+/// Phase 2 of [`PulseExecutor::try_run_pooled`]: one event's Kraus
+/// channel (empty for SPAM and relaxation, which phase 3 applies), through
+/// `cache` when given. Pure, so any thread may run it.
+fn integrate(device: &DeviceModel, event: &Event, cache: Option<&PulseCache>) -> Vec<CMat> {
+    match event {
+        Event::Spam(_) | Event::Relax(_) => Vec::new(),
+        Event::Play { qubit, waveform } => {
+            let transmon = device.transmon_exec(*qubit);
             let integrate = || transmon.integrate_play(&mut DriveState::default(), waveform);
             let u3x3 = match cache {
                 Some(cache) => {
@@ -900,9 +791,9 @@ fn integrate(task: &Task, cache: Option<&PulseCache>) -> Vec<CMat> {
                 }
                 None => integrate(),
             };
-            qubit_block_kraus(&u3x3)
+            contraction_kraus(&qubit_block(&u3x3))
         }
-        Task::Pair {
+        Event::Pair {
             control,
             target,
             pair,
@@ -938,11 +829,10 @@ fn integrate(task: &Task, cache: Option<&PulseCache>) -> Vec<CMat> {
     }
 }
 
-/// Turns the 3-level propagator of a single-qubit pulse into a qubit-space
-/// Kraus channel: the (sub-unitary) qubit block plus completion operators.
-fn qubit_block_kraus(u3x3: &CMat) -> Vec<CMat> {
-    let b = CMat::from_rows(&[&[u3x3[(0, 0)], u3x3[(0, 1)]], &[u3x3[(1, 0)], u3x3[(1, 1)]]]);
-    contraction_kraus(&b)
+/// The (sub-unitary) qubit block of a single-qubit pulse's 3-level
+/// propagator.
+pub(crate) fn qubit_block(u3x3: &CMat) -> CMat {
+    CMat::from_rows(&[&[u3x3[(0, 0)], u3x3[(0, 1)]], &[u3x3[(1, 0)], u3x3[(1, 1)]]])
 }
 
 /// Completes a sub-unitary contraction `B` (‖B†B‖ ≤ 1) into a CPTP Kraus
@@ -1068,7 +958,7 @@ mod tests {
         .waveform("leaky");
         let mut state = DriveState::default();
         let u = t.integrate_play(&mut state, &w);
-        let kraus = qubit_block_kraus(&u);
+        let kraus = contraction_kraus(&qubit_block(&u));
         assert!(channels::is_trace_preserving(&kraus, 1e-9));
         assert!(kraus.len() >= 2, "leaky pulse should need completion ops");
     }

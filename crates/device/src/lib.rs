@@ -41,6 +41,7 @@ pub mod knobs;
 pub mod params;
 pub mod readout;
 pub mod snapshot;
+mod timeline;
 pub mod trajectory;
 pub mod transmon;
 pub mod tunable;

@@ -11,10 +11,11 @@
 //! actually changes.
 //!
 //! **Keying.** [`snapshot_key`] folds, bit-exactly (FNV-1a over `f64::to_bits`
-//! words): [`CAL_ALGO_VERSION`]; every qubit's [`TransmonParams`]; every
-//! directed edge and its [`CrParams`]; the [`DriftParams`] (whose
-//! `cal_amp_sigma` scales the residual-error draws inside the tune-up); the
-//! full [`CalibrationOptions`]; and the root seed. The execution-time drift
+//! words): [`CAL_ALGO_VERSION`]; every qubit's
+//! [`TransmonParams`](crate::TransmonParams); every directed edge and its
+//! [`CrParams`](crate::CrParams); the [`DriftParams`](crate::DriftParams)
+//! (whose `cal_amp_sigma` scales the residual-error draws inside the
+//! tune-up); the full [`CalibrationOptions`]; and the root seed. The execution-time drift
 //! *multipliers* (`rabi_drift`/`zx_drift`) are deliberately excluded:
 //! calibration runs against the calibration-time parameters, so two devices
 //! differing only in their drift draws share a tune-up — exactly as on

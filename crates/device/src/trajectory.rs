@@ -8,56 +8,70 @@
 //! how the reproduction reaches Almaden-scale (20-qubit) registers the
 //! paper ran its 11.4 M shots on.
 //!
+//! # One timeline, three routes
+//!
+//! Before the fan-out, a run walks the program once into its timeline —
+//! the same walk the density executor follows: a SPAM point per qubit,
+//! each waveform, each pair (its topology resolved, so a bad pair is an
+//! error before any trajectory runs), and each qubit's thermal relaxation
+//! for exactly the wall-clock time it spends, with pairs starting as soon
+//! as both qubits are free and every qubit waiting for the common
+//! measurement. Every route replays that event list, and each event is a
+//! fixed set of random-draw sites, so the draw *sequence* of a trajectory
+//! is the same on every route. Trajectories fan over a [`ShotPool`] with
+//! one root `u64` and a `stream_seed(root, index)` RNG stream per
+//! trajectory, so counts are **bit-identical at any `OPC_THREADS`** (the
+//! same contract as the shot engine and the calibration fan-out); each
+//! worker reuses one [`StateVector`] + [`KernelScratch`], and measurement
+//! outcomes are drawn by binary search on a per-trajectory cumulative
+//! distribution.
+//!
 //! # Fast path: fused
 //!
 //! By default (`OPC_FUSION` unset or ≠ `0`) the executor hoists a
-//! [`quant_sim::fusion::FusionPlan`] out of the trajectory fan-out: the
-//! program's unitary stream (SPAM flips, 1q waveform gates, 2q CR
-//! schedules) and its stochastic channel points (sampled thermal
-//! relaxation) are planned into fused blocks of up to five qubits, built
-//! once per program. Each trajectory then *replays* the plan: gates and
-//! sampled Kraus branches fold into small (`≤ 32×32`) block accumulators,
-//! channel branches are weighed against a per-block reduced density
-//! matrix (`Tr(K†K·ρ_B)`, exact for local operators) instead of sweeping
-//! the full state per branch, and the state is touched only when a block
-//! closes — one blocked-kernel sweep per fused block instead of several
-//! per gate and per channel stage. Normalization is folded into the
-//! Kraus branches (`K/√p` like the reference path's per-stage
-//! renormalize), so no separate normalize sweeps remain.
+//! [`quant_sim::fusion::FusionPlan`] over the timeline: its unitary
+//! stream (SPAM flips, 1q waveform gates, 2q CR schedules) and its
+//! stochastic channel points (sampled thermal relaxation) are planned into
+//! fused blocks of up to five qubits, once per program. Each trajectory
+//! then *replays* the plan: gates and sampled Kraus branches fold into
+//! small (`≤ 32×32`) block accumulators, channel branches are weighed
+//! against a per-block reduced density matrix (`Tr(K†K·ρ_B)`, exact for
+//! local operators) instead of sweeping the full state per branch, and the
+//! state is touched only when a block closes — one blocked-kernel sweep per
+//! fused block instead of several per gate and per channel stage.
+//! Normalization is folded into the Kraus branches (`K/√p` like the
+//! reference path's per-stage renormalize), so no separate normalize
+//! sweeps remain.
 //!
-//! The random-draw *sequence* of a fused trajectory is identical to the
-//! unfused one — same draws, same order, at the same program points — so
-//! sampled counts stay bit-identical in practice across
-//! `OPC_FUSION=0/1`, across thread counts, and against the reference
-//! path (branch weights agree to rounding, and a draw landing within one
-//! ulp of a branch boundary is the same vanishing coincidence the
+//! Branch weights agree with the unfused routes' to rounding, so sampled
+//! counts stay bit-identical in practice across `OPC_FUSION=0/1`, across
+//! thread counts, and against the reference path (a draw landing within
+//! one ulp of a branch boundary is the same vanishing coincidence the
 //! kernel-vs-reference contract already tolerates; CI pins it).
 //!
-//! # Unfused path
+//! # Unfused and reference routes
 //!
-//! `OPC_FUSION=0` restores the per-gate stride-kernel route: trajectories
-//! fan over a [`ShotPool`] with one root `u64` and a
-//! `stream_seed(root, index)` RNG stream per trajectory, so counts are
-//! **bit-identical at any `OPC_THREADS`** (the same contract as the shot
-//! engine and the calibration fan-out). Each worker reuses one
-//! [`StateVector`] + [`KernelScratch`]; channel branches are weighed in
-//! place (`KernelScratch::branch_weight`); and measurement outcomes are
-//! drawn by binary search on a per-trajectory cumulative distribution.
-//! [`TrajectoryExecutor::with_reference_path`] routes every state update
+//! `OPC_FUSION=0` replays the timeline one event at a time through the
+//! stride kernels, weighing channel branches in place
+//! (`KernelScratch::branch_weight`).
+//! [`TrajectoryExecutor::with_reference_path`] replays the same events
 //! through the retained skip-scan reference kernels and every two-qubit
 //! schedule through the per-sample reference integrator instead — the
 //! cross-check (and the perfsuite baseline) for both fast paths; it
 //! bypasses fusion entirely.
 
 use crate::device::DeviceModel;
-use crate::executor::{Block, ExecError, LoweredProgram, ShotPool};
+use crate::executor::{jittered, qubit_block, ExecError, LoweredProgram, ShotPool};
 use crate::params::DT;
+use crate::timeline::{timeline, Event};
 use crate::transmon::DriveState;
-use quant_math::{normal, seeded, stream_seed, CMat, C64};
+use crate::twoqubit::CrPair;
+use quant_math::{seeded, stream_seed, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule, Waveform};
 use quant_sim::fusion::{FusionPlan, OpDesc, Step, MAX_FUSED_WEIGHT};
 use quant_sim::{channels, KernelScratch, StateVector};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// One runtime fused block: the accumulating operator on the block's
 /// targets, plus the lazily captured reduced density used to weigh local
@@ -102,25 +116,21 @@ impl RtBlock {
 }
 
 /// Per-worker reusable state: one state vector, one kernel scratch, the
-/// channel-weight and cumulative-distribution buffers, a memo of
-/// thermal-relaxation stages keyed by `(qubit, duration)` for the
-/// unfused path, and the runtime fused-block accumulators for the fused
-/// path.
+/// channel-weight and cumulative-distribution buffers, and the runtime
+/// fused-block accumulators for the fused path.
 struct TrajWorker {
     psi: StateVector,
     scratch: KernelScratch,
     weights: Vec<f64>,
     cdf: Vec<f64>,
-    relax: Vec<(usize, u64, Vec<Vec<CMat>>)>,
     blocks: Vec<RtBlock>,
     op_tmp: CMat,
 }
 
 impl TrajWorker {
-    fn new(n: usize, fused: Option<&FusedProgram>) -> Self {
-        let blocks = match fused {
-            Some(fp) => fp
-                .plan
+    fn new(n: usize, fusion: Option<&FusionPlan>) -> Self {
+        let blocks = match fusion {
+            Some(plan) => plan
                 .blocks
                 .iter()
                 .map(|b| RtBlock::new(&b.targets))
@@ -132,7 +142,6 @@ impl TrajWorker {
             scratch: KernelScratch::new(),
             weights: Vec::new(),
             cdf: Vec::new(),
-            relax: Vec::new(),
             blocks,
             op_tmp: CMat::zeros(2, 2),
         }
@@ -152,45 +161,25 @@ impl TrajWorker {
     }
 }
 
-/// Payload of one planned op — what the fused replay actually executes
-/// (and where it spends its random draws) when the plan says `Fold`.
-#[derive(Clone, Debug)]
-enum TrajOp {
-    /// Thermal SPAM: maybe fold an X flip.
-    Spam,
-    /// One 1q waveform: jitter draw, integrate, fold the 2×2.
-    Wave { qubit: u32, wave: Waveform },
-    /// One 2q CR schedule: jitter draws, integrate, fold the 4×4.
-    Cr {
-        control: u32,
-        target: u32,
-        schedule: Schedule,
-    },
-    /// Sampled thermal relaxation over an index into the hoisted
-    /// relaxation tables: one categorical draw per stage.
-    Relax { table: usize },
-}
-
-/// One hoisted relaxation channel: the Kraus stages for `(qubit,
-/// samples)` of wall-clock plus each branch's precomputed `K†K` weight
-/// operator.
+/// One hoisted relaxation channel: the Kraus stages for one distinct
+/// `(qubit, samples)` of the timeline, plus each branch's precomputed
+/// `K†K` weight operator for the fused route.
 #[derive(Clone, Debug)]
 struct RelaxTable {
     qubit: usize,
-    samples: u64,
     stages: Vec<Vec<CMat>>,
     weight_ops: Vec<Vec<CMat>>,
 }
 
-/// The per-program hoisted plan: op payloads (parallel to the fusion
-/// pass's op indices), the fusion plan itself, and the deduplicated
-/// relaxation tables. Built once per [`TrajectoryExecutor::try_run_pooled`]
-/// call, shared read-only by every pool worker.
-#[derive(Clone, Debug)]
-struct FusedProgram {
-    ops: Vec<TrajOp>,
-    plan: FusionPlan,
+/// The per-program hoisted plan: the timeline's events, its relaxation
+/// tables (indexed by [`Event::Relax`]), and on the fused route the fusion
+/// plan over the events. Built once per
+/// [`TrajectoryExecutor::try_run_pooled`] call, before the fan-out, and
+/// shared read-only by every pool worker.
+struct Plan<'p> {
+    events: Vec<Event<'p>>,
     relax: Vec<RelaxTable>,
+    fusion: Option<FusionPlan>,
 }
 
 /// The trajectory executor.
@@ -207,7 +196,7 @@ impl<'a> TrajectoryExecutor<'a> {
     /// realizations. Gate fusion defaults to the `OPC_FUSION`
     /// environment knob (on unless `OPC_FUSION=0`); override it
     /// programmatically with [`TrajectoryExecutor::with_fusion`]. A zero
-    /// count is reported by the run methods as
+    /// count is reported by [`TrajectoryExecutor::try_run_pooled`] as
     /// [`ExecError::NoTrajectories`].
     pub fn new(device: &'a DeviceModel, trajectories: usize) -> Self {
         TrajectoryExecutor {
@@ -241,45 +230,18 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 
     /// Runs the program, sampling `shots` measurement outcomes spread over
-    /// the trajectories. Returns counts over the `2ⁿ` outcomes (readout
-    /// error applied per shot).
-    ///
-    /// Draws exactly one `u64` root from `rng` and fans the trajectories
-    /// over [`ShotPool::from_env`] on per-trajectory seed streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program addresses a pair the device topology does not
-    /// couple; use [`TrajectoryExecutor::try_run`] to get the error as a
-    /// value.
-    pub fn run(&self, program: &LoweredProgram, shots: usize, rng: &mut impl Rng) -> Vec<u64> {
-        match self.try_run(program, shots, rng) {
-            Ok(counts) => counts,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the program, reporting a register that does not fit the device
-    /// and topology mismatches as [`ExecError`] instead of panicking. Draws one `u64` root from `rng`; the pool
-    /// size comes from `OPC_THREADS`.
-    pub fn try_run(
-        &self,
-        program: &LoweredProgram,
-        shots: usize,
-        rng: &mut impl Rng,
-    ) -> Result<Vec<u64>, ExecError> {
-        let root = rng.gen::<u64>();
-        self.try_run_pooled(program, shots, root, &ShotPool::from_env())
-    }
-
-    /// [`TrajectoryExecutor::try_run`] with an explicit root seed and pool.
+    /// the trajectories, and returns counts over the `2ⁿ` outcomes
+    /// (readout error applied per shot). A register that does not fit the
+    /// device and topology mismatches are [`ExecError`]s, reported before
+    /// any trajectory runs — also at zero shots.
     ///
     /// Trajectory `i` runs on `seeded(stream_seed(root, i))` and shots are
     /// split across trajectories by index (`shots/T` each, the first
     /// `shots % T` taking one extra), so the returned counts depend only on
-    /// `(program, shots, root)` — never on the thread count. The fusion
-    /// plan (when enabled) is likewise built once, before the fan-out,
-    /// and replayed read-only by every worker.
+    /// `(program, shots, root)` — never on the size of `pool`. The
+    /// program's timeline (and, when fusion is enabled, the fusion plan
+    /// over it) is built once, before the fan-out, and replayed read-only
+    /// by every worker.
     pub fn try_run_pooled(
         &self,
         program: &LoweredProgram,
@@ -292,26 +254,22 @@ impl<'a> TrajectoryExecutor<'a> {
             return Err(ExecError::NoTrajectories);
         }
         let n = program.num_qubits as usize;
-        let fused = if self.fusion_enabled() {
-            Some(self.build_plan(program)?)
-        } else {
-            None
-        };
+        let plan = self.plan(program)?;
         let trajectories = self.trajectories.min(shots.max(1));
         let base = shots / trajectories;
         let extra = shots % trajectories;
         let sampled = pool.map_indices_with(
             trajectories,
-            || TrajWorker::new(n, fused.as_ref()),
-            |w, i| -> Result<Vec<u32>, ExecError> {
+            || TrajWorker::new(n, plan.fusion.as_ref()),
+            |w, i| {
                 let take = base + usize::from(i < extra);
                 if take == 0 {
-                    return Ok(Vec::new());
+                    return Vec::new();
                 }
                 let mut rng = seeded(stream_seed(root, i as u64));
-                match &fused {
-                    Some(fp) => self.evolve_fused(fp, w, &mut rng)?,
-                    None => self.evolve(program, w, &mut rng)?,
+                match &plan.fusion {
+                    Some(fusion) => self.evolve_fused(&plan, fusion, w, &mut rng),
+                    None => self.evolve(&plan, w, &mut rng),
                 }
                 // Per-trajectory cumulative distribution; outcomes are then
                 // one uniform draw + binary search each instead of an
@@ -332,163 +290,77 @@ impl<'a> TrajectoryExecutor<'a> {
                     let outcome = w.cdf.partition_point(|&c| c <= u).min(top);
                     outcomes.push(self.noisy_readout(outcome, n, &mut rng) as u32);
                 }
-                Ok(outcomes)
+                outcomes
             },
         );
         // Reduce in trajectory-index order (u64 additions, so the total is
         // exact and thread-count independent either way).
         let mut counts = vec![0u64; 1 << n];
-        for outcomes in sampled {
-            for o in outcomes? {
-                counts[o as usize] += 1;
-            }
+        for o in sampled.into_iter().flatten() {
+            counts[o as usize] += 1;
         }
         Ok(counts)
     }
 
-    /// Builds the hoisted fusion plan for one program: walks the blocks
-    /// in exactly the order [`TrajectoryExecutor::evolve`] does —
-    /// emitting one op per random-draw site — then plans the fused
-    /// blocks over that stream. Topology errors surface here, before any
-    /// trajectory runs.
-    fn build_plan(&self, program: &LoweredProgram) -> Result<FusedProgram, ExecError> {
-        let n = program.num_qubits as usize;
-        let mut ops: Vec<TrajOp> = Vec::new();
-        let mut descs: Vec<OpDesc> = Vec::new();
-        let mut relax: Vec<RelaxTable> = Vec::new();
-
-        fn push_relax(
-            device: &DeviceModel,
-            ops: &mut Vec<TrajOp>,
-            descs: &mut Vec<OpDesc>,
-            relax: &mut Vec<RelaxTable>,
-            qubit: usize,
-            samples: u64,
-        ) {
-            let table = match relax
+    /// Hoists everything trajectories share: the program's timeline
+    /// (topology errors surface here), one relaxation table per distinct
+    /// `(qubit, duration)`, and on the fused route the fusion plan over the
+    /// timeline's events — one op per random-draw site.
+    fn plan<'p>(&self, program: &'p LoweredProgram) -> Result<Plan<'p>, ExecError> {
+        let line = timeline(self.device, program, |event| event)?;
+        let relax = line
+            .relax
+            .iter()
+            .map(|&(qubit, samples)| {
+                let p = self.device.qubit(qubit);
+                let stages = channels::thermal_relaxation(samples as f64 * DT, p.t1, p.t2);
+                let weight_ops = stages
+                    .iter()
+                    .map(|stage| stage.iter().map(|k| &k.dagger() * k).collect())
+                    .collect();
+                RelaxTable {
+                    qubit: qubit as usize,
+                    stages,
+                    weight_ops,
+                }
+            })
+            .collect();
+        let fusion = self.fusion_enabled().then(|| {
+            let descs: Vec<OpDesc> = line
+                .events
                 .iter()
-                .position(|t| t.qubit == qubit && t.samples == samples)
-            {
-                Some(pos) => pos,
-                None => {
-                    let p = device.qubit(qubit as u32);
-                    let t = samples as f64 * DT;
-                    let stages = channels::thermal_relaxation(t, p.t1, p.t2);
-                    let weight_ops = stages
-                        .iter()
-                        .map(|stage| stage.iter().map(|k| &k.dagger() * k).collect())
-                        .collect();
-                    relax.push(RelaxTable {
-                        qubit,
-                        samples,
-                        stages,
-                        weight_ops,
-                    });
-                    relax.len() - 1
-                }
-            };
-            ops.push(TrajOp::Relax { table });
-            descs.push(OpDesc::local(qubit));
-        }
-
-        for q in 0..n {
-            ops.push(TrajOp::Spam);
-            descs.push(OpDesc::local(q));
-        }
-        let mut cursor = vec![0u64; n];
-        for block in &program.blocks {
-            match block {
-                Block::Idle { qubit, duration } => {
-                    let q = *qubit as usize;
-                    push_relax(self.device, &mut ops, &mut descs, &mut relax, q, *duration);
-                    cursor[q] += duration;
-                }
-                Block::Gate1Q { qubit, waveforms } => {
-                    let q = *qubit as usize;
-                    for wave in waveforms {
-                        ops.push(TrajOp::Wave {
-                            qubit: *qubit,
-                            wave: wave.clone(),
-                        });
-                        descs.push(OpDesc::unitary(&[q]));
-                        push_relax(
-                            self.device,
-                            &mut ops,
-                            &mut descs,
-                            &mut relax,
-                            q,
-                            wave.duration(),
-                        );
-                        cursor[q] += wave.duration();
-                    }
-                }
-                Block::Gate2Q {
-                    control,
-                    target,
-                    schedule,
-                } => {
-                    let (c, t) = (*control as usize, *target as usize);
-                    // Validate topology up front so the per-trajectory
-                    // replay cannot fail.
-                    self.device
-                        .pair_exec(*control, *target)
-                        .ok_or(ExecError::UncoupledPair {
-                            control: *control,
-                            target: *target,
-                        })?;
-                    self.device.control_channel(*control, *target).ok_or(
-                        ExecError::MissingControlChannel {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
-                    let start = cursor[c].max(cursor[t]);
-                    for &q in &[c, t] {
-                        let idle = start - cursor[q];
-                        if idle > 0 {
-                            push_relax(self.device, &mut ops, &mut descs, &mut relax, q, idle);
-                        }
-                        cursor[q] = start;
-                    }
-                    ops.push(TrajOp::Cr {
-                        control: *control,
-                        target: *target,
-                        schedule: schedule.clone(),
-                    });
-                    descs.push(OpDesc::unitary(&[c, t]));
-                    let dur = schedule.duration();
-                    push_relax(self.device, &mut ops, &mut descs, &mut relax, c, dur);
-                    push_relax(self.device, &mut ops, &mut descs, &mut relax, t, dur);
-                    cursor[c] += dur;
-                    cursor[t] += dur;
-                }
-            }
-        }
-        let end = cursor.iter().copied().max().unwrap_or(0);
-        for (q, &at) in cursor.iter().enumerate().take(n) {
-            let idle = end - at;
-            if idle > 0 {
-                push_relax(self.device, &mut ops, &mut descs, &mut relax, q, idle);
-            }
-        }
-
-        let dims = vec![2usize; n];
-        let plan = FusionPlan::build(&descs, &dims, MAX_FUSED_WEIGHT);
-        Ok(FusedProgram { ops, plan, relax })
+                .map(|event| match event {
+                    Event::Spam(q) => OpDesc::local(*q as usize),
+                    Event::Relax(id) => OpDesc::local(line.relax[*id].0 as usize),
+                    Event::Play { qubit, .. } => OpDesc::unitary(&[*qubit as usize]),
+                    Event::Pair {
+                        control, target, ..
+                    } => OpDesc::unitary(&[*control as usize, *target as usize]),
+                })
+                .collect();
+            let dims = vec![2usize; program.num_qubits as usize];
+            FusionPlan::build(&descs, &dims, MAX_FUSED_WEIGHT)
+        });
+        Ok(Plan {
+            events: line.events,
+            relax,
+            fusion,
+        })
     }
 
-    /// Replays the hoisted plan for one stochastic trajectory: folds
+    /// Replays the fusion plan for one stochastic trajectory: folds
     /// gates and sampled Kraus branches into the runtime block
     /// accumulators, sweeps the state only at block closes.
     fn evolve_fused(
         &self,
-        fp: &FusedProgram,
+        plan: &Plan,
+        fusion: &FusionPlan,
         w: &mut TrajWorker,
         rng: &mut impl Rng,
-    ) -> Result<(), ExecError> {
+    ) {
         w.psi.reset_zero();
         let p_reset = self.device.reset_excited_prob();
-        for step in &fp.plan.steps {
+        for step in &fusion.steps {
             match step {
                 Step::Open { block } => {
                     let rt = &mut w.blocks[*block];
@@ -497,54 +369,29 @@ impl<'a> TrajectoryExecutor<'a> {
                     rt.open = true;
                     rt.dirty = false;
                 }
-                Step::Fold { op, block, local } => match &fp.ops[*op] {
-                    TrajOp::Spam => {
+                Step::Fold { op, block, local } => match &plan.events[*op] {
+                    Event::Spam(_) => {
                         if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
                             let x = quant_sim::gates::x();
                             fold_op(w, *block, &x, local);
                         }
                     }
-                    TrajOp::Wave { qubit, wave } => {
-                        let wave = self.jittered(wave, rng);
-                        let mut state = DriveState::default();
-                        let u3x3 = self
-                            .device
-                            .transmon_exec(*qubit)
-                            .integrate_play(&mut state, &wave);
-                        let b = CMat::from_rows(&[
-                            &[u3x3[(0, 0)], u3x3[(0, 1)]],
-                            &[u3x3[(1, 0)], u3x3[(1, 1)]],
-                        ]);
+                    Event::Play { qubit, waveform } => {
+                        let b = self.play_block(*qubit, waveform, rng);
                         fold_op(w, *block, &b, local);
                     }
-                    TrajOp::Cr {
+                    Event::Pair {
                         control,
                         target,
+                        pair,
+                        channel,
                         schedule,
                     } => {
-                        let pair = self.device.pair_exec(*control, *target).ok_or(
-                            ExecError::UncoupledPair {
-                                control: *control,
-                                target: *target,
-                            },
-                        )?;
-                        let u_ch = self.device.control_channel(*control, *target).ok_or(
-                            ExecError::MissingControlChannel {
-                                control: *control,
-                                target: *target,
-                            },
-                        )?;
-                        let schedule = self.jitter_schedule(schedule, rng);
-                        let r = pair.integrate(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        );
-                        fold_op(w, *block, &r.unitary, local);
+                        let u = self.pair_unitary(*control, *target, pair, *channel, schedule, rng);
+                        fold_op(w, *block, &u, local);
                     }
-                    TrajOp::Relax { table } => {
-                        let t = &fp.relax[*table];
+                    Event::Relax(id) => {
+                        let t = &plan.relax[*id];
                         for (stage, wops) in t.stages.iter().zip(&t.weight_ops) {
                             relax_stage_fused(w, *block, local[0], stage, wops, rng);
                         }
@@ -578,7 +425,6 @@ impl<'a> TrajectoryExecutor<'a> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Applies a (possibly sub-unitary) operator through the selected
@@ -591,141 +437,90 @@ impl<'a> TrajectoryExecutor<'a> {
         }
     }
 
-    /// Evolves one stochastic trajectory in the worker's reused state —
-    /// the unfused route (`OPC_FUSION=0` or the reference path).
-    fn evolve(
-        &self,
-        program: &LoweredProgram,
-        w: &mut TrajWorker,
-        rng: &mut impl Rng,
-    ) -> Result<(), ExecError> {
-        let n = program.num_qubits as usize;
+    /// Evolves one stochastic trajectory in the worker's reused state by
+    /// replaying the timeline's events one by one — the unfused route
+    /// (`OPC_FUSION=0` or the reference path).
+    fn evolve(&self, plan: &Plan, w: &mut TrajWorker, rng: &mut impl Rng) {
         w.psi.reset_zero();
-        // Thermal SPAM.
         let p_reset = self.device.reset_excited_prob();
-        for q in 0..n {
-            if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
-                self.apply(w, &quant_sim::gates::x(), &[q]);
-            }
-        }
-        let mut cursor = vec![0u64; n];
-
-        for block in &program.blocks {
-            match block {
-                Block::Idle { qubit, duration } => {
-                    self.relax_sampled(w, *qubit as usize, *duration, rng);
-                    cursor[*qubit as usize] += duration;
-                }
-                Block::Gate1Q { qubit, waveforms } => {
-                    let q = *qubit as usize;
-                    let transmon = self.device.transmon_exec(*qubit);
-                    for wave in waveforms {
-                        let wave = self.jittered(wave, rng);
-                        let mut state = DriveState::default();
-                        let u3x3 = transmon.integrate_play(&mut state, &wave);
-                        let b = CMat::from_rows(&[
-                            &[u3x3[(0, 0)], u3x3[(0, 1)]],
-                            &[u3x3[(1, 0)], u3x3[(1, 1)]],
-                        ]);
-                        // Sub-unitary contraction: renormalize (leakage is
-                        // tiny; the deposited-weight branch is negligible
-                        // at trajectory resolution).
-                        self.apply(w, &b, &[q]);
-                        w.psi.normalize();
-                        self.relax_sampled(w, q, wave.duration(), rng);
-                        cursor[q] += wave.duration();
+        for event in &plan.events {
+            match event {
+                Event::Spam(q) => {
+                    if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
+                        self.apply(w, &quant_sim::gates::x(), &[*q as usize]);
                     }
                 }
-                Block::Gate2Q {
+                Event::Relax(id) => self.relax_sampled(w, &plan.relax[*id], rng),
+                Event::Play { qubit, waveform } => {
+                    let b = self.play_block(*qubit, waveform, rng);
+                    // Sub-unitary contraction: renormalize (leakage is
+                    // tiny; the deposited-weight branch is negligible at
+                    // trajectory resolution).
+                    self.apply(w, &b, &[*qubit as usize]);
+                    w.psi.normalize();
+                }
+                Event::Pair {
                     control,
                     target,
+                    pair,
+                    channel,
                     schedule,
                 } => {
-                    let (c, t) = (*control as usize, *target as usize);
-                    let start = cursor[c].max(cursor[t]);
-                    for &q in &[c, t] {
-                        let idle = start - cursor[q];
-                        if idle > 0 {
-                            self.relax_sampled(w, q, idle, rng);
-                        }
-                        cursor[q] = start;
-                    }
-                    let pair = self.device.pair_exec(*control, *target).ok_or(
-                        ExecError::UncoupledPair {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
-                    let u_ch = self.device.control_channel(*control, *target).ok_or(
-                        ExecError::MissingControlChannel {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
-                    let schedule = self.jitter_schedule(schedule, rng);
-                    let r = if self.reference {
-                        pair.integrate_ref(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        )
-                    } else {
-                        pair.integrate(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        )
-                    };
-                    self.apply(w, &r.unitary, &[c, t]);
+                    let u = self.pair_unitary(*control, *target, pair, *channel, schedule, rng);
+                    self.apply(w, &u, &[*control as usize, *target as usize]);
                     w.psi.normalize();
-                    let dur = schedule.duration();
-                    self.relax_sampled(w, c, dur, rng);
-                    self.relax_sampled(w, t, dur, rng);
-                    cursor[c] += dur;
-                    cursor[t] += dur;
                 }
             }
         }
-        let end = cursor.iter().copied().max().unwrap_or(0);
-        for (q, &at) in cursor.iter().enumerate().take(n) {
-            let idle = end - at;
-            if idle > 0 {
-                self.relax_sampled(w, q, idle, rng);
-            }
-        }
-        Ok(())
     }
 
-    /// Samples one branch of the thermal-relaxation channels for a qubit
-    /// over `samples` of wall-clock time.
+    /// One jittered single-qubit waveform's qubit block.
+    fn play_block(&self, qubit: u32, waveform: &Waveform, rng: &mut impl Rng) -> CMat {
+        let sigma = self.device.pulse_amp_jitter();
+        let waveform = jittered(Cow::Borrowed(waveform), sigma, rng);
+        let u3x3 = self
+            .device
+            .transmon_exec(qubit)
+            .integrate_play(&mut DriveState::default(), &waveform);
+        qubit_block(&u3x3)
+    }
+
+    /// One jittered two-qubit schedule's qubit-space propagator, through
+    /// the per-sample reference integrator on the reference path.
+    fn pair_unitary(
+        &self,
+        control: u32,
+        target: u32,
+        pair: &CrPair,
+        channel: Channel,
+        schedule: &Schedule,
+        rng: &mut impl Rng,
+    ) -> CMat {
+        let schedule = self.jitter_schedule(schedule, rng);
+        let (c_drive, t_drive) = (Channel::Drive(control), Channel::Drive(target));
+        if self.reference {
+            pair.integrate_ref(&schedule, c_drive, t_drive, channel)
+                .unitary
+        } else {
+            pair.integrate(&schedule, c_drive, t_drive, channel).unitary
+        }
+    }
+
+    /// Samples one branch of a hoisted thermal-relaxation channel.
     ///
     /// Fast path: every branch of a stage is weighed in place
     /// (`‖Kψ‖²` via [`KernelScratch::branch_weight`]) and only the chosen
     /// operator is applied — no per-branch clone of the `O(2ⁿ)` state.
     /// Reference path: the original clone-per-branch route.
-    fn relax_sampled(&self, w: &mut TrajWorker, qubit: usize, samples: u64, rng: &mut impl Rng) {
-        let p = self.device.qubit(qubit as u32);
-        let t = samples as f64 * DT;
+    fn relax_sampled(&self, w: &mut TrajWorker, table: &RelaxTable, rng: &mut impl Rng) {
+        let qubit = table.qubit;
         let TrajWorker {
             psi,
             scratch,
             weights,
-            relax,
             ..
         } = w;
-        let pos = match relax
-            .iter()
-            .position(|(q, s, _)| *q == qubit && *s == samples)
-        {
-            Some(pos) => pos,
-            None => {
-                relax.push((qubit, samples, channels::thermal_relaxation(t, p.t1, p.t2)));
-                relax.len() - 1
-            }
-        };
-        for stage in &relax[pos].2 {
+        for stage in &table.stages {
             if self.reference {
                 // Trial-apply every branch to a cloned state, then keep the
                 // sampled one.
@@ -771,17 +566,9 @@ impl<'a> TrajectoryExecutor<'a> {
         read
     }
 
-    fn jittered(&self, w: &quant_pulse::Waveform, rng: &mut impl Rng) -> quant_pulse::Waveform {
-        let sigma = self.device.pulse_amp_jitter();
-        let peak = w.peak();
-        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
-        if sigma == 0.0 || peak < 1e-12 {
-            return w.clone();
-        }
-        let xi = normal(rng, 0.0, sigma);
-        w.scaled((1.0 + xi / peak).clamp(0.0, 1.0 / peak))
-    }
-
+    /// Returns a copy of a schedule with fresh amplitude jitter on every
+    /// `Play`. Unlike the density executor's, it draws no CR
+    /// calibration-transfer term.
     fn jitter_schedule(&self, schedule: &Schedule, rng: &mut impl Rng) -> Schedule {
         let sigma = self.device.pulse_amp_jitter();
         // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
@@ -792,7 +579,7 @@ impl<'a> TrajectoryExecutor<'a> {
         for ti in schedule.instructions() {
             let instruction = match &ti.instruction {
                 Instruction::Play { waveform, channel } => Instruction::Play {
-                    waveform: self.jittered(waveform, rng),
+                    waveform: jittered(Cow::Borrowed(waveform), sigma, rng).into_owned(),
                     channel: *channel,
                 },
                 other => other.clone(),
@@ -917,8 +704,7 @@ fn relax_stage_fused(
 mod tests {
     use super::*;
     use crate::calibration::calibrate;
-    use crate::executor::PulseExecutor;
-    use quant_math::seeded;
+    use crate::executor::{Block, PulseExecutor};
 
     #[test]
     fn zero_trajectories_is_an_error_not_a_panic() {
@@ -929,14 +715,12 @@ mod tests {
             schedule: Schedule::new("p"),
         };
         let exec = TrajectoryExecutor::new(&device, 0);
-        assert_eq!(
-            exec.try_run_pooled(&program, 100, 1, &ShotPool::serial()),
-            Err(ExecError::NoTrajectories)
-        );
-        assert_eq!(
-            exec.try_run(&program, 100, &mut seeded(3)),
-            Err(ExecError::NoTrajectories)
-        );
+        for shots in [0, 100] {
+            assert_eq!(
+                exec.try_run_pooled(&program, shots, 1, &ShotPool::serial()),
+                Err(ExecError::NoTrajectories)
+            );
+        }
     }
 
     #[test]
@@ -970,8 +754,9 @@ mod tests {
         let dm = exec.run(&program, &mut rng_a);
         // Trajectory ensemble (fused path).
         let traj = TrajectoryExecutor::new(&device, 96).with_fusion(true);
-        let mut rng_b = seeded(6);
-        let counts = traj.run(&program, 48_000, &mut rng_b);
+        let counts = traj
+            .try_run_pooled(&program, 48_000, seeded(6).gen(), &ShotPool::from_env())
+            .unwrap();
         let total: u64 = counts.iter().sum();
         for (i, (&c, &p)) in counts.iter().zip(&dm.probabilities).enumerate() {
             let freq = c as f64 / total as f64;
@@ -1048,7 +833,9 @@ mod tests {
             ],
             schedule: Schedule::new("decay"),
         };
-        let counts = traj.run(&program, 16_000, &mut rng);
+        let counts = traj
+            .try_run_pooled(&program, 16_000, rng.gen(), &ShotPool::from_env())
+            .unwrap();
         let p1 = counts[1] as f64 / 16_000.0;
         assert!(
             (p1 - 0.5_f64).abs() < 0.08,

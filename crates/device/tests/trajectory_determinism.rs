@@ -25,6 +25,7 @@ use quant_device::{
 };
 use quant_math::seeded;
 use quant_pulse::Schedule;
+use rand::Rng;
 
 /// An entangling line program on `n` qubits: X on qubit 0, then a CNOT
 /// chain down the line — every 1Q, 2Q, relaxation and readout path runs.
@@ -166,7 +167,7 @@ fn uncoupled_pair_reported_as_error_not_panic() {
     }
     let exec = TrajectoryExecutor::new(&device, 4);
     let err = exec
-        .try_run(&program, 100, &mut seeded(1))
+        .try_run_pooled(&program, 100, seeded(1).gen(), &ShotPool::from_env())
         .expect_err("uncoupled pair must be an error");
     assert!(matches!(
         err,
@@ -178,19 +179,49 @@ fn uncoupled_pair_reported_as_error_not_panic() {
 }
 
 #[test]
+fn every_route_reports_a_topology_error_at_any_shot_count() {
+    // The error comes from the program, not from the sampling: a run
+    // with zero shots still walks the whole program, on every route.
+    let mut rng = seeded(37);
+    let device = DeviceModel::almaden_like(3, &mut rng);
+    let mut program = line_program(&device, 3);
+    if let Some(Block::Gate2Q { target, .. }) = program.blocks.get_mut(1) {
+        *target = 2;
+    }
+    let want = ExecError::UncoupledPair {
+        control: 0,
+        target: 2,
+    };
+    let routes = [
+        TrajectoryExecutor::new(&device, 4).with_fusion(true),
+        TrajectoryExecutor::new(&device, 4).with_fusion(false),
+        TrajectoryExecutor::new(&device, 4).with_reference_path(),
+    ];
+    for (route, exec) in ["fused", "unfused", "reference"].iter().zip(&routes) {
+        for shots in [0, 100] {
+            let got = exec.try_run_pooled(&program, shots, 9, &ShotPool::new(1));
+            assert_eq!(got, Err(want), "{route} route at {shots} shots");
+        }
+    }
+}
+
+#[test]
 fn ensemble_converges_to_density_matrix_distribution() {
     // Statistical cross-check against the exact density-matrix executor on
     // a register small enough for both: the 3-qubit entangling line. The
-    // trajectory ensemble and the density path share no code on the state
-    // side, so agreement here is an end-to-end physics check of the whole
-    // fast path (integration, branch sampling, readout error).
+    // two executors walk the same timeline (the same events in the same
+    // order) but share no state evolution, so agreement here is an
+    // end-to-end physics check of the whole fast path (integration,
+    // branch sampling, readout error).
     let mut rng = seeded(2);
     let device = DeviceModel::almaden_like(3, &mut rng);
     let program = line_program(&device, 3);
 
     let dm = PulseExecutor::new(&device).run(&program, &mut seeded(5));
     let traj = TrajectoryExecutor::new(&device, 128);
-    let counts = traj.run(&program, 64_000, &mut seeded(6));
+    let counts = traj
+        .try_run_pooled(&program, 64_000, seeded(6).gen(), &ShotPool::from_env())
+        .unwrap();
     let total: u64 = counts.iter().sum();
     assert_eq!(total, 64_000);
     for (i, (&c, &p)) in counts.iter().zip(&dm.probabilities).enumerate() {

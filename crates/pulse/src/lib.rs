@@ -12,8 +12,9 @@
 //! * [`Schedule`] / [`Instruction`] / [`Channel`] — timed instruction
 //!   containers with per-channel alignment semantics.
 //! * [`CmdDef`] — the backend-reported gate → schedule calibration library.
-//! * [`verify`] — the static schedule verifier: timing, physical-bound,
-//!   topology, and measurement-discipline checks as typed findings.
+//! * [`verify`](mod@verify) — the static schedule verifier: timing,
+//!   physical-bound, topology, and measurement-discipline checks as typed
+//!   findings.
 //!
 //! # Example
 //!

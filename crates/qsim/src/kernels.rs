@@ -291,7 +291,7 @@ impl KernelScratch {
     /// operator entries hoisted into locals, so the per-fibre body is
     /// branch-free and autovectorization-friendly. Larger fused blocks
     /// whose lowest target sits above enough free subsystems take the
-    /// chunked pass ([`sv_apply_blocked`]): fibres are processed in
+    /// chunked pass (`sv_apply_blocked`): fibres are processed in
     /// contiguous stride-1 runs (gather run → dense AXPY rows → scatter
     /// run), which keeps the innermost loop over consecutive memory.
     /// Gate-dimension 8 and 16 (fused 3- and 4-qubit qubit blocks) have
