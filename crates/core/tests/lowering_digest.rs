@@ -9,7 +9,8 @@
 //! sample — moves the digest.
 //!
 //! The pinned value was computed before lowering shared its renders
-//! between gates; a deliberate change to the emitted pulses re-pins it.
+//! between gates. A deliberate change to the emitted pulses, such as a new
+//! tune-up that calibrates different amplitudes, re-pins it.
 
 use pulse_compiler::CompileMode;
 use quant_corpus::{compile_circuit, generate, Tier};
@@ -22,7 +23,7 @@ use quant_pulse::{Instruction, Schedule};
 use rand::Rng;
 
 /// Digest of the smoke tier lowered on the corpus's default device seed.
-const PINNED: u64 = 0x1ef1_921a_e556_c8b6;
+const PINNED: u64 = 0x4a2a_bd18_aaad_d25e;
 
 fn fold_schedule(mut h: u64, schedule: &Schedule) -> u64 {
     h = fnv1a(h, schedule.instructions().len() as u64);

@@ -196,14 +196,13 @@ const TAG_PROBE: u64 = 0x5051_3351;
 /// mantissa (relative grid ≈ 2.3·10⁻¹⁰ — more than five orders of
 /// magnitude below every calibration tolerance).
 ///
-/// Golden-section refinement revisits probe points that coincide
-/// *mathematically* (this iteration's lower probe equals the last
-/// iteration's upper probe, since φ² = 1 − φ) but differ by a few ulps in
-/// floating point, so exact-bit cache keys would never hit. Snapping the
-/// inputs to this grid before rendering the waveform makes near-coincident
-/// probes bit-identical. The quantization is applied unconditionally —
-/// cache enabled or not — so cached and uncached calibrations produce
-/// bit-identical results.
+/// The tune-up's Newton solves revisit probe points that differ from
+/// earlier ones by only a few ulps (a backtracking step that falls below
+/// the grid once the solve has converged), so exact-bit cache keys would
+/// never hit. Snapping the inputs to this grid before rendering the
+/// waveform makes near-coincident probes bit-identical. The quantization
+/// is applied unconditionally — cache enabled or not — so cached and
+/// uncached calibrations produce bit-identical results.
 pub fn quantize_probe(x: f64) -> f64 {
     f64::from_bits(x.to_bits() & !0xF_FFFF)
 }
@@ -299,7 +298,7 @@ pub type PulseCache = ExactCache<PulseKey, CMat>;
 
 /// Noiseless calibration probe → integrated [`FrameResult`]. One cache is
 /// shared by all qubit tasks of a calibration run, so identical probes —
-/// golden-section re-probes on one qubit, or identical sweep points across
+/// converged Newton re-probes on one qubit, or identical sweep points across
 /// the identical qubits of an ideal device — integrate once.
 pub type ProbeCache = ExactCache<ProbeKey, FrameResult>;
 

@@ -17,11 +17,12 @@ use crate::device::DeviceModel;
 use crate::executor::ShotPool;
 use crate::params::DT;
 use crate::snapshot::{snapshot_key, CalStore};
+use crate::transmon::FrameResult;
 use crate::twoqubit::{extract_control_z, extract_zx_angle};
-use quant_math::{fit_cosine, normal, seeded, stream_seed};
+use quant_math::{fit_cosine, normal, seeded, stream_seed, CMat};
 use quant_pulse::{Channel, CmdDef, CmdKey, Drag, GaussianSquare, Instruction, Schedule};
 use rand::Rng;
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, TAU};
+use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI, TAU};
 
 /// Calibrated single-qubit pulses.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,7 +70,8 @@ impl QubitCalibration {
         if table.is_empty() {
             return (0.0, 0.0);
         }
-        // Binary search the bracketing entries and interpolate linearly.
+        // Find the first entry at or above `s` (a linear scan over the 41
+        // entries) and interpolate linearly from the one below it.
         let mut hi = table
             .iter()
             .position(|&(scale, _, _)| scale >= s)
@@ -88,23 +90,6 @@ impl QubitCalibration {
         (a0 + w * (a1 - a0), c0 + w * (c1 - c0))
     }
 
-    /// Appends the phase-corrected `DirectRx(θ)` pulse.
-    pub fn append_direct_rx(
-        &self,
-        s: &mut Schedule,
-        theta: f64,
-        channel: Channel,
-        barrier: &[Channel],
-        name: &str,
-    ) {
-        append_corrected(
-            s,
-            self.direct_rx_waveform(theta, name),
-            self.direct_rx_phase(theta),
-            channel,
-            barrier,
-        );
-    }
     /// The rendered rx90 waveform (detuning baked in).
     pub fn rx90_waveform(&self, name: impl Into<String>) -> quant_pulse::Waveform {
         self.rx90.waveform_detuned(name, self.rx90_detuning)
@@ -298,14 +283,6 @@ impl Calibration {
         }
     }
 
-    /// Rebuilds the derived pulse library from the calibrated parameters —
-    /// used after loading a snapshot, where `cmd_def` is not stored because
-    /// it is a pure function of the parameters (floats round-trip exactly,
-    /// so the rebuilt schedules are identical to the originals).
-    pub(crate) fn rebuild_cmd_def(&mut self, device: &DeviceModel) {
-        self.populate_cmd_def(device);
-    }
-
     /// All per-qubit calibrations, indexed by qubit.
     pub fn qubits(&self) -> &[QubitCalibration] {
         &self.qubits
@@ -331,11 +308,6 @@ impl Calibration {
     /// The backend-reported pulse library.
     pub fn cmd_def(&self) -> &CmdDef {
         &self.cmd_def
-    }
-
-    /// Mutable access for compilers registering augmented basis gates.
-    pub fn cmd_def_mut(&mut self) -> &mut CmdDef {
-        &mut self.cmd_def
     }
 
     /// Measurement window in `dt`.
@@ -386,50 +358,21 @@ impl Calibration {
         cancel_leading_x: bool,
     ) -> Option<Schedule> {
         let pair = self.pair(control, target)?;
-        let qc = self.qubit(control);
         let u_ch = device.control_channel(control, target)?;
-        let d_c = Channel::Drive(control);
-        let barrier = [d_c, u_ch, Channel::Drive(target)];
-
-        let factor = theta.abs() / FRAC_PI_2; // relative to the 90° echo
-        let half = pair.cr45.stretched_area(factor);
-        let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
-
-        // U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2, so the first CR
-        // half (in time) carries −sign and the second +sign.
-        // Render each envelope once; the two echo X pulses share a buffer.
-        let xc = qc.rx180_waveform("xc");
-        let cr_half = half.waveform("cr_half");
-        let mut s = Schedule::new(format!("cr({theta:.3}) q{control},q{target}"));
-        if !cancel_leading_x {
-            append_corrected(&mut s, xc.clone(), qc.rx180_phase, d_c, &barrier);
-        }
-        s.append_after(
-            Instruction::Play {
-                waveform: cr_half.scaled(-sign),
-                channel: u_ch,
-            },
-            &barrier,
-        );
-        append_corrected(&mut s, xc, qc.rx180_phase, d_c, &barrier);
-        s.append_after(
-            Instruction::Play {
-                waveform: cr_half.scaled(sign),
-                channel: u_ch,
-            },
-            &barrier,
-        );
-        // ZI residual scales with the stretched area.
-        let correction = -pair.zi_residual * (theta / -FRAC_PI_2);
-        s.append(Instruction::ShiftPhase {
-            phase: -correction,
-            channel: d_c,
-        });
-        Some(s)
+        Some(echo_schedule(
+            self.qubit(control),
+            pair,
+            u_ch,
+            theta,
+            cancel_leading_x,
+        ))
     }
 
-    /// Builds the cmd_def entries: `rx90`, `rx180`, `cx`, `measure`.
-    fn populate_cmd_def(&mut self, device: &DeviceModel) {
+    /// Builds the cmd_def entries (`rx90`, `rx180`, `cx`, `measure`) from
+    /// the calibrated parameters. A snapshot does not store `cmd_def`: it is
+    /// a pure function of the parameters, which round-trip exactly, so it is
+    /// rebuilt on load.
+    pub(crate) fn rebuild_cmd_def(&mut self, device: &DeviceModel) {
         let mut def = CmdDef::new();
         for (q, cal) in self.qubits.iter().enumerate() {
             let q = q as u32;
@@ -480,12 +423,12 @@ impl Calibration {
 
 /// Rabi + DRAG tune-up for one qubit.
 ///
-/// Three stages, as on hardware: (1) a coarse Rabi amplitude sweep fit to a
-/// cosine; (2) a fine-amplitude refinement maximizing inversion (the
-/// error-amplification step); (3) a DRAG β sweep minimizing leakage. The
-/// device's documented calibration residual (`DriftParams::cal_amp_sigma`)
-/// is injected on top, since our simulated sweeps are otherwise more
-/// precise than a real lab's.
+/// As on hardware: (1) a coarse Rabi amplitude sweep fit to a cosine; (2) a
+/// fine amplitude + detuning solve of the π pulse ([`tune_pulse`]); (3) a
+/// DRAG β sweep minimizing leakage; (4) both pulses re-solved at that β.
+/// The device's documented calibration residual
+/// (`DriftParams::cal_amp_sigma`) is injected on top, since our simulated
+/// sweeps are otherwise more precise than a real lab's.
 ///
 /// Two fast-path hooks thread through every probe:
 ///
@@ -496,12 +439,10 @@ impl Calibration {
 ///   consumes draws independently of its arguments, so the stream is
 ///   bit-identical to the fully serial order at any thread count.
 /// * **Probe memoization.** All noiseless integrations go through
-///   `probes`, and search-driven probe inputs are snapped with
-///   [`quantize_probe`] *before* the waveform is rendered: the two
-///   golden-section refinements revisit near-coincident points (the
-///   section overlap, the re-refinement after the β sweep), which only hit
-///   the content-addressed cache once quantized. Final pulse parameters
-///   are the raw search outputs — quantization touches probes only.
+///   `probes`. Solve inputs are snapped with [`quantize_probe`] *before*
+///   rendering, so a converged solve's sub-grid steps hit the cache; a
+///   qubit integrates ~150 distinct probes. Final pulse parameters are the
+///   raw solve outputs — quantization touches probes only.
 fn calibrate_qubit(
     device: &DeviceModel,
     q: u32,
@@ -541,51 +482,12 @@ fn calibrate_qubit(
     let fit = fit_cosine(&amps, &pops, (0.15, 1.2));
     let coarse_180 = fit.period / 2.0;
 
-    // --- Fine amplitude + frequency refinement ----------------------------
-    // At π-pulse drive strength the AC-Stark shift pulls the qubit off
-    // resonance, tilting the rotation axis out of the XY plane; the
-    // rotation angle then *saturates below the target*. Labs compensate by
-    // calibrating a small carrier detuning alongside the amplitude. We do
-    // the same: alternate golden-section refinements of amplitude (hit the
-    // tomography-extracted angle) and detuning (minimize the axis tilt,
-    // visible as the Z-sandwich phases of the ZXZ form).
-    let angle = |amp: f64, det: f64, beta: f64| -> f64 {
-        let (amp, det, beta) = (
-            quantize_probe(amp),
-            quantize_probe(det),
-            quantize_probe(beta),
-        );
-        let u = integrate(&mk(amp, beta).waveform_detuned("p", det)).qubit_block();
-        quant_sim::euler_zxz(&u).1
-    };
-    let golden = |mut lo: f64, mut hi: f64, iters: usize, err: &dyn Fn(f64) -> f64| -> f64 {
-        let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-        for _ in 0..iters {
-            let m1 = hi - phi * (hi - lo);
-            let m2 = lo + phi * (hi - lo);
-            if err(m1) < err(m2) {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        (lo + hi) / 2.0
-    };
-    let refine = |initial: f64, target: f64, beta: f64| -> (f64, f64) {
-        // Inner: best amplitude for a given detuning. Outer: the detuning
-        // whose best amplitude gets closest to the target angle — off
-        // resonance the reachable angle saturates below the target, so this
-        // has a clear optimum at the Stark-compensating offset.
-        let best_amp = |det: f64| -> (f64, f64) {
-            let amp = golden(initial * 0.8, initial * 1.3, 32, &|x| {
-                (angle(x, det, beta) - target).abs()
-            });
-            (amp, (angle(amp, det, beta) - target).abs())
-        };
-        let det = golden(-4.0e-3, 4.0e-3, 24, &|d| best_amp(d).1);
-        (best_amp(det).0, det)
-    };
-    let (amp180_b0, det180_b0) = refine(coarse_180, std::f64::consts::PI, 0.0);
+    // --- Fine amplitude + frequency tune-up -------------------------------
+    // At π-pulse drive strength the AC-Stark shift tilts the rotation axis
+    // out of the XY plane, and the angle saturates below the target. Labs
+    // calibrate a small carrier detuning alongside the amplitude; one probe
+    // gives both the angle and the tilt, so `tune_pulse` solves for both.
+    let (amp180_b0, det180_b0) = tune_pulse(&integrate, mk(coarse_180, 0.0), PI);
 
     // --- DRAG β sweep -----------------------------------------------------
     let beta_mag = 1.0 / (TAU * device.qubit(q).alpha.abs()) / DT;
@@ -604,12 +506,12 @@ fn calibrate_qubit(
     }
     let beta = best.0;
 
-    // --- Re-refine amplitude/detuning with the chosen β -------------------
+    // --- Re-solve amplitude/detuning with the chosen β ---------------------
     // DRAG's derivative component shifts both the effective angle and the
     // Stark offset, so the final amplitude/detuning must be tuned with β in
-    // place.
-    let (amp180, det180) = refine(coarse_180, std::f64::consts::PI, beta);
-    let (amp90, det90) = refine(coarse_180 / 2.0, FRAC_PI_2, beta);
+    // place. Both solves start from the Rabi fit again.
+    let (amp180, det180) = tune_pulse(&integrate, mk(coarse_180, beta), PI);
+    let (amp90, det90) = tune_pulse(&integrate, mk(coarse_180 / 2.0, beta), FRAC_PI_2);
 
     // --- Residual calibration error --------------------------------------
     let sigma = device.drift().cal_amp_sigma;
@@ -655,6 +557,86 @@ fn calibrate_qubit(
         rx180_detuning: det180,
         direct_rx_table,
     }
+}
+
+/// Tunes a DRAG pulse's amplitude and carrier detuning so its noiseless
+/// qubit block rotates by `target` about an axis in the XY plane: a 2-D
+/// Newton solve from `(start.amp, 0)` on the two [`rotation_residual`]s,
+/// `start.beta` fixed. The Jacobian is a forward difference (steps
+/// `1e-5·amp`, `1e-6` rad/dt), and a step that does not lower the residual
+/// norm is halved, up to eight times. It stops after 12 iterations, below
+/// `1e-12` on both residuals, when no halving helps, or at a singular or
+/// non-finite Jacobian, returning the best raw (unquantized) point. Probes
+/// outside the bracket `amp/start.amp ∈ [0.8, 1.3]`, `|det| ≤ 4·10⁻³` count
+/// as infinite and are never rendered, so no start renders an over-range
+/// waveform.
+pub(crate) fn tune_pulse(
+    integrate: &impl Fn(&quant_pulse::Waveform) -> FrameResult,
+    start: Drag,
+    target: f64,
+) -> (f64, f64) {
+    let residual = |amp: f64, det: f64| -> [f64; 2] {
+        let ratio = amp / start.amp;
+        if !((0.8..=1.3).contains(&ratio) && det.abs() <= 4.0e-3) {
+            return [f64::INFINITY; 2];
+        }
+        let pulse = Drag {
+            amp: quantize_probe(amp),
+            beta: quantize_probe(start.beta),
+            ..start
+        };
+        let w = pulse.waveform_detuned("p", quantize_probe(det));
+        rotation_residual(&integrate(&w).qubit_block(), target)
+    };
+    let norm = |r: [f64; 2]| r[0].hypot(r[1]);
+    let (mut amp, mut det) = (start.amp, 0.0);
+    let mut r = residual(amp, det);
+    for _ in 0..12 {
+        if r[0].abs() < 1e-12 && r[1].abs() < 1e-12 {
+            break;
+        }
+        let (ha, hd) = (1e-5 * amp, 1e-6);
+        let (ra, rd) = (residual(amp + ha, det), residual(amp, det + hd));
+        let j = [
+            [(ra[0] - r[0]) / ha, (rd[0] - r[0]) / hd],
+            [(ra[1] - r[1]) / ha, (rd[1] - r[1]) / hd],
+        ];
+        let jdet = j[0][0] * j[1][1] - j[0][1] * j[1][0];
+        if !jdet.is_normal() {
+            break;
+        }
+        let step_amp = (j[0][1] * r[1] - j[1][1] * r[0]) / jdet;
+        let step_det = (j[1][0] * r[0] - j[0][0] * r[1]) / jdet;
+        let accepted = (0..=8).find_map(|k| {
+            let t = 0.5_f64.powi(k);
+            let (a, d) = (amp + t * step_amp, det + t * step_det);
+            let rt = residual(a, d);
+            (norm(rt) < norm(r)).then_some((a, d, rt))
+        });
+        let Some((a, d, rt)) = accepted else {
+            break;
+        };
+        (amp, det, r) = (a, d, rt);
+    }
+    (amp, det)
+}
+
+/// What [`tune_pulse`] drives to zero in a qubit block `U`: both parts of
+/// `U₀₀` for a π rotation (the ZXZ angle peaks at π, so it has no sign
+/// change to solve for), else the ZXZ angle error and the axis tilt.
+fn rotation_residual(u: &CMat, target: f64) -> [f64; 2] {
+    if target >= PI {
+        let u00 = u[(0, 0)];
+        return [u00.re, u00.im];
+    }
+    [quant_sim::euler_zxz(u).1 - target, axis_tilt(u)]
+}
+
+/// `Im α` for `α = ±U₀₀/√det U` with `Re α ≥ 0`. A rotation by θ about the
+/// unit axis `n` has `α = cos(θ/2) − i·n_z·sin(θ/2)`: this is the tilt.
+fn axis_tilt(u: &CMat) -> f64 {
+    let alpha = u[(0, 0)] / u.det().sqrt();
+    alpha.im * alpha.re.signum()
 }
 
 /// CR tune-up for one directed pair: find the flat-top width of the 45°
@@ -708,20 +690,20 @@ fn calibrate_pair(
     let mut cr45 = mk_cr45(width_for_area(area));
 
     // Refine: measure the full echoed block's ZX angle and rescale the
-    // half-pulse area until it hits 90° (two Newton steps suffice).
-    for _ in 0..2 {
-        let holder = CalibrationHolder {
-            qubits: qubit_cals.to_vec(),
-            pair: PairCalibration {
-                control,
-                target,
-                cr45,
-                zi_residual: 0.0,
-            },
+    // half-pulse area until it hits 90° (two Newton steps suffice). The
+    // trial pair carries no ZI correction yet.
+    let echo = |cr45: GaussianSquare, theta: f64| {
+        let trial = PairCalibration {
+            control,
+            target,
+            cr45,
+            zi_residual: 0.0,
         };
-        let echoed = holder.echo_schedule(device, FRAC_PI_2);
-        let r = pair.integrate(&echoed, d_c, d_t, u_ch);
-        let measured = extract_zx_angle(&r.unitary);
+        let s = echo_schedule(&qubit_cals[control as usize], &trial, u_ch, theta, false);
+        pair.integrate(&s, d_c, d_t, u_ch)
+    };
+    for _ in 0..2 {
+        let measured = extract_zx_angle(&echo(cr45, FRAC_PI_2).unitary);
         if measured.abs() < 1e-6 {
             break;
         }
@@ -730,58 +712,64 @@ fn calibrate_pair(
     }
 
     // Measure the echoed CR(−90°) block's residual control-Z.
-    let mut partial = PairCalibration {
+    let r = echo(cr45, -FRAC_PI_2);
+    PairCalibration {
         control,
         target,
         cr45,
-        zi_residual: 0.0,
-    };
-    let holder = CalibrationHolder {
-        qubits: qubit_cals.to_vec(),
-        pair: partial,
-    };
-    let echoed = holder.echo_schedule(device, -FRAC_PI_2);
-    let r = pair.integrate(&echoed, d_c, d_t, u_ch);
-    partial.zi_residual = extract_control_z(&r.corrected_unitary(), -FRAC_PI_2);
-    partial
-}
-
-/// Minimal helper so `calibrate_pair` can build an echo schedule before the
-/// full [`Calibration`] exists.
-struct CalibrationHolder {
-    qubits: Vec<QubitCalibration>,
-    pair: PairCalibration,
-}
-
-impl CalibrationHolder {
-    fn echo_schedule(&self, device: &DeviceModel, theta: f64) -> Schedule {
-        let (c, t) = (self.pair.control, self.pair.target);
-        let u_ch = device.control_channel(c, t).unwrap();
-        let d_c = Channel::Drive(c);
-        let barrier = [d_c, u_ch, Channel::Drive(t)];
-        let factor = theta.abs() / FRAC_PI_2;
-        let half = self.pair.cr45.stretched_area(factor);
-        let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
-        let qc = &self.qubits[c as usize];
-        let mut s = Schedule::new("echo");
-        qc.append_rx180(&mut s, d_c, &barrier, "xc");
-        s.append_after(
-            Instruction::Play {
-                waveform: half.waveform("cr").scaled(-sign),
-                channel: u_ch,
-            },
-            &barrier,
-        );
-        qc.append_rx180(&mut s, d_c, &barrier, "xc");
-        s.append_after(
-            Instruction::Play {
-                waveform: half.waveform("cr").scaled(sign),
-                channel: u_ch,
-            },
-            &barrier,
-        );
-        s
+        zi_residual: extract_control_z(&r.corrected_unitary(), -FRAC_PI_2),
     }
+}
+
+/// The echoed CR block of [`Calibration::echoed_cr_schedule`] for `pair`,
+/// its CR half pulses on `u_ch` and its echo pulses from the control's
+/// calibration `qc`.
+fn echo_schedule(
+    qc: &QubitCalibration,
+    pair: &PairCalibration,
+    u_ch: Channel,
+    theta: f64,
+    cancel_leading_x: bool,
+) -> Schedule {
+    let (control, target) = (pair.control, pair.target);
+    let d_c = Channel::Drive(control);
+    let barrier = [d_c, u_ch, Channel::Drive(target)];
+
+    let factor = theta.abs() / FRAC_PI_2; // relative to the 90° echo
+    let half = pair.cr45.stretched_area(factor);
+    let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
+
+    // U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2, so the first CR
+    // half (in time) carries −sign and the second +sign.
+    // Render each envelope once; the two echo X pulses share a buffer.
+    let xc = qc.rx180_waveform("xc");
+    let cr_half = half.waveform("cr_half");
+    let mut s = Schedule::new(format!("cr({theta:.3}) q{control},q{target}"));
+    if !cancel_leading_x {
+        append_corrected(&mut s, xc.clone(), qc.rx180_phase, d_c, &barrier);
+    }
+    s.append_after(
+        Instruction::Play {
+            waveform: cr_half.scaled(-sign),
+            channel: u_ch,
+        },
+        &barrier,
+    );
+    append_corrected(&mut s, xc, qc.rx180_phase, d_c, &barrier);
+    s.append_after(
+        Instruction::Play {
+            waveform: cr_half.scaled(sign),
+            channel: u_ch,
+        },
+        &barrier,
+    );
+    // ZI residual scales with the stretched area.
+    let correction = -pair.zi_residual * (theta / -FRAC_PI_2);
+    s.append(Instruction::ShiftPhase {
+        phase: -correction,
+        channel: d_c,
+    });
+    s
 }
 
 /// One-call convenience: calibrate with default options.
@@ -909,6 +897,80 @@ mod tests {
         };
         assert!(dur(FRAC_PI_4) < dur(FRAC_PI_2));
         assert!(dur(0.2) < dur(FRAC_PI_4));
+    }
+
+    /// Angle error and axis tilt of a pulse's noiseless qubit block. The
+    /// angle is `euler_zxz`'s `2·atan2(|U₁₀|, |U₀₀|)`, computed here without
+    /// its snap to exactly π when `|U₀₀| < 1e-9`.
+    fn rotation_error(t: &crate::Transmon, pulse: Drag, det: f64, target: f64) -> (f64, f64) {
+        let u = t
+            .integrate_waveform(&pulse.waveform_detuned("q", det))
+            .qubit_block();
+        let theta = 2.0 * u[(1, 0)].abs().atan2(u[(0, 0)].abs());
+        ((theta - target).abs(), axis_tilt(&u).abs())
+    }
+
+    #[test]
+    fn tune_pulse_hits_angle_and_axis_on_every_qubit() {
+        let opts = CalibrationOptions::default();
+        let mk = |amp: f64, beta: f64| Drag {
+            duration: opts.pulse_duration,
+            amp,
+            sigma: opts.pulse_sigma,
+            beta,
+        };
+        for n in [2, 6, 10] {
+            let device = DeviceModel::almaden_like(n, &mut seeded(7));
+            for q in 0..n as u32 {
+                let t = device.transmon_cal(q);
+                let integrate = |w: &quant_pulse::Waveform| t.integrate_waveform(w);
+                // Start where calibrate_qubit does: the π amplitude of a
+                // (here noiseless) Rabi fit.
+                let amps: Vec<f64> = (1..=41).map(|i| i as f64 * 0.011).collect();
+                let pops: Vec<f64> = amps
+                    .iter()
+                    .map(|&a| integrate(&mk(a, 0.0).waveform("rabi")).unitary[(1, 0)].norm_sqr())
+                    .collect();
+                let pi_amp = fit_cosine(&amps, &pops, (0.15, 1.2)).period / 2.0;
+                let beta_mag = 1.0 / (TAU * device.qubit(q).alpha.abs()) / DT;
+                for beta in [0.0, 0.4 * beta_mag, -0.4 * beta_mag] {
+                    for (target, start) in [(PI, pi_amp), (FRAC_PI_2, pi_amp / 2.0)] {
+                        let (amp, det) = tune_pulse(&integrate, mk(start, beta), target);
+                        let (err, tilt) = rotation_error(&t, mk(amp, beta), det, target);
+                        assert!(
+                            err <= 1e-8 && tilt <= 1e-8,
+                            "n={n} q{q} β={beta:.3} target={target:.4}: \
+                             angle error {err:.2e}, tilt {tilt:.2e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tune_pulse_survives_a_degenerate_start() {
+        // A zero start amplitude makes the forward-difference Jacobian
+        // singular (its amplitude step is zero); a NaN start makes every
+        // residual non-finite. Both return without panicking.
+        let device = DeviceModel::ideal(1);
+        let t = device.transmon_cal(0);
+        let integrate = |w: &quant_pulse::Waveform| t.integrate_waveform(w);
+        let zero = Drag {
+            duration: 160,
+            amp: 0.0,
+            sigma: 40.0,
+            beta: 0.0,
+        };
+        for target in [PI, FRAC_PI_2] {
+            assert_eq!(tune_pulse(&integrate, zero, target), (0.0, 0.0));
+            let nan = Drag {
+                amp: f64::NAN,
+                ..zero
+            };
+            let (amp, det) = tune_pulse(&integrate, nan, target);
+            assert!(amp.is_nan() && det == 0.0);
+        }
     }
 
     #[test]

@@ -566,8 +566,8 @@ impl ShotPool {
     ///
     /// Scheduling is work-stealing: workers pull the next unclaimed index
     /// from a shared atomic counter, so unequal per-index costs (e.g. RB
-    /// sequences of different lengths, qubits whose golden-section searches
-    /// converge at different depths) balance automatically instead of
+    /// sequences of different lengths, qubits whose Newton solves take
+    /// different numbers of probes) balance automatically instead of
     /// riding on whichever contiguous chunk they landed in. Slot `i` still
     /// receives `f(i)` whatever thread computed it, so the determinism
     /// contract is unchanged.

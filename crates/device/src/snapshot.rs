@@ -47,10 +47,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Bump this whenever a change alters what [`Calibration::run_seeded`]
 /// computes for a fixed device and root seed — different RNG draw order,
-/// different sweep grids, different search logic. Version 2 is the
+/// different sweep grids, different search logic. Version 2 was the
 /// per-task-stream parallel tune-up (one RNG stream per qubit derived from
-/// the root seed, quantized probe inputs).
-pub const CAL_ALGO_VERSION: u64 = 2;
+/// the root seed, quantized probe inputs). Version 3 tunes each pulse's
+/// amplitude and detuning with one 2-D Newton solve.
+pub const CAL_ALGO_VERSION: u64 = 3;
 
 /// The snapshot key for calibrating `device` with `opts` from `root`.
 ///
@@ -318,7 +319,7 @@ mod tests {
         // every stored calibration, so the value itself is pinned.
         let device = DeviceModel::almaden_like(2, &mut seeded(3));
         let key = snapshot_key(&device, &CalibrationOptions::default(), 77);
-        assert_eq!(key, 0x6a5f_b152_efc0_407f);
+        assert_eq!(key, 0xbfea_b87f_f800_6516);
     }
 
     #[test]

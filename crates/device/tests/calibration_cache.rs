@@ -152,3 +152,29 @@ fn run_draws_one_root_from_caller_rng_on_hit_and_miss() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cold_tune_up_stays_within_probe_budget() {
+    // Each qubit's pulse tune-up integrates at most 300 distinct probes:
+    // the fixed Rabi/DRAG/DirectRx sweeps plus three 2-D Newton solves.
+    // The budget must hold, and the result must not move, at any pool size.
+    let device = DeviceModel::almaden_like(6, &mut seeded(21));
+    let cold = |threads: usize| {
+        let probes = ProbeCache::new();
+        let cal = Calibration::run_seeded_with(
+            &device,
+            &CalibrationOptions::default(),
+            3,
+            &CalStore::disabled(),
+            &ShotPool::new(threads),
+            &probes,
+        );
+        let misses = probes.stats().misses;
+        assert!(
+            misses <= 300 * 6,
+            "{misses} probe misses at {threads} threads exceed 300 per qubit"
+        );
+        cal
+    };
+    assert_eq!(cold(1), cold(4), "calibration diverged between pool sizes");
+}

@@ -8,7 +8,7 @@ use quant_math::{fnv1a, fnv1a_bytes, seeded, FNV_OFFSET};
 /// Bumped whenever the service's execution semantics change, so stale
 /// dedup keys from older algorithm versions can never alias new results
 /// (mirrors `CAL_ALGO_VERSION` on calibration snapshots).
-pub const SERVICE_ALGO_VERSION: u64 = 1;
+pub const SERVICE_ALGO_VERSION: u64 = 2;
 
 /// Which simulated backend family a job targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,7 +224,7 @@ mod tests {
         let mut c = bell();
         c.rx(1, 0.25);
         let key = job_key(&d, &c, CompileMode::Optimized, 4000, 7, true);
-        assert_eq!(key, 0x91f4_0d0c_7ecb_9c8b);
+        assert_eq!(key, 0x3475_6b19_b408_cc81);
     }
 
     #[test]
