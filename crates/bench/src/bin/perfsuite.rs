@@ -843,8 +843,9 @@ fn main() {
 
     // Pulse cache: repeated θ sweeps, cache off vs on. The 1-qubit
     // DirectRx sweep bounds the cache's win by the non-integration
-    // overhead; the 2-qubit Rx(θ)+CNOT sweep is fig12-class — the 9×9
-    // echoed-CR integration dominates, so memoizing it is the headline.
+    // overhead; the 2-qubit Rx(θ)+CNOT sweep is fig12-class — the
+    // echoed-CR pair integration (mostly 3×3 blocks of the two-qutrit
+    // generator) dominates, so memoizing it is the headline.
     let shots_sweep = if smoke { 100 } else { 1000 };
     let points = if smoke { 5 } else { 41 };
     let setup = Setup::almaden(1, 505);

@@ -15,13 +15,20 @@
 //! echo flips the sign of every Z⊗·-conditioned term while the amplitude
 //! sign flip restores ZX and cancels IX.
 //!
-//! Single-qubit drive pulses on the pair's drive channels are integrated in
-//! the same pass (two-level per qubit; leakage is handled by the executor's
-//! surrogate channel), so a complete CNOT pulse schedule — CR halves, echo
-//! X pulses, target Rx90, virtual-Z frames — evolves as one 4×4 propagator.
+//! The pair is integrated in the 9-dimensional two-qutrit space (index
+//! `control + 3·target`): each qubit's drive channel sees its full
+//! three-level ladder, and the CR terms act on the qubit subspace. Single-
+//! qubit pulses on the pair's drive channels are integrated in the same
+//! pass, so a complete CNOT pulse schedule — CR halves, echo X pulses,
+//! target Rx90, virtual-Z frames — evolves as one 9×9 propagator.
+//! [`PairFrameResult`] returns it together with its 4×4 qubit block; the
+//! executor turns the leakage out of that block into a Kraus completion.
 
 use crate::params::{CrParams, TransmonParams, DT};
-use quant_math::{mul9_into, unitary_exp9_into, CMat, PropagatorScratch, C64};
+use quant_math::{
+    mul9_blocks_into, mul9_into, unitary_exp9_blocks_into, unitary_exp9_into, Blocks9, CMat,
+    PropagatorScratch, C64,
+};
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::gates;
 use std::collections::BTreeMap;
@@ -134,6 +141,18 @@ impl CrPair {
     /// instead of `m` per-sample exponentials. Echoed-CR schedules are
     /// mostly flat top, which makes this the difference between the
     /// trajectory executor being integration-bound or not.
+    ///
+    /// Each run's step also follows the block structure of its generator.
+    /// The ZX, IX and ZI terms, the static ZZ and the target drive are all
+    /// diagonal in the control level, and the control drive is diagonal in
+    /// the target level. So a run with the control drive silent splits into
+    /// the blocks `{c, c+3, c+6}` (one per control level), and a run with
+    /// only the control drive playing into `{3t, 3t+1, 3t+2}` (one per
+    /// target level). Both advance as three 3×3 exponentials and a
+    /// block-diagonal product ([`Blocks9`]). Only runs where all three
+    /// channels play at once take the full 9×9 exponential. The block route
+    /// is bit-identical to the 9×9 route, so the dispatch never changes a
+    /// result.
     pub fn integrate(
         &self,
         schedule: &Schedule,
@@ -288,9 +307,12 @@ impl CrPair {
             // drive triple and the run length, so repeats are a lookup
             // keyed on the sample bit patterns instead of a fresh
             // exponential. Bitwise-conservative: a miss only costs the
-            // exponential we would have computed anyway.
+            // exponential we would have computed anyway. The key fixes the
+            // step's route, so an index points into `block_steps` or
+            // `full_steps` accordingly.
             let mut memo: BTreeMap<([u64; 6], u32), usize> = BTreeMap::new();
-            let mut steps: Vec<[C64; 81]> = Vec::new();
+            let mut block_steps: Vec<[[C64; 9]; 3]> = Vec::new();
+            let mut full_steps: Vec<[C64; 81]> = Vec::new();
             let mut k = 0usize;
             while k < total {
                 let dc = drive_c[k];
@@ -317,6 +339,17 @@ impl CrPair {
                     ],
                     run as u32,
                 );
+                // Every CR and target-drive term is diagonal in the control
+                // level, and the control drive is diagonal in the target
+                // level, so unless all three channels play at once the
+                // generator is block-diagonal (see `integrate`).
+                let blocks = if dc == C64::ZERO {
+                    Some(Blocks9::Strided)
+                } else if dt_ == C64::ZERO && du == C64::ZERO {
+                    Some(Blocks9::Contiguous)
+                } else {
+                    None
+                };
                 let idx = match memo.get(&key) {
                     Some(&i) => i,
                     None => {
@@ -341,14 +374,26 @@ impl CrPair {
                             // refocuses it.
                             axpy(&mut h9, &zi9, om_u_zi * du.abs());
                         }
-                        let mut step9 = [C64::ZERO; 81];
-                        unitary_exp9_into(&h9, DT * run as f64, &mut step9);
-                        steps.push(step9);
-                        memo.insert(key, steps.len() - 1);
-                        steps.len() - 1
+                        let t = DT * run as f64;
+                        let i = if let Some(b) = blocks {
+                            let mut step = [[C64::ZERO; 9]; 3];
+                            unitary_exp9_blocks_into(&h9, t, b, &mut step);
+                            block_steps.push(step);
+                            block_steps.len() - 1
+                        } else {
+                            let mut step = [C64::ZERO; 81];
+                            unitary_exp9_into(&h9, t, &mut step);
+                            full_steps.push(step);
+                            full_steps.len() - 1
+                        };
+                        memo.insert(key, i);
+                        i
                     }
                 };
-                mul9_into(&steps[idx], &u9, &mut next9);
+                match blocks {
+                    Some(b) => mul9_blocks_into(&block_steps[idx], b, &u9, &mut next9),
+                    None => mul9_into(&full_steps[idx], &u9, &mut next9),
+                }
                 std::mem::swap(&mut u9, &mut next9);
                 k += run;
             }
@@ -483,6 +528,16 @@ mod tests {
             waveform: w,
             channel: ch,
         });
+    }
+
+    fn play_at(s: &mut Schedule, start: u64, w: quant_pulse::Waveform, ch: Channel) {
+        s.insert(
+            start,
+            Instruction::Play {
+                waveform: w,
+                channel: ch,
+            },
+        );
     }
 
     #[test]
@@ -683,23 +738,58 @@ mod tests {
                 &barrier,
             );
         }
-        let fast = p.integrate(
-            &s,
-            Channel::Drive(0),
-            Channel::Drive(1),
-            Channel::Control(0),
-        );
-        let slow = p.integrate_ref(
-            &s,
-            Channel::Drive(0),
-            Channel::Drive(1),
-            Channel::Control(0),
-        );
+        assert_matches_reference(&p, &s);
+    }
+
+    /// Compressed vs per-sample integration of `s`, compared on the full
+    /// 9×9 propagator to integrator tolerance.
+    fn assert_matches_reference(p: &CrPair, s: &Schedule) {
+        let chans = (Channel::Drive(0), Channel::Drive(1), Channel::Control(0));
+        let fast = p.integrate(s, chans.0, chans.1, chans.2);
+        let slow = p.integrate_ref(s, chans.0, chans.1, chans.2);
         let d = fast.full_unitary.max_abs_diff(&slow.full_unitary);
-        assert!(d < 1e-9, "compressed vs per-sample diff = {d:e}");
+        assert!(
+            d < 1e-9,
+            "{}: compressed vs per-sample diff = {d:e}",
+            s.name()
+        );
         assert_eq!(fast.duration, slow.duration);
         assert_eq!(fast.control_frame, slow.control_frame);
         assert_eq!(fast.target_frame, slow.target_frame);
+    }
+
+    #[test]
+    fn all_three_drives_at_once_match_per_sample_reference() {
+        // The control drive overlapping both the target drive and the CR
+        // tone is the only case that needs the full 9×9 generator; the
+        // edges where fewer channels play take the block routes.
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2, 0.3);
+        let mut s = Schedule::new("all three");
+        play_at(&mut s, 0, gs.waveform("cr"), Channel::Control(0));
+        play_at(&mut s, 40, x_pulse(&p.target), Channel::Drive(1));
+        play_at(&mut s, 120, x_pulse(&p.control), Channel::Drive(0));
+        assert!(gs.duration > 280, "CR pulse must cover both drives");
+        assert_matches_reference(&p, &s);
+    }
+
+    #[test]
+    fn cancellation_tone_matches_per_sample_reference() {
+        // A target-drive tone under the CR pulse (the shape of an active
+        // cancellation tone): the control drive is silent, so every run
+        // takes the per-control-level blocks with both of their drives on.
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2, 0.3);
+        let tone = GaussianSquare { amp: 0.02, ..gs };
+        let mut s = Schedule::new("cancellation tone");
+        play_at(&mut s, 0, gs.waveform("cr"), Channel::Control(0));
+        play_at(
+            &mut s,
+            0,
+            tone.waveform("tone").scaled(-1.0),
+            Channel::Drive(1),
+        );
+        assert_matches_reference(&p, &s);
     }
 
     #[test]

@@ -40,5 +40,8 @@ pub use optimize::{
     OptimizeResult,
 };
 pub use poly::{characteristic_polynomial, durand_kerner, eigenvalues};
-pub use prop::{mul9_into, unitary_exp9_into, PropagatorScratch};
+pub use prop::{
+    mul9_blocks_into, mul9_into, unitary_exp9_blocks_into, unitary_exp9_into, Blocks9,
+    PropagatorScratch,
+};
 pub use rng::{categorical, normal, sample_counts, seeded, stream_seed};

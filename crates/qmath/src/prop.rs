@@ -78,23 +78,13 @@ impl PropagatorScratch {
             // squaring count comes from one fused pass over `h`).
             assert_eq!(out.rows(), 3, "output row mismatch");
             assert_eq!(out.cols(), 3, "output column mismatch");
-            let hs = h.as_slice();
-            let mut norm2 = 0.0;
-            for &z in &hs[..9] {
-                norm2 += z.norm_sqr();
-            }
-            let norm = norm2.sqrt() * t.abs();
-            let squarings = if norm > 0.5 {
-                (norm / 0.5).log2().ceil().max(0.0) as u32
-            } else {
-                0
-            };
-            let factor = C64::imag(-t / f64::powi(2.0, squarings as i32));
+            let hs = &h.as_slice()[..9];
+            let (factor, squarings) = step_scaling(hs, t);
             let mut a = [C64::ZERO; 9];
-            for (x, &z) in a.iter_mut().zip(&hs[..9]) {
+            for (x, &z) in a.iter_mut().zip(hs) {
                 *x = z * factor;
             }
-            expm3(&a, squarings, out.as_mut_slice());
+            out.as_mut_slice().copy_from_slice(&expm3(&a, squarings));
             return;
         }
         // A = -i·t·H.
@@ -120,12 +110,7 @@ impl PropagatorScratch {
     /// matrix products per exponential instead of the 12 a term-by-term
     /// recurrence needs — matmuls dominate at these dimensions.
     fn expm_into(&mut self, out: &mut CMat) {
-        let norm = self.a.frobenius_norm();
-        let squarings = if norm > 0.5 {
-            (norm / 0.5).log2().ceil().max(0.0) as u32
-        } else {
-            0
-        };
+        let squarings = squarings_for(self.a.frobenius_norm());
         if squarings > 0 {
             self.a
                 .scale_assign(C64::real(1.0 / f64::powi(2.0, squarings as i32)));
@@ -136,7 +121,9 @@ impl PropagatorScratch {
             // heap-backed matrices between products.
             assert_eq!(out.rows(), 3, "output row mismatch");
             assert_eq!(out.cols(), 3, "output column mismatch");
-            expm3(self.a.as_slice(), squarings, out.as_mut_slice());
+            let mut a = [C64::ZERO; 9];
+            a.copy_from_slice(self.a.as_slice());
+            out.as_mut_slice().copy_from_slice(&expm3(&a, squarings));
             return;
         }
         let c = &INV_FACTORIAL;
@@ -145,7 +132,7 @@ impl PropagatorScratch {
         // Horner in A³, innermost group first.
         self.sum.set_identity();
         self.sum.scale_assign(C64::real(c[12]));
-        for j in (0..=3).rev() {
+        for j in (0..4).rev() {
             self.sum.mul_into(&self.a3, &mut self.tmp);
             std::mem::swap(&mut self.sum, &mut self.tmp);
             for i in 0..self.n {
@@ -164,11 +151,37 @@ impl PropagatorScratch {
     }
 }
 
+/// The scaling-and-squaring policy every exponential here shares: halve
+/// the generator until its norm is at most 0.5, where the degree-12
+/// Taylor remainder is negligible. One copy, because the block route of
+/// [`unitary_exp9_blocks_into`] is bit-identical to [`unitary_exp9_into`]
+/// only while both take the same squaring count.
+fn squarings_for(norm: f64) -> u32 {
+    if norm > 0.5 {
+        (norm / 0.5).log2().ceil().max(0.0) as u32
+    } else {
+        0
+    }
+}
+
+/// `(−i·t/2ˢ, s)` for `exp(−i·h·t)`: the factor that scales a Hermitian
+/// generator into the Taylor window, and the squaring count `s` that
+/// undoes it. `‖−i·t·H‖ = |t|·‖H‖`, with the Frobenius norm summed over
+/// `h` in the order given (row-major for every caller).
+fn step_scaling(h: &[C64], t: f64) -> (C64, u32) {
+    let mut norm2 = 0.0;
+    for &z in h {
+        norm2 += z.norm_sqr();
+    }
+    let squarings = squarings_for(norm2.sqrt() * t.abs());
+    (C64::imag(-t / f64::powi(2.0, squarings as i32)), squarings)
+}
+
 /// Degree-12 Paterson–Stockmeyer `exp` specialized to 3×3, entirely on
 /// stack arrays. `a` is the already-scaled generator; `squarings` undoes
 /// the scaling at the end. Same evaluation order as the generic path, so
 /// the two agree to rounding.
-fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
+fn expm3(a: &[C64; 9], squarings: u32) -> [C64; 9] {
     #[inline(always)]
     fn mul3(a: &[C64; 9], b: &[C64; 9]) -> [C64; 9] {
         let mut o = [C64::ZERO; 9];
@@ -181,8 +194,7 @@ fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
         o
     }
     let c = &INV_FACTORIAL;
-    let mut m = [C64::ZERO; 9];
-    m.copy_from_slice(&a[..9]);
+    let m = *a;
     let m2 = mul3(&m, &m);
     let m3 = mul3(&m2, &m);
     // Horner in M³, innermost group first: start from c₁₂·I.
@@ -190,7 +202,7 @@ fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
     for i in 0..3 {
         sum[4 * i] = C64::real(c[12]);
     }
-    for j in (0..=3).rev() {
+    for j in (0..4).rev() {
         sum = mul3(&sum, &m3);
         for i in 0..9 {
             sum[i] += m[i] * C64::real(c[3 * j + 1]) + m2[i] * C64::real(c[3 * j + 2]);
@@ -202,7 +214,7 @@ fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
     for _ in 0..squarings {
         sum = mul3(&sum, &sum);
     }
-    out[..9].copy_from_slice(&sum);
+    sum
 }
 
 /// `out = a · b` for row-major 9×9 operands on stack arrays.
@@ -237,17 +249,7 @@ pub fn mul9_into(a: &[C64; 81], b: &[C64; 81], out: &mut [C64; 81]) {
 /// Paterson–Stockmeyer evaluation and scaling-and-squaring policy, so the
 /// result agrees with the heap-matrix route to rounding.
 pub fn unitary_exp9_into(h: &[C64; 81], t: f64, out: &mut [C64; 81]) {
-    let mut norm2 = 0.0;
-    for &z in h.iter() {
-        norm2 += z.norm_sqr();
-    }
-    let norm = norm2.sqrt() * t.abs();
-    let squarings = if norm > 0.5 {
-        (norm / 0.5).log2().ceil().max(0.0) as u32
-    } else {
-        0
-    };
-    let factor = C64::imag(-t / f64::powi(2.0, squarings as i32));
+    let (factor, squarings) = step_scaling(h, t);
     let mut a = [C64::ZERO; 81];
     for (x, &z) in a.iter_mut().zip(h.iter()) {
         *x = z * factor;
@@ -270,7 +272,7 @@ fn expm9(a: &[C64; 81], squarings: u32, out: &mut [C64; 81]) {
         sum[10 * i] = C64::real(c[12]);
     }
     let mut tmp = [C64::ZERO; 81];
-    for j in (0..=3).rev() {
+    for j in (0..4).rev() {
         mul9_into(&sum, &m3, &mut tmp);
         sum = tmp;
         for i in 0..81 {
@@ -285,6 +287,86 @@ fn expm9(a: &[C64; 81], squarings: u32, out: &mut [C64; 81]) {
         sum = tmp;
     }
     *out = sum;
+}
+
+/// A split of the 9-dimensional two-qutrit space (row-major index
+/// `lo + 3·hi`) into three 3-dimensional blocks. A generator that only
+/// couples states within each block is block-diagonal, so its exponential
+/// is three 3×3 exponentials instead of one 9×9.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Blocks9 {
+    /// Blocks `{b, b+3, b+6}`, one per level `b` of the low digit: the
+    /// generator leaves the low digit alone.
+    Strided,
+    /// Blocks `{3b, 3b+1, 3b+2}`, one per level `b` of the high digit:
+    /// the generator leaves the high digit alone.
+    Contiguous,
+}
+
+impl Blocks9 {
+    /// The 9-space index of entry `i` of block `b` (both below 3): below 9,
+    /// and ascending in `i`.
+    #[inline(always)]
+    fn index(self, b: usize, i: usize) -> usize {
+        match self {
+            Blocks9::Strided => b + 3 * i,
+            Blocks9::Contiguous => 3 * b + i,
+        }
+    }
+}
+
+/// Writes `exp(-i·h·t)` of a row-major Hermitian 9×9 generator that is
+/// block-diagonal under `blocks` as its three 3×3 blocks: `out[b]` is
+/// block `b` in row-major order. Entries of `h` outside the blocks are
+/// never read.
+///
+/// Bit-identical, inside the blocks, to [`unitary_exp9_into`] on the same
+/// `h` (whose off-block entries come out as zeros). The squaring count
+/// comes from the norm of the **whole** `h`, summed row-major as that
+/// route sums it, and each block runs the same Paterson–Stockmeyer
+/// evaluation, whose zero-skipping 9×9 products reduce to exactly the 3×3
+/// products here.
+pub fn unitary_exp9_blocks_into(h: &[C64; 81], t: f64, blocks: Blocks9, out: &mut [[C64; 9]; 3]) {
+    let (factor, squarings) = step_scaling(h, t);
+    for (b, block) in (0..3).zip(out.iter_mut()) {
+        let mut a = [C64::ZERO; 9];
+        for i in 0..3 {
+            for j in 0..3 {
+                a[3 * i + j] = h[9 * blocks.index(b, i) + blocks.index(b, j)] * factor;
+            }
+        }
+        *block = expm3(&a, squarings);
+    }
+}
+
+/// `out = step · u`, where `step` is the block-diagonal 9×9 matrix whose
+/// blocks under `blocks` are `step[b]` (as written by
+/// [`unitary_exp9_blocks_into`]) and `u` is row-major 9×9.
+///
+/// Bit-identical to [`mul9_into`] on the full block-diagonal matrix: each
+/// output row accumulates its block's terms in ascending column order and
+/// skips zero coefficients, which is what that product does once its own
+/// zero-skip drops the off-block terms.
+pub fn mul9_blocks_into(step: &[[C64; 9]; 3], blocks: Blocks9, u: &[C64; 81], out: &mut [C64; 81]) {
+    for (b, block) in (0..3).zip(step) {
+        for i in 0..3 {
+            let mut acc = [C64::ZERO; 9];
+            for j in 0..3 {
+                let sij = block[3 * i + j];
+                if sij == C64::ZERO {
+                    continue;
+                }
+                let k = blocks.index(b, j);
+                for (c, x) in acc.iter_mut().enumerate() {
+                    *x += sij * u[9 * k + c];
+                }
+            }
+            let r = blocks.index(b, i);
+            for (c, &v) in acc.iter().enumerate() {
+                out[9 * r + c] = v;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -393,6 +475,102 @@ mod tests {
         mul9_into(&a9, &b9, &mut got);
         for (i, &z) in got.iter().enumerate() {
             assert!((z - want.as_slice()[i]).abs() < 1e-13);
+        }
+    }
+
+    /// A random Hermitian 9×9 generator at the pair integrator's scale
+    /// (entries ~1e9 rad/s), block-diagonal under `blocks`, or diagonal
+    /// when `blocks` is `None`. Off-block entries are exact zeros.
+    fn block_hermitian(blocks: Option<Blocks9>, next: &mut impl FnMut() -> f64) -> [C64; 81] {
+        let mut h = [C64::ZERO; 81];
+        for i in 0..9 {
+            h[10 * i] = C64::real(4e9 * next());
+        }
+        if let Some(blocks) = blocks {
+            for b in 0..3 {
+                for i in 0..3 {
+                    for j in i + 1..3 {
+                        let (r, c) = (blocks.index(b, i), blocks.index(b, j));
+                        let z = C64::new(2e9 * next(), 2e9 * next());
+                        h[9 * r + c] = z;
+                        h[9 * c + r] = z.conj();
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn block_route_is_bit_identical_to_9x9_route() {
+        // One sample of the pair integrator up to runs of thousands of
+        // samples, so the squaring stage runs from 0 up to ≥ 10 times.
+        const DT: f64 = 2.0 / 9.0 * 1e-9;
+        let mut rng_state = 0x9E3779B97F4A7C15u64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let shapes = [Some(Blocks9::Strided), Some(Blocks9::Contiguous), None];
+        for shape in shapes {
+            // A dense starting operator, so the product sees every column.
+            let mut u_full = [C64::ZERO; 81];
+            for z in u_full.iter_mut() {
+                *z = C64::new(next(), next());
+            }
+            let mut u_block = u_full;
+            let mut most_squarings = 0;
+            for (n, run) in [1u32, 2, 3, 17, 160, 999, 1000, 4096]
+                .into_iter()
+                .enumerate()
+            {
+                // A diagonal generator splits either way: alternate.
+                let blocks = shape.unwrap_or(if n % 2 == 0 {
+                    Blocks9::Strided
+                } else {
+                    Blocks9::Contiguous
+                });
+                let h = block_hermitian(shape, &mut next);
+                let t = DT * f64::from(run);
+                most_squarings = most_squarings.max(step_scaling(&h, t).1);
+                let mut full = [C64::ZERO; 81];
+                unitary_exp9_into(&h, t, &mut full);
+                let mut step = [[C64::ZERO; 9]; 3];
+                unitary_exp9_blocks_into(&h, t, blocks, &mut step);
+                let mut in_block = [false; 81];
+                for (b, block) in step.iter().enumerate() {
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            let (r, c) = (blocks.index(b, i), blocks.index(b, j));
+                            in_block[9 * r + c] = true;
+                            let (got, want) = (block[3 * i + j], full[9 * r + c]);
+                            assert!(
+                                got.re == want.re && got.im == want.im,
+                                "{shape:?} run {run}: exp entry ({r},{c}) {got:?} vs {want:?}"
+                            );
+                        }
+                    }
+                }
+                for (z, &inside) in full.iter().zip(&in_block) {
+                    assert!(
+                        inside || *z == C64::ZERO,
+                        "{shape:?} run {run}: off-block {z:?}"
+                    );
+                }
+                let mut next_full = [C64::ZERO; 81];
+                mul9_into(&full, &u_full, &mut next_full);
+                let mut next_block = [C64::ZERO; 81];
+                mul9_blocks_into(&step, blocks, &u_block, &mut next_block);
+                for (i, (got, want)) in next_block.iter().zip(&next_full).enumerate() {
+                    assert!(
+                        got.re == want.re && got.im == want.im,
+                        "{shape:?} run {run}: product entry {i} {got:?} vs {want:?}"
+                    );
+                }
+                u_full = next_full;
+                u_block = next_block;
+            }
+            assert!(most_squarings >= 10, "only {most_squarings} squarings");
         }
     }
 
