@@ -4,35 +4,31 @@
 //! cargo run --release -p repro-bench --bin perfsuite [-- --smoke]
 //! ```
 //!
-//! Times a figure-4-class single-gate workload, reduced-shot figure-12 and
-//! figure-13 workloads (serial and pooled), the device tune-up itself
+//! Times a figure-4-class single-gate workload and a reduced-shot
+//! figure-13 workload (serial and pooled), the device tune-up itself
 //! (cold at 1 and N threads, plus a warm snapshot load), the
 //! density-matrix stride kernels against their embed-based reference on
 //! 2–6 qubit registers, the trajectory executor on 8–20-qubit QAOA layers
-//! (retained serial-naive reference vs the unfused stride-kernel path at
-//! 1 and N threads, past the `O(4ⁿ)` density wall, plus `fusion_n{n}`
-//! rows timing the gate-fusion plan-replay route against the unfused
-//! kernel baseline — with a fatal fused-vs-reference count-checksum gate
-//! at a fixed root), the 20-qubit QAOA headline both unfused
-//! (`qaoa20_trajectory_workload`, comparable to earlier BENCH files) and
-//! fused (`qaoa20_trajectory_fused`, whose `speedup` column is the
-//! fusion win), the propagator hot loop
+//! past the `O(4ⁿ)` density wall (`trajectory_n{n}_reference`, the
+//! retained serial reference route, vs `trajectory_n{n}_fused`, the fused
+//! plan-replay route at 1 and N threads — with a fatal fused-vs-reference
+//! count-checksum gate at a fixed root), the 20-qubit QAOA headline on the
+//! fused route (`qaoa20_trajectory_fused`), the propagator hot loop
 //! (eigendecomposition reference vs the Taylor scratch used by the
 //! integrators), a θ-sweep with the pulse cache off vs on, and the
-//! compile service under a mixed concurrent job stream at 1..N workers
-//! (`service_throughput`: `shots_per_s` is jobs/sec there, with
-//! `p50_ms`/`p99_ms` latency and `dedup_hit_rate` extras, and a fatal
-//! cross-worker-count checksum check), and the generated benchmark
-//! corpus end-to-end on both pools with a fatal cross-pool checksum
-//! check (`corpus_full`, plus per-family `corpus_<family>` rows whose
-//! `speedup` is the gate-over-pulse schedule-duration ratio). Results —
-//! `workload`, `threads`, `wall_ms`, `shots_per_s`, `speedup` (vs the
-//! workload's own baseline row) — are written to `BENCH_7.json`.
+//! generated benchmark corpus end-to-end on both pools with a fatal
+//! cross-pool checksum check (`corpus_full`, plus per-family
+//! `corpus_<family>` rows whose `speedup` is the gate-over-pulse
+//! schedule-duration ratio). Results — `workload`, `threads`, `wall_ms`,
+//! `shots_per_s`, `speedup` (vs the workload's own baseline row) — are
+//! written to `BENCH_7.json`.
 //!
-//! Pooled workloads are always recorded at 1 thread *and* at a scaling
-//! thread count (≥ 2 even on a single-core host, so the fan-out machinery
-//! is exercised); the determinism tests guarantee the numbers themselves
-//! are identical at any thread count.
+//! Pooled workloads are recorded at 1 thread *and* at a scaling thread
+//! count: `OPC_THREADS` (default: every core), or 2 when that resolves to
+//! a single thread on a multi-core host. A 1-CPU host has no scaling
+//! pool — a wider one would only time-slice — so its N-thread rows print
+//! `skipped (1 CPU)` and are not written. The determinism tests guarantee
+//! the numbers themselves are identical at any thread count.
 //!
 //! Every `Setup` a figure row needs is constructed once before timing, so
 //! the calibration snapshot store is warm and the figure rows measure
@@ -45,18 +41,16 @@
 //! and emits valid JSON, not a measurement.
 
 use pulse_compiler::{CompileMode, Compiler};
-use quant_algos::{molecules, trotter, vqe, LineGraph};
 use quant_char::rb_sequence;
 use quant_circuit::Circuit;
 use quant_device::{
     CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
-use quant_math::{fnv1a, seeded, unitary_exp, CMat, PropagatorScratch, C64, FNV_OFFSET};
-use quant_service::{CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
+use quant_math::{seeded, unitary_exp, CMat, PropagatorScratch, C64};
 use quant_sim::{channels, gates, DensityMatrix, KernelScratch};
 use rand::Rng;
-use repro_bench::{compare_flows, json, qaoa_line_circuit, timing::time_best, Setup};
+use repro_bench::{json, qaoa_line_circuit, timing::time_best, Setup};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,16 +107,6 @@ fn fig04_workload(pool: &ShotPool, shots: usize, reps: usize) -> usize {
         }
     }
     reps * 2 * shots
-}
-
-/// Figure-12 class at reduced shots: three benchmarks through both flows.
-fn fig12_workload(pool: &ShotPool, benchmarks: &[(Circuit, usize)], shots: usize) -> usize {
-    let comparisons = pool.map(benchmarks, |i, (circuit, n)| {
-        let setup = Setup::almaden(*n, 1000 + i as u64);
-        compare_flows(&setup, circuit, shots, 2000 + i as u64)
-    });
-    std::hint::black_box(comparisons);
-    benchmarks.len() * 2 * shots
 }
 
 /// Figure-13 class at reduced shots: RB cells through both compile modes.
@@ -197,25 +181,22 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
 /// The trajectory executor on a textbook-compiled (CNOT·Rz·CNOT) QAOA
 /// line-graph layer: `trajectories` stochastic state-vector runs with
 /// `shots` outcomes spread across them — the workload class the `O(4ⁿ)`
-/// density wall keeps away from the density-matrix executor. `naive`
-/// selects the retained reference route (skip-scan state-vector kernels,
-/// per-sample pulse integration, clone-per-branch channel sampling and an
-/// `O(2ⁿ)` categorical scan per shot); the fast route runs stride kernels,
-/// run-compressed stack-array integration, in-place branch weighing and
-/// binary-search sampling on a per-trajectory cumulative distribution.
+/// density wall keeps away from the density-matrix executor.
 #[derive(Clone, Copy, PartialEq)]
 enum TrajRoute {
     /// Retained reference route: skip-scan kernels, per-sample pulse
-    /// integration, clone-per-branch channel sampling.
+    /// integration, clone-per-branch channel sampling and an `O(2ⁿ)`
+    /// categorical scan per shot.
     Reference,
-    /// Unfused stride-kernel path (`OPC_FUSION=0`).
-    Kernel,
-    /// Gate-fusion plan-replay path (`OPC_FUSION=1`).
+    /// Gate-fusion plan-replay route: fused block kernels, run-compressed
+    /// pair integration, branch weighing against block reduced densities
+    /// and binary-search sampling on a per-trajectory cumulative
+    /// distribution.
     Fused,
 }
 
-/// Runs the workload once and returns the counts (fixed root 41, so every
-/// route must agree bit-for-bit; the fusion rows assert it).
+/// Runs the workload once and returns the counts (fixed root 41, so both
+/// routes must agree bit-for-bit; the checksum gate asserts it).
 fn trajectory_counts(
     program: &LoweredProgram,
     device: &DeviceModel,
@@ -227,8 +208,7 @@ fn trajectory_counts(
     let exec = TrajectoryExecutor::new(device, trajectories);
     let exec = match route {
         TrajRoute::Reference => exec.with_reference_path(),
-        TrajRoute::Kernel => exec.with_fusion(false),
-        TrajRoute::Fused => exec.with_fusion(true),
+        TrajRoute::Fused => exec,
     };
     match exec.try_run_pooled(program, shots, 41, pool) {
         Ok(counts) => counts,
@@ -236,144 +216,39 @@ fn trajectory_counts(
     }
 }
 
-fn trajectory_workload(
-    program: &LoweredProgram,
-    device: &DeviceModel,
-    trajectories: usize,
-    shots: usize,
-    route: TrajRoute,
-    pool: &ShotPool,
-) -> usize {
-    std::hint::black_box(trajectory_counts(
-        program,
-        device,
-        trajectories,
-        shots,
-        route,
-        pool,
-    ));
-    shots
+/// The pool for the N-thread rows: `OPC_THREADS` (default: every core),
+/// or 2 threads when that resolves to one on a multi-core host. `None` on
+/// a 1-CPU host, where a wider pool would only time-slice.
+fn scaling_pool() -> Option<ShotPool> {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (host > 1).then(|| {
+        let pool = ShotPool::from_env();
+        if pool.threads() > 1 {
+            pool
+        } else {
+            ShotPool::new(2)
+        }
+    })
 }
 
-/// The service throughput workload's job mix: several distinct jobs per
-/// device spec, each submitted `copies` times, so the stream exercises
-/// batching (same-device runs), sharding (three devices) and dedup
-/// (identical copies coalesce). Returned in submission order.
-fn service_job_mix(smoke: bool) -> Vec<JobSpec> {
-    let copies = 3;
-    let shots = if smoke { 200 } else { 1000 };
-    let mut distinct: Vec<JobSpec> = Vec::new();
-    let angles = if smoke { 2 } else { 8 };
-    for k in 1..=angles {
-        let src = format!("qreg q[1]; rx({}*pi/{angles}) q[0];", k);
-        let mut job = JobSpec::qasm(DeviceSpec::new(DeviceKind::Armonk, 1, 42), src);
-        job.shots = shots;
-        distinct.push(job);
-    }
-    let two_q = if smoke { 1 } else { 7 };
-    for k in 0..two_q {
-        let src = format!("qreg q[2]; h q[0]; cx q[0], q[1]; rz({}*pi/8) q[1];", k + 1);
-        let mut job = JobSpec::qasm(DeviceSpec::new(DeviceKind::Almaden, 2, 43), src);
-        job.shots = shots;
-        distinct.push(job);
-    }
-    if !smoke {
-        for k in 0..6 {
-            let src = format!(
-                "qreg q[3]; h q[0]; cx q[0], q[1]; cx q[1], q[2]; rx({}*pi/7) q[2];",
-                k + 1
-            );
-            let mut job = JobSpec::qasm(DeviceSpec::new(DeviceKind::Almaden, 3, 44), src);
-            job.shots = shots;
-            distinct.push(job);
+/// Times `work` on the scaling pool (best of `best`) and records it as an
+/// N-thread row, or says why there is none.
+fn record_scaled(
+    entries: &mut Vec<Entry>,
+    workload: impl Into<String>,
+    pool: Option<&ShotPool>,
+    best: u32,
+    baseline_ms: f64,
+    mut work: impl FnMut(&ShotPool) -> usize,
+) {
+    let workload = workload.into();
+    match pool {
+        Some(pool) => {
+            let (n, ms) = time_best(best, || work(pool));
+            record(entries, workload, pool.threads(), ms, n, baseline_ms);
         }
+        None => println!("{workload:<28} threads=N  skipped (1 CPU)"),
     }
-    // Interleave the copies (a, b, c, a, b, c, …) so duplicates arrive
-    // while their first submission is typically still in flight.
-    let mut jobs = Vec::with_capacity(distinct.len() * copies);
-    for _ in 0..copies {
-        jobs.extend(distinct.iter().cloned());
-    }
-    jobs
-}
-
-/// Runs the job mix through a fresh `CompileService` at `workers` worker
-/// threads, returning `(wall_ms, p50_ms, p99_ms, dedup_rate, checksum)`.
-/// The checksum folds every output's counts and fidelity bits in
-/// submission order; the caller asserts it is identical at every worker
-/// count (the service determinism contract).
-fn service_throughput_run(jobs: &[JobSpec], workers: usize) -> (f64, f64, f64, f64, u64) {
-    let t0 = Instant::now();
-    let clock: Arc<dyn Fn() -> u64 + Send + Sync> =
-        Arc::new(move || t0.elapsed().as_micros() as u64);
-    let service = match CompileService::new(ServiceConfig {
-        workers,
-        queue_capacity: 64,
-        clock: Some(clock),
-    }) {
-        Ok(s) => s,
-        Err(e) => die(format_args!("service start failed: {e}")),
-    };
-    // Warm the calibration shards outside the timed window: the tune-up
-    // wall has its own perfsuite rows, and these rows measure the
-    // request path (queue, dedup, compile, execute, sample).
-    let mut seen = Vec::new();
-    for job in jobs {
-        if !seen.contains(&job.device) {
-            seen.push(job.device);
-            let mut warm = job.clone();
-            warm.shots = 1;
-            match service.submit(warm) {
-                Ok(ticket) => {
-                    if let Err(e) = ticket.wait() {
-                        die(format_args!("shard warm-up failed: {e}"));
-                    }
-                }
-                Err(e) => die(format_args!("shard warm-up failed: {e}")),
-            }
-        }
-    }
-
-    // Ticks are on the service clock (since `t0`); submissions are on the
-    // post-warm-up timer. `base_tick` rebases completions onto the timer.
-    let base_tick = t0.elapsed().as_micros() as u64;
-    let timer = Instant::now();
-    let mut tickets = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let submit_tick = timer.elapsed().as_micros() as u64;
-        match service.submit_blocking(job.clone()) {
-            Ok(ticket) => tickets.push((submit_tick, ticket)),
-            Err(e) => die(format_args!("service submit failed: {e}")),
-        }
-    }
-    let mut latencies_us = Vec::with_capacity(tickets.len());
-    let mut checksum = FNV_OFFSET;
-    let mut fold = |w: u64| checksum = fnv1a(checksum, w);
-    for (submit_tick, ticket) in tickets {
-        let out = match ticket.wait() {
-            Ok(out) => out,
-            Err(e) => die(format_args!("service job failed: {e}")),
-        };
-        let completed = out.completed_tick.saturating_sub(base_tick);
-        latencies_us.push(completed.saturating_sub(submit_tick));
-        fold(out.duration_dt);
-        fold(out.fidelity.to_bits());
-        for &c in &out.counts {
-            fold(c);
-        }
-    }
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
-    latencies_us.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies_us.len() - 1) as f64 * p).round() as usize;
-        latencies_us[idx.min(latencies_us.len() - 1)] as f64 / 1e3
-    };
-    let stats = service.stats();
-    let dedup_rate = stats.dedup_hits as f64 / (stats.dedup_hits + stats.submitted).max(1) as f64;
-    (wall_ms, pct(0.50), pct(0.99), dedup_rate, checksum)
 }
 
 /// Reports a fatal workload error and exits nonzero — a benchmark binary
@@ -447,20 +322,16 @@ fn theta_sweep_workload(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut entries = Vec::new();
-    // The scaling pool is ≥ 2 threads even on a single-core host: the
-    // point of the N-thread row is to exercise (and time) the fan-out
-    // machinery, not to claim a speedup the hardware cannot give.
-    let env_pool = ShotPool::from_env();
-    let pool = if env_pool.threads() > 1 {
-        env_pool
-    } else {
-        ShotPool::new(2)
-    };
+    let pool = scaling_pool();
+    let pool = pool.as_ref();
     let serial = ShotPool::serial();
     println!(
-        "perfsuite{} — compile+execute wall clock (scaling rows at {} thread(s))\n",
+        "perfsuite{} — compile+execute wall clock (scaling rows {})\n",
         if smoke { " [smoke]" } else { "" },
-        pool.threads()
+        match pool {
+            Some(pool) => format!("at {} thread(s)", pool.threads()),
+            None => "skipped (1 CPU)".to_string(),
+        }
     );
 
     // fig04-class, serial then pooled. Best-of-3: the workload is a few
@@ -479,63 +350,24 @@ fn main() {
         n,
         serial_ms,
     );
-    let (n, ms) = time_best(best4, || fig04_workload(&pool, shots4, reps4));
-    record(
+    record_scaled(
         &mut entries,
         "fig04_compile_execute",
-        pool.threads(),
-        ms,
-        n,
+        pool,
+        best4,
         serial_ms,
+        |pool| fig04_workload(pool, shots4, reps4),
     );
 
-    // fig12-class, reduced shots, serial then pooled.
-    let benchmarks: Vec<(Circuit, usize)> = vec![
-        (
-            {
-                let m = molecules::h2();
-                let r = vqe::solve(&m.hamiltonian);
-                vqe::ucc_ansatz(r.theta)
-            },
-            2,
-        ),
-        (
-            {
-                let g = LineGraph::new(4);
-                let ((gamma, beta), _) = g.solve_p1();
-                g.qaoa_circuit(&[(gamma, beta)])
-            },
-            4,
-        ),
-        (
-            trotter::trotter_circuit(&molecules::water().hamiltonian, 3.0, 6),
-            2,
-        ),
-    ];
-    let shots12 = if smoke { 50 } else { 2000 };
-    for (i, (_, n)) in benchmarks.iter().enumerate() {
-        std::hint::black_box(Setup::almaden(*n, 1000 + i as u64)); // warm snapshots
-    }
-    let best12 = if smoke { 1 } else { 3 };
-    let (n, serial_ms) = time_best(best12, || fig12_workload(&serial, &benchmarks, shots12));
-    record(&mut entries, "fig12_reduced", 1, serial_ms, n, serial_ms);
-    let (n, ms) = time_best(best12, || fig12_workload(&pool, &benchmarks, shots12));
-    record(
-        &mut entries,
-        "fig12_reduced",
-        pool.threads(),
-        ms,
-        n,
-        serial_ms,
-    );
-
-    // The tune-up wall itself: the three `fig12_workload` device
-    // calibrations (same seeds, same RNG draw order as `Setup::almaden`),
-    // timed **cold** — snapshot store disabled — serial and fanned out,
-    // then **warm** — loaded back from a freshly persisted store. The
-    // speedup column of the warm row is warm-load vs cold-serial.
+    // The tune-up wall itself: the device calibrations of the paper's
+    // Fig. 12 classes (H₂ UCC at 2 qubits, QAOA at 4, water Trotter at 2;
+    // same seeds, same RNG draw order as `Setup::almaden`), timed **cold**
+    // — snapshot store disabled — serial and fanned out, then **warm** —
+    // loaded back from a freshly persisted store. The speedup column of
+    // the warm row is warm-load vs cold-serial.
+    let widths = [2usize, 4, 2];
     let cold_setups = |pool: &ShotPool, store: &CalStore| {
-        for (i, (_, n)) in benchmarks.iter().enumerate() {
+        for (i, n) in widths.iter().enumerate() {
             let mut rng = seeded(1000 + i as u64);
             let device = DeviceModel::almaden_like(*n, &mut rng);
             let root = rng.gen::<u64>();
@@ -548,7 +380,7 @@ fn main() {
                 &ProbeCache::with_enabled(true),
             ));
         }
-        benchmarks.len()
+        widths.len()
     };
     let disabled = CalStore::disabled();
     let best_cold = if smoke { 1 } else { 2 };
@@ -561,14 +393,13 @@ fn main() {
         n,
         cold_serial_ms,
     );
-    let (n, ms) = time_best(best_cold, || cold_setups(&pool, &disabled));
-    record(
+    record_scaled(
         &mut entries,
         "fig12_setup_calibration",
-        pool.threads(),
-        ms,
-        n,
+        pool,
+        best_cold,
         cold_serial_ms,
+        |pool| cold_setups(pool, &disabled),
     );
     let warm_dir = std::env::temp_dir().join(format!("opc-cal-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&warm_dir);
@@ -593,14 +424,13 @@ fn main() {
     let best13 = if smoke { 1 } else { 3 };
     let (n, serial_ms) = time_best(best13, || fig13_workload(&serial, shots13));
     record(&mut entries, "fig13_reduced", 1, serial_ms, n, serial_ms);
-    let (n, ms) = time_best(best13, || fig13_workload(&pool, shots13));
-    record(
+    record_scaled(
         &mut entries,
         "fig13_reduced",
-        pool.threads(),
-        ms,
-        n,
+        pool,
+        best13,
         serial_ms,
+        |pool| fig13_workload(pool, shots13),
     );
 
     // Density-matrix stride kernels vs the embed reference, on growing
@@ -639,10 +469,14 @@ fn main() {
 
     // Trajectory scaling past the density wall: the same QAOA layer from
     // 8 to 20 qubits (a 20-qubit density matrix would need 2⁴⁰ complex
-    // entries — 16 TiB). Serial-naive is the retained reference route; the
-    // kernel path is recorded at 1 thread and at the scaling pool. The
-    // determinism tests guarantee all three rows produce bit-identical
-    // counts, so the ratio is pure execution cost.
+    // entries — 16 TiB). The reference route is timed serially; the fused
+    // route at 1 thread and at the scaling pool. The determinism tests
+    // guarantee all three rows produce bit-identical counts, so the ratio
+    // is pure execution cost. Once per suite (n = 12 full, the smoke size
+    // in smoke mode) the two serial runs' counts are gated against each
+    // other at the fixed root — checksum divergence is fatal, not a slow
+    // row. (The determinism test suite pins the contract at every size
+    // class.)
     let traj_sizes: &[(usize, usize, usize)] = if smoke {
         &[(3, 2, 50)]
     } else {
@@ -651,85 +485,29 @@ fn main() {
     for &(n, trajectories, shots) in traj_sizes {
         let setup = Setup::almaden(n, 7_000 + n as u64);
         let program = trajectory_program(&setup, n, CompileMode::Standard);
+        let run = |route, pool: &ShotPool| {
+            trajectory_counts(&program, &setup.device, trajectories, shots, route, pool)
+        };
         let best = if smoke || n >= 16 { 1 } else { 2 };
-        let (s, naive_ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Reference,
-                &serial,
-            )
-        });
+        let (reference, reference_ms) = time_best(best, || run(TrajRoute::Reference, &serial));
         record(
             &mut entries,
-            format!("trajectory_n{n}_serial_naive"),
+            format!("trajectory_n{n}_reference"),
             1,
-            naive_ms,
-            s,
-            naive_ms,
+            reference_ms,
+            shots,
+            reference_ms,
         );
-        let (s, kernel_ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Kernel,
-                &serial,
-            )
-        });
+        let (fused, ms) = time_best(best, || run(TrajRoute::Fused, &serial));
         record(
             &mut entries,
-            format!("trajectory_n{n}_kernel"),
+            format!("trajectory_n{n}_fused"),
             1,
-            kernel_ms,
-            s,
-            naive_ms,
-        );
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Kernel,
-                &pool,
-            )
-        });
-        record(
-            &mut entries,
-            format!("trajectory_n{n}_kernel"),
-            pool.threads(),
             ms,
-            s,
-            naive_ms,
+            shots,
+            reference_ms,
         );
-        // Gate fusion vs the unfused kernel path on the same layer: the
-        // `speedup` column is the fusion win. Before timing, gate on
-        // correctness once per suite (n = 12 full, the smoke size in
-        // smoke mode): the fused and reference routes must produce the
-        // same counts at the fixed root — checksum divergence is fatal,
-        // not a slow row. (n = 20 reference runs take minutes; the
-        // determinism test suite pins the contract at every size class.)
         if n == 12 || smoke {
-            let fused = trajectory_counts(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Fused,
-                &serial,
-            );
-            let reference = trajectory_counts(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Reference,
-                &serial,
-            );
             let (a, b) = (
                 quant_corpus::report::counts_checksum(&fused),
                 quant_corpus::report::counts_checksum(&reference),
@@ -741,79 +519,48 @@ fn main() {
                 ));
             }
         }
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Fused,
-                &serial,
-            )
-        });
-        record(&mut entries, format!("fusion_n{n}"), 1, ms, s, kernel_ms);
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Fused,
-                &pool,
-            )
-        });
-        record(
+        record_scaled(
             &mut entries,
-            format!("fusion_n{n}"),
-            pool.threads(),
-            ms,
-            s,
-            kernel_ms,
+            format!("trajectory_n{n}_fused"),
+            pool,
+            best,
+            reference_ms,
+            |pool| {
+                std::hint::black_box(run(TrajRoute::Fused, pool));
+                shots
+            },
         );
     }
 
     // The paper-class 20-qubit workload end to end: the optimized-flow
     // QAOA MAXCUT layer at Almaden scale, a trajectory ensemble deep
-    // enough to sample from. `qaoa20_trajectory_workload` stays on the
-    // unfused kernel route (comparable with earlier BENCH files; `speedup`
-    // is 1.0 by construction) and the `qaoa20_trajectory_fused` rows time
-    // gate fusion against it — their `speedup` column is the headline
-    // fusion win.
+    // enough to sample from, on the fused route at 1 thread and at the
+    // scaling pool.
     if !smoke {
         let setup = Setup::almaden(20, 7_020);
         let program = trajectory_program(&setup, 20, CompileMode::Optimized);
-        let (s, unfused_ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Kernel, &pool)
-        });
-        record(
-            &mut entries,
-            "qaoa20_trajectory_workload",
-            pool.threads(),
-            unfused_ms,
-            s,
-            unfused_ms,
-        );
-        let (s, ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Fused, &serial)
-        });
+        let run = |pool: &ShotPool| {
+            let counts =
+                trajectory_counts(&program, &setup.device, 8, 2048, TrajRoute::Fused, pool);
+            std::hint::black_box(counts);
+            2048
+        };
+        let (s, serial_ms) = time_best(1, || run(&serial));
         record(
             &mut entries,
             "qaoa20_trajectory_fused",
             1,
-            ms,
+            serial_ms,
             s,
-            unfused_ms,
+            serial_ms,
         );
-        let (s, ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Fused, &pool)
-        });
-        record(
+        record_scaled(
             &mut entries,
             "qaoa20_trajectory_fused",
-            pool.threads(),
-            ms,
-            s,
-            unfused_ms,
+            pool,
+            1,
+            serial_ms,
+            run,
         );
     }
 
@@ -905,55 +652,10 @@ fn main() {
     });
     record(&mut entries, "theta_sweep_2q_cache_on", 1, ms, n, off_ms);
 
-    // Service throughput: the full request path (queue → dedup → shard →
-    // batch → compile → execute → sample) under a mixed job stream, at a
-    // growing worker pool. The checksum over every output must be
-    // bit-identical at every worker count — the service inherits the shot
-    // pool's determinism contract — so a mismatch is fatal, not a slow row.
-    let service_jobs = service_job_mix(smoke);
-    let worker_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
-    let mut service_baseline_ms = 0.0;
-    let mut service_checksum = None;
-    for &workers in worker_counts {
-        let (wall_ms, p50_ms, p99_ms, dedup_rate, checksum) =
-            service_throughput_run(&service_jobs, workers);
-        match service_checksum {
-            None => service_checksum = Some(checksum),
-            Some(expected) if expected != checksum => die(format_args!(
-                "service results diverged at {workers} workers \
-                 ({expected:016x} vs {checksum:016x})"
-            )),
-            Some(_) => {}
-        }
-        if workers == worker_counts[0] {
-            service_baseline_ms = wall_ms;
-        }
-        record(
-            &mut entries,
-            "service_throughput",
-            workers,
-            wall_ms,
-            service_jobs.len(),
-            service_baseline_ms,
-        );
-        if let Some(entry) = entries.last_mut() {
-            entry.extra = vec![
-                ("p50_ms", p50_ms),
-                ("p99_ms", p99_ms),
-                ("dedup_hit_rate", dedup_rate),
-            ];
-        }
-        println!(
-            "{:<28}            p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms, dedup {:.0}%",
-            "",
-            dedup_rate * 100.0
-        );
-    }
-
     // The generated benchmark corpus, compiled gate-level vs pulse-level
     // and executed end-to-end through `quant_corpus::run_corpus` — once on
-    // the serial pool, once on the scaling pool, with a fatal cross-pool
-    // checksum check mirroring the service rows' guard. The per-family
+    // the serial pool, once on the scaling pool (when the host has one),
+    // with a fatal cross-pool checksum check. The per-family
     // rows carry the paper's headline claim: `speedup` there is the
     // gate-over-pulse schedule-duration ratio, not a wall-clock ratio.
     {
@@ -968,26 +670,15 @@ fn main() {
             ..CorpusOptions::default()
         };
         let name = if smoke { "corpus_smoke" } else { "corpus_full" };
-        let t = Instant::now();
-        let serial_report = match run_corpus(&options, &serial) {
-            Ok(r) => r,
-            Err(e) => die(format_args!("corpus run (serial): {e}")),
+        let run = |pool: &ShotPool, label: &str| {
+            let t = Instant::now();
+            match run_corpus(&options, pool) {
+                Ok(report) => (report, t.elapsed().as_secs_f64() * 1e3),
+                Err(e) => die(format_args!("corpus run ({label}): {e}")),
+            }
         };
-        let corpus_serial_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let report = match run_corpus(&options, &pool) {
-            Ok(r) => r,
-            Err(e) => die(format_args!("corpus run (pooled): {e}")),
-        };
-        let corpus_pooled_ms = t.elapsed().as_secs_f64() * 1e3;
-        let (expected, checksum) = (serial_report.checksum(), report.checksum());
-        if expected != checksum {
-            die(format_args!(
-                "corpus results diverged across pools \
-                 ({expected:016x} vs {checksum:016x})"
-            ));
-        }
-        let total_shots = report.circuits.len() * 2 * corpus_shots;
+        let (serial_report, corpus_serial_ms) = run(&serial, "serial");
+        let total_shots = serial_report.circuits.len() * 2 * corpus_shots;
         record(
             &mut entries,
             name,
@@ -996,15 +687,32 @@ fn main() {
             total_shots,
             corpus_serial_ms,
         );
-        record(
-            &mut entries,
-            name,
-            pool.threads(),
-            corpus_pooled_ms,
-            total_shots,
-            corpus_serial_ms,
-        );
-
+        let (report, threads, corpus_pooled_ms) = match pool {
+            Some(pool) => {
+                let (report, ms) = run(pool, "pooled");
+                let (expected, checksum) = (serial_report.checksum(), report.checksum());
+                if expected != checksum {
+                    die(format_args!(
+                        "corpus results diverged across pools \
+                         ({expected:016x} vs {checksum:016x})"
+                    ));
+                }
+                record(
+                    &mut entries,
+                    name,
+                    pool.threads(),
+                    ms,
+                    total_shots,
+                    corpus_serial_ms,
+                );
+                (report, pool.threads(), ms)
+            }
+            None => {
+                println!("{name:<28} threads=N  skipped (1 CPU)");
+                (serial_report, 1, corpus_serial_ms)
+            }
+        };
+        let checksum = report.checksum();
         for summary in report.family_summaries() {
             // Compile wall clock summed over the family's circuits (both
             // flows), from the clock injected above.
@@ -1016,7 +724,7 @@ fn main() {
                 .sum();
             let entry = Entry {
                 workload: format!("corpus_{}", summary.family),
-                threads: pool.threads(),
+                threads,
                 wall_ms: compile_ms as f64,
                 shots_per_s: summary.circuits as f64 * 2.0 * corpus_shots as f64
                     / (corpus_pooled_ms / 1e3),

@@ -211,8 +211,7 @@ impl Comparison {
 }
 
 /// `run_noisy` for registers past the density wall: compiles and runs the
-/// circuit through the stochastic trajectory executor (gate fusion and the
-/// reference-path routing follow the executor's `OPC_FUSION` contract),
+/// circuit through the stochastic trajectory executor's fused route,
 /// samples `shots` with readout noise, and applies the same mitigation.
 /// The counts depend only on `(program, shots, root)` — never on `pool`.
 pub fn run_noisy_trajectory(

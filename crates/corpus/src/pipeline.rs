@@ -189,9 +189,9 @@ pub fn compile_circuit(
 /// Executes a compiled circuit and scores it against the routed circuit's
 /// ideal distribution. Registers up to `config.density_max_qubits` wide go
 /// through exact density-matrix evolution with pool-parallel pulse
-/// integration; wider ones through pool-parallel trajectories with an
-/// explicit root seed (gate fusion follows `OPC_FUSION`). Zero shots or
-/// zero trajectories are rejected before any work.
+/// integration; wider ones through pool-parallel fused trajectories with
+/// an explicit root seed. Zero shots or zero trajectories are rejected
+/// before any work.
 pub fn execute_compiled(
     device: &DeviceModel,
     cc: &CompiledCircuit,

@@ -506,31 +506,14 @@ impl<'a> PulseExecutor<'a> {
 ///
 /// The thread count comes from the `OPC_THREADS` environment variable when
 /// constructed via [`ShotPool::from_env`] (unset or `0` → all available
-/// cores).
-///
-/// Fan-out never exceeds the host's available parallelism: spawning more
-/// workers than cores is pure time-slicing overhead (on a 1-core host a
-/// 2-thread `fig12_reduced` run regressed to 0.96× from exactly this),
-/// and the determinism contract makes the clamp invisible in the results.
-/// Set `OPC_OVERSUBSCRIBE=1` to lift the clamp when a run must exercise
-/// the cross-thread machinery itself (e.g. 4-thread determinism tests on
-/// a 2-core CI runner).
+/// cores), so production pools never outnumber the host's cores unless
+/// asked to. A pool built with [`ShotPool::new`] fans out to exactly the
+/// threads it is given (capped by the job count): the determinism
+/// contract makes the count invisible in the results, and a pool wider
+/// than the host only time-slices.
 #[derive(Clone, Copy, Debug)]
 pub struct ShotPool {
     threads: usize,
-}
-
-/// The host's spawn ceiling for [`ShotPool`] fan-out: available
-/// parallelism, or unlimited under `OPC_OVERSUBSCRIBE=1`. Cached — the
-/// answer cannot change mid-process and this sits on every fan-out path.
-fn host_parallelism() -> usize {
-    static LIMIT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        if crate::knobs::oversubscribe() {
-            return usize::MAX;
-        }
-        std::thread::available_parallelism().map_or(usize::MAX, |n| n.get())
-    })
 }
 
 impl ShotPool {
@@ -595,7 +578,7 @@ impl ShotPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let threads = self.threads.min(n.max(1)).min(host_parallelism());
+        let threads = self.threads.min(n.max(1));
         if threads <= 1 {
             let mut state = init();
             return (0..n).map(|i| f(&mut state, i)).collect();
@@ -1109,5 +1092,20 @@ mod tests {
         let r = device.readout(0);
         let mean_i: f64 = shots.iter().map(|((i, _), _)| *i).sum::<f64>() / shots.len() as f64;
         assert!((mean_i - r.iq0.0).abs() < 0.1, "mean I = {mean_i}");
+    }
+
+    #[test]
+    fn pool_spawns_the_threads_it_is_given_on_any_host() {
+        // One `init()` per spawned worker: a 4-thread pool over 8 jobs
+        // fans out to exactly 4 workers, whatever the host's core count.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let out = ShotPool::new(4).map_indices_with(
+            8,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i| i,
+        );
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(inits.load(Ordering::Relaxed), 4);
     }
 }

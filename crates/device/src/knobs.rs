@@ -5,24 +5,13 @@
 //! place: opclint's `env-read` rule confines `std::env::var("OPC_*")`
 //! reads to designated `knobs` modules. Knobs only toggle *strategies*
 //! (caching, fan-out, verification) — results are bit-identical across
-//! every setting; that invariant is what CI's knob matrix pins.
+//! every setting; that invariant is what CI's `OPC_THREADS` matrix pins.
 //!
 //! | knob | accessor | default |
 //! |---|---|---|
-//! | `OPC_FUSION` | [`fusion`] | on (off only at `0`) |
 //! | `OPC_CAL_CACHE` | [`cal_cache`] | default store under `target/` |
-//! | `OPC_OVERSUBSCRIBE` | [`oversubscribe`] | off (on only at `1`) |
 //! | `OPC_THREADS` | [`threads`] | unset (available parallelism) |
 //! | `OPC_VERIFY` | [`verify`] | on (off only at `0`) |
-
-/// `OPC_FUSION`: gate fusion in the trajectory executor. On unless the
-/// variable is set to `0`.
-pub fn fusion() -> bool {
-    match std::env::var("OPC_FUSION") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
-}
 
 /// Resolved `OPC_CAL_CACHE` setting for the persistent calibration store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,13 +31,6 @@ pub fn cal_cache() -> CalCacheKnob {
         Ok(v) if !v.trim().is_empty() => CalCacheKnob::Dir(v.trim().to_string()),
         _ => CalCacheKnob::Default,
     }
-}
-
-/// `OPC_OVERSUBSCRIBE`: lift the physical-core clamp on pool fan-out
-/// (CI uses this so 4-thread rows exercise real parallelism on small
-/// runners). On only at exactly `1`.
-pub fn oversubscribe() -> bool {
-    std::env::var("OPC_OVERSUBSCRIBE").is_ok_and(|v| v.trim() == "1")
 }
 
 /// `OPC_THREADS`: explicit worker count for [`crate::ShotPool`];

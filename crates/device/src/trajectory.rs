@@ -8,7 +8,7 @@
 //! how the reproduction reaches Almaden-scale (20-qubit) registers the
 //! paper ran its 11.4 M shots on.
 //!
-//! # One timeline, three routes
+//! # One timeline, two routes
 //!
 //! Before the fan-out, a run walks the program once into its timeline —
 //! the same walk the density executor follows: a SPAM point per qubit,
@@ -16,9 +16,9 @@
 //! error before any trajectory runs), and each qubit's thermal relaxation
 //! for exactly the wall-clock time it spends, with pairs starting as soon
 //! as both qubits are free and every qubit waiting for the common
-//! measurement. Every route replays that event list, and each event is a
+//! measurement. Both routes replay that event list, and each event is a
 //! fixed set of random-draw sites, so the draw *sequence* of a trajectory
-//! is the same on every route. Trajectories fan over a [`ShotPool`] with
+//! is the same on either route. Trajectories fan over a [`ShotPool`] with
 //! one root `u64` and a `stream_seed(root, index)` RNG stream per
 //! trajectory, so counts are **bit-identical at any `OPC_THREADS`** (the
 //! same contract as the shot engine and the calibration fan-out); each
@@ -26,39 +26,35 @@
 //! outcomes are drawn by binary search on a per-trajectory cumulative
 //! distribution.
 //!
-//! # Fast path: fused
+//! # Fast route: fused
 //!
-//! By default (`OPC_FUSION` unset or ≠ `0`) the executor hoists a
-//! [`quant_sim::fusion::FusionPlan`] over the timeline: its unitary
-//! stream (SPAM flips, 1q waveform gates, 2q CR schedules) and its
-//! stochastic channel points (sampled thermal relaxation) are planned into
-//! fused blocks of up to five qubits, once per program. Each trajectory
-//! then *replays* the plan: gates and sampled Kraus branches fold into
-//! small (`≤ 32×32`) block accumulators, channel branches are weighed
-//! against a per-block reduced density matrix (`Tr(K†K·ρ_B)`, exact for
-//! local operators) instead of sweeping the full state per branch, and the
-//! state is touched only when a block closes — one blocked-kernel sweep per
-//! fused block instead of several per gate and per channel stage.
-//! Normalization is folded into the Kraus branches (`K/√p` like the
-//! reference path's per-stage renormalize), so no separate normalize
-//! sweeps remain.
+//! The executor hoists a [`quant_sim::fusion::FusionPlan`] over the
+//! timeline: its unitary stream (SPAM flips, 1q waveform gates, 2q CR
+//! schedules) and its stochastic channel points (sampled thermal
+//! relaxation) are planned into fused blocks of up to five qubits, once
+//! per program. Each trajectory then *replays* the plan: gates and sampled
+//! Kraus branches fold into small (`≤ 32×32`) block accumulators, channel
+//! branches are weighed against a per-block reduced density matrix
+//! (`Tr(K†K·ρ_B)`, exact for local operators) instead of sweeping the full
+//! state per branch, and the state is touched only when a block closes —
+//! one blocked-kernel sweep per fused block instead of several per gate
+//! and per channel stage. Normalization is folded into the Kraus branches
+//! (`K/√p` like the reference route's per-stage renormalize), so no
+//! separate normalize sweeps remain.
 //!
-//! Branch weights agree with the unfused routes' to rounding, so sampled
-//! counts stay bit-identical in practice across `OPC_FUSION=0/1`, across
-//! thread counts, and against the reference path (a draw landing within
-//! one ulp of a branch boundary is the same vanishing coincidence the
-//! kernel-vs-reference contract already tolerates; CI pins it).
+//! Branch weights agree with the reference route's to rounding, so sampled
+//! counts stay bit-identical in practice across thread counts and against
+//! the reference route (a draw landing within one ulp of a branch boundary
+//! is a vanishing coincidence; CI pins it).
 //!
-//! # Unfused and reference routes
+//! # Reference route
 //!
-//! `OPC_FUSION=0` replays the timeline one event at a time through the
-//! stride kernels, weighing channel branches in place
-//! (`KernelScratch::branch_weight`).
-//! [`TrajectoryExecutor::with_reference_path`] replays the same events
-//! through the retained skip-scan reference kernels and every two-qubit
-//! schedule through the per-sample reference integrator instead — the
-//! cross-check (and the perfsuite baseline) for both fast paths; it
-//! bypasses fusion entirely.
+//! [`TrajectoryExecutor::with_reference_path`] replays the same events one
+//! at a time through the retained skip-scan reference kernels, samples
+//! each channel by trial-applying every branch to a cloned state, and
+//! integrates every two-qubit schedule with the per-sample reference
+//! integrator — the cross-check (and the perfsuite baseline) for the fused
+//! route; it bypasses fusion entirely.
 
 use crate::device::DeviceModel;
 use crate::executor::{jittered, qubit_block, ExecError, LoweredProgram, ShotPool};
@@ -117,7 +113,7 @@ impl RtBlock {
 
 /// Per-worker reusable state: one state vector, one kernel scratch, the
 /// channel-weight and cumulative-distribution buffers, and the runtime
-/// fused-block accumulators for the fused path.
+/// fused-block accumulators for the fused route.
 struct TrajWorker {
     psi: StateVector,
     scratch: KernelScratch,
@@ -172,8 +168,8 @@ struct RelaxTable {
 }
 
 /// The per-program hoisted plan: the timeline's events, its relaxation
-/// tables (indexed by [`Event::Relax`]), and on the fused route the fusion
-/// plan over the events. Built once per
+/// tables (indexed by [`Event::Relax`]), and — except on the reference
+/// route — the fusion plan over the events. Built once per
 /// [`TrajectoryExecutor::try_run_pooled`] call, before the fan-out, and
 /// shared read-only by every pool worker.
 struct Plan<'p> {
@@ -188,45 +184,29 @@ pub struct TrajectoryExecutor<'a> {
     device: &'a DeviceModel,
     trajectories: usize,
     reference: bool,
-    fusion: bool,
 }
 
 impl<'a> TrajectoryExecutor<'a> {
     /// Creates an executor that averages over `trajectories` noise
-    /// realizations. Gate fusion defaults to the `OPC_FUSION`
-    /// environment knob (on unless `OPC_FUSION=0`); override it
-    /// programmatically with [`TrajectoryExecutor::with_fusion`]. A zero
-    /// count is reported by [`TrajectoryExecutor::try_run_pooled`] as
+    /// realizations on the fused route. A zero count is reported by
+    /// [`TrajectoryExecutor::try_run_pooled`] as
     /// [`ExecError::NoTrajectories`].
     pub fn new(device: &'a DeviceModel, trajectories: usize) -> Self {
         TrajectoryExecutor {
             device,
             trajectories,
             reference: false,
-            fusion: crate::knobs::fusion(),
         }
     }
 
     /// Routes every state update through the reference (skip-scan)
-    /// state-vector path instead of the stride kernels, and every two-qubit
-    /// schedule through [`crate::twoqubit::CrPair::integrate_ref`] instead
-    /// of the run-compressed integrator. Bypasses gate fusion entirely.
-    /// Slow; used by the equivalence tests and as the perfsuite baseline.
+    /// state-vector path instead of the fused plan replay, and every
+    /// two-qubit schedule through [`crate::twoqubit::CrPair::integrate_ref`]
+    /// instead of the run-compressed integrator. Slow; used by the
+    /// equivalence tests and as the perfsuite baseline.
     pub fn with_reference_path(mut self) -> Self {
         self.reference = true;
         self
-    }
-
-    /// Forces gate fusion on or off, overriding the `OPC_FUSION`
-    /// environment default. Ignored on the reference path.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// Whether this executor will take the fused path.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion && !self.reference
     }
 
     /// Runs the program, sampling `shots` measurement outcomes spread over
@@ -239,7 +219,7 @@ impl<'a> TrajectoryExecutor<'a> {
     /// split across trajectories by index (`shots/T` each, the first
     /// `shots % T` taking one extra), so the returned counts depend only on
     /// `(program, shots, root)` — never on the size of `pool`. The
-    /// program's timeline (and, when fusion is enabled, the fusion plan
+    /// program's timeline (and, off the reference route, the fusion plan
     /// over it) is built once, before the fan-out, and replayed read-only
     /// by every worker.
     pub fn try_run_pooled(
@@ -269,7 +249,7 @@ impl<'a> TrajectoryExecutor<'a> {
                 let mut rng = seeded(stream_seed(root, i as u64));
                 match &plan.fusion {
                     Some(fusion) => self.evolve_fused(&plan, fusion, w, &mut rng),
-                    None => self.evolve(&plan, w, &mut rng),
+                    None => self.evolve(&plan, &mut w.psi, &mut rng),
                 }
                 // Per-trajectory cumulative distribution; outcomes are then
                 // one uniform draw + binary search each instead of an
@@ -304,8 +284,8 @@ impl<'a> TrajectoryExecutor<'a> {
 
     /// Hoists everything trajectories share: the program's timeline
     /// (topology errors surface here), one relaxation table per distinct
-    /// `(qubit, duration)`, and on the fused route the fusion plan over the
-    /// timeline's events — one op per random-draw site.
+    /// `(qubit, duration)`, and off the reference route the fusion plan
+    /// over the timeline's events — one op per random-draw site.
     fn plan<'p>(&self, program: &'p LoweredProgram) -> Result<Plan<'p>, ExecError> {
         let line = timeline(self.device, program, |event| event)?;
         let relax = line
@@ -325,7 +305,7 @@ impl<'a> TrajectoryExecutor<'a> {
                 }
             })
             .collect();
-        let fusion = self.fusion_enabled().then(|| {
+        let fusion = (!self.reference).then(|| {
             let descs: Vec<OpDesc> = line
                 .events
                 .iter()
@@ -427,37 +407,27 @@ impl<'a> TrajectoryExecutor<'a> {
         }
     }
 
-    /// Applies a (possibly sub-unitary) operator through the selected
-    /// kernel path.
-    fn apply(&self, w: &mut TrajWorker, op: &CMat, targets: &[usize]) {
-        if self.reference {
-            w.psi.apply_unitary_ref(op, targets);
-        } else {
-            w.psi.apply_unitary_scratch(op, targets, &mut w.scratch);
-        }
-    }
-
     /// Evolves one stochastic trajectory in the worker's reused state by
-    /// replaying the timeline's events one by one — the unfused route
-    /// (`OPC_FUSION=0` or the reference path).
-    fn evolve(&self, plan: &Plan, w: &mut TrajWorker, rng: &mut impl Rng) {
-        w.psi.reset_zero();
+    /// replaying the timeline's events one by one through the reference
+    /// kernels — the reference route.
+    fn evolve(&self, plan: &Plan, psi: &mut StateVector, rng: &mut impl Rng) {
+        psi.reset_zero();
         let p_reset = self.device.reset_excited_prob();
         for event in &plan.events {
             match event {
                 Event::Spam(q) => {
                     if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
-                        self.apply(w, &quant_sim::gates::x(), &[*q as usize]);
+                        psi.apply_unitary_ref(&quant_sim::gates::x(), &[*q as usize]);
                     }
                 }
-                Event::Relax(id) => self.relax_sampled(w, &plan.relax[*id], rng),
+                Event::Relax(id) => relax_sampled(psi, &plan.relax[*id], rng),
                 Event::Play { qubit, waveform } => {
                     let b = self.play_block(*qubit, waveform, rng);
                     // Sub-unitary contraction: renormalize (leakage is
                     // tiny; the deposited-weight branch is negligible at
                     // trajectory resolution).
-                    self.apply(w, &b, &[*qubit as usize]);
-                    w.psi.normalize();
+                    psi.apply_unitary_ref(&b, &[*qubit as usize]);
+                    psi.normalize();
                 }
                 Event::Pair {
                     control,
@@ -467,8 +437,8 @@ impl<'a> TrajectoryExecutor<'a> {
                     schedule,
                 } => {
                     let u = self.pair_unitary(*control, *target, pair, *channel, schedule, rng);
-                    self.apply(w, &u, &[*control as usize, *target as usize]);
-                    w.psi.normalize();
+                    psi.apply_unitary_ref(&u, &[*control as usize, *target as usize]);
+                    psi.normalize();
                 }
             }
         }
@@ -503,52 +473,6 @@ impl<'a> TrajectoryExecutor<'a> {
                 .unitary
         } else {
             pair.integrate(&schedule, c_drive, t_drive, channel).unitary
-        }
-    }
-
-    /// Samples one branch of a hoisted thermal-relaxation channel.
-    ///
-    /// Fast path: every branch of a stage is weighed in place
-    /// (`‖Kψ‖²` via [`KernelScratch::branch_weight`]) and only the chosen
-    /// operator is applied — no per-branch clone of the `O(2ⁿ)` state.
-    /// Reference path: the original clone-per-branch route.
-    fn relax_sampled(&self, w: &mut TrajWorker, table: &RelaxTable, rng: &mut impl Rng) {
-        let qubit = table.qubit;
-        let TrajWorker {
-            psi,
-            scratch,
-            weights,
-            ..
-        } = w;
-        for stage in &table.stages {
-            if self.reference {
-                // Trial-apply every branch to a cloned state, then keep the
-                // sampled one.
-                let mut probs = Vec::with_capacity(stage.len());
-                let mut branches = Vec::with_capacity(stage.len());
-                for k in stage {
-                    let mut trial = psi.clone();
-                    let prob = trial.apply_kraus_branch_ref(k, &[qubit]);
-                    probs.push(prob.max(0.0));
-                    branches.push(trial);
-                }
-                let choice = quant_math::categorical(rng, &probs);
-                let mut chosen = branches.swap_remove(choice);
-                chosen.normalize();
-                *psi = chosen;
-            } else {
-                weights.clear();
-                for k in stage {
-                    weights.push(
-                        scratch
-                            .branch_weight(psi.amplitudes(), k, &[qubit], psi.dims())
-                            .max(0.0),
-                    );
-                }
-                let choice = quant_math::categorical(rng, weights);
-                psi.apply_unitary_scratch(&stage[choice], &[qubit], scratch);
-                psi.normalize();
-            }
         }
     }
 
@@ -595,6 +519,26 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 }
 
+/// Samples one branch per stage of a hoisted thermal-relaxation channel
+/// on the reference route: trial-apply every branch to a cloned state,
+/// then keep the sampled one, renormalized.
+fn relax_sampled(psi: &mut StateVector, table: &RelaxTable, rng: &mut impl Rng) {
+    for stage in &table.stages {
+        let mut probs = Vec::with_capacity(stage.len());
+        let mut branches = Vec::with_capacity(stage.len());
+        for k in stage {
+            let mut trial = psi.clone();
+            let prob = trial.apply_kraus_branch_ref(k, &[table.qubit]);
+            probs.push(prob.max(0.0));
+            branches.push(trial);
+        }
+        let choice = quant_math::categorical(rng, &probs);
+        let mut chosen = branches.swap_remove(choice);
+        chosen.normalize();
+        *psi = chosen;
+    }
+}
+
 /// Folds `op` into block `block`'s accumulator at the given local digit
 /// positions, keeping the cached reduced density in sync when present.
 ///
@@ -623,16 +567,16 @@ fn fold_op(w: &mut TrajWorker, block: usize, op: &CMat, local: &[usize]) {
 /// block's reduced density (`Tr(K†K·ρ_B)` — exact for a local operator,
 /// scale-invariant for the categorical draw), sample one, and fold the
 /// chosen branch *renormalized* (`K/√p_rel`) into the accumulator — the
-/// fused equivalent of the unfused path's apply-then-normalize.
+/// fused equivalent of the reference route's apply-then-normalize.
 ///
 /// The ρ capture is exact, not approximate: before (re)capturing, every
 /// *other* open block with pending content is flushed into the state
 /// (disjoint supports commute, so early application preserves program
 /// order), and the querying block's own accumulator is conjugated on
-/// top. The branch weights therefore match the unfused path's
+/// top. The branch weights therefore match the reference route's
 /// `‖Kψ‖²` ratios to floating-point rounding, which is what keeps the
 /// categorical draws — and hence the sampled counts — aligned across
-/// the fused, unfused, and reference routes.
+/// the fused and reference routes.
 fn relax_stage_fused(
     w: &mut TrajWorker,
     block: usize,
@@ -752,8 +696,8 @@ mod tests {
         let exec = PulseExecutor::new(&device);
         let mut rng_a = seeded(5);
         let dm = exec.run(&program, &mut rng_a);
-        // Trajectory ensemble (fused path).
-        let traj = TrajectoryExecutor::new(&device, 96).with_fusion(true);
+        // Trajectory ensemble (fused route).
+        let traj = TrajectoryExecutor::new(&device, 96);
         let counts = traj
             .try_run_pooled(&program, 48_000, seeded(6).gen(), &ShotPool::from_env())
             .unwrap();
@@ -768,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_counts_match_unfused_counts_bit_identically() {
+    fn fused_counts_match_reference_counts_bit_identically() {
         let mut rng = seeded(11);
         let device = DeviceModel::almaden_like(3, &mut rng);
         let cal = calibrate(&device, &mut rng);
@@ -800,14 +744,13 @@ mod tests {
         let pool = ShotPool::from_env();
         for root in [3u64, 0xBEEF, 0x5EED] {
             let fused = TrajectoryExecutor::new(&device, 12)
-                .with_fusion(true)
                 .try_run_pooled(&program, 3_000, root, &pool)
                 .unwrap();
-            let unfused = TrajectoryExecutor::new(&device, 12)
-                .with_fusion(false)
+            let reference = TrajectoryExecutor::new(&device, 12)
+                .with_reference_path()
                 .try_run_pooled(&program, 3_000, root, &pool)
                 .unwrap();
-            assert_eq!(fused, unfused, "root {root}");
+            assert_eq!(fused, reference, "root {root}");
         }
     }
 

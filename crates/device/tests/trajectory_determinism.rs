@@ -3,21 +3,19 @@
 //! The contract mirrors the shot engine's: one root `u64` plus a
 //! `stream_seed(root, index)` RNG stream per trajectory means the returned
 //! counts depend only on `(program, shots, root)` — **never** on the
-//! thread count, and not on whether the stride-kernel fast path or the
+//! thread count, and not on whether the fused fast path or the
 //! retained reference path (skip-scan state-vector kernels, per-sample
 //! pulse integration, clone-per-branch channel sampling) did the work.
 //! These tests pin that down so a kernel or scheduler change cannot
 //! silently reorder randomness, and check the ensemble still converges to
 //! the exact density-matrix distribution.
 //!
-//! With gate fusion (`OPC_FUSION`) the same contract extends a third way:
-//! the fused route replays a hoisted plan but spends every random draw at
-//! the same program point with the same (to rounding) branch weights, so
-//! its counts must match the unfused and reference routes bit-for-bit at
-//! a fixed root too. CI runs this suite across the full
-//! `OPC_FUSION={0,1} × OPC_THREADS={1,4}` matrix; the explicit fusion
-//! test below pins all three routes against each other regardless of the
-//! ambient knob.
+//! The fast route is gate fusion: it replays a hoisted plan but spends
+//! every random draw at the same program point with the same (to
+//! rounding) branch weights, so its counts must match the reference route
+//! bit-for-bit at a fixed root. CI runs this suite at `OPC_THREADS={1,4}`;
+//! the tests below also pin explicit pool sizes regardless of the ambient
+//! knob.
 
 use quant_device::{
     calibrate, Block, DeviceModel, ExecError, LoweredProgram, PulseExecutor, ShotPool,
@@ -76,9 +74,10 @@ fn counts_identical_across_thread_counts() {
 
 #[test]
 fn kernel_path_reproduces_reference_counts_bit_identically() {
-    // The fast path reassociates float arithmetic three ways — stride
-    // kernels, in-place branch weighing, run-compressed 9×9 integration —
-    // so amplitudes may differ from the reference route at the ulp level.
+    // The fast path reassociates float arithmetic three ways — fused
+    // block kernels, branch weighing against a reduced density,
+    // run-compressed 9×9 integration — so amplitudes may differ from the
+    // reference route at the ulp level.
     // But every stochastic draw consumes the same RNG stream in the same
     // order, so at a fixed root the sampled counts must be bit-identical
     // (an outcome flip would need a uniform draw within ~1e-12 of a
@@ -101,11 +100,11 @@ fn kernel_path_reproduces_reference_counts_bit_identically() {
 }
 
 #[test]
-fn fused_route_matches_unfused_and_reference_at_any_thread_count() {
+fn fused_route_matches_reference_at_any_thread_count() {
     // The strongest form of the contract: at a fixed root, the fused
-    // plan-replay route, the unfused per-gate route, and the reference
-    // route must all return the same counts, and the fused route must not
-    // care how many threads replay the plan. The program mixes 1Q gates,
+    // plan-replay route and the reference route must return the same
+    // counts, and the fused route must not care how many threads replay
+    // the plan. The program mixes 1Q gates,
     // a CNOT chain (block growth + merge + close) and an explicit idle
     // (a relaxation table entry no gate emits).
     let mut rng = seeded(47);
@@ -119,13 +118,11 @@ fn fused_route_matches_unfused_and_reference_at_any_thread_count() {
     let shots = 1800;
     for root in [0x00DD_5EED_u64, 0xFACE] {
         let fused = TrajectoryExecutor::new(&device, 6)
-            .with_fusion(true)
             .try_run_pooled(&program, shots, root, &ShotPool::new(1))
             .unwrap();
         assert_eq!(fused.iter().sum::<u64>(), shots as u64);
         for threads in [2, 4] {
             let threaded = TrajectoryExecutor::new(&device, 6)
-                .with_fusion(true)
                 .try_run_pooled(&program, shots, root, &ShotPool::new(threads))
                 .unwrap();
             assert_eq!(
@@ -133,14 +130,6 @@ fn fused_route_matches_unfused_and_reference_at_any_thread_count() {
                 "{threads}-thread fused counts diverged at root {root:#x}"
             );
         }
-        let unfused = TrajectoryExecutor::new(&device, 6)
-            .with_fusion(false)
-            .try_run_pooled(&program, shots, root, &ShotPool::new(1))
-            .unwrap();
-        assert_eq!(
-            fused, unfused,
-            "fusion changed the counts at root {root:#x}"
-        );
         let reference = TrajectoryExecutor::new(&device, 6)
             .with_reference_path()
             .try_run_pooled(&program, shots, root, &ShotPool::new(1))
@@ -193,11 +182,10 @@ fn every_route_reports_a_topology_error_at_any_shot_count() {
         target: 2,
     };
     let routes = [
-        TrajectoryExecutor::new(&device, 4).with_fusion(true),
-        TrajectoryExecutor::new(&device, 4).with_fusion(false),
+        TrajectoryExecutor::new(&device, 4),
         TrajectoryExecutor::new(&device, 4).with_reference_path(),
     ];
-    for (route, exec) in ["fused", "unfused", "reference"].iter().zip(&routes) {
+    for (route, exec) in ["fused", "reference"].iter().zip(&routes) {
         for shots in [0, 100] {
             let got = exec.try_run_pooled(&program, shots, 9, &ShotPool::new(1));
             assert_eq!(got, Err(want), "{route} route at {shots} shots");

@@ -20,7 +20,7 @@
 //!   block currently owns their subsystem, opening a singleton block if
 //!   none does. The executor interleaves its random draws at these steps,
 //!   which is what keeps a fused trajectory's RNG stream identical to the
-//!   unfused one.
+//!   reference route's event-by-event one.
 //!
 //! Open blocks are pairwise disjoint by construction, so they commute and
 //! any close order is valid; the plan always opens, merges, and closes in

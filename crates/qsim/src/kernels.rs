@@ -286,8 +286,8 @@ impl KernelScratch {
     /// `|ψ⟩ ← Û|ψ⟩` on a raw amplitude slice — the state-vector stride
     /// kernel, O(d·k) for a k-dim gate on a d-dim register.
     ///
-    /// Gate-dimension 2 and 4 (the 1q/2q qubit gates that dominate
-    /// unfused trajectory workloads) run specialized loops with the
+    /// Gate-dimension 2 and 4 (1q/2q qubit gates, and fused blocks of
+    /// one or two qubits) run specialized loops with the
     /// operator entries hoisted into locals, so the per-fibre body is
     /// branch-free and autovectorization-friendly. Larger fused blocks
     /// whose lowest target sits above enough free subsystems take the
@@ -344,42 +344,6 @@ impl KernelScratch {
             }
         }
         acc
-    }
-
-    /// `‖K̂|ψ⟩‖²` — the probability of Kraus branch `k` on `targets` —
-    /// without modifying or cloning the state. This is what lets a
-    /// trajectory sampler weigh every branch of a channel and then apply
-    /// only the chosen one.
-    pub fn branch_weight(
-        &mut self,
-        amps: &[C64],
-        k: &CMat,
-        targets: &[usize],
-        dims: &[usize],
-    ) -> f64 {
-        let i = self.ensure_index(targets, dims);
-        let idx = &self.indices[i].index;
-        check_op(k, idx);
-        assert_eq!(amps.len(), idx.total, "state length mismatch");
-        if idx.gate_dim == 2 {
-            return sv_weight_k2(amps, k, idx);
-        }
-        let kd = idx.gate_dim;
-        let mut total = 0.0f64;
-        for &base in &idx.bases {
-            for g in 0..kd {
-                let mut acc = C64::ZERO;
-                for (h, &ho) in idx.offsets.iter().enumerate() {
-                    let coeff = k[(g, h)];
-                    if coeff == C64::ZERO {
-                        continue;
-                    }
-                    acc += coeff * amps[base + ho];
-                }
-                total += acc.norm_sqr();
-            }
-        }
-        total
     }
 
     /// Writes the reduced density matrix of the listed targets (partial
@@ -658,19 +622,6 @@ fn sv_apply_generic(amps: &mut [C64], op: &CMat, idx: &TargetIndex, gather: &mut
             amps[base + off] = acc;
         }
     }
-}
-
-/// 2-dim branch weight: `‖K|ψ⟩‖²` with the Kraus entries in registers.
-fn sv_weight_k2(amps: &[C64], k: &CMat, idx: &TargetIndex) -> f64 {
-    let off = idx.offsets[1];
-    let (u00, u01, u10, u11) = (k[(0, 0)], k[(0, 1)], k[(1, 0)], k[(1, 1)]);
-    let mut total = 0.0f64;
-    for &base in &idx.bases {
-        let a0 = amps[base];
-        let a1 = amps[base + off];
-        total += (u00 * a0 + u01 * a1).norm_sqr() + (u10 * a0 + u11 * a1).norm_sqr();
-    }
-    total
 }
 
 #[cfg(test)]

@@ -248,11 +248,6 @@ impl StateVector {
     }
 
     /// [`StateVector::apply_kraus_branch`] with a caller-owned scratch.
-    ///
-    /// To *weigh* a branch without committing to it, use
-    /// [`KernelScratch::branch_weight`] on [`StateVector::amplitudes`] —
-    /// that is how the trajectory executor samples channels without
-    /// cloning the state per branch.
     pub fn apply_kraus_branch_scratch(
         &mut self,
         k: &CMat,

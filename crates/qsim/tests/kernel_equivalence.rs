@@ -234,29 +234,6 @@ fn state_vector_kraus_branch_kernel_matches_reference() {
 }
 
 #[test]
-fn branch_weight_matches_actual_branch_application() {
-    // The in-place weigher must predict exactly the weight the reference
-    // branch application reports, without touching the state.
-    let mut rng = seeded(0x3E1647);
-    let mut scratch = KernelScratch::new();
-    for targets in target_sets() {
-        let kraus = random_kraus(&mut rng, gate_dim(&targets), 3);
-        let psi = random_state(&mut rng);
-        let before: Vec<C64> = psi.amplitudes().to_vec();
-        for k in &kraus {
-            let w = scratch.branch_weight(psi.amplitudes(), k, &targets, psi.dims());
-            let mut applied = psi.clone();
-            let w_ref = applied.apply_kraus_branch_ref(k, &targets);
-            assert!(
-                (w - w_ref).abs() < 1e-12,
-                "targets {targets:?}: weight {w} vs applied {w_ref}"
-            );
-        }
-        assert_eq!(psi.amplitudes(), &before[..], "weigher mutated the state");
-    }
-}
-
-#[test]
 fn state_vector_expectation_kernel_matches_reference() {
     let mut rng = seeded(0xE59EC7);
     let mut scratch = KernelScratch::new();
