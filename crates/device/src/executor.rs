@@ -32,6 +32,8 @@ use quant_sim::{channels, DensityMatrix, KernelScratch};
 use rand::Rng;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Execution failure: the lowered program asked the device for something
 /// its topology cannot provide. Compilers targeting the device's coupling
@@ -291,6 +293,14 @@ impl<'a> PulseExecutor<'a> {
     ///    relaxation for each qubit's wall-clock time, composed once per
     ///    distinct `(qubit, duration)`.
     ///
+    /// Phases 2 and 3 overlap ([`ShotPool::stream_indices_with`]): the
+    /// calling thread evolves the density matrix through event `i` as soon
+    /// as event `i`'s channel is ready, then drops the channel, and
+    /// integrates the next unclaimed event itself while the next channel
+    /// in order is still being integrated elsewhere. Evolution order and
+    /// every floating-point operation are the same as running the phases
+    /// back to back.
+    ///
     /// The compile service calls the serial [`PulseExecutor::try_run`]
     /// per job on purpose: its workers already occupy every core, and a
     /// nested fan-out would oversubscribe them.
@@ -327,7 +337,6 @@ impl<'a> PulseExecutor<'a> {
         // could only miss, and storing it would only cost memory.
         // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
         let cache = (sigma == 0.0).then(|| device.pulse_cache());
-        let channels = pool.map(&line.events, |_, event| integrate(device, event, cache));
 
         // Relaxation stages per distinct (qubit, duration): one composed
         // channel on the kernel path, the per-stage channels on the
@@ -362,8 +371,12 @@ impl<'a> PulseExecutor<'a> {
         let n = program.num_qubits as usize;
         let mut rho = DensityMatrix::zero_qubits(n);
         let mut scratch = KernelScratch::new();
-        for (event, kraus) in line.events.iter().zip(&channels) {
-            match event {
+        let events = &line.events;
+        pool.stream_indices_with(
+            events.len(),
+            || (),
+            |(), i| integrate(device, &events[i], cache),
+            |i, kraus| match &events[i] {
                 Event::Spam(q) => {
                     if let Some(flip) = &flip {
                         self.apply_kraus(&mut rho, flip, &[*q as usize], &mut scratch);
@@ -376,16 +389,16 @@ impl<'a> PulseExecutor<'a> {
                     }
                 }
                 Event::Play { qubit, .. } => {
-                    self.apply_kraus(&mut rho, kraus, &[*qubit as usize], &mut scratch);
+                    self.apply_kraus(&mut rho, &kraus, &[*qubit as usize], &mut scratch);
                 }
                 Event::Pair {
                     control, target, ..
                 } => {
                     let targets = [*control as usize, *target as usize];
-                    self.apply_kraus(&mut rho, kraus, &targets, &mut scratch);
+                    self.apply_kraus(&mut rho, &kraus, &targets, &mut scratch);
                 }
-            }
-        }
+            },
+        );
 
         let true_probabilities = rho.probabilities();
         let probabilities = if self.noisy {
@@ -508,9 +521,9 @@ impl<'a> PulseExecutor<'a> {
 /// constructed via [`ShotPool::from_env`] (unset or `0` → all available
 /// cores), so production pools never outnumber the host's cores unless
 /// asked to. A pool built with [`ShotPool::new`] fans out to exactly the
-/// threads it is given (capped by the job count): the determinism
-/// contract makes the count invisible in the results, and a pool wider
-/// than the host only time-slices.
+/// threads it is given (capped by the job count), the calling thread
+/// being one of them: the determinism contract makes the count invisible
+/// in the results, and a pool wider than the host only time-slices.
 #[derive(Clone, Copy, Debug)]
 pub struct ShotPool {
     threads: usize,
@@ -578,44 +591,102 @@ impl ShotPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
+        let mut out = Vec::with_capacity(n);
+        self.stream_indices_with(n, init, f, |_, v| out.push(v));
+        out
+    }
+
+    /// The pool's one fan-out engine: evaluates `f(state, i)` for every
+    /// `i < n` across the pool, as [`ShotPool::map_indices_with`] does, and
+    /// hands each result to `sink` **on the calling thread, in index
+    /// order**, as soon as it and every result before it are ready. `sink`
+    /// may therefore fold the results into serial state (a density matrix
+    /// evolving through a program) while later indices are still being
+    /// computed.
+    ///
+    /// The calling thread is one of the pool's workers. Whenever the next
+    /// result in order is ready it goes to `sink` first; otherwise the
+    /// caller claims the next unclaimed index itself; when there is
+    /// neither, it blocks on the channel the other workers deliver to.
+    /// Those are `threads − 1` scoped threads (fewer for short jobs), and
+    /// they claim indices from a shared counter, so unequal per-index
+    /// costs balance. A result that arrives early waits in a reorder
+    /// buffer until its turn.
+    ///
+    /// A panic in `f` or `sink` is re-raised on the calling thread with its
+    /// original payload once every worker has stopped; the call never
+    /// hangs on a result a panicking worker will not deliver.
+    pub fn stream_indices_with<S, T, I, F, K>(&self, n: usize, init: I, f: F, mut sink: K)
+    where
+        T: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
+        K: FnMut(usize, T),
+    {
         let threads = self.threads.min(n.max(1));
+        let mut state = init();
         if threads <= 1 {
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i)).collect();
+            for i in 0..n {
+                sink(i, f(&mut state, i));
+            }
+            return;
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let init = &init;
-        let f = &f;
-        let next = &next;
-        let mut partials: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
+        // The next unclaimed index. It publishes no other data (results
+        // travel through the channel), so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let (init, f, next) = (&init, &f, &next);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let workers: Vec<_> = (1..threads)
                 .map(|_| {
+                    let tx = tx.clone();
                     scope.spawn(move || {
                         let mut state = init();
-                        let mut local = Vec::new();
                         loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= n {
-                                return local;
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            // A closed channel means the caller is
+                            // unwinding: stop claiming work.
+                            if i >= n || tx.send((i, f(&mut state, i))).is_err() {
+                                return;
                             }
-                            local.push((i, f(&mut state, i)));
                         }
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(local) => local,
+            // Only the workers hold senders now, so `recv` fails exactly
+            // when every worker has stopped.
+            drop(tx);
+            let mut pending: Vec<Option<T>> = (0..n).map(|_| None).collect();
+            let mut due = 0;
+            while due < n {
+                for (i, v) in rx.try_iter() {
+                    pending[i] = Some(v);
+                }
+                if let Some(v) = pending[due].take() {
+                    sink(due, v);
+                    due += 1;
+                    continue;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i < n {
+                    pending[i] = Some(f(&mut state, i));
+                    continue;
+                }
+                match rx.recv() {
+                    Ok((i, v)) => pending[i] = Some(v),
+                    // Every worker stopped with result `due` undelivered:
+                    // one of them panicked, and joining re-raises it.
+                    Err(_) => break,
+                }
+            }
+            for worker in workers {
+                if let Err(payload) = worker.join() {
                     // Re-raise a worker panic with its original payload
                     // instead of double-panicking on an opaque `Any`.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
-        let mut indexed: Vec<(usize, T)> = partials.drain(..).flatten().collect();
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Parallel map over a slice, in index order.
@@ -1107,5 +1178,111 @@ mod tests {
         );
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         assert_eq!(inits.load(Ordering::Relaxed), 4);
+    }
+
+    fn mix(i: usize) -> u64 {
+        (i as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(17)
+    }
+
+    #[test]
+    fn stream_delivers_in_order_and_matches_serial_at_any_thread_count() {
+        use std::sync::{Condvar, Mutex};
+        let caller = std::thread::current().id();
+        for n in [0usize, 1, 3, 64] {
+            let serial: Vec<u64> = (0..n).map(mix).collect();
+            for threads in 1..=4 {
+                // At n = 64 each spawned worker holds its first job until
+                // the calling thread has finished a job with a higher
+                // index: the caller then holds a result whose predecessor
+                // is still out.
+                let forced = n == 64;
+                let caller_last = (Mutex::new(None::<usize>), Condvar::new());
+                let job = |first: &mut bool, i: usize| {
+                    let (last, finished) = &caller_last;
+                    if forced && std::thread::current().id() == caller {
+                        *last.lock().unwrap() = Some(i);
+                        finished.notify_all();
+                    } else if forced && std::mem::take(first) {
+                        let guard = last.lock().unwrap();
+                        drop(
+                            finished
+                                .wait_while(guard, |l| l.is_none_or(|l| l < i))
+                                .unwrap(),
+                        );
+                    }
+                    mix(i)
+                };
+                let pool = ShotPool::new(threads);
+                // Indices as the sink saw them, asserted after the call: a
+                // panicking sink would leave the held workers waiting.
+                let mut order = Vec::new();
+                let mut streamed = Vec::new();
+                pool.stream_indices_with(
+                    n,
+                    || true,
+                    job,
+                    |i, v| {
+                        order.push(i);
+                        streamed.push(v);
+                    },
+                );
+                assert!(
+                    order.iter().copied().eq(0..n),
+                    "n={n}, {threads} threads: {order:?}"
+                );
+                assert_eq!(streamed, serial, "n={n}, {threads} threads: stream");
+                let mapped = pool.map_indices_with(n, || true, job);
+                assert_eq!(mapped, serial, "n={n}, {threads} threads: map");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_reraises_a_panic_with_its_payload_and_never_hangs() {
+        // (thread count, job that panics, sink index that panics)
+        let cases = [
+            (1, Some(5), None),
+            (2, Some(0), None),
+            (3, Some(63), None),
+            (4, Some(17), None),
+            (2, None, Some(9)),
+            (4, None, Some(0)),
+        ];
+        for (threads, bad_job, bad_sink) in cases {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| {
+                    ShotPool::new(threads).stream_indices_with(
+                        64,
+                        || (),
+                        |(), i| {
+                            if Some(i) == bad_job {
+                                std::panic::panic_any(format!("job {i}"));
+                            }
+                            mix(i)
+                        },
+                        |i, _| {
+                            if Some(i) == bad_sink {
+                                std::panic::panic_any(format!("sink {i}"));
+                            }
+                        },
+                    )
+                });
+                let message = outcome
+                    .err()
+                    .and_then(|payload| payload.downcast_ref::<String>().cloned());
+                let _ = tx.send(message);
+            });
+            let want = match (bad_job, bad_sink) {
+                (Some(i), _) => format!("job {i}"),
+                (_, i) => format!("sink {}", i.unwrap_or_default()),
+            };
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the caller hung after a panic");
+            assert_eq!(got, Some(want), "{threads} threads");
+        }
     }
 }

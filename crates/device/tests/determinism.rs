@@ -326,7 +326,7 @@ fn pooled_density_runs_match_serial_bit_for_bit() {
             let (serial, serial_next) = run_with(exec, &program, None);
             let serial = serial.expect("serial run");
             let serial_counts = serial.sample_counts_deterministic(0xC0DE, 4_000);
-            for threads in [1, 2, 4] {
+            for threads in [1, 2, 3, 4] {
                 let pool = ShotPool::new(threads);
                 let (pooled, pooled_next) = run_with(exec, &program, Some(&pool));
                 let pooled = pooled.expect("pooled run");

@@ -41,7 +41,7 @@ pub use optimize::{
 };
 pub use poly::{characteristic_polynomial, durand_kerner, eigenvalues};
 pub use prop::{
-    mul9_blocks_into, mul9_into, unitary_exp9_blocks_into, unitary_exp9_into, Blocks9,
-    PropagatorScratch,
+    mul9_blocks_slab_into, mul9_into, mul9_slab_into, unitary_exp9_in_blocks_into,
+    unitary_exp9_into, Blocks9, PropagatorScratch,
 };
 pub use rng::{categorical, normal, sample_counts, seeded, stream_seed};

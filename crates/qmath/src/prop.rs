@@ -79,7 +79,7 @@ impl PropagatorScratch {
             assert_eq!(out.rows(), 3, "output row mismatch");
             assert_eq!(out.cols(), 3, "output column mismatch");
             let hs = &h.as_slice()[..9];
-            let (factor, squarings) = step_scaling(hs, t);
+            let (factor, squarings) = step_scaling(norm_sqr_sum(hs), t);
             let mut a = [C64::ZERO; 9];
             for (x, &z) in a.iter_mut().zip(hs) {
                 *x = z * factor;
@@ -153,9 +153,9 @@ impl PropagatorScratch {
 
 /// The scaling-and-squaring policy every exponential here shares: halve
 /// the generator until its norm is at most 0.5, where the degree-12
-/// Taylor remainder is negligible. One copy, because the block route of
-/// [`unitary_exp9_blocks_into`] is bit-identical to [`unitary_exp9_into`]
-/// only while both take the same squaring count.
+/// Taylor remainder is negligible. One copy, because the in-block route of
+/// [`unitary_exp9_in_blocks_into`] is bit-identical to
+/// [`unitary_exp9_into`] only while both take the same squaring count.
 fn squarings_for(norm: f64) -> u32 {
     if norm > 0.5 {
         (norm / 0.5).log2().ceil().max(0.0) as u32
@@ -164,17 +164,22 @@ fn squarings_for(norm: f64) -> u32 {
     }
 }
 
-/// `(−i·t/2ˢ, s)` for `exp(−i·h·t)`: the factor that scales a Hermitian
-/// generator into the Taylor window, and the squaring count `s` that
-/// undoes it. `‖−i·t·H‖ = |t|·‖H‖`, with the Frobenius norm summed over
-/// `h` in the order given (row-major for every caller).
-fn step_scaling(h: &[C64], t: f64) -> (C64, u32) {
-    let mut norm2 = 0.0;
-    for &z in h {
-        norm2 += z.norm_sqr();
-    }
+/// `(−i·t/2ˢ, s)` for `exp(−i·h·t)`, given the generator's squared
+/// Frobenius norm `norm2`: the factor that scales a Hermitian generator
+/// into the Taylor window, and the squaring count `s` that undoes it
+/// (`‖−i·t·H‖ = |t|·‖H‖`).
+fn step_scaling(norm2: f64, t: f64) -> (C64, u32) {
     let squarings = squarings_for(norm2.sqrt() * t.abs());
     (C64::imag(-t / f64::powi(2.0, squarings as i32)), squarings)
+}
+
+/// `Σ|z|²` over `entries` in the order given (row-major for every caller).
+fn norm_sqr_sum<'a>(entries: impl IntoIterator<Item = &'a C64>) -> f64 {
+    let mut norm2 = 0.0;
+    for z in entries {
+        norm2 += z.norm_sqr();
+    }
+    norm2
 }
 
 /// Degree-12 Paterson–Stockmeyer `exp` specialized to 3×3, entirely on
@@ -249,7 +254,7 @@ pub fn mul9_into(a: &[C64; 81], b: &[C64; 81], out: &mut [C64; 81]) {
 /// Paterson–Stockmeyer evaluation and scaling-and-squaring policy, so the
 /// result agrees with the heap-matrix route to rounding.
 pub fn unitary_exp9_into(h: &[C64; 81], t: f64, out: &mut [C64; 81]) {
-    let (factor, squarings) = step_scaling(h, t);
+    let (factor, squarings) = step_scaling(norm_sqr_sum(h), t);
     let mut a = [C64::ZERO; 81];
     for (x, &z) in a.iter_mut().zip(h.iter()) {
         *x = z * factor;
@@ -307,64 +312,111 @@ impl Blocks9 {
     /// The 9-space index of entry `i` of block `b` (both below 3): below 9,
     /// and ascending in `i`.
     #[inline(always)]
-    fn index(self, b: usize, i: usize) -> usize {
+    pub fn index(self, b: usize, i: usize) -> usize {
         match self {
             Blocks9::Strided => b + 3 * i,
             Blocks9::Contiguous => 3 * b + i,
         }
     }
+
+    /// The inverse of [`Blocks9::index`]: the block `b` and the entry `i`
+    /// within it of 9-space index `r` (below 9).
+    #[inline(always)]
+    fn locate(self, r: usize) -> (usize, usize) {
+        match self {
+            Blocks9::Strided => (r % 3, r / 3),
+            Blocks9::Contiguous => (r / 3, r % 3),
+        }
+    }
 }
 
-/// Writes `exp(-i·h·t)` of a row-major Hermitian 9×9 generator that is
-/// block-diagonal under `blocks` as its three 3×3 blocks: `out[b]` is
-/// block `b` in row-major order. Entries of `h` outside the blocks are
-/// never read.
+/// Writes `exp(-i·h·t)` of a Hermitian 9×9 generator that is
+/// block-diagonal under `blocks`, given and returned as its three 3×3
+/// blocks: `h[b]` and `out[b]` are block `b` in row-major order. The 54
+/// entries outside the blocks are zero and are never formed.
 ///
-/// Bit-identical, inside the blocks, to [`unitary_exp9_into`] on the same
-/// `h` (whose off-block entries come out as zeros). The squaring count
-/// comes from the norm of the **whole** `h`, summed row-major as that
-/// route sums it, and each block runs the same Paterson–Stockmeyer
-/// evaluation, whose zero-skipping 9×9 products reduce to exactly the 3×3
-/// products here.
-pub fn unitary_exp9_blocks_into(h: &[C64; 81], t: f64, blocks: Blocks9, out: &mut [[C64; 9]; 3]) {
-    let (factor, squarings) = step_scaling(h, t);
-    for (b, block) in (0..3).zip(out.iter_mut()) {
+/// Bit-identical, inside the blocks, to [`unitary_exp9_into`] on the full
+/// generator. The squaring count comes from the Frobenius norm summed over
+/// the in-block entries in the full matrix's row-major order, which is
+/// the sum that route forms once its off-block zeros add nothing. Each
+/// block then runs the same Paterson–Stockmeyer evaluation, whose
+/// zero-skipping 9×9 products reduce to exactly the 3×3 products here.
+pub fn unitary_exp9_in_blocks_into(
+    h: &[[C64; 9]; 3],
+    t: f64,
+    blocks: Blocks9,
+    out: &mut [[C64; 9]; 3],
+) {
+    let mut norm2 = 0.0;
+    for r in 0..9 {
+        let (b, i) = blocks.locate(r);
+        for z in &h[b][3 * i..3 * i + 3] {
+            norm2 += z.norm_sqr();
+        }
+    }
+    let (factor, squarings) = step_scaling(norm2, t);
+    for (block, hb) in out.iter_mut().zip(h) {
         let mut a = [C64::ZERO; 9];
-        for i in 0..3 {
-            for j in 0..3 {
-                a[3 * i + j] = h[9 * blocks.index(b, i) + blocks.index(b, j)] * factor;
-            }
+        for (x, &z) in a.iter_mut().zip(hb) {
+            *x = z * factor;
         }
         *block = expm3(&a, squarings);
     }
 }
 
+/// `out = a · u` for a row-major 9×9 `a` and a row-major 9×4 slab `u`
+/// (four columns of a 9×9 operand).
+///
+/// Bit-identical to the same columns of [`mul9_into`] on the full operand:
+/// each output column depends only on the same input column, and every
+/// row accumulates in the same ascending-`k` order with the same
+/// zero-coefficient skip.
+pub fn mul9_slab_into(a: &[C64; 81], u: &[C64; 36], out: &mut [C64; 36]) {
+    for r in 0..9 {
+        let ar = &a[9 * r..9 * r + 9];
+        let mut acc = [C64::ZERO; 4];
+        for (k, &ak) in ar.iter().enumerate() {
+            if ak == C64::ZERO {
+                continue;
+            }
+            for (x, &uv) in acc.iter_mut().zip(&u[4 * k..4 * k + 4]) {
+                *x += ak * uv;
+            }
+        }
+        out[4 * r..4 * r + 4].copy_from_slice(&acc);
+    }
+}
+
 /// `out = step · u`, where `step` is the block-diagonal 9×9 matrix whose
 /// blocks under `blocks` are `step[b]` (as written by
-/// [`unitary_exp9_blocks_into`]) and `u` is row-major 9×9.
+/// [`unitary_exp9_in_blocks_into`]) and `u` is a row-major 9×4 slab.
 ///
-/// Bit-identical to [`mul9_into`] on the full block-diagonal matrix: each
-/// output row accumulates its block's terms in ascending column order and
-/// skips zero coefficients, which is what that product does once its own
-/// zero-skip drops the off-block terms.
-pub fn mul9_blocks_into(step: &[[C64; 9]; 3], blocks: Blocks9, u: &[C64; 81], out: &mut [C64; 81]) {
+/// Bit-identical to [`mul9_slab_into`] (and so to [`mul9_into`]) on the
+/// full block-diagonal matrix: each output row accumulates its block's
+/// terms in ascending column order and skips zero coefficients, which is
+/// what that product does once its own zero-skip drops the off-block
+/// terms.
+pub fn mul9_blocks_slab_into(
+    step: &[[C64; 9]; 3],
+    blocks: Blocks9,
+    u: &[C64; 36],
+    out: &mut [C64; 36],
+) {
     for (b, block) in (0..3).zip(step) {
         for i in 0..3 {
-            let mut acc = [C64::ZERO; 9];
+            let mut acc = [C64::ZERO; 4];
             for j in 0..3 {
                 let sij = block[3 * i + j];
                 if sij == C64::ZERO {
                     continue;
                 }
                 let k = blocks.index(b, j);
-                for (c, x) in acc.iter_mut().enumerate() {
-                    *x += sij * u[9 * k + c];
+                for (x, &uv) in acc.iter_mut().zip(&u[4 * k..4 * k + 4]) {
+                    *x += sij * uv;
                 }
             }
             let r = blocks.index(b, i);
-            for (c, &v) in acc.iter().enumerate() {
-                out[9 * r + c] = v;
-            }
+            out[4 * r..4 * r + 4].copy_from_slice(&acc);
         }
     }
 }
@@ -504,8 +556,11 @@ mod tests {
     #[test]
     fn block_route_is_bit_identical_to_9x9_route() {
         // One sample of the pair integrator up to runs of thousands of
-        // samples, so the squaring stage runs from 0 up to ≥ 10 times.
+        // samples, so the squaring stage runs from 0 up to ≥ 10 times. The
+        // slab kernels carry the qubit-subspace columns {0, 1, 3, 4}; the
+        // reference is the full 9×9 route restricted to those columns.
         const DT: f64 = 2.0 / 9.0 * 1e-9;
+        const COLS: [usize; 4] = [0, 1, 3, 4];
         let mut rng_state = 0x9E3779B97F4A7C15u64;
         let mut next = || {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -518,7 +573,13 @@ mod tests {
             for z in u_full.iter_mut() {
                 *z = C64::new(next(), next());
             }
-            let mut u_block = u_full;
+            let mut slab_block = [C64::ZERO; 36];
+            for r in 0..9 {
+                for (c, &col) in COLS.iter().enumerate() {
+                    slab_block[4 * r + c] = u_full[9 * r + col];
+                }
+            }
+            let mut slab_full = slab_block;
             let mut most_squarings = 0;
             for (n, run) in [1u32, 2, 3, 17, 160, 999, 1000, 4096]
                 .into_iter()
@@ -532,11 +593,19 @@ mod tests {
                 });
                 let h = block_hermitian(shape, &mut next);
                 let t = DT * f64::from(run);
-                most_squarings = most_squarings.max(step_scaling(&h, t).1);
+                most_squarings = most_squarings.max(step_scaling(norm_sqr_sum(&h), t).1);
                 let mut full = [C64::ZERO; 81];
                 unitary_exp9_into(&h, t, &mut full);
+                let mut h_blocks = [[C64::ZERO; 9]; 3];
+                for (b, hb) in h_blocks.iter_mut().enumerate() {
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            hb[3 * i + j] = h[9 * blocks.index(b, i) + blocks.index(b, j)];
+                        }
+                    }
+                }
                 let mut step = [[C64::ZERO; 9]; 3];
-                unitary_exp9_blocks_into(&h, t, blocks, &mut step);
+                unitary_exp9_in_blocks_into(&h_blocks, t, blocks, &mut step);
                 let mut in_block = [false; 81];
                 for (b, block) in step.iter().enumerate() {
                     for i in 0..3 {
@@ -559,16 +628,26 @@ mod tests {
                 }
                 let mut next_full = [C64::ZERO; 81];
                 mul9_into(&full, &u_full, &mut next_full);
-                let mut next_block = [C64::ZERO; 81];
-                mul9_blocks_into(&step, blocks, &u_block, &mut next_block);
-                for (i, (got, want)) in next_block.iter().zip(&next_full).enumerate() {
-                    assert!(
-                        got.re == want.re && got.im == want.im,
-                        "{shape:?} run {run}: product entry {i} {got:?} vs {want:?}"
-                    );
+                let mut next_block = [C64::ZERO; 36];
+                mul9_blocks_slab_into(&step, blocks, &slab_block, &mut next_block);
+                let mut next_slab = [C64::ZERO; 36];
+                mul9_slab_into(&full, &slab_full, &mut next_slab);
+                for r in 0..9 {
+                    for (c, &col) in COLS.iter().enumerate() {
+                        let want = next_full[9 * r + col];
+                        for (route, got) in [("block", next_block), ("9x9", next_slab)] {
+                            let got = got[4 * r + c];
+                            assert!(
+                                got.re == want.re && got.im == want.im,
+                                "{shape:?} run {run}: {route} slab entry ({r},{col}) \
+                                 {got:?} vs {want:?}"
+                            );
+                        }
+                    }
                 }
                 u_full = next_full;
-                u_block = next_block;
+                slab_block = next_block;
+                slab_full = next_slab;
             }
             assert!(most_squarings >= 10, "only {most_squarings} squarings");
         }
