@@ -15,7 +15,11 @@
 //! count-checksum gate at a fixed root), the 20-qubit QAOA headline on the
 //! fused route (`qaoa20_trajectory_fused`), the propagator hot loop
 //! (eigendecomposition reference vs the Taylor scratch used by the
-//! integrators), a θ-sweep with the pulse cache off vs on, and the
+//! integrators), the pair integrator's block exponential (two blocks on
+//! two lanes, `block_exp_two_lane`, vs the scalar kernel twice,
+//! `block_exp_scalar_x2`), a θ-sweep with the pulse cache off vs on, the
+//! pair integrator alone on jittered calibrated CX schedules
+//! (`pair_integrate_jittered_cx`), and the
 //! generated benchmark corpus end-to-end on both pools with a fatal
 //! cross-pool checksum check (`corpus_full`, plus per-family
 //! `corpus_<family>` rows whose `speedup` is the gate-over-pulse
@@ -47,7 +51,10 @@ use quant_device::{
     CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
-use quant_math::{seeded, unitary_exp, CMat, PropagatorScratch, C64};
+use quant_math::{
+    normal, seeded, unitary_exp, unitary_exp9_in_blocks_into, Blocks9, CMat, PropagatorScratch, C64,
+};
+use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::{channels, gates, DensityMatrix, KernelScratch};
 use rand::Rng;
 use repro_bench::{json, qaoa_line_circuit, timing::time_best, Setup};
@@ -294,6 +301,88 @@ fn propagator_workload(taylor: bool, samples: usize) {
         }
     }
     std::hint::black_box(acc);
+}
+
+/// The pair integrator's block exponential on two blocks of a CR-like
+/// generator: one masked call that runs them on two lanes, or two
+/// single-block calls that run the scalar kernel once each.
+fn block_exp_workload(two_lane: bool, steps: usize) {
+    let mut h = [[C64::ZERO; 9]; 3];
+    for (b, block) in h.iter_mut().enumerate() {
+        let stark = -2.0e9 * b as f64;
+        block[0] = C64::real(0.3e9 + stark);
+        block[4] = C64::real(-0.3e9 + stark);
+        block[8] = C64::real(-1.9e9 + stark);
+        for (i, j, z) in [
+            (0, 1, C64::new(0.4e9, 0.1e9)),
+            (1, 2, C64::new(0.55e9, -0.2e9)),
+        ] {
+            block[3 * i + j] = z;
+            block[3 * j + i] = z.conj();
+        }
+    }
+    let mut out = [[C64::ZERO; 9]; 3];
+    let mut acc = C64::ZERO;
+    for k in 0..steps {
+        // Runs of 1–16 samples: 0 to 3 squarings, as on pulse edges.
+        let t = DT * (1 + k % 16) as f64;
+        if two_lane {
+            unitary_exp9_in_blocks_into(&h, t, Blocks9::Strided, 0b011, &mut out);
+        } else {
+            for mask in [0b001, 0b010] {
+                unitary_exp9_in_blocks_into(&h, t, Blocks9::Strided, mask, &mut out);
+            }
+        }
+        acc += out[0][0] + out[1][4];
+    }
+    std::hint::black_box(acc);
+}
+
+/// `n` copies of the calibrated CX on (0, 1), each `Play` scaled by a
+/// fresh amplitude factor drawn like the device's per-pulse jitter, so
+/// no two copies share a pulse.
+fn jittered_cx_schedules(setup: &Setup, n: usize) -> Vec<Schedule> {
+    let cx = match setup.calibration.cmd_def().get("cx", &[0, 1]) {
+        Some(cx) => cx,
+        None => die(format_args!("the calibration has no cx on (0, 1)")),
+    };
+    let sigma = setup.device.pulse_amp_jitter();
+    let mut rng = seeded(507);
+    (0..n)
+        .map(|_| {
+            let mut s = Schedule::new(cx.name());
+            for ti in cx.instructions() {
+                let instruction = match &ti.instruction {
+                    Instruction::Play { waveform, channel } => Instruction::Play {
+                        waveform: waveform
+                            .scaled(1.0 + normal(&mut rng, 0.0, sigma) / waveform.peak()),
+                        channel: *channel,
+                    },
+                    other => other.clone(),
+                };
+                s.insert(ti.start, instruction);
+            }
+            s
+        })
+        .collect()
+}
+
+/// Integrates each schedule once on the (0, 1) pair.
+fn pair_integrate_workload(setup: &Setup, schedules: &[Schedule]) -> usize {
+    let (Some(pair), Some(u_ch)) = (
+        setup.device.pair_cal(0, 1),
+        setup.device.control_channel(0, 1),
+    ) else {
+        die(format_args!("the device has no coupled pair (0, 1)"))
+    };
+    let mut acc = C64::ZERO;
+    for s in schedules {
+        acc += pair
+            .integrate(s, Channel::Drive(0), Channel::Drive(1), u_ch)
+            .unitary[(0, 0)];
+    }
+    std::hint::black_box(acc);
+    schedules.len()
 }
 
 /// An Rx(θ) sweep repeated `repeats` times on precompiled programs; with
@@ -588,6 +677,28 @@ fn main() {
         eigh_ms,
     );
 
+    // The pair integrator's block exponential: two blocks on two lanes vs
+    // the scalar kernel twice. Best-of-5, as for the propagator rows.
+    let steps = if smoke { 2_000 } else { 200_000 };
+    let (_, scalar_ms) = time_best(best_of, || block_exp_workload(false, steps));
+    record(
+        &mut entries,
+        "block_exp_scalar_x2",
+        1,
+        scalar_ms,
+        2 * steps,
+        scalar_ms,
+    );
+    let (_, lanes_ms) = time_best(best_of, || block_exp_workload(true, steps));
+    record(
+        &mut entries,
+        "block_exp_two_lane",
+        1,
+        lanes_ms,
+        2 * steps,
+        scalar_ms,
+    );
+
     // Pulse cache: repeated θ sweeps, cache off vs on. The 1-qubit
     // DirectRx sweep bounds the cache's win by the non-integration
     // overhead; the 2-qubit Rx(θ)+CNOT sweep is fig12-class — the
@@ -651,6 +762,14 @@ fn main() {
         theta_sweep_workload(&setup2, &programs2, repeats2, true, shots_sweep)
     });
     record(&mut entries, "theta_sweep_2q_cache_on", 1, ms, n, off_ms);
+
+    // The pair integrator alone on jittered calibrated CX schedules, as
+    // the density executor feeds it (`shots_per_s` counts schedules).
+    let cx_schedules = jittered_cx_schedules(&setup2, if smoke { 4 } else { 200 });
+    let (n, ms) = time_best(if smoke { 1 } else { 3 }, || {
+        pair_integrate_workload(&setup2, &cx_schedules)
+    });
+    record(&mut entries, "pair_integrate_jittered_cx", 1, ms, n, ms);
 
     // The generated benchmark corpus, compiled gate-level vs pulse-level
     // and executed end-to-end through `quant_corpus::run_corpus` — once on

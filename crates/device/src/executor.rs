@@ -790,7 +790,7 @@ pub(crate) fn jittered<'a>(
 
 /// Returns a copy of a schedule with fresh additive amplitude jitter on
 /// every `Play`.
-fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Schedule {
+pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Schedule {
     // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
     if sigma == 0.0 {
         return schedule.clone();

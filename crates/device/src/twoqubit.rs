@@ -22,9 +22,11 @@
 //! pass, so a complete CNOT pulse schedule — CR halves, echo X pulses,
 //! target Rx90, virtual-Z frames — evolves as one two-qutrit propagator.
 //! The integrator carries only that propagator's four qubit-subspace
-//! columns (all nine rows, so leakage is followed) and
-//! [`PairFrameResult`] returns its 4×4 qubit block; the executor turns
-//! the leakage out of that block into a Kraus completion.
+//! columns, and of their nine rows only those that can still reach the
+//! qubit block: a |2⟩ row is followed while a later pulse can carry it
+//! back, so leakage paths are kept. [`PairFrameResult`] returns the 4×4
+//! qubit block; the executor turns the leakage out of that block into a
+//! Kraus completion.
 
 use crate::params::{CrParams, TransmonParams, DT};
 use quant_math::{
@@ -33,7 +35,6 @@ use quant_math::{
 };
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::gates;
-use std::collections::BTreeMap;
 use std::f64::consts::TAU;
 use std::sync::OnceLock;
 
@@ -159,9 +160,15 @@ impl CrPair {
     ///
     /// Only the qubit block is returned, so only the four qubit-subspace
     /// input columns `{0, 1, 3, 4}` of the propagator are carried: a 9×4
-    /// slab, whose rows still span all nine levels so leakage paths are
-    /// followed. Every route is bit-identical to the same entries of the
-    /// full 9×9 product, so neither the dispatch nor the slab changes a
+    /// slab. Its rows are followed only while they can reach the qubit
+    /// rows: a block whose output no later run reads is not exponentiated
+    /// (after the last control pulse, say, the control's |2⟩ block), and
+    /// neither is a block whose input rows are all exactly zero (the
+    /// target's |2⟩ block before the first target pulse). The remaining
+    /// blocks are exponentiated two at a time. Steps are memoized only for
+    /// run keys (drive bits and length) that recur in the schedule. Every
+    /// route is bit-identical to the same entries of the full 9×9 product,
+    /// so neither the dispatch, the slab nor the skipped blocks change a
     /// result.
     pub fn integrate(
         &self,
@@ -171,7 +178,7 @@ impl CrPair {
         cr_channel: Channel,
     ) -> PairFrameResult {
         let raster = Raster::new(schedule, [control_drive, target_drive, cr_channel]);
-        let slab = self.propagate_slab(&raster);
+        let slab = self.propagate_slab(&raster, QUBIT_COLUMNS);
         raster.result(CMat::from_fn(4, 4, |r, c| slab[4 * QUBIT_LEVELS[r] + c]))
     }
 
@@ -215,11 +222,11 @@ impl CrPair {
         h
     }
 
-    /// The drive terms of the Hamiltonian for one drive triple `[control
-    /// drive, target drive, CR tone]`: `(index into Generators::drive,
-    /// coefficient)`, the first `len` of them, in the order they are added
-    /// to the static part. Silent channels contribute none.
-    fn drive_terms(&self, drives: [C64; 3]) -> ([(usize, C64); 9], usize) {
+    /// The drive coefficients of the Hamiltonian for one drive triple
+    /// `[control drive, target drive, CR tone]`, indexed like
+    /// `Generators::drive` and added to the static part in that order.
+    /// Silent channels contribute none.
+    fn drive_coefficients(&self, drives: [C64; 3]) -> [Option<C64>; 9] {
         let [dc, dt, du] = drives;
         let om_c = TAU * self.control.rabi_hz_per_amp;
         let om_t = TAU * self.target.rabi_hz_per_amp;
@@ -241,128 +248,78 @@ impl CrPair {
             // refocuses it.
             om_u_zi * du.abs(),
         ];
-        let mut terms = [(0, C64::ZERO); 9];
-        let mut len = 0;
+        let mut terms = [None; 9];
         for (d, range) in [(dc, 0..2), (dt, 2..4), (du, 4..9)] {
             if d == C64::ZERO {
                 continue;
             }
             for i in range {
-                terms[len] = (i, C64::real(coefficients[i]));
-                len += 1;
+                terms[i] = Some(C64::real(coefficients[i]));
             }
         }
-        (terms, len)
+        terms
     }
 
-    /// The fast route: the qubit-subspace columns of the propagator as a
-    /// 9×4 slab (`slab[4·r + c]` is entry `(r, QUBIT_LEVELS[c])`), on stack
-    /// arrays, advancing each constant-drive run with one step.
-    fn propagate_slab(&self, raster: &Raster) -> [C64; 36] {
+    /// The fast route: the propagator applied to the 9×4 slab `slab`
+    /// ([`QUBIT_COLUMNS`] for the qubit-subspace columns of the
+    /// propagator, `slab[4·r + c]` being entry `(r, QUBIT_LEVELS[c])`), on
+    /// stack arrays, advancing each constant-drive run with one step. Only
+    /// the rows `QUBIT_LEVELS` of the returned slab are meaningful: rows
+    /// that cannot reach them are left stale.
+    ///
+    /// Three passes over the runs. The first finds them and gives a memo
+    /// slot to each block-route run key (drive bits and length) that
+    /// occurs at least twice: schedules repeat drive samples exactly (the
+    /// echo X pulse plays twice, pulse edges rise and fall through
+    /// mirrored values), and a step is a pure function of its key. The
+    /// second walks backwards from the qubit rows `{0, 1, 3, 4}` the
+    /// result reads and marks, per run, the blocks whose output can still
+    /// reach them. The third propagates, exponentiating only the live
+    /// blocks whose input rows are not all exactly zero; a slot fills the
+    /// blocks it lacks on first need. Full 9×9 runs, which no lowered
+    /// program contains, are not memoized.
+    fn propagate_slab(&self, raster: &Raster, mut slab: [C64; 36]) -> [C64; 36] {
         let tables = generator_tables();
         let hs = self.static_hamiltonian();
-        let mut slab = [C64::ZERO; 36];
-        for (c, &level) in QUBIT_LEVELS.iter().enumerate() {
-            slab[4 * level + c] = C64::ONE;
-        }
+        let (mut runs, slots) = Run::find(raster);
+        mark_live_blocks(&mut runs);
         let mut next = [C64::ZERO; 36];
-        // Step-propagator memo: schedules repeat drive samples exactly
-        // (the echo X pulse plays twice, pulse edges rise and fall through
-        // mirrored values), and `exp` is a pure function of the drive
-        // triple and the run length, so repeats are a lookup keyed on the
-        // sample bit patterns instead of a fresh exponential.
-        // Bitwise-conservative: a miss only costs the exponential we would
-        // have computed anyway. The key fixes the step's route, so an index
-        // points into `block_steps` or `full_steps` accordingly.
-        let mut memo: BTreeMap<([u64; 6], u32), usize> = BTreeMap::new();
-        let mut block_steps: Vec<[[C64; 9]; 3]> = Vec::new();
-        let mut full_steps: Vec<[C64; 81]> = Vec::new();
-        let [drive_c, drive_t, drive_u] = &raster.drives;
-        let total = raster.total;
-        let mut k = 0usize;
-        while k < total {
-            let drives = [drive_c[k], drive_t[k], drive_u[k]];
-            let [dc, dt, du] = drives;
-            // Constant-drive run starting at `k`: flat pulse tops, delays
-            // and dead time all have a constant Hamiltonian.
-            let mut run = 1usize;
-            while k + run < total
-                && drive_c[k + run] == dc
-                && drive_t[k + run] == dt
-                && drive_u[k + run] == du
-            {
-                run += 1;
-            }
-            let key = (
-                [
-                    dc.re.to_bits(),
-                    dc.im.to_bits(),
-                    dt.re.to_bits(),
-                    dt.im.to_bits(),
-                    du.re.to_bits(),
-                    du.im.to_bits(),
-                ],
-                run as u32,
-            );
-            // Every CR and target-drive term is diagonal in the control
-            // level, and the control drive is diagonal in the target level,
-            // so unless all three channels play at once the generator is
-            // block-diagonal (see `integrate`).
-            let blocks = if dc == C64::ZERO {
-                Some(Blocks9::Strided)
-            } else if dt == C64::ZERO && du == C64::ZERO {
-                Some(Blocks9::Contiguous)
-            } else {
-                None
+        let mut memo: Vec<BlockStep> = Vec::with_capacity(slots);
+        for run in &runs {
+            let t = DT * run.len as f64;
+            let coefficients = || self.drive_coefficients(run.drives);
+            let Some(split) = run.route else {
+                let mut h = [C64::ZERO; 81];
+                tables.full.assemble(&hs, &coefficients(), &mut h);
+                let mut step = [C64::ZERO; 81];
+                unitary_exp9_into(&h, t, &mut step);
+                mul9_slab_into(&step, &slab, &mut next);
+                std::mem::swap(&mut slab, &mut next);
+                continue;
             };
-            let idx = match memo.get(&key) {
-                Some(&i) => i,
-                None => {
-                    // Entry `e` of the generator: the static part plus the
-                    // drive terms, added in the same order for every entry.
-                    let (terms, len) = self.drive_terms(drives);
-                    let entry = |e: usize| {
-                        let mut h = hs[e];
-                        for &(g, coefficient) in &terms[..len] {
-                            h += tables.drive[g][e] * coefficient;
-                        }
-                        h
-                    };
-                    let t = DT * run as f64;
-                    let i = if let Some(split) = blocks {
-                        let mut h = [[C64::ZERO; 9]; 3];
-                        for (b, hb) in h.iter_mut().enumerate() {
-                            for i in 0..3 {
-                                for j in 0..3 {
-                                    hb[3 * i + j] =
-                                        entry(9 * split.index(b, i) + split.index(b, j));
-                                }
-                            }
-                        }
-                        let mut step = [[C64::ZERO; 9]; 3];
-                        unitary_exp9_in_blocks_into(&h, t, split, &mut step);
-                        block_steps.push(step);
-                        block_steps.len() - 1
-                    } else {
-                        let mut h = [C64::ZERO; 81];
-                        for (e, z) in h.iter_mut().enumerate() {
-                            *z = entry(e);
-                        }
-                        let mut step = [C64::ZERO; 81];
-                        unitary_exp9_into(&h, t, &mut step);
-                        full_steps.push(step);
-                        full_steps.len() - 1
-                    };
-                    memo.insert(key, i);
-                    i
+            let mut fresh = BlockStep::EMPTY;
+            let step = match run.slot {
+                Some(s) => {
+                    if s == memo.len() {
+                        memo.push(BlockStep::EMPTY);
+                    }
+                    &mut memo[s]
                 }
+                None => &mut fresh,
             };
-            match blocks {
-                Some(split) => mul9_blocks_slab_into(&block_steps[idx], split, &slab, &mut next),
-                None => mul9_slab_into(&full_steps[idx], &slab, &mut next),
+            let missing = run.live & !split.zero_blocks(&slab) & !step.have;
+            if missing != 0 {
+                let mut h = [[C64::ZERO; 9]; 3];
+                tables
+                    .blocks(split)
+                    .assemble(&hs, &coefficients(), h.as_flattened_mut());
+                unitary_exp9_in_blocks_into(&h, t, split, missing, &mut step.blocks);
+                step.have |= missing;
+                #[cfg(test)]
+                tests::EXPONENTIALS.set(tests::EXPONENTIALS.get() + missing.count_ones() as usize);
             }
+            mul9_blocks_slab_into(&step.blocks, split, run.live, &slab, &mut next);
             std::mem::swap(&mut slab, &mut next);
-            k += run;
         }
         slab
     }
@@ -384,9 +341,11 @@ impl CrPair {
         let [drive_c, drive_t, drive_u] = &raster.drives;
         for k in 0..raster.total {
             h.copy_from(&h_static);
-            let (terms, len) = self.drive_terms([drive_c[k], drive_t[k], drive_u[k]]);
-            for &(g, coefficient) in &terms[..len] {
-                h.add_scaled_assign(&gens.drive[g], coefficient);
+            let coefficients = self.drive_coefficients([drive_c[k], drive_t[k], drive_u[k]]);
+            for (g, coefficient) in coefficients.into_iter().enumerate() {
+                if let Some(coefficient) = coefficient {
+                    h.add_scaled_assign(&gens.drive[g], coefficient);
+                }
             }
             scratch.unitary_exp_into(&h, DT, &mut step);
             step.mul_into(&u, &mut next);
@@ -399,6 +358,17 @@ impl CrPair {
 /// The 9-space indices `control + 3·target` of the qubit subspace, in
 /// qubit order (control = base-2 LSB): `{0, 1, 3, 4}`.
 const QUBIT_LEVELS: [usize; 4] = [0, 1, 3, 4];
+
+/// The columns `QUBIT_LEVELS` of the 9×9 identity, as a row-major 9×4 slab.
+const QUBIT_COLUMNS: [C64; 36] = {
+    let mut slab = [C64::ZERO; 36];
+    let mut c = 0;
+    while c < 4 {
+        slab[4 * QUBIT_LEVELS[c] + c] = C64::ONE;
+        c += 1;
+    }
+    slab
+};
 
 /// A pair schedule rasterized onto its three channels `[control drive,
 /// target drive, CR tone]`: per-sample complex drives with every frame
@@ -457,16 +427,16 @@ impl Raster {
 
 /// The fixed generators of the pair Hamiltonian in the 9-dim space
 /// (index `control + 3·target`), row-major.
-struct Generators<M> {
-    /// The drive terms in the order [`CrPair::drive_terms`] indexes them:
-    /// the control drive's two quadratures, the target drive's two, then
-    /// the CR tone's ZX, ZY, IX, IY and ZI.
-    drive: [M; 9],
+struct Generators {
+    /// The drive terms in the order [`CrPair::drive_coefficients`] indexes
+    /// them: the control drive's two quadratures, the target drive's two,
+    /// then the CR tone's ZX, ZY, IX, IY and ZI.
+    drive: [CMat; 9],
     /// The static ZZ coupling.
-    zz: M,
+    zz: CMat,
 }
 
-impl Generators<CMat> {
+impl Generators {
     fn build() -> Self {
         let x = gates::x();
         let y = gates::y();
@@ -494,22 +464,218 @@ impl Generators<CMat> {
     }
 }
 
-/// [`Generators`] as stack tables for the fast route, built once per
-/// process from the same heap matrices the reference route uses.
-fn generator_tables() -> &'static Generators<[C64; 81]> {
-    static TABLES: OnceLock<Generators<[C64; 81]>> = OnceLock::new();
+/// [`Generators`] as the fast route reads them, built once per process
+/// from the same heap matrices the reference route uses.
+struct Tables {
+    /// The static ZZ coupling, row-major.
+    zz: [C64; 81],
+    /// The 27 in-block entries of each block split, and all 81 entries.
+    strided: Assembly,
+    contiguous: Assembly,
+    full: Assembly,
+}
+
+impl Tables {
+    fn blocks(&self, split: Blocks9) -> &Assembly {
+        match split {
+            Blocks9::Strided => &self.strided,
+            Blocks9::Contiguous => &self.contiguous,
+        }
+    }
+}
+
+fn generator_tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let to81 = |m: &CMat| {
-            let mut a = [C64::ZERO; 81];
-            a.copy_from_slice(m.as_slice());
-            a
-        };
         let gens = Generators::build();
-        Generators {
-            drive: gens.drive.each_ref().map(to81),
-            zz: to81(&gens.zz),
+        let mut zz = [C64::ZERO; 81];
+        zz.copy_from_slice(gens.zz.as_slice());
+        let in_blocks = |split: Blocks9| {
+            let mut entries = Vec::with_capacity(27);
+            for b in 0..3 {
+                for i in 0..3 {
+                    for j in 0..3 {
+                        entries.push(9 * split.index(b, i) + split.index(b, j));
+                    }
+                }
+            }
+            Assembly::new(&gens.drive, entries)
+        };
+        Tables {
+            zz,
+            strided: in_blocks(Blocks9::Strided),
+            contiguous: in_blocks(Blocks9::Contiguous),
+            full: Assembly::new(&gens.drive, (0..81).collect()),
         }
     })
+}
+
+/// The generator entries one route assembles, in the order it stores
+/// them, each with its nonzero drive-generator values.
+struct Assembly {
+    /// Per entry: its row-major 9-space index, and the end of its pairs in
+    /// `terms` (each entry's pairs start where the previous one's end).
+    entries: Vec<(usize, usize)>,
+    /// `(term, value)` pairs, in term order within each entry.
+    terms: Vec<(usize, C64)>,
+}
+
+impl Assembly {
+    fn new(drive: &[CMat; 9], indices: Vec<usize>) -> Self {
+        let mut terms = Vec::new();
+        let entries = indices
+            .into_iter()
+            .map(|e| {
+                for (g, m) in drive.iter().enumerate() {
+                    let value = m.as_slice()[e];
+                    if value != C64::ZERO {
+                        terms.push((g, value));
+                    }
+                }
+                (e, terms.len())
+            })
+            .collect();
+        Assembly { entries, terms }
+    }
+
+    /// Writes each entry of the generator into `out`: the static part
+    /// `hs`, plus value × coefficient for each playing term, added in term
+    /// order. Leaving out the zero values is exact: their products are
+    /// `±0`, and no accumulator is ever `−0` (each starts at `+0` or
+    /// nonzero, and a round-to-nearest sum is `−0` only of two `−0`s), so
+    /// adding them would change nothing.
+    fn assemble(&self, hs: &[C64; 81], coefficients: &[Option<C64>; 9], out: &mut [C64]) {
+        let mut start = 0;
+        for (z, &(e, end)) in out.iter_mut().zip(&self.entries) {
+            let mut h = hs[e];
+            for &(g, value) in &self.terms[start..end] {
+                if let Some(coefficient) = coefficients[g] {
+                    h += value * coefficient;
+                }
+            }
+            *z = h;
+            start = end;
+        }
+    }
+}
+
+/// One constant-drive run of a rasterized schedule: flat pulse tops,
+/// delays and dead time all have a constant Hamiltonian.
+struct Run {
+    drives: [C64; 3],
+    len: usize,
+    /// The split of the run's block-diagonal generator, or `None` when all
+    /// three channels play and it takes the full 9×9 route. Every CR and
+    /// target-drive term is diagonal in the control level, and the control
+    /// drive is diagonal in the target level (see [`CrPair::integrate`]).
+    route: Option<Blocks9>,
+    /// On a block route, the blocks (bit `b` = block `b`) whose output
+    /// rows can still reach the result.
+    live: u8,
+    /// The run's memo slot when it takes a block route and its key recurs,
+    /// numbered in order of first occurrence.
+    slot: Option<usize>,
+}
+
+impl Run {
+    /// The runs of `raster` in time order, and the number of memo slots.
+    fn find(raster: &Raster) -> (Vec<Run>, usize) {
+        let [drive_c, drive_t, drive_u] = &raster.drives;
+        let total = raster.total;
+        let mut runs = Vec::new();
+        let mut k = 0;
+        while k < total {
+            let drives = [drive_c[k], drive_t[k], drive_u[k]];
+            let [dc, dt, du] = drives;
+            let mut len = 1;
+            while k + len < total
+                && drive_c[k + len] == dc
+                && drive_t[k + len] == dt
+                && drive_u[k + len] == du
+            {
+                len += 1;
+            }
+            let route = if dc == C64::ZERO {
+                Some(Blocks9::Strided)
+            } else if dt == C64::ZERO && du == C64::ZERO {
+                Some(Blocks9::Contiguous)
+            } else {
+                None
+            };
+            runs.push(Run {
+                drives,
+                len,
+                route,
+                live: 0,
+                slot: None,
+            });
+            k += len;
+        }
+        // A step is a pure function of the drive bits and the run length,
+        // so runs with equal keys share one. Sorting the keys groups them;
+        // only a block-route key that recurs gets a slot.
+        let mut keys: Vec<_> = (runs.iter().enumerate())
+            .filter(|(_, r)| r.route.is_some())
+            .map(|(i, r)| (r.key(), i))
+            .collect();
+        keys.sort_unstable();
+        let mut recurring: Vec<_> = keys
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|g| g.len() > 1)
+            .collect();
+        recurring.sort_unstable_by_key(|group| group[0].1);
+        for (slot, group) in recurring.iter().enumerate() {
+            for &(_, i) in *group {
+                runs[i].slot = Some(slot);
+            }
+        }
+        let slots = recurring.len();
+        (runs, slots)
+    }
+
+    fn key(&self) -> ([u64; 6], usize) {
+        let [dc, dt, du] = self.drives;
+        let bits = [dc.re, dc.im, dt.re, dt.im, du.re, du.im].map(f64::to_bits);
+        (bits, self.len)
+    }
+}
+
+/// Marks the live blocks of each run, walking backwards from the qubit
+/// rows `{0, 1, 3, 4}` the result reads: a block is live when any of its
+/// rows is live after the run, and the rows live before the run are the
+/// rows of its live blocks. A full 9×9 run reads every row.
+fn mark_live_blocks(runs: &mut [Run]) {
+    let mut live_rows: u16 = QUBIT_LEVELS.iter().fold(0, |m, &r| m | 1 << r);
+    for run in runs.iter_mut().rev() {
+        let Some(split) = run.route else {
+            live_rows = 0x1ff;
+            continue;
+        };
+        let mut before = 0;
+        for b in 0..3 {
+            let rows = (0..3).fold(0u16, |m, i| m | 1 << split.index(b, i));
+            if live_rows & rows != 0 {
+                run.live |= 1 << b;
+                before |= rows;
+            }
+        }
+        live_rows = before;
+    }
+}
+
+/// A block-route step whose blocks in `have` (bit `b` = block `b`) are
+/// exponentiated.
+#[derive(Clone, Copy)]
+struct BlockStep {
+    have: u8,
+    blocks: [[C64; 9]; 3],
+}
+
+impl BlockStep {
+    const EMPTY: BlockStep = BlockStep {
+        have: 0,
+        blocks: [[C64::ZERO; 9]; 3],
+    };
 }
 
 /// Lifts a 4×4 qubit-subspace operator (control = base-2 LSB) into the
@@ -552,9 +718,18 @@ pub fn qubit_block_of(u9: &CMat) -> CMat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quant_math::unitary_exp;
+    use crate::calibration::{calibrate, Calibration};
+    use crate::device::DeviceModel;
+    use quant_math::{mul9_into, seeded, unitary_exp};
     use quant_pulse::GaussianSquare;
+    use std::cell::Cell;
     use std::f64::consts::FRAC_PI_2;
+
+    thread_local! {
+        /// The 3×3 exponentials the fast route has evaluated on this
+        /// thread.
+        pub(super) static EXPONENTIALS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn pair() -> CrPair {
         CrPair::new(
@@ -805,31 +980,195 @@ mod tests {
     }
 
     /// Compressed vs per-sample integration of `s`, compared to integrator
-    /// tolerance on every entry the fast route computes: the 9×4 slab of
-    /// qubit-subspace columns, leakage rows included.
+    /// tolerance on the 4×4 qubit block (the fast route no longer computes
+    /// the rows that cannot reach it), and bit for bit with the
+    /// compressed-run oracle that carries the full 9×9 propagator.
     fn assert_matches_reference(p: &CrPair, s: &Schedule) {
         let chans = [Channel::Drive(0), Channel::Drive(1), Channel::Control(0)];
-        let raster = Raster::new(s, chans);
-        let fast = p.propagate_slab(&raster);
-        let slow = p.propagate_ref(&raster);
-        let mut d = 0.0f64;
-        for r in 0..9 {
-            for (c, &level) in QUBIT_LEVELS.iter().enumerate() {
-                d = d.max((fast[4 * r + c] - slow[(r, level)]).abs());
-            }
-        }
+        let (fast, slow) = (
+            p.integrate(s, chans[0], chans[1], chans[2]),
+            p.integrate_ref(s, chans[0], chans[1], chans[2]),
+        );
+        let d = fast.unitary.max_abs_diff(&slow.unitary);
         assert!(
             d < 1e-9,
             "{}: compressed vs per-sample diff = {d:e}",
             s.name()
         );
-        let (fast, slow) = (
-            p.integrate(s, chans[0], chans[1], chans[2]),
-            p.integrate_ref(s, chans[0], chans[1], chans[2]),
-        );
         assert_eq!(fast.duration, slow.duration);
         assert_eq!(fast.control_frame, slow.control_frame);
         assert_eq!(fast.target_frame, slow.target_frame);
+        assert_bit_identical_to_oracle(p, s, chans);
+    }
+
+    /// The oracle route: the same constant-drive runs applied to `u`, but
+    /// the full 9×9 propagator, the dense generator (every playing term added to every
+    /// entry) and the production 9×9 kernels `unitary_exp9_into` +
+    /// `mul9_into` — no blocks, no slab, no liveness, no zero skip, no
+    /// memo.
+    fn propagate_oracle(p: &CrPair, raster: &Raster, mut u: [C64; 81]) -> [C64; 81] {
+        let gens = Generators::build();
+        let hs = p.static_hamiltonian();
+        for run in Run::find(raster).0 {
+            let coefficients = p.drive_coefficients(run.drives);
+            let mut h = hs;
+            for (e, z) in h.iter_mut().enumerate() {
+                for (g, coefficient) in coefficients.iter().enumerate() {
+                    if let Some(coefficient) = *coefficient {
+                        *z += gens.drive[g].as_slice()[e] * coefficient;
+                    }
+                }
+            }
+            let mut step = [C64::ZERO; 81];
+            unitary_exp9_into(&h, DT * run.len as f64, &mut step);
+            let mut next = [C64::ZERO; 81];
+            mul9_into(&step, &u, &mut next);
+            u = next;
+        }
+        u
+    }
+
+    /// `integrate` against [`propagate_oracle`]'s qubit block, bit for bit.
+    fn assert_bit_identical_to_oracle(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
+        let fast = p.integrate(s, chans[0], chans[1], chans[2]);
+        let mut identity = [C64::ZERO; 81];
+        for i in 0..9 {
+            identity[10 * i] = C64::ONE;
+        }
+        let oracle = propagate_oracle(p, &Raster::new(s, chans), identity);
+        for (r, &lr) in QUBIT_LEVELS.iter().enumerate() {
+            for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
+                let (got, want) = (fast.unitary[(r, c)], oracle[9 * lr + lc]);
+                assert!(
+                    got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+                    "{}: entry ({r},{c}) {got:?} vs oracle {want:?}",
+                    s.name()
+                );
+            }
+        }
+    }
+
+    /// A calibrated two-qubit Almaden-like device, shared by the tests.
+    fn calibrated() -> &'static (DeviceModel, Calibration) {
+        static CAL: OnceLock<(DeviceModel, Calibration)> = OnceLock::new();
+        CAL.get_or_init(|| {
+            let mut rng = seeded(1);
+            let device = DeviceModel::almaden_like(2, &mut rng);
+            let calibration = calibrate(&device, &mut rng);
+            (device, calibration)
+        })
+    }
+
+    /// The calibrated CX on (0, 1) with the device's per-pulse amplitude
+    /// jitter drawn from `seed`, as the density executor plays it: `X_c |
+    /// CR− | X_c | CR+ | rx90_t`.
+    fn jittered_cx(seed: u64) -> (CrPair, Schedule, [Channel; 3]) {
+        let (device, cal) = calibrated();
+        let cx = cal.cmd_def().get("cx", &[0, 1]).expect("calibrated cx");
+        let s = crate::executor::jitter_schedule(cx, device.pulse_amp_jitter(), &mut seeded(seed));
+        let chans = [
+            Channel::Drive(0),
+            Channel::Drive(1),
+            device.control_channel(0, 1).expect("coupled pair"),
+        ];
+        (device.pair_cal(0, 1).expect("coupled pair"), s, chans)
+    }
+
+    #[test]
+    fn calibrated_schedules_are_bit_identical_to_the_9x9_oracle() {
+        for seed in 1..=4 {
+            let (pair, s, chans) = jittered_cx(seed);
+            assert_bit_identical_to_oracle(&pair, &s, chans);
+        }
+        let (device, cal) = calibrated();
+        let (pair, _, chans) = jittered_cx(0);
+        for theta in [-FRAC_PI_2, 0.7] {
+            let s = cal
+                .echoed_cr_schedule_cancelled(device, 0, 1, theta)
+                .expect("coupled pair");
+            assert_bit_identical_to_oracle(&pair, &s, chans);
+        }
+    }
+
+    #[test]
+    fn any_start_slab_is_bit_identical_to_the_9x9_oracle() {
+        // From the identity, the |2⟩ rows of a block fill together (the
+        // control drive fills rows 2 and 5 at once, the target drive rows
+        // 6 and 7), so no block ever holds exactly one nonzero row there.
+        // Starting slabs with every pattern of zero and nonzero |2⟩ rows
+        // make the zero check meet each row on its own.
+        let (cx_pair, cx, chans) = jittered_cx(3);
+        let model = pair();
+        let target_first = target_then_control(&model);
+        let mut rng_state = 0xA0761D6478BD642Fu64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for (p, s) in [(&cx_pair, &cx), (&model, &target_first)] {
+            let raster = Raster::new(s, chans);
+            for pattern in 0..32 {
+                let mut u = [C64::ZERO; 81];
+                for (r, row) in u.chunks_mut(9).enumerate() {
+                    let leak = [2, 5, 6, 7, 8].iter().position(|&l| l == r);
+                    if leak.is_none_or(|k| pattern & 1 << k != 0) {
+                        for z in row {
+                            *z = C64::new(next(), next());
+                        }
+                    }
+                }
+                let slab = std::array::from_fn(|i| u[9 * (i / 4) + QUBIT_LEVELS[i % 4]]);
+                let fast = p.propagate_slab(&raster, slab);
+                let oracle = propagate_oracle(p, &raster, u);
+                for &r in &QUBIT_LEVELS {
+                    for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
+                        let (got, want) = (fast[4 * r + c], oracle[9 * r + lc]);
+                        assert!(
+                            got.re.to_bits() == want.re.to_bits()
+                                && got.im.to_bits() == want.im.to_bits(),
+                            "{} pattern {pattern:05b}: ({r},{lc}) {got:?} vs {want:?}",
+                            s.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jittered_cx_exponentiates_only_live_nonzero_blocks() {
+        // Every block of every memo miss would be 1926 exponentials; the
+        // echo X pulses skip the target's still-zero |2⟩ block, and CR+
+        // and rx90_t skip the control's |2⟩ block, which no later pulse
+        // reads.
+        let (pair, s, chans) = jittered_cx(7);
+        EXPONENTIALS.set(0);
+        pair.integrate(&s, chans[0], chans[1], chans[2]);
+        let count = EXPONENTIALS.get();
+        assert!(count <= 1365, "{count} 3×3 exponentials");
+    }
+
+    /// An uncalibrated X on the target, then one on the control.
+    fn target_then_control(p: &CrPair) -> Schedule {
+        let mut s = Schedule::new("target before control");
+        play_at(&mut s, 0, x_pulse(&p.target), Channel::Drive(1));
+        play_at(&mut s, 200, x_pulse(&p.control), Channel::Drive(0));
+        s
+    }
+
+    #[test]
+    fn simple_schedules_are_bit_identical_to_the_9x9_oracle() {
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2, 0.3);
+        let target_first = target_then_control(&p);
+        let mut cr_only = Schedule::new("cr only");
+        play(&mut cr_only, gs.waveform("cr"), Channel::Control(0));
+        let mut control_only = Schedule::new("control only");
+        play(&mut control_only, x_pulse(&p.control), Channel::Drive(0));
+        let empty = Schedule::new("empty");
+        for s in [target_first, cr_only, control_only, empty] {
+            assert_matches_reference(&p, &s);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::complex::C64;
 use crate::mat::CMat;
+use std::ops::{Add, AddAssign, Mul};
 
 /// Taylor truncation degree. With the scaled norm held at ≤ 0.5 the
 /// remainder is below 0.5¹³/13! ≈ 2·10⁻¹⁴, comfortably inside the
@@ -182,14 +183,93 @@ fn norm_sqr_sum<'a>(entries: impl IntoIterator<Item = &'a C64>) -> f64 {
     norm2
 }
 
+/// A 3×3 matrix entry [`expm3`] runs on: one complex number, or the same
+/// entry of two matrices side by side ([`C64x2`]).
+trait Entry: Copy + Add<Output = Self> + Mul<Output = Self> + AddAssign {
+    const ZERO: Self;
+    /// `x + 0i`, in every lane.
+    fn real(x: f64) -> Self;
+}
+
+impl Entry for C64 {
+    const ZERO: Self = C64::ZERO;
+    #[inline(always)]
+    fn real(x: f64) -> Self {
+        C64::real(x)
+    }
+}
+
+/// The same entry of two complex matrices in structure-of-arrays form:
+/// lane `l` of `re` and `im` belongs to matrix `l`. Every operation is the
+/// [`C64`] operation applied lane by lane, with the same products in the
+/// same association (including the `x·0` terms of a product with a real
+/// number), so each lane's bits equal the scalar result. LLVM turns each
+/// lane pair into one SSE2 instruction at the baseline x86-64 target; Rust
+/// never contracts a product and a sum into an FMA, at any target.
+#[derive(Clone, Copy)]
+struct C64x2 {
+    re: [f64; 2],
+    im: [f64; 2],
+}
+
+impl Add for C64x2 {
+    type Output = C64x2;
+    #[inline(always)]
+    fn add(self, rhs: C64x2) -> C64x2 {
+        C64x2 {
+            re: [self.re[0] + rhs.re[0], self.re[1] + rhs.re[1]],
+            im: [self.im[0] + rhs.im[0], self.im[1] + rhs.im[1]],
+        }
+    }
+}
+
+impl Mul for C64x2 {
+    type Output = C64x2;
+    #[inline(always)]
+    fn mul(self, rhs: C64x2) -> C64x2 {
+        C64x2 {
+            re: [
+                self.re[0] * rhs.re[0] - self.im[0] * rhs.im[0],
+                self.re[1] * rhs.re[1] - self.im[1] * rhs.im[1],
+            ],
+            im: [
+                self.re[0] * rhs.im[0] + self.im[0] * rhs.re[0],
+                self.re[1] * rhs.im[1] + self.im[1] * rhs.re[1],
+            ],
+        }
+    }
+}
+
+impl AddAssign for C64x2 {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: C64x2) {
+        *self = *self + rhs;
+    }
+}
+
+impl Entry for C64x2 {
+    const ZERO: Self = C64x2 {
+        re: [0.0; 2],
+        im: [0.0; 2],
+    };
+    #[inline(always)]
+    fn real(x: f64) -> Self {
+        C64x2 {
+            re: [x; 2],
+            im: [0.0; 2],
+        }
+    }
+}
+
 /// Degree-12 Paterson–Stockmeyer `exp` specialized to 3×3, entirely on
 /// stack arrays. `a` is the already-scaled generator; `squarings` undoes
 /// the scaling at the end. Same evaluation order as the generic path, so
-/// the two agree to rounding.
-fn expm3(a: &[C64; 9], squarings: u32) -> [C64; 9] {
+/// the two agree to rounding. On [`C64x2`] entries it evaluates two
+/// generators at once, each lane bit-identical to the [`C64`] instance.
+fn expm3<T: Entry>(a: &[T; 9], squarings: u32) -> [T; 9] {
     #[inline(always)]
-    fn mul3(a: &[C64; 9], b: &[C64; 9]) -> [C64; 9] {
-        let mut o = [C64::ZERO; 9];
+    fn mul3<T: Entry>(a: &[T; 9], b: &[T; 9]) -> [T; 9] {
+        let mut o = [T::ZERO; 9];
         for r in 0..3 {
             let (a0, a1, a2) = (a[3 * r], a[3 * r + 1], a[3 * r + 2]);
             o[3 * r] = a0 * b[0] + a1 * b[3] + a2 * b[6];
@@ -203,23 +283,34 @@ fn expm3(a: &[C64; 9], squarings: u32) -> [C64; 9] {
     let m2 = mul3(&m, &m);
     let m3 = mul3(&m2, &m);
     // Horner in M³, innermost group first: start from c₁₂·I.
-    let mut sum = [C64::ZERO; 9];
+    let mut sum = [T::ZERO; 9];
     for i in 0..3 {
-        sum[4 * i] = C64::real(c[12]);
+        sum[4 * i] = T::real(c[12]);
     }
     for j in (0..4).rev() {
         sum = mul3(&sum, &m3);
         for i in 0..9 {
-            sum[i] += m[i] * C64::real(c[3 * j + 1]) + m2[i] * C64::real(c[3 * j + 2]);
+            sum[i] += m[i] * T::real(c[3 * j + 1]) + m2[i] * T::real(c[3 * j + 2]);
         }
         for i in 0..3 {
-            sum[4 * i] += C64::real(c[3 * j]);
+            sum[4 * i] += T::real(c[3 * j]);
         }
     }
     for _ in 0..squarings {
         sum = mul3(&sum, &sum);
     }
     sum
+}
+
+/// [`expm3`] of two scaled generators sharing one squaring count, on two
+/// lanes: bit-identical to two scalar calls.
+fn expm3_x2(a: [[C64; 9]; 2], squarings: u32) -> [[C64; 9]; 2] {
+    let lanes = std::array::from_fn(|k| C64x2 {
+        re: [a[0][k].re, a[1][k].re],
+        im: [a[0][k].im, a[1][k].im],
+    });
+    let e = expm3(&lanes, squarings);
+    std::array::from_fn(|l| std::array::from_fn(|k| C64::new(e[k].re[l], e[k].im[l])))
 }
 
 /// `out = a · b` for row-major 9×9 operands on stack arrays.
@@ -328,23 +419,45 @@ impl Blocks9 {
             Blocks9::Contiguous => (r / 3, r % 3),
         }
     }
+
+    /// The blocks whose three rows of the row-major 9×4 slab `u` are all
+    /// exactly zero, of either sign: bit `b` of the mask is block `b`.
+    pub fn zero_blocks(self, u: &[C64; 36]) -> u8 {
+        let mut mask = 0;
+        for b in 0..3 {
+            let zero = (0..3).all(|i| {
+                let r = self.index(b, i);
+                u[4 * r..4 * r + 4].iter().all(|&z| z == C64::ZERO)
+            });
+            if zero {
+                mask |= 1 << b;
+            }
+        }
+        mask
+    }
 }
 
 /// Writes `exp(-i·h·t)` of a Hermitian 9×9 generator that is
 /// block-diagonal under `blocks`, given and returned as its three 3×3
-/// blocks: `h[b]` and `out[b]` are block `b` in row-major order. The 54
-/// entries outside the blocks are zero and are never formed.
+/// blocks: `h[b]` and `out[b]` are block `b` in row-major order. Only the
+/// blocks in `mask` (bit `b` = block `b`) are exponentiated, two at a time
+/// on two SIMD lanes and an odd one alone; the other blocks of `out` are
+/// left as they are. The 54 entries outside the blocks are zero and are
+/// never formed.
 ///
-/// Bit-identical, inside the blocks, to [`unitary_exp9_into`] on the full
-/// generator. The squaring count comes from the Frobenius norm summed over
-/// the in-block entries in the full matrix's row-major order, which is
-/// the sum that route forms once its off-block zeros add nothing. Each
-/// block then runs the same Paterson–Stockmeyer evaluation, whose
-/// zero-skipping 9×9 products reduce to exactly the 3×3 products here.
+/// Bit-identical, inside the blocks written, to [`unitary_exp9_into`] on
+/// the full generator. The squaring count comes from the Frobenius norm
+/// summed over all 27 in-block entries (masked or not) in the full
+/// matrix's row-major order, which is the sum that route forms once its
+/// off-block zeros add nothing. Each block then runs the same
+/// Paterson–Stockmeyer evaluation, whose zero-skipping 9×9 products reduce
+/// to exactly the 3×3 products here, and each lane of the two-lane
+/// evaluation repeats the scalar one.
 pub fn unitary_exp9_in_blocks_into(
     h: &[[C64; 9]; 3],
     t: f64,
     blocks: Blocks9,
+    mask: u8,
     out: &mut [[C64; 9]; 3],
 ) {
     let mut norm2 = 0.0;
@@ -355,12 +468,13 @@ pub fn unitary_exp9_in_blocks_into(
         }
     }
     let (factor, squarings) = step_scaling(norm2, t);
-    for (block, hb) in out.iter_mut().zip(h) {
-        let mut a = [C64::ZERO; 9];
-        for (x, &z) in a.iter_mut().zip(hb) {
-            *x = z * factor;
+    let scaled = |b: usize| h[b].map(|z| z * factor);
+    let mut picked = (0..3).filter(|&b| mask & 1 << b != 0);
+    while let Some(b0) = picked.next() {
+        match picked.next() {
+            Some(b1) => [out[b0], out[b1]] = expm3_x2([scaled(b0), scaled(b1)], squarings),
+            None => out[b0] = expm3(&scaled(b0), squarings),
         }
-        *block = expm3(&a, squarings);
     }
 }
 
@@ -387,22 +501,39 @@ pub fn mul9_slab_into(a: &[C64; 81], u: &[C64; 36], out: &mut [C64; 36]) {
     }
 }
 
-/// `out = step · u`, where `step` is the block-diagonal 9×9 matrix whose
-/// blocks under `blocks` are `step[b]` (as written by
-/// [`unitary_exp9_in_blocks_into`]) and `u` is a row-major 9×4 slab.
+/// `out = step · u` on the rows that must be written, where `step` is the
+/// block-diagonal 9×9 matrix whose blocks under `blocks` are `step[b]` (as
+/// written by [`unitary_exp9_in_blocks_into`]) and `u` is a row-major 9×4
+/// slab. Block `b`'s rows of `out` are written when its input rows of `u`
+/// are all zero ([`Blocks9::zero_blocks`]), as `+0` without reading
+/// `step[b]`, or else when bit `b` of `live` is set, as the product. Every
+/// other row of `out` is left as it is.
 ///
-/// Bit-identical to [`mul9_slab_into`] (and so to [`mul9_into`]) on the
-/// full block-diagonal matrix: each output row accumulates its block's
-/// terms in ascending column order and skips zero coefficients, which is
-/// what that product does once its own zero-skip drops the off-block
-/// terms.
+/// Bit-identical on the rows it writes to [`mul9_slab_into`] (and so to
+/// [`mul9_into`]) on the full block-diagonal matrix: each output row
+/// accumulates its block's terms in ascending column order and skips zero
+/// coefficients, which is what that product does once its own zero-skip
+/// drops the off-block terms. On zero input rows every term is `±0` and
+/// each accumulator starts at `+0`, so that product writes `+0` too.
 pub fn mul9_blocks_slab_into(
     step: &[[C64; 9]; 3],
     blocks: Blocks9,
+    live: u8,
     u: &[C64; 36],
     out: &mut [C64; 36],
 ) {
-    for (b, block) in (0..3).zip(step) {
+    let zero = blocks.zero_blocks(u);
+    for (b, block) in step.iter().enumerate() {
+        if zero & 1 << b != 0 {
+            for i in 0..3 {
+                let r = blocks.index(b, i);
+                out[4 * r..4 * r + 4].fill(C64::ZERO);
+            }
+            continue;
+        }
+        if live & 1 << b == 0 {
+            continue;
+        }
         for i in 0..3 {
             let mut acc = [C64::ZERO; 4];
             for j in 0..3 {
@@ -605,7 +736,7 @@ mod tests {
                     }
                 }
                 let mut step = [[C64::ZERO; 9]; 3];
-                unitary_exp9_in_blocks_into(&h_blocks, t, blocks, &mut step);
+                unitary_exp9_in_blocks_into(&h_blocks, t, blocks, 0b111, &mut step);
                 let mut in_block = [false; 81];
                 for (b, block) in step.iter().enumerate() {
                     for i in 0..3 {
@@ -626,10 +757,28 @@ mod tests {
                         "{shape:?} run {run}: off-block {z:?}"
                     );
                 }
+                // Any subset of the blocks, two lanes or one, writes the
+                // same bits and leaves the other blocks alone.
+                for mask in 0..8u8 {
+                    let mut part = [[C64::new(f64::NAN, 7.0); 9]; 3];
+                    unitary_exp9_in_blocks_into(&h_blocks, t, blocks, mask, &mut part);
+                    for b in 0..3 {
+                        let want = if mask & 1 << b != 0 {
+                            step[b]
+                        } else {
+                            [C64::new(f64::NAN, 7.0); 9]
+                        };
+                        assert_eq!(
+                            bits(&part[b]),
+                            bits(&want),
+                            "{shape:?} run {run}: mask {mask:03b} block {b}"
+                        );
+                    }
+                }
                 let mut next_full = [C64::ZERO; 81];
                 mul9_into(&full, &u_full, &mut next_full);
                 let mut next_block = [C64::ZERO; 36];
-                mul9_blocks_slab_into(&step, blocks, &slab_block, &mut next_block);
+                mul9_blocks_slab_into(&step, blocks, 0b111, &slab_block, &mut next_block);
                 let mut next_slab = [C64::ZERO; 36];
                 mul9_slab_into(&full, &slab_full, &mut next_slab);
                 for r in 0..9 {
@@ -650,6 +799,141 @@ mod tests {
                 slab_full = next_slab;
             }
             assert!(most_squarings >= 10, "only {most_squarings} squarings");
+        }
+    }
+
+    /// The bit patterns of a run of complex entries.
+    fn bits(z: &[C64]) -> Vec<(u64, u64)> {
+        z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// A random Hermitian 3×3 block at the pair integrator's scale, with
+    /// each off-diagonal pair and each diagonal entry exactly zero about
+    /// one time in three.
+    fn sparse_hermitian3(next: &mut impl FnMut() -> f64) -> [C64; 9] {
+        let mut h = [C64::ZERO; 9];
+        for i in 0..3 {
+            if next() > -0.17 {
+                h[4 * i] = C64::real(4e9 * next());
+            }
+            for j in i + 1..3 {
+                if next() > -0.17 {
+                    let z = C64::new(2e9 * next(), 2e9 * next());
+                    h[3 * i + j] = z;
+                    h[3 * j + i] = z.conj();
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn two_lane_exponential_is_bit_identical_to_scalar() {
+        // Pairs of blocks scaled by the integrator's step policy, for runs
+        // of one sample up to thousands, so the squaring stage runs from 0
+        // to ≥ 10 times; each lane must reproduce the scalar kernel's bits.
+        const DT: f64 = 2.0 / 9.0 * 1e-9;
+        let mut rng_state = 0xD1B54A32D192ED03u64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut squarings_seen = std::collections::BTreeSet::new();
+        for run in [1u32, 2, 5, 16, 40, 160, 640, 1000, 2500, 4096] {
+            for _ in 0..20 {
+                let pair = [sparse_hermitian3(&mut next), sparse_hermitian3(&mut next)];
+                let norm2 = norm_sqr_sum(pair.iter().flatten());
+                let (factor, squarings) = step_scaling(norm2, DT * f64::from(run));
+                squarings_seen.insert(squarings);
+                let scaled = pair.map(|h| h.map(|z| z * factor));
+                let lanes = expm3_x2(scaled, squarings);
+                for (lane, a) in lanes.iter().zip(&scaled) {
+                    assert_eq!(bits(lane), bits(&expm3(a, squarings)), "run {run}");
+                }
+            }
+        }
+        assert!(squarings_seen.contains(&0), "no squaring-free case");
+        assert!(
+            squarings_seen.iter().any(|&s| s >= 10),
+            "{squarings_seen:?}"
+        );
+    }
+
+    #[test]
+    fn masked_block_product_is_bit_identical_to_full_product() {
+        // Every block's input rows are all zero (some as −0), zero but for
+        // one row, or dense, under every live mask. A written block must
+        // carry the full block-diagonal product's bits; any other row of
+        // `out` must keep what it held.
+        let mut rng_state = 0x94D049BB133111EBu64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let sentinel = C64::new(f64::NAN, -3.0);
+        for blocks in [Blocks9::Strided, Blocks9::Contiguous] {
+            for case in 0..200 {
+                let mut step = [[C64::ZERO; 9]; 3];
+                for z in step.iter_mut().flatten() {
+                    if next() > -0.3 {
+                        *z = C64::new(next(), next());
+                    }
+                }
+                let mut full = [C64::ZERO; 81];
+                for (b, block) in step.iter().enumerate() {
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            full[9 * blocks.index(b, i) + blocks.index(b, j)] = block[3 * i + j];
+                        }
+                    }
+                }
+                // Per block: 0 = all zero, 1..=3 = only row `pattern − 1`
+                // nonzero, 4 = dense.
+                let mut u = [C64::ZERO; 36];
+                let mut zero = 0u8;
+                for b in 0..3 {
+                    let pattern = (case / [1, 5, 25][b]) % 5;
+                    if pattern == 0 {
+                        zero |= 1 << b;
+                    }
+                    for i in 0..3 {
+                        let r = blocks.index(b, i);
+                        let dense = pattern == 4 || pattern == i + 1;
+                        for z in &mut u[4 * r..4 * r + 4] {
+                            *z = if dense {
+                                C64::new(next(), next())
+                            } else if next() > 0.0 {
+                                C64::new(-0.0, -0.0)
+                            } else {
+                                C64::ZERO
+                            };
+                        }
+                    }
+                }
+                assert_eq!(blocks.zero_blocks(&u), zero, "case {case}");
+                let mut want = [C64::ZERO; 36];
+                mul9_slab_into(&full, &u, &mut want);
+                for live in 0..8u8 {
+                    let mut got = [sentinel; 36];
+                    mul9_blocks_slab_into(&step, blocks, live, &u, &mut got);
+                    for b in 0..3 {
+                        let written = (zero | live) & 1 << b != 0;
+                        for i in 0..3 {
+                            let r = blocks.index(b, i);
+                            let expect = if written {
+                                &want[4 * r..4 * r + 4]
+                            } else {
+                                &[sentinel; 4][..]
+                            };
+                            assert_eq!(
+                                bits(&got[4 * r..4 * r + 4]),
+                                bits(expect),
+                                "{blocks:?} case {case} live {live:03b}: row {r}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
