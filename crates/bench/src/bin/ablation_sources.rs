@@ -14,6 +14,7 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_char::hellinger_distance;
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::{calibrate, DeviceModel, DriftParams, PulseExecutor};
 use quant_math::seeded;
 
@@ -42,7 +43,7 @@ struct Config {
     spam_readout: bool,
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let configs = [
         Config {
             name: "full noise model",
@@ -133,15 +134,13 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let compiled = Compiler::new(&device, &cal, mode)
-                .compile(&circuit)
-                .unwrap();
+            let compiled = Compiler::new(&device, &cal, mode).compile(&circuit)?;
             let exec = PulseExecutor::new(&device);
             // Average a few drift/jitter realizations.
             let mut dist = vec![0.0; ideal.len()];
             let runs = 6;
             for _ in 0..runs {
-                let out = exec.run(&compiled.program, &mut rng);
+                let out = exec.try_run(&compiled.program, &mut rng)?;
                 let probs = if cfg.spam_readout {
                     out.probabilities
                 } else {
@@ -164,4 +163,5 @@ fn main() {
     println!("\nReading: decoherence (duration-scaled) is the mechanism the paper's");
     println!("shorter schedules attack; drift/jitter exposure falls with pulse count;");
     println!("SPAM/readout residuals are flow-independent and cap the achievable gain.");
+    Ok(())
 }

@@ -14,6 +14,7 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_char::{interleaved_gate_fidelity, interleaved_rb_sequence, rb_sequence, RbData};
 use quant_circuit::{Circuit, Gate};
+use quant_corpus::PipelineError;
 use quant_device::PulseExecutor;
 use quant_math::seeded;
 use repro_bench::Setup;
@@ -24,14 +25,11 @@ fn survival(
     mode: CompileMode,
     shots: usize,
     rng: &mut rand::rngs::StdRng,
-) -> f64 {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-        .compile(circuit)
-        .unwrap();
-    let exec = PulseExecutor::new(&setup.device);
-    let out = exec.run(&compiled.program, rng);
+) -> Result<f64, PipelineError> {
+    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
+    let out = PulseExecutor::new(&setup.device).try_run(&compiled.program, rng)?;
     let counts = out.sample_counts(rng, shots);
-    counts[0] as f64 / shots as f64
+    Ok(counts[0] as f64 / shots as f64)
 }
 
 fn decay(
@@ -41,7 +39,7 @@ fn decay(
     lengths: &[usize],
     randomizations: usize,
     shots: usize,
-) -> f64 {
+) -> Result<f64, PipelineError> {
     let mut survival_means = Vec::new();
     for &k in lengths {
         let mut total = 0.0;
@@ -51,19 +49,18 @@ fn decay(
                 Some(g) => interleaved_rb_sequence(k, g, &mut rng),
                 None => rb_sequence(k, &mut rng),
             };
-            total += survival(setup, &c, mode, shots, &mut rng);
+            total += survival(setup, &c, mode, shots, &mut rng)?;
         }
         survival_means.push(total / randomizations as f64);
     }
-    RbData {
+    let data = RbData {
         lengths: lengths.to_vec(),
         survival: survival_means,
-    }
-    .fit()
-    .f
+    };
+    Ok(data.fit().f)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let setup = Setup::armonk(4242);
     let lengths: Vec<usize> = (1..=15).map(|i| 15 * i).collect();
     let randomizations = 5;
@@ -73,7 +70,7 @@ fn main() {
     println!(
         "({} lengths to K = {}, {randomizations} randomizations, {shots} shots)\n",
         lengths.len(),
-        lengths.last().unwrap()
+        lengths.last().ok_or("no sequence lengths")?
     );
 
     let mut gate_errors = Vec::new();
@@ -81,8 +78,8 @@ fn main() {
         ("standard", CompileMode::Standard),
         ("optimized", CompileMode::Optimized),
     ] {
-        let f_ref = decay(&setup, mode, None, &lengths, randomizations, shots);
-        let f_int = decay(&setup, mode, Some(Gate::X), &lengths, randomizations, shots);
+        let f_ref = decay(&setup, mode, None, &lengths, randomizations, shots)?;
+        let f_int = decay(&setup, mode, Some(Gate::X), &lengths, randomizations, shots)?;
         let f_gate = interleaved_gate_fidelity(f_ref, f_int);
         gate_errors.push(1.0 - f_gate);
         println!(
@@ -99,4 +96,5 @@ fn main() {
         );
     }
     println!("paper reference: \"twice as fast … and 2x lower error\" (§4.1)");
+    Ok(())
 }

@@ -13,12 +13,13 @@
 use pulse_compiler::CompileMode;
 use quant_algos::LineGraph;
 use quant_char::hellinger_distance;
+use quant_corpus::PipelineError;
 use quant_device::ShotPool;
 use quant_math::seeded;
 use rand::Rng;
 use repro_bench::{run_noisy_trajectory, Setup};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let trajectories = 32;
     let pool = ShotPool::from_env();
     println!("QAOA-MAXCUT error vs size (trajectory executor, {trajectories} trajectories)\n");
@@ -43,7 +44,7 @@ fn main() {
         {
             let root = seeded(6_000 + (n * 10 + m) as u64).gen::<u64>();
             let mitigated =
-                run_noisy_trajectory(&setup, &circuit, mode, trajectories, shots, root, &pool)
+                run_noisy_trajectory(&setup, &circuit, mode, trajectories, shots, root, &pool)?
                     .distribution;
             errs[m] = hellinger_distance(&ideal, &mitigated);
             if m == 1 {
@@ -62,4 +63,5 @@ fn main() {
     println!("\npaper reference: QAOA-4 and QAOA-5 are Fig. 12's two largest gains");
     println!("(1.x and 2.32x); the trend extends as circuits outgrow the device's");
     println!("coherence budget faster in the standard flow.");
+    Ok(())
 }

@@ -17,6 +17,7 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_algos::{group_commuting, molecules, vqe};
 use quant_char::{counts_to_distribution, Mitigator};
+use quant_corpus::PipelineError;
 use quant_device::{Calibration, CalibrationOptions, DeviceModel, PulseExecutor};
 use quant_math::{linear_least_squares, seeded};
 
@@ -27,7 +28,7 @@ fn energy_at_stretch(
     theta: f64,
     shots: usize,
     seed: u64,
-) -> f64 {
+) -> Result<f64, PipelineError> {
     // Recalibrate with stretched single-qubit pulses; CR pulses stretch
     // through their σ and the re-solved flat-top width.
     let base = CalibrationOptions::default();
@@ -58,19 +59,16 @@ fn energy_at_stretch(
     for group in group_commuting(&h) {
         let mut c = vqe::ucc_ansatz(theta);
         group.append_measurement_basis(&mut c);
-        let compiled = Compiler::new(device, &calibration, CompileMode::Optimized)
-            .compile(&c)
-            .unwrap();
-        let exec = PulseExecutor::new(device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let compiled = Compiler::new(device, &calibration, CompileMode::Optimized).compile(&c)?;
+        let out = PulseExecutor::new(device).try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, shots);
         let probs = mitigator.mitigate(&counts_to_distribution(&counts));
         energy += group.expectation_from_distribution(&probs);
     }
-    energy
+    Ok(energy)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = seeded(777);
     let device = DeviceModel::almaden_like(2, &mut rng);
     let h = molecules::h2().hamiltonian;
@@ -87,14 +85,14 @@ fn main() {
     for &lambda in lambdas.iter() {
         // Same seed at every λ: the calibration residuals represent one
         // device state, and only the stretch varies.
-        let e = energy_at_stretch(&device, lambda, solved.theta, shots, 9_000);
+        let e = energy_at_stretch(&device, lambda, solved.theta, shots, 9_000)?;
         energies.push(e);
         println!("{lambda:>8.2} {e:>+14.5} {:>+12.2}", 1000.0 * (e - exact));
     }
 
     // Richardson (linear) extrapolation to λ = 0.
     let design: Vec<Vec<f64>> = lambdas.iter().map(|&l| vec![l, 1.0]).collect();
-    let beta = linear_least_squares(&design, &energies).expect("fit");
+    let beta = linear_least_squares(&design, &energies).ok_or("singular extrapolation fit")?;
     let extrapolated = beta[1];
     println!(
         "\nlinear extrapolation to λ = 0: {extrapolated:+.5} Ha ({:+.2} mHa from exact)",
@@ -107,4 +105,5 @@ fn main() {
          no stretch-based extrapolation can see.",
         1000.0 * (energies[0] - exact)
     );
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //! Paper: standard X = 71.1 ns (320 dt), DirectX = 35.6 ns (160 dt); both
 //! schedules have the same absolute area under the curve.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::{CompileMode, Compiler, LowerError};
 use quant_circuit::Circuit;
 use quant_device::DT;
 use quant_pulse::Instruction;
@@ -22,7 +22,7 @@ fn abs_area(program: &quant_device::LoweredProgram) -> f64 {
         .sum()
 }
 
-fn main() {
+fn main() -> Result<(), LowerError> {
     let setup = Setup::almaden(1, 404);
     let mut c = Circuit::new(1);
     c.x(0);
@@ -32,9 +32,7 @@ fn main() {
         ("standard (U3 → 2×Rx90)", CompileMode::Standard),
         ("DirectX  (1×Rx180)", CompileMode::Optimized),
     ] {
-        let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-            .compile(&c)
-            .unwrap();
+        let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
         let dur_dt = compiled.duration();
         let dur_ns = dur_dt as f64 * DT * 1e9;
         println!(
@@ -45,4 +43,5 @@ fn main() {
         println!("{}", compiled.program.schedule.ascii_art(64));
     }
     println!("paper reference: 320 dt (71.1 ns) vs 160 dt (35.6 ns), equal areas");
+    Ok(())
 }

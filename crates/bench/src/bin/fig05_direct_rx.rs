@@ -7,6 +7,7 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_char::tomography::{bloch_from_p0, Axis, BlochVector};
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::{PulseExecutor, ShotPool};
 use quant_math::seeded;
 use repro_bench::{p0_of_qubit, shot_noise, Setup};
@@ -19,24 +20,21 @@ fn tomograph(
     mode: CompileMode,
     shots: usize,
     seed: u64,
-) -> BlochVector {
+) -> Result<BlochVector, PipelineError> {
     let mut rng = seeded(seed);
     let mut p0 = [0.0; 3];
     for (i, axis) in Axis::all().iter().enumerate() {
         let mut c = prep.clone();
         axis.append_rotation(&mut c, 0);
-        let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-            .compile(&c)
-            .unwrap();
-        let exec = PulseExecutor::new(&setup.device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
+        let out = PulseExecutor::new(&setup.device).try_run(&compiled.program, &mut rng)?;
         let mitigated = setup.mitigator(1).mitigate(&out.probabilities);
         p0[i] = shot_noise(p0_of_qubit(&mitigated, 0), shots, &mut rng);
     }
-    bloch_from_p0(p0)
+    Ok(bloch_from_p0(p0))
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let setup = Setup::almaden(1, 505);
     let shots = 1000;
     let mut sum_err = [0.0_f64; 2];
@@ -67,17 +65,16 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let b = tomograph(&setup, &prep, mode, shots, 7_000 + 10 * k + m as u64);
+            let b = tomograph(&setup, &prep, mode, shots, 7_000 + 10 * k + m as u64)?;
             errs[m] = 1.0 - b.fidelity(&ideal).clamp(0.0, 1.0);
-            let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-                .compile(&prep)
-                .unwrap();
+            let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&prep)?;
             durs[m] = compiled.duration();
         }
-        (theta, errs, durs)
+        Ok::<_, PipelineError>((theta, errs, durs))
     });
     let mut n = 0;
-    for (theta, errs, durs) in points {
+    for point in points {
+        let (theta, errs, durs) = point?;
         sum_err[0] += errs[0];
         sum_err[1] += errs[1];
         durations = durs;
@@ -109,4 +106,5 @@ fn main() {
         durations[0] as f64 / durations[1] as f64
     );
     println!("paper reference: 16% lower error on average, 2x faster");
+    Ok(())
 }

@@ -7,11 +7,12 @@
 
 use pulse_compiler::{CompileMode, Compiler};
 use quant_circuit::{Circuit, Gate};
+use quant_corpus::PipelineError;
 use quant_device::{PulseExecutor, DT};
 use quant_math::seeded;
 use repro_bench::Setup;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let setup = Setup::almaden(2, 808);
     let shots = 16_000;
     let mut c = Circuit::new(2);
@@ -25,12 +26,10 @@ fn main() {
         ("standard", CompileMode::Standard),
         ("optimized (X-pulse cancellation)", CompileMode::Optimized),
     ] {
-        let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-            .compile(&c)
-            .unwrap();
+        let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
         let mut rng = seeded(9_911);
         let exec = PulseExecutor::new(&setup.device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let out = exec.try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, shots);
         let success = counts[target_index] as f64 / shots as f64;
         let sigma = (success * (1.0 - success) / shots as f64).sqrt();
@@ -48,4 +47,5 @@ fn main() {
     let reduction = 100.0 * (1.0 - durations[1] as f64 / durations[0] as f64);
     println!("duration reduction: {reduction:.0}%");
     println!("paper reference   : 24% (1984 dt → 1504 dt); success 87.1% → 87.3%");
+    Ok(())
 }

@@ -8,11 +8,12 @@
 use pulse_compiler::{CompileMode, Compiler};
 use quant_char::hellinger_fidelity;
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::PulseExecutor;
 use quant_math::seeded;
 use repro_bench::Setup;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let setup = Setup::almaden(2, 1010);
     let shots = 2000;
     let mut rng = seeded(84_000);
@@ -36,11 +37,9 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-                .compile(&c)
-                .unwrap();
+            let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
             let exec = PulseExecutor::new(&setup.device);
-            let out = exec.run(&compiled.program, &mut rng);
+            let out = exec.try_run(&compiled.program, &mut rng)?;
             let counts = out.sample_counts(&mut rng, shots);
             let measured = quant_char::counts_to_distribution(&counts);
             let mitigated = setup.mitigator(2).mitigate(&measured);
@@ -65,4 +64,5 @@ fn main() {
         "error reduction: {:.0}% (paper: 60%; fidelities 98.4% vs 99.0%)",
         100.0 * (1.0 - err_opt / err_std)
     );
+    Ok(())
 }

@@ -10,6 +10,7 @@
 
 use quant_algos::{molecules, trotter, vqe, LineGraph};
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::ShotPool;
 use repro_bench::{
     compare_flows, compare_flows_trajectory, qaoa_line_circuit, write_json, ExperimentRecord, Setup,
@@ -31,7 +32,7 @@ fn dynamics_benchmark(m: &quant_algos::Molecule) -> Circuit {
     trotter::trotter_circuit(&m.hamiltonian, 3.0, 6)
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let shots = 8000;
     println!("Figure 12 — benchmark error (Hellinger distance), standard vs optimized");
     println!("(paper: mean reduction 1.55x; 5-qubit QAOA 2.32x, 33.7% → 14.5%)\n");
@@ -56,6 +57,7 @@ fn main() {
         let setup = Setup::almaden(*n, 1000 + i as u64);
         compare_flows(&setup, circuit, shots, 2000 + i as u64)
     });
+    let comparisons = comparisons.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut reductions = Vec::new();
     let mut speedups = Vec::new();
@@ -94,7 +96,7 @@ fn main() {
     let name = "QAOA-12 MAXCUT (trajectory)";
     let setup = Setup::almaden(12, 1012);
     let circuit = qaoa_line_circuit(12, Some((0.7, 0.42)));
-    let cmp = compare_flows_trajectory(&setup, &circuit, 8, shots, 2012, &pool);
+    let cmp = compare_flows_trajectory(&setup, &circuit, 8, shots, 2012, &pool)?;
     records.push(ExperimentRecord {
         name: name.to_string(),
         comparison: cmp.clone(),
@@ -112,4 +114,5 @@ fn main() {
     {
         println!("(machine-readable copy: results/fig12_benchmarks.json)");
     }
+    Ok(())
 }

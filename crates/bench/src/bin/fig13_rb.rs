@@ -10,9 +10,10 @@
 //! Paper: gate fidelities f = 99.82 % / 99.87 % / 99.83 %, implying ~70 %
 //! of the improvement comes from shorter pulses.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::{CompileMode, Compiler, LowerError};
 use quant_char::{rb_sequence, RbData};
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::{Block, LoweredProgram, PulseExecutor, ShotPool};
 use quant_math::seeded;
 use repro_bench::Setup;
@@ -24,21 +25,18 @@ enum Variant {
     OptimizedSlow,
 }
 
-fn compile_variant(setup: &Setup, c: &Circuit, v: Variant) -> LoweredProgram {
+fn compile_variant(setup: &Setup, c: &Circuit, v: Variant) -> Result<LoweredProgram, LowerError> {
     let mode = match v {
         Variant::Standard => CompileMode::Standard,
         _ => CompileMode::Optimized,
     };
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-        .compile(c)
-        .unwrap();
+    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(c)?;
     let mut program = compiled.program;
     if v == Variant::OptimizedSlow {
         // NO-OP idle after every gate so the total matches the standard
         // duration (each optimized 1q gate is one pulse shorter).
         let std_dur = Compiler::new(&setup.device, &setup.calibration, CompileMode::Standard)
-            .compile(c)
-            .unwrap()
+            .compile(c)?
             .duration();
         let deficit = std_dur.saturating_sub(program.duration());
         if deficit > 0 {
@@ -48,10 +46,10 @@ fn compile_variant(setup: &Setup, c: &Circuit, v: Variant) -> LoweredProgram {
             });
         }
     }
-    program
+    Ok(program)
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let setup = Setup::armonk(1313);
     let shots = 8000;
     let randomizations = 6;
@@ -82,11 +80,14 @@ fn main() {
             let r = j % randomizations;
             let mut rng = seeded(5000 + (k * 31 + r) as u64);
             let c = rb_sequence(k, &mut rng);
-            let program = compile_variant(&setup, &c, variant);
-            let out = exec.run(&program, &mut rng);
+            let program = compile_variant(&setup, &c, variant)?;
+            let out = exec.try_run(&program, &mut rng)?;
             let counts = out.sample_counts(&mut rng, shots);
-            counts[0] as f64 / shots as f64
+            Ok(counts[0] as f64 / shots as f64)
         });
+        let cells = cells
+            .into_iter()
+            .collect::<Result<Vec<f64>, PipelineError>>()?;
         let survival: Vec<f64> = cells
             .chunks(randomizations)
             .map(|c| c.iter().sum::<f64>() / randomizations as f64)
@@ -119,4 +120,5 @@ fn main() {
         println!("\n(no net gain measured — see EXPERIMENTS.md discussion)");
     }
     println!("paper reference: f = 99.87% / 99.83% / 99.82%; ~70% from shorter pulses");
+    Ok(())
 }

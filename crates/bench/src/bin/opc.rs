@@ -789,8 +789,13 @@ fn main() {
         );
         println!("{}", compiled.program.schedule.ascii_art(72));
         if args.run {
-            let exec = PulseExecutor::new(&device);
-            let out = exec.run(&compiled.program, &mut rng);
+            let out = match PulseExecutor::new(&device).try_run(&compiled.program, &mut rng) {
+                Ok(out) => out,
+                Err(e) => {
+                    eprintln!("opc: {mode:?} execution error: {e}");
+                    std::process::exit(1);
+                }
+            };
             let counts = out.sample_counts(&mut rng, args.shots);
             println!("-- execution ({} shots, noisy) --", args.shots);
             for (idx, &c) in counts.iter().enumerate() {

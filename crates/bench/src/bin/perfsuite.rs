@@ -4,20 +4,21 @@
 //! cargo run --release -p repro-bench --bin perfsuite [-- --smoke]
 //! ```
 //!
-//! Times a figure-4-class single-gate workload and a reduced-shot
+//! Times a figure-4-class single-gate workload (serial), a reduced-shot
 //! figure-13 workload (serial and pooled), the device tune-up itself
 //! (cold at 1 and N threads, plus a warm snapshot load), the
 //! density-matrix stride kernels against their embed-based reference on
 //! 2–6 qubit registers, the trajectory executor on 8–20-qubit QAOA layers
 //! past the `O(4ⁿ)` density wall (`trajectory_n{n}_reference`, the
-//! retained serial reference route, vs `trajectory_n{n}_fused`, the fused
-//! plan-replay route at 1 and N threads — with a fatal fused-vs-reference
-//! count-checksum gate at a fixed root), the 20-qubit QAOA headline on the
-//! fused route (`qaoa20_trajectory_fused`), the propagator hot loop
-//! (eigendecomposition reference vs the Taylor scratch used by the
-//! integrators), the pair integrator's block exponential (two blocks on
-//! two lanes, `block_exp_two_lane`, vs the scalar kernel twice,
-//! `block_exp_scalar_x2`), a θ-sweep with the pulse cache off vs on, the
+//! retained serial reference route — skip-scan kernels and clone-per-branch
+//! sampling over the same pulse integrators — vs `trajectory_n{n}_fused`,
+//! the fused plan-replay route at 1 and N threads — with a fatal
+//! fused-vs-reference count-checksum gate at a fixed root), the 20-qubit
+//! QAOA headline on the fused route (`qaoa20_trajectory_fused`), the
+//! propagator hot loop (eigendecomposition reference vs the Taylor
+//! scratch used by the integrators), the pair integrator's block
+//! exponential (two blocks on two lanes, `block_exp_two_lane`, vs the
+//! scalar kernel twice, `block_exp_scalar_x2`), a θ-sweep with the pulse cache off vs on, the
 //! pair integrator alone on jittered calibrated CX schedules
 //! (`pair_integrate_jittered_cx`), and the
 //! generated benchmark corpus end-to-end on both pools with a fatal
@@ -48,8 +49,8 @@ use pulse_compiler::{CompileMode, Compiler};
 use quant_char::rb_sequence;
 use quant_circuit::Circuit;
 use quant_device::{
-    CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
-    PulseExecutor, ShotPool, TrajectoryExecutor, DT,
+    CalStore, Calibration, CalibrationOptions, DeviceModel, ExecOutcome, LoweredProgram,
+    ProbeCache, PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
 use quant_math::{
     normal, seeded, unitary_exp, unitary_exp9_in_blocks_into, Blocks9, CMat, PropagatorScratch, C64,
@@ -95,22 +96,35 @@ fn record(
     entries.push(entry);
 }
 
+/// Compiles `circuit` in `mode` and runs it on `exec`, or exits with a
+/// diagnostic.
+fn compile_and_run(
+    setup: &Setup,
+    exec: &PulseExecutor,
+    circuit: &Circuit,
+    mode: CompileMode,
+    rng: &mut impl Rng,
+) -> ExecOutcome {
+    let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
+        .compile(circuit)
+        .unwrap_or_else(|e| die(format_args!("{mode:?} compile failed: {e}")));
+    exec.try_run(&compiled.program, rng)
+        .unwrap_or_else(|e| die(format_args!("{mode:?} run failed: {e}")))
+}
+
 /// Figure-4 class: compile the X gate both ways and execute noiselessly,
 /// `reps` times. One compile+execute+sample pass is sub-millisecond now
 /// that the tune-up loads from the snapshot store, so the repetition count
 /// is what lifts the row above the timer's noise floor.
-fn fig04_workload(pool: &ShotPool, shots: usize, reps: usize) -> usize {
+fn fig04_workload(shots: usize, reps: usize) -> usize {
     let setup = Setup::almaden(1, 404);
     let mut c = Circuit::new(1);
     c.x(0);
     for _ in 0..reps {
         for mode in [CompileMode::Standard, CompileMode::Optimized] {
-            let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-                .compile(&c)
-                .unwrap();
             let exec = PulseExecutor::noiseless(&setup.device);
-            let out = exec.run(&compiled.program, &mut seeded(1));
-            std::hint::black_box(pool.sample_counts(&out.probabilities, shots, 404));
+            let out = compile_and_run(&setup, &exec, &c, mode, &mut seeded(1));
+            std::hint::black_box(out.sample_counts_deterministic(404, shots));
         }
     }
     reps * 2 * shots
@@ -128,11 +142,7 @@ fn fig13_workload(pool: &ShotPool, shots: usize) -> usize {
             let r = j % randomizations;
             let mut rng = seeded(5000 + (k * 31 + r) as u64);
             let c = rb_sequence(k, &mut rng);
-            let program = Compiler::new(&setup.device, &setup.calibration, mode)
-                .compile(&c)
-                .unwrap()
-                .program;
-            let out = exec.run(&program, &mut rng);
+            let out = compile_and_run(&setup, &exec, &c, mode, &mut rng);
             out.sample_counts(&mut rng, shots)[0]
         });
         std::hint::black_box(cells);
@@ -191,14 +201,12 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
 /// density wall keeps away from the density-matrix executor.
 #[derive(Clone, Copy, PartialEq)]
 enum TrajRoute {
-    /// Retained reference route: skip-scan kernels, per-sample pulse
-    /// integration, clone-per-branch channel sampling and an `O(2ⁿ)`
-    /// categorical scan per shot.
+    /// Retained reference route: skip-scan kernels, clone-per-branch
+    /// channel sampling and an `O(2ⁿ)` categorical scan per shot.
     Reference,
-    /// Gate-fusion plan-replay route: fused block kernels, run-compressed
-    /// pair integration, branch weighing against block reduced densities
-    /// and binary-search sampling on a per-trajectory cumulative
-    /// distribution.
+    /// Gate-fusion plan-replay route: fused block kernels, branch
+    /// weighing against block reduced densities and binary-search
+    /// sampling on a per-trajectory cumulative distribution.
     Fused,
 }
 
@@ -400,7 +408,9 @@ fn theta_sweep_workload(
     let exec = PulseExecutor::noiseless(&setup.device);
     for _ in 0..repeats {
         for (i, program) in programs.iter().enumerate() {
-            let out = exec.run(program, &mut seeded(505 ^ i as u64));
+            let out = exec
+                .try_run(program, &mut seeded(505 ^ i as u64))
+                .unwrap_or_else(|e| die(format_args!("theta sweep: {e}")));
             std::hint::black_box(out.sample_counts_deterministic(505 ^ i as u64, shots));
         }
     }
@@ -423,14 +433,14 @@ fn main() {
         }
     );
 
-    // fig04-class, serial then pooled. Best-of-3: the workload is a few
-    // hundred milliseconds of compile+sample, where single draws swing
-    // enough on a shared VM to misstate a ~1.0× ratio as a regression.
+    // fig04-class. Best-of-3: the workload is a few hundred milliseconds
+    // of compile+sample, where single draws swing enough on a shared VM
+    // to misstate a ~1.0× ratio as a regression.
     let shots4 = if smoke { 200 } else { 10_000 };
     let reps4 = if smoke { 2 } else { 100 };
     let best4 = if smoke { 1 } else { 3 };
     std::hint::black_box(Setup::almaden(1, 404)); // warm the snapshot store
-    let (n, serial_ms) = time_best(best4, || fig04_workload(&serial, shots4, reps4));
+    let (n, serial_ms) = time_best(best4, || fig04_workload(shots4, reps4));
     record(
         &mut entries,
         "fig04_compile_execute",
@@ -438,14 +448,6 @@ fn main() {
         serial_ms,
         n,
         serial_ms,
-    );
-    record_scaled(
-        &mut entries,
-        "fig04_compile_execute",
-        pool,
-        best4,
-        serial_ms,
-        |pool| fig04_workload(pool, shots4, reps4),
     );
 
     // The tune-up wall itself: the device calibrations of the paper's
@@ -713,7 +715,7 @@ fn main() {
             c.rx(0, k as f64 / points as f64 * std::f64::consts::PI);
             Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
                 .compile(&c)
-                .unwrap()
+                .unwrap_or_else(|e| die(format_args!("theta sweep compile failed: {e}")))
                 .program
         })
         .collect();
@@ -742,7 +744,7 @@ fn main() {
             c.cnot(0, 1);
             Compiler::new(&setup2.device, &setup2.calibration, CompileMode::Optimized)
                 .compile(&c)
-                .unwrap()
+                .unwrap_or_else(|e| die(format_args!("theta sweep compile failed: {e}")))
                 .program
         })
         .collect();

@@ -5,11 +5,13 @@
 //! common setup — an Almaden-like device with its daily calibration — and
 //! the standard run path: compile (standard or optimized), execute with
 //! the full noise model, sample shots, mitigate readout, compare to ideal.
+//! A circuit the device cannot run comes back as a [`PipelineError`].
 
 use pulse_compiler::{CompileMode, Compiler};
 use quant_algos::LineGraph;
 use quant_char::{counts_to_distribution, hellinger_distance, Mitigator};
 use quant_circuit::Circuit;
+use quant_corpus::PipelineError;
 use quant_device::{
     calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, TrajectoryExecutor,
 };
@@ -111,16 +113,15 @@ pub fn measured_mitigator(
     n: usize,
     cal_shots: usize,
     rng: &mut StdRng,
-) -> Mitigator {
+) -> Result<Mitigator, PipelineError> {
     let exec = PulseExecutor::new(&setup.device);
     let mut e0 = Vec::with_capacity(n);
     let mut e1 = Vec::with_capacity(n);
     for q in 0..n as u32 {
         // Prepared |0⟩: an empty program.
         let idle = Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
-            .compile(&Circuit::new(n as u32))
-            .expect("compile idle");
-        let out = exec.run(&idle.program, rng);
+            .compile(&Circuit::new(n as u32))?;
+        let out = exec.try_run(&idle.program, rng)?;
         let counts = out.sample_counts(rng, cal_shots);
         let ones: u64 = counts
             .iter()
@@ -133,10 +134,9 @@ pub fn measured_mitigator(
         // Prepared |1⟩ on qubit q.
         let mut c = Circuit::new(n as u32);
         c.x(q);
-        let prep = Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
-            .compile(&c)
-            .expect("compile prep");
-        let out = exec.run(&prep.program, rng);
+        let prep =
+            Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized).compile(&c)?;
+        let out = exec.try_run(&prep.program, rng)?;
         let counts = out.sample_counts(rng, cal_shots);
         let zeros: u64 = counts
             .iter()
@@ -146,7 +146,7 @@ pub fn measured_mitigator(
             .sum();
         e1.push((zeros as f64 / cal_shots as f64).clamp(1e-4, 0.5));
     }
-    Mitigator::from_calibration(&e0, &e1)
+    Ok(Mitigator::from_calibration(&e0, &e1))
 }
 
 /// Result of one compiled, noisy, mitigated run.
@@ -167,22 +167,19 @@ pub fn run_noisy(
     mode: CompileMode,
     shots: usize,
     rng: &mut StdRng,
-) -> RunResult {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-        .compile(circuit)
-        .expect("compile failed");
-    let exec = PulseExecutor::new(&setup.device);
-    let out = exec.run(&compiled.program, rng);
+) -> Result<RunResult, PipelineError> {
+    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
+    let out = PulseExecutor::new(&setup.device).try_run(&compiled.program, rng)?;
     let counts = out.sample_counts(rng, shots);
     let measured = counts_to_distribution(&counts);
     let mitigated = setup
         .mitigator(circuit.num_qubits() as usize)
         .mitigate(&measured);
-    RunResult {
+    Ok(RunResult {
         distribution: mitigated,
         duration: compiled.duration(),
         pulse_count: compiled.pulse_count(),
-    }
+    })
 }
 
 /// Standard-vs-optimized comparison on one benchmark circuit.
@@ -222,50 +219,43 @@ pub fn run_noisy_trajectory(
     shots: usize,
     root: u64,
     pool: &ShotPool,
-) -> RunResult {
-    let compiled = match Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("repro-bench: trajectory compile failed: {e:?}");
-            std::process::exit(1);
-        }
-    };
-    let counts = match TrajectoryExecutor::new(&setup.device, trajectories).try_run_pooled(
+) -> Result<RunResult, PipelineError> {
+    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
+    let counts = TrajectoryExecutor::new(&setup.device, trajectories).try_run_pooled(
         &compiled.program,
         shots,
         root,
         pool,
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("repro-bench: trajectory run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    )?;
     let measured = counts_to_distribution(&counts);
     let mitigated = setup
         .mitigator(circuit.num_qubits() as usize)
         .mitigate(&measured);
-    RunResult {
+    Ok(RunResult {
         distribution: mitigated,
         duration: compiled.duration(),
         pulse_count: compiled.pulse_count(),
-    }
+    })
 }
 
 /// Runs a benchmark circuit through both flows and scores each against the
 /// ideal distribution.
-pub fn compare_flows(setup: &Setup, circuit: &Circuit, shots: usize, seed: u64) -> Comparison {
+pub fn compare_flows(
+    setup: &Setup,
+    circuit: &Circuit,
+    shots: usize,
+    seed: u64,
+) -> Result<Comparison, PipelineError> {
     let ideal = circuit.output_distribution();
     let mut rng = seeded(seed);
-    let std = run_noisy(setup, circuit, CompileMode::Standard, shots, &mut rng);
-    let opt = run_noisy(setup, circuit, CompileMode::Optimized, shots, &mut rng);
-    Comparison {
+    let std = run_noisy(setup, circuit, CompileMode::Standard, shots, &mut rng)?;
+    let opt = run_noisy(setup, circuit, CompileMode::Optimized, shots, &mut rng)?;
+    Ok(Comparison {
         error_standard: hellinger_distance(&ideal, &std.distribution),
         error_optimized: hellinger_distance(&ideal, &opt.distribution),
         duration_standard: std.duration,
         duration_optimized: opt.duration,
-    }
+    })
 }
 
 /// `compare_flows` for wide registers: both flows run through the
@@ -279,7 +269,7 @@ pub fn compare_flows_trajectory(
     shots: usize,
     root: u64,
     pool: &ShotPool,
-) -> Comparison {
+) -> Result<Comparison, PipelineError> {
     let ideal = circuit.output_distribution();
     let std = run_noisy_trajectory(
         setup,
@@ -289,7 +279,7 @@ pub fn compare_flows_trajectory(
         shots,
         root,
         pool,
-    );
+    )?;
     let opt = run_noisy_trajectory(
         setup,
         circuit,
@@ -298,13 +288,13 @@ pub fn compare_flows_trajectory(
         shots,
         root.wrapping_add(1),
         pool,
-    );
-    Comparison {
+    )?;
+    Ok(Comparison {
         error_standard: hellinger_distance(&ideal, &std.distribution),
         error_optimized: hellinger_distance(&ideal, &opt.distribution),
         duration_standard: std.duration,
         duration_optimized: opt.duration,
-    }
+    })
 }
 
 /// Estimates P(qubit = 0) from a distribution for one qubit index.
@@ -383,6 +373,8 @@ pub fn ascii_series(title: &str, xs: &[f64], ys: &[f64], y_range: (f64, f64)) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulse_compiler::LowerError;
+    use quant_device::ExecError;
 
     #[test]
     fn p0_extraction() {
@@ -396,7 +388,7 @@ mod tests {
     fn measured_mitigator_estimates_confusion() {
         let setup = Setup::almaden(1, 9090);
         let mut rng = seeded(91);
-        let m = measured_mitigator(&setup, 1, 8000, &mut rng);
+        let m = measured_mitigator(&setup, 1, 8000, &mut rng).expect("one-qubit mitigator");
         // Forward-applying the estimated confusion to a pure |0⟩ should
         // land near the device's true readout error (plus SPAM).
         let noisy = m.apply_forward(&[1.0, 0.0]);
@@ -406,6 +398,36 @@ mod tests {
             "estimated {:.4} vs true-ish {truth:.4}",
             noisy[1]
         );
+    }
+
+    #[test]
+    fn circuits_the_device_cannot_run_are_errors() {
+        // Wider than the device: lowering has no pulses for qubit 2. An
+        // empty register: the executors have nothing to measure.
+        let setup = Setup::almaden(2, 9191);
+        let mut wide = Circuit::new(3);
+        wide.x(2);
+        let wide_err = LowerError::RegisterWidth {
+            circuit: 3,
+            device: 2,
+        };
+        let empty_err = ExecError::RegisterWidth {
+            program: 0,
+            device: 2,
+        };
+        let cases = [
+            (wide, PipelineError::Lower(wide_err)),
+            (Circuit::new(0), PipelineError::Exec(empty_err)),
+        ];
+        for (circuit, want) in &cases {
+            for mode in [CompileMode::Standard, CompileMode::Optimized] {
+                let density = run_noisy(&setup, circuit, mode, 100, &mut seeded(1));
+                let pool = ShotPool::serial();
+                let trajectory = run_noisy_trajectory(&setup, circuit, mode, 2, 100, 1, &pool);
+                assert_eq!(density.err().as_ref(), Some(want));
+                assert_eq!(trajectory.err().as_ref(), Some(want));
+            }
+        }
     }
 
     #[test]

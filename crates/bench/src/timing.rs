@@ -1,88 +1,31 @@
-//! Plain wall-clock timing harness for the bench targets and the perf
-//! suite (the environment is offline, so no criterion).
+//! Plain wall-clock timing for the perf suite.
 
 use std::time::Instant;
 
-/// One timed benchmark result.
-#[derive(Clone, Debug)]
-pub struct Sample {
-    /// Benchmark name.
-    pub name: String,
-    /// Iterations measured (after one warm-up iteration).
-    pub iters: u32,
-    /// Mean wall-clock per iteration, milliseconds.
-    pub mean_ms: f64,
-    /// Fastest iteration, milliseconds.
-    pub min_ms: f64,
-}
-
-/// Times `f` over `iters` iterations (plus one untimed warm-up) and prints
-/// a one-line report.
-pub fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) -> Sample {
-    assert!(iters > 0, "need at least one iteration");
-    f(); // warm-up: touch caches, fault in code pages
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        min = min.min(ms);
-    }
-    let sample = Sample {
-        name: name.to_string(),
-        iters,
-        mean_ms: total / iters as f64,
-        min_ms: min,
-    };
-    println!(
-        "{:<40} {:>10.3} ms/iter (min {:>10.3} ms, {} iters)",
-        sample.name, sample.mean_ms, sample.min_ms, sample.iters
-    );
-    sample
-}
-
 /// Times one run of `f`, returning (result, wall-clock milliseconds).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
+fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Times `runs` runs of `f`, returning the last result and the fastest
-/// wall-clock (milliseconds). The minimum is the standard noise-robust
-/// statistic on shared/virtualized machines, where the mean absorbs
-/// scheduler interference.
+/// Times `runs` runs of `f` (at least one), returning the last result and
+/// the fastest wall-clock (milliseconds). The minimum is the standard
+/// noise-robust statistic on shared/virtualized machines, where the mean
+/// absorbs scheduler interference.
 pub fn time_best<T>(runs: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(runs > 0, "need at least one run");
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..runs {
+    let (mut out, mut best) = time_once(&mut f);
+    for _ in 1..runs {
         let (v, ms) = time_once(&mut f);
         best = best.min(ms);
-        out = Some(v);
+        out = v;
     }
-    (out.unwrap(), best)
+    (out, best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_reports_positive_times() {
-        let s = bench("busy_loop", 3, || {
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            std::hint::black_box(acc);
-        });
-        assert!(s.mean_ms >= s.min_ms);
-        assert!(s.min_ms >= 0.0);
-        assert_eq!(s.iters, 3);
-    }
 
     #[test]
     fn time_once_returns_result() {

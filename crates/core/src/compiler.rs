@@ -141,7 +141,9 @@ mod tests {
             let compiled = Compiler::new(&device, &cal, mode).compile(&c).unwrap();
             let exec = PulseExecutor::noiseless(&device);
             let mut rng = seeded(9);
-            let out = exec.run(&compiled.program, &mut rng);
+            let out = exec
+                .try_run(&compiled.program, &mut rng)
+                .expect("program runs");
             let h = hellinger(&ideal, &out.probabilities);
             assert!(h < 0.08, "{mode:?}: Hellinger {h}");
         }

@@ -26,6 +26,13 @@ pub enum LowerError {
     UnsupportedGate(String),
     /// A two-qubit gate addressed a pair with no CR coupling.
     UncoupledPair(u32, u32),
+    /// The circuit's register is wider than the device.
+    RegisterWidth {
+        /// Qubits the circuit declares.
+        circuit: u32,
+        /// Qubits the device has.
+        device: usize,
+    },
     /// The lowered schedule failed static verification (`pulse::verify`).
     /// Carries every finding; the lowering that produced them is a
     /// compiler bug, not a user error.
@@ -43,6 +50,9 @@ impl std::fmt::Display for LowerError {
             }
             LowerError::UncoupledPair(a, b) => {
                 write!(f, "qubits {a} and {b} are not coupled on this device")
+            }
+            LowerError::RegisterWidth { circuit, device } => {
+                write!(f, "{circuit}-qubit circuit on a {device}-qubit device")
             }
             LowerError::InvalidSchedule(findings) => {
                 write!(
@@ -92,13 +102,18 @@ impl<'a> Lowering<'a> {
     /// Lowers a basis-gate circuit into an executable pulse program.
     ///
     /// Accepted gates: `Rz`, `U3` (standard two-pulse form), `DirectX`,
-    /// `DirectRx`, `Cnot`, `Cr`. Anything else is a [`LowerError`].
+    /// `DirectRx`, `Cnot`, `Cr`. Anything else, or a circuit wider than
+    /// the device, is a [`LowerError`].
     ///
     /// Every distinct pulse is rendered once per call and shared by
     /// reference afterwards (see `RenderMemo`); only the frame rotation
     /// baked into each single-qubit pulse is computed per gate.
     pub fn lower(&self, circuit: &Circuit) -> Result<LoweredProgram, LowerError> {
         let n = circuit.num_qubits();
+        let device = self.device.num_qubits();
+        if n as usize > device {
+            return Err(LowerError::RegisterWidth { circuit: n, device });
+        }
         let mut frames = vec![0.0_f64; n as usize];
         let mut blocks: Vec<Block> = Vec::new();
         let mut memo = RenderMemo::new(n as usize);
@@ -492,7 +507,7 @@ mod tests {
         let program = lowering.lower(&basis).expect("lowering failed");
         let exec = PulseExecutor::noiseless(&ctx.device);
         let mut rng = seeded(7);
-        let out = exec.run(&program, &mut rng);
+        let out = exec.try_run(&program, &mut rng).expect("program runs");
         (out.probabilities, program)
     }
 
@@ -631,7 +646,7 @@ mod tests {
         // And the distribution is still the open-CNOT's: |00⟩ → |10⟩…
         let exec = PulseExecutor::noiseless(&c2.device);
         let mut rng = seeded(3);
-        let out = exec.run(&cancelled, &mut rng);
+        let out = exec.try_run(&cancelled, &mut rng).expect("program runs");
         // open-CNOT on |00⟩: control 0 is |0⟩ → target flips → index 2.
         assert!(out.probabilities[2] > 0.95, "p = {:?}", out.probabilities);
     }

@@ -196,9 +196,8 @@ impl ExecOutcome {
     }
 
     /// Samples counts with one deterministic RNG stream per shot
-    /// (`seeded(seed ^ shot_index)`). This is the serial reference for
-    /// [`ShotPool::sample_counts`], which produces bit-identical counts at
-    /// any thread count.
+    /// (`seeded(seed ^ shot_index)`), so the counts depend only on
+    /// `(probabilities, seed, shots)`.
     pub fn sample_counts_deterministic(&self, seed: u64, shots: usize) -> Vec<u64> {
         let mut counts = vec![0u64; self.probabilities.len()];
         for shot in 0..shots {
@@ -244,18 +243,6 @@ impl<'a> PulseExecutor<'a> {
     pub fn with_reference_path(mut self) -> Self {
         self.reference = true;
         self
-    }
-
-    /// Runs a lowered program and returns the outcome distribution.
-    ///
-    /// Panics if the program addresses a pair the device topology does
-    /// not couple; use [`PulseExecutor::try_run`] to get the error as a
-    /// value instead.
-    pub fn run(&self, program: &LoweredProgram, rng: &mut impl Rng) -> ExecOutcome {
-        match self.try_run(program, rng) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Runs a lowered program, reporting a register that does not fit the
@@ -698,45 +685,6 @@ impl ShotPool {
     {
         self.map_indices(items.len(), |i| f(i, &items[i]))
     }
-
-    /// Samples `shots` measurement outcomes from `probabilities` using one
-    /// deterministic RNG stream per shot (`seeded(seed ^ shot_index)`), and
-    /// returns the per-outcome counts. Counts are u64 sums of independent
-    /// per-shot draws, so the result is bit-identical at any thread count
-    /// (and to [`ExecOutcome::sample_counts_deterministic`]).
-    pub fn sample_counts(&self, probabilities: &[f64], shots: usize, seed: u64) -> Vec<u64> {
-        // A single categorical draw is tens of nanoseconds; below a few
-        // tens of thousands of shots per worker, thread spawn + join costs
-        // more than the sampling itself (the fig04 suite regressed to
-        // 0.9× when its 10 k-shot jobs were split across 2 threads). Cap
-        // the fan-out so every worker has enough draws to amortize.
-        const MIN_SHOTS_PER_WORKER: usize = 16_384;
-        let bins = probabilities.len();
-        let threads = self
-            .threads
-            .min(shots.max(1))
-            .min((shots / MIN_SHOTS_PER_WORKER).max(1));
-        let chunk = shots.div_ceil(threads.max(1)).max(1);
-        let ranges: Vec<(usize, usize)> = (0..shots)
-            .step_by(chunk)
-            .map(|start| (start, (start + chunk).min(shots)))
-            .collect();
-        let partials = self.map(&ranges, |_, &(start, end)| {
-            let mut counts = vec![0u64; bins];
-            for shot in start..end {
-                let mut rng = quant_math::seeded(seed ^ shot as u64);
-                counts[quant_math::categorical(&mut rng, probabilities)] += 1;
-            }
-            counts
-        });
-        let mut total = vec![0u64; bins];
-        for part in partials {
-            for (t, p) in total.iter_mut().zip(part) {
-                *t += p;
-            }
-        }
-        total
-    }
 }
 
 /// Result of a qutrit schedule execution.
@@ -946,7 +894,7 @@ mod tests {
         };
         let exec = PulseExecutor::noiseless(&device);
         let mut rng = seeded(1);
-        let out = exec.run(&program, &mut rng);
+        let out = exec.try_run(&program, &mut rng).expect("program runs");
         assert!(out.probabilities[1] > 0.999, "p = {:?}", out.probabilities);
     }
 
@@ -961,7 +909,7 @@ mod tests {
             schedule: Schedule::new("x"),
         };
         let exec = PulseExecutor::new(&device);
-        let out = exec.run(&program, &mut rng);
+        let out = exec.try_run(&program, &mut rng).expect("program runs");
         // True state is nearly |1⟩; readout drags ~5 % back to 0.
         assert!(out.true_probabilities[1] > 0.98);
         assert!(out.probabilities[1] < 0.98);
@@ -991,8 +939,14 @@ mod tests {
             schedule: Schedule::new("l"),
         };
         let exec = PulseExecutor::new(&device);
-        let p_short = exec.run(&short, &mut rng).true_probabilities[1];
-        let p_long = exec.run(&long, &mut rng).true_probabilities[1];
+        let p_short = exec
+            .try_run(&short, &mut rng)
+            .expect("program runs")
+            .true_probabilities[1];
+        let p_long = exec
+            .try_run(&long, &mut rng)
+            .expect("program runs")
+            .true_probabilities[1];
         assert!(
             p_long < p_short - 0.1,
             "idle should relax: {p_short} vs {p_long}"
@@ -1040,7 +994,7 @@ mod tests {
             schedule: Schedule::new("bell-ish"),
         };
         let exec = PulseExecutor::noiseless(&device);
-        let out = exec.run(&program, &mut rng);
+        let out = exec.try_run(&program, &mut rng).expect("program runs");
         // |00⟩ → X on q0 → |01⟩(q0=1) → CNOT(0→1) → |11⟩ = index 3.
         assert!(out.probabilities[3] > 0.98, "p = {:?}", out.probabilities);
     }

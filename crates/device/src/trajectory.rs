@@ -51,10 +51,10 @@
 //!
 //! [`TrajectoryExecutor::with_reference_path`] replays the same events one
 //! at a time through the retained skip-scan reference kernels, samples
-//! each channel by trial-applying every branch to a cloned state, and
-//! integrates every two-qubit schedule with the per-sample reference
-//! integrator — the cross-check (and the perfsuite baseline) for the fused
-//! route; it bypasses fusion entirely.
+//! each channel by trial-applying every branch to a cloned state — the
+//! cross-check (and the perfsuite baseline) for the fused route's kernels
+//! and branch sampling; it bypasses fusion entirely. Both routes integrate
+//! pulses with the same integrators.
 
 use crate::device::DeviceModel;
 use crate::executor::{jittered, qubit_block, ExecError, LoweredProgram, ShotPool};
@@ -200,10 +200,9 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 
     /// Routes every state update through the reference (skip-scan)
-    /// state-vector path instead of the fused plan replay, and every
-    /// two-qubit schedule through [`crate::twoqubit::CrPair::integrate_ref`]
-    /// instead of the run-compressed integrator. Slow; used by the
-    /// equivalence tests and as the perfsuite baseline.
+    /// state-vector path instead of the fused plan replay. Pulses are
+    /// integrated as on the fused route. Slow; used by the equivalence
+    /// tests and as the perfsuite baseline.
     pub fn with_reference_path(mut self) -> Self {
         self.reference = true;
         self
@@ -455,8 +454,7 @@ impl<'a> TrajectoryExecutor<'a> {
         qubit_block(&u3x3)
     }
 
-    /// One jittered two-qubit schedule's qubit-space propagator, through
-    /// the per-sample reference integrator on the reference path.
+    /// One jittered two-qubit schedule's qubit-space propagator.
     fn pair_unitary(
         &self,
         control: u32,
@@ -467,13 +465,13 @@ impl<'a> TrajectoryExecutor<'a> {
         rng: &mut impl Rng,
     ) -> CMat {
         let schedule = self.jitter_schedule(schedule, rng);
-        let (c_drive, t_drive) = (Channel::Drive(control), Channel::Drive(target));
-        if self.reference {
-            pair.integrate_ref(&schedule, c_drive, t_drive, channel)
-                .unitary
-        } else {
-            pair.integrate(&schedule, c_drive, t_drive, channel).unitary
-        }
+        pair.integrate(
+            &schedule,
+            Channel::Drive(control),
+            Channel::Drive(target),
+            channel,
+        )
+        .unitary
     }
 
     /// Classical readout error applied to a sampled outcome index.
@@ -695,7 +693,7 @@ mod tests {
         // Density-matrix reference.
         let exec = PulseExecutor::new(&device);
         let mut rng_a = seeded(5);
-        let dm = exec.run(&program, &mut rng_a);
+        let dm = exec.try_run(&program, &mut rng_a).expect("program runs");
         // Trajectory ensemble (fused route).
         let traj = TrajectoryExecutor::new(&device, 96);
         let counts = traj

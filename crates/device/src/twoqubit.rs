@@ -31,7 +31,7 @@
 use crate::params::{CrParams, TransmonParams, DT};
 use quant_math::{
     mul9_blocks_slab_into, mul9_slab_into, unitary_exp9_in_blocks_into, unitary_exp9_into, Blocks9,
-    CMat, PropagatorScratch, C64,
+    CMat, C64,
 };
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::gates;
@@ -182,24 +182,6 @@ impl CrPair {
         raster.result(CMat::from_fn(4, 4, |r, c| slab[4 * QUBIT_LEVELS[r] + c]))
     }
 
-    /// The reference integrator: one exponential and one full 9×9 product
-    /// per sample on heap matrices, with no constant-run compression.
-    /// Bitwise-faithful to the original per-sample loop; kept as the
-    /// baseline of the trajectory executor's reference route and of the
-    /// equivalence tests (compressed runs regroup the floating-point
-    /// products, so [`CrPair::integrate`] agrees only to integrator
-    /// tolerance).
-    pub fn integrate_ref(
-        &self,
-        schedule: &Schedule,
-        control_drive: Channel,
-        target_drive: Channel,
-        cr_channel: Channel,
-    ) -> PairFrameResult {
-        let raster = Raster::new(schedule, [control_drive, target_drive, cr_channel]);
-        raster.result(qubit_block_of(&self.propagate_ref(&raster)))
-    }
-
     /// The drive-free Hamiltonian (anharmonicity of each qutrit plus the
     /// static ZZ), row-major in the 9-dim space.
     fn static_hamiltonian(&self) -> [C64; 81] {
@@ -260,7 +242,7 @@ impl CrPair {
         terms
     }
 
-    /// The fast route: the propagator applied to the 9×4 slab `slab`
+    /// The propagator applied to the 9×4 slab `slab`
     /// ([`QUBIT_COLUMNS`] for the qubit-subspace columns of the
     /// propagator, `slab[4·r + c]` being entry `(r, QUBIT_LEVELS[c])`), on
     /// stack arrays, advancing each constant-drive run with one step. Only
@@ -322,36 +304,6 @@ impl CrPair {
             std::mem::swap(&mut slab, &mut next);
         }
         slab
-    }
-
-    /// The reference route: the full 9×9 propagator, one heap-matrix copy,
-    /// a handful of AXPYs and one Taylor propagator per sample, with no
-    /// heap allocation after warm-up.
-    fn propagate_ref(&self, raster: &Raster) -> CMat {
-        let gens = Generators::build();
-        let mut h_static = CMat::zeros(9, 9);
-        h_static
-            .as_mut_slice()
-            .copy_from_slice(&self.static_hamiltonian());
-        let mut h = CMat::zeros(9, 9);
-        let mut step = CMat::zeros(9, 9);
-        let mut next = CMat::zeros(9, 9);
-        let mut scratch = PropagatorScratch::new(9);
-        let mut u = CMat::identity(9);
-        let [drive_c, drive_t, drive_u] = &raster.drives;
-        for k in 0..raster.total {
-            h.copy_from(&h_static);
-            let coefficients = self.drive_coefficients([drive_c[k], drive_t[k], drive_u[k]]);
-            for (g, coefficient) in coefficients.into_iter().enumerate() {
-                if let Some(coefficient) = coefficient {
-                    h.add_scaled_assign(&gens.drive[g], coefficient);
-                }
-            }
-            scratch.unitary_exp_into(&h, DT, &mut step);
-            step.mul_into(&u, &mut next);
-            std::mem::swap(&mut u, &mut next);
-        }
-        u
     }
 }
 
@@ -464,8 +416,7 @@ impl Generators {
     }
 }
 
-/// [`Generators`] as the fast route reads them, built once per process
-/// from the same heap matrices the reference route uses.
+/// [`Generators`] as the integrator reads them, built once per process.
 struct Tables {
     /// The static ZZ coupling, row-major.
     zz: [C64; 81],
@@ -726,7 +677,7 @@ mod tests {
     use std::f64::consts::FRAC_PI_2;
 
     thread_local! {
-        /// The 3×3 exponentials the fast route has evaluated on this
+        /// The 3×3 exponentials `propagate_slab` has evaluated on this
         /// thread.
         pub(super) static EXPONENTIALS: Cell<usize> = const { Cell::new(0) };
     }
@@ -952,9 +903,9 @@ mod tests {
     fn compressed_integration_matches_per_sample_reference() {
         // The echoed-CR schedule is the worst case the executor feeds the
         // integrator: long flat tops (compressed into single exponentials)
-        // interleaved with Gaussian edges (stepped per sample). Fast and
-        // reference routes must agree to integrator tolerance on every
-        // level the qubit columns reach, not just the qubit block.
+        // interleaved with Gaussian edges (stepped per sample). It must
+        // agree with per-sample integration to integrator tolerance on the
+        // qubit block.
         let p = pair();
         let theta = FRAC_PI_2;
         let gs = cr_pulse(&p, theta / 2.0, 0.3);
@@ -976,41 +927,68 @@ mod tests {
                 &barrier,
             );
         }
-        assert_matches_reference(&p, &s);
+        assert_matches_reference(&p, &s, PAIR_CHANNELS);
     }
 
-    /// Compressed vs per-sample integration of `s`, compared to integrator
-    /// tolerance on the 4×4 qubit block (the fast route no longer computes
-    /// the rows that cannot reach it), and bit for bit with the
-    /// compressed-run oracle that carries the full 9×9 propagator.
-    fn assert_matches_reference(p: &CrPair, s: &Schedule) {
-        let chans = [Channel::Drive(0), Channel::Drive(1), Channel::Control(0)];
-        let (fast, slow) = (
-            p.integrate(s, chans[0], chans[1], chans[2]),
-            p.integrate_ref(s, chans[0], chans[1], chans[2]),
-        );
-        let d = fast.unitary.max_abs_diff(&slow.unitary);
+    /// The `[control drive, target drive, CR tone]` channels of [`pair`].
+    const PAIR_CHANNELS: [Channel; 3] = [Channel::Drive(0), Channel::Drive(1), Channel::Control(0)];
+
+    /// `integrate` on `s` against the per-sample oracle (every sample its
+    /// own run) to integrator tolerance on the 4×4 qubit block (`integrate`
+    /// does not compute the rows that cannot reach it), and bit for bit
+    /// against the compressed-run oracle.
+    fn assert_matches_reference(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
+        let fast = p.integrate(s, chans[0], chans[1], chans[2]);
+        let raster = Raster::new(s, chans);
+        let [c, t, u] = &raster.drives;
+        let per_sample = (0..raster.total).map(|k| ([c[k], t[k], u[k]], 1));
+        let slow = propagate_oracle(p, per_sample, IDENTITY9);
+        let mut d = 0.0f64;
+        for (r, &lr) in QUBIT_LEVELS.iter().enumerate() {
+            for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
+                d = d.max((fast.unitary[(r, c)] - slow[9 * lr + lc]).abs());
+            }
+        }
         assert!(
             d < 1e-9,
             "{}: compressed vs per-sample diff = {d:e}",
             s.name()
         );
-        assert_eq!(fast.duration, slow.duration);
-        assert_eq!(fast.control_frame, slow.control_frame);
-        assert_eq!(fast.target_frame, slow.target_frame);
         assert_bit_identical_to_oracle(p, s, chans);
     }
 
-    /// The oracle route: the same constant-drive runs applied to `u`, but
-    /// the full 9×9 propagator, the dense generator (every playing term added to every
-    /// entry) and the production 9×9 kernels `unitary_exp9_into` +
-    /// `mul9_into` — no blocks, no slab, no liveness, no zero skip, no
+    const IDENTITY9: [C64; 81] = {
+        let mut u = [C64::ZERO; 81];
+        let mut i = 0;
+        while i < 9 {
+            u[10 * i] = C64::ONE;
+            i += 1;
+        }
+        u
+    };
+
+    /// The runs of `raster` as [`Run::find`] compresses them.
+    fn compressed_runs(raster: &Raster) -> impl Iterator<Item = ([C64; 3], usize)> {
+        Run::find(raster)
+            .0
+            .into_iter()
+            .map(|run| (run.drives, run.len))
+    }
+
+    /// The oracle route: the constant-drive `runs` applied to `u`, with the
+    /// full 9×9 propagator, the dense generator (every playing term added
+    /// to every entry) and the production 9×9 kernels `unitary_exp9_into`
+    /// and `mul9_into` — no blocks, no slab, no liveness, no zero skip, no
     /// memo.
-    fn propagate_oracle(p: &CrPair, raster: &Raster, mut u: [C64; 81]) -> [C64; 81] {
+    fn propagate_oracle(
+        p: &CrPair,
+        runs: impl Iterator<Item = ([C64; 3], usize)>,
+        mut u: [C64; 81],
+    ) -> [C64; 81] {
         let gens = Generators::build();
         let hs = p.static_hamiltonian();
-        for run in Run::find(raster).0 {
-            let coefficients = p.drive_coefficients(run.drives);
+        for (drives, len) in runs {
+            let coefficients = p.drive_coefficients(drives);
             let mut h = hs;
             for (e, z) in h.iter_mut().enumerate() {
                 for (g, coefficient) in coefficients.iter().enumerate() {
@@ -1020,7 +998,7 @@ mod tests {
                 }
             }
             let mut step = [C64::ZERO; 81];
-            unitary_exp9_into(&h, DT * run.len as f64, &mut step);
+            unitary_exp9_into(&h, DT * len as f64, &mut step);
             let mut next = [C64::ZERO; 81];
             mul9_into(&step, &u, &mut next);
             u = next;
@@ -1028,14 +1006,11 @@ mod tests {
         u
     }
 
-    /// `integrate` against [`propagate_oracle`]'s qubit block, bit for bit.
+    /// `integrate` against [`propagate_oracle`]'s qubit block over the
+    /// compressed runs, bit for bit.
     fn assert_bit_identical_to_oracle(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
         let fast = p.integrate(s, chans[0], chans[1], chans[2]);
-        let mut identity = [C64::ZERO; 81];
-        for i in 0..9 {
-            identity[10 * i] = C64::ONE;
-        }
-        let oracle = propagate_oracle(p, &Raster::new(s, chans), identity);
+        let oracle = propagate_oracle(p, compressed_runs(&Raster::new(s, chans)), IDENTITY9);
         for (r, &lr) in QUBIT_LEVELS.iter().enumerate() {
             for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
                 let (got, want) = (fast.unitary[(r, c)], oracle[9 * lr + lc]);
@@ -1078,7 +1053,7 @@ mod tests {
     fn calibrated_schedules_are_bit_identical_to_the_9x9_oracle() {
         for seed in 1..=4 {
             let (pair, s, chans) = jittered_cx(seed);
-            assert_bit_identical_to_oracle(&pair, &s, chans);
+            assert_matches_reference(&pair, &s, chans);
         }
         let (device, cal) = calibrated();
         let (pair, _, chans) = jittered_cx(0);
@@ -1119,7 +1094,7 @@ mod tests {
                 }
                 let slab = std::array::from_fn(|i| u[9 * (i / 4) + QUBIT_LEVELS[i % 4]]);
                 let fast = p.propagate_slab(&raster, slab);
-                let oracle = propagate_oracle(p, &raster, u);
+                let oracle = propagate_oracle(p, compressed_runs(&raster), u);
                 for &r in &QUBIT_LEVELS {
                     for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
                         let (got, want) = (fast[4 * r + c], oracle[9 * r + lc]);
@@ -1167,7 +1142,7 @@ mod tests {
         play(&mut control_only, x_pulse(&p.control), Channel::Drive(0));
         let empty = Schedule::new("empty");
         for s in [target_first, cr_only, control_only, empty] {
-            assert_matches_reference(&p, &s);
+            assert_matches_reference(&p, &s, PAIR_CHANNELS);
         }
     }
 
@@ -1183,7 +1158,7 @@ mod tests {
         play_at(&mut s, 40, x_pulse(&p.target), Channel::Drive(1));
         play_at(&mut s, 120, x_pulse(&p.control), Channel::Drive(0));
         assert!(gs.duration > 280, "CR pulse must cover both drives");
-        assert_matches_reference(&p, &s);
+        assert_matches_reference(&p, &s, PAIR_CHANNELS);
     }
 
     #[test]
@@ -1202,7 +1177,7 @@ mod tests {
             tone.waveform("tone").scaled(-1.0),
             Channel::Drive(1),
         );
-        assert_matches_reference(&p, &s);
+        assert_matches_reference(&p, &s, PAIR_CHANNELS);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `stream_seed(root, index)` RNG stream per trajectory means the returned
 //! counts depend only on `(program, shots, root)` — **never** on the
 //! thread count, and not on whether the fused fast path or the
-//! retained reference path (skip-scan state-vector kernels, per-sample
-//! pulse integration, clone-per-branch channel sampling) did the work.
+//! retained reference path (skip-scan state-vector kernels,
+//! clone-per-branch channel sampling) did the work.
 //! These tests pin that down so a kernel or scheduler change cannot
 //! silently reorder randomness, and check the ensemble still converges to
 //! the exact density-matrix distribution.
@@ -74,10 +74,9 @@ fn counts_identical_across_thread_counts() {
 
 #[test]
 fn kernel_path_reproduces_reference_counts_bit_identically() {
-    // The fast path reassociates float arithmetic three ways — fused
-    // block kernels, branch weighing against a reduced density,
-    // run-compressed 9×9 integration — so amplitudes may differ from the
-    // reference route at the ulp level.
+    // The fast path reassociates float arithmetic two ways — fused
+    // block kernels and branch weighing against a reduced density — so
+    // amplitudes may differ from the reference route at the ulp level.
     // But every stochastic draw consumes the same RNG stream in the same
     // order, so at a fixed root the sampled counts must be bit-identical
     // (an outcome flip would need a uniform draw within ~1e-12 of a
@@ -205,7 +204,9 @@ fn ensemble_converges_to_density_matrix_distribution() {
     let device = DeviceModel::almaden_like(3, &mut rng);
     let program = line_program(&device, 3);
 
-    let dm = PulseExecutor::new(&device).run(&program, &mut seeded(5));
+    let dm = PulseExecutor::new(&device)
+        .try_run(&program, &mut seeded(5))
+        .expect("program runs");
     let traj = TrajectoryExecutor::new(&device, 128);
     let counts = traj
         .try_run_pooled(&program, 64_000, seeded(6).gen(), &ShotPool::from_env())

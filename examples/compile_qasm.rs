@@ -33,8 +33,8 @@ rx(pi/4) q[1];
 rx(pi/4) q[2];
 "#;
 
-fn main() {
-    let circuit = qasm::parse(PROGRAM).expect("valid program");
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let circuit = qasm::parse(PROGRAM)?;
     println!("parsed {} operations from QASM\n", circuit.len());
 
     let mut rng = seeded(2718);
@@ -42,9 +42,7 @@ fn main() {
     let calibration = calibrate(&device, &mut rng);
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode)
-            .compile(&circuit)
-            .expect("compile");
+        let compiled = Compiler::new(&device, &calibration, mode).compile(&circuit)?;
         println!("==== {mode:?} ====");
         println!(
             "assembly after passes ({} ops, {} ZZ detected):",
@@ -59,8 +57,9 @@ fn main() {
             compiled.duration() as f64 * DT * 1e6
         );
         let exec = PulseExecutor::new(&device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let out = exec.try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, 4000);
         println!("counts (4000 shots): {counts:?}\n");
     }
+    Ok(())
 }

@@ -17,7 +17,7 @@ use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor};
 use openpulse_repro::math::seeded;
 use openpulse_repro::sim::StateVector;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = molecules::water();
     let h = &m.hamiltonian;
     let z0 = PauliString::parse(1.0, "ZI");
@@ -58,11 +58,9 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let compiled = Compiler::new(&device, &calibration, mode)
-                .compile(&circuit)
-                .expect("compile");
+            let compiled = Compiler::new(&device, &calibration, mode).compile(&circuit)?;
             let exec = PulseExecutor::new(&device);
-            let out = exec.run(&compiled.program, &mut rng);
+            let out = exec.try_run(&compiled.program, &mut rng)?;
             // ⟨Z0⟩ from the (Z-basis) outcome distribution.
             measured[i] = z0.expectation_from_distribution(&out.probabilities);
         }
@@ -73,4 +71,5 @@ fn main() {
     }
     println!("\nBoth flows decay towards ⟨Z0⟩ = 0 as circuits lengthen; the optimized");
     println!("flow stays closer to the Trotter curve at every time point.");
+    Ok(())
 }

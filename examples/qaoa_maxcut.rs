@@ -14,7 +14,7 @@ use openpulse_repro::compiler::{CompileMode, Compiler};
 use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor, DT};
 use openpulse_repro::math::seeded;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = LineGraph::new(5);
     let ((gamma, beta), ideal_cut) = g.solve_p1();
     println!("QAOA p=1 MAXCUT on the 5-vertex line graph");
@@ -36,11 +36,9 @@ fn main() {
     let calibration = calibrate(&device, &mut rng);
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode)
-            .compile(&circuit)
-            .expect("compile");
+        let compiled = Compiler::new(&device, &calibration, mode).compile(&circuit)?;
         let exec = PulseExecutor::new(&device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let out = exec.try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, 8000);
         let total: u64 = counts.iter().sum();
         let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
@@ -52,4 +50,5 @@ fn main() {
             compiled.duration() as f64 * DT * 1e6,
         );
     }
+    Ok(())
 }

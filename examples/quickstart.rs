@@ -12,7 +12,7 @@ use openpulse_repro::compiler::{CompileMode, Compiler};
 use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor};
 use openpulse_repro::math::seeded;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A simulated 2-qubit Almaden-like device, freshly calibrated (the
     //    Rabi / DRAG / CR tune-ups run against the simulated physics).
     let mut rng = seeded(7);
@@ -30,9 +30,7 @@ fn main() {
     println!("program:\n{bell}\n");
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode)
-            .compile(&bell)
-            .expect("compile");
+        let compiled = Compiler::new(&device, &calibration, mode).compile(&bell)?;
 
         println!("==== {mode:?} flow ====");
         // 3. ASSEMBLY stage (after transpiler passes).
@@ -50,9 +48,10 @@ fn main() {
 
         // Execute with the full noise model and print the distribution.
         let exec = PulseExecutor::new(&device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let out = exec.try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, 4000);
         println!("measured counts over 4000 shots: {counts:?}");
         println!("(ideal Bell pair: ~2000 each on |00⟩ and |11⟩, ~0 elsewhere)\n");
     }
+    Ok(())
 }

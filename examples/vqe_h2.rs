@@ -21,7 +21,7 @@ fn measure_energy(
     mode: CompileMode,
     shots: usize,
     seed: u64,
-) -> f64 {
+) -> Result<f64, Box<dyn std::error::Error>> {
     let mut rng = seeded(seed);
     let mitigator = Mitigator::from_calibration(
         &[device.readout(0).p1_given_0, device.readout(1).p1_given_0],
@@ -35,21 +35,19 @@ fn measure_energy(
         .sum();
     let mut energy = identity;
     for (term, circuit) in vqe::measurement_circuits(hamiltonian, theta) {
-        let compiled = Compiler::new(device, calibration, mode)
-            .compile(&circuit)
-            .expect("compile");
+        let compiled = Compiler::new(device, calibration, mode).compile(&circuit)?;
         let exec = PulseExecutor::new(device);
-        let out = exec.run(&compiled.program, &mut rng);
+        let out = exec.try_run(&compiled.program, &mut rng)?;
         let counts = out.sample_counts(&mut rng, shots);
         let total: u64 = counts.iter().sum();
         let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
         let mitigated = mitigator.mitigate(&probs);
         energy += term.expectation_from_distribution(&mitigated);
     }
-    energy
+    Ok(energy)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = molecules::h2();
     let exact = m.hamiltonian.ground_energy();
     let solved = vqe::solve(&m.hamiltonian);
@@ -72,7 +70,7 @@ fn main() {
             mode,
             8000,
             77,
-        );
+        )?;
         println!(
             "  {mode:?} flow measured energy: {e:+.6} Ha  (error {:+.2} mHa)",
             1000.0 * (e - exact)
@@ -80,4 +78,5 @@ fn main() {
     }
     println!("\nThe optimized flow's shorter, fewer-pulse ansatz circuit sits closer");
     println!("to the exact energy — the paper's Fig. 12 H2 benchmark in miniature.");
+    Ok(())
 }

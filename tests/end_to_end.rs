@@ -25,7 +25,9 @@ fn pulse_distribution(
     let compiled = Compiler::new(device, cal, mode).compile(circuit).unwrap();
     let exec = PulseExecutor::noiseless(device);
     let mut rng = seeded(1);
-    exec.run(&compiled.program, &mut rng).probabilities
+    exec.try_run(&compiled.program, &mut rng)
+        .expect("program runs")
+        .probabilities
 }
 
 #[test]
@@ -107,7 +109,9 @@ fn noisy_execution_beats_worst_case_on_almaden() {
         .compile(&bell)
         .unwrap();
     let exec = PulseExecutor::new(&device);
-    let out = exec.run(&compiled.program, &mut rng);
+    let out = exec
+        .try_run(&compiled.program, &mut rng)
+        .expect("program runs");
     let p = &out.probabilities;
     assert!(p[0] + p[3] > 0.85, "Bell weight too low: {p:?}");
     assert!((p[0] - p[3]).abs() < 0.15, "Bell asymmetry: {p:?}");
@@ -139,7 +143,9 @@ fn error_reduction_on_noisy_device() {
         {
             let compiled = Compiler::new(&device, &cal, mode).compile(&c).unwrap();
             let exec = PulseExecutor::new(&device);
-            let out = exec.run(&compiled.program, &mut rng);
+            let out = exec
+                .try_run(&compiled.program, &mut rng)
+                .expect("program runs");
             total[m] += hellinger_distance(&ideal, &out.probabilities);
         }
     }
@@ -177,7 +183,9 @@ fn routed_circuit_compiles_and_runs() {
         .expect("compile routed");
     let exec = PulseExecutor::noiseless(&device);
     let mut rng = seeded(8);
-    let out = exec.run(&compiled.program, &mut rng);
+    let out = exec
+        .try_run(&compiled.program, &mut rng)
+        .expect("program runs");
     // Ideal: Bell pair between logical 0 and 2; remap through the layout.
     let ideal = c.output_distribution();
     let mut expect = vec![0.0; 8];
@@ -223,10 +231,13 @@ fn kernel_executor_reproduces_reference_counts_on_fig12_benchmark() {
         .compile(&circuit)
         .unwrap();
 
-    let fast = PulseExecutor::new(&device).run(&compiled.program, &mut seeded(123));
+    let fast = PulseExecutor::new(&device)
+        .try_run(&compiled.program, &mut seeded(123))
+        .expect("program runs");
     let slow = PulseExecutor::new(&device)
         .with_reference_path()
-        .run(&compiled.program, &mut seeded(123));
+        .try_run(&compiled.program, &mut seeded(123))
+        .expect("program runs");
     for (a, b) in fast.probabilities.iter().zip(&slow.probabilities) {
         assert!((a - b).abs() < 1e-12, "kernel drift: {a} vs {b}");
     }
