@@ -55,7 +55,7 @@
 //! without `--addr`, runs them through an in-process service, so the
 //! request path is testable with no socket at all.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::{CompileMode, Compiler, LowerError};
 use quant_circuit::qasm;
 use quant_corpus::{CorpusOptions, PipelineConfig, Tier};
 use quant_device::{calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, DT};
@@ -772,7 +772,9 @@ fn main() {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("opc: {mode:?} compile error: {e}");
-                eprintln!("(two-qubit gates must touch coupled pairs; route first)");
+                if matches!(e, LowerError::UncoupledPair(..)) {
+                    eprintln!("(two-qubit gates must touch coupled pairs; route first)");
+                }
                 std::process::exit(1);
             }
         };

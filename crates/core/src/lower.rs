@@ -11,13 +11,28 @@
 //! With `PulseCancellation` enabled (the paper's Optimization 2), a
 //! `DirectX` on a CNOT/CR control qubit immediately before the block is
 //! absorbed into the block's leading echo X pulse.
+//!
+//! Like the paper's compiler, lowering reads its primitives from the
+//! calibration's `cmd_def` instead of rendering them: the rx90 and rx180
+//! envelopes and both CNOT forms (`cx`, and `cx_cancelled` for an absorbed
+//! X) are rendered once per calibration and played by reference in every
+//! compile. Only a `CR(θ)` block's stretched halves are rendered here, once
+//! per distinct θ in a call.
 
 use quant_circuit::{Circuit, Gate};
 use quant_device::{Block, Calibration, DeviceModel, LoweredProgram};
 use quant_math::C64;
-use quant_pulse::{Channel, Instruction, Schedule, ScheduleFinding, Waveform};
+use quant_pulse::{Channel, CmdKey, Instruction, Schedule, ScheduleFinding, Waveform};
 use std::collections::BTreeMap;
 use std::f64::consts::{FRAC_PI_2, PI, TAU};
+
+/// The longest CR half pulse a `CR(θ)` block may render, in `dt` samples
+/// (2²⁰ samples, ≈ 231 µs and 16 MiB). Lowering checks
+/// `max(1, |θ|/90°)` times the calibrated 45° half's duration — an upper
+/// bound on each stretched half — against it before rendering anything,
+/// so an absurd angle is a [`LowerError::CrTooLong`], not an allocation
+/// that aborts the process. Every corpus program sits far below it.
+pub const MAX_CR_HALF_SAMPLES: u64 = 1 << 20;
 
 /// Errors from lowering.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,6 +48,11 @@ pub enum LowerError {
         /// Qubits the device has.
         device: usize,
     },
+    /// The calibration's `cmd_def` has no pulse for this gate and qubit.
+    Uncalibrated(CmdKey),
+    /// A `CR(θ)` (carried) whose stretched half pulses could exceed
+    /// [`MAX_CR_HALF_SAMPLES`], or a non-finite θ.
+    CrTooLong(f64),
     /// The lowered schedule failed static verification (`pulse::verify`).
     /// Carries every finding; the lowering that produced them is a
     /// compiler bug, not a user error.
@@ -54,6 +74,11 @@ impl std::fmt::Display for LowerError {
             LowerError::RegisterWidth { circuit, device } => {
                 write!(f, "{circuit}-qubit circuit on a {device}-qubit device")
             }
+            LowerError::Uncalibrated(key) => write!(f, "no calibrated `{key}` in the cmd_def"),
+            LowerError::CrTooLong(theta) => write!(
+                f,
+                "CR({theta}) needs CR half pulses longer than {MAX_CR_HALF_SAMPLES} samples"
+            ),
             LowerError::InvalidSchedule(findings) => {
                 write!(
                     f,
@@ -105,9 +130,13 @@ impl<'a> Lowering<'a> {
     /// `DirectRx`, `Cnot`, `Cr`. Anything else, or a circuit wider than
     /// the device, is a [`LowerError`].
     ///
-    /// Every distinct pulse is rendered once per call and shared by
-    /// reference afterwards (see `RenderMemo`); only the frame rotation
-    /// baked into each single-qubit pulse is computed per gate.
+    /// Calibrated pulses come from the calibration's `cmd_def`, rendered
+    /// once per calibration: single-qubit gates scale its rx90/rx180
+    /// buffers by their frame rotation (the one per-gate sample pass), and
+    /// a CNOT clones its `cx` or `cx_cancelled` entry, sharing every
+    /// buffer. A `CR(θ)` block is built once per distinct θ in this call
+    /// (see `RenderMemo`); a θ whose halves could exceed
+    /// [`MAX_CR_HALF_SAMPLES`] is a [`LowerError::CrTooLong`].
     pub fn lower(&self, circuit: &Circuit) -> Result<LoweredProgram, LowerError> {
         let n = circuit.num_qubits();
         let device = self.device.num_qubits();
@@ -116,12 +145,9 @@ impl<'a> Lowering<'a> {
         }
         let mut frames = vec![0.0_f64; n as usize];
         let mut blocks: Vec<Block> = Vec::new();
-        let mut memo = RenderMemo::new(n as usize);
+        let mut memo = RenderMemo::new();
 
-        let ops = circuit.ops();
-        let mut i = 0usize;
-        while i < ops.len() {
-            let op = &ops[i];
+        for op in circuit.ops() {
             match op.gate {
                 Gate::I | Gate::Barrier => {}
                 Gate::Rz(lambda) => {
@@ -129,24 +155,32 @@ impl<'a> Lowering<'a> {
                 }
                 Gate::U3(theta, phi, lambda) => {
                     // Eq. 2 analog: U3 = Rz(φ+π)·Rx90·Rz(θ+π)·Rx90·Rz(λ).
+                    // Each rx90 plays at the current frame, which then
+                    // advances by the pulse's phase-correction wrapper.
                     let q = op.qubits[0];
-                    let mut waveforms = Vec::with_capacity(2);
-                    frames[q as usize] += -lambda;
-                    self.emit_rx90(q, &mut memo, &mut frames, &mut waveforms);
-                    frames[q as usize] += -(theta + PI);
-                    self.emit_rx90(q, &mut memo, &mut frames, &mut waveforms);
-                    frames[q as usize] += -(phi + PI);
+                    let rx90 = self.pulse("rx90", q)?;
+                    let (a, c) = self.calibration.qubit(q).rx90_phase;
+                    let frame = &mut frames[q as usize];
+                    *frame += -lambda;
+                    let first = rx90.scaled_complex(C64::cis(*frame + c));
+                    *frame += a + c;
+                    *frame += -(theta + PI);
+                    let second = rx90.scaled_complex(C64::cis(*frame + c));
+                    *frame += a + c;
+                    *frame += -(phi + PI);
                     blocks.push(Block::Gate1Q {
                         qubit: q,
-                        waveforms,
+                        waveforms: vec![first, second],
                     });
                 }
                 Gate::DirectX => {
                     let q = op.qubits[0];
-                    let cal = self.calibration.qubit(q);
-                    let (a, c) = cal.rx180_phase;
+                    let rx180 = self.pulse("rx180", q)?;
+                    let (a, c) = self.calibration.qubit(q).rx180_phase;
                     let phase = frames[q as usize] + c;
-                    let w = self.rx180(q, &mut memo).scaled_complex(C64::cis(phase));
+                    let w = rx180
+                        .renamed(format!("x_d{q}"))
+                        .scaled_complex(C64::cis(phase));
                     frames[q as usize] += a + c;
                     blocks.push(Block::Gate1Q {
                         qubit: q,
@@ -157,16 +191,14 @@ impl<'a> Lowering<'a> {
                     let q = op.qubits[0];
                     let theta = normalize_angle(theta);
                     if theta.abs() < 1e-12 {
-                        i += 1;
                         continue;
                     }
-                    let cal = self.calibration.qubit(q);
-                    let (a, c) = cal.direct_rx_phase(theta);
+                    let rx180 = self.pulse("rx180", q)?;
+                    let (a, c) = self.calibration.qubit(q).direct_rx_phase(theta);
                     let phase = frames[q as usize] + c;
                     // QubitCalibration::direct_rx_waveform: the rx180 pulse
-                    // scaled by θ/π, from the shared render.
-                    let w = self
-                        .rx180(q, &mut memo)
+                    // scaled by θ/π, from the cmd_def buffer.
+                    let w = rx180
                         .renamed(format!("rx({theta:.3})_d{q}"))
                         .scaled(theta / PI)
                         .scaled_complex(C64::cis(phase));
@@ -180,60 +212,73 @@ impl<'a> Lowering<'a> {
                     let (control, target) = (op.qubits[0], op.qubits[1]);
                     // Optimization 2 peephole: was the previous block a
                     // lone DirectX on this control?
-                    let cancel = self.options.pulse_cancellation
-                        && matches!(op.gate, Gate::Cnot | Gate::Cr(_))
-                        && pop_cancellable_x(&mut blocks, control);
-                    let mut schedule =
+                    let cancel =
+                        self.options.pulse_cancellation && pop_cancellable_x(&mut blocks, control);
+                    let schedule =
                         self.two_qubit_block(&op.gate, control, target, cancel, &mut memo)?;
-                    // Entry frames (before every t = 0 pulse), then harvest
-                    // the block's net frame advance per drive channel: the
-                    // prepended entry phase equals the old tracker value,
-                    // so the net sum *is* the new tracker value.
-                    //
-                    // The *target's* frame must also rotate the CR control
-                    // channel: the CR pulse drives at the target qubit's
-                    // frequency, so its X axis lives in the target's frame
-                    // (Qiskit shifts every channel in the qubit's channel
-                    // group for exactly this reason).
-                    let u_ch = self
-                        .device
-                        .control_channel(control, target)
-                        .ok_or(LowerError::UncoupledPair(control, target))?;
-                    // opclint: allow(float-literal-eq): exact sentinel — skip the frame change only when the accumulated phase is still the 0.0 it was initialized to
-                    if frames[target as usize] != 0.0 {
-                        schedule.prepend(Instruction::ShiftPhase {
-                            phase: frames[target as usize],
-                            channel: u_ch,
-                        });
-                    }
-                    for &q in &[control, target] {
-                        let phase = frames[q as usize];
-                        // opclint: allow(float-literal-eq): exact sentinel — 0.0 means "no frame change accumulated", never a computed near-zero
-                        if phase != 0.0 {
-                            schedule.prepend(Instruction::ShiftPhase {
-                                phase,
-                                channel: Channel::Drive(q),
-                            });
-                        }
-                    }
-                    for &q in &[control, target] {
-                        frames[q as usize] = net_phase(&schedule, Channel::Drive(q));
-                    }
-                    blocks.push(Block::Gate2Q {
-                        control,
-                        target,
-                        schedule,
-                    });
+                    blocks.push(self.enter_block(schedule, control, target, &mut frames)?);
                 }
                 ref other => {
                     return Err(LowerError::UnsupportedGate(other.to_string()));
                 }
             }
-            i += 1;
         }
+        self.finish(n, blocks)
+    }
 
-        // Rebuild the display schedule from the final block list (blocks
-        // may have been popped by the cancellation peephole).
+    /// Places a two-qubit block in the pair's current frames.
+    ///
+    /// Entry frames go before every t = 0 pulse; then the block's net frame
+    /// advance per drive channel is harvested: the prepended entry phase
+    /// equals the old tracker value, so the net sum *is* the new tracker
+    /// value.
+    ///
+    /// The *target's* frame must also rotate the CR control channel: the CR
+    /// pulse drives at the target qubit's frequency, so its X axis lives in
+    /// the target's frame (Qiskit shifts every channel in the qubit's
+    /// channel group for exactly this reason).
+    fn enter_block(
+        &self,
+        mut schedule: Schedule,
+        control: u32,
+        target: u32,
+        frames: &mut [f64],
+    ) -> Result<Block, LowerError> {
+        let u_ch = self
+            .device
+            .control_channel(control, target)
+            .ok_or(LowerError::UncoupledPair(control, target))?;
+        // opclint: allow(float-literal-eq): exact sentinel — skip the frame change only when the accumulated phase is still the 0.0 it was initialized to
+        if frames[target as usize] != 0.0 {
+            schedule.prepend(Instruction::ShiftPhase {
+                phase: frames[target as usize],
+                channel: u_ch,
+            });
+        }
+        for &q in &[control, target] {
+            let phase = frames[q as usize];
+            // opclint: allow(float-literal-eq): exact sentinel — 0.0 means "no frame change accumulated", never a computed near-zero
+            if phase != 0.0 {
+                schedule.prepend(Instruction::ShiftPhase {
+                    phase,
+                    channel: Channel::Drive(q),
+                });
+            }
+        }
+        for &q in &[control, target] {
+            frames[q as usize] = net_phase(&schedule, Channel::Drive(q));
+        }
+        Ok(Block::Gate2Q {
+            control,
+            target,
+            schedule,
+        })
+    }
+
+    /// Wraps the final block list (blocks may have been popped by the
+    /// cancellation peephole) into a program with its display schedule,
+    /// which must pass static verification.
+    fn finish(&self, num_qubits: u32, blocks: Vec<Block>) -> Result<LoweredProgram, LowerError> {
         let mut display = Schedule::new("program");
         for block in &blocks {
             match block {
@@ -299,40 +344,24 @@ impl<'a> Lowering<'a> {
         }
 
         Ok(LoweredProgram {
-            num_qubits: n,
+            num_qubits,
             blocks,
             schedule: display,
         })
     }
 
-    /// Emits one rx90 pulse at the current frame, updating the frame with
-    /// the pulse's phase-correction wrapper.
-    fn emit_rx90(
-        &self,
-        q: u32,
-        memo: &mut RenderMemo,
-        frames: &mut [f64],
-        out: &mut Vec<Waveform>,
-    ) {
-        let cal = self.calibration.qubit(q);
-        let (a, c) = cal.rx90_phase;
-        let phase = frames[q as usize] + c;
-        let base =
-            memo.rx90[q as usize].get_or_insert_with(|| cal.rx90_waveform(format!("rx90_d{q}")));
-        out.push(base.scaled_complex(C64::cis(phase)));
-        frames[q as usize] += a + c;
-    }
-
-    /// The calibrated rx180 pulse of qubit `q` (frame not yet applied),
-    /// rendered on first use in this call.
-    fn rx180<'m>(&self, q: u32, memo: &'m mut RenderMemo) -> &'m Waveform {
-        memo.rx180[q as usize]
-            .get_or_insert_with(|| self.calibration.qubit(q).rx180_waveform(format!("x_d{q}")))
+    /// The calibrated `gate` pulse of qubit `q` (`"rx90"` or `"rx180"`,
+    /// frame not yet applied): the `cmd_def` buffer itself.
+    fn pulse(&self, gate: &str, q: u32) -> Result<&Waveform, LowerError> {
+        self.calibration
+            .cmd_pulse(gate, q)
+            .ok_or_else(|| LowerError::Uncalibrated(CmdKey::new(gate, &[q])))
     }
 
     /// The echoed two-qubit block for a `Cnot` or `Cr(θ)` gate, before its
-    /// entry frames: built on first use in this call, cloned (sharing every
-    /// waveform buffer) after that.
+    /// entry frames. A CNOT is its `cmd_def` entry; a `CR(θ)` block is
+    /// built on first use in this call and cloned (sharing every waveform
+    /// buffer) after that.
     fn two_qubit_block(
         &self,
         gate: &Gate,
@@ -341,93 +370,52 @@ impl<'a> Lowering<'a> {
         cancel: bool,
         memo: &mut RenderMemo,
     ) -> Result<Schedule, LowerError> {
-        // `None` is the CNOT. The key holds the CR angle's exact bits, so
-        // only bit-equal angles share a block.
-        let cr_theta = match *gate {
-            Gate::Cnot => None,
-            Gate::Cr(theta) => Some(theta),
+        let uncoupled = LowerError::UncoupledPair(control, target);
+        let theta = match *gate {
+            Gate::Cnot => {
+                let entry = if cancel { "cx_cancelled" } else { "cx" };
+                return self
+                    .calibration
+                    .cmd_def()
+                    .get(entry, &[control, target])
+                    .cloned()
+                    .ok_or(uncoupled);
+            }
+            Gate::Cr(theta) => theta,
             ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
         };
-        let key = (control, target, cr_theta.map(f64::to_bits), cancel);
-        if let Some(block) = memo.blocks.get(&key) {
+        // The key holds the angle's exact bits, so only bit-equal angles
+        // share a block.
+        let key = (control, target, theta.to_bits(), cancel);
+        if let Some(block) = memo.get(&key) {
             return Ok(block.clone());
         }
-        let block = match cr_theta {
-            None => self.cnot_schedule(control, target, cancel)?,
-            Some(theta) => if cancel {
-                self.calibration
-                    .echoed_cr_schedule_cancelled(self.device, control, target, theta)
-            } else {
-                self.calibration
-                    .echoed_cr_schedule(self.device, control, target, theta)
-            }
-            .ok_or(LowerError::UncoupledPair(control, target))?,
-        };
-        memo.blocks.insert(key, block.clone());
-        Ok(block)
-    }
-
-    /// CNOT = Rz_c(90°)·Rx90_t·CR(−90°): the echoed block plus a target
-    /// rx90 and a virtual Z on the control (already part of the cmd_def
-    /// entry, which we rebuild here so the cancellation variant is
-    /// available).
-    fn cnot_schedule(
-        &self,
-        control: u32,
-        target: u32,
-        cancel_leading_x: bool,
-    ) -> Result<Schedule, LowerError> {
-        let mut s = if cancel_leading_x {
+        let pair = self
+            .calibration
+            .pair(control, target)
+            .ok_or(uncoupled.clone())?;
+        let bound = (theta.abs() / FRAC_PI_2).max(1.0) * pair.cr45.duration as f64;
+        if theta.is_nan() || bound > MAX_CR_HALF_SAMPLES as f64 {
+            return Err(LowerError::CrTooLong(theta));
+        }
+        let block = if cancel {
             self.calibration
-                .echoed_cr_schedule_cancelled(self.device, control, target, -FRAC_PI_2)
+                .echoed_cr_schedule_cancelled(self.device, control, target, theta)
         } else {
             self.calibration
-                .echoed_cr_schedule(self.device, control, target, -FRAC_PI_2)
+                .echoed_cr_schedule(self.device, control, target, theta)
         }
-        .ok_or(LowerError::UncoupledPair(control, target))?;
-        let barrier = [
-            Channel::Drive(control),
-            Channel::Drive(target),
-            self.device
-                .control_channel(control, target)
-                .ok_or(LowerError::UncoupledPair(control, target))?,
-        ];
-        self.calibration.qubit(target).append_rx90(
-            &mut s,
-            Channel::Drive(target),
-            &barrier,
-            &format!("rx90_d{target}"),
-        );
-        // Virtual Rz(90°) on the control.
-        s.append(Instruction::ShiftPhase {
-            phase: -FRAC_PI_2,
-            channel: Channel::Drive(control),
-        });
-        Ok(s.named(format!("cx q{control},q{target}")))
+        .ok_or(uncoupled)?;
+        memo.insert(key, block.clone());
+        Ok(block)
     }
 }
 
-/// Pulses rendered by one [`Lowering::lower`] call. Local to the call, so
-/// nothing outlives it and a recalibration can never see a stale pulse.
-struct RenderMemo {
-    /// Per-qubit rx90 envelope (detuning baked in, no frame).
-    rx90: Vec<Option<Waveform>>,
-    /// Per-qubit rx180 envelope (detuning baked in, no frame).
-    rx180: Vec<Option<Waveform>>,
-    /// Two-qubit blocks keyed by (control, target, CR θ bits or `None`
-    /// for a CNOT, leading X cancelled).
-    blocks: BTreeMap<(u32, u32, Option<u64>, bool), Schedule>,
-}
-
-impl RenderMemo {
-    fn new(num_qubits: usize) -> Self {
-        RenderMemo {
-            rx90: vec![None; num_qubits],
-            rx180: vec![None; num_qubits],
-            blocks: BTreeMap::new(),
-        }
-    }
-}
+/// The `CR(θ)` blocks built by one [`Lowering::lower`] call, keyed by
+/// (control, target, θ bits, leading X cancelled). Local to the call, so
+/// nothing outlives it and a recalibration can never see a stale block;
+/// every other pulse is the calibration's own `cmd_def` buffer.
+type RenderMemo = BTreeMap<(u32, u32, u64, bool), Schedule>;
 
 /// Reduces an angle to `(−π, π]`.
 fn normalize_angle(theta: f64) -> f64 {
@@ -451,14 +439,19 @@ fn net_phase(schedule: &Schedule, channel: Channel) -> f64 {
 }
 
 /// If the last block is a single-waveform `Gate1Q` on `qubit` that is an
-/// X-like pulse (the DirectX form), pop it and return true.
+/// X-like pulse (the DirectX form, named `x_d{qubit}…`), pop it and return
+/// true. The name check allocates nothing.
 fn pop_cancellable_x(blocks: &mut Vec<Block>, qubit: u32) -> bool {
+    let x_on_qubit = |name: &str| {
+        name.strip_prefix("x_d")
+            .and_then(|rest| rest.split(|ch: char| !ch.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse::<u32>().ok())
+            == Some(qubit)
+    };
     let cancellable = matches!(
         blocks.last(),
         Some(Block::Gate1Q { qubit: q, waveforms })
-            if *q == qubit
-                && waveforms.len() == 1
-                && waveforms[0].name().starts_with(&format!("x_d{qubit}"))
+            if *q == qubit && waveforms.len() == 1 && x_on_qubit(waveforms[0].name())
     );
     if cancellable {
         blocks.pop();
@@ -471,6 +464,8 @@ fn pop_cancellable_x(blocks: &mut Vec<Block>, qubit: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::{baseline_optimize, optimize};
+    use crate::routing::{route, CouplingMap};
     use crate::translate::{to_basis, BasisKind};
     use quant_device::{calibrate, PulseExecutor};
     use quant_math::seeded;
@@ -733,5 +728,307 @@ mod tests {
             lowering.lower(&c),
             Err(LowerError::UncoupledPair(0, 2))
         ));
+    }
+
+    /// The per-call render path lowering used before it read `cmd_def`:
+    /// every pulse rendered from the calibrated parameters where it plays,
+    /// and each CNOT rebuilt from a fresh echoed CR block. The bit-identity
+    /// oracle for [`Lowering::lower`].
+    fn lower_oracle(l: &Lowering, circuit: &Circuit) -> Result<LoweredProgram, LowerError> {
+        let mut frames = vec![0.0_f64; circuit.num_qubits() as usize];
+        let mut blocks: Vec<Block> = Vec::new();
+        for op in circuit.ops() {
+            match op.gate {
+                Gate::I | Gate::Barrier => {}
+                Gate::Rz(lambda) => frames[op.qubits[0] as usize] += -lambda,
+                Gate::U3(theta, phi, lambda) => {
+                    let q = op.qubits[0];
+                    let cal = l.calibration.qubit(q);
+                    let (a, c) = cal.rx90_phase;
+                    let mut waveforms = Vec::new();
+                    for advance in [-lambda, -(theta + PI)] {
+                        frames[q as usize] += advance;
+                        let phase = frames[q as usize] + c;
+                        let w = cal.rx90_waveform(format!("rx90_d{q}"));
+                        waveforms.push(w.scaled_complex(C64::cis(phase)));
+                        frames[q as usize] += a + c;
+                    }
+                    frames[q as usize] += -(phi + PI);
+                    blocks.push(Block::Gate1Q {
+                        qubit: q,
+                        waveforms,
+                    });
+                }
+                Gate::DirectX => {
+                    let q = op.qubits[0];
+                    let cal = l.calibration.qubit(q);
+                    let (a, c) = cal.rx180_phase;
+                    let phase = frames[q as usize] + c;
+                    let w = cal.rx180_waveform(format!("x_d{q}"));
+                    frames[q as usize] += a + c;
+                    blocks.push(Block::Gate1Q {
+                        qubit: q,
+                        waveforms: vec![w.scaled_complex(C64::cis(phase))],
+                    });
+                }
+                Gate::DirectRx(theta) => {
+                    let q = op.qubits[0];
+                    let theta = normalize_angle(theta);
+                    if theta.abs() < 1e-12 {
+                        continue;
+                    }
+                    let cal = l.calibration.qubit(q);
+                    let (a, c) = cal.direct_rx_phase(theta);
+                    let phase = frames[q as usize] + c;
+                    let w = cal.direct_rx_waveform(theta, format!("rx({theta:.3})_d{q}"));
+                    frames[q as usize] += a + c;
+                    blocks.push(Block::Gate1Q {
+                        qubit: q,
+                        waveforms: vec![w.scaled_complex(C64::cis(phase))],
+                    });
+                }
+                Gate::Cnot | Gate::Cr(_) => {
+                    let (control, target) = (op.qubits[0], op.qubits[1]);
+                    let cancel = l.options.pulse_cancellation
+                        && matches!(
+                            blocks.last(),
+                            Some(Block::Gate1Q { qubit, waveforms })
+                                if *qubit == control
+                                    && waveforms.len() == 1
+                                    && waveforms[0].name().starts_with(&format!("x_d{control}"))
+                        );
+                    if cancel {
+                        blocks.pop();
+                    }
+                    let schedule = match op.gate {
+                        Gate::Cr(theta) => fresh_echo(l, control, target, theta, cancel),
+                        _ => fresh_cnot(l, control, target, cancel),
+                    }
+                    .ok_or(LowerError::UncoupledPair(control, target))?;
+                    blocks.push(l.enter_block(schedule, control, target, &mut frames)?);
+                }
+                ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
+            }
+        }
+        l.finish(circuit.num_qubits(), blocks)
+    }
+
+    fn fresh_echo(
+        l: &Lowering,
+        control: u32,
+        target: u32,
+        theta: f64,
+        cancel: bool,
+    ) -> Option<Schedule> {
+        if cancel {
+            l.calibration
+                .echoed_cr_schedule_cancelled(l.device, control, target, theta)
+        } else {
+            l.calibration
+                .echoed_cr_schedule(l.device, control, target, theta)
+        }
+    }
+
+    /// CNOT = Rz_c(90°)·Rx90_t·CR(−90°): a fresh echoed block, a fresh
+    /// target rx90 and a virtual Z on the control.
+    fn fresh_cnot(l: &Lowering, control: u32, target: u32, cancel: bool) -> Option<Schedule> {
+        let mut s = fresh_echo(l, control, target, -FRAC_PI_2, cancel)?;
+        let barrier = [
+            Channel::Drive(control),
+            Channel::Drive(target),
+            l.device.control_channel(control, target)?,
+        ];
+        l.calibration.qubit(target).append_rx90(
+            &mut s,
+            Channel::Drive(target),
+            &barrier,
+            &format!("rx90_d{target}"),
+        );
+        s.append(Instruction::ShiftPhase {
+            phase: -FRAC_PI_2,
+            channel: Channel::Drive(control),
+        });
+        Some(s.named(format!("cx q{control},q{target}")))
+    }
+
+    /// Every sample and `ShiftPhase` of a program as raw bits, blocks then
+    /// display schedule (`==` on `f64` cannot tell `-0.0` from `0.0`).
+    fn program_bits(p: &LoweredProgram) -> Vec<u64> {
+        fn schedule_bits(s: &Schedule, out: &mut Vec<u64>) {
+            for ti in s.instructions() {
+                out.push(ti.start);
+                match &ti.instruction {
+                    Instruction::Play { waveform, .. } => waveform_bits(waveform, out),
+                    Instruction::ShiftPhase { phase, .. } => out.push(phase.to_bits()),
+                    other => out.push(other.duration()),
+                }
+            }
+        }
+        fn waveform_bits(w: &Waveform, out: &mut Vec<u64>) {
+            for z in w.samples() {
+                out.extend([z.re.to_bits(), z.im.to_bits()]);
+            }
+        }
+        let mut out = Vec::new();
+        for block in &p.blocks {
+            match block {
+                Block::Gate1Q { waveforms, .. } => {
+                    waveforms.iter().for_each(|w| waveform_bits(w, &mut out))
+                }
+                Block::Gate2Q { schedule, .. } => schedule_bits(schedule, &mut out),
+                Block::Idle { duration, .. } => out.push(*duration),
+            }
+        }
+        schedule_bits(&p.schedule, &mut out);
+        out
+    }
+
+    /// The circuits the cancellation tests above lower: an open CNOT, and
+    /// plain / X-absorbing / plain CNOTs on one pair.
+    fn cancellation_circuits() -> Vec<Circuit> {
+        let mut open = Circuit::new(2);
+        open.push(Gate::OpenCnot, &[0, 1]);
+        let mut mixed = Circuit::new(2);
+        mixed.cnot(0, 1).x(0).cnot(0, 1).cnot(0, 1);
+        vec![open, mixed]
+    }
+
+    #[test]
+    fn cmd_def_lowering_is_bit_identical_to_per_call_renders() {
+        let smoke = quant_corpus::generate(quant_corpus::Tier::Smoke);
+        let mut lowered = 0;
+        for n in [2usize, 3, 5, 10] {
+            for seed in 1..=4 {
+                let mut rng = seeded(seed);
+                let device = DeviceModel::almaden_like(n, &mut rng);
+                let cal = calibrate(&device, &mut rng);
+                let opts = |pulse_cancellation| LowerOptions { pulse_cancellation };
+                // The cmd_def CNOT entries are the fresh renders.
+                let l = Lowering::new(&device, &cal, opts(false));
+                for pair in cal.pairs() {
+                    let (c, t) = (pair.control, pair.target);
+                    for (entry, cancel) in [("cx", false), ("cx_cancelled", true)] {
+                        assert_eq!(
+                            cal.cmd_def().get(entry, &[c, t]),
+                            fresh_cnot(&l, c, t, cancel).as_ref(),
+                            "n={n} seed={seed} {entry} q{c},q{t}"
+                        );
+                    }
+                }
+                // Lowering through cmd_def equals the oracle, bit for bit.
+                let map = CouplingMap::linear(n as u32);
+                let mut cases = Vec::new();
+                for entry in smoke.iter().filter(|e| e.width as usize <= n) {
+                    let routed = route(&entry.circuit, &map).expect("routes").circuit;
+                    cases.push((
+                        to_basis(&baseline_optimize(&routed), BasisKind::Standard),
+                        false,
+                    ));
+                    cases.push((to_basis(&optimize(&routed), BasisKind::Augmented), true));
+                }
+                for c in cancellation_circuits() {
+                    let basis = to_basis(&c, BasisKind::Augmented);
+                    cases.push((basis.clone(), false));
+                    cases.push((basis, true));
+                }
+                for (basis, cancel) in &cases {
+                    let l = Lowering::new(&device, &cal, opts(*cancel));
+                    let got = l.lower(basis).expect("lowers");
+                    let want = lower_oracle(&l, basis).expect("oracle lowers");
+                    assert!(got == want, "n={n} seed={seed}: program differs\n{basis}");
+                    assert_eq!(program_bits(&got), program_bits(&want));
+                    lowered += 1;
+                }
+            }
+        }
+        assert!(lowered > 300, "only {lowered} programs compared");
+    }
+
+    #[test]
+    fn lowered_cnots_play_the_cmd_def_buffers() {
+        let mut rng = seeded(3);
+        let device = DeviceModel::almaden_like(2, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let mut c = Circuit::new(2);
+        c.cnot(0, 1).x(0).cnot(0, 1);
+        let basis = to_basis(&c, BasisKind::Augmented);
+        let program = Lowering::new(
+            &device,
+            &cal,
+            LowerOptions {
+                pulse_cancellation: true,
+            },
+        )
+        .lower(&basis)
+        .unwrap();
+        let plays = |s: &Schedule| -> Vec<Waveform> {
+            s.instructions()
+                .iter()
+                .filter_map(|ti| match &ti.instruction {
+                    Instruction::Play { waveform, .. } => Some(waveform.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let blocks: Vec<&Schedule> = program
+            .blocks
+            .iter()
+            .filter_map(|b| match b {
+                Block::Gate2Q { schedule, .. } => Some(schedule),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(blocks.len(), 2, "the X was absorbed into the second CNOT");
+        for (block, entry) in blocks.into_iter().zip(["cx", "cx_cancelled"]) {
+            let (got, want) = (
+                plays(block),
+                plays(cal.cmd_def().get(entry, &[0, 1]).unwrap()),
+            );
+            // Two CR halves, the echo X pulses and the target rx90.
+            assert_eq!(got.len(), want.len());
+            assert!(got.len() >= 4, "{entry}: {} plays", got.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert!(g.shares_samples(w), "{entry}: {} copied", g.name());
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_cr_is_a_typed_error_not_an_abort() {
+        let c2 = ctx(2);
+        let lowering = Lowering::new(&c2.device, &c2.calibration, LowerOptions::default());
+        for theta in [1e7, -1e7, 1e300, f64::INFINITY, f64::NAN] {
+            let mut c = Circuit::new(2);
+            c.push(Gate::Cr(theta), &[0, 1]);
+            match lowering.lower(&c) {
+                Err(LowerError::CrTooLong(t)) => assert_eq!(t.to_bits(), theta.to_bits()),
+                other => panic!("CR({theta}): expected CrTooLong, got {other:?}"),
+            }
+        }
+        let err = LowerError::CrTooLong(1e7).to_string();
+        assert!(err.contains("1048576 samples"), "{err}");
+        // rzz(100), far beyond any corpus angle, still lowers.
+        let mut c = Circuit::new(2);
+        c.zz(0, 1, 100.0);
+        let program = lowering
+            .lower(&to_basis(&c, BasisKind::Augmented))
+            .expect("rzz(100) lowers");
+        assert!(program.duration() > 90_000, "{} dt", program.duration());
+    }
+
+    #[test]
+    fn cancellation_check_reads_the_qubit_number() {
+        let x_on = |q: u32, name: &str| {
+            let mut blocks = vec![Block::Gate1Q {
+                qubit: q,
+                waveforms: vec![Waveform::new(name, vec![C64::real(0.1)])],
+            }];
+            pop_cancellable_x(&mut blocks, q)
+        };
+        assert!(x_on(1, "x_d1*z"));
+        assert!(x_on(12, "x_d12*z"));
+        assert!(!x_on(1, "x_d12*z"));
+        assert!(!x_on(1, "rx(0.500)_d1*z"));
+        assert!(!x_on(1, "rx90_d1*z"));
     }
 }

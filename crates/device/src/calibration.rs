@@ -9,8 +9,9 @@
 //!
 //! The output is a [`Calibration`] holding the pulse parameters plus a
 //! populated [`CmdDef`] with the backend-reported primitives: `rx90`,
-//! `rx180`, `cx`, and `measure`. The paper's compiler reads these entries
-//! to build its augmented basis gates.
+//! `rx180`, `cx` (and its cancelled-leading-X form `cx_cancelled`), and
+//! `measure`. The paper's compiler reads these entries to build its
+//! augmented basis gates; lowering plays their rendered pulses directly.
 
 use crate::cache::{probe_key, quantize_probe, ProbeCache};
 use crate::device::DeviceModel;
@@ -20,7 +21,7 @@ use crate::snapshot::{snapshot_key, CalStore};
 use crate::transmon::FrameResult;
 use crate::twoqubit::{extract_control_z, extract_zx_angle};
 use quant_math::{fit_cosine, normal, seeded, stream_seed, CMat};
-use quant_pulse::{Channel, CmdDef, CmdKey, Drag, GaussianSquare, Instruction, Schedule};
+use quant_pulse::{Channel, CmdDef, CmdKey, Drag, GaussianSquare, Instruction, Schedule, Waveform};
 use rand::Rng;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI, TAU};
 
@@ -310,6 +311,21 @@ impl Calibration {
         &self.cmd_def
     }
 
+    /// The pulse that the single-qubit `cmd_def` entry `gate` (`"rx90"` or
+    /// `"rx180"`) plays on qubit `q`: the calibrated envelope with its
+    /// detuning baked in and no frame applied. `None` when there is no
+    /// such entry.
+    pub fn cmd_pulse(&self, gate: &str, q: u32) -> Option<&Waveform> {
+        self.cmd_def
+            .get(gate, &[q])?
+            .instructions()
+            .iter()
+            .find_map(|ti| match &ti.instruction {
+                Instruction::Play { waveform, .. } => Some(waveform),
+                _ => None,
+            })
+    }
+
     /// Measurement window in `dt`.
     pub fn measure_duration(&self) -> u64 {
         self.measure_duration
@@ -349,6 +365,8 @@ impl Calibration {
         self.echoed_cr_schedule_inner(device, control, target, theta, true)
     }
 
+    /// The echo X pulses play the control's `rx180` `cmd_def` buffer; only
+    /// the CR halves are rendered.
     fn echoed_cr_schedule_inner(
         &self,
         device: &DeviceModel,
@@ -359,31 +377,40 @@ impl Calibration {
     ) -> Option<Schedule> {
         let pair = self.pair(control, target)?;
         let u_ch = device.control_channel(control, target)?;
+        let xc = self.cmd_pulse("rx180", control)?.renamed("xc");
         Some(echo_schedule(
             self.qubit(control),
             pair,
             u_ch,
             theta,
+            &xc,
+            &cr_halves(pair, theta),
             cancel_leading_x,
         ))
     }
 
-    /// Builds the cmd_def entries (`rx90`, `rx180`, `cx`, `measure`) from
-    /// the calibrated parameters. A snapshot does not store `cmd_def`: it is
-    /// a pure function of the parameters, which round-trip exactly, so it is
-    /// rebuilt on load.
+    /// Builds the cmd_def entries (`rx90`, `rx180`, `cx`, `cx_cancelled`,
+    /// `measure`) from the calibrated parameters. This is the one place a
+    /// calibrated pulse is rendered: lowering plays these buffers for every
+    /// compile against this calibration. Each pair's two CNOT forms — `cx`
+    /// and `cx_cancelled`, which omits the leading echo X (the §5 cross-gate
+    /// cancellation form, implementing `CX·X_c`) — share one buffer per
+    /// pulse: the CR halves, the control's echo X (the `rx180` entry's) and
+    /// the target's rx90 (the `rx90` entry's). A snapshot does not store
+    /// `cmd_def`: it is a pure function of the parameters, which round-trip
+    /// exactly, so it is rebuilt on load.
     pub(crate) fn rebuild_cmd_def(&mut self, device: &DeviceModel) {
-        let mut def = CmdDef::new();
+        self.cmd_def = CmdDef::new();
         for (q, cal) in self.qubits.iter().enumerate() {
             let q = q as u32;
             let ch = Channel::Drive(q);
             let mut s90 = Schedule::new(format!("rx90 q{q}"));
             cal.append_rx90(&mut s90, ch, &[ch], &format!("rx90_d{q}"));
-            def.insert(CmdKey::new("rx90", &[q]), s90);
+            self.cmd_def.insert(CmdKey::new("rx90", &[q]), s90);
 
             let mut s180 = Schedule::new(format!("rx180 q{q}"));
             cal.append_rx180(&mut s180, ch, &[ch], &format!("rx180_d{q}"));
-            def.insert(CmdKey::new("rx180", &[q]), s180);
+            self.cmd_def.insert(CmdKey::new("rx180", &[q]), s180);
 
             let mut meas = Schedule::new(format!("measure q{q}"));
             meas.append(Instruction::Acquire {
@@ -391,33 +418,42 @@ impl Calibration {
                 qubit: q,
                 channel: Channel::Acquire(q),
             });
-            def.insert(CmdKey::new("measure", &[q]), meas);
+            self.cmd_def.insert(CmdKey::new("measure", &[q]), meas);
         }
-        for pair in &self.pairs.clone() {
+        for pair in &self.pairs {
             let (c, t) = (pair.control, pair.target);
+            let (Some(u_ch), Some(xc), Some(rx90)) = (
+                device.control_channel(c, t),
+                self.cmd_pulse("rx180", c).map(|w| w.renamed("xc")),
+                self.cmd_pulse("rx90", t).cloned(),
+            ) else {
+                continue;
+            };
+            let cr = cr_halves(pair, -FRAC_PI_2);
+            let barrier = [Channel::Drive(c), Channel::Drive(t), u_ch];
             // CNOT = Rz_c(90°)·Rx90_t·CR(−90°) up to global phase.
-            let mut s = self
-                .echoed_cr_schedule(device, c, t, -FRAC_PI_2)
-                .expect("pair exists");
-            let barrier = [
-                Channel::Drive(c),
-                Channel::Drive(t),
-                device.control_channel(c, t).unwrap(),
-            ];
-            self.qubits[t as usize].append_rx90(
-                &mut s,
-                Channel::Drive(t),
-                &barrier,
-                &format!("rx90_d{t}"),
-            );
-            // Virtual Rz(90°) on the control: ShiftPhase(−π/2).
-            s.append(Instruction::ShiftPhase {
-                phase: -FRAC_PI_2,
-                channel: Channel::Drive(c),
+            let [plain, cancelled] = [false, true].map(|cancel_leading_x| {
+                let qc = &self.qubits[c as usize];
+                let mut s = echo_schedule(qc, pair, u_ch, -FRAC_PI_2, &xc, &cr, cancel_leading_x);
+                let rx90_phase = self.qubits[t as usize].rx90_phase;
+                append_corrected(
+                    &mut s,
+                    rx90.clone(),
+                    rx90_phase,
+                    Channel::Drive(t),
+                    &barrier,
+                );
+                // Virtual Rz(90°) on the control: ShiftPhase(−π/2).
+                s.append(Instruction::ShiftPhase {
+                    phase: -FRAC_PI_2,
+                    channel: Channel::Drive(c),
+                });
+                s.named(format!("cx q{c},q{t}"))
             });
-            def.insert(CmdKey::new("cx", &[c, t]), s.named(format!("cx q{c},q{t}")));
+            self.cmd_def.insert(CmdKey::new("cx", &[c, t]), plain);
+            self.cmd_def
+                .insert(CmdKey::new("cx_cancelled", &[c, t]), cancelled);
         }
-        self.cmd_def = def;
     }
 }
 
@@ -699,7 +735,9 @@ fn calibrate_pair(
             cr45,
             zi_residual: 0.0,
         };
-        let s = echo_schedule(&qubit_cals[control as usize], &trial, u_ch, theta, false);
+        let qc = &qubit_cals[control as usize];
+        let (xc, cr) = (qc.rx180_waveform("xc"), cr_halves(&trial, theta));
+        let s = echo_schedule(qc, &trial, u_ch, theta, &xc, &cr, false);
         pair.integrate(&s, d_c, d_t, u_ch)
     };
     for _ in 0..2 {
@@ -721,44 +759,50 @@ fn calibrate_pair(
     }
 }
 
-/// The echoed CR block of [`Calibration::echoed_cr_schedule`] for `pair`,
-/// its CR half pulses on `u_ch` and its echo pulses from the control's
-/// calibration `qc`.
+/// The two CR halves of the echoed CR(θ) block for `pair`, in time order:
+/// its calibrated 45° half stretched to `θ`, scaled by `−sign θ`, then
+/// `+sign θ` — U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2. Both scale
+/// one render.
+fn cr_halves(pair: &PairCalibration, theta: f64) -> [Waveform; 2] {
+    let factor = theta.abs() / FRAC_PI_2; // relative to the 90° echo
+    let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
+    let cr_half = pair.cr45.stretched_area(factor).waveform("cr_half");
+    [cr_half.scaled(-sign), cr_half.scaled(sign)]
+}
+
+/// The echoed CR block of [`Calibration::echoed_cr_schedule`] for `pair`:
+/// the control's echo X `xc` (both echo pulses play it, wrapped in its
+/// rx180 phase correction from `qc`) and the [`cr_halves`] `cr` for the
+/// same `theta` on `u_ch`.
 fn echo_schedule(
     qc: &QubitCalibration,
     pair: &PairCalibration,
     u_ch: Channel,
     theta: f64,
+    xc: &Waveform,
+    cr: &[Waveform; 2],
     cancel_leading_x: bool,
 ) -> Schedule {
     let (control, target) = (pair.control, pair.target);
     let d_c = Channel::Drive(control);
     let barrier = [d_c, u_ch, Channel::Drive(target)];
+    let [first, second] = cr;
 
-    let factor = theta.abs() / FRAC_PI_2; // relative to the 90° echo
-    let half = pair.cr45.stretched_area(factor);
-    let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
-
-    // U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2, so the first CR
-    // half (in time) carries −sign and the second +sign.
-    // Render each envelope once; the two echo X pulses share a buffer.
-    let xc = qc.rx180_waveform("xc");
-    let cr_half = half.waveform("cr_half");
     let mut s = Schedule::new(format!("cr({theta:.3}) q{control},q{target}"));
     if !cancel_leading_x {
         append_corrected(&mut s, xc.clone(), qc.rx180_phase, d_c, &barrier);
     }
     s.append_after(
         Instruction::Play {
-            waveform: cr_half.scaled(-sign),
+            waveform: first.clone(),
             channel: u_ch,
         },
         &barrier,
     );
-    append_corrected(&mut s, xc, qc.rx180_phase, d_c, &barrier);
+    append_corrected(&mut s, xc.clone(), qc.rx180_phase, d_c, &barrier);
     s.append_after(
         Instruction::Play {
-            waveform: cr_half.scaled(sign),
+            waveform: second.clone(),
             channel: u_ch,
         },
         &barrier,
@@ -844,6 +888,97 @@ mod tests {
         assert!(def.contains("cx", &[1, 0]));
         assert!(def.contains("cx", &[1, 2]));
         assert!(!def.contains("cx", &[0, 2]));
+    }
+
+    /// Every `Play` of `s` on `channel`, in time order.
+    fn plays(s: &Schedule, channel: Channel) -> Vec<&Waveform> {
+        s.instructions()
+            .iter()
+            .filter_map(|ti| match &ti.instruction {
+                Instruction::Play {
+                    waveform,
+                    channel: ch,
+                } if *ch == channel => Some(waveform),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Each pair's `cx` and `cx_cancelled` entries play one buffer per
+    /// pulse: the CR halves shared between the forms, every echo X the
+    /// control's `rx180` entry and the target rx90 the target's `rx90`.
+    fn assert_cnot_forms_shared(device: &DeviceModel, cal: &Calibration) {
+        let def = cal.cmd_def();
+        assert!(!cal.pairs().is_empty());
+        for pair in cal.pairs() {
+            let (c, t) = (pair.control, pair.target);
+            let u_ch = device.control_channel(c, t).unwrap();
+            let plain = def.get("cx", &[c, t]).unwrap();
+            let cancelled = def.get("cx_cancelled", &[c, t]).unwrap();
+            let (cr, cr_cancelled) = (plays(plain, u_ch), plays(cancelled, u_ch));
+            assert_eq!((cr.len(), cr_cancelled.len()), (2, 2));
+            for (a, b) in cr.iter().zip(&cr_cancelled) {
+                assert!(
+                    a.shares_samples(b),
+                    "q{c},q{t}: CR half {} copied",
+                    a.name()
+                );
+            }
+            let xc = cal.cmd_pulse("rx180", c).unwrap();
+            let (x, x_cancelled) = (
+                plays(plain, Channel::Drive(c)),
+                plays(cancelled, Channel::Drive(c)),
+            );
+            assert_eq!(
+                (x.len(), x_cancelled.len()),
+                (2, 1),
+                "the cancelled form drops one X"
+            );
+            assert!(x.iter().chain(&x_cancelled).all(|w| w.shares_samples(xc)));
+            let rx90 = cal.cmd_pulse("rx90", t).unwrap();
+            for s in [plain, cancelled] {
+                let r = plays(s, Channel::Drive(t));
+                assert!(r.len() == 1 && r[0].shares_samples(rx90));
+            }
+        }
+    }
+
+    #[test]
+    fn cnot_forms_share_every_buffer() {
+        let mut rng = seeded(10);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        assert_cnot_forms_shared(&device, &cal);
+        // The pulse entries are the calibrated envelopes, rendered fresh.
+        for q in 0..3 {
+            let qc = cal.qubit(q);
+            assert_eq!(
+                cal.cmd_pulse("rx90", q),
+                Some(&qc.rx90_waveform(format!("rx90_d{q}")))
+            );
+            assert_eq!(
+                cal.cmd_pulse("rx180", q),
+                Some(&qc.rx180_waveform(format!("rx180_d{q}")))
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_reload_rebuilds_an_equal_shared_cmd_def() {
+        let mut rng = seeded(10);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let dir = std::env::temp_dir().join(format!("opc-cmd-def-{}", std::process::id()));
+        let store = CalStore::at(&dir);
+        store.save(1, &cal);
+        let loaded = store.load(1, &device);
+        let _ = std::fs::remove_dir_all(&dir);
+        let loaded = loaded.expect("snapshot reloads");
+        assert_eq!(loaded, cal);
+        assert_cnot_forms_shared(&device, &loaded);
+        // The reload rendered its own buffers.
+        let (a, b) = (loaded.cmd_pulse("rx180", 0), cal.cmd_pulse("rx180", 0));
+        assert!(!a.unwrap().shares_samples(b.unwrap()));
     }
 
     #[test]

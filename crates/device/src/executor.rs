@@ -105,7 +105,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// One lowered block: a pulse-schedule fragment implementing one gate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Block {
     /// A single-qubit gate: waveforms played back-to-back on the qubit's
     /// drive channel (frames pre-resolved).
@@ -156,7 +156,7 @@ impl Block {
 }
 
 /// A compiled program ready for noisy execution.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoweredProgram {
     /// Number of qubits.
     pub num_qubits: u32,

@@ -71,6 +71,12 @@ impl Waveform {
         }
     }
 
+    /// Whether `other` reads the very same sample buffer (not merely equal
+    /// samples): true for a clone or a [`Waveform::renamed`] of `self`.
+    pub fn shares_samples(&self, other: &Waveform) -> bool {
+        Arc::ptr_eq(&self.samples, &other.samples)
+    }
+
     /// Waveform name (for display and cmd_def bookkeeping).
     pub fn name(&self) -> &str {
         &self.name
@@ -510,5 +516,20 @@ mod tests {
         };
         let w = c.waveform("c");
         assert!((w.area().re - 35.0 * 0.44).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shares_samples_tracks_the_buffer_not_the_values() {
+        let w = Constant {
+            duration: 8,
+            amp: 0.2,
+        }
+        .waveform("c");
+        assert!(w.shares_samples(&w.clone()));
+        assert!(w.shares_samples(&w.renamed("other")));
+        // Equal samples in a fresh buffer are not shared.
+        let copy = w.scaled(1.0);
+        assert_eq!(copy.samples(), w.samples());
+        assert!(!w.shares_samples(&copy));
     }
 }

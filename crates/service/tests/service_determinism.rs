@@ -292,6 +292,32 @@ fn uncoupled_pairs_come_back_as_compile_errors() {
 }
 
 #[test]
+fn oversized_cr_angles_come_back_as_compile_errors() {
+    // rzz(1e7) would need a ~5·10⁹-sample CR pulse: lowering refuses it
+    // before rendering, so the job fails as a value and the service keeps
+    // serving.
+    let svc = service(1);
+    let job = |theta: &str| {
+        let mut job = JobSpec::qasm(
+            DeviceSpec::new(DeviceKind::Almaden, 2, 7),
+            format!("qreg q[2]; rzz({theta}) q[0],q[1];"),
+        );
+        job.mode = CompileMode::Optimized;
+        job.shots = 100;
+        job
+    };
+    let ticket = svc.submit(job("1e7")).expect("submits fine");
+    match ticket.wait() {
+        Err(quant_service::ServiceError::Compile(msg)) => {
+            assert!(msg.contains("samples"), "{msg}");
+        }
+        other => panic!("expected Compile error, got {other:?}"),
+    }
+    let ticket = svc.submit(job("0.5")).expect("submits fine");
+    assert!(ticket.wait().is_ok(), "the service still runs jobs");
+}
+
+#[test]
 fn wire_round_trip_through_in_process_service() {
     // The opc serve/submit path without a socket: request bytes in,
     // response bytes out, exact fidelity bits back.
