@@ -11,26 +11,13 @@
 //! cargo run --release -p repro-bench --bin extra_directx_irb
 //! ```
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_char::{interleaved_gate_fidelity, interleaved_rb_sequence, rb_sequence, RbData};
-use quant_circuit::{Circuit, Gate};
-use quant_corpus::PipelineError;
-use quant_device::PulseExecutor;
+use quant_circuit::Gate;
+use quant_corpus::{run_circuit, PipelineConfig, PipelineError};
+use quant_device::ShotPool;
 use quant_math::seeded;
 use repro_bench::Setup;
-
-fn survival(
-    setup: &Setup,
-    circuit: &Circuit,
-    mode: CompileMode,
-    shots: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> Result<f64, PipelineError> {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
-    let out = PulseExecutor::new(&setup.device).try_run(&compiled.program, rng)?;
-    let counts = out.sample_counts(rng, shots);
-    Ok(counts[0] as f64 / shots as f64)
-}
 
 fn decay(
     setup: &Setup,
@@ -39,17 +26,28 @@ fn decay(
     lengths: &[usize],
     randomizations: usize,
     shots: usize,
+    pool: &ShotPool,
 ) -> Result<f64, PipelineError> {
     let mut survival_means = Vec::new();
     for &k in lengths {
         let mut total = 0.0;
         for r in 0..randomizations {
-            let mut rng = seeded(77_000 + (k * 131 + r) as u64);
+            // One seed per sequence: it draws the Cliffords, then roots the
+            // pipeline's jitter and sampling lanes.
+            let seed = 77_000 + (k * 131 + r) as u64;
+            let mut rng = seeded(seed);
             let c = match interleave {
                 Some(g) => interleaved_rb_sequence(k, g, &mut rng),
                 None => rb_sequence(k, &mut rng),
             };
-            total += survival(setup, &c, mode, shots, &mut rng)?;
+            let config = PipelineConfig {
+                mode,
+                shots,
+                seed,
+                ..PipelineConfig::default()
+            };
+            let run = run_circuit(&setup.device, &setup.calibration, &c, &config, pool)?;
+            total += run.counts[0] as f64 / shots as f64;
         }
         survival_means.push(total / randomizations as f64);
     }
@@ -65,6 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lengths: Vec<usize> = (1..=15).map(|i| 15 * i).collect();
     let randomizations = 5;
     let shots = 4000;
+    let pool = ShotPool::from_env();
 
     println!("Interleaved RB of the X gate: standard (2 pulses) vs DirectX (1 pulse)");
     println!(
@@ -78,8 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("standard", CompileMode::Standard),
         ("optimized", CompileMode::Optimized),
     ] {
-        let f_ref = decay(&setup, mode, None, &lengths, randomizations, shots)?;
-        let f_int = decay(&setup, mode, Some(Gate::X), &lengths, randomizations, shots)?;
+        let f_ref = decay(&setup, mode, None, &lengths, randomizations, shots, &pool)?;
+        let f_int = decay(
+            &setup,
+            mode,
+            Some(Gate::X),
+            &lengths,
+            randomizations,
+            shots,
+            &pool,
+        )?;
         let f_gate = interleaved_gate_fidelity(f_ref, f_int);
         gate_errors.push(1.0 - f_gate);
         println!(

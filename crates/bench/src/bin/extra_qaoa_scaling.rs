@@ -10,14 +10,10 @@
 //! cargo run --release -p repro-bench --bin extra_qaoa_scaling
 //! ```
 
-use pulse_compiler::CompileMode;
 use quant_algos::LineGraph;
-use quant_char::hellinger_distance;
-use quant_corpus::PipelineError;
+use quant_corpus::{PipelineConfig, PipelineError};
 use quant_device::ShotPool;
-use quant_math::seeded;
-use rand::Rng;
-use repro_bench::{run_noisy_trajectory, Setup};
+use repro_bench::{compare_flows, Setup};
 
 fn main() -> Result<(), PipelineError> {
     let trajectories = 32;
@@ -34,29 +30,24 @@ fn main() -> Result<(), PipelineError> {
         let shots = 2000 * (1 << n);
         let g = LineGraph::new(n);
         let circuit = repro_bench::qaoa_line_circuit(n, None);
-        let ideal = circuit.output_distribution();
         let setup = Setup::almaden(n, 5_000 + n as u64);
-        let mut errs = [0.0_f64; 2];
-        let mut opt_cut = 0.0;
-        for (m, mode) in [CompileMode::Standard, CompileMode::Optimized]
-            .into_iter()
-            .enumerate()
-        {
-            let root = seeded(6_000 + (n * 10 + m) as u64).gen::<u64>();
-            let mitigated =
-                run_noisy_trajectory(&setup, &circuit, mode, trajectories, shots, root, &pool)?
-                    .distribution;
-            errs[m] = hellinger_distance(&ideal, &mitigated);
-            if m == 1 {
-                opt_cut = g.expected_cut(&mitigated);
-            }
-        }
+        // `density_max_qubits: 0` sends every width to the trajectory
+        // executor, so the sweep has one executor throughout.
+        let config = PipelineConfig {
+            shots,
+            seed: 6_000 + n as u64,
+            density_max_qubits: 0,
+            trajectories,
+            ..PipelineConfig::default()
+        };
+        let cmp = compare_flows(&setup, &circuit, &config, &pool)?;
+        let opt_cut = g.expected_cut(&cmp.mitigated[1]);
         println!(
             "{:<8} {:>9.2}% {:>9.2}% {:>8.2}x {:>9.2}",
             n,
-            100.0 * errs[0],
-            100.0 * errs[1],
-            errs[0] / errs[1],
+            100.0 * cmp.error_standard,
+            100.0 * cmp.error_optimized,
+            cmp.error_reduction(),
             opt_cut / g.max_cut() as f64
         );
     }

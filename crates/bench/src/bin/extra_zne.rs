@@ -14,12 +14,11 @@
 //! cargo run --release -p repro-bench --bin extra_zne
 //! ```
 
-use pulse_compiler::{CompileMode, Compiler};
 use quant_algos::{group_commuting, molecules, vqe};
 use quant_char::{counts_to_distribution, Mitigator};
-use quant_corpus::PipelineError;
-use quant_device::{Calibration, CalibrationOptions, DeviceModel, PulseExecutor};
-use quant_math::{linear_least_squares, seeded};
+use quant_corpus::{run_circuit, PipelineConfig, PipelineError};
+use quant_device::{Calibration, CalibrationOptions, DeviceModel, ShotPool};
+use quant_math::{linear_least_squares, seeded, stream_seed};
 
 /// Measures ⟨H⟩ with everything stretched by λ.
 fn energy_at_stretch(
@@ -39,8 +38,7 @@ fn energy_at_stretch(
         cr_amp: base.cr_amp / lambda, // slower CR rate → longer flat top
         ..base
     };
-    let mut rng = seeded(seed);
-    let calibration = Calibration::run(device, &opts, &mut rng);
+    let calibration = Calibration::run(device, &opts, &mut seeded(seed));
     // Readout mitigation (λ-independent, as in any real ZNE experiment —
     // extrapolation only removes noise that scales with the stretch).
     let mitigator = Mitigator::from_calibration(
@@ -56,13 +54,16 @@ fn energy_at_stretch(
         .map(|t| t.coeff)
         .sum();
     let mut energy = identity;
-    for group in group_commuting(&h) {
+    for (g, group) in group_commuting(&h).iter().enumerate() {
         let mut c = vqe::ucc_ansatz(theta);
         group.append_measurement_basis(&mut c);
-        let compiled = Compiler::new(device, &calibration, CompileMode::Optimized).compile(&c)?;
-        let out = PulseExecutor::new(device).try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, shots);
-        let probs = mitigator.mitigate(&counts_to_distribution(&counts));
+        let config = PipelineConfig {
+            shots,
+            seed: stream_seed(seed, g as u64),
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(device, &calibration, &c, &config, &ShotPool::from_env())?;
+        let probs = mitigator.mitigate(&counts_to_distribution(&run.counts));
         energy += group.expectation_from_distribution(&probs);
     }
     Ok(energy)

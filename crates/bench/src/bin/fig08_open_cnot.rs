@@ -5,11 +5,10 @@
 //! and nudges success probability from 87.1(9) % to 87.3(9) % over 16 k
 //! shots.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_circuit::{Circuit, Gate};
-use quant_corpus::PipelineError;
-use quant_device::{PulseExecutor, DT};
-use quant_math::seeded;
+use quant_corpus::{run_circuit, PipelineConfig, PipelineError};
+use quant_device::{ShotPool, DT};
 use repro_bench::Setup;
 
 fn main() -> Result<(), PipelineError> {
@@ -22,16 +21,20 @@ fn main() -> Result<(), PipelineError> {
 
     println!("Figure 8 — open-CNOT: standard vs pulse-cancelled ({shots} shots)\n");
     let mut durations = Vec::new();
+    let pool = ShotPool::from_env();
     for (label, mode) in [
         ("standard", CompileMode::Standard),
         ("optimized (X-pulse cancellation)", CompileMode::Optimized),
     ] {
-        let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
-        let mut rng = seeded(9_911);
-        let exec = PulseExecutor::new(&setup.device);
-        let out = exec.try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, shots);
-        let success = counts[target_index] as f64 / shots as f64;
+        let config = PipelineConfig {
+            mode,
+            shots,
+            seed: 9_911,
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(&setup.device, &setup.calibration, &c, &config, &pool)?;
+        let compiled = run.compiled;
+        let success = run.counts[target_index] as f64 / shots as f64;
         let sigma = (success * (1.0 - success) / shots as f64).sqrt();
         durations.push(compiled.duration());
         println!(

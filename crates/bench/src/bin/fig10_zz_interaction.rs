@@ -5,18 +5,16 @@
 //! Paper: mean fidelities 98.4 % (standard) vs 99.0 % (optimized) — a 60 %
 //! error reduction for the single most common two-qubit primitive.
 
-use pulse_compiler::{CompileMode, Compiler};
 use quant_char::hellinger_fidelity;
 use quant_circuit::Circuit;
-use quant_corpus::PipelineError;
-use quant_device::PulseExecutor;
-use quant_math::seeded;
-use repro_bench::Setup;
+use quant_corpus::{PipelineConfig, PipelineError};
+use quant_device::ShotPool;
+use repro_bench::{compare_flows, Setup};
 
 fn main() -> Result<(), PipelineError> {
     let setup = Setup::almaden(2, 1010);
     let shots = 2000;
-    let mut rng = seeded(84_000);
+    let pool = ShotPool::from_env();
 
     println!(
         "Figure 10 — ZZ(θ) state fidelity, standard vs optimized ({} points)\n",
@@ -32,18 +30,15 @@ fn main() -> Result<(), PipelineError> {
         let mut c = Circuit::new(2);
         c.h(0).h(1).zz(0, 1, theta).h(0).h(1);
         let ideal = c.output_distribution();
+        let config = PipelineConfig {
+            shots,
+            seed: 84_000 + i,
+            ..PipelineConfig::default()
+        };
+        let cmp = compare_flows(&setup, &c, &config, &pool)?;
         let mut fids = [0.0; 2];
-        for (m, mode) in [CompileMode::Standard, CompileMode::Optimized]
-            .into_iter()
-            .enumerate()
-        {
-            let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(&c)?;
-            let exec = PulseExecutor::new(&setup.device);
-            let out = exec.try_run(&compiled.program, &mut rng)?;
-            let counts = out.sample_counts(&mut rng, shots);
-            let measured = quant_char::counts_to_distribution(&counts);
-            let mitigated = setup.mitigator(2).mitigate(&measured);
-            fids[m] = hellinger_fidelity(&ideal, &mitigated);
+        for (m, mitigated) in cmp.mitigated.iter().enumerate() {
+            fids[m] = hellinger_fidelity(&ideal, mitigated);
             mean[m] += fids[m] / 21.0;
         }
         println!(

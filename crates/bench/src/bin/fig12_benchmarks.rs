@@ -10,11 +10,9 @@
 
 use quant_algos::{molecules, trotter, vqe, LineGraph};
 use quant_circuit::Circuit;
-use quant_corpus::PipelineError;
+use quant_corpus::{PipelineConfig, PipelineError};
 use quant_device::ShotPool;
-use repro_bench::{
-    compare_flows, compare_flows_trajectory, qaoa_line_circuit, write_json, ExperimentRecord, Setup,
-};
+use repro_bench::{compare_flows, qaoa_line_circuit, write_json, ExperimentRecord, Setup};
 
 fn vqe_benchmark(m: &quant_algos::Molecule) -> Circuit {
     let r = vqe::solve(&m.hamiltonian);
@@ -55,7 +53,12 @@ fn main() -> Result<(), PipelineError> {
     let pool = ShotPool::from_env();
     let comparisons = pool.map(&benchmarks, |i, (_, circuit, n)| {
         let setup = Setup::almaden(*n, 1000 + i as u64);
-        compare_flows(&setup, circuit, shots, 2000 + i as u64)
+        let config = PipelineConfig {
+            shots,
+            seed: 2000 + i as u64,
+            ..PipelineConfig::default()
+        };
+        compare_flows(&setup, circuit, &config, &ShotPool::serial())
     });
     let comparisons = comparisons.into_iter().collect::<Result<Vec<_>, _>>()?;
 
@@ -96,7 +99,13 @@ fn main() -> Result<(), PipelineError> {
     let name = "QAOA-12 MAXCUT (trajectory)";
     let setup = Setup::almaden(12, 1012);
     let circuit = qaoa_line_circuit(12, Some((0.7, 0.42)));
-    let cmp = compare_flows_trajectory(&setup, &circuit, 8, shots, 2012, &pool)?;
+    let config = PipelineConfig {
+        shots,
+        seed: 2012,
+        trajectories: 8,
+        ..PipelineConfig::default()
+    };
+    let cmp = compare_flows(&setup, &circuit, &config, &pool)?;
     records.push(ExperimentRecord {
         name: name.to_string(),
         comparison: cmp.clone(),

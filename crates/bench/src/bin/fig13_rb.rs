@@ -15,7 +15,7 @@ use quant_char::{rb_sequence, RbData};
 use quant_circuit::Circuit;
 use quant_corpus::PipelineError;
 use quant_device::{Block, LoweredProgram, PulseExecutor, ShotPool};
-use quant_math::seeded;
+use quant_math::{seeded, stream_seed};
 use repro_bench::Setup;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -78,11 +78,12 @@ fn main() -> Result<(), PipelineError> {
         let cells = pool.map_indices(lengths.len() * randomizations, |j| {
             let k = lengths[j / randomizations];
             let r = j % randomizations;
-            let mut rng = seeded(5000 + (k * 31 + r) as u64);
+            let seed = 5000 + (k * 31 + r) as u64;
+            let mut rng = seeded(seed);
             let c = rb_sequence(k, &mut rng);
             let program = compile_variant(&setup, &c, variant)?;
             let out = exec.try_run(&program, &mut rng)?;
-            let counts = out.sample_counts(&mut rng, shots);
+            let counts = out.sample_counts_deterministic(stream_seed(seed, 1), shots);
             Ok(counts[0] as f64 / shots as f64)
         });
         let cells = cells

@@ -1,16 +1,18 @@
 //! `opc` — the OpenPulse-optimizing compiler, as a command-line tool.
 //!
-//! Reads an OpenQASM 2.0 program (file argument or stdin), compiles it for
-//! a simulated Almaden-like device in both the standard and optimized
-//! flows, and reports every stage: the transpiled assembly, the basis-gate
-//! program, the pulse schedule (duration, pulse count, ASCII timeline) and
-//! optionally a noisy execution.
+//! Reads an OpenQASM 2.0 program (file argument or stdin), routes and
+//! compiles it for a simulated Almaden-like device in both the standard
+//! and optimized flows (`quant_corpus::compile_circuit`, as `opc compile`
+//! does), and reports every stage: the transpiled assembly, the
+//! basis-gate program, the pulse schedule (duration, pulse count, ASCII
+//! timeline) and optionally a noisy execution
+//! (`quant_corpus::execute_compiled`).
 //!
 //! ```text
 //! opc [FLAGS] [program.qasm]
 //!   --run             execute with the full noise model (4000 shots)
 //!   --shots N         shot count for --run
-//!   --seed N          device/calibration seed (default 7)
+//!   --seed N          device, calibration and execution seed (default 7)
 //!   --standard-only   only the baseline flow
 //!   --optimized-only  only the pulse-optimized flow
 //! ```
@@ -55,10 +57,10 @@
 //! without `--addr`, runs them through an in-process service, so the
 //! request path is testable with no socket at all.
 
-use pulse_compiler::{CompileMode, Compiler, LowerError};
+use pulse_compiler::CompileMode;
 use quant_circuit::qasm;
-use quant_corpus::{CorpusOptions, PipelineConfig, Tier};
-use quant_device::{calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, DT};
+use quant_corpus::{compile_circuit, execute_compiled, CorpusOptions, PipelineConfig, Tier};
+use quant_device::{calibrate, Calibration, DeviceModel, ShotPool, DT};
 use quant_math::{seeded, stream_seed};
 use quant_service::{wire, CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
 use std::collections::BTreeMap;
@@ -767,18 +769,24 @@ fn main() {
     let device = DeviceModel::almaden_like(circuit.num_qubits() as usize, &mut rng);
     let calibration = calibrate(&device, &mut rng);
 
+    let pool = ShotPool::from_env();
     for &mode in &args.modes {
-        let compiled = match Compiler::new(&device, &calibration, mode).compile(&circuit) {
-            Ok(c) => c,
+        let cc = match compile_circuit(&device, &calibration, &circuit, mode) {
+            Ok(cc) => cc,
             Err(e) => {
                 eprintln!("opc: {mode:?} compile error: {e}");
-                if matches!(e, LowerError::UncoupledPair(..)) {
-                    eprintln!("(two-qubit gates must touch coupled pairs; route first)");
-                }
                 std::process::exit(1);
             }
         };
+        let compiled = &cc.compiled;
         println!("\n================ {mode:?} ================");
+        if cc.routed.swaps_inserted > 0 {
+            // Counts below are indexed by physical qubit.
+            println!(
+                "-- routed: {} swaps inserted, final layout (logical → physical) {:?} --",
+                cc.routed.swaps_inserted, cc.routed.final_layout
+            );
+        }
         println!(
             "-- assembly (after passes) --\n{}",
             qasm::print(&compiled.assembly)
@@ -791,14 +799,19 @@ fn main() {
         );
         println!("{}", compiled.program.schedule.ascii_art(72));
         if args.run {
-            let out = match PulseExecutor::new(&device).try_run(&compiled.program, &mut rng) {
-                Ok(out) => out,
+            let config = PipelineConfig {
+                mode,
+                shots: args.shots,
+                seed: args.seed,
+                ..PipelineConfig::default()
+            };
+            let counts = match execute_compiled(&device, &cc, &config, &pool) {
+                Ok((_, counts)) => counts,
                 Err(e) => {
                     eprintln!("opc: {mode:?} execution error: {e}");
                     std::process::exit(1);
                 }
             };
-            let counts = out.sample_counts(&mut rng, args.shots);
             println!("-- execution ({} shots, noisy) --", args.shots);
             for (idx, &c) in counts.iter().enumerate() {
                 if c > 0 {

@@ -53,7 +53,8 @@ use quant_device::{
     ProbeCache, PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
 use quant_math::{
-    normal, seeded, unitary_exp, unitary_exp9_in_blocks_into, Blocks9, CMat, PropagatorScratch, C64,
+    normal, seeded, stream_seed, unitary_exp, unitary_exp9_in_blocks_into, Blocks9, CMat,
+    PropagatorScratch, C64,
 };
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::{channels, gates, DensityMatrix, KernelScratch};
@@ -140,10 +141,11 @@ fn fig13_workload(pool: &ShotPool, shots: usize) -> usize {
         let cells = pool.map_indices(lengths.len() * randomizations, |j| {
             let k = lengths[j / randomizations];
             let r = j % randomizations;
-            let mut rng = seeded(5000 + (k * 31 + r) as u64);
+            let seed = 5000 + (k * 31 + r) as u64;
+            let mut rng = seeded(seed);
             let c = rb_sequence(k, &mut rng);
             let out = compile_and_run(&setup, &exec, &c, mode, &mut rng);
-            out.sample_counts(&mut rng, shots)[0]
+            out.sample_counts_deterministic(stream_seed(seed, 1), shots)[0]
         });
         std::hint::black_box(cells);
     }

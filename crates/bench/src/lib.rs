@@ -3,20 +3,21 @@
 //! Every binary in this crate regenerates one of the paper's tables or
 //! figures (see DESIGN.md §3 for the index). This library provides the
 //! common setup — an Almaden-like device with its daily calibration — and
-//! the standard run path: compile (standard or optimized), execute with
-//! the full noise model, sample shots, mitigate readout, compare to ideal.
-//! A circuit the device cannot run comes back as a [`PipelineError`].
+//! one run function, [`compare_flows`]: both compilation flows of a
+//! circuit through [`quant_corpus::run_circuit`] (route, compile, execute
+//! with the full noise model, sample on the pipeline's seed lanes), then
+//! readout mitigation and a score against the ideal distribution. Readout
+//! mitigation is the harness's own step; everything up to the counts is
+//! the pipeline's. A circuit the device cannot run comes back as a
+//! [`PipelineError`].
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_algos::LineGraph;
 use quant_char::{counts_to_distribution, hellinger_distance, Mitigator};
 use quant_circuit::Circuit;
-use quant_corpus::PipelineError;
-use quant_device::{
-    calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, TrajectoryExecutor,
-};
+use quant_corpus::{run_circuit, PipelineConfig, PipelineError};
+use quant_device::{calibrate, Calibration, DeviceModel, ShotPool};
 use quant_math::seeded;
-use rand::rngs::StdRng;
 use rand::Rng;
 
 pub mod json;
@@ -103,85 +104,6 @@ pub fn qaoa_line_circuit(n: usize, angles: Option<(f64, f64)>) -> Circuit {
     g.qaoa_circuit(&[angles])
 }
 
-/// Builds a mitigator the fully empirical way: prepare each single-qubit
-/// basis state through the compiler (|1⟩ via an X gate), run it on the
-/// noisy executor, and estimate the per-qubit confusion probabilities from
-/// the measured counts — the actual protocol behind the paper's
-/// measurement-error mitigation, SPAM contamination included.
-pub fn measured_mitigator(
-    setup: &Setup,
-    n: usize,
-    cal_shots: usize,
-    rng: &mut StdRng,
-) -> Result<Mitigator, PipelineError> {
-    let exec = PulseExecutor::new(&setup.device);
-    let mut e0 = Vec::with_capacity(n);
-    let mut e1 = Vec::with_capacity(n);
-    for q in 0..n as u32 {
-        // Prepared |0⟩: an empty program.
-        let idle = Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
-            .compile(&Circuit::new(n as u32))?;
-        let out = exec.try_run(&idle.program, rng)?;
-        let counts = out.sample_counts(rng, cal_shots);
-        let ones: u64 = counts
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| (idx >> q) & 1 == 1)
-            .map(|(_, &c)| c)
-            .sum();
-        e0.push((ones as f64 / cal_shots as f64).clamp(1e-4, 0.5));
-
-        // Prepared |1⟩ on qubit q.
-        let mut c = Circuit::new(n as u32);
-        c.x(q);
-        let prep =
-            Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized).compile(&c)?;
-        let out = exec.try_run(&prep.program, rng)?;
-        let counts = out.sample_counts(rng, cal_shots);
-        let zeros: u64 = counts
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| (idx >> q) & 1 == 0)
-            .map(|(_, &c)| c)
-            .sum();
-        e1.push((zeros as f64 / cal_shots as f64).clamp(1e-4, 0.5));
-    }
-    Ok(Mitigator::from_calibration(&e0, &e1))
-}
-
-/// Result of one compiled, noisy, mitigated run.
-pub struct RunResult {
-    /// Mitigated empirical distribution.
-    pub distribution: Vec<f64>,
-    /// Schedule duration in `dt`.
-    pub duration: u64,
-    /// Pulses played.
-    pub pulse_count: usize,
-}
-
-/// Compiles and runs a circuit with the full noise model, sampling `shots`
-/// and applying readout mitigation.
-pub fn run_noisy(
-    setup: &Setup,
-    circuit: &Circuit,
-    mode: CompileMode,
-    shots: usize,
-    rng: &mut StdRng,
-) -> Result<RunResult, PipelineError> {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
-    let out = PulseExecutor::new(&setup.device).try_run(&compiled.program, rng)?;
-    let counts = out.sample_counts(rng, shots);
-    let measured = counts_to_distribution(&counts);
-    let mitigated = setup
-        .mitigator(circuit.num_qubits() as usize)
-        .mitigate(&measured);
-    Ok(RunResult {
-        distribution: mitigated,
-        duration: compiled.duration(),
-        pulse_count: compiled.pulse_count(),
-    })
-}
-
 /// Standard-vs-optimized comparison on one benchmark circuit.
 #[derive(Clone, Debug)]
 pub struct Comparison {
@@ -193,6 +115,8 @@ pub struct Comparison {
     pub duration_standard: u64,
     /// Duration (dt) of the optimized schedule.
     pub duration_optimized: u64,
+    /// The readout-mitigated distributions, standard then optimized.
+    pub mitigated: [Vec<f64>; 2],
 }
 
 impl Comparison {
@@ -207,93 +131,42 @@ impl Comparison {
     }
 }
 
-/// `run_noisy` for registers past the density wall: compiles and runs the
-/// circuit through the stochastic trajectory executor's fused route,
-/// samples `shots` with readout noise, and applies the same mitigation.
-/// The counts depend only on `(program, shots, root)` — never on `pool`.
-pub fn run_noisy_trajectory(
-    setup: &Setup,
-    circuit: &Circuit,
-    mode: CompileMode,
-    trajectories: usize,
-    shots: usize,
-    root: u64,
-    pool: &ShotPool,
-) -> Result<RunResult, PipelineError> {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit)?;
-    let counts = TrajectoryExecutor::new(&setup.device, trajectories).try_run_pooled(
-        &compiled.program,
-        shots,
-        root,
-        pool,
-    )?;
-    let measured = counts_to_distribution(&counts);
-    let mitigated = setup
-        .mitigator(circuit.num_qubits() as usize)
-        .mitigate(&measured);
-    Ok(RunResult {
-        distribution: mitigated,
-        duration: compiled.duration(),
-        pulse_count: compiled.pulse_count(),
-    })
-}
-
-/// Runs a benchmark circuit through both flows and scores each against the
-/// ideal distribution.
+/// Runs `circuit` through the pipeline in both flows, mitigates each
+/// flow's readout with [`Setup::mitigator`] and scores it against the
+/// routed circuit's ideal distribution. Both flows run on `config`'s seed,
+/// shots and executor choice (`config.mode` is ignored): registers wider
+/// than `config.density_max_qubits` run as `config.trajectories`
+/// trajectories.
 pub fn compare_flows(
     setup: &Setup,
     circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> Result<Comparison, PipelineError> {
-    let ideal = circuit.output_distribution();
-    let mut rng = seeded(seed);
-    let std = run_noisy(setup, circuit, CompileMode::Standard, shots, &mut rng)?;
-    let opt = run_noisy(setup, circuit, CompileMode::Optimized, shots, &mut rng)?;
-    Ok(Comparison {
-        error_standard: hellinger_distance(&ideal, &std.distribution),
-        error_optimized: hellinger_distance(&ideal, &opt.distribution),
-        duration_standard: std.duration,
-        duration_optimized: opt.duration,
-    })
-}
-
-/// `compare_flows` for wide registers: both flows run through the
-/// trajectory executor on the same root, so the standard-vs-optimized
-/// comparison reaches the 10–16-qubit linear topologies the exact density
-/// path cannot hold.
-pub fn compare_flows_trajectory(
-    setup: &Setup,
-    circuit: &Circuit,
-    trajectories: usize,
-    shots: usize,
-    root: u64,
+    config: &PipelineConfig,
     pool: &ShotPool,
 ) -> Result<Comparison, PipelineError> {
-    let ideal = circuit.output_distribution();
-    let std = run_noisy_trajectory(
-        setup,
-        circuit,
-        CompileMode::Standard,
-        trajectories,
-        shots,
-        root,
-        pool,
-    )?;
-    let opt = run_noisy_trajectory(
-        setup,
-        circuit,
-        CompileMode::Optimized,
-        trajectories,
-        shots,
-        root.wrapping_add(1),
-        pool,
-    )?;
+    let flow = |mode| {
+        let config = PipelineConfig {
+            mode,
+            ..config.clone()
+        };
+        let run = run_circuit(&setup.device, &setup.calibration, circuit, &config, pool)?;
+        // Routing widens the register to the device's, and so do the counts.
+        let mitigated = setup
+            .mitigator(run.compiled.program.num_qubits as usize)
+            .mitigate(&counts_to_distribution(&run.counts));
+        Ok::<_, PipelineError>((
+            hellinger_distance(&run.ideal, &mitigated),
+            run.duration_dt,
+            mitigated,
+        ))
+    };
+    let (error_standard, duration_standard, standard) = flow(CompileMode::Standard)?;
+    let (error_optimized, duration_optimized, optimized) = flow(CompileMode::Optimized)?;
     Ok(Comparison {
-        error_standard: hellinger_distance(&ideal, &std.distribution),
-        error_optimized: hellinger_distance(&ideal, &opt.distribution),
-        duration_standard: std.duration,
-        duration_optimized: opt.duration,
+        error_standard,
+        error_optimized,
+        duration_standard,
+        duration_optimized,
+        mitigated: [standard, optimized],
     })
 }
 
@@ -373,8 +246,7 @@ pub fn ascii_series(title: &str, xs: &[f64], ys: &[f64], y_range: (f64, f64)) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pulse_compiler::LowerError;
-    use quant_device::ExecError;
+    use pulse_compiler::RouteError;
 
     #[test]
     fn p0_extraction() {
@@ -385,47 +257,31 @@ mod tests {
     }
 
     #[test]
-    fn measured_mitigator_estimates_confusion() {
-        let setup = Setup::almaden(1, 9090);
-        let mut rng = seeded(91);
-        let m = measured_mitigator(&setup, 1, 8000, &mut rng).expect("one-qubit mitigator");
-        // Forward-applying the estimated confusion to a pure |0⟩ should
-        // land near the device's true readout error (plus SPAM).
-        let noisy = m.apply_forward(&[1.0, 0.0]);
-        let truth = setup.device.readout(0).p1_given_0 + setup.device.reset_excited_prob();
-        assert!(
-            (noisy[1] - truth).abs() < 0.02,
-            "estimated {:.4} vs true-ish {truth:.4}",
-            noisy[1]
-        );
-    }
-
-    #[test]
     fn circuits_the_device_cannot_run_are_errors() {
-        // Wider than the device: lowering has no pulses for qubit 2. An
-        // empty register: the executors have nothing to measure.
+        // Wider than the device: routing refuses it. An empty register:
+        // the pipeline has nothing to measure. Both before any execution,
+        // on either executor.
         let setup = Setup::almaden(2, 9191);
         let mut wide = Circuit::new(3);
         wide.x(2);
-        let wide_err = LowerError::RegisterWidth {
-            circuit: 3,
-            device: 2,
-        };
-        let empty_err = ExecError::RegisterWidth {
-            program: 0,
-            device: 2,
+        let wide_err = RouteError::TooWide {
+            logical: 3,
+            physical: 2,
         };
         let cases = [
-            (wide, PipelineError::Lower(wide_err)),
-            (Circuit::new(0), PipelineError::Exec(empty_err)),
+            (wide, PipelineError::Route(wide_err)),
+            (Circuit::new(0), PipelineError::NoQubits),
         ];
         for (circuit, want) in &cases {
-            for mode in [CompileMode::Standard, CompileMode::Optimized] {
-                let density = run_noisy(&setup, circuit, mode, 100, &mut seeded(1));
-                let pool = ShotPool::serial();
-                let trajectory = run_noisy_trajectory(&setup, circuit, mode, 2, 100, 1, &pool);
-                assert_eq!(density.err().as_ref(), Some(want));
-                assert_eq!(trajectory.err().as_ref(), Some(want));
+            for density_max_qubits in [6, 0] {
+                let config = PipelineConfig {
+                    shots: 100,
+                    trajectories: 2,
+                    density_max_qubits,
+                    ..PipelineConfig::default()
+                };
+                let got = compare_flows(&setup, circuit, &config, &ShotPool::serial());
+                assert_eq!(got.err().as_ref(), Some(want));
             }
         }
     }
@@ -437,6 +293,7 @@ mod tests {
             error_optimized: 0.15,
             duration_standard: 2000,
             duration_optimized: 1000,
+            mitigated: Default::default(),
         };
         assert!((c.error_reduction() - 2.0).abs() < 1e-12);
         assert!((c.speedup() - 2.0).abs() < 1e-12);

@@ -1,7 +1,7 @@
 //! An absurd `rzz` angle is a compile error from `opc`, not an abort: the
 //! stretched CR pulse it would need is refused before any sample is
-//! rendered (`LowerError::CrTooLong`), and a large but sane angle still
-//! compiles.
+//! rendered (`LowerError::CrTooLong`, tagged with its pipeline stage),
+//! and a large but sane angle still compiles.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -29,7 +29,7 @@ fn oversized_rzz_is_a_compile_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
-        stderr.contains("Optimized compile error: CR(") && stderr.contains("samples"),
+        stderr.contains("Optimized compile error: lower: CR(") && stderr.contains("samples"),
         "unexpected stderr: {stderr}"
     );
     assert!(

@@ -60,7 +60,7 @@ pub use decompose::{
 pub use kak::{
     is_local, locally_equivalent, makhlin_invariants, two_cnot_synthesizable, weyl_coordinates,
 };
-pub use lower::{LowerError, LowerOptions, Lowering, MAX_CR_HALF_SAMPLES};
+pub use lower::{LowerError, LowerOptions, Lowering};
 pub use passes::{baseline_optimize, optimize, run_pipeline, Pass};
 pub use routing::{route, CouplingMap, RouteError, Routed};
 pub use translate::{to_basis, BasisKind};

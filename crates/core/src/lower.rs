@@ -20,19 +20,13 @@
 //! per distinct θ in a call.
 
 use quant_circuit::{Circuit, Gate};
-use quant_device::{Block, Calibration, DeviceModel, LoweredProgram};
+use quant_device::{
+    Block, Calibration, DeviceModel, EchoError, LoweredProgram, MAX_CR_HALF_SAMPLES,
+};
 use quant_math::C64;
 use quant_pulse::{Channel, CmdKey, Instruction, Schedule, ScheduleFinding, Waveform};
 use std::collections::BTreeMap;
-use std::f64::consts::{FRAC_PI_2, PI, TAU};
-
-/// The longest CR half pulse a `CR(θ)` block may render, in `dt` samples
-/// (2²⁰ samples, ≈ 231 µs and 16 MiB). Lowering checks
-/// `max(1, |θ|/90°)` times the calibrated 45° half's duration — an upper
-/// bound on each stretched half — against it before rendering anything,
-/// so an absurd angle is a [`LowerError::CrTooLong`], not an allocation
-/// that aborts the process. Every corpus program sits far below it.
-pub const MAX_CR_HALF_SAMPLES: u64 = 1 << 20;
+use std::f64::consts::{PI, TAU};
 
 /// Errors from lowering.
 #[derive(Clone, Debug, PartialEq)]
@@ -390,14 +384,6 @@ impl<'a> Lowering<'a> {
         if let Some(block) = memo.get(&key) {
             return Ok(block.clone());
         }
-        let pair = self
-            .calibration
-            .pair(control, target)
-            .ok_or(uncoupled.clone())?;
-        let bound = (theta.abs() / FRAC_PI_2).max(1.0) * pair.cr45.duration as f64;
-        if theta.is_nan() || bound > MAX_CR_HALF_SAMPLES as f64 {
-            return Err(LowerError::CrTooLong(theta));
-        }
         let block = if cancel {
             self.calibration
                 .echoed_cr_schedule_cancelled(self.device, control, target, theta)
@@ -405,7 +391,10 @@ impl<'a> Lowering<'a> {
             self.calibration
                 .echoed_cr_schedule(self.device, control, target, theta)
         }
-        .ok_or(uncoupled)?;
+        .map_err(|e| match e {
+            EchoError::Uncoupled => uncoupled,
+            EchoError::TooLong(theta) => LowerError::CrTooLong(theta),
+        })?;
         memo.insert(key, block.clone());
         Ok(block)
     }
@@ -469,6 +458,7 @@ mod tests {
     use crate::translate::{to_basis, BasisKind};
     use quant_device::{calibrate, PulseExecutor};
     use quant_math::seeded;
+    use std::f64::consts::FRAC_PI_2;
 
     struct Ctx {
         device: DeviceModel,
@@ -827,6 +817,7 @@ mod tests {
             l.calibration
                 .echoed_cr_schedule(l.device, control, target, theta)
         }
+        .ok()
     }
 
     /// CNOT = Rz_c(90°)·Rx90_t·CR(−90°): a fresh echoed block, a fresh

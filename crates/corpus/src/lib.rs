@@ -1,5 +1,5 @@
-//! quant-corpus — the benchmark corpus platform and the one-shot
-//! `opc compile` pipeline under it.
+//! quant-corpus — the benchmark corpus platform and the compile →
+//! execute pipeline under it.
 //!
 //! Three layers:
 //!
@@ -10,8 +10,9 @@
 //! 2. [`pipeline`] — QASM (or a built circuit) → linear-chain routing →
 //!    gate-level or pulse-level compilation (`pulse-compiler`) → density
 //!    or trajectory execution (`quant-device`) → counts + Hellinger
-//!    fidelity. Shared by the `opc compile` CLI, the corpus runner, and
-//!    the service-conformance tests.
+//!    fidelity. The one path from a circuit to counts outside the
+//!    service: `opc compile`, bare `opc`, the corpus runner, the
+//!    experiment harness (`repro-bench`) and the examples all run on it.
 //! 3. [`report`] + [`golden`] — run every corpus circuit under both
 //!    flows ([`report::run_corpus`]), emit the comparative JSON/markdown
 //!    report, and render/diff the bit-exact golden summaries that back

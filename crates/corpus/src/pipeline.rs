@@ -1,19 +1,24 @@
-//! The one-shot `opc compile` pipeline: QASM (or a built circuit) →
+//! The one path from a circuit to counts: QASM (or a built circuit) →
 //! routing → gate/pulse compilation → simulated execution → counts and
 //! fidelity.
 //!
-//! This is the shared spine under the `opc compile` CLI subcommand and the
-//! corpus platform in [`crate::report`]: one function owns the
-//! parse → route → compile → execute → score sequence so the two callers
-//! (and the service frontend, via the conformance tests) cannot drift.
+//! Every caller outside the compile service runs on this spine: `opc
+//! compile` and bare `opc`, the corpus platform in [`crate::report`], the
+//! experiment harness (`repro-bench`'s `compare_flows` and the figure
+//! binaries) and the examples. One function owns the parse → route →
+//! compile → execute → score sequence, so those callers cannot drift.
 //!
 //! Everything is deterministic from `(device, calibration, circuit,
-//! config)`: jitter, sampling, and trajectory roots are derived from the
-//! config seed via [`quant_math::stream_seed`]. Narrow registers go
-//! through [`PulseExecutor::try_run_pooled`] (pulse integration fans out,
-//! jitter and evolution stay in program order) and wide ones through
-//! [`TrajectoryExecutor::try_run_pooled`] with an explicit root, so counts
-//! are bit-identical at any `OPC_THREADS`.
+//! config)`: jitter, sampling, and trajectory roots are lanes 0, 1 and 2
+//! of the config seed via [`quant_math::stream_seed`], and shots are drawn
+//! with [`ExecOutcome::sample_counts_deterministic`], the one shot
+//! sampler. Narrow registers go through [`PulseExecutor::try_run_pooled`]
+//! (pulse integration fans out, jitter and evolution stay in program
+//! order) and wide ones through [`TrajectoryExecutor::try_run_pooled`]
+//! with an explicit root, so counts are bit-identical at any
+//! `OPC_THREADS`.
+//!
+//! [`ExecOutcome::sample_counts_deterministic`]: quant_device::ExecOutcome::sample_counts_deterministic
 
 use pulse_compiler::{route, CompileMode, Compiled, Compiler, CouplingMap, LowerError, RouteError};
 use quant_char::{counts_to_distribution, hellinger_fidelity};
@@ -36,6 +41,8 @@ pub enum PipelineError {
     Exec(ExecError),
     /// The configuration asks for zero shots or zero trajectories.
     Config(&'static str),
+    /// The circuit declares no qubits, so there is nothing to measure.
+    NoQubits,
 }
 
 impl std::fmt::Display for PipelineError {
@@ -46,6 +53,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Lower(e) => write!(f, "lower: {e}"),
             PipelineError::Exec(e) => write!(f, "execute: {e}"),
             PipelineError::Config(msg) => write!(f, "config: {msg}"),
+            PipelineError::NoQubits => write!(f, "circuit has no qubits"),
         }
     }
 }
@@ -173,12 +181,17 @@ pub struct CompiledCircuit {
 
 /// Routes a logical circuit onto the device's linear chain (the
 /// Almaden-like model couples neighbors only) and compiles it to pulses.
+/// A circuit with no qubits is rejected before routing, which would
+/// otherwise widen it to an idle program as wide as the device.
 pub fn compile_circuit(
     device: &DeviceModel,
     calibration: &Calibration,
     circuit: &Circuit,
     mode: CompileMode,
 ) -> Result<CompiledCircuit, PipelineError> {
+    if circuit.num_qubits() == 0 {
+        return Err(PipelineError::NoQubits);
+    }
     let map = CouplingMap::linear(device.num_qubits() as u32);
     let routed = route(circuit, &map)?;
     let compiler = Compiler::new(device, calibration, mode);
@@ -363,6 +376,27 @@ mod tests {
             .expect_err("nothing to sample");
             assert!(matches!(err, PipelineError::Config(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn empty_register_is_rejected_before_routing() {
+        let (device, calibration) = setup(2);
+        let empty = Circuit::new(0);
+        for mode in [CompileMode::Standard, CompileMode::Optimized] {
+            let err = compile_circuit(&device, &calibration, &empty, mode)
+                .expect_err("nothing to measure");
+            assert_eq!(err, PipelineError::NoQubits);
+        }
+        let err = run_circuit(
+            &device,
+            &calibration,
+            &empty,
+            &PipelineConfig::default(),
+            &ShotPool::serial(),
+        )
+        .expect_err("nothing to measure");
+        assert_eq!(err, PipelineError::NoQubits);
+        assert_eq!(err.to_string(), "circuit has no qubits");
     }
 
     #[test]

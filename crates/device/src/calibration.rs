@@ -160,6 +160,25 @@ pub struct PairCalibration {
     pub zi_residual: f64,
 }
 
+/// The longest CR half pulse an echoed `CR(θ)` block may render, in `dt`
+/// samples (2²⁰ samples, ≈ 231 µs and 16 MiB).
+/// [`Calibration::echoed_cr_schedule`] checks `max(1, |θ|/90°)` times the
+/// calibrated 45° half's duration — an upper bound on each stretched half —
+/// against it before rendering anything, so an absurd angle is an
+/// [`EchoError::TooLong`], not an allocation that aborts the process. Every
+/// corpus program sits far below it.
+pub const MAX_CR_HALF_SAMPLES: u64 = 1 << 20;
+
+/// Why [`Calibration::echoed_cr_schedule`] built no block.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EchoError {
+    /// The pair has no CR calibration or no control channel.
+    Uncoupled,
+    /// The stretched halves could exceed [`MAX_CR_HALF_SAMPLES`], or θ is
+    /// NaN. Carries θ.
+    TooLong(f64),
+}
+
 /// The result of a full device calibration.
 ///
 /// Equality is bit-exact over every calibrated parameter (and the derived
@@ -341,13 +360,17 @@ impl Calibration {
     /// each CR half is what exposes the cross-gate cancellation of
     /// Optimization 2: an X gate immediately preceding the block cancels
     /// with the block's leading X pulse.
+    ///
+    /// An angle whose stretched halves could exceed
+    /// [`MAX_CR_HALF_SAMPLES`], or a NaN angle, is an [`EchoError::TooLong`]
+    /// before any sample is rendered.
     pub fn echoed_cr_schedule(
         &self,
         device: &DeviceModel,
         control: u32,
         target: u32,
         theta: f64,
-    ) -> Option<Schedule> {
+    ) -> Result<Schedule, EchoError> {
         self.echoed_cr_schedule_inner(device, control, target, theta, false)
     }
 
@@ -361,7 +384,7 @@ impl Calibration {
         control: u32,
         target: u32,
         theta: f64,
-    ) -> Option<Schedule> {
+    ) -> Result<Schedule, EchoError> {
         self.echoed_cr_schedule_inner(device, control, target, theta, true)
     }
 
@@ -374,11 +397,20 @@ impl Calibration {
         target: u32,
         theta: f64,
         cancel_leading_x: bool,
-    ) -> Option<Schedule> {
-        let pair = self.pair(control, target)?;
-        let u_ch = device.control_channel(control, target)?;
-        let xc = self.cmd_pulse("rx180", control)?.renamed("xc");
-        Some(echo_schedule(
+    ) -> Result<Schedule, EchoError> {
+        let pair = self.pair(control, target).ok_or(EchoError::Uncoupled)?;
+        let u_ch = device
+            .control_channel(control, target)
+            .ok_or(EchoError::Uncoupled)?;
+        let bound = (theta.abs() / FRAC_PI_2).max(1.0) * pair.cr45.duration as f64;
+        if theta.is_nan() || bound > MAX_CR_HALF_SAMPLES as f64 {
+            return Err(EchoError::TooLong(theta));
+        }
+        let xc = self
+            .cmd_pulse("rx180", control)
+            .ok_or(EchoError::Uncoupled)?
+            .renamed("xc");
+        Ok(echo_schedule(
             self.qubit(control),
             pair,
             u_ch,
@@ -1032,6 +1064,31 @@ mod tests {
         };
         assert!(dur(FRAC_PI_4) < dur(FRAC_PI_2));
         assert!(dur(0.2) < dur(FRAC_PI_4));
+    }
+
+    #[test]
+    fn oversized_cr_is_refused_before_rendering() {
+        // θ = 1e7 would stretch each half to ~76 GB of samples.
+        let device = DeviceModel::ideal(2);
+        let cal = calibrate(&device, &mut seeded(13));
+        for theta in [1e7, -1e7, f64::INFINITY, f64::NAN] {
+            for cancelled in [false, true] {
+                let got = if cancelled {
+                    cal.echoed_cr_schedule_cancelled(&device, 0, 1, theta)
+                } else {
+                    cal.echoed_cr_schedule(&device, 0, 1, theta)
+                };
+                match got {
+                    Err(EchoError::TooLong(t)) => assert_eq!(t.to_bits(), theta.to_bits()),
+                    other => panic!("CR({theta}): expected TooLong, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(
+            cal.echoed_cr_schedule(&device, 0, 7, 1e7).err(),
+            Some(EchoError::Uncoupled)
+        );
+        assert!(cal.echoed_cr_schedule(&device, 0, 1, 100.0).is_ok());
     }
 
     /// Angle error and axis tilt of a pulse's noiseless qubit block. The

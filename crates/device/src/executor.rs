@@ -190,14 +190,11 @@ pub struct ExecOutcome {
 }
 
 impl ExecOutcome {
-    /// Samples measurement counts from the post-readout distribution.
-    pub fn sample_counts(&self, rng: &mut impl Rng, shots: usize) -> Vec<u64> {
-        quant_math::sample_counts(rng, &self.probabilities, shots)
-    }
-
-    /// Samples counts with one deterministic RNG stream per shot
-    /// (`seeded(seed ^ shot_index)`), so the counts depend only on
-    /// `(probabilities, seed, shots)`.
+    /// Samples measurement counts from the post-readout distribution, with
+    /// one deterministic RNG stream per shot (`seeded(seed ^ shot_index)`),
+    /// so the counts depend only on `(probabilities, seed, shots)`. This is
+    /// the one way an outcome becomes counts; callers pass a
+    /// [`quant_math::stream_seed`] lane as `seed`.
     pub fn sample_counts_deterministic(&self, seed: u64, shots: usize) -> Vec<u64> {
         let mut counts = vec![0u64; self.probabilities.len()];
         for shot in 0..shots {
@@ -896,6 +893,33 @@ mod tests {
         let mut rng = seeded(1);
         let out = exec.try_run(&program, &mut rng).expect("program runs");
         assert!(out.probabilities[1] > 0.999, "p = {:?}", out.probabilities);
+    }
+
+    #[test]
+    fn deterministic_sampler_sums_to_shots_within_binomial_bound_and_repeats() {
+        let outcome = ExecOutcome {
+            probabilities: vec![0.1, 0.2, 0.0, 0.7],
+            true_probabilities: vec![0.1, 0.2, 0.0, 0.7],
+            duration: 0,
+        };
+        let shots = 20_000;
+        let seed = quant_math::stream_seed(3, 1);
+        let counts = outcome.sample_counts_deterministic(seed, shots);
+        assert_eq!(counts.iter().sum::<u64>(), shots as u64);
+        assert_eq!(counts[2], 0, "a zero-probability outcome is never drawn");
+        // Each count is Binomial(shots, p): its frequency lies within 5σ,
+        // σ = √(p(1−p)/shots), except with probability ~6e-7 per outcome.
+        for (&c, &p) in counts.iter().zip(&outcome.probabilities) {
+            let freq = c as f64 / shots as f64;
+            let bound = 5.0 * (p * (1.0 - p) / shots as f64).sqrt();
+            assert!((freq - p).abs() <= bound, "freq {freq} vs p {p} (±{bound})");
+        }
+        assert_eq!(outcome.sample_counts_deterministic(seed, shots), counts);
+        let other_lane = quant_math::stream_seed(3, 2);
+        assert_ne!(
+            outcome.sample_counts_deterministic(other_lane, shots),
+            counts
+        );
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub use cache::{
     probe_key, quantize_probe, CacheStats, ProbeCache, ProbeKey, PulseCache, PulseKey,
 };
 pub use calibration::{
-    calibrate, Calibration, CalibrationOptions, PairCalibration, QubitCalibration,
+    calibrate, Calibration, CalibrationOptions, EchoError, PairCalibration, QubitCalibration,
+    MAX_CR_HALF_SAMPLES,
 };
 pub use device::{CouplingEdge, DeviceModel};
 pub use executor::{

@@ -57,13 +57,15 @@
 //! pulses with the same integrators.
 
 use crate::device::DeviceModel;
-use crate::executor::{jittered, qubit_block, ExecError, LoweredProgram, ShotPool};
+use crate::executor::{
+    jitter_schedule, jittered, qubit_block, ExecError, LoweredProgram, ShotPool,
+};
 use crate::params::DT;
 use crate::timeline::{timeline, Event};
 use crate::transmon::DriveState;
 use crate::twoqubit::CrPair;
 use quant_math::{seeded, stream_seed, CMat, C64};
-use quant_pulse::{Channel, Instruction, Schedule, Waveform};
+use quant_pulse::{Channel, Schedule, Waveform};
 use quant_sim::fusion::{FusionPlan, OpDesc, Step, MAX_FUSED_WEIGHT};
 use quant_sim::{channels, KernelScratch, StateVector};
 use rand::Rng;
@@ -464,7 +466,7 @@ impl<'a> TrajectoryExecutor<'a> {
         schedule: &Schedule,
         rng: &mut impl Rng,
     ) -> CMat {
-        let schedule = self.jitter_schedule(schedule, rng);
+        let schedule = jitter_schedule(schedule, self.device.pulse_amp_jitter(), rng);
         pair.integrate(
             &schedule,
             Channel::Drive(control),
@@ -486,29 +488,6 @@ impl<'a> TrajectoryExecutor<'a> {
             }
         }
         read
-    }
-
-    /// Returns a copy of a schedule with fresh amplitude jitter on every
-    /// `Play`. Unlike the density executor's, it draws no CR
-    /// calibration-transfer term.
-    fn jitter_schedule(&self, schedule: &Schedule, rng: &mut impl Rng) -> Schedule {
-        let sigma = self.device.pulse_amp_jitter();
-        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
-        if sigma == 0.0 {
-            return schedule.clone();
-        }
-        let mut out = Schedule::new(schedule.name());
-        for ti in schedule.instructions() {
-            let instruction = match &ti.instruction {
-                Instruction::Play { waveform, channel } => Instruction::Play {
-                    waveform: jittered(Cow::Borrowed(waveform), sigma, rng).into_owned(),
-                    channel: *channel,
-                },
-                other => other.clone(),
-            };
-            out.insert(ti.start, instruction);
-        }
-        out
     }
 
     /// The underlying device.
@@ -661,6 +640,39 @@ mod tests {
             assert_eq!(
                 exec.try_run_pooled(&program, shots, 1, &ShotPool::serial()),
                 Err(ExecError::NoTrajectories)
+            );
+        }
+    }
+
+    #[test]
+    fn pair_jitter_is_the_density_executors_including_the_cr_transfer_term() {
+        // One jitter model under both executors: a trajectory's pair block
+        // draws exactly what `executor::jitter_schedule` draws, the 1.5 %
+        // CR calibration-transfer term on the control channel included.
+        let mut rng = seeded(2);
+        let device = DeviceModel::almaden_like(2, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let schedule = cal.cmd_def().get("cx", &[0, 1]).unwrap().clone();
+        let pair = device.pair_exec(0, 1).unwrap();
+        let channel = device.control_channel(0, 1).unwrap();
+        let (mut rng_traj, mut rng_density) = (seeded(9), seeded(9));
+        let got = TrajectoryExecutor::new(&device, 1).pair_unitary(
+            0,
+            1,
+            &pair,
+            channel,
+            &schedule,
+            &mut rng_traj,
+        );
+        let jittered = jitter_schedule(&schedule, device.pulse_amp_jitter(), &mut rng_density);
+        let want = pair
+            .integrate(&jittered, Channel::Drive(0), Channel::Drive(1), channel)
+            .unitary;
+        assert_eq!(rng_traj.gen::<u64>(), rng_density.gen::<u64>());
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (w.re.to_bits(), w.im.to_bits())
             );
         }
     }

@@ -44,4 +44,4 @@ pub use prop::{
     mul9_blocks_slab_into, mul9_into, mul9_slab_into, unitary_exp9_in_blocks_into,
     unitary_exp9_into, Blocks9, PropagatorScratch,
 };
-pub use rng::{categorical, normal, sample_counts, seeded, stream_seed};
+pub use rng::{categorical, normal, seeded, stream_seed};

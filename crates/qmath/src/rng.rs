@@ -64,16 +64,6 @@ pub fn categorical(rng: &mut impl Rng, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// Samples `shots` draws from a probability distribution over outcome
-/// indices, returning outcome counts. `probs` is renormalized defensively.
-pub fn sample_counts(rng: &mut impl Rng, probs: &[f64], shots: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; probs.len()];
-    for _ in 0..shots {
-        counts[categorical(rng, probs)] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +116,6 @@ mod tests {
         assert_eq!(counts[2], 0);
         let ratio = counts[3] as f64 / counts[1] as f64;
         assert!((ratio - 2.0).abs() < 0.1, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn sample_counts_totals() {
-        let mut rng = seeded(3);
-        let counts = sample_counts(&mut rng, &[0.25, 0.75], 10_000);
-        assert_eq!(counts.iter().sum::<u64>(), 10_000);
-        assert!((counts[1] as f64 / 10_000.0 - 0.75).abs() < 0.02);
     }
 
     #[test]

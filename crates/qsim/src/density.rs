@@ -11,7 +11,6 @@
 use crate::kernels::KernelScratch;
 use crate::state::StateVector;
 use quant_math::{CMat, C64};
-use rand::Rng;
 
 /// Debug-build check of the Kraus completeness relation `Σ Kₖ†Kₖ = I`.
 fn debug_assert_kraus_complete(kraus: &[CMat]) {
@@ -265,11 +264,6 @@ impl DensityMatrix {
             -2.0 * r[(0, 1)].im,
             (r[(0, 0)] - r[(1, 1)]).re,
         )
-    }
-
-    /// Samples `shots` measurements in the computational basis.
-    pub fn sample_counts(&self, rng: &mut impl Rng, shots: usize) -> Vec<u64> {
-        quant_math::sample_counts(rng, &self.probabilities(), shots)
     }
 }
 

@@ -13,7 +13,6 @@
 
 use crate::kernels::KernelScratch;
 use quant_math::{CMat, C64};
-use rand::Rng;
 
 /// A normalized pure state of a mixed-dimension qudit register.
 #[derive(Clone, Debug, PartialEq)]
@@ -282,12 +281,6 @@ impl StateVector {
         self.inner(other).norm_sqr()
     }
 
-    /// Samples `shots` full-register measurements, returning counts per
-    /// basis index.
-    pub fn sample_counts(&self, rng: &mut impl Rng, shots: usize) -> Vec<u64> {
-        quant_math::sample_counts(rng, &self.probabilities(), shots)
-    }
-
     /// Reduced density matrix of a single subsystem (partial trace over the
     /// rest).
     pub fn reduced_density(&self, subsystem: usize) -> CMat {
@@ -338,7 +331,6 @@ impl StateVector {
 mod tests {
     use super::*;
     use crate::gates;
-    use quant_math::seeded;
     use std::f64::consts::FRAC_PI_2;
 
     #[test]
@@ -418,17 +410,6 @@ mod tests {
         psi.apply_unitary(&gates::qutrit_x01(), &[0]);
         // q1=1, qutrit=1 → index 1 + 3·1 = 4.
         assert!((psi.probabilities()[4] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampling_matches_distribution() {
-        let mut psi = StateVector::zero_qubits(1);
-        psi.apply_unitary(&gates::ry(1.0), &[0]);
-        let p1 = psi.probabilities()[1];
-        let mut rng = seeded(5);
-        let counts = psi.sample_counts(&mut rng, 100_000);
-        let freq = counts[1] as f64 / 100_000.0;
-        assert!((freq - p1).abs() < 0.01, "freq {freq} vs p {p1}");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! ```
 
 use openpulse_repro::circuit::qasm;
-use openpulse_repro::compiler::{CompileMode, Compiler};
-use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor, DT};
+use openpulse_repro::compiler::CompileMode;
+use openpulse_repro::corpus::{run_circuit, PipelineConfig};
+use openpulse_repro::device::{calibrate, DeviceModel, ShotPool, DT};
 use openpulse_repro::math::seeded;
 
 const PROGRAM: &str = r#"
@@ -42,7 +43,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calibration = calibrate(&device, &mut rng);
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode).compile(&circuit)?;
+        let config = PipelineConfig {
+            mode,
+            shots: 4000,
+            seed: 2718,
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(
+            &device,
+            &calibration,
+            &circuit,
+            &config,
+            &ShotPool::from_env(),
+        )?;
+        let compiled = &run.compiled;
         println!("==== {mode:?} ====");
         println!(
             "assembly after passes ({} ops, {} ZZ detected):",
@@ -56,10 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             compiled.duration(),
             compiled.duration() as f64 * DT * 1e6
         );
-        let exec = PulseExecutor::new(&device);
-        let out = exec.try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, 4000);
-        println!("counts (4000 shots): {counts:?}\n");
+        println!("counts (4000 shots): {:?}\n", run.counts);
     }
     Ok(())
 }

@@ -10,8 +10,10 @@
 //! ```
 
 use openpulse_repro::algorithms::LineGraph;
-use openpulse_repro::compiler::{CompileMode, Compiler};
-use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor, DT};
+use openpulse_repro::characterization::counts_to_distribution;
+use openpulse_repro::compiler::CompileMode;
+use openpulse_repro::corpus::{run_circuit, PipelineConfig};
+use openpulse_repro::device::{calibrate, DeviceModel, ShotPool, DT};
 use openpulse_repro::math::seeded;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,13 +38,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calibration = calibrate(&device, &mut rng);
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode).compile(&circuit)?;
-        let exec = PulseExecutor::new(&device);
-        let out = exec.try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, 8000);
-        let total: u64 = counts.iter().sum();
-        let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-        let cut = g.expected_cut(&probs);
+        let config = PipelineConfig {
+            mode,
+            shots: 8000,
+            seed: 23,
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(
+            &device,
+            &calibration,
+            &circuit,
+            &config,
+            &ShotPool::from_env(),
+        )?;
+        let compiled = &run.compiled;
+        let cut = g.expected_cut(&counts_to_distribution(&run.counts));
         println!(
             "\n{mode:?} flow:\n  ZZ interactions detected: {}\n  schedule: {} pulses, {:.2} µs\n  measured expected cut: {cut:.3} (ideal {ideal_cut:.3})",
             compiled.assembly.count_gate("zz"),

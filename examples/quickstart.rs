@@ -1,15 +1,17 @@
 //! Quickstart: compile a Bell-pair circuit through all four stages of the
 //! paper's Figure 1 / Table 1 flow — program, assembly, basis gates, pulse
 //! schedule — in both the standard and the pulse-optimized mode, then run
-//! it on the simulated Almaden backend.
+//! it on the simulated Almaden backend, all through the one pipeline
+//! (`corpus::run_circuit`: route, compile, execute, sample).
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use openpulse_repro::circuit::Circuit;
-use openpulse_repro::compiler::{CompileMode, Compiler};
-use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor};
+use openpulse_repro::compiler::CompileMode;
+use openpulse_repro::corpus::{run_circuit, PipelineConfig};
+use openpulse_repro::device::{calibrate, DeviceModel, ShotPool};
 use openpulse_repro::math::seeded;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("program:\n{bell}\n");
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode).compile(&bell)?;
+        // Route, compile, then execute with the full noise model and
+        // sample 4000 shots on the config seed's lanes.
+        let config = PipelineConfig {
+            mode,
+            shots: 4000,
+            seed: 7,
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(&device, &calibration, &bell, &config, &ShotPool::from_env())?;
+        let compiled = &run.compiled;
 
         println!("==== {mode:?} flow ====");
         // 3. ASSEMBLY stage (after transpiler passes).
@@ -46,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("{}", compiled.program.schedule.ascii_art(64));
 
-        // Execute with the full noise model and print the distribution.
-        let exec = PulseExecutor::new(&device);
-        let out = exec.try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, 4000);
-        println!("measured counts over 4000 shots: {counts:?}");
+        println!("measured counts over 4000 shots: {:?}", run.counts);
         println!("(ideal Bell pair: ~2000 each on |00⟩ and |11⟩, ~0 elsewhere)\n");
     }
     Ok(())

@@ -7,10 +7,11 @@
 //! ```
 
 use openpulse_repro::algorithms::{molecules, pauli::PauliSum, vqe};
-use openpulse_repro::characterization::Mitigator;
-use openpulse_repro::compiler::{CompileMode, Compiler};
-use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor};
-use openpulse_repro::math::seeded;
+use openpulse_repro::characterization::{counts_to_distribution, Mitigator};
+use openpulse_repro::compiler::CompileMode;
+use openpulse_repro::corpus::{run_circuit, PipelineConfig};
+use openpulse_repro::device::{calibrate, DeviceModel, ShotPool};
+use openpulse_repro::math::{seeded, stream_seed};
 
 /// Measures ⟨H⟩ of the solved ansatz on the device under one compile mode.
 fn measure_energy(
@@ -22,7 +23,6 @@ fn measure_energy(
     shots: usize,
     seed: u64,
 ) -> Result<f64, Box<dyn std::error::Error>> {
-    let mut rng = seeded(seed);
     let mitigator = Mitigator::from_calibration(
         &[device.readout(0).p1_given_0, device.readout(1).p1_given_0],
         &[device.readout(0).p0_given_1, device.readout(1).p0_given_1],
@@ -34,14 +34,25 @@ fn measure_energy(
         .map(|t| t.coeff)
         .sum();
     let mut energy = identity;
-    for (term, circuit) in vqe::measurement_circuits(hamiltonian, theta) {
-        let compiled = Compiler::new(device, calibration, mode).compile(&circuit)?;
-        let exec = PulseExecutor::new(device);
-        let out = exec.try_run(&compiled.program, &mut rng)?;
-        let counts = out.sample_counts(&mut rng, shots);
-        let total: u64 = counts.iter().sum();
-        let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-        let mitigated = mitigator.mitigate(&probs);
+    for (i, (term, circuit)) in vqe::measurement_circuits(hamiltonian, theta)
+        .into_iter()
+        .enumerate()
+    {
+        // One pipeline seed per measured term.
+        let config = PipelineConfig {
+            mode,
+            shots,
+            seed: stream_seed(seed, i as u64),
+            ..PipelineConfig::default()
+        };
+        let run = run_circuit(
+            device,
+            calibration,
+            &circuit,
+            &config,
+            &ShotPool::from_env(),
+        )?;
+        let mitigated = mitigator.mitigate(&counts_to_distribution(&run.counts));
         energy += term.expectation_from_distribution(&mitigated);
     }
     Ok(energy)
