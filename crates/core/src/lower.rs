@@ -24,7 +24,9 @@ use quant_device::{
     Block, Calibration, DeviceModel, EchoError, LoweredProgram, MAX_CR_HALF_SAMPLES,
 };
 use quant_math::C64;
-use quant_pulse::{Channel, CmdKey, Instruction, Schedule, ScheduleFinding, Waveform};
+use quant_pulse::{
+    Channel, CmdKey, Instruction, Schedule, ScheduleBuilder, ScheduleFinding, Waveform,
+};
 use std::collections::BTreeMap;
 use std::f64::consts::{PI, TAU};
 
@@ -273,7 +275,7 @@ impl<'a> Lowering<'a> {
     /// cancellation peephole) into a program with its display schedule,
     /// which must pass static verification.
     fn finish(&self, num_qubits: u32, blocks: Vec<Block>) -> Result<LoweredProgram, LowerError> {
-        let mut display = Schedule::new("program");
+        let mut display = ScheduleBuilder::new("program");
         for block in &blocks {
             match block {
                 Block::Gate1Q { qubit, waveforms } => {
@@ -324,6 +326,8 @@ impl<'a> Lowering<'a> {
                 }),
             }
         }
+
+        let display = display.build();
 
         // Mandatory post-lowering pass: the schedule the compiler just
         // built must verify clean against the device it targets. Any

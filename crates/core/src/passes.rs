@@ -11,8 +11,26 @@
 //!   realizes §5's cross-gate pulse cancellation at the gate level.
 //! * [`MergeSingleQubit`] — collapses runs of single-qubit gates into one
 //!   U3 (→ one pulse in the augmented flow).
+//!
+//! No pass moves, merges or cancels a gate across a [`Gate::Barrier`].
+//!
+//! # Restart contract and cost
+//!
+//! ABGD, cancellation and 1q merging rewrite one match at a time: after
+//! each rewrite they rescan [`CircuitDag::topological`] of the *current*
+//! DAG from the start and take its first match. CD walks one topological
+//! order per run and transposes each diagonal gate at most once. The
+//! rewrite sequence, and so every output gate and `f64` bit, is therefore a
+//! function of the input circuit alone; `cfg(test)` pins it against the
+//! earlier per-wire-`Vec` DAG kept as an oracle.
+//!
+//! On [`CircuitDag`]'s linked wires each match test is O(1) and reads the
+//! gate and its ≤ 2 operands by value, and each restart is one O(n log n)
+//! topological sort. CD's commutation check runs once per candidate,
+//! inside [`CircuitDag::try_transpose`], and is memoized for the DAG's —
+//! that is, one [`run_pipeline`] call's — lifetime.
 
-use quant_circuit::{operations_commute, Circuit, CircuitDag, Gate, Operation};
+use quant_circuit::{Circuit, CircuitDag, Gate};
 use quant_sim::euler_zxz;
 use std::f64::consts::FRAC_PI_2;
 
@@ -59,29 +77,26 @@ impl Pass for CommutativityDetection {
         // operation identical in kind (cancellation fodder), transpose.
         // We approximate "useful" by: B is a two-qubit gate and A is a
         // single-qubit diagonal gate, or A and B are both diagonal.
+        // `try_transpose` makes the commutation check and refuses
+        // barriers.
         let mut changed = false;
-        let order = dag.topological();
-        for &node in &order {
-            let Some(op) = dag.op(node).cloned() else {
+        for node in dag.topological() {
+            let Some((gate, qubits)) = dag.node(node) else {
                 continue;
             };
-            if !op.gate.is_diagonal() || op.gate == Gate::Barrier {
+            if !gate.is_diagonal() {
                 continue;
             }
-            for &q in &op.qubits {
-                if let Some(next) = dag.successor_on_wire(node, q) {
-                    let Some(next_op) = dag.op(next).cloned() else {
-                        continue;
-                    };
-                    // Move the diagonal gate later past a commuting
-                    // non-diagonal gate (e.g. Rz past a CNOT control).
-                    if !next_op.gate.is_diagonal()
-                        && operations_commute(&op, &next_op)
-                        && dag.try_transpose(node, next)
-                    {
-                        changed = true;
-                        break;
-                    }
+            for &q in qubits.iter() {
+                let Some(next) = dag.successor_on_wire(node, q) else {
+                    continue;
+                };
+                // Move the diagonal gate later past a commuting
+                // non-diagonal gate (e.g. Rz past a CNOT control).
+                if dag.gate(next).is_some_and(|g| !g.is_diagonal()) && dag.try_transpose(node, next)
+                {
+                    changed = true;
+                    break;
                 }
             }
         }
@@ -101,33 +116,23 @@ impl Pass for AugmentedBasisGateDetection {
     fn run(&self, dag: &mut CircuitDag) -> bool {
         let mut changed = false;
         'outer: loop {
-            let order = dag.topological();
-            for &first in &order {
-                let Some(op1) = dag.op(first).cloned() else {
+            for first in dag.topological() {
+                let Some((Gate::Cnot, qubits)) = dag.node(first) else {
                     continue;
                 };
-                if op1.gate != Gate::Cnot {
-                    continue;
-                }
-                let (c, t) = (op1.qubits[0], op1.qubits[1]);
+                let (c, t) = (qubits[0], qubits[1]);
                 // Next op on the target wire must be Rz(θ).
                 let Some(mid) = dag.successor_on_wire(first, t) else {
                     continue;
                 };
-                let Some(op2) = dag.op(mid).cloned() else {
-                    continue;
-                };
-                let Gate::Rz(theta) = op2.gate else {
+                let Some(Gate::Rz(theta)) = dag.gate(mid) else {
                     continue;
                 };
                 // Then another CNOT(c,t) adjacent on both wires.
                 let Some(last) = dag.successor_on_wire(mid, t) else {
                     continue;
                 };
-                let Some(op3) = dag.op(last).cloned() else {
-                    continue;
-                };
-                if op3.gate != Gate::Cnot || op3.qubits != op1.qubits {
+                if dag.node(last) != Some((Gate::Cnot, qubits)) {
                     continue;
                 }
                 // The control wire must also be free between the CNOTs
@@ -137,13 +142,7 @@ impl Pass for AugmentedBasisGateDetection {
                 }
                 dag.remove(mid);
                 dag.remove(last);
-                dag.replace(
-                    first,
-                    Operation {
-                        gate: Gate::Zz(theta),
-                        qubits: op1.qubits.clone(),
-                    },
-                );
+                dag.set_gate(first, Gate::Zz(theta));
                 changed = true;
                 continue 'outer;
             }
@@ -164,49 +163,39 @@ impl Pass for CancelInverses {
     fn run(&self, dag: &mut CircuitDag) -> bool {
         let mut changed = false;
         'outer: loop {
-            let order = dag.topological();
-            for &node in &order {
-                let Some(op) = dag.op(node).cloned() else {
+            for node in dag.topological() {
+                let Some((gate, qubits)) = dag.node(node) else {
                     continue;
                 };
                 // Find the op immediately following on *all* of this op's
-                // wires.
-                let next = op
-                    .qubits
+                // wires, with the same operands in the same order.
+                let Some(next) = dag.successor_on_wire(node, qubits[0]) else {
+                    continue;
+                };
+                if qubits[1..]
                     .iter()
-                    .map(|&q| dag.successor_on_wire(node, q))
-                    .collect::<Option<Vec<_>>>()
-                    .and_then(|succs| {
-                        let first = succs[0];
-                        succs.iter().all(|&s| s == first).then_some(first)
-                    });
-                let Some(next) = next else {
+                    .any(|&q| dag.successor_on_wire(node, q) != Some(next))
+                {
+                    continue;
+                }
+                let Some((next_gate, next_qubits)) = dag.node(next) else {
                     continue;
                 };
-                let Some(next_op) = dag.op(next).cloned() else {
-                    continue;
-                };
-                if next_op.qubits != op.qubits {
+                if next_qubits != qubits {
                     continue;
                 }
                 // Self-inverse pair?
-                if is_self_inverse_pair(&op.gate, &next_op.gate) {
+                if is_self_inverse_pair(&gate, &next_gate) {
                     dag.remove(node);
                     dag.remove(next);
                     changed = true;
                     continue 'outer;
                 }
                 // Mergeable rotations?
-                if let Some(merged) = merge_rotations(&op.gate, &next_op.gate) {
+                if let Some(merged) = merge_rotations(&gate, &next_gate) {
                     dag.remove(next);
                     match merged {
-                        Some(gate) => dag.replace(
-                            node,
-                            Operation {
-                                gate,
-                                qubits: op.qubits.clone(),
-                            },
-                        ),
+                        Some(gate) => dag.set_gate(node, gate),
                         None => dag.remove(node),
                     }
                     changed = true;
@@ -270,43 +259,34 @@ impl Pass for MergeSingleQubit {
     fn run(&self, dag: &mut CircuitDag) -> bool {
         let mut changed = false;
         'outer: loop {
-            let order = dag.topological();
-            for &node in &order {
-                let Some(op) = dag.op(node).cloned() else {
+            for node in dag.topological() {
+                let Some((gate, qubits)) = dag.node(node) else {
                     continue;
                 };
-                if op.gate.arity() != 1 {
+                if gate.arity() != 1 {
                     continue;
                 }
-                let q = op.qubits[0];
-                let Some(next) = dag.successor_on_wire(node, q) else {
+                let Some(next) = dag.successor_on_wire(node, qubits[0]) else {
                     continue;
                 };
-                let Some(next_op) = dag.op(next).cloned() else {
+                let Some(next_gate) = dag.gate(next) else {
                     continue;
                 };
-                if next_op.gate.arity() != 1 {
+                if next_gate.arity() != 1 {
                     continue;
                 }
-                if op.gate == Gate::Barrier || next_op.gate == Gate::Barrier {
+                if gate == Gate::Barrier || next_gate == Gate::Barrier {
                     continue;
                 }
                 // Skip pairs already handled by cheaper merges.
-                if matches!((&op.gate, &next_op.gate), (Gate::Rz(_), Gate::Rz(_))) {
+                if matches!((gate, next_gate), (Gate::Rz(_), Gate::Rz(_))) {
                     continue;
                 }
-                let product = &next_op.gate.matrix() * &op.gate.matrix();
+                let product = &next_gate.matrix() * &gate.matrix();
                 let (a, theta, c) = euler_zxz(&product);
                 // U3(θ, φ, λ) = Rz(φ+π/2)·Rx(θ)·Rz(λ−π/2)
-                let gate = Gate::U3(theta, a - FRAC_PI_2, c + FRAC_PI_2);
                 dag.remove(next);
-                dag.replace(
-                    node,
-                    Operation {
-                        gate,
-                        qubits: vec![q],
-                    },
-                );
+                dag.set_gate(node, Gate::U3(theta, a - FRAC_PI_2, c + FRAC_PI_2));
                 changed = true;
                 continue 'outer;
             }
@@ -340,8 +320,16 @@ pub fn baseline_optimize(circuit: &Circuit) -> Circuit {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{oracle_baseline_optimize, oracle_optimize};
     use super::*;
+    use crate::{route, CouplingMap};
+    use quant_corpus::{generate, Tier};
+    use quant_math::seeded;
+    use rand::Rng;
 
     fn assert_equiv(a: &Circuit, b: &Circuit) {
         assert!(
@@ -474,5 +462,125 @@ mod tests {
         }
         let out = optimize(&c);
         assert_equiv(&c, &out);
+    }
+
+    #[test]
+    fn barriers_block_commutation() {
+        // Rz and T commute numerically with the barrier's identity; CD used
+        // to hoist them across it and then merge them on the far side.
+        let mut c = Circuit::new(1);
+        c.rz(0, 0.3).push(Gate::Barrier, &[0]).rz(0, 0.4);
+        assert_eq!(optimize(&c), c);
+        let mut c = Circuit::new(1);
+        c.push(Gate::T, &[0])
+            .push(Gate::Barrier, &[0])
+            .push(Gate::T, &[0]);
+        assert_eq!(optimize(&c), c);
+        // A barrier on the control wire keeps the Rz out of the ZZ window.
+        let mut c = Circuit::new(2);
+        c.cnot(0, 1)
+            .rz(0, 0.4)
+            .push(Gate::Barrier, &[0])
+            .rz(1, 0.9)
+            .cnot(0, 1);
+        let out = optimize(&c);
+        assert_eq!(out.count_gate("zz"), 0, "{out}");
+        assert_equiv(&c, &out);
+    }
+
+    /// Equal iff every gate, operand and `f64` bit agrees: `{:?}` prints
+    /// each `f64` in its shortest round-trip form (and `-0.0` as such).
+    fn assert_bit_identical(got: &Circuit, want: &Circuit, ctx: &str) {
+        assert_eq!(got.num_qubits(), want.num_qubits(), "{ctx}");
+        assert_eq!(
+            format!("{:?}", got.ops()),
+            format!("{:?}", want.ops()),
+            "{ctx}"
+        );
+    }
+
+    fn assert_matches_oracle(c: &Circuit, ctx: &str) {
+        assert_bit_identical(&optimize(c), &oracle_optimize(c), ctx);
+        assert_bit_identical(&baseline_optimize(c), &oracle_baseline_optimize(c), ctx);
+    }
+
+    #[test]
+    fn passes_match_the_vec_dag_oracle_on_the_full_corpus() {
+        for entry in generate(Tier::Full) {
+            let map = CouplingMap::linear(entry.width);
+            let routed = route(&entry.circuit, &map).expect("routes").circuit;
+            assert_matches_oracle(&entry.circuit, &entry.name);
+            assert_matches_oracle(&routed, &format!("{} routed", entry.name));
+        }
+    }
+
+    /// A gate soup that gives every pass work: ZZ templates (some with a
+    /// false dependency on the control), inverse pairs, exactly cancelling
+    /// and near-zero rotations, and barriers.
+    fn random_soup(rng: &mut impl Rng, n: u32, len: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        let angles = [0.0, 1e-13, -1e-13, 1e-10, 0.7, -0.7, std::f64::consts::PI];
+        for _ in 0..len {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            let theta = if rng.gen_bool(0.5) {
+                angles[rng.gen_range(0..angles.len())]
+            } else {
+                rng.gen_range(-3.2..3.2)
+            };
+            let gate = match rng.gen_range(0..24u32) {
+                0 => Gate::X,
+                1 => Gate::Y,
+                2 => Gate::Z,
+                3 => Gate::H,
+                4 => Gate::S,
+                5 => Gate::Sdg,
+                6 => Gate::T,
+                7 => Gate::Tdg,
+                8 => Gate::Rx(theta),
+                9 => Gate::Ry(theta),
+                10 | 11 => Gate::Rz(theta),
+                12 => Gate::U3(theta, -theta, 0.3),
+                13 => Gate::DirectX,
+                14 => Gate::DirectRx(theta),
+                15 => Gate::Barrier,
+                16 => Gate::OpenCnot,
+                17 => Gate::Cz,
+                18 => Gate::Swap,
+                19 => Gate::Zz(theta),
+                20 => Gate::Cr(theta),
+                21 => Gate::FSim(theta, 0.2),
+                22 => {
+                    c.cnot(a, b);
+                    if rng.gen_bool(0.5) {
+                        c.rz(a, theta);
+                    }
+                    c.rz(b, -theta).cnot(a, b);
+                    continue;
+                }
+                _ => Gate::Cnot,
+            };
+            let qubits = [a, b];
+            c.push(gate, &qubits[..gate.arity()]);
+            if rng.gen_bool(0.15) {
+                // An inverse (or exactly cancelling) partner right after.
+                c.push(gate.inverse(), &qubits[..gate.arity()]);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn passes_match_the_vec_dag_oracle_on_random_soups() {
+        let mut rewritten = 0;
+        for seed in 0..300u64 {
+            let mut rng = seeded(seed);
+            let n = rng.gen_range(2..6u32);
+            let len = rng.gen_range(0..60usize);
+            let c = random_soup(&mut rng, n, len);
+            assert_matches_oracle(&c, &format!("seed {seed}:\n{c}"));
+            rewritten += usize::from(optimize(&c) != c);
+        }
+        assert!(rewritten > 250, "only {rewritten} soups were rewritten");
     }
 }

@@ -48,6 +48,6 @@ pub mod verify;
 mod waveform;
 
 pub use library::{CmdDef, CmdKey};
-pub use schedule::{Channel, Instruction, Schedule, TimedInstruction};
+pub use schedule::{Channel, Instruction, Schedule, ScheduleBuilder, TimedInstruction};
 pub use verify::{verify, ScheduleFinding, VerifySpec, RULES as VERIFY_RULES};
 pub use waveform::{Constant, Drag, Gaussian, GaussianSquare, Waveform};

@@ -371,6 +371,67 @@ impl Schedule {
     }
 }
 
+/// Assembles a [`Schedule`] from insertions in any time order without
+/// mid-vector inserts.
+///
+/// [`Schedule::insert`] places each instruction after every instruction
+/// with an equal or earlier start, which is a stable sort by start in
+/// insertion order. The builder appends instead (keeping the per-channel
+/// end index current for the alignment queries) and sorts once in
+/// [`ScheduleBuilder::build`], so `n` insertions cost O(n log n) instead of
+/// O(n²), with the same result (`builder_matches_sequential_inserts` in
+/// `tests/schedule_properties.rs`).
+#[derive(Clone, Debug)]
+pub struct ScheduleBuilder {
+    schedule: Schedule,
+}
+
+impl ScheduleBuilder {
+    /// Starts an empty schedule.
+    pub fn new(name: impl Into<String>) -> Self {
+        ScheduleBuilder {
+            schedule: Schedule::new(name),
+        }
+    }
+
+    /// [`Schedule::channel_duration`] of the schedule built so far.
+    pub fn channel_duration(&self, channel: Channel) -> u64 {
+        self.schedule.channel_duration(channel)
+    }
+
+    /// [`Schedule::insert`].
+    pub fn insert(&mut self, start: u64, instruction: Instruction) {
+        let s = &mut self.schedule;
+        s.note_end(
+            instruction.channel(),
+            start.saturating_add(instruction.duration()),
+        );
+        s.instructions.push(TimedInstruction { start, instruction });
+    }
+
+    /// [`Schedule::append`].
+    pub fn append(&mut self, instruction: Instruction) {
+        let t = self.channel_duration(instruction.channel());
+        self.insert(t, instruction);
+    }
+
+    /// [`Schedule::insert_schedule`].
+    pub fn insert_schedule(&mut self, offset: u64, other: &Schedule) {
+        for ti in &other.instructions {
+            self.insert(offset + ti.start, ti.instruction.clone());
+        }
+    }
+
+    /// The schedule, instructions sorted by start (stable for ties).
+    pub fn build(mut self) -> Schedule {
+        // `sort_by_cached_key` sorts `(start, index)` pairs and permutes
+        // the instructions in place: a stable sort whose scratch is 16
+        // bytes per instruction, not a copy of the instructions.
+        self.schedule.instructions.sort_by_cached_key(|ti| ti.start);
+        self.schedule
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,8 @@
 
 use quant_math::{seeded, C64};
 use quant_pulse::{
-    Channel, Constant, Drag, Gaussian, GaussianSquare, Instruction, Schedule, Waveform,
+    Channel, Constant, Drag, Gaussian, GaussianSquare, Instruction, Schedule, ScheduleBuilder,
+    Waveform,
 };
 use rand::Rng;
 
@@ -329,6 +330,49 @@ fn channel_index_matches_brute_force_scan() {
             }
             assert_index_matches_scan(&s, pool, step);
         }
+    }
+}
+
+#[test]
+fn builder_matches_sequential_inserts() {
+    // ScheduleBuilder appends and sorts once; the result, and every
+    // alignment query on the way, must equal the mid-vector inserts.
+    let mut rng = seeded(0x2c);
+    let pool = [Channel::Drive(0), Channel::Drive(1), Channel::Control(0)];
+    for _ in 0..CASES {
+        let mut want = Schedule::new("s");
+        let mut builder = ScheduleBuilder::new("s");
+        for step in 0..rng.gen_range(0usize..40) {
+            match rng.gen_range(0..3) {
+                // Few distinct starts, so ties are common.
+                0 => {
+                    let (start, i) = (
+                        rng.gen_range(0u64..8) * 10,
+                        rand_instruction(&mut rng, &pool),
+                    );
+                    want.insert(start, i.clone());
+                    builder.insert(start, i);
+                }
+                1 => {
+                    let i = rand_instruction(&mut rng, &pool);
+                    want.append(i.clone());
+                    builder.append(i);
+                }
+                _ => {
+                    let (offset, f) = (rng.gen_range(0u64..100), rand_fragment(&mut rng, &pool));
+                    want.insert_schedule(offset, &f);
+                    builder.insert_schedule(offset, &f);
+                }
+            }
+            for &ch in &pool {
+                assert_eq!(
+                    builder.channel_duration(ch),
+                    want.channel_duration(ch),
+                    "step {step}: channel {ch}"
+                );
+            }
+        }
+        assert_eq!(builder.build(), want);
     }
 }
 
