@@ -15,8 +15,17 @@ use quant_corpus::{PipelineConfig, PipelineError};
 use quant_device::ShotPool;
 use repro_bench::{compare_flows, Setup};
 
+/// Trajectories per width. The count was fixed from a target set before
+/// the verdicts were read: a standard error of at most 0.5 percentage
+/// points on each flow's Hellinger error at every width, estimated as the
+/// spread over 8 independent trajectory roots at each width's jitter
+/// lane. At 32 trajectories that spread reached 4.2 pp (6 qubits,
+/// standard flow); at 2048 it was at most 0.52 pp, and at 4096 at most
+/// 0.48 pp (4 qubits, standard flow).
+const TRAJECTORIES: usize = 4096;
+
 fn main() -> Result<(), PipelineError> {
-    let trajectories = 32;
+    let trajectories = TRAJECTORIES;
     let pool = ShotPool::from_env();
     println!("QAOA-MAXCUT error vs size (trajectory executor, {trajectories} trajectories)\n");
     println!(

@@ -212,8 +212,9 @@ enum TrajRoute {
     Fused,
 }
 
-/// Runs the workload once and returns the counts (fixed root 41, so both
-/// routes must agree bit-for-bit; the checksum gate asserts it).
+/// Runs the workload once and returns the counts (fixed jitter seed and
+/// root 41, so both routes must agree bit-for-bit; the checksum gate
+/// asserts it).
 fn trajectory_counts(
     program: &LoweredProgram,
     device: &DeviceModel,
@@ -227,7 +228,7 @@ fn trajectory_counts(
         TrajRoute::Reference => exec.with_reference_path(),
         TrajRoute::Fused => exec,
     };
-    match exec.try_run_pooled(program, shots, 41, pool) {
+    match exec.try_run_pooled(program, &mut quant_math::seeded(41), shots, 41, pool) {
         Ok(counts) => counts,
         Err(e) => die(format_args!("trajectory workload failed: {e}")),
     }

@@ -68,11 +68,6 @@ impl BlochVector {
         (1.0 + self.x * other.x + self.y * other.y + self.z * other.z) / 2.0
     }
 
-    /// Angle from the +Z axis (latitude-like coordinate).
-    pub fn polar_angle(&self) -> f64 {
-        self.z.acos()
-    }
-
     /// The deviation of the vector from the X = 0 meridian plane — the
     /// quantity plotted in the paper's Figs. 6–7 for DirectRx dephasing.
     pub fn meridian_deviation(&self) -> f64 {

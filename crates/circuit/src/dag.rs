@@ -38,7 +38,6 @@
 
 use crate::circuit::{Circuit, Operation};
 use crate::gate::Gate;
-use quant_math::CMat;
 use quant_sim::embed;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -395,7 +394,9 @@ fn gate_bits(gate: Gate) -> GateBits {
 }
 
 /// Numerically tests whether two operations commute, by comparing `AB` and
-/// `BA` on the joint qubit space (≤ 3 qubits in practice).
+/// `BA` on the joint qubit space (≤ 3 qubits in practice). A qutrit gate,
+/// whose matrix does not act on qubits, commutes with nothing it overlaps,
+/// so no pass moves a gate across it.
 pub fn operations_commute(a: &Operation, b: &Operation) -> bool {
     let mut union: Vec<u32> = a.qubits.clone();
     for &q in &b.qubits {
@@ -412,17 +413,15 @@ pub fn operations_commute(a: &Operation, b: &Operation) -> bool {
     let pos = |q: &u32| union.iter().position(|u| u == q).unwrap_or(0);
     let ta: Vec<usize> = a.qubits.iter().map(pos).collect();
     let tb: Vec<usize> = b.qubits.iter().map(pos).collect();
-    let ma = embed(&a.gate.matrix(), &ta, &dims);
-    let mb = embed(&b.gate.matrix(), &tb, &dims);
+    let (ga, gb) = (a.gate.matrix(), b.gate.matrix());
+    if ga.rows() != 1 << ta.len() || gb.rows() != 1 << tb.len() {
+        return false;
+    }
+    let ma = embed(&ga, &ta, &dims);
+    let mb = embed(&gb, &tb, &dims);
     let ab = &ma * &mb;
     let ba = &mb * &ma;
     ab.max_abs_diff(&ba) < 1e-9
-}
-
-/// Numerically tests whether an operation commutes with a concrete matrix
-/// on the same qubit tuple.
-pub fn matrices_commute(a: &CMat, b: &CMat) -> bool {
-    (&(a * b) - &(b * a)).frobenius_norm() < 1e-9
 }
 
 #[cfg(test)]

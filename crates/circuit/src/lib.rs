@@ -30,5 +30,5 @@ mod gate;
 pub mod qasm;
 
 pub use circuit::{Circuit, Operation};
-pub use dag::{matrices_commute, operations_commute, CircuitDag, NodeId, Operands};
+pub use dag::{operations_commute, CircuitDag, NodeId, Operands};
 pub use gate::Gate;

@@ -282,7 +282,12 @@ impl Pass for MergeSingleQubit {
                 if matches!((gate, next_gate), (Gate::Rz(_), Gate::Rz(_))) {
                     continue;
                 }
-                let product = &next_gate.matrix() * &gate.matrix();
+                // A qutrit gate's 3×3 matrix does not merge into a U3.
+                let (first, second) = (gate.matrix(), next_gate.matrix());
+                if first.rows() != 2 || second.rows() != 2 {
+                    continue;
+                }
+                let product = &second * &first;
                 let (a, theta, c) = euler_zxz(&product);
                 // U3(θ, φ, λ) = Rz(φ+π/2)·Rx(θ)·Rz(λ−π/2)
                 dag.remove(next);
@@ -486,6 +491,18 @@ mod tests {
         let out = optimize(&c);
         assert_eq!(out.count_gate("zz"), 0, "{out}");
         assert_equiv(&c, &out);
+    }
+
+    #[test]
+    fn qutrit_gates_stay_in_place() {
+        // A qutrit gate's 3×3 matrix neither commutes with nor merges into
+        // a qubit gate; both flows used to panic on these.
+        let mut c = Circuit::new(1);
+        c.rz(0, 0.3).push(Gate::QutritX12, &[0]);
+        assert_eq!(optimize(&c), c);
+        let mut c = Circuit::new(1);
+        c.push(Gate::X, &[0]).push(Gate::QutritX12, &[0]);
+        assert_eq!(baseline_optimize(&c), c);
     }
 
     /// Equal iff every gate, operand and `f64` bit agrees: `{:?}` prints

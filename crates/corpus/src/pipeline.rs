@@ -10,13 +10,16 @@
 //!
 //! Everything is deterministic from `(device, calibration, circuit,
 //! config)`: jitter, sampling, and trajectory roots are lanes 0, 1 and 2
-//! of the config seed via [`quant_math::stream_seed`], and shots are drawn
-//! with [`ExecOutcome::sample_counts_deterministic`], the one shot
-//! sampler. Narrow registers go through [`PulseExecutor::try_run_pooled`]
-//! (pulse integration fans out, jitter and evolution stay in program
-//! order) and wide ones through [`TrajectoryExecutor::try_run_pooled`]
-//! with an explicit root, so counts are bit-identical at any
-//! `OPC_THREADS`.
+//! of the config seed via [`quant_math::stream_seed`]. Lane 0 feeds
+//! whichever executor runs: both draw the job's pulse jitter from it in
+//! the same prepare phase, so a circuit sees the same jittered pulses on
+//! either executor. Narrow registers go through
+//! [`PulseExecutor::try_run_pooled`] (pulse integration fans out, jitter
+//! and evolution stay in program order), whose distribution is sampled
+//! on lane 1 with [`ExecOutcome::sample_counts_deterministic`], the one
+//! shot sampler. Wide ones go through
+//! [`TrajectoryExecutor::try_run_pooled`] with lane 2 as its trajectory
+//! root, so counts are bit-identical at any `OPC_THREADS`.
 //!
 //! [`ExecOutcome::sample_counts_deterministic`]: quant_device::ExecOutcome::sample_counts_deterministic
 
@@ -110,8 +113,9 @@ pub struct PipelineConfig {
     pub mode: CompileMode,
     /// Measurement shots to sample.
     pub shots: usize,
-    /// Root seed; jitter, sampling, and trajectory streams are derived
-    /// from it with [`stream_seed`].
+    /// Root seed; the jitter lane (0, shared by both executors), the
+    /// sampling lane (1) and the trajectory root (2) are derived from it
+    /// with [`stream_seed`].
     pub seed: u64,
     /// Apply the device noise model (density path only; trajectories are
     /// inherently noisy).
@@ -199,12 +203,12 @@ pub fn compile_circuit(
     Ok(CompiledCircuit { routed, compiled })
 }
 
-/// Executes a compiled circuit and scores it against the routed circuit's
-/// ideal distribution. Registers up to `config.density_max_qubits` wide go
-/// through exact density-matrix evolution with pool-parallel pulse
-/// integration; wider ones through pool-parallel fused trajectories with
-/// an explicit root seed. Zero shots or zero trajectories are rejected
-/// before any work.
+/// Executes a compiled circuit and returns its counts. Registers up to
+/// `config.density_max_qubits` wide go through exact density-matrix
+/// evolution with pool-parallel pulse integration; wider ones through
+/// pool-parallel fused trajectories with an explicit root seed. Both
+/// draw their pulse jitter from lane 0. Zero shots or zero trajectories
+/// are rejected before any work.
 pub fn execute_compiled(
     device: &DeviceModel,
     cc: &CompiledCircuit,
@@ -219,6 +223,7 @@ pub fn execute_compiled(
     }
     let compiled = &cc.compiled;
     let width = cc.routed.circuit.num_qubits();
+    let mut jitter = seeded(stream_seed(config.seed, 0));
     if width <= config.density_max_qubits {
         let mut exec = if config.noisy {
             PulseExecutor::new(device)
@@ -228,7 +233,6 @@ pub fn execute_compiled(
         if config.reference {
             exec = exec.with_reference_path();
         }
-        let mut jitter = seeded(stream_seed(config.seed, 0));
         let outcome = exec.try_run_pooled(&compiled.program, &mut jitter, pool)?;
         let counts = outcome.sample_counts_deterministic(stream_seed(config.seed, 1), config.shots);
         Ok((ExecutorKind::Density, counts))
@@ -239,6 +243,7 @@ pub fn execute_compiled(
         }
         let counts = exec.try_run_pooled(
             &compiled.program,
+            &mut jitter,
             config.shots,
             stream_seed(config.seed, 2),
             pool,

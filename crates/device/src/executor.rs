@@ -24,7 +24,7 @@ use crate::cache::PulseCache;
 use crate::device::DeviceModel;
 use crate::params::DT;
 use crate::readout;
-use crate::timeline::{timeline, Event};
+use crate::timeline::{timeline, Event, Timeline};
 use crate::transmon::DriveState;
 use quant_math::{normal, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule, Waveform};
@@ -66,17 +66,6 @@ pub enum ExecError {
     },
     /// A trajectory executor was asked to average over zero trajectories.
     NoTrajectories,
-}
-
-impl ExecError {
-    /// Checks that a program's register fits the device: at least one
-    /// qubit and no more than the device has.
-    pub(crate) fn check_width(program: u32, device: usize) -> Result<(), ExecError> {
-        if program == 0 || program as usize > device {
-            return Err(ExecError::RegisterWidth { program, device });
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for ExecError {
@@ -283,7 +272,8 @@ impl<'a> PulseExecutor<'a> {
     /// integrates the next unclaimed event itself while the next channel
     /// in order is still being integrated elsewhere. Evolution order and
     /// every floating-point operation are the same as running the phases
-    /// back to back.
+    /// back to back. Phases 1 and 2 are the functions the
+    /// [`TrajectoryExecutor`](crate::TrajectoryExecutor) runs too.
     ///
     /// The compile service calls the serial [`PulseExecutor::try_run`]
     /// per job on purpose: its workers already occupy every core, and a
@@ -295,32 +285,7 @@ impl<'a> PulseExecutor<'a> {
         pool: &ShotPool,
     ) -> Result<ExecOutcome, ExecError> {
         let device = self.device;
-        ExecError::check_width(program.num_qubits, device.num_qubits())?;
-        let sigma = self.jitter_sigma();
-        let line = timeline(device, program, |event| match event {
-            Event::Play { qubit, waveform } => Event::Play {
-                qubit,
-                waveform: jittered(waveform, sigma, rng),
-            },
-            Event::Pair {
-                control,
-                target,
-                pair,
-                channel,
-                schedule,
-            } if self.noisy => Event::Pair {
-                control,
-                target,
-                pair,
-                channel,
-                schedule: Cow::Owned(jitter_schedule(&schedule, device.pulse_amp_jitter(), rng)),
-            },
-            other => other,
-        })?;
-        // A run that draws jitter never repeats a pulse: looking one up
-        // could only miss, and storing it would only cost memory.
-        // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
-        let cache = (sigma == 0.0).then(|| device.pulse_cache());
+        let (line, cache) = prepare(device, program, self.noisy, rng)?;
 
         // Relaxation stages per distinct (qubit, duration): one composed
         // channel on the kernel path, the per-stage channels on the
@@ -359,7 +324,10 @@ impl<'a> PulseExecutor<'a> {
         pool.stream_indices_with(
             events.len(),
             || (),
-            |(), i| integrate(device, &events[i], cache),
+            |(), i| {
+                propagator(device, &events[i], cache)
+                    .map_or_else(Vec::new, |b| contraction_kraus(&b))
+            },
             |i, kraus| match &events[i] {
                 Event::Spam(q) => {
                     if let Some(flip) = &flip {
@@ -445,7 +413,8 @@ impl<'a> PulseExecutor<'a> {
                     cursor += duration;
                 }
                 Instruction::Play { waveform, .. } => {
-                    let w = jittered(Cow::Borrowed(waveform), self.jitter_sigma(), rng);
+                    let sigma = jitter_sigma(self.device, self.noisy);
+                    let w = jittered(Cow::Borrowed(waveform), sigma, rng);
                     let u = transmon.integrate_play(&mut state, &w);
                     rho.apply_unitary_scratch(&u, &[0], &mut scratch);
                     relax3(&mut rho, w.duration(), &mut scratch);
@@ -461,16 +430,6 @@ impl<'a> PulseExecutor<'a> {
         QutritOutcome {
             populations: rho.probabilities(),
             duration: cursor,
-        }
-    }
-
-    /// The per-pulse amplitude jitter (1σ) runs draw: the device's, or 0
-    /// when the noise model is off.
-    fn jitter_sigma(&self) -> f64 {
-        if self.noisy {
-            self.device.pulse_amp_jitter()
-        } else {
-            0.0
         }
     }
 
@@ -714,11 +673,7 @@ impl QutritOutcome {
 /// Applies fresh additive amplitude jitter of `sigma` (1σ) to a waveform;
 /// returns it untouched, drawing nothing, when `sigma` is 0 or the
 /// waveform's peak is (near) zero.
-pub(crate) fn jittered<'a>(
-    w: Cow<'a, Waveform>,
-    sigma: f64,
-    rng: &mut impl Rng,
-) -> Cow<'a, Waveform> {
+fn jittered<'a>(w: Cow<'a, Waveform>, sigma: f64, rng: &mut impl Rng) -> Cow<'a, Waveform> {
     // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
     if sigma == 0.0 {
         return w;
@@ -770,12 +725,73 @@ pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rn
     out
 }
 
-/// Phase 2 of [`PulseExecutor::try_run_pooled`]: one event's Kraus
-/// channel (empty for SPAM and relaxation, which phase 3 applies), through
-/// `cache` when given. Pure, so any thread may run it.
-fn integrate(device: &DeviceModel, event: &Event, cache: Option<&PulseCache>) -> Vec<CMat> {
+/// The per-pulse amplitude jitter (1σ) runs draw: the device's, or 0
+/// when the noise model is off.
+fn jitter_sigma(device: &DeviceModel, noisy: bool) -> f64 {
+    if noisy {
+        device.pulse_amp_jitter()
+    } else {
+        0.0
+    }
+}
+
+/// Phase 1 of a run, for both executors: check the register width, walk
+/// `program`'s timeline and draw every jitter of the job from `rng` in
+/// program order — the one place jitter is drawn. Returns the timeline and
+/// the pulse cache, which only runs that draw no jitter use: a jittered
+/// pulse never repeats, so looking it up could only miss.
+pub(crate) fn prepare<'d, 'p>(
+    device: &'d DeviceModel,
+    program: &'p LoweredProgram,
+    noisy: bool,
+    rng: &mut impl Rng,
+) -> Result<(Timeline<Event<'p>>, Option<&'d PulseCache>), ExecError> {
+    let (width, device_width) = (program.num_qubits, device.num_qubits());
+    if width == 0 || width as usize > device_width {
+        return Err(ExecError::RegisterWidth {
+            program: width,
+            device: device_width,
+        });
+    }
+    let sigma = jitter_sigma(device, noisy);
+    let line = timeline(device, program, |event| match event {
+        Event::Play { qubit, waveform } => Event::Play {
+            qubit,
+            waveform: jittered(waveform, sigma, rng),
+        },
+        Event::Pair {
+            control,
+            target,
+            pair,
+            channel,
+            schedule,
+        } if noisy => Event::Pair {
+            control,
+            target,
+            pair,
+            channel,
+            schedule: Cow::Owned(jitter_schedule(&schedule, device.pulse_amp_jitter(), rng)),
+        },
+        other => other,
+    })?;
+    // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
+    let cache = (sigma == 0.0).then(|| device.pulse_cache());
+    Ok((line, cache))
+}
+
+/// Phase 2 of a run, for both executors: one pulse event's qubit-space
+/// propagator through `cache` when given (`None` for SPAM and relaxation).
+/// Pure, so any thread may run it. Leftover virtual-Z frames are compiler
+/// bookkeeping, baked into later pulses, so they are not realized; one
+/// pending at the end is invisible to a computational-basis measurement.
+/// The block is slightly sub-unitary (|2⟩ leakage).
+pub(crate) fn propagator(
+    device: &DeviceModel,
+    event: &Event,
+    cache: Option<&PulseCache>,
+) -> Option<CMat> {
     match event {
-        Event::Spam(_) | Event::Relax(_) => Vec::new(),
+        Event::Spam(_) | Event::Relax(_) => None,
         Event::Play { qubit, waveform } => {
             let transmon = device.transmon_exec(*qubit);
             let integrate = || transmon.integrate_play(&mut DriveState::default(), waveform);
@@ -790,7 +806,7 @@ fn integrate(device: &DeviceModel, event: &Event, cache: Option<&PulseCache>) ->
                 }
                 None => integrate(),
             };
-            contraction_kraus(&qubit_block(&u3x3))
+            Some(qubit_block(&u3x3))
         }
         Event::Pair {
             control,
@@ -801,7 +817,7 @@ fn integrate(device: &DeviceModel, event: &Event, cache: Option<&PulseCache>) ->
         } => {
             let (c_drive, t_drive) = (Channel::Drive(*control), Channel::Drive(*target));
             let integrate = || pair.integrate(schedule, c_drive, t_drive, *channel).unitary;
-            let unitary = match cache {
+            Some(match cache {
                 Some(cache) => {
                     let key = crate::cache::pair_schedule_key(
                         pair.control_params(),
@@ -815,22 +831,14 @@ fn integrate(device: &DeviceModel, event: &Event, cache: Option<&PulseCache>) ->
                     cache.get_or_integrate(key, integrate)
                 }
                 None => integrate(),
-            };
-            // The raw propagator is what physically happened; leftover
-            // virtual-Z frames are compiler bookkeeping (baked into
-            // *subsequent* pulses by the lowering pass) and must not be
-            // realized here. Any frame pending at the end of the program
-            // is a pure Z rotation, which a computational-basis measurement
-            // cannot see. The qubit block is slightly sub-unitary (|2⟩
-            // leakage); complete it to a CPTP channel.
-            contraction_kraus(&unitary)
+            })
         }
     }
 }
 
 /// The (sub-unitary) qubit block of a single-qubit pulse's 3-level
 /// propagator.
-pub(crate) fn qubit_block(u3x3: &CMat) -> CMat {
+fn qubit_block(u3x3: &CMat) -> CMat {
     CMat::from_rows(&[&[u3x3[(0, 0)], u3x3[(0, 1)]], &[u3x3[(1, 0)], u3x3[(1, 1)]]])
 }
 
@@ -1085,6 +1093,7 @@ mod tests {
             assert_eq!(density.unwrap_err(), want);
             let trajectory = crate::TrajectoryExecutor::new(&device, 2).try_run_pooled(
                 &program,
+                &mut seeded(1),
                 16,
                 1,
                 &ShotPool::serial(),

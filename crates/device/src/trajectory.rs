@@ -8,17 +8,31 @@
 //! how the reproduction reaches Almaden-scale (20-qubit) registers the
 //! paper ran its 11.4 M shots on.
 //!
-//! # One timeline, two routes
+//! # One job, one set of pulses
 //!
-//! Before the fan-out, a run walks the program once into its timeline —
-//! the same walk the density executor follows: a SPAM point per qubit,
-//! each waveform, each pair (its topology resolved, so a bad pair is an
-//! error before any trajectory runs), and each qubit's thermal relaxation
-//! for exactly the wall-clock time it spends, with pairs starting as soon
-//! as both qubits are free and every qubit waiting for the common
-//! measurement. Both routes replay that event list, and each event is a
-//! fixed set of random-draw sites, so the draw *sequence* of a trajectory
-//! is the same on either route. Trajectories fan over a [`ShotPool`] with
+//! Before the fan-out, a run calls the density executor's own prepare and
+//! integrate phases. Prepare walks the program once into its timeline: a
+//! SPAM point per qubit, each waveform, each pair (its topology resolved,
+//! so a bad pair is an error before any trajectory runs), and each qubit's
+//! thermal relaxation for exactly the wall-clock time it spends, with
+//! pairs starting as soon as both qubits are free and every qubit waiting
+//! for the common measurement. The same walk draws every amplitude jitter
+//! of the job from the caller's jitter RNG, once: jitter is a per-job
+//! realization (no drift within a job), exactly as on the density
+//! executor, so one jitter lane gives both executors the same channel.
+//! Integrate then turns each pulse into its qubit-space propagator, once
+//! per job, fanned out over the pool.
+//!
+//! # Two routes over one timeline
+//!
+//! Trajectories share those propagators read-only and keep only what is
+//! stochastic per trajectory: SPAM flips, relaxation Kraus-branch
+//! sampling, the state-vector sweeps and readout. A leaky (sub-unitary)
+//! pulse block is applied and the state renormalized, where the density
+//! executor deposits the leaked weight on a basis state. Both routes
+//! replay the timeline's events, and each event is a fixed set of
+//! random-draw sites, so the draw *sequence* of a trajectory is the same
+//! on either route. Trajectories fan over a [`ShotPool`] with
 //! one root `u64` and a `stream_seed(root, index)` RNG stream per
 //! trajectory, so counts are **bit-identical at any `OPC_THREADS`** (the
 //! same contract as the shot engine and the calibration fan-out); each
@@ -29,8 +43,8 @@
 //! # Fast route: fused
 //!
 //! The executor hoists a [`quant_sim::fusion::FusionPlan`] over the
-//! timeline: its unitary stream (SPAM flips, 1q waveform gates, 2q CR
-//! schedules) and its stochastic channel points (sampled thermal
+//! timeline: its unitary stream (SPAM flips, 1q pulse blocks, 2q CR
+//! propagators) and its stochastic channel points (sampled thermal
 //! relaxation) are planned into fused blocks of up to five qubits, once
 //! per program. Each trajectory then *replays* the plan: gates and sampled
 //! Kraus branches fold into small (`≤ 32×32`) block accumulators, channel
@@ -53,23 +67,17 @@
 //! at a time through the retained skip-scan reference kernels, samples
 //! each channel by trial-applying every branch to a cloned state — the
 //! cross-check (and the perfsuite baseline) for the fused route's kernels
-//! and branch sampling; it bypasses fusion entirely. Both routes integrate
-//! pulses with the same integrators.
+//! and branch sampling; it bypasses fusion entirely. Both routes read the
+//! same per-job propagators.
 
 use crate::device::DeviceModel;
-use crate::executor::{
-    jitter_schedule, jittered, qubit_block, ExecError, LoweredProgram, ShotPool,
-};
+use crate::executor::{prepare, propagator, ExecError, LoweredProgram, ShotPool};
 use crate::params::DT;
-use crate::timeline::{timeline, Event};
-use crate::transmon::DriveState;
-use crate::twoqubit::CrPair;
+use crate::timeline::Event;
 use quant_math::{seeded, stream_seed, CMat, C64};
-use quant_pulse::{Channel, Schedule, Waveform};
 use quant_sim::fusion::{FusionPlan, OpDesc, Step, MAX_FUSED_WEIGHT};
 use quant_sim::{channels, KernelScratch, StateVector};
 use rand::Rng;
-use std::borrow::Cow;
 
 /// One runtime fused block: the accumulating operator on the block's
 /// targets, plus the lazily captured reduced density used to weigh local
@@ -169,13 +177,15 @@ struct RelaxTable {
     weight_ops: Vec<Vec<CMat>>,
 }
 
-/// The per-program hoisted plan: the timeline's events, its relaxation
-/// tables (indexed by [`Event::Relax`]), and — except on the reference
-/// route — the fusion plan over the events. Built once per
+/// The per-job hoisted plan: the timeline's events, each pulse event's
+/// propagator (by event index; `None` for SPAM and relaxation), its
+/// relaxation tables (indexed by [`Event::Relax`]), and — except on the
+/// reference route — the fusion plan over the events. Built once per
 /// [`TrajectoryExecutor::try_run_pooled`] call, before the fan-out, and
 /// shared read-only by every pool worker.
 struct Plan<'p> {
     events: Vec<Event<'p>>,
+    gates: Vec<Option<CMat>>,
     relax: Vec<RelaxTable>,
     fusion: Option<FusionPlan>,
 }
@@ -202,8 +212,8 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 
     /// Routes every state update through the reference (skip-scan)
-    /// state-vector path instead of the fused plan replay. Pulses are
-    /// integrated as on the fused route. Slow; used by the equivalence
+    /// state-vector path instead of the fused plan replay. Both routes
+    /// read the same per-job propagators. Slow; used by the equivalence
     /// tests and as the perfsuite baseline.
     pub fn with_reference_path(mut self) -> Self {
         self.reference = true;
@@ -216,26 +226,30 @@ impl<'a> TrajectoryExecutor<'a> {
     /// device and topology mismatches are [`ExecError`]s, reported before
     /// any trajectory runs — also at zero shots.
     ///
+    /// Every amplitude jitter of the job is drawn from `jitter`, once, as
+    /// [`PulseExecutor::try_run_pooled`](crate::PulseExecutor::try_run_pooled)
+    /// draws it: the same jitter RNG state gives both executors the same
+    /// pulses. Each pulse is then integrated once, fanned out over `pool`.
     /// Trajectory `i` runs on `seeded(stream_seed(root, i))` and shots are
     /// split across trajectories by index (`shots/T` each, the first
     /// `shots % T` taking one extra), so the returned counts depend only on
-    /// `(program, shots, root)` — never on the size of `pool`. The
-    /// program's timeline (and, off the reference route, the fusion plan
-    /// over it) is built once, before the fan-out, and replayed read-only
-    /// by every worker.
+    /// `(program, jitter, shots, root)` — never on the size of `pool`. The
+    /// program's timeline, its propagators and (off the reference route)
+    /// the fusion plan over it are built once, before the fan-out, and
+    /// replayed read-only by every worker.
     pub fn try_run_pooled(
         &self,
         program: &LoweredProgram,
+        jitter: &mut impl Rng,
         shots: usize,
         root: u64,
         pool: &ShotPool,
     ) -> Result<Vec<u64>, ExecError> {
-        ExecError::check_width(program.num_qubits, self.device.num_qubits())?;
         if self.trajectories == 0 {
             return Err(ExecError::NoTrajectories);
         }
+        let plan = self.plan(program, jitter, pool)?;
         let n = program.num_qubits as usize;
-        let plan = self.plan(program)?;
         let trajectories = self.trajectories.min(shots.max(1));
         let base = shots / trajectories;
         let extra = shots % trajectories;
@@ -283,12 +297,23 @@ impl<'a> TrajectoryExecutor<'a> {
         Ok(counts)
     }
 
-    /// Hoists everything trajectories share: the program's timeline
-    /// (topology errors surface here), one relaxation table per distinct
-    /// `(qubit, duration)`, and off the reference route the fusion plan
-    /// over the timeline's events — one op per random-draw site.
-    fn plan<'p>(&self, program: &'p LoweredProgram) -> Result<Plan<'p>, ExecError> {
-        let line = timeline(self.device, program, |event| event)?;
+    /// Hoists everything trajectories share: the program's jittered
+    /// timeline (register-width and topology errors surface here), each
+    /// pulse's propagator integrated once over `pool`, one relaxation
+    /// table per distinct `(qubit, duration)`, and off the reference route
+    /// the fusion plan over the timeline's events — one op per random-draw
+    /// site.
+    fn plan<'p>(
+        &self,
+        program: &'p LoweredProgram,
+        jitter: &mut impl Rng,
+        pool: &ShotPool,
+    ) -> Result<Plan<'p>, ExecError> {
+        let device = self.device;
+        let (line, cache) = prepare(device, program, true, jitter)?;
+        let gates = pool.map_indices(line.events.len(), |i| {
+            propagator(device, &line.events[i], cache)
+        });
         let relax = line
             .relax
             .iter()
@@ -324,6 +349,7 @@ impl<'a> TrajectoryExecutor<'a> {
         });
         Ok(Plan {
             events: line.events,
+            gates,
             relax,
             fusion,
         })
@@ -357,19 +383,10 @@ impl<'a> TrajectoryExecutor<'a> {
                             fold_op(w, *block, &x, local);
                         }
                     }
-                    Event::Play { qubit, waveform } => {
-                        let b = self.play_block(*qubit, waveform, rng);
-                        fold_op(w, *block, &b, local);
-                    }
-                    Event::Pair {
-                        control,
-                        target,
-                        pair,
-                        channel,
-                        schedule,
-                    } => {
-                        let u = self.pair_unitary(*control, *target, pair, *channel, schedule, rng);
-                        fold_op(w, *block, &u, local);
+                    Event::Play { .. } | Event::Pair { .. } => {
+                        if let Some(u) = &plan.gates[*op] {
+                            fold_op(w, *block, u, local);
+                        }
                     }
                     Event::Relax(id) => {
                         let t = &plan.relax[*id];
@@ -414,66 +431,31 @@ impl<'a> TrajectoryExecutor<'a> {
     fn evolve(&self, plan: &Plan, psi: &mut StateVector, rng: &mut impl Rng) {
         psi.reset_zero();
         let p_reset = self.device.reset_excited_prob();
-        for event in &plan.events {
-            match event {
-                Event::Spam(q) => {
+        for (event, gate) in plan.events.iter().zip(&plan.gates) {
+            match (event, gate) {
+                (Event::Spam(q), _) => {
                     if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
                         psi.apply_unitary_ref(&quant_sim::gates::x(), &[*q as usize]);
                     }
                 }
-                Event::Relax(id) => relax_sampled(psi, &plan.relax[*id], rng),
-                Event::Play { qubit, waveform } => {
-                    let b = self.play_block(*qubit, waveform, rng);
-                    // Sub-unitary contraction: renormalize (leakage is
-                    // tiny; the deposited-weight branch is negligible at
-                    // trajectory resolution).
-                    psi.apply_unitary_ref(&b, &[*qubit as usize]);
+                (Event::Relax(id), _) => relax_sampled(psi, &plan.relax[*id], rng),
+                // Sub-unitary contraction (leakage): renormalize.
+                (Event::Play { qubit, .. }, Some(b)) => {
+                    psi.apply_unitary_ref(b, &[*qubit as usize]);
                     psi.normalize();
                 }
-                Event::Pair {
-                    control,
-                    target,
-                    pair,
-                    channel,
-                    schedule,
-                } => {
-                    let u = self.pair_unitary(*control, *target, pair, *channel, schedule, rng);
-                    psi.apply_unitary_ref(&u, &[*control as usize, *target as usize]);
+                (
+                    Event::Pair {
+                        control, target, ..
+                    },
+                    Some(u),
+                ) => {
+                    psi.apply_unitary_ref(u, &[*control as usize, *target as usize]);
                     psi.normalize();
                 }
+                (Event::Play { .. } | Event::Pair { .. }, None) => {}
             }
         }
-    }
-
-    /// One jittered single-qubit waveform's qubit block.
-    fn play_block(&self, qubit: u32, waveform: &Waveform, rng: &mut impl Rng) -> CMat {
-        let sigma = self.device.pulse_amp_jitter();
-        let waveform = jittered(Cow::Borrowed(waveform), sigma, rng);
-        let u3x3 = self
-            .device
-            .transmon_exec(qubit)
-            .integrate_play(&mut DriveState::default(), &waveform);
-        qubit_block(&u3x3)
-    }
-
-    /// One jittered two-qubit schedule's qubit-space propagator.
-    fn pair_unitary(
-        &self,
-        control: u32,
-        target: u32,
-        pair: &CrPair,
-        channel: Channel,
-        schedule: &Schedule,
-        rng: &mut impl Rng,
-    ) -> CMat {
-        let schedule = jitter_schedule(schedule, self.device.pulse_amp_jitter(), rng);
-        pair.integrate(
-            &schedule,
-            Channel::Drive(control),
-            Channel::Drive(target),
-            channel,
-        )
-        .unitary
     }
 
     /// Classical readout error applied to a sampled outcome index.
@@ -488,11 +470,6 @@ impl<'a> TrajectoryExecutor<'a> {
             }
         }
         read
-    }
-
-    /// The underlying device.
-    pub fn device(&self) -> &DeviceModel {
-        self.device
     }
 }
 
@@ -626,6 +603,8 @@ mod tests {
     use super::*;
     use crate::calibration::calibrate;
     use crate::executor::{Block, PulseExecutor};
+    use crate::twoqubit::EXPONENTIALS;
+    use quant_pulse::Schedule;
 
     #[test]
     fn zero_trajectories_is_an_error_not_a_panic() {
@@ -638,41 +617,8 @@ mod tests {
         let exec = TrajectoryExecutor::new(&device, 0);
         for shots in [0, 100] {
             assert_eq!(
-                exec.try_run_pooled(&program, shots, 1, &ShotPool::serial()),
+                exec.try_run_pooled(&program, &mut seeded(1), shots, 1, &ShotPool::serial()),
                 Err(ExecError::NoTrajectories)
-            );
-        }
-    }
-
-    #[test]
-    fn pair_jitter_is_the_density_executors_including_the_cr_transfer_term() {
-        // One jitter model under both executors: a trajectory's pair block
-        // draws exactly what `executor::jitter_schedule` draws, the 1.5 %
-        // CR calibration-transfer term on the control channel included.
-        let mut rng = seeded(2);
-        let device = DeviceModel::almaden_like(2, &mut rng);
-        let cal = calibrate(&device, &mut rng);
-        let schedule = cal.cmd_def().get("cx", &[0, 1]).unwrap().clone();
-        let pair = device.pair_exec(0, 1).unwrap();
-        let channel = device.control_channel(0, 1).unwrap();
-        let (mut rng_traj, mut rng_density) = (seeded(9), seeded(9));
-        let got = TrajectoryExecutor::new(&device, 1).pair_unitary(
-            0,
-            1,
-            &pair,
-            channel,
-            &schedule,
-            &mut rng_traj,
-        );
-        let jittered = jitter_schedule(&schedule, device.pulse_amp_jitter(), &mut rng_density);
-        let want = pair
-            .integrate(&jittered, Channel::Drive(0), Channel::Drive(1), channel)
-            .unitary;
-        assert_eq!(rng_traj.gen::<u64>(), rng_density.gen::<u64>());
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(
-                (g.re.to_bits(), g.im.to_bits()),
-                (w.re.to_bits(), w.im.to_bits())
             );
         }
     }
@@ -704,12 +650,19 @@ mod tests {
         };
         // Density-matrix reference.
         let exec = PulseExecutor::new(&device);
-        let mut rng_a = seeded(5);
-        let dm = exec.try_run(&program, &mut rng_a).expect("program runs");
-        // Trajectory ensemble (fused route).
+        let dm = exec
+            .try_run(&program, &mut seeded(5))
+            .expect("program runs");
+        // Trajectory ensemble (fused route) on the same jitter draws.
         let traj = TrajectoryExecutor::new(&device, 96);
         let counts = traj
-            .try_run_pooled(&program, 48_000, seeded(6).gen(), &ShotPool::from_env())
+            .try_run_pooled(
+                &program,
+                &mut seeded(5),
+                48_000,
+                seeded(6).gen(),
+                &ShotPool::from_env(),
+            )
             .unwrap();
         let total: u64 = counts.iter().sum();
         for (i, (&c, &p)) in counts.iter().zip(&dm.probabilities).enumerate() {
@@ -718,6 +671,46 @@ mod tests {
                 (freq - p).abs() < 0.04,
                 "outcome {i}: trajectory {freq:.3} vs density {p:.3}"
             );
+        }
+    }
+
+    #[test]
+    fn trajectories_do_not_integrate_pulses() {
+        // Every pulse is integrated once per job, before the fan-out: the
+        // 3×3 exponentials a serial job evaluates are the same at 1 and at
+        // 16 trajectories, on either route.
+        let mut rng = seeded(13);
+        let device = DeviceModel::almaden_like(2, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let program = LoweredProgram {
+            num_qubits: 2,
+            blocks: vec![
+                Block::Gate1Q {
+                    qubit: 0,
+                    waveforms: vec![cal.qubit(0).rx180_waveform("x")],
+                },
+                Block::Gate2Q {
+                    control: 0,
+                    target: 1,
+                    schedule: cal.cmd_def().get("cx", &[0, 1]).unwrap().clone(),
+                },
+            ],
+            schedule: Schedule::new("p"),
+        };
+        for reference in [false, true] {
+            let exponentials = |trajectories: usize| {
+                let mut exec = TrajectoryExecutor::new(&device, trajectories);
+                if reference {
+                    exec = exec.with_reference_path();
+                }
+                let before = EXPONENTIALS.get();
+                exec.try_run_pooled(&program, &mut seeded(5), 1_600, 9, &ShotPool::serial())
+                    .unwrap();
+                EXPONENTIALS.get() - before
+            };
+            let one = exponentials(1);
+            assert!(one > 0, "the job integrates its CR pulse");
+            assert_eq!(exponentials(16), one, "reference route: {reference}");
         }
     }
 
@@ -754,11 +747,11 @@ mod tests {
         let pool = ShotPool::from_env();
         for root in [3u64, 0xBEEF, 0x5EED] {
             let fused = TrajectoryExecutor::new(&device, 12)
-                .try_run_pooled(&program, 3_000, root, &pool)
+                .try_run_pooled(&program, &mut seeded(root), 3_000, root, &pool)
                 .unwrap();
             let reference = TrajectoryExecutor::new(&device, 12)
                 .with_reference_path()
-                .try_run_pooled(&program, 3_000, root, &pool)
+                .try_run_pooled(&program, &mut seeded(root), 3_000, root, &pool)
                 .unwrap();
             assert_eq!(fused, reference, "root {root}");
         }
@@ -786,8 +779,9 @@ mod tests {
             ],
             schedule: Schedule::new("decay"),
         };
+        let root = rng.gen();
         let counts = traj
-            .try_run_pooled(&program, 16_000, rng.gen(), &ShotPool::from_env())
+            .try_run_pooled(&program, &mut rng, 16_000, root, &ShotPool::from_env())
             .unwrap();
         let p1 = counts[1] as f64 / 16_000.0;
         assert!(

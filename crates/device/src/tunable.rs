@@ -59,11 +59,6 @@ impl XyPair {
         XyPair { a, b, xy }
     }
 
-    /// The exchange parameters.
-    pub fn xy_params(&self) -> &XyParams {
-        &self.xy
-    }
-
     /// Integrates flux pulses on `coupler` (other channels ignored) and
     /// returns the 4×4 qubit-subspace propagator (qubit `a` = LSB digit).
     pub fn integrate(&self, schedule: &Schedule, coupler: Channel) -> CMat {

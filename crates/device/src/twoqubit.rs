@@ -298,7 +298,7 @@ impl CrPair {
                 unitary_exp9_in_blocks_into(&h, t, split, missing, &mut step.blocks);
                 step.have |= missing;
                 #[cfg(test)]
-                tests::EXPONENTIALS.set(tests::EXPONENTIALS.get() + missing.count_ones() as usize);
+                EXPONENTIALS.set(EXPONENTIALS.get() + missing.count_ones() as usize);
             }
             mul9_blocks_slab_into(&step.blocks, split, run.live, &slab, &mut next);
             std::mem::swap(&mut slab, &mut next);
@@ -667,20 +667,19 @@ pub fn qubit_block_of(u9: &CMat) -> CMat {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// The 3×3 exponentials `propagate_slab` has evaluated on this thread.
+    pub(crate) static EXPONENTIALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibration::{calibrate, Calibration};
     use crate::device::DeviceModel;
     use quant_math::{mul9_into, seeded, unitary_exp};
     use quant_pulse::GaussianSquare;
-    use std::cell::Cell;
     use std::f64::consts::FRAC_PI_2;
-
-    thread_local! {
-        /// The 3×3 exponentials `propagate_slab` has evaluated on this
-        /// thread.
-        pub(super) static EXPONENTIALS: Cell<usize> = const { Cell::new(0) };
-    }
 
     fn pair() -> CrPair {
         CrPair::new(

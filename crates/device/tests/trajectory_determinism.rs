@@ -1,8 +1,9 @@
 //! Regression tests for the trajectory executor's determinism contract.
 //!
-//! The contract mirrors the shot engine's: one root `u64` plus a
-//! `stream_seed(root, index)` RNG stream per trajectory means the returned
-//! counts depend only on `(program, shots, root)` — **never** on the
+//! The contract mirrors the shot engine's: one jitter RNG drawn once per
+//! job, one root `u64` plus a `stream_seed(root, index)` RNG stream per
+//! trajectory means the returned counts depend only on
+//! `(program, jitter, shots, root)` — **never** on the
 //! thread count, and not on whether the fused fast path or the
 //! retained reference path (skip-scan state-vector kernels,
 //! clone-per-branch channel sampling) did the work.
@@ -58,12 +59,18 @@ fn counts_identical_across_thread_counts() {
     let root = 0xD1CE;
     let shots = 2000;
     let reference = exec
-        .try_run_pooled(&program, shots, root, &ShotPool::new(1))
+        .try_run_pooled(&program, &mut seeded(root), shots, root, &ShotPool::new(1))
         .unwrap();
     assert_eq!(reference.iter().sum::<u64>(), shots as u64);
     for threads in [2, 4] {
         let counts = exec
-            .try_run_pooled(&program, shots, root, &ShotPool::new(threads))
+            .try_run_pooled(
+                &program,
+                &mut seeded(root),
+                shots,
+                root,
+                &ShotPool::new(threads),
+            )
             .unwrap();
         assert_eq!(
             counts, reference,
@@ -89,10 +96,10 @@ fn kernel_path_reproduces_reference_counts_bit_identically() {
     let slow = TrajectoryExecutor::new(&device, 6).with_reference_path();
     for root in [1u64, 0xFEED, 0x5EED_CAFE] {
         let a = fast
-            .try_run_pooled(&program, 1500, root, &ShotPool::new(4))
+            .try_run_pooled(&program, &mut seeded(root), 1500, root, &ShotPool::new(4))
             .unwrap();
         let b = slow
-            .try_run_pooled(&program, 1500, root, &ShotPool::new(1))
+            .try_run_pooled(&program, &mut seeded(root), 1500, root, &ShotPool::new(1))
             .unwrap();
         assert_eq!(a, b, "kernel swap changed the counts at root {root:#x}");
     }
@@ -117,12 +124,18 @@ fn fused_route_matches_reference_at_any_thread_count() {
     let shots = 1800;
     for root in [0x00DD_5EED_u64, 0xFACE] {
         let fused = TrajectoryExecutor::new(&device, 6)
-            .try_run_pooled(&program, shots, root, &ShotPool::new(1))
+            .try_run_pooled(&program, &mut seeded(root), shots, root, &ShotPool::new(1))
             .unwrap();
         assert_eq!(fused.iter().sum::<u64>(), shots as u64);
         for threads in [2, 4] {
             let threaded = TrajectoryExecutor::new(&device, 6)
-                .try_run_pooled(&program, shots, root, &ShotPool::new(threads))
+                .try_run_pooled(
+                    &program,
+                    &mut seeded(root),
+                    shots,
+                    root,
+                    &ShotPool::new(threads),
+                )
                 .unwrap();
             assert_eq!(
                 threaded, fused,
@@ -131,7 +144,7 @@ fn fused_route_matches_reference_at_any_thread_count() {
         }
         let reference = TrajectoryExecutor::new(&device, 6)
             .with_reference_path()
-            .try_run_pooled(&program, shots, root, &ShotPool::new(1))
+            .try_run_pooled(&program, &mut seeded(root), shots, root, &ShotPool::new(1))
             .unwrap();
         assert_eq!(
             fused, reference,
@@ -155,7 +168,13 @@ fn uncoupled_pair_reported_as_error_not_panic() {
     }
     let exec = TrajectoryExecutor::new(&device, 4);
     let err = exec
-        .try_run_pooled(&program, 100, seeded(1).gen(), &ShotPool::from_env())
+        .try_run_pooled(
+            &program,
+            &mut seeded(1),
+            100,
+            seeded(1).gen(),
+            &ShotPool::from_env(),
+        )
         .expect_err("uncoupled pair must be an error");
     assert!(matches!(
         err,
@@ -186,7 +205,7 @@ fn every_route_reports_a_topology_error_at_any_shot_count() {
     ];
     for (route, exec) in ["fused", "reference"].iter().zip(&routes) {
         for shots in [0, 100] {
-            let got = exec.try_run_pooled(&program, shots, 9, &ShotPool::new(1));
+            let got = exec.try_run_pooled(&program, &mut seeded(9), shots, 9, &ShotPool::new(1));
             assert_eq!(got, Err(want), "{route} route at {shots} shots");
         }
     }
@@ -196,10 +215,10 @@ fn every_route_reports_a_topology_error_at_any_shot_count() {
 fn ensemble_converges_to_density_matrix_distribution() {
     // Statistical cross-check against the exact density-matrix executor on
     // a register small enough for both: the 3-qubit entangling line. The
-    // two executors walk the same timeline (the same events in the same
-    // order) but share no state evolution, so agreement here is an
-    // end-to-end physics check of the whole fast path (integration,
-    // branch sampling, readout error).
+    // two executors walk the same timeline with the same jitter draws and
+    // the same integrated pulses, but share no state evolution, so
+    // agreement here is an end-to-end physics check of the whole fast
+    // path (branch sampling, leakage handling, readout error).
     let mut rng = seeded(2);
     let device = DeviceModel::almaden_like(3, &mut rng);
     let program = line_program(&device, 3);
@@ -209,7 +228,13 @@ fn ensemble_converges_to_density_matrix_distribution() {
         .expect("program runs");
     let traj = TrajectoryExecutor::new(&device, 128);
     let counts = traj
-        .try_run_pooled(&program, 64_000, seeded(6).gen(), &ShotPool::from_env())
+        .try_run_pooled(
+            &program,
+            &mut seeded(5),
+            64_000,
+            seeded(6).gen(),
+            &ShotPool::from_env(),
+        )
         .unwrap();
     let total: u64 = counts.iter().sum();
     assert_eq!(total, 64_000);

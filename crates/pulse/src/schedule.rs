@@ -317,29 +317,6 @@ impl Schedule {
         samples
     }
 
-    /// Exports the schedule as CSV: one row per `dt` sample, one
-    /// (re, im) column pair per channel. Paste into any plotting tool to
-    /// regenerate the paper's pulse-schedule figures graphically.
-    pub fn to_csv(&self) -> String {
-        let channels = self.channels();
-        let rasters: Vec<Vec<quant_math::C64>> =
-            channels.iter().map(|&ch| self.rasterize(ch)).collect();
-        let mut out = String::from("t_dt");
-        for ch in &channels {
-            out.push_str(&format!(",{ch}_re,{ch}_im"));
-        }
-        out.push('\n');
-        for t in 0..self.duration() as usize {
-            out.push_str(&t.to_string());
-            for raster in &rasters {
-                let s = raster.get(t).copied().unwrap_or(quant_math::C64::ZERO);
-                out.push_str(&format!(",{:.6},{:.6}", s.re, s.im));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders an ASCII timeline, one row per channel — the textual stand-in
     /// for the paper's pulse-schedule figures.
     pub fn ascii_art(&self, cols: usize) -> String {
@@ -603,24 +580,6 @@ mod tests {
         assert_eq!(raster.len(), 30);
         assert!(raster[..10].iter().all(|c| c.abs() < 1e-12));
         assert!(raster[10..30].iter().any(|c| c.abs() > 1e-3));
-    }
-
-    #[test]
-    fn csv_export_shape() {
-        let mut s = Schedule::new("csv");
-        s.append(Instruction::Play {
-            waveform: pulse(8),
-            channel: Channel::Drive(0),
-        });
-        s.append(Instruction::Play {
-            waveform: pulse(4),
-            channel: Channel::Control(1),
-        });
-        let csv = s.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "t_dt,d0_re,d0_im,u1_re,u1_im");
-        assert_eq!(lines.len(), 1 + 8); // header + duration rows
-        assert!(lines[1].starts_with("0,"));
     }
 
     #[test]

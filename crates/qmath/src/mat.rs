@@ -416,22 +416,6 @@ impl CMat {
         }
     }
 
-    /// Removes any global phase by making the largest-modulus entry real
-    /// and positive. Useful when comparing unitaries up to phase.
-    pub fn normalize_global_phase(&self) -> CMat {
-        let mut best = C64::ZERO;
-        for &z in &self.data {
-            if z.abs() > best.abs() {
-                best = z;
-            }
-        }
-        if best.abs() < 1e-300 {
-            return self.clone();
-        }
-        let phase = C64::cis(-best.arg());
-        self.scale(phase)
-    }
-
     /// Distance to `other` ignoring a global phase difference:
     /// `min_φ ‖A − e^{iφ}B‖∞`, computed via phase alignment on the largest
     /// overlap.

@@ -38,29 +38,6 @@ pub fn depolarizing(p: f64) -> Vec<CMat> {
     ]
 }
 
-/// Two-qubit depolarizing channel with error probability `p` (uniform over
-/// the 15 non-identity Pauli pairs).
-pub fn depolarizing_2q(p: f64) -> Vec<CMat> {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let i = CMat::identity(2);
-    let x = CMat::from_real_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-    let y = CMat::from_rows(&[&[C64::ZERO, C64::imag(-1.0)], &[C64::imag(1.0), C64::ZERO]]);
-    let z = CMat::from_real_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
-    let paulis = [i, x, y, z];
-    let mut kraus = Vec::with_capacity(16);
-    for (a, pa) in paulis.iter().enumerate() {
-        for (b, pb) in paulis.iter().enumerate() {
-            let weight = if a == 0 && b == 0 {
-                (1.0 - 15.0 * p / 16.0).sqrt()
-            } else {
-                (p / 16.0).sqrt()
-            };
-            kraus.push(pb.kron(pa).scale(C64::real(weight)));
-        }
-    }
-    kraus
-}
-
 /// Thermal relaxation over duration `t` (same units as `t1`, `t2`):
 /// amplitude damping at rate `1/T1` composed with pure dephasing so the
 /// total coherence decay matches `1/T2`.
@@ -184,7 +161,6 @@ mod tests {
         assert!(is_trace_preserving(&amplitude_damping(0.3), 1e-10));
         assert!(is_trace_preserving(&phase_damping(0.7), 1e-10));
         assert!(is_trace_preserving(&depolarizing(0.25), 1e-10));
-        assert!(is_trace_preserving(&depolarizing_2q(0.1), 1e-10));
         assert!(is_trace_preserving(&qutrit_relaxation(0.2, 0.4), 1e-10));
         assert!(is_trace_preserving(&qutrit_dephasing(0.5), 1e-10));
         assert!(is_trace_preserving(&leakage_surrogate(0.15), 1e-10));

@@ -173,21 +173,6 @@ impl KernelScratch {
         apply_left_rows(mat, op, idx, &mut self.rows);
     }
 
-    /// `mat ← mat·Û†`: transforms the target digits of the *column* index.
-    pub fn apply_right_dagger(
-        &mut self,
-        mat: &mut CMat,
-        op: &CMat,
-        targets: &[usize],
-        dims: &[usize],
-    ) {
-        let i = self.ensure_index(targets, dims);
-        let idx = &self.indices[i].index;
-        check_op(op, idx);
-        assert_eq!(mat.cols(), idx.total, "matrix width mismatch");
-        apply_right_dagger_rows(mat, op, idx, &mut self.block);
-    }
-
     /// `ρ ← Û·ρ·Û†` — the unitary-conjugation kernel, O(d²·k).
     pub fn apply_conjugate(
         &mut self,

@@ -187,11 +187,6 @@ impl Ticket {
             done = self.slot.cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
     }
-
-    /// Non-blocking probe: `None` while the job is still in flight.
-    pub fn poll(&self) -> Option<Result<Arc<JobOutput>, ServiceError>> {
-        lock(&self.slot.done).clone()
-    }
 }
 
 /// Counters exported by [`CompileService::stats`].
@@ -437,34 +432,6 @@ impl CompileService {
             key,
             deduped: false,
         })
-    }
-
-    /// [`CompileService::submit`] that waits out backpressure: when the
-    /// queue is full it parks until a worker frees space instead of
-    /// returning [`ServiceError::Overloaded`]. Other errors are
-    /// immediate.
-    pub fn submit_blocking(&self, spec: JobSpec) -> Result<Ticket, ServiceError> {
-        loop {
-            match self.submit(spec.clone()) {
-                Err(ServiceError::Overloaded { .. }) => {
-                    let st = lock(&self.inner.state);
-                    if st.shutdown {
-                        return Err(ServiceError::ShutDown);
-                    }
-                    if st.queue.len() >= self.inner.cfg.queue_capacity {
-                        // Workers broadcast on `work_cv` after freeing
-                        // queue space; wait for that signal.
-                        drop(
-                            self.inner
-                                .work_cv
-                                .wait(st)
-                                .unwrap_or_else(|e| e.into_inner()),
-                        );
-                    }
-                }
-                other => return other,
-            }
-        }
     }
 
     /// Drains the queue on the calling thread until it is empty, using
