@@ -18,17 +18,36 @@
 //! X) are rendered once per calibration and played by reference in every
 //! compile. Only a `CR(θ)` block's stretched halves are rendered here, once
 //! per distinct θ in a call.
+//!
+//! # Cost model
+//!
+//! * A rotated single-qubit pulse (each rx90 of a `U3`, a `DirectX`, a
+//!   `DirectRx(θ)`) is one sample pass over its `cmd_def` buffer into one
+//!   new buffer — the frame multiply, and for `DirectRx` the θ/π scale
+//!   before it — then the `hypot`-free norm check of that buffer. Its
+//!   name is the calibration's shared [`RotatedNames`] string; only
+//!   `DirectRx`, whose name carries θ, formats one.
+//! * A CNOT is one `Vec`: its entry `ShiftPhase`s, then its `cmd_def`
+//!   entry's instructions, cloned by reference (each waveform shares its
+//!   buffer and name). One scan of the entry folds both drives' new frames.
+//! * A `CR(θ)` block renders its two halves straight at their signs from
+//!   the pair's ramps, which the calibration keeps; the block is built
+//!   once per distinct θ in a call and placed like a CNOT after that.
+//! * `finish` copies every instruction once more, by reference, into the
+//!   display schedule, sorts it by start and verifies it.
 
 use quant_circuit::{Circuit, Gate};
 use quant_device::{
-    Block, Calibration, DeviceModel, EchoError, LoweredProgram, MAX_CR_HALF_SAMPLES,
+    Block, Calibration, DeviceModel, EchoError, LoweredProgram, RotatedNames, MAX_CR_HALF_SAMPLES,
 };
 use quant_math::C64;
 use quant_pulse::{
     Channel, CmdKey, Instruction, Schedule, ScheduleBuilder, ScheduleFinding, Waveform,
 };
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::f64::consts::{PI, TAU};
+use std::sync::Arc;
 
 /// Errors from lowering.
 #[derive(Clone, Debug, PartialEq)]
@@ -154,14 +173,14 @@ impl<'a> Lowering<'a> {
                     // Each rx90 plays at the current frame, which then
                     // advances by the pulse's phase-correction wrapper.
                     let q = op.qubits[0];
-                    let rx90 = self.pulse("rx90", q)?;
+                    let (rx90, names) = self.pulse("rx90", q)?;
                     let (a, c) = self.calibration.qubit(q).rx90_phase;
                     let frame = &mut frames[q as usize];
                     *frame += -lambda;
-                    let first = rx90.scaled_complex(C64::cis(*frame + c));
+                    let first = rotated(rx90, &names.rx90, *frame + c);
                     *frame += a + c;
                     *frame += -(theta + PI);
-                    let second = rx90.scaled_complex(C64::cis(*frame + c));
+                    let second = rotated(rx90, &names.rx90, *frame + c);
                     *frame += a + c;
                     *frame += -(phi + PI);
                     blocks.push(Block::Gate1Q {
@@ -171,12 +190,9 @@ impl<'a> Lowering<'a> {
                 }
                 Gate::DirectX => {
                     let q = op.qubits[0];
-                    let rx180 = self.pulse("rx180", q)?;
+                    let (rx180, names) = self.pulse("rx180", q)?;
                     let (a, c) = self.calibration.qubit(q).rx180_phase;
-                    let phase = frames[q as usize] + c;
-                    let w = rx180
-                        .renamed(format!("x_d{q}"))
-                        .scaled_complex(C64::cis(phase));
+                    let w = rotated(rx180, &names.x, frames[q as usize] + c);
                     frames[q as usize] += a + c;
                     blocks.push(Block::Gate1Q {
                         qubit: q,
@@ -189,15 +205,19 @@ impl<'a> Lowering<'a> {
                     if theta.abs() < 1e-12 {
                         continue;
                     }
-                    let rx180 = self.pulse("rx180", q)?;
+                    let (rx180, _) = self.pulse("rx180", q)?;
                     let (a, c) = self.calibration.qubit(q).direct_rx_phase(theta);
-                    let phase = frames[q as usize] + c;
-                    // QubitCalibration::direct_rx_waveform: the rx180 pulse
-                    // scaled by θ/π, from the cmd_def buffer.
-                    let w = rx180
-                        .renamed(format!("rx({theta:.3})_d{q}"))
-                        .scaled(theta / PI)
-                        .scaled_complex(C64::cis(phase));
+                    let z = C64::cis(frames[q as usize] + c);
+                    // QubitCalibration::direct_rx_waveform (the rx180 pulse
+                    // scaled by θ/π) rotated into the frame: the two
+                    // multiplications `.scaled(s).scaled_complex(z)` makes,
+                    // in its order, in one buffer under its name. The
+                    // skipped check of the scaled buffer cannot fail:
+                    // |θ| ≤ π gives |s| ≤ 1 (rounding is monotone), so each
+                    // part of `v * s` is no larger than `v`'s, and `v`
+                    // passed the bound when the cmd_def was built.
+                    let s = theta / PI;
+                    let w = rx180.mapped(format!("rx({theta:.3})_d{q}*{s:.4}*z"), |v| (v * s) * z);
                     frames[q as usize] += a + c;
                     blocks.push(Block::Gate1Q {
                         qubit: q,
@@ -210,9 +230,18 @@ impl<'a> Lowering<'a> {
                     // lone DirectX on this control?
                     let cancel =
                         self.options.pulse_cancellation && pop_cancellable_x(&mut blocks, control);
-                    let schedule =
-                        self.two_qubit_block(&op.gate, control, target, cancel, &mut memo)?;
-                    blocks.push(self.enter_block(schedule, control, target, &mut frames)?);
+                    let cx = if cancel { "cx_cancelled" } else { "cx" };
+                    let entry = match op.gate {
+                        Gate::Cr(theta) => {
+                            self.cr_block(control, target, theta, cancel, &mut memo)?
+                        }
+                        _ => self
+                            .calibration
+                            .cmd_def()
+                            .get(cx, &[control, target])
+                            .ok_or(LowerError::UncoupledPair(control, target))?,
+                    };
+                    blocks.push(self.enter_block(entry, control, target, &mut frames)?);
                 }
                 ref other => {
                     return Err(LowerError::UnsupportedGate(other.to_string()));
@@ -222,20 +251,23 @@ impl<'a> Lowering<'a> {
         self.finish(n, blocks)
     }
 
-    /// Places a two-qubit block in the pair's current frames.
+    /// Places a two-qubit block — a `cmd_def` entry or a `CR(θ)` block — in
+    /// the pair's current frames, in one `Vec`.
     ///
-    /// Entry frames go before every t = 0 pulse; then the block's net frame
-    /// advance per drive channel is harvested: the prepended entry phase
-    /// equals the old tracker value, so the net sum *is* the new tracker
-    /// value.
+    /// Entry frames go before every t = 0 pulse, target drive first, then
+    /// the control drive, then the control channel. The *target's* frame
+    /// must also rotate the CR control channel: the CR pulse drives at the
+    /// target qubit's frequency, so its X axis lives in the target's frame
+    /// (Qiskit shifts every channel in the qubit's channel group for
+    /// exactly this reason).
     ///
-    /// The *target's* frame must also rotate the CR control channel: the CR
-    /// pulse drives at the target qubit's frequency, so its X axis lives in
-    /// the target's frame (Qiskit shifts every channel in the qubit's
-    /// channel group for exactly this reason).
+    /// Then each drive's new frame is the net of its `ShiftPhase`s in the
+    /// placed block: its entry phase (the old frame, when not 0), then the
+    /// entry's own phases in order, summed left to right as
+    /// `Iterator::sum` does. One scan of the entry folds both drives.
     fn enter_block(
         &self,
-        mut schedule: Schedule,
+        entry: &Schedule,
         control: u32,
         target: u32,
         frames: &mut [f64],
@@ -244,26 +276,25 @@ impl<'a> Lowering<'a> {
             .device
             .control_channel(control, target)
             .ok_or(LowerError::UncoupledPair(control, target))?;
-        // opclint: allow(float-literal-eq): exact sentinel — skip the frame change only when the accumulated phase is still the 0.0 it was initialized to
-        if frames[target as usize] != 0.0 {
-            schedule.prepend(Instruction::ShiftPhase {
-                phase: frames[target as usize],
-                channel: u_ch,
-            });
-        }
-        for &q in &[control, target] {
-            let phase = frames[q as usize];
-            // opclint: allow(float-literal-eq): exact sentinel — 0.0 means "no frame change accumulated", never a computed near-zero
-            if phase != 0.0 {
-                schedule.prepend(Instruction::ShiftPhase {
-                    phase,
-                    channel: Channel::Drive(q),
-                });
+        let (d_c, d_t) = (Channel::Drive(control), Channel::Drive(target));
+        let (old_c, old_t) = (frames[control as usize], frames[target as usize]);
+        // opclint: allow(float-literal-eq): exact sentinel — 0.0 means "no frame change accumulated", never a computed near-zero
+        let moved = |phase: &f64| *phase != 0.0;
+        let entry_phases = [(d_t, old_t), (d_c, old_c), (u_ch, old_t)];
+        let schedule = entry.behind_phases(entry_phases.into_iter().filter(|(_, p)| moved(p)));
+        let mut new_c: f64 = std::iter::once(old_c).filter(moved).sum();
+        let mut new_t: f64 = std::iter::once(old_t).filter(moved).sum();
+        for ti in entry.instructions() {
+            if let Instruction::ShiftPhase { phase, channel } = ti.instruction {
+                if channel == d_c {
+                    new_c += phase;
+                } else if channel == d_t {
+                    new_t += phase;
+                }
             }
         }
-        for &q in &[control, target] {
-            frames[q as usize] = net_phase(&schedule, Channel::Drive(q));
-        }
+        frames[control as usize] = new_c;
+        frames[target as usize] = new_t;
         Ok(Block::Gate2Q {
             control,
             target,
@@ -275,7 +306,16 @@ impl<'a> Lowering<'a> {
     /// cancellation peephole) into a program with its display schedule,
     /// which must pass static verification.
     fn finish(&self, num_qubits: u32, blocks: Vec<Block>) -> Result<LoweredProgram, LowerError> {
-        let mut display = ScheduleBuilder::new("program");
+        let capacity = blocks
+            .iter()
+            .map(|block| match block {
+                Block::Gate1Q { waveforms, .. } => waveforms.len(),
+                // The block, then up to one padding delay per qubit.
+                Block::Gate2Q { schedule, .. } => schedule.instructions().len() + 2,
+                Block::Idle { .. } => 1,
+            })
+            .sum();
+        let mut display = ScheduleBuilder::with_capacity("program", capacity);
         for block in &blocks {
             match block {
                 Block::Gate1Q { qubit, waveforms } => {
@@ -295,12 +335,10 @@ impl<'a> Lowering<'a> {
                     // not just the ones the block plays on — a CR echo has
                     // no target-drive pulses, but the executor still
                     // synchronizes both qubits at the block boundary.
-                    let mut barrier = schedule.channels();
-                    barrier.push(Channel::Drive(*control));
-                    barrier.push(Channel::Drive(*target));
-                    let offset = barrier
-                        .iter()
-                        .map(|&ch| display.channel_duration(ch))
+                    let offset = schedule
+                        .channels()
+                        .chain([Channel::Drive(*control), Channel::Drive(*target)])
+                        .map(|ch| display.channel_duration(ch))
                         .max()
                         .unwrap_or(0);
                     display.insert_schedule(offset, schedule);
@@ -349,58 +387,51 @@ impl<'a> Lowering<'a> {
     }
 
     /// The calibrated `gate` pulse of qubit `q` (`"rx90"` or `"rx180"`,
-    /// frame not yet applied): the `cmd_def` buffer itself.
-    fn pulse(&self, gate: &str, q: u32) -> Result<&Waveform, LowerError> {
-        self.calibration
+    /// frame not yet applied) — the `cmd_def` buffer itself — and the
+    /// names its rotations take.
+    fn pulse(&self, gate: &str, q: u32) -> Result<(&'a Waveform, &'a RotatedNames), LowerError> {
+        let uncalibrated = || LowerError::Uncalibrated(CmdKey::new(gate, &[q]));
+        let pulse = self
+            .calibration
             .cmd_pulse(gate, q)
-            .ok_or_else(|| LowerError::Uncalibrated(CmdKey::new(gate, &[q])))
+            .ok_or_else(uncalibrated)?;
+        let names = self.calibration.rotated_names(q).ok_or_else(uncalibrated)?;
+        Ok((pulse, names))
     }
 
-    /// The echoed two-qubit block for a `Cnot` or `Cr(θ)` gate, before its
-    /// entry frames. A CNOT is its `cmd_def` entry; a `CR(θ)` block is
-    /// built on first use in this call and cloned (sharing every waveform
-    /// buffer) after that.
-    fn two_qubit_block(
+    /// The echoed `CR(θ)` block before its entry frames, built on first use
+    /// in this call and read from `memo` after that.
+    fn cr_block<'m>(
         &self,
-        gate: &Gate,
         control: u32,
         target: u32,
+        theta: f64,
         cancel: bool,
-        memo: &mut RenderMemo,
-    ) -> Result<Schedule, LowerError> {
-        let uncoupled = LowerError::UncoupledPair(control, target);
-        let theta = match *gate {
-            Gate::Cnot => {
-                let entry = if cancel { "cx_cancelled" } else { "cx" };
-                return self
-                    .calibration
-                    .cmd_def()
-                    .get(entry, &[control, target])
-                    .cloned()
-                    .ok_or(uncoupled);
-            }
-            Gate::Cr(theta) => theta,
-            ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
-        };
+        memo: &'m mut RenderMemo,
+    ) -> Result<&'m Schedule, LowerError> {
         // The key holds the angle's exact bits, so only bit-equal angles
         // share a block.
-        let key = (control, target, theta.to_bits(), cancel);
-        if let Some(block) = memo.get(&key) {
-            return Ok(block.clone());
+        match memo.entry((control, target, theta.to_bits(), cancel)) {
+            Entry::Occupied(block) => Ok(block.into_mut()),
+            Entry::Vacant(slot) => {
+                let block = if cancel {
+                    self.calibration.echoed_cr_schedule_cancelled(
+                        self.device,
+                        control,
+                        target,
+                        theta,
+                    )
+                } else {
+                    self.calibration
+                        .echoed_cr_schedule(self.device, control, target, theta)
+                }
+                .map_err(|e| match e {
+                    EchoError::Uncoupled => LowerError::UncoupledPair(control, target),
+                    EchoError::TooLong(theta) => LowerError::CrTooLong(theta),
+                })?;
+                Ok(slot.insert(block))
+            }
         }
-        let block = if cancel {
-            self.calibration
-                .echoed_cr_schedule_cancelled(self.device, control, target, theta)
-        } else {
-            self.calibration
-                .echoed_cr_schedule(self.device, control, target, theta)
-        }
-        .map_err(|e| match e {
-            EchoError::Uncoupled => uncoupled,
-            EchoError::TooLong(theta) => LowerError::CrTooLong(theta),
-        })?;
-        memo.insert(key, block.clone());
-        Ok(block)
     }
 }
 
@@ -410,6 +441,13 @@ impl<'a> Lowering<'a> {
 /// every other pulse is the calibration's own `cmd_def` buffer.
 type RenderMemo = BTreeMap<(u32, u32, u64, bool), Schedule>;
 
+/// `w` rotated into the frame `phase` under the shared `name`: the samples
+/// of `w.scaled_complex(C64::cis(phase))`.
+fn rotated(w: &Waveform, name: &Arc<str>, phase: f64) -> Waveform {
+    let z = C64::cis(phase);
+    w.mapped(Arc::clone(name), |s| s * z)
+}
+
 /// Reduces an angle to `(−π, π]`.
 fn normalize_angle(theta: f64) -> f64 {
     let mut t = theta.rem_euclid(TAU);
@@ -417,18 +455,6 @@ fn normalize_angle(theta: f64) -> f64 {
         t -= TAU;
     }
     t
-}
-
-/// Sum of all `ShiftPhase` instructions on one channel of a schedule.
-fn net_phase(schedule: &Schedule, channel: Channel) -> f64 {
-    schedule
-        .instructions()
-        .iter()
-        .filter_map(|ti| match &ti.instruction {
-            Instruction::ShiftPhase { phase, channel: ch } if *ch == channel => Some(*phase),
-            _ => None,
-        })
-        .sum()
 }
 
 /// If the last block is a single-waveform `Gate1Q` on `qubit` that is an
@@ -799,12 +825,72 @@ mod tests {
                         _ => fresh_cnot(l, control, target, cancel),
                     }
                     .ok_or(LowerError::UncoupledPair(control, target))?;
-                    blocks.push(l.enter_block(schedule, control, target, &mut frames)?);
+                    blocks.push(enter_block_oracle(
+                        l,
+                        schedule,
+                        control,
+                        target,
+                        &mut frames,
+                    )?);
                 }
                 ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
             }
         }
         l.finish(circuit.num_qubits(), blocks)
+    }
+
+    /// The block placement lowering used before it built each block in one
+    /// `Vec`: `prepend` the entry frames (control channel, then control
+    /// drive, then target drive, each landing first), then rescan the
+    /// placed block for each drive's net `ShiftPhase`.
+    fn enter_block_oracle(
+        l: &Lowering,
+        mut schedule: Schedule,
+        control: u32,
+        target: u32,
+        frames: &mut [f64],
+    ) -> Result<Block, LowerError> {
+        let u_ch = l
+            .device
+            .control_channel(control, target)
+            .ok_or(LowerError::UncoupledPair(control, target))?;
+        // opclint: allow(float-literal-eq): exact sentinel, as in `Lowering::enter_block`
+        if frames[target as usize] != 0.0 {
+            schedule.prepend(Instruction::ShiftPhase {
+                phase: frames[target as usize],
+                channel: u_ch,
+            });
+        }
+        for &q in &[control, target] {
+            let phase = frames[q as usize];
+            // opclint: allow(float-literal-eq): exact sentinel, as in `Lowering::enter_block`
+            if phase != 0.0 {
+                schedule.prepend(Instruction::ShiftPhase {
+                    phase,
+                    channel: Channel::Drive(q),
+                });
+            }
+        }
+        let net_phase = |channel: Channel| -> f64 {
+            schedule
+                .instructions()
+                .iter()
+                .filter_map(|ti| match &ti.instruction {
+                    Instruction::ShiftPhase { phase, channel: ch } if *ch == channel => {
+                        Some(*phase)
+                    }
+                    _ => None,
+                })
+                .sum()
+        };
+        for &q in &[control, target] {
+            frames[q as usize] = net_phase(Channel::Drive(q));
+        }
+        Ok(Block::Gate2Q {
+            control,
+            target,
+            schedule,
+        })
     }
 
     fn fresh_echo(

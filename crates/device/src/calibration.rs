@@ -21,9 +21,12 @@ use crate::snapshot::{snapshot_key, CalStore};
 use crate::transmon::FrameResult;
 use crate::twoqubit::{extract_control_z, extract_zx_angle};
 use quant_math::{fit_cosine, normal, seeded, stream_seed, CMat};
-use quant_pulse::{Channel, CmdDef, CmdKey, Drag, GaussianSquare, Instruction, Schedule, Waveform};
+use quant_pulse::{
+    Channel, CmdDef, CmdKey, Drag, FlatTopEdges, GaussianSquare, Instruction, Schedule, Waveform,
+};
 use rand::Rng;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI, TAU};
+use std::sync::Arc;
 
 /// Calibrated single-qubit pulses.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,7 +60,11 @@ impl QubitCalibration {
     /// The scaled `DirectRx(θ)` waveform (paper §4.2): the calibrated
     /// rx180 pulse with amplitude scaled by `θ/π`. Negative θ flips the
     /// drive sign.
-    pub fn direct_rx_waveform(&self, theta: f64, name: impl Into<String>) -> quant_pulse::Waveform {
+    pub fn direct_rx_waveform(
+        &self,
+        theta: f64,
+        name: impl Into<Arc<str>>,
+    ) -> quant_pulse::Waveform {
         self.rx180_waveform(name)
             .scaled(theta / std::f64::consts::PI)
     }
@@ -92,12 +99,12 @@ impl QubitCalibration {
     }
 
     /// The rendered rx90 waveform (detuning baked in).
-    pub fn rx90_waveform(&self, name: impl Into<String>) -> quant_pulse::Waveform {
+    pub fn rx90_waveform(&self, name: impl Into<Arc<str>>) -> quant_pulse::Waveform {
         self.rx90.waveform_detuned(name, self.rx90_detuning)
     }
 
     /// The rendered rx180 waveform (detuning baked in).
-    pub fn rx180_waveform(&self, name: impl Into<String>) -> quant_pulse::Waveform {
+    pub fn rx180_waveform(&self, name: impl Into<Arc<str>>) -> quant_pulse::Waveform {
         self.rx180.waveform_detuned(name, self.rx180_detuning)
     }
 
@@ -179,16 +186,32 @@ pub enum EchoError {
     TooLong(f64),
 }
 
+/// The names lowering gives one qubit's `cmd_def` pulses once rotated into
+/// a virtual-Z frame ([`Waveform::scaled_complex`]'s `*z` suffix), built
+/// with the `cmd_def` so that no gate formats one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RotatedNames {
+    /// `rx90_d{q}*z`: each rx90 pulse of a `U3`.
+    pub rx90: Arc<str>,
+    /// `x_d{q}*z`: the rx180 pulse played as a `DirectX`.
+    pub x: Arc<str>,
+}
+
 /// The result of a full device calibration.
 ///
-/// Equality is bit-exact over every calibrated parameter (and the derived
-/// `cmd_def`), which is what the determinism and snapshot round-trip tests
-/// assert.
+/// Equality is bit-exact over every calibrated parameter (and what is
+/// derived from them with `cmd_def`), which is what the determinism and
+/// snapshot round-trip tests assert.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Calibration {
     qubits: Vec<QubitCalibration>,
     pairs: Vec<PairCalibration>,
     cmd_def: CmdDef,
+    /// Derived with `cmd_def`: each pair's rendered CR ramps, indexed as
+    /// `pairs`, which every `CR(θ)` stretch of the pair shares.
+    cr_edges: Vec<FlatTopEdges>,
+    /// Derived with `cmd_def`, indexed by qubit.
+    rotated_names: Vec<RotatedNames>,
     measure_duration: u64,
 }
 
@@ -299,6 +322,8 @@ impl Calibration {
             qubits,
             pairs,
             cmd_def: CmdDef::new(),
+            cr_edges: Vec::new(),
+            rotated_names: Vec::new(),
             measure_duration,
         }
     }
@@ -316,13 +341,6 @@ impl Calibration {
     /// Calibrated single-qubit pulses for qubit `q`.
     pub fn qubit(&self, q: u32) -> &QubitCalibration {
         &self.qubits[q as usize]
-    }
-
-    /// Calibrated pair pulses for `(control, target)`, if coupled.
-    pub fn pair(&self, control: u32, target: u32) -> Option<&PairCalibration> {
-        self.pairs
-            .iter()
-            .find(|p| p.control == control && p.target == target)
     }
 
     /// The backend-reported pulse library.
@@ -343,6 +361,12 @@ impl Calibration {
                 Instruction::Play { waveform, .. } => Some(waveform),
                 _ => None,
             })
+    }
+
+    /// The names lowering gives qubit `q`'s rotated rx90 and DirectX
+    /// pulses; `None` for a qubit the calibration does not cover.
+    pub fn rotated_names(&self, q: u32) -> Option<&RotatedNames> {
+        self.rotated_names.get(q as usize)
     }
 
     /// Measurement window in `dt`.
@@ -398,7 +422,13 @@ impl Calibration {
         theta: f64,
         cancel_leading_x: bool,
     ) -> Result<Schedule, EchoError> {
-        let pair = self.pair(control, target).ok_or(EchoError::Uncoupled)?;
+        let i = self
+            .pairs
+            .iter()
+            .position(|p| p.control == control && p.target == target)
+            .ok_or(EchoError::Uncoupled)?;
+        let pair = &self.pairs[i];
+        let edges = self.cr_edges.get(i).ok_or(EchoError::Uncoupled)?;
         let u_ch = device
             .control_channel(control, target)
             .ok_or(EchoError::Uncoupled)?;
@@ -416,7 +446,7 @@ impl Calibration {
             u_ch,
             theta,
             &xc,
-            &cr_halves(pair, theta),
+            &cr_halves(edges, theta),
             cancel_leading_x,
         ))
     }
@@ -431,8 +461,19 @@ impl Calibration {
     /// the target's rx90 (the `rx90` entry's). A snapshot does not store
     /// `cmd_def`: it is a pure function of the parameters, which round-trip
     /// exactly, so it is rebuilt on load.
+    ///
+    /// The values lowering derives from the entries are built here too:
+    /// each pair's CR ramps ([`FlatTopEdges`], which `cx` and every
+    /// `CR(θ)` of the pair stretch) and each qubit's [`RotatedNames`].
     pub(crate) fn rebuild_cmd_def(&mut self, device: &DeviceModel) {
         self.cmd_def = CmdDef::new();
+        self.cr_edges = self.pairs.iter().map(|p| p.cr45.edges()).collect();
+        self.rotated_names = (0..self.qubits.len())
+            .map(|q| RotatedNames {
+                rx90: format!("rx90_d{q}*z").into(),
+                x: format!("x_d{q}*z").into(),
+            })
+            .collect();
         for (q, cal) in self.qubits.iter().enumerate() {
             let q = q as u32;
             let ch = Channel::Drive(q);
@@ -452,7 +493,7 @@ impl Calibration {
             });
             self.cmd_def.insert(CmdKey::new("measure", &[q]), meas);
         }
-        for pair in &self.pairs {
+        for (pair, edges) in self.pairs.iter().zip(&self.cr_edges) {
             let (c, t) = (pair.control, pair.target);
             let (Some(u_ch), Some(xc), Some(rx90)) = (
                 device.control_channel(c, t),
@@ -461,7 +502,7 @@ impl Calibration {
             ) else {
                 continue;
             };
-            let cr = cr_halves(pair, -FRAC_PI_2);
+            let cr = cr_halves(edges, -FRAC_PI_2);
             let barrier = [Channel::Drive(c), Channel::Drive(t), u_ch];
             // CNOT = Rz_c(90°)·Rx90_t·CR(−90°) up to global phase.
             let [plain, cancelled] = [false, true].map(|cancel_leading_x| {
@@ -768,7 +809,7 @@ fn calibrate_pair(
             zi_residual: 0.0,
         };
         let qc = &qubit_cals[control as usize];
-        let (xc, cr) = (qc.rx180_waveform("xc"), cr_halves(&trial, theta));
+        let (xc, cr) = (qc.rx180_waveform("xc"), cr_halves(&cr45.edges(), theta));
         let s = echo_schedule(qc, &trial, u_ch, theta, &xc, &cr, false);
         pair.integrate(&s, d_c, d_t, u_ch)
     };
@@ -791,15 +832,17 @@ fn calibrate_pair(
     }
 }
 
-/// The two CR halves of the echoed CR(θ) block for `pair`, in time order:
-/// its calibrated 45° half stretched to `θ`, scaled by `−sign θ`, then
-/// `+sign θ` — U = CR(s)·X·CR(−s)·X = CR(2s) with s = sign·θ/2. Both scale
-/// one render.
-fn cr_halves(pair: &PairCalibration, theta: f64) -> [Waveform; 2] {
+/// The two CR halves of the echoed CR(θ) block of a pair whose calibrated
+/// 45° half has the ramps `edges`, in time order: that half stretched to
+/// `θ`, scaled by `−sign θ`, then `+sign θ` — U = CR(s)·X·CR(−s)·X = CR(2s)
+/// with s = sign·θ/2. Each half is written straight at its sign from the
+/// stored ramps (the samples, peaks and names of one render scaled twice);
+/// a small-angle half, which shrinks the amplitude, is rendered once and
+/// scaled.
+fn cr_halves(edges: &FlatTopEdges, theta: f64) -> [Waveform; 2] {
     let factor = theta.abs() / FRAC_PI_2; // relative to the 90° echo
     let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
-    let cr_half = pair.cr45.stretched_area(factor).waveform("cr_half");
-    [cr_half.scaled(-sign), cr_half.scaled(sign)]
+    edges.render_scaled(&edges.stretched_area(factor), "cr_half", [-sign, sign])
 }
 
 /// The echoed CR block of [`Calibration::echoed_cr_schedule`] for `pair`:
@@ -1089,6 +1132,115 @@ mod tests {
             Some(EchoError::Uncoupled)
         );
         assert!(cal.echoed_cr_schedule(&device, 0, 1, 100.0).is_ok());
+    }
+
+    /// The CR halves as they were rendered before the calibration kept
+    /// each pair's ramps: the edges-only waveform for the area, the full
+    /// `GaussianSquare::waveform` of the stretch, then `.scaled(∓1)` and
+    /// `.scaled(±1)` of that one render. The oracle for [`cr_halves`].
+    fn cr_halves_oracle(cr45: GaussianSquare, theta: f64) -> [Waveform; 2] {
+        let factor = theta.abs() / FRAC_PI_2;
+        let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
+        let no_top = GaussianSquare {
+            width: 0,
+            duration: cr45.duration - cr45.width,
+            ..cr45
+        };
+        let edge_area = no_top.waveform("edges").area().re;
+        let target = (edge_area + cr45.width as f64 * cr45.amp) * factor;
+        let stretched = if target < edge_area {
+            GaussianSquare {
+                amp: cr45.amp * target / edge_area,
+                ..no_top
+            }
+        } else {
+            let width = ((target - edge_area) / cr45.amp).round().max(0.0) as u64;
+            GaussianSquare {
+                duration: cr45.duration - cr45.width + width,
+                width,
+                ..cr45
+            }
+        };
+        let half = stretched.waveform("cr_half");
+        [half.scaled(-sign), half.scaled(sign)]
+    }
+
+    /// Samples, peak and name of two waveforms, bit for bit.
+    fn assert_same_render(got: &Waveform, want: &Waveform, what: &str) {
+        assert_eq!(got.name(), want.name(), "{what}");
+        assert_eq!(got.peak().to_bits(), want.peak().to_bits(), "{what}: peak");
+        assert_eq!(got.duration(), want.duration(), "{what}: duration");
+        let same = got
+            .samples()
+            .iter()
+            .zip(want.samples())
+            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+        assert!(same, "{what}: samples differ");
+    }
+
+    /// Angles over both branches of the stretch: zero, small angles that
+    /// shrink the amplitude, and stretches past 90° in both signs.
+    const THETA_SWEEP: [f64; 12] = [
+        0.0, -0.0, 1e-6, -0.01, 0.1, -0.25, 0.4, -FRAC_PI_4, FRAC_PI_2, -FRAC_PI_2, PI, -2.7,
+    ];
+
+    #[test]
+    fn cr_halves_match_the_per_call_render() {
+        let mut rng = seeded(21);
+        let device = DeviceModel::almaden_like(2, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let calibrated = cal.pairs()[0].cr45;
+        // An odd `duration − width`: the ramps meet the flat top at half
+        // samples.
+        let odd = GaussianSquare {
+            duration: calibrated.duration + 1,
+            ..calibrated
+        };
+        assert_eq!((odd.duration - odd.width) % 2, 1);
+        for cr45 in [calibrated, odd] {
+            let edges = cr45.edges();
+            // Just under the `MAX_CR_HALF_SAMPLES` bound of
+            // `echoed_cr_schedule`.
+            let near_max = MAX_CR_HALF_SAMPLES as f64 / cr45.duration as f64 * FRAC_PI_2 * 0.999;
+            for theta in THETA_SWEEP.into_iter().chain([near_max, -near_max]) {
+                let got = cr_halves(&edges, theta);
+                let want = cr_halves_oracle(cr45, theta);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same_render(g, w, &format!("{cr45:?} θ={theta}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn echoed_cr_blocks_match_the_per_call_render() {
+        let mut rng = seeded(22);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        for pair in cal.pairs() {
+            let (c, t) = (pair.control, pair.target);
+            let u_ch = device.control_channel(c, t).unwrap();
+            let xc = cal.cmd_pulse("rx180", c).unwrap().renamed("xc");
+            for theta in THETA_SWEEP {
+                for cancel in [false, true] {
+                    let got = if cancel {
+                        cal.echoed_cr_schedule_cancelled(&device, c, t, theta)
+                    } else {
+                        cal.echoed_cr_schedule(&device, c, t, theta)
+                    }
+                    .unwrap();
+                    let halves = cr_halves_oracle(pair.cr45, theta);
+                    let want = echo_schedule(cal.qubit(c), pair, u_ch, theta, &xc, &halves, cancel);
+                    let what = format!("q{c},q{t} θ={theta} cancel={cancel}");
+                    assert_eq!(got, want, "{what}");
+                    let (got_cr, want_cr) = (plays(&got, u_ch), plays(&want, u_ch));
+                    assert_eq!(got_cr.len(), 2, "{what}");
+                    for (g, w) in got_cr.iter().zip(&want_cr) {
+                        assert_same_render(g, w, &what);
+                    }
+                }
+            }
+        }
     }
 
     /// Angle error and axis tilt of a pulse's noiseless qubit block. The

@@ -102,31 +102,6 @@ impl DeviceModel {
         model
     }
 
-    /// Builds an Almaden-like device over an arbitrary undirected coupling
-    /// topology: each undirected edge becomes two directed CR edges. Use
-    /// with the compiler's routing pass for lattice devices.
-    pub fn with_topology(n: usize, undirected_edges: &[(u32, u32)], rng: &mut impl Rng) -> Self {
-        let mut model = DeviceModel::almaden_like(n.max(1), rng);
-        let cr_base = CrParams::almaden_like();
-        model.edges.clear();
-        for &(a, b) in undirected_edges {
-            assert!((a as usize) < n && (b as usize) < n, "edge out of range");
-            for (c, t) in [(a, b), (b, a)] {
-                model.edges.push(CouplingEdge {
-                    control: c,
-                    target: t,
-                    cr: CrParams {
-                        zx_hz_per_amp: cr_base.zx_hz_per_amp * (1.0 + normal(rng, 0.0, 0.05)),
-                        ..cr_base
-                    },
-                });
-            }
-        }
-        model.zx_drift = vec![1.0; model.edges.len()];
-        model.redraw_drift(rng);
-        model
-    }
-
     /// Single-qubit Armonk-like device.
     pub fn armonk_like(rng: &mut impl Rng) -> Self {
         let mut m = DeviceModel {
@@ -397,16 +372,6 @@ mod tests {
         );
         assert_eq!(d.pulse_amp_jitter(), 0.0);
         assert_eq!(d.readout(0).p1_given_0, 0.0);
-    }
-
-    #[test]
-    fn custom_topology_edges() {
-        let mut rng = seeded(6);
-        let d = DeviceModel::with_topology(4, &[(0, 1), (1, 2), (1, 3)], &mut rng);
-        assert_eq!(d.edges().len(), 6);
-        assert!(d.control_channel(1, 3).is_some());
-        assert!(d.control_channel(3, 1).is_some());
-        assert!(d.control_channel(0, 2).is_none());
     }
 
     #[test]

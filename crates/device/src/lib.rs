@@ -52,7 +52,7 @@ pub use cache::{
 };
 pub use calibration::{
     calibrate, Calibration, CalibrationOptions, EchoError, PairCalibration, QubitCalibration,
-    MAX_CR_HALF_SAMPLES,
+    RotatedNames, MAX_CR_HALF_SAMPLES,
 };
 pub use device::{CouplingEdge, DeviceModel};
 pub use executor::{

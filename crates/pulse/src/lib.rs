@@ -50,4 +50,4 @@ mod waveform;
 pub use library::{CmdDef, CmdKey};
 pub use schedule::{Channel, Instruction, Schedule, ScheduleBuilder, TimedInstruction};
 pub use verify::{verify, ScheduleFinding, VerifySpec, RULES as VERIFY_RULES};
-pub use waveform::{Constant, Drag, Gaussian, GaussianSquare, Waveform};
+pub use waveform::{Constant, Drag, FlatTopEdges, Gaussian, GaussianSquare, Waveform};

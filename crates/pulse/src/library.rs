@@ -7,6 +7,8 @@
 //! augmented basis gates (`DirectX`, `DirectRx(θ)` templates, `CR(θ)`).
 
 use crate::schedule::Schedule;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -43,6 +45,51 @@ impl fmt::Display for CmdKey {
     }
 }
 
+/// A key as a borrowed `(name, qubits)` pair, ordered as [`CmdKey`]'s
+/// derived `Ord` orders the owned key (name first, then the qubit tuple),
+/// so [`CmdDef::get`] looks up without building a `CmdKey`.
+trait KeyView {
+    fn view(&self) -> (&str, &[u32]);
+}
+
+impl KeyView for CmdKey {
+    fn view(&self) -> (&str, &[u32]) {
+        (&self.name, &self.qubits)
+    }
+}
+
+impl KeyView for (&str, &[u32]) {
+    fn view(&self) -> (&str, &[u32]) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CmdKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.view().cmp(&other.view())
+    }
+}
+
 /// The backend-reported gate → pulse-schedule mapping.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CmdDef {
@@ -60,9 +107,10 @@ impl CmdDef {
         self.entries.insert(key, schedule)
     }
 
-    /// Looks up the schedule for a gate on specific qubits.
+    /// Looks up the schedule for a gate on specific qubits, allocating
+    /// nothing.
     pub fn get(&self, name: &str, qubits: &[u32]) -> Option<&Schedule> {
-        self.entries.get(&CmdKey::new(name, qubits))
+        self.entries.get(&(name, qubits) as &dyn KeyView)
     }
 
     /// Whether an entry exists.
@@ -127,6 +175,29 @@ mod tests {
         assert!(!lib.contains("cx", &[1, 0]));
         assert_eq!(lib.len(), 3);
         assert_eq!(lib.gate_names(), vec!["cx", "x"]);
+    }
+
+    #[test]
+    fn borrowed_lookup_agrees_with_a_scan() {
+        // Names that prefix one another and tuples that prefix one
+        // another: the borrowed view must order exactly as `CmdKey` does.
+        let names = ["c", "cx", "cx_cancelled", "x", ""];
+        let tuples: [&[u32]; 5] = [&[], &[0], &[0, 1], &[1, 0], &[1]];
+        let mut lib = CmdDef::new();
+        for (i, name) in names.iter().enumerate() {
+            for qubits in tuples.iter().skip(i % 2) {
+                lib.insert(CmdKey::new(*name, qubits), sched(16 + qubits.len() as u64));
+            }
+        }
+        for name in names.iter().chain(&["cy", "xx"]) {
+            for qubits in tuples.iter().chain(&[&[0u32, 1, 2][..], &[2][..]]) {
+                let scan = lib
+                    .iter()
+                    .find(|(k, _)| k.name == *name && k.qubits == *qubits)
+                    .map(|(_, s)| s);
+                assert_eq!(lib.get(name, qubits), scan, "{name}{qubits:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::waveform::Waveform;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A hardware channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -130,10 +131,11 @@ pub struct TimedInstruction {
 /// index (sorted by channel, maintained by every insertion), so the
 /// alignment queries — [`Schedule::channel_duration`],
 /// [`Schedule::duration`], [`Schedule::channels`] and the `append*`
-/// family built on them — cost O(channels), not O(instructions).
+/// family built on them — cost O(channels), not O(instructions). The name
+/// is a shared string, so a clone copies no text.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
-    name: String,
+    name: Arc<str>,
     instructions: Vec<TimedInstruction>,
     /// `(channel, latest instruction end on it)` for every channel used,
     /// sorted by channel.
@@ -142,7 +144,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Creates an empty schedule.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Schedule {
             name: name.into(),
             instructions: Vec::new(),
@@ -156,7 +158,7 @@ impl Schedule {
     }
 
     /// Renames the schedule in place, returning `self` for chaining.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
+    pub fn named(mut self, name: impl Into<Arc<str>>) -> Self {
         self.name = name.into();
         self
     }
@@ -197,6 +199,30 @@ impl Schedule {
                 instruction,
             },
         );
+    }
+
+    /// A copy behind one t = 0 `ShiftPhase` per `(channel, phase)` of
+    /// `phases`, in that order, ahead of every instruction — what
+    /// [`Schedule::prepend`]ing them last-first gives — built in one `Vec`
+    /// and sharing the name. Lowering places a calibrated two-qubit block
+    /// in its pair's frames this way.
+    pub fn behind_phases(&self, phases: impl IntoIterator<Item = (Channel, f64)>) -> Schedule {
+        let phases = phases.into_iter();
+        let (low, high) = phases.size_hint();
+        let mut s = Schedule {
+            name: Arc::clone(&self.name),
+            instructions: Vec::with_capacity(high.unwrap_or(low) + self.instructions.len()),
+            ends: self.ends.clone(),
+        };
+        for (channel, phase) in phases {
+            s.note_end(channel, 0);
+            s.instructions.push(TimedInstruction {
+                start: 0,
+                instruction: Instruction::ShiftPhase { phase, channel },
+            });
+        }
+        s.instructions.extend_from_slice(&self.instructions);
+        s
     }
 
     /// Appends an instruction at the current end of its channel
@@ -244,7 +270,7 @@ impl Schedule {
     /// Returns a copy shifted later by `offset` samples.
     pub fn shifted(&self, offset: u64) -> Schedule {
         Schedule {
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             instructions: self
                 .instructions
                 .iter()
@@ -275,8 +301,8 @@ impl Schedule {
     }
 
     /// The set of channels used, sorted.
-    pub fn channels(&self) -> Vec<Channel> {
-        self.ends.iter().map(|&(c, _)| c).collect()
+    pub fn channels(&self) -> impl ExactSizeIterator<Item = Channel> + '_ {
+        self.ends.iter().map(|&(c, _)| c)
     }
 
     /// Number of `Play` instructions (pulse count) — the unit of §5's
@@ -365,10 +391,17 @@ pub struct ScheduleBuilder {
 
 impl ScheduleBuilder {
     /// Starts an empty schedule.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         ScheduleBuilder {
             schedule: Schedule::new(name),
         }
+    }
+
+    /// Starts an empty schedule with room for `capacity` instructions.
+    pub fn with_capacity(name: impl Into<Arc<str>>, capacity: usize) -> Self {
+        let mut schedule = Schedule::new(name);
+        schedule.instructions.reserve_exact(capacity);
+        ScheduleBuilder { schedule }
     }
 
     /// [`Schedule::channel_duration`] of the schedule built so far.
@@ -546,7 +579,7 @@ mod tests {
             channel: Channel::Acquire(0),
         });
         assert_eq!(
-            s.channels(),
+            s.channels().collect::<Vec<_>>(),
             vec![Channel::Drive(0), Channel::Control(1), Channel::Acquire(0)]
         );
     }

@@ -16,14 +16,14 @@ use std::sync::Arc;
 
 /// A sampled complex envelope.
 ///
-/// The samples live in a shared immutable buffer, so `clone()` and
-/// [`Waveform::renamed`] are O(1) and never copy a sample; every transform
-/// renders a fresh buffer. The peak `max |d|` is recorded by the same pass
-/// that enforces the norm bound at construction, so [`Waveform::peak`] is
-/// O(1) as well.
+/// The samples live in a shared immutable buffer and the name in a shared
+/// string, so `clone()` and [`Waveform::renamed`] are O(1) and copy neither;
+/// every transform renders a fresh buffer. The peak `max |d|` is recorded
+/// at construction, where the norm bound is enforced, so
+/// [`Waveform::peak`] is O(1) as well.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Waveform {
-    name: String,
+    name: Arc<str>,
     samples: Arc<[C64]>,
     peak: f64,
 }
@@ -35,26 +35,69 @@ impl Waveform {
     ///
     /// Panics if any sample has modulus greater than 1 + 1e-9 (the AWG's
     /// norm constraint `|d_j(t)| ≤ 1`).
-    pub fn new(name: impl Into<String>, samples: Vec<C64>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, samples: Vec<C64>) -> Self {
         Waveform::from_buffer(name.into(), samples.into())
     }
 
     /// Creates a waveform over an already-rendered buffer: the render and
     /// scale paths collect straight into an `Arc<[C64]>` and land here.
     ///
+    /// The check and the peak are exact without a `hypot` per sample:
+    ///
+    /// * **Norm bound.** A sample whose computed `re² + im²` is at most 1
+    ///   has a true `|d|²` at most a few ulp above 1, so its `hypot`
+    ///   (accurate to an ulp) cannot exceed `1 + 1e-9` under any rounding. Only the
+    ///   other samples — including NaN and ±inf, whose `re² + im²` is not
+    ///   `≤ 1` — take the `hypot` assert, in index order, so the first
+    ///   offending sample panics with the same message as a full pass.
+    /// * **Peak.** Computed `re² + im²` and `hypot` are each within a few
+    ///   ulp of the true `|d|²` and `|d|`, so the sample with the largest
+    ///   `hypot` has `re² + im²` within a few ulp of the largest one. The
+    ///   peak is the largest `hypot` among samples within a relative
+    ///   `1e-12` of that maximum — a set that always holds it, so the bits
+    ///   equal a full pass's. A run of bit-equal samples (a flat top) costs
+    ///   one `hypot`.
+    /// * **Tiny samples.** The relative-error argument needs the squares to
+    ///   stay in the normal range (a subnormal square loses relative
+    ///   precision, and `re²` of a tiny sample underflows to 0). When the
+    ///   largest `re² + im²` is below [`f64::MIN_POSITIVE`], the peak falls
+    ///   back to a `hypot` over every sample. When it is normal, an
+    ///   underflow's absolute error (≤ 2⁻¹⁰⁷⁴ per operation) is far below
+    ///   the `1e-12 · max` margin.
+    ///
     /// # Panics
     ///
     /// As [`Waveform::new`].
-    fn from_buffer(name: String, samples: Arc<[C64]>) -> Self {
-        let mut peak = 0.0_f64;
+    fn from_buffer(name: Arc<str>, samples: Arc<[C64]>) -> Self {
+        let mut max_n2 = 0.0_f64;
         for (i, s) in samples.iter().enumerate() {
-            let a = s.abs();
-            assert!(
-                a <= 1.0 + 1e-9,
-                "waveform '{name}' sample {i} violates |d(t)| ≤ 1: {a}"
-            );
-            peak = peak.max(a);
+            let n2 = s.norm_sqr();
+            if n2 > 1.0 || n2.is_nan() {
+                let a = s.abs();
+                assert!(
+                    a <= 1.0 + 1e-9,
+                    "waveform '{name}' sample {i} violates |d(t)| ≤ 1: {a}"
+                );
+            }
+            max_n2 = max_n2.max(n2);
         }
+        let peak = if max_n2 >= f64::MIN_POSITIVE {
+            let floor = max_n2 * (1.0 - 1e-12);
+            let mut peak = 0.0_f64;
+            let mut prev: Option<C64> = None;
+            for &s in samples.iter() {
+                let repeat = prev.is_some_and(|p| {
+                    p.re.to_bits() == s.re.to_bits() && p.im.to_bits() == s.im.to_bits()
+                });
+                if !repeat && s.norm_sqr() >= floor {
+                    peak = peak.max(s.abs());
+                }
+                prev = Some(s);
+            }
+            peak
+        } else {
+            samples.iter().fold(0.0_f64, |peak, s| peak.max(s.abs()))
+        };
         Waveform {
             name,
             samples,
@@ -63,7 +106,7 @@ impl Waveform {
     }
 
     /// The same envelope under another name, sharing the sample buffer.
-    pub fn renamed(&self, name: impl Into<String>) -> Waveform {
+    pub fn renamed(&self, name: impl Into<Arc<str>>) -> Waveform {
         Waveform {
             name: name.into(),
             samples: Arc::clone(&self.samples),
@@ -131,28 +174,30 @@ impl Waveform {
         self.peak
     }
 
+    /// Returns a waveform named `name` whose samples are `f` of this one's,
+    /// in one buffer and one norm-check pass. A chain of transforms written
+    /// as one `f` (say `|s| (s * k) * z`) gives the samples the chained
+    /// calls would, without their intermediate buffers.
+    pub fn mapped(&self, name: impl Into<Arc<str>>, f: impl FnMut(C64) -> C64) -> Waveform {
+        Waveform::from_buffer(name.into(), self.samples.iter().copied().map(f).collect())
+    }
+
     /// Returns a copy with every sample multiplied by a real factor
     /// (vertical/amplitude scaling).
     pub fn scaled(&self, factor: f64) -> Waveform {
-        Waveform::from_buffer(
-            format!("{}*{factor:.4}", self.name),
-            self.samples.iter().map(|&s| s * factor).collect(),
-        )
+        self.mapped(format!("{}*{factor:.4}", self.name), |s| s * factor)
     }
 
     /// Returns a copy with every sample multiplied by a complex factor
     /// (amplitude scaling plus a phase rotation).
     pub fn scaled_complex(&self, factor: C64) -> Waveform {
-        Waveform::from_buffer(
-            format!("{}*z", self.name),
-            self.samples.iter().map(|&s| s * factor).collect(),
-        )
+        self.mapped(format!("{}*z", self.name), |s| s * factor)
     }
 
     /// Returns the time-reversed, conjugated waveform (the "echo" partner).
     pub fn reversed_conj(&self) -> Waveform {
         Waveform::from_buffer(
-            format!("{}_rev", self.name),
+            format!("{}_rev", self.name).into(),
             self.samples.iter().rev().map(|s| s.conj()).collect(),
         )
     }
@@ -182,7 +227,7 @@ impl Gaussian {
     /// Qiskit's `Gaussian`), so the pulse starts and ends at exactly zero —
     /// otherwise the truncation step itself causes spectral leakage no DRAG
     /// correction can remove.
-    pub fn waveform(&self, name: impl Into<String>) -> Waveform {
+    pub fn waveform(&self, name: impl Into<Arc<str>>) -> Waveform {
         let mu = (self.duration as f64 - 1.0) / 2.0;
         let s2 = 2.0 * self.sigma * self.sigma;
         let edge = {
@@ -218,7 +263,7 @@ impl Drag {
     /// Renders to samples (lifted, like [`Gaussian`]). The imaginary part is
     /// `β · d/dt` of the *lifted* real part, so it also vanishes at the
     /// edges.
-    pub fn waveform(&self, name: impl Into<String>) -> Waveform {
+    pub fn waveform(&self, name: impl Into<Arc<str>>) -> Waveform {
         self.waveform_detuned(name, 0.0)
     }
 
@@ -227,7 +272,7 @@ impl Drag {
     /// pulse amplitude). The samples are multiplied by
     /// `e^{-i·rad_per_sample·k}`, matching the device integrator's
     /// `ShiftFrequency` sign convention.
-    pub fn waveform_detuned(&self, name: impl Into<String>, rad_per_sample: f64) -> Waveform {
+    pub fn waveform_detuned(&self, name: impl Into<Arc<str>>, rad_per_sample: f64) -> Waveform {
         let mu = (self.duration as f64 - 1.0) / 2.0;
         let s2 = self.sigma * self.sigma;
         let edge = {
@@ -267,7 +312,7 @@ impl GaussianSquare {
     /// # Panics
     ///
     /// Panics when `width > duration`.
-    pub fn waveform(&self, name: impl Into<String>) -> Waveform {
+    pub fn waveform(&self, name: impl Into<Arc<str>>) -> Waveform {
         assert!(self.width <= self.duration, "flat-top wider than pulse");
         let ramp = (self.duration - self.width) as f64 / 2.0;
         let rise_end = ramp;
@@ -300,37 +345,113 @@ impl GaussianSquare {
     ///
     /// The Gaussian edges are preserved; only the width changes. `factor`
     /// may be < 1 (compression) as long as the resulting width is
-    /// non-negative.
+    /// non-negative. Renders the edges to measure their area; a caller
+    /// that stretches one pulse many times keeps its [`GaussianSquare::edges`].
+    pub fn stretched_area(&self, factor: f64) -> GaussianSquare {
+        self.edges().stretched_area(factor)
+    }
+
+    /// The Gaussian ramps of this pulse, rendered once: they do not depend
+    /// on the flat-top width, so every stretch of the pulse shares them.
+    pub fn edges(&self) -> FlatTopEdges {
+        let no_top = GaussianSquare {
+            width: 0,
+            duration: self.duration - self.width,
+            ..*self
+        };
+        let render = no_top.waveform("edges");
+        // `waveform`'s rise is every `t < ramp`, the rest is the fall.
+        let ramp = no_top.duration as f64 / 2.0;
+        FlatTopEdges {
+            pulse: *self,
+            rise: (0..no_top.duration)
+                .take_while(|&t| (t as f64) < ramp)
+                .count(),
+            area: render.area().re,
+            ramps: render.samples().iter().map(|s| s.re).collect(),
+        }
+    }
+}
+
+/// The two Gaussian ramps of a [`GaussianSquare`], rendered once
+/// ([`GaussianSquare::edges`]), for stretching its flat top repeatedly —
+/// the `CR(θ)` halves of one calibrated pair — without re-rendering them.
+///
+/// A stretch keeps `duration − width`, σ and the amplitude, so its ramp
+/// offsets `t − ramp` (rise) and `t − (ramp + width)` (fall) take the same
+/// values as the flat-top-free render's; both are exact in `f64` (integers
+/// and halves far below 2⁵³), so every ramp sample is bit-equal to the one
+/// [`GaussianSquare::waveform`] computes for the stretched pulse.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlatTopEdges {
+    pulse: GaussianSquare,
+    /// The flat-top-free render's samples (all real): the rise, then the
+    /// fall.
+    ramps: Arc<[f64]>,
+    /// How many of `ramps` come before the flat top.
+    rise: usize,
+    /// `Σ ramps`, summed as [`Waveform::area`] sums them.
+    area: f64,
+}
+
+impl FlatTopEdges {
+    /// [`GaussianSquare::stretched_area`] of the pulse these edges belong
+    /// to, from the stored edge area.
     pub fn stretched_area(&self, factor: f64) -> GaussianSquare {
         assert!(factor >= 0.0, "stretch factor must be non-negative");
-        let edge_area = {
-            // Area contributed by the two Gaussian ramps (analytic ≈ σ√(2π)
-            // for full tails; compute numerically from the rendered shape).
-            let no_top = GaussianSquare {
-                width: 0,
-                duration: self.duration - self.width,
-                ..*self
-            };
-            no_top.waveform("edges").area().re
-        };
-        let total = edge_area + self.width as f64 * self.amp;
+        let p = &self.pulse;
+        let edge_area = self.area;
+        let total = edge_area + p.width as f64 * p.amp;
         let target = total * factor;
         if target < edge_area {
             // The requested area is below what the Gaussian edges alone
             // carry: shrink vertically instead (small-angle CR pulses).
             return GaussianSquare {
-                duration: self.duration - self.width,
+                duration: p.duration - p.width,
                 width: 0,
-                amp: self.amp * target / edge_area,
-                ..*self
+                amp: p.amp * target / edge_area,
+                ..*p
             };
         }
-        let new_width = ((target - edge_area) / self.amp).round().max(0.0) as u64;
+        let new_width = ((target - edge_area) / p.amp).round().max(0.0) as u64;
         GaussianSquare {
-            duration: self.duration - self.width + new_width,
+            duration: p.duration - p.width + new_width,
             width: new_width,
-            ..*self
+            ..*p
         }
+    }
+
+    /// `pulse.waveform(name).scaled(f)` for each `f` of `factors`: the
+    /// same samples, peaks and names. When `pulse` has these ramps (the
+    /// same amplitude, σ and `duration − width`, as every stretch but a
+    /// small-angle one does), each waveform is written straight from the
+    /// stored ramps, one buffer per factor; otherwise `pulse` is rendered
+    /// once and scaled.
+    pub fn render_scaled<const N: usize>(
+        &self,
+        pulse: &GaussianSquare,
+        name: &str,
+        factors: [f64; N],
+    ) -> [Waveform; N] {
+        let p = &self.pulse;
+        let same_ramps = pulse.amp.to_bits() == p.amp.to_bits()
+            && pulse.sigma.to_bits() == p.sigma.to_bits()
+            && pulse.duration.checked_sub(pulse.width) == Some(p.duration - p.width);
+        if !same_ramps {
+            let render = pulse.waveform(name);
+            return factors.map(|f| render.scaled(f));
+        }
+        let (rise, fall) = self.ramps.split_at(self.rise);
+        factors.map(|f| {
+            let samples = rise
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n(pulse.amp, pulse.width as usize))
+                .chain(fall.iter().copied())
+                .map(|v| C64::real(v) * f)
+                .collect();
+            Waveform::from_buffer(format!("{name}*{f:.4}").into(), samples)
+        })
     }
 }
 
@@ -345,7 +466,7 @@ pub struct Constant {
 
 impl Constant {
     /// Renders to samples.
-    pub fn waveform(&self, name: impl Into<String>) -> Waveform {
+    pub fn waveform(&self, name: impl Into<Arc<str>>) -> Waveform {
         Waveform::from_buffer(
             name.into(),
             std::iter::repeat_n(C64::real(self.amp), self.duration as usize).collect(),

@@ -107,6 +107,61 @@ fn stretch_hits_requested_area() {
 }
 
 #[test]
+fn flat_top_edges_render_each_stretch_like_the_full_render() {
+    let mut rng = seeded(0x25);
+    let bits = |w: &Waveform| -> Vec<u64> {
+        w.samples()
+            .iter()
+            .flat_map(|s| [s.re.to_bits(), s.im.to_bits()])
+            .collect()
+    };
+    for case in 0..CASES {
+        // Odd and even `duration − width`, so the ramps meet the flat top
+        // at whole and at half samples.
+        let mut gs = rand_gaussian_square(&mut rng);
+        gs.duration += rng.gen_range(0u64..2);
+        let edges = gs.edges();
+        // Compressions down to the small-angle branch, and stretches.
+        for f in [0.0, 1e-3, rng.gen_range(0.0..0.3), rng.gen_range(0.3..3.0)] {
+            let stretched = edges.stretched_area(f);
+            assert_eq!(stretched, gs.stretched_area(f), "case {case} f={f}");
+            let full = stretched.waveform("h");
+            let got = edges.render_scaled(&stretched, "h", [-1.0, 1.0, 0.5]);
+            for (g, factor) in got.iter().zip([-1.0, 1.0, 0.5]) {
+                let want = full.scaled(factor);
+                assert_eq!(bits(g), bits(&want), "case {case} f={f} ×{factor}");
+                assert_eq!(g.peak().to_bits(), want.peak().to_bits());
+                assert_eq!(g.name(), want.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn behind_phases_is_prepending_last_first() {
+    let pool = [
+        Channel::Drive(0),
+        Channel::Drive(1),
+        Channel::Control(0),
+        Channel::Control(1),
+    ];
+    let mut rng = seeded(0x26);
+    for _ in 0..CASES {
+        let entry = rand_fragment(&mut rng, &pool);
+        let phases: Vec<(Channel, f64)> = (0..rng.gen_range(0usize..4))
+            .map(|_| (rand_channel(&mut rng, &pool), rng.gen_range(-3.0..3.0)))
+            .collect();
+        let mut want = entry.clone();
+        for &(channel, phase) in phases.iter().rev() {
+            want.prepend(Instruction::ShiftPhase { phase, channel });
+        }
+        let got = entry.behind_phases(phases.iter().copied());
+        assert_eq!(got, want);
+        assert_index_matches_scan(&got, &pool, 0);
+    }
+}
+
+#[test]
 fn schedule_append_durations_add() {
     let mut rng = seeded(0x25);
     for _ in 0..CASES {
@@ -287,7 +342,11 @@ fn assert_index_matches_scan(s: &Schedule, pool: &[Channel], step: usize) {
         .collect();
     scan_channels.sort();
     scan_channels.dedup();
-    assert_eq!(s.channels(), scan_channels, "step {step}: channels");
+    assert_eq!(
+        s.channels().collect::<Vec<_>>(),
+        scan_channels,
+        "step {step}: channels"
+    );
 }
 
 #[test]
