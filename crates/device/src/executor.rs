@@ -264,7 +264,11 @@ impl<'a> PulseExecutor<'a> {
     /// 3. **Evolve** (serial, program order): the density matrix takes
     ///    the timeline's events in order — each pulse's channel, and the
     ///    relaxation for each qubit's wall-clock time, composed once per
-    ///    distinct `(qubit, duration)`.
+    ///    distinct `(qubit, duration)`. Each channel is one pass of the
+    ///    channel kernel over the Hermitian half of ρ, with unrolled
+    ///    bodies for one- and two-qubit channels
+    ///    ([`DensityMatrix::apply_kraus_scratch`]), so ρ stays exactly
+    ///    Hermitian.
     ///
     /// Phases 2 and 3 overlap ([`ShotPool::stream_indices_with`]): the
     /// calling thread evolves the density matrix through event `i` as soon
@@ -672,7 +676,9 @@ impl QutritOutcome {
 
 /// Applies fresh additive amplitude jitter of `sigma` (1σ) to a waveform;
 /// returns it untouched, drawing nothing, when `sigma` is 0 or the
-/// waveform's peak is (near) zero.
+/// waveform's peak is (near) zero. A jittered copy keeps the source's
+/// shared name: nothing reads it, and the pulse cache, which keys on
+/// samples anyway, only serves runs without jitter.
 fn jittered<'a>(w: Cow<'a, Waveform>, sigma: f64, rng: &mut impl Rng) -> Cow<'a, Waveform> {
     // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
     if sigma == 0.0 {
@@ -685,11 +691,12 @@ fn jittered<'a>(w: Cow<'a, Waveform>, sigma: f64, rng: &mut impl Rng) -> Cow<'a,
     // Additive amplitude noise ξ (absolute units) realized as a relative
     // factor 1 + ξ/peak — large pulses are relatively cleaner.
     let xi = normal(rng, 0.0, sigma);
-    Cow::Owned(w.scaled((1.0 + xi / peak).clamp(0.0, 1.0 / peak)))
+    Cow::Owned(w.scaled_same_name((1.0 + xi / peak).clamp(0.0, 1.0 / peak)))
 }
 
 /// Returns a copy of a schedule with fresh additive amplitude jitter on
-/// every `Play`.
+/// every `Play`, each jittered pulse under its source's shared name (see
+/// [`jittered`]).
 pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Schedule {
     // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
     if sigma == 0.0 {
@@ -711,7 +718,7 @@ pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rn
                     if matches!(channel, Channel::Control(_)) {
                         factor += normal(rng, 0.0, 0.015);
                     }
-                    waveform.scaled(factor.clamp(0.0, 1.0 / peak))
+                    waveform.scaled_same_name(factor.clamp(0.0, 1.0 / peak))
                 };
                 Instruction::Play {
                     waveform: w,
@@ -886,6 +893,29 @@ mod tests {
             qubit: q,
             waveforms: vec![cal.qubit(q).rx180_waveform("x")],
         }
+    }
+
+    #[test]
+    fn jittered_copies_keep_the_source_name_and_scaled_samples() {
+        let w = Gaussian {
+            duration: 33,
+            amp: 0.4,
+            sigma: 8.0,
+        }
+        .waveform("g");
+        let (mut rng, mut replay) = (seeded(5), seeded(5));
+        let j = jittered(Cow::Borrowed(&w), 0.01, &mut rng);
+        assert_eq!(j.name(), "g");
+        let xi = normal(&mut replay, 0.0, 0.01);
+        let want = w.scaled((1.0 + xi / w.peak()).clamp(0.0, 1.0 / w.peak()));
+        let bits = |w: &Waveform| -> Vec<(u64, u64)> {
+            w.samples()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&j), bits(&want));
+        assert_eq!(j.peak().to_bits(), want.peak().to_bits());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! every timescale in the problem.
 
 use crate::params::{TransmonParams, DT};
-use quant_math::{CMat, PropagatorScratch, C64};
+use quant_math::{unitary_exp3, unitary_exp3_pair, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule};
 use std::f64::consts::TAU;
 
@@ -95,12 +95,6 @@ impl Transmon {
         &self.params
     }
 
-    /// The static Hamiltonian (rad/s) in the f01 rotating frame:
-    /// `2π·α·|2⟩⟨2|`.
-    fn h_static(&self) -> CMat {
-        CMat::diag(&[C64::ZERO, C64::ZERO, C64::real(TAU * self.params.alpha)])
-    }
-
     /// Applies any pending free evolution (|2⟩ anharmonic phase) in `state`
     /// to `u`.
     fn flush_static(u: &mut CMat, state: &mut DriveState) {
@@ -122,37 +116,56 @@ impl Transmon {
     /// Integrates one waveform under the current drive state, returning its
     /// 3×3 propagator (including any pending free evolution) and advancing
     /// the state.
+    ///
+    /// The exponentials of consecutive samples are evaluated two at a
+    /// time on two SIMD lanes ([`quant_math::unitary_exp3_pair`], which
+    /// falls back to two scalar calls when the samples' squaring counts
+    /// differ); the product chain still takes one sample at a time, in
+    /// order, so every bit equals a per-sample loop.
     pub fn integrate_play(&self, state: &mut DriveState, waveform: &quant_pulse::Waveform) -> CMat {
         let omega = TAU * self.params.rabi_hz_per_amp;
         let mut u = CMat::identity(3);
         Self::flush_static(&mut u, state);
-        let h0 = self.h_static();
-        // All buffers are allocated once here; the per-sample loop below is
-        // allocation-free (Taylor propagator with reused scratch instead of
-        // a per-sample eigendecomposition).
-        let mut h = CMat::zeros(3, 3);
-        let mut step = CMat::zeros(3, 3);
-        let mut next = CMat::zeros(3, 3);
-        let mut scratch = PropagatorScratch::new(3);
+        // The static Hamiltonian (rad/s) in the f01 rotating frame is
+        // 2π·α·|2⟩⟨2|.
+        let h0 = TAU * self.params.alpha;
         let half = omega / 2.0;
         let half_sqrt2 = half * std::f64::consts::SQRT_2;
-        for &sample in waveform.samples() {
+        // One sample's generator (row-major 3×3), advancing the
+        // modulation phase past the sample.
+        let mut generator = |sample: C64| {
             // In this convention the a† coefficient rotates as
             // e^{−i·2π·Δf·t} for an LO shifted up by Δf, which makes
             // ShiftFrequency(α) resonant with the 1↔2 transition (see
             // module docs and unit tests).
             let phase = state.frame_phase - state.mod_phase;
             let d_eff = sample * C64::cis(phase);
-            h.copy_from(&h0);
+            let mut h = [C64::ZERO; 9];
+            h[8] = C64::real(h0);
             // (Ω/2)(d̃ a† + d̃* a); a has elements 1, √2.
-            h[(1, 0)] += d_eff * half;
-            h[(0, 1)] += d_eff.conj() * half;
-            h[(2, 1)] += d_eff * half_sqrt2;
-            h[(1, 2)] += d_eff.conj() * half_sqrt2;
-            scratch.unitary_exp_into(&h, DT, &mut step);
+            h[3] += d_eff * half;
+            h[1] += d_eff.conj() * half;
+            h[7] += d_eff * half_sqrt2;
+            h[5] += d_eff.conj() * half_sqrt2;
+            state.mod_phase += TAU * state.freq_offset * DT;
+            h
+        };
+        let mut step = CMat::zeros(3, 3);
+        let mut next = CMat::zeros(3, 3);
+        let mut chain = |e: &[C64; 9]| {
+            step.as_mut_slice().copy_from_slice(e);
             step.mul_into(&u, &mut next);
             std::mem::swap(&mut u, &mut next);
-            state.mod_phase += TAU * state.freq_offset * DT;
+        };
+        let mut pairs = waveform.samples().chunks_exact(2);
+        for pair in &mut pairs {
+            let h = [generator(pair[0]), generator(pair[1])];
+            for e in &unitary_exp3_pair(&h, DT) {
+                chain(e);
+            }
+        }
+        if let [last] = pairs.remainder() {
+            chain(&unitary_exp3(&generator(*last), DT));
         }
         u
     }
@@ -268,6 +281,169 @@ mod tests {
             amp,
         }
         .waveform("const")
+    }
+
+    /// The per-sample loop [`Transmon::integrate_play`] replaced: one
+    /// scalar exponential per sample through the heap scratch. The laned
+    /// integrator's test oracle.
+    fn integrate_play_oracle(
+        t: &Transmon,
+        state: &mut DriveState,
+        waveform: &quant_pulse::Waveform,
+    ) -> CMat {
+        let p = t.params();
+        let omega = TAU * p.rabi_hz_per_amp;
+        let mut u = CMat::identity(3);
+        Transmon::flush_static(&mut u, state);
+        let h0 = CMat::diag(&[C64::ZERO, C64::ZERO, C64::real(TAU * p.alpha)]);
+        let mut h = CMat::zeros(3, 3);
+        let mut step = CMat::zeros(3, 3);
+        let mut next = CMat::zeros(3, 3);
+        let mut scratch = quant_math::PropagatorScratch::new(3);
+        let half = omega / 2.0;
+        let half_sqrt2 = half * std::f64::consts::SQRT_2;
+        for &sample in waveform.samples() {
+            let phase = state.frame_phase - state.mod_phase;
+            let d_eff = sample * C64::cis(phase);
+            h.copy_from(&h0);
+            h[(1, 0)] += d_eff * half;
+            h[(0, 1)] += d_eff.conj() * half;
+            h[(2, 1)] += d_eff * half_sqrt2;
+            h[(1, 2)] += d_eff.conj() * half_sqrt2;
+            scratch.unitary_exp_into(&h, DT, &mut step);
+            step.mul_into(&u, &mut next);
+            std::mem::swap(&mut u, &mut next);
+            state.mod_phase += TAU * state.freq_offset * DT;
+        }
+        u
+    }
+
+    /// `exp(−i·h·dt)` squaring count of one sample's generator: 0 while
+    /// `‖h‖_F·dt ≤ 0.5`, 1 up to twice that.
+    fn squarings(p: &TransmonParams, amp: f64) -> u32 {
+        let half = TAU * p.rabi_hz_per_amp / 2.0;
+        let h0 = TAU * p.alpha;
+        let norm = (h0 * h0 + 6.0 * half * half * amp * amp).sqrt();
+        u32::from(norm * DT > 0.5)
+    }
+
+    /// Parameters whose squaring-count boundary sits at drive amplitude
+    /// `amp`.
+    fn boundary_at(amp: f64) -> TransmonParams {
+        let mut p = TransmonParams::almaden_like();
+        let h0 = TAU * p.alpha;
+        let half = (((0.5 / DT).powi(2) - h0 * h0) / (6.0 * amp * amp)).sqrt();
+        p.rabi_hz_per_amp = 2.0 * half / TAU;
+        p
+    }
+
+    #[test]
+    fn laned_integrator_is_bit_identical_to_per_sample_oracle() {
+        use quant_pulse::Waveform;
+        let mut rng = quant_math::seeded(0x1A4E);
+        let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rand::Rng::gen::<f64>(&mut rng);
+        let near_one = boundary_at(0.97);
+        let mut straddling = 0;
+        let mut cases = 0;
+        for (round, params) in [
+            TransmonParams::almaden_like(),
+            TransmonParams::armonk_like(),
+            near_one,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let t = Transmon::new(params);
+            for len in [1u64, 2, 47, 48, 159, 160] {
+                let mut waveforms = vec![
+                    Drag {
+                        duration: len,
+                        amp: uniform(0.05, 0.95),
+                        sigma: uniform(4.0, 40.0),
+                        beta: uniform(-3.0, 3.0),
+                    }
+                    .waveform("drag"),
+                    Gaussian {
+                        duration: len,
+                        amp: uniform(0.05, 1.0),
+                        sigma: uniform(4.0, 40.0),
+                    }
+                    .waveform("gauss"),
+                    Constant {
+                        duration: len,
+                        amp: uniform(-1.0, 1.0),
+                    }
+                    .waveform("const"),
+                    Waveform::new("zero", vec![C64::ZERO; len as usize]),
+                ];
+                // Adjacent samples on either side of the squaring-count
+                // boundary at 0.97, at random phases.
+                let edge: Vec<C64> = (0..len)
+                    .map(|i| {
+                        let amp = 0.97 * if i % 2 == 0 { 1.0 - 1e-3 } else { 1.0 + 1e-3 };
+                        C64::cis(uniform(-3.2, 3.2)) * amp
+                    })
+                    .collect();
+                if t.params() == &near_one {
+                    straddling += edge
+                        .chunks_exact(2)
+                        .filter(|p| {
+                            squarings(&near_one, p[0].abs()) != squarings(&near_one, p[1].abs())
+                        })
+                        .count();
+                }
+                waveforms.push(Waveform::new("edge", edge));
+                for w in &waveforms {
+                    let starts = [
+                        DriveState::default(),
+                        DriveState {
+                            frame_phase: uniform(-3.0, 3.0),
+                            freq_offset: t.params().alpha,
+                            mod_phase: uniform(-3.0, 3.0),
+                            static_phase: 0.0,
+                        },
+                        {
+                            // A pending static phase, flushed by the play.
+                            let mut s = DriveState::default();
+                            t.apply_frame_instruction(
+                                &mut s,
+                                &Instruction::ShiftFrequency {
+                                    delta: t.params().alpha / 2.0,
+                                    channel: Channel::Drive(0),
+                                },
+                            );
+                            t.advance_idle(&mut s, 7 + round as u64);
+                            s
+                        },
+                    ];
+                    for start in starts {
+                        let (mut laned, mut scalar) = (start, start);
+                        let got = t.integrate_play(&mut laned, w);
+                        let want = integrate_play_oracle(&t, &mut scalar, w);
+                        let bits = |m: &CMat| -> Vec<(u64, u64)> {
+                            m.as_slice()
+                                .iter()
+                                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{} len {len} from {start:?}",
+                            w.name()
+                        );
+                        assert_eq!(laned.mod_phase.to_bits(), scalar.mod_phase.to_bits());
+                        assert_eq!(laned.static_phase.to_bits(), scalar.static_phase.to_bits());
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            straddling > 100,
+            "only {straddling} pairs straddle the boundary"
+        );
+        assert_eq!(cases, 3 * 6 * 5 * 3);
     }
 
     #[test]

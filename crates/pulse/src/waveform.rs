@@ -188,6 +188,13 @@ impl Waveform {
         self.mapped(format!("{}*{factor:.4}", self.name), |s| s * factor)
     }
 
+    /// [`Waveform::scaled`] under this waveform's own name, shared rather
+    /// than formatted: for transient copies, such as a run's jittered
+    /// pulses, whose name nobody reads.
+    pub fn scaled_same_name(&self, factor: f64) -> Waveform {
+        self.mapped(Arc::clone(&self.name), |s| s * factor)
+    }
+
     /// Returns a copy with every sample multiplied by a complex factor
     /// (amplitude scaling plus a phase rotation).
     pub fn scaled_complex(&self, factor: C64) -> Waveform {

@@ -79,13 +79,9 @@ impl PropagatorScratch {
             // squaring count comes from one fused pass over `h`).
             assert_eq!(out.rows(), 3, "output row mismatch");
             assert_eq!(out.cols(), 3, "output column mismatch");
-            let hs = &h.as_slice()[..9];
-            let (factor, squarings) = step_scaling(norm_sqr_sum(hs), t);
-            let mut a = [C64::ZERO; 9];
-            for (x, &z) in a.iter_mut().zip(hs) {
-                *x = z * factor;
-            }
-            out.as_mut_slice().copy_from_slice(&expm3(&a, squarings));
+            let mut h3 = [C64::ZERO; 9];
+            h3.copy_from_slice(&h.as_slice()[..9]);
+            out.as_mut_slice().copy_from_slice(&unitary_exp3(&h3, t));
             return;
         }
         // A = -i·t·H.
@@ -311,6 +307,34 @@ fn expm3_x2(a: [[C64; 9]; 2], squarings: u32) -> [[C64; 9]; 2] {
     });
     let e = expm3(&lanes, squarings);
     std::array::from_fn(|l| std::array::from_fn(|k| C64::new(e[k].re[l], e[k].im[l])))
+}
+
+/// A 3×3 generator scaled into the Taylor window, with the squaring
+/// count that undoes the scaling.
+fn scaled3(h: &[C64; 9], t: f64) -> ([C64; 9], u32) {
+    let (factor, squarings) = step_scaling(norm_sqr_sum(h), t);
+    (h.map(|z| z * factor), squarings)
+}
+
+/// `exp(−i·h·t)` of a row-major 3×3 Hermitian generator on stack arrays:
+/// the qutrit route of [`PropagatorScratch::unitary_exp_into`], bit for
+/// bit (the `−i·t` scaling and the norm estimate fold into one pass over
+/// `h`).
+pub fn unitary_exp3(h: &[C64; 9], t: f64) -> [C64; 9] {
+    let (a, squarings) = scaled3(h, t);
+    expm3(&a, squarings)
+}
+
+/// [`unitary_exp3`] of two generators at once, each result bit-identical
+/// to its own scalar call: one two-lane evaluation when both take the
+/// same squaring count, two scalar ones when they do not.
+pub fn unitary_exp3_pair(h: &[[C64; 9]; 2], t: f64) -> [[C64; 9]; 2] {
+    let ((a0, s0), (a1, s1)) = (scaled3(&h[0], t), scaled3(&h[1], t));
+    if s0 == s1 {
+        expm3_x2([a0, a1], s0)
+    } else {
+        [expm3(&a0, s0), expm3(&a1, s1)]
+    }
 }
 
 /// `out = a · b` for row-major 9×9 operands on stack arrays.
@@ -608,6 +632,46 @@ mod tests {
         scratch.unitary_exp_into(&h2, 1.3, &mut out);
         scratch.unitary_exp_into(&h1, 0.7, &mut out);
         assert!(out.max_abs_diff(&first) < 1e-15, "scratch leaked state");
+    }
+
+    #[test]
+    fn paired_3x3_exponentials_equal_scalar_calls_bit_for_bit() {
+        // Independent pairs over runs of one sample up to thousands, so
+        // the two lanes sometimes share a squaring count (one two-lane
+        // evaluation) and sometimes not (two scalar ones); each result
+        // must carry the scalar route's bits, heap route included.
+        const DT: f64 = 2.0 / 9.0 * 1e-9;
+        let mut rng_state = 0x2545F4914F6CDD1Du64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut scratch = PropagatorScratch::new(3);
+        let mut heap = CMat::zeros(3, 3);
+        let mut shared = std::collections::BTreeSet::new();
+        for run in [1u32, 2, 5, 16, 160, 1000] {
+            let t = DT * f64::from(run);
+            for _ in 0..20 {
+                let h = [sparse_hermitian3(&mut next), sparse_hermitian3(&mut next)];
+                let squarings = h.map(|h| step_scaling(norm_sqr_sum(&h), t).1);
+                shared.insert(squarings[0] == squarings[1]);
+                let pair = unitary_exp3_pair(&h, t);
+                for (lane, hl) in pair.iter().zip(&h) {
+                    assert_eq!(bits(lane), bits(&unitary_exp3(hl, t)), "run {run}");
+                    scratch.unitary_exp_into(
+                        &CMat::from_fn(3, 3, |r, c| hl[3 * r + c]),
+                        t,
+                        &mut heap,
+                    );
+                    assert_eq!(bits(lane), bits(heap.as_slice()), "run {run}, heap route");
+                }
+            }
+        }
+        assert_eq!(
+            shared.len(),
+            2,
+            "pairs with equal and unequal squaring counts"
+        );
     }
 
     #[test]

@@ -160,6 +160,14 @@ impl DensityMatrix {
     /// [`DensityMatrix::apply_kraus`] with a caller-owned scratch:
     /// allocation-free once the scratch has seen this `(targets, dims)`
     /// pair.
+    ///
+    /// The kernel reads only the Hermitian half of ρ (the blocks with row
+    /// base ≤ column base) and writes the rest as its mirror, so after
+    /// any channel ρ is exactly Hermitian. ρ is Hermitian by
+    /// construction ([`DensityMatrix::zero`], [`DensityMatrix::from_state`])
+    /// and stays so under CPTP updates; the rounding-level asymmetry a
+    /// [`DensityMatrix::apply_unitary`] pass can leave in the lower
+    /// blocks is not read.
     pub fn apply_kraus_scratch(
         &mut self,
         kraus: &[CMat],

@@ -190,18 +190,110 @@ impl KernelScratch {
         apply_right_dagger_rows(rho, op, idx, &mut self.block);
     }
 
-    /// `ρ ← Σₖ K̂ₖ·ρ·K̂ₖ†` — the channel kernel, O(d²·k²), single pass.
+    /// `ρ ← Σₖ K̂ₖ·ρ·K̂ₖ†` — the channel kernel, O(d²·k²), one pass over
+    /// the Hermitian half of ρ.
     ///
     /// Builds the k²×k² channel superoperator `S[(g,h),(g',h')] =
     /// Σₖ Kₖ[g,g']·conj(Kₖ[h,h'])` once, then applies it to every k×k
-    /// block of ρ selected by a (row-base, column-base) pair.
-    pub fn apply_kraus(
+    /// block of ρ selected by a (row-base, column-base) pair with row base
+    /// ≤ column base. The mirrored block is written as the block's
+    /// conjugate transpose; inside a diagonal block each lower entry is
+    /// written as the conjugate of its upper one and each diagonal entry
+    /// as its real part. Channels on one or two qubits (k = 2, 4) run
+    /// unrolled bodies with the superoperator in a stack array and ρ read
+    /// and written in place; every other k runs the generic
+    /// gather/transform/scatter body. Each computed entry accumulates its
+    /// k² terms in ascending `(g', h')` order, as the full-block loop did.
+    ///
+    /// Precondition: ρ is Hermitian. Only the blocks with row base ≤
+    /// column base are read, so the result is the channel applied to the
+    /// Hermitian matrix those blocks define, and it is exactly Hermitian:
+    /// `ρ[i,j] == conj(ρ[j,i])` for every entry. The one caller is
+    /// [`crate::DensityMatrix`], which builds ρ Hermitian and changes it
+    /// only through CPTP updates.
+    pub(crate) fn apply_kraus(
         &mut self,
         rho: &mut CMat,
         kraus: &[CMat],
         targets: &[usize],
         dims: &[usize],
     ) {
+        let i = self.prepare_kraus(rho, kraus, targets, dims);
+        let idx = &self.indices[i].index;
+        let cols = rho.cols();
+        let data = rho.as_mut_slice();
+        match idx.gate_dim {
+            2 => kraus_fixed::<2, 4>(data, cols, &self.superop, idx),
+            4 => kraus_fixed::<4, 16>(data, cols, &self.superop, idx),
+            _ => kraus_generic(
+                data,
+                cols,
+                &self.superop,
+                idx,
+                &mut self.block,
+                &mut self.block_out,
+            ),
+        }
+    }
+
+    /// The full-block channel loop [`KernelScratch::apply_kraus`]
+    /// replaced: every (row-base, column-base) block through the
+    /// superoperator, no Hermitian precondition. The kernel's test
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn apply_kraus_oracle(
+        &mut self,
+        rho: &mut CMat,
+        kraus: &[CMat],
+        targets: &[usize],
+        dims: &[usize],
+    ) {
+        let i = self.prepare_kraus(rho, kraus, targets, dims);
+        let idx = &self.indices[i].index;
+        let k = idx.gate_dim;
+        let k2 = k * k;
+        self.block.resize(k2, C64::ZERO);
+        self.block_out.resize(k2, C64::ZERO);
+        let cols = rho.cols();
+        let data = rho.as_mut_slice();
+        for &rb in &idx.bases {
+            for &cb in &idx.bases {
+                for (g, &go) in idx.offsets.iter().enumerate() {
+                    let row = &data[(rb + go) * cols..];
+                    for (h, &ho) in idx.offsets.iter().enumerate() {
+                        self.block[g * k + h] = row[cb + ho];
+                    }
+                }
+                for (a, out) in self.block_out.iter_mut().enumerate() {
+                    let srow = &self.superop[a * k2..][..k2];
+                    let mut acc = C64::ZERO;
+                    for (&s, &v) in srow.iter().zip(&self.block) {
+                        if s == C64::ZERO {
+                            continue;
+                        }
+                        acc += s * v;
+                    }
+                    *out = acc;
+                }
+                for (g, &go) in idx.offsets.iter().enumerate() {
+                    let row = &mut data[(rb + go) * cols..];
+                    for (h, &ho) in idx.offsets.iter().enumerate() {
+                        row[cb + ho] = self.block_out[g * k + h];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks a channel against ρ, writes its superoperator into
+    /// `self.superop` and returns the index-table cache position.
+    fn prepare_kraus(
+        &mut self,
+        rho: &CMat,
+        kraus: &[CMat],
+        targets: &[usize],
+        dims: &[usize],
+    ) -> usize {
         assert!(
             !kraus.is_empty(),
             "channel needs at least one Kraus operator"
@@ -234,38 +326,7 @@ impl KernelScratch {
                 }
             }
         }
-
-        self.block.resize(k2, C64::ZERO);
-        self.block_out.resize(k2, C64::ZERO);
-        let cols = rho.cols();
-        let data = rho.as_mut_slice();
-        for &rb in &idx.bases {
-            for &cb in &idx.bases {
-                for (g, &go) in idx.offsets.iter().enumerate() {
-                    let row = &data[(rb + go) * cols..];
-                    for (h, &ho) in idx.offsets.iter().enumerate() {
-                        self.block[g * k + h] = row[cb + ho];
-                    }
-                }
-                for (a, out) in self.block_out.iter_mut().enumerate() {
-                    let srow = &self.superop[a * k2..][..k2];
-                    let mut acc = C64::ZERO;
-                    for (&s, &v) in srow.iter().zip(&self.block) {
-                        if s == C64::ZERO {
-                            continue;
-                        }
-                        acc += s * v;
-                    }
-                    *out = acc;
-                }
-                for (g, &go) in idx.offsets.iter().enumerate() {
-                    let row = &mut data[(rb + go) * cols..];
-                    for (h, &ho) in idx.offsets.iter().enumerate() {
-                        row[cb + ho] = self.block_out[g * k + h];
-                    }
-                }
-            }
-        }
+        i
     }
 
     /// `|ψ⟩ ← Û|ψ⟩` on a raw amplitude slice — the state-vector stride
@@ -464,6 +525,114 @@ fn apply_right_dagger_rows(mat: &mut CMat, op: &CMat, idx: &TargetIndex, gather:
                     acc += v * coeff.conj();
                 }
                 row[base + off] = acc;
+            }
+        }
+    }
+}
+
+/// Channel body for gate dimension `K` (`KK = K²` block entries): the
+/// superoperator in stack arrays, each block read from and written to ρ
+/// in place. The superoperator is stored transposed and split into real
+/// and imaginary parts, so the sweep over a block's outputs runs on
+/// contiguous `f64` lanes; each output still takes its terms in
+/// ascending `(g', h')` order as `acc + (s·v)`, with the complex product
+/// formed as [`C64`]'s `Mul` forms it, so its bits are the scalar sum's.
+/// Skipping a zero superoperator entry, as the generic body does,
+/// changes no bit of a finite sum (`acc + ±0 = acc` for every `acc` it
+/// can reach), so the branch-free sums here equal it.
+fn kraus_fixed<const K: usize, const KK: usize>(
+    data: &mut [C64],
+    cols: usize,
+    superop: &[C64],
+    idx: &TargetIndex,
+) {
+    let mut s_re = [[0.0f64; KK]; KK];
+    let mut s_im = [[0.0f64; KK]; KK];
+    for (a, row) in superop.chunks_exact(KK).enumerate() {
+        for (b, z) in row.iter().enumerate() {
+            s_re[b][a] = z.re;
+            s_im[b][a] = z.im;
+        }
+    }
+    let off: [usize; K] = std::array::from_fn(|g| idx.offsets[g]);
+    for (i, &rb) in idx.bases.iter().enumerate() {
+        for &cb in &idx.bases[i..] {
+            let mut re = [0.0f64; KK];
+            let mut im = [0.0f64; KK];
+            for (b, (sr, si)) in s_re.iter().zip(&s_im).enumerate() {
+                let v = data[(rb + off[b / K]) * cols + cb + off[b % K]];
+                for a in 0..KK {
+                    re[a] += sr[a] * v.re - si[a] * v.im;
+                    im[a] += sr[a] * v.im + si[a] * v.re;
+                }
+            }
+            let out: [C64; KK] = std::array::from_fn(|a| C64::new(re[a], im[a]));
+            store_hermitian_block(data, cols, rb, cb, &off, &out);
+        }
+    }
+}
+
+/// Channel body for any gate dimension: gather each block into `block`,
+/// transform it into `block_out`, store it with its mirror.
+fn kraus_generic(
+    data: &mut [C64],
+    cols: usize,
+    superop: &[C64],
+    idx: &TargetIndex,
+    block: &mut Vec<C64>,
+    block_out: &mut Vec<C64>,
+) {
+    let k = idx.gate_dim;
+    let k2 = k * k;
+    block.resize(k2, C64::ZERO);
+    block_out.resize(k2, C64::ZERO);
+    for (i, &rb) in idx.bases.iter().enumerate() {
+        for &cb in &idx.bases[i..] {
+            for (g, &go) in idx.offsets.iter().enumerate() {
+                let row = &data[(rb + go) * cols..];
+                for (h, &ho) in idx.offsets.iter().enumerate() {
+                    block[g * k + h] = row[cb + ho];
+                }
+            }
+            for (a, out) in block_out.iter_mut().enumerate() {
+                let srow = &superop[a * k2..][..k2];
+                let mut acc = C64::ZERO;
+                for (&s, &v) in srow.iter().zip(block.iter()) {
+                    if s == C64::ZERO {
+                        continue;
+                    }
+                    acc += s * v;
+                }
+                *out = acc;
+            }
+            store_hermitian_block(data, cols, rb, cb, &idx.offsets, block_out);
+        }
+    }
+}
+
+/// Writes the transformed block `out` of the (row base `rb`, column base
+/// `cb`) pair, `rb ≤ cb`, and its mirror: off the diagonal, the mirrored
+/// block `(cb, rb)` as `out`'s conjugate transpose; on it (`rb == cb`),
+/// the upper entries, their conjugates below and the real parts on the
+/// diagonal, so ρ comes out exactly Hermitian.
+#[inline(always)]
+fn store_hermitian_block(
+    data: &mut [C64],
+    cols: usize,
+    rb: usize,
+    cb: usize,
+    offsets: &[usize],
+    out: &[C64],
+) {
+    let k = offsets.len();
+    for (g, &go) in offsets.iter().enumerate() {
+        for (h, &ho) in offsets.iter().enumerate() {
+            let z = out[g * k + h];
+            if rb != cb || g < h {
+                data[(rb + go) * cols + cb + ho] = z;
+                data[(cb + ho) * cols + rb + go] = z.conj();
+            } else if g == h {
+                data[(rb + go) * cols + rb + go] = C64::real(z.re);
             }
         }
     }
@@ -700,6 +869,247 @@ mod tests {
         scratch.apply_conjugate(&mut rho, &gates::cnot(), &[0, 1], &dims);
         scratch.apply_kraus(&mut rho, &crate::channels::depolarizing(0.2), &[1], &dims);
         assert!((rho.trace().re - 1.0).abs() < 1e-12);
+    }
+
+    mod hermitian_half {
+        use super::*;
+        use crate::channels;
+        use quant_math::{eigh, normal, seeded, unitary_exp};
+        use rand::rngs::StdRng;
+
+        fn random_matrix(rng: &mut StdRng, n: usize) -> CMat {
+            CMat::from_fn(n, n, |_, _| {
+                C64::new(normal(rng, 0.0, 1.0), normal(rng, 0.0, 1.0))
+            })
+        }
+
+        /// An exactly Hermitian ρ (not PSD: the kernel is linear): random
+        /// upper entries, their conjugates below, a real diagonal.
+        fn random_hermitian(rng: &mut StdRng, n: usize) -> CMat {
+            let mut m = random_matrix(rng, n);
+            for i in 0..n {
+                m[(i, i)] = C64::real(m[(i, i)].re);
+                for j in 0..i {
+                    m[(i, j)] = m[(j, i)].conj();
+                }
+            }
+            m
+        }
+
+        fn random_unitary(rng: &mut StdRng, n: usize) -> CMat {
+            let a = random_matrix(rng, n);
+            unitary_exp(&(&a + &a.dagger()).scale(C64::real(0.5)), 0.7)
+        }
+
+        /// `raw` whitened by `S^{-1/2}`, `S = Σ Aᵢ†Aᵢ`: a CPTP set.
+        fn whitened(raw: Vec<CMat>) -> Vec<CMat> {
+            let n = raw[0].rows();
+            let mut s = CMat::zeros(n, n);
+            for a in &raw {
+                s = &s + &(&a.dagger() * a);
+            }
+            let eig = eigh(&s);
+            let inv_sqrt: Vec<C64> = eig
+                .values
+                .iter()
+                .map(|&l| C64::real(1.0 / l.max(1e-300).sqrt()))
+                .collect();
+            let s_inv_sqrt = &(&eig.vectors * &CMat::diag(&inv_sqrt)) * &eig.vectors.dagger();
+            raw.iter().map(|a| a * &s_inv_sqrt).collect()
+        }
+
+        /// The executor's leakage completion: a contraction `B` plus one
+        /// rank-1 operator per lost direction, depositing its weight on
+        /// the basis state where that direction has the most support.
+        fn contraction_with_deposits(rng: &mut StdRng, n: usize) -> Vec<CMat> {
+            let (u, v) = (random_unitary(rng, n), random_unitary(rng, n));
+            let keep: Vec<C64> = (0..n)
+                .map(|_| C64::real((1.0 - 0.05 * normal(rng, 0.0, 1.0).abs()).max(0.5).sqrt()))
+                .collect();
+            let b = &(&(&u * &v) * &CMat::diag(&keep)) * &v.dagger();
+            let m = &CMat::identity(n) - &(&b.dagger() * &b);
+            let eig = eigh(&m);
+            let mut kraus = vec![b];
+            for (i, &lambda) in eig.values.iter().enumerate() {
+                if lambda > 1e-14 {
+                    let row: Vec<C64> = (0..n).map(|r| eig.vectors[(r, i)].conj()).collect();
+                    let deposit = (0..n)
+                        .max_by(|&a, &b| row[a].norm_sqr().total_cmp(&row[b].norm_sqr()))
+                        .unwrap_or(0);
+                    let mut k = CMat::zeros(n, n);
+                    for (col, &vc) in row.iter().enumerate() {
+                        k[(deposit, col)] = C64::real(lambda.sqrt()) * vc;
+                    }
+                    kraus.push(k);
+                }
+            }
+            kraus
+        }
+
+        /// A CPTP set with exact zeros: amplitude damping, on a qubit or
+        /// on each qubit of a pair; qutrit relaxation on a qutrit; a
+        /// block-diagonal unitary otherwise.
+        fn sparse_channel(rng: &mut StdRng, k: usize) -> Vec<CMat> {
+            match k {
+                2 => channels::amplitude_damping(0.3),
+                3 => channels::qutrit_relaxation(0.2, 0.35),
+                4 => {
+                    let mut out = Vec::new();
+                    for a in channels::amplitude_damping(0.2) {
+                        for b in channels::phase_damping(0.4) {
+                            out.push(a.kron(&b));
+                        }
+                    }
+                    out
+                }
+                _ => {
+                    let u = random_unitary(rng, 2);
+                    vec![CMat::from_fn(k, k, |r, c| match (r < 2, c < 2) {
+                        (true, true) => u[(r, c)],
+                        (false, false) if r == c => C64::ONE,
+                        _ => C64::ZERO,
+                    })]
+                }
+            }
+        }
+
+        /// Every channel the property test applies on a `k`-dim target:
+        /// random CPTP sets of 1–5 operators, one with exact zeros, one
+        /// with rank-1 deposit operators.
+        fn channels_for(rng: &mut StdRng, k: usize) -> Vec<Vec<CMat>> {
+            let mut sets: Vec<Vec<CMat>> = (1..=5)
+                .map(|ops| whitened((0..ops).map(|_| random_matrix(rng, k)).collect()))
+                .collect();
+            sets.push(sparse_channel(rng, k));
+            sets.push(contraction_with_deposits(rng, k));
+            sets
+        }
+
+        /// One and two targets: every single subsystem, and the first
+        /// and last two, adjacent and not, in both orders.
+        fn target_sets(n: usize) -> Vec<Vec<usize>> {
+            let mut sets: Vec<Vec<usize>> = (0..n).map(|q| vec![q]).collect();
+            if n >= 2 {
+                for (a, b) in [(0, 1), (n - 2, n - 1), (0, n - 1), (n / 2, 0)] {
+                    if a != b {
+                        sets.push(vec![a, b]);
+                        sets.push(vec![b, a]);
+                    }
+                }
+            }
+            sets
+        }
+
+        fn assert_exactly_hermitian(m: &CMat, what: &str) {
+            for i in 0..m.rows() {
+                for j in 0..m.cols() {
+                    assert!(
+                        m[(i, j)] == m[(j, i)].conj(),
+                        "{what}: ρ[{i},{j}] = {:?} but ρ[{j},{i}] = {:?}",
+                        m[(i, j)],
+                        m[(j, i)]
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn half_kernel_matches_full_block_oracle() {
+            let mut rng = seeded(0x4E41_4C46);
+            let mut registers: Vec<Vec<usize>> = (1..=6).map(|n| vec![2; n]).collect();
+            registers.push(vec![3, 2, 2]);
+            let mut scratch = KernelScratch::new();
+            let mut checked = 0;
+            for dims in &registers {
+                let total: usize = dims.iter().product();
+                for targets in target_sets(dims.len()) {
+                    let k: usize = targets.iter().map(|&t| dims[t]).product();
+                    for kraus in channels_for(&mut rng, k) {
+                        let rho = random_hermitian(&mut rng, total);
+                        let mut fast = rho.clone();
+                        let mut slow = rho.clone();
+                        scratch.apply_kraus(&mut fast, &kraus, &targets, dims);
+                        scratch.apply_kraus_oracle(&mut slow, &kraus, &targets, dims);
+                        let diff = (&fast - &slow).frobenius_norm();
+                        let what = format!("dims {dims:?} targets {targets:?} ops {}", kraus.len());
+                        assert!(
+                            diff <= 1e-13 * rho.frobenius_norm(),
+                            "{what}: ‖Δ‖ = {diff:.3e}, ‖ρ‖ = {:.3e}",
+                            rho.frobenius_norm()
+                        );
+                        assert_exactly_hermitian(&fast, &what);
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 300, "only {checked} cases ran");
+        }
+
+        #[test]
+        fn unrolled_bodies_equal_the_generic_body_bit_for_bit() {
+            let mut rng = seeded(0x0B0D);
+            let dims = [2usize; 5];
+            let mut scratch = KernelScratch::new();
+            for targets in target_sets(dims.len()) {
+                let k = 1 << targets.len();
+                for kraus in channels_for(&mut rng, k) {
+                    let rho = random_hermitian(&mut rng, 32);
+                    let i = scratch.prepare_kraus(&rho, &kraus, &targets, &dims);
+                    let idx = &scratch.indices[i].index;
+                    let (mut fast, mut slow) = (rho.clone(), rho);
+                    match k {
+                        2 => kraus_fixed::<2, 4>(fast.as_mut_slice(), 32, &scratch.superop, idx),
+                        _ => kraus_fixed::<4, 16>(fast.as_mut_slice(), 32, &scratch.superop, idx),
+                    }
+                    let (mut block, mut block_out) = (Vec::new(), Vec::new());
+                    kraus_generic(
+                        slow.as_mut_slice(),
+                        32,
+                        &scratch.superop,
+                        idx,
+                        &mut block,
+                        &mut block_out,
+                    );
+                    let bits = |m: &CMat| -> Vec<(u64, u64)> {
+                        m.as_slice()
+                            .iter()
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&fast), bits(&slow), "targets {targets:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn density_matrix_stays_exactly_hermitian_over_a_long_program() {
+            let mut rng = seeded(0x0200);
+            let n = 5;
+            let mut psi = crate::StateVector::zero_qubits(n);
+            for q in 0..n {
+                psi.apply_unitary(&random_unitary(&mut rng, 2), &[q]);
+            }
+            let mut rho = crate::DensityMatrix::from_state(&psi);
+            let mut scratch = KernelScratch::new();
+            for step in 0..200 {
+                let a = step % n;
+                let targets = match step % 3 {
+                    0 => vec![a],
+                    1 => vec![a, (a + 1) % n],
+                    _ => vec![(a + 3) % n, a],
+                };
+                let k = 1 << targets.len();
+                let kraus = if step % 7 == 0 {
+                    contraction_with_deposits(&mut rng, k)
+                } else {
+                    let ops = 1 + step % 4;
+                    whitened((0..ops).map(|_| random_matrix(&mut rng, k)).collect())
+                };
+                rho.apply_kraus_scratch(&kraus, &targets, &mut scratch);
+                assert_exactly_hermitian(rho.matrix(), &format!("after channel {step}"));
+            }
+            assert!((rho.trace() - 1.0).abs() < 1e-9, "trace {}", rho.trace());
+        }
     }
 
     #[test]
