@@ -7,14 +7,10 @@
 //! Times a figure-4-class single-gate workload (serial), a reduced-shot
 //! figure-13 workload (serial and pooled), the device tune-up itself
 //! (cold at 1 and N threads, plus a warm snapshot load), the
-//! density-matrix stride kernels against their embed-based reference on
-//! 2–6 qubit registers, the trajectory executor on 8–20-qubit QAOA layers
-//! past the `O(4ⁿ)` density wall (`trajectory_n{n}_reference`, the
-//! retained serial reference route — skip-scan kernels and clone-per-branch
-//! sampling over the same pulse integrators — vs `trajectory_n{n}_fused`,
-//! the fused plan-replay route at 1 and N threads — with a fatal
-//! fused-vs-reference count-checksum gate at a fixed root), the 20-qubit
-//! QAOA headline on the fused route (`qaoa20_trajectory_fused`), the
+//! density-matrix stride kernels on 2–6 qubit registers
+//! (`density_n{n}_stride`), the trajectory executor on 8–20-qubit QAOA
+//! layers past the `O(4ⁿ)` density wall (`trajectory_n{n}_fused`, at 1 and
+//! N threads), the 20-qubit QAOA headline (`qaoa20_trajectory_fused`), the
 //! propagator hot loop (eigendecomposition reference vs the Taylor
 //! scratch used by the integrators), the pair integrator's block
 //! exponential (two blocks on two lanes, `block_exp_two_lane`, vs the
@@ -154,9 +150,9 @@ fn fig13_workload(pool: &ShotPool, shots: usize) -> usize {
 
 /// The executor hot loop in miniature: per round, a 1-qubit Kraus channel
 /// on every qubit, a 2-qubit gate on every adjacent pair, and a coalesced
-/// thermal-relaxation channel on every qubit — via the stride kernels or
-/// the embed-based reference. Returns the number of operator applications.
-fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
+/// thermal-relaxation channel on every qubit, via the stride kernels.
+/// Returns the number of operator applications.
+fn density_kernel_workload(n: usize, rounds: usize) -> usize {
     let dims = vec![2usize; n];
     let mut rho = DensityMatrix::zero(&dims);
     let mut scratch = KernelScratch::new();
@@ -166,11 +162,7 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
     let mut ops = 0usize;
     for round in 0..rounds {
         for q in 0..n {
-            if reference {
-                rho.apply_kraus_ref(&gate1, &[q]);
-            } else {
-                rho.apply_kraus_scratch(&gate1, &[q], &mut scratch);
-            }
+            rho.apply_kraus_scratch(&gate1, &[q], &mut scratch);
         }
         for q in 0..n - 1 {
             let pair = if round % 2 == 0 {
@@ -178,18 +170,10 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
             } else {
                 [q + 1, q]
             };
-            if reference {
-                rho.apply_unitary_ref(&gate2, &pair);
-            } else {
-                rho.apply_unitary_scratch(&gate2, &pair, &mut scratch);
-            }
+            rho.apply_unitary_scratch(&gate2, &pair, &mut scratch);
         }
         for q in 0..n {
-            if reference {
-                rho.apply_kraus_ref(&relax, &[q]);
-            } else {
-                rho.apply_kraus_scratch(&relax, &[q], &mut scratch);
-            }
+            rho.apply_kraus_scratch(&relax, &[q], &mut scratch);
         }
         ops += 3 * n - 1;
     }
@@ -200,34 +184,16 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
 /// The trajectory executor on a textbook-compiled (CNOT·Rz·CNOT) QAOA
 /// line-graph layer: `trajectories` stochastic state-vector runs with
 /// `shots` outcomes spread across them — the workload class the `O(4ⁿ)`
-/// density wall keeps away from the density-matrix executor.
-#[derive(Clone, Copy, PartialEq)]
-enum TrajRoute {
-    /// Retained reference route: skip-scan kernels, clone-per-branch
-    /// channel sampling and an `O(2ⁿ)` categorical scan per shot.
-    Reference,
-    /// Gate-fusion plan-replay route: fused block kernels, branch
-    /// weighing against block reduced densities and binary-search
-    /// sampling on a per-trajectory cumulative distribution.
-    Fused,
-}
-
-/// Runs the workload once and returns the counts (fixed jitter seed and
-/// root 41, so both routes must agree bit-for-bit; the checksum gate
-/// asserts it).
+/// density wall keeps away from the density-matrix executor. Runs the
+/// workload once (fixed jitter seed and root 41) and returns the counts.
 fn trajectory_counts(
     program: &LoweredProgram,
     device: &DeviceModel,
     trajectories: usize,
     shots: usize,
-    route: TrajRoute,
     pool: &ShotPool,
 ) -> Vec<u64> {
     let exec = TrajectoryExecutor::new(device, trajectories);
-    let exec = match route {
-        TrajRoute::Reference => exec.with_reference_path(),
-        TrajRoute::Fused => exec,
-    };
     match exec.try_run_pooled(program, &mut quant_math::seeded(41), shots, 41, pool) {
         Ok(counts) => counts,
         Err(e) => die(format_args!("trajectory workload failed: {e}")),
@@ -527,9 +493,8 @@ fn main() {
         |pool| fig13_workload(pool, shots13),
     );
 
-    // Density-matrix stride kernels vs the embed reference, on growing
-    // registers. Rounds shrink with n so the reference side stays
-    // tractable (its per-op cost grows as the cube of the dimension).
+    // Density-matrix stride kernels on growing registers. Rounds shrink
+    // with n (the per-op cost grows with the dimension).
     for n in 2..=6usize {
         let rounds = if smoke {
             1
@@ -537,40 +502,19 @@ fn main() {
             600 >> (2 * (n - 2)).min(9)
         };
         let rounds = rounds.max(1);
-        let (ops, ref_ms) = time_best(if smoke { 1 } else { 3 }, || {
-            density_kernel_workload(n, true, rounds)
-        });
-        record(
-            &mut entries,
-            format!("density_n{n}_embed_ref"),
-            1,
-            ref_ms,
-            ops,
-            ref_ms,
-        );
         let (ops, ms) = time_best(if smoke { 1 } else { 3 }, || {
-            density_kernel_workload(n, false, rounds)
+            density_kernel_workload(n, rounds)
         });
-        record(
-            &mut entries,
-            format!("density_n{n}_stride"),
-            1,
-            ms,
-            ops,
-            ref_ms,
-        );
+        record(&mut entries, format!("density_n{n}_stride"), 1, ms, ops, ms);
     }
 
     // Trajectory scaling past the density wall: the same QAOA layer from
     // 8 to 20 qubits (a 20-qubit density matrix would need 2⁴⁰ complex
-    // entries — 16 TiB). The reference route is timed serially; the fused
-    // route at 1 thread and at the scaling pool. The determinism tests
-    // guarantee all three rows produce bit-identical counts, so the ratio
-    // is pure execution cost. Once per suite (n = 12 full, the smoke size
-    // in smoke mode) the two serial runs' counts are gated against each
-    // other at the fixed root — checksum divergence is fatal, not a slow
-    // row. (The determinism test suite pins the contract at every size
-    // class.)
+    // entries — 16 TiB), at 1 thread and at the scaling pool. The
+    // determinism tests guarantee both rows produce bit-identical counts,
+    // so the ratio is pure execution cost; the fused replay's counts
+    // against the event-by-event oracle are pinned by quant-device's
+    // oracle tests.
     let traj_sizes: &[(usize, usize, usize)] = if smoke {
         &[(3, 2, 50)]
     } else {
@@ -579,48 +523,26 @@ fn main() {
     for &(n, trajectories, shots) in traj_sizes {
         let setup = Setup::almaden(n, 7_000 + n as u64);
         let program = trajectory_program(&setup, n, CompileMode::Standard);
-        let run = |route, pool: &ShotPool| {
-            trajectory_counts(&program, &setup.device, trajectories, shots, route, pool)
-        };
+        let run =
+            |pool: &ShotPool| trajectory_counts(&program, &setup.device, trajectories, shots, pool);
         let best = if smoke || n >= 16 { 1 } else { 2 };
-        let (reference, reference_ms) = time_best(best, || run(TrajRoute::Reference, &serial));
-        record(
-            &mut entries,
-            format!("trajectory_n{n}_reference"),
-            1,
-            reference_ms,
-            shots,
-            reference_ms,
-        );
-        let (fused, ms) = time_best(best, || run(TrajRoute::Fused, &serial));
+        let (_, serial_ms) = time_best(best, || run(&serial));
         record(
             &mut entries,
             format!("trajectory_n{n}_fused"),
             1,
-            ms,
+            serial_ms,
             shots,
-            reference_ms,
+            serial_ms,
         );
-        if n == 12 || smoke {
-            let (a, b) = (
-                quant_corpus::report::counts_checksum(&fused),
-                quant_corpus::report::counts_checksum(&reference),
-            );
-            if a != b {
-                die(format_args!(
-                    "fused counts diverged from the reference path at n={n}, \
-                     root 41 ({a:016x} vs {b:016x})"
-                ));
-            }
-        }
         record_scaled(
             &mut entries,
             format!("trajectory_n{n}_fused"),
             pool,
             best,
-            reference_ms,
+            serial_ms,
             |pool| {
-                std::hint::black_box(run(TrajRoute::Fused, pool));
+                std::hint::black_box(run(pool));
                 shots
             },
         );
@@ -634,8 +556,7 @@ fn main() {
         let setup = Setup::almaden(20, 7_020);
         let program = trajectory_program(&setup, 20, CompileMode::Optimized);
         let run = |pool: &ShotPool| {
-            let counts =
-                trajectory_counts(&program, &setup.device, 8, 2048, TrajRoute::Fused, pool);
+            let counts = trajectory_counts(&program, &setup.device, 8, 2048, pool);
             std::hint::black_box(counts);
             2048
         };

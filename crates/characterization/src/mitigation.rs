@@ -5,7 +5,7 @@
 //! confusion matrix by preparing each basis state, then apply its inverse
 //! to measured distributions (with clipping back onto the simplex).
 
-use quant_math::{CMat, C64};
+use quant_math::CMat;
 
 /// A measurement-error mitigator for `n` qubits with a tensor-product
 /// confusion model.
@@ -95,17 +95,6 @@ impl Mitigator {
         }
         clipped
     }
-
-    /// Full 2ⁿ×2ⁿ confusion matrix (tensor product) — for inspection.
-    pub fn full_matrix(&self) -> CMat {
-        let mut full = CMat::identity(1);
-        for m in self.per_qubit.iter().rev() {
-            let m2 = CMat::from_real_rows(&[&[m[0][0], m[0][1]], &[m[1][0], m[1][1]]]);
-            full = full.kron(&m2);
-        }
-        let _ = C64::ZERO;
-        full
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +136,6 @@ mod tests {
         let h_before = crate::metrics::hellinger_distance(&ideal, &noisy);
         let h_after = crate::metrics::hellinger_distance(&ideal, &m.mitigate(&noisy));
         assert!(h_after < h_before * 0.05, "{h_before} → {h_after}");
-    }
-
-    #[test]
-    fn full_matrix_columns_sum_to_one() {
-        let full = mitigator2().full_matrix();
-        for c in 0..4 {
-            let s: f64 = (0..4).map(|r| full[(r, c)].re).sum();
-            assert!((s - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl BlochVector {
     pub fn fidelity(&self, other: &BlochVector) -> f64 {
         (1.0 + self.x * other.x + self.y * other.y + self.z * other.z) / 2.0
     }
-
-    /// The deviation of the vector from the X = 0 meridian plane — the
-    /// quantity plotted in the paper's Figs. 6–7 for DirectRx dephasing.
-    pub fn meridian_deviation(&self) -> f64 {
-        self.x
-    }
 }
 
 /// Assembles a Bloch vector from three per-axis P(0) estimates (in X, Y, Z
@@ -143,7 +137,7 @@ mod tests {
             let mut c = Circuit::new(1);
             c.rx(0, theta);
             let b = tomograph(&c);
-            assert!(b.meridian_deviation().abs() < 1e-10);
+            assert!(b.x.abs() < 1e-10);
             assert!((b.z - theta.cos()).abs() < 1e-10);
             assert!((b.y + theta.sin()).abs() < 1e-10);
             assert!((b.norm() - 1.0).abs() < 1e-10);

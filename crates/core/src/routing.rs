@@ -40,24 +40,6 @@ impl CouplingMap {
         CouplingMap::new(n, &edges)
     }
 
-    /// A rows×cols grid.
-    pub fn grid(rows: u32, cols: u32) -> Self {
-        let n = rows * cols;
-        let mut edges = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let q = r * cols + c;
-                if c + 1 < cols {
-                    edges.push((q, q + 1));
-                }
-                if r + 1 < rows {
-                    edges.push((q, q + cols));
-                }
-            }
-        }
-        CouplingMap::new(n, &edges)
-    }
-
     /// An Almaden-like 20-qubit lattice: four rows of five with vertical
     /// couplers on alternating columns (the heavy-square family IBM's
     /// 20-qubit Penguin devices used; the exact published map differs in a
@@ -311,7 +293,8 @@ mod tests {
 
     #[test]
     fn ghz_on_grid() {
-        let map = CouplingMap::grid(2, 3);
+        // A 2×3 grid: rows 0—1—2 and 3—4—5, joined column by column.
+        let map = CouplingMap::new(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]);
         let mut c = Circuit::new(6);
         c.h(0);
         for q in 0..5u32 {

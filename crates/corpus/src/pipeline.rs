@@ -125,9 +125,6 @@ pub struct PipelineConfig {
     pub density_max_qubits: u32,
     /// Trajectory count for the wide path.
     pub trajectories: usize,
-    /// Route both executors through their retained reference
-    /// implementations (slow; equivalence tests only).
-    pub reference: bool,
 }
 
 impl Default for PipelineConfig {
@@ -139,7 +136,6 @@ impl Default for PipelineConfig {
             noisy: true,
             density_max_qubits: 6,
             trajectories: 16,
-            reference: false,
         }
     }
 }
@@ -225,22 +221,16 @@ pub fn execute_compiled(
     let width = cc.routed.circuit.num_qubits();
     let mut jitter = seeded(stream_seed(config.seed, 0));
     if width <= config.density_max_qubits {
-        let mut exec = if config.noisy {
+        let exec = if config.noisy {
             PulseExecutor::new(device)
         } else {
             PulseExecutor::noiseless(device)
         };
-        if config.reference {
-            exec = exec.with_reference_path();
-        }
         let outcome = exec.try_run_pooled(&compiled.program, &mut jitter, pool)?;
         let counts = outcome.sample_counts_deterministic(stream_seed(config.seed, 1), config.shots);
         Ok((ExecutorKind::Density, counts))
     } else {
-        let mut exec = TrajectoryExecutor::new(device, config.trajectories);
-        if config.reference {
-            exec = exec.with_reference_path();
-        }
+        let exec = TrajectoryExecutor::new(device, config.trajectories);
         let counts = exec.try_run_pooled(
             &compiled.program,
             &mut jitter,

@@ -241,11 +241,6 @@ impl DeviceModel {
             .map(|k| Channel::Control(k as u32))
     }
 
-    /// The directed pair served by control channel `k`.
-    pub fn pair_for_control(&self, k: u32) -> Option<&CouplingEdge> {
-        self.edges.get(k as usize)
-    }
-
     /// The static-verification envelope for schedules compiled against
     /// this device: qubit count, coupled control pairs, full-scale
     /// amplitude, and a generous local-oscillator band around the qubit
@@ -332,12 +327,7 @@ mod tests {
         assert!(d.control_channel(0, 1).is_some());
         assert!(d.control_channel(1, 0).is_some());
         assert!(d.control_channel(0, 2).is_none());
-        let ch = d.control_channel(2, 3).unwrap();
-        let Channel::Control(k) = ch else {
-            panic!("expected control channel")
-        };
-        let e = d.pair_for_control(k).unwrap();
-        assert_eq!((e.control, e.target), (2, 3));
+        assert_eq!(d.control_channel(2, 3), Some(Channel::Control(4)));
     }
 
     #[test]

@@ -199,7 +199,6 @@ impl ExecOutcome {
 pub struct PulseExecutor<'a> {
     device: &'a DeviceModel,
     noisy: bool,
-    reference: bool,
 }
 
 impl<'a> PulseExecutor<'a> {
@@ -208,7 +207,6 @@ impl<'a> PulseExecutor<'a> {
         PulseExecutor {
             device,
             noisy: true,
-            reference: false,
         }
     }
 
@@ -218,17 +216,7 @@ impl<'a> PulseExecutor<'a> {
         PulseExecutor {
             device,
             noisy: false,
-            reference: false,
         }
-    }
-
-    /// Switches density-matrix evolution to the embed-based reference
-    /// route with per-stage (uncoalesced) relaxation — float-for-float the
-    /// pre-kernel implementation. Slow; exists so tests can assert the
-    /// fast path reproduces identical sampled counts.
-    pub fn with_reference_path(mut self) -> Self {
-        self.reference = true;
-        self
     }
 
     /// Runs a lowered program, reporting a register that does not fit the
@@ -291,35 +279,21 @@ impl<'a> PulseExecutor<'a> {
         let device = self.device;
         let (line, cache) = prepare(device, program, self.noisy, rng)?;
 
-        // Relaxation stages per distinct (qubit, duration): one composed
-        // channel on the kernel path, the per-stage channels on the
-        // reference path (float-identical to the pre-kernel route), none
-        // when decoherence is off.
-        let relax: Vec<(usize, Vec<Vec<CMat>>)> = line
+        // One composed relaxation channel per distinct (qubit, duration),
+        // none when decoherence is off.
+        let relax: Vec<(usize, Option<Vec<CMat>>)> = line
             .relax
             .iter()
             .map(|&(q, samples)| {
                 let p = device.qubit(q);
                 let t = samples as f64 * DT;
-                let stages = if !self.noisy {
-                    Vec::new()
-                } else if self.reference {
-                    channels::thermal_relaxation(t, p.t1, p.t2)
-                } else {
-                    vec![channels::thermal_relaxation_kraus(t, p.t1, p.t2)]
-                };
-                (q as usize, stages)
+                let channel = self
+                    .noisy
+                    .then(|| channels::thermal_relaxation_kraus(t, p.t1, p.t2));
+                (q as usize, channel)
             })
             .collect();
-        // Thermal SPAM: imperfect reset leaves residual |1⟩ population that
-        // readout mitigation (a measurement-side correction) cannot remove.
-        let p_reset = device.reset_excited_prob();
-        let flip = (self.noisy && p_reset > 0.0).then(|| {
-            vec![
-                CMat::identity(2).scale(C64::real((1.0 - p_reset).sqrt())),
-                quant_sim::gates::x().scale(C64::real(p_reset.sqrt())),
-            ]
-        });
+        let flip = reset_flip(device, self.noisy);
 
         let n = program.num_qubits as usize;
         let mut rho = DensityMatrix::zero_qubits(n);
@@ -335,39 +309,43 @@ impl<'a> PulseExecutor<'a> {
             |i, kraus| match &events[i] {
                 Event::Spam(q) => {
                     if let Some(flip) = &flip {
-                        self.apply_kraus(&mut rho, flip, &[*q as usize], &mut scratch);
+                        rho.apply_kraus_scratch(flip, &[*q as usize], &mut scratch);
                     }
                 }
                 Event::Relax(id) => {
-                    let (q, stages) = &relax[*id];
-                    for stage in stages {
-                        self.apply_kraus(&mut rho, stage, &[*q], &mut scratch);
+                    if let (q, Some(channel)) = &relax[*id] {
+                        rho.apply_kraus_scratch(channel, &[*q], &mut scratch);
                     }
                 }
                 Event::Play { qubit, .. } => {
-                    self.apply_kraus(&mut rho, &kraus, &[*qubit as usize], &mut scratch);
+                    rho.apply_kraus_scratch(&kraus, &[*qubit as usize], &mut scratch);
                 }
                 Event::Pair {
                     control, target, ..
                 } => {
                     let targets = [*control as usize, *target as usize];
-                    self.apply_kraus(&mut rho, &kraus, &targets, &mut scratch);
+                    rho.apply_kraus_scratch(&kraus, &targets, &mut scratch);
                 }
             },
         );
+        Ok(self.outcome(program.num_qubits, rho.probabilities(), line.end))
+    }
 
-        let true_probabilities = rho.probabilities();
+    /// The outcome of a run on `num_qubits` qubits whose pre-readout
+    /// distribution is `true_probabilities`: the readout confusion applied
+    /// on top when the noise model is on.
+    fn outcome(&self, num_qubits: u32, true_probabilities: Vec<f64>, duration: u64) -> ExecOutcome {
         let probabilities = if self.noisy {
-            let readouts: Vec<_> = (0..n as u32).map(|q| *device.readout(q)).collect();
+            let readouts: Vec<_> = (0..num_qubits).map(|q| *self.device.readout(q)).collect();
             readout::apply_confusion(&true_probabilities, &readouts)
         } else {
             true_probabilities.clone()
         };
-        Ok(ExecOutcome {
+        ExecOutcome {
             probabilities,
             true_probabilities,
-            duration: line.end,
-        })
+            duration,
+        }
     }
 
     /// Runs a raw single-qutrit schedule (drive channel 0) on the 3-level
@@ -434,22 +412,6 @@ impl<'a> PulseExecutor<'a> {
         QutritOutcome {
             populations: rho.probabilities(),
             duration: cursor,
-        }
-    }
-
-    /// Applies a Kraus channel via the stride kernel and the shared
-    /// scratch, or via the embed reference when the reference path is on.
-    fn apply_kraus(
-        &self,
-        rho: &mut DensityMatrix,
-        kraus: &[CMat],
-        targets: &[usize],
-        scratch: &mut KernelScratch,
-    ) {
-        if self.reference {
-            rho.apply_kraus_ref(kraus, targets);
-        } else {
-            rho.apply_kraus_scratch(kraus, targets, scratch);
         }
     }
 }
@@ -732,6 +694,20 @@ pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rn
     out
 }
 
+/// Thermal SPAM: imperfect reset leaves residual |1⟩ population that
+/// readout mitigation (a measurement-side correction) cannot remove. The
+/// bit-flip channel each qubit takes at the start of a run, or `None` when
+/// the noise model is off or the device resets perfectly.
+fn reset_flip(device: &DeviceModel, noisy: bool) -> Option<Vec<CMat>> {
+    let p_reset = device.reset_excited_prob();
+    (noisy && p_reset > 0.0).then(|| {
+        vec![
+            CMat::identity(2).scale(C64::real((1.0 - p_reset).sqrt())),
+            quant_sim::gates::x().scale(C64::real(p_reset.sqrt())),
+        ]
+    })
+}
+
 /// The per-pulse amplitude jitter (1σ) runs draw: the device's, or 0
 /// when the noise model is off.
 fn jitter_sigma(device: &DeviceModel, noisy: bool) -> f64 {
@@ -877,6 +853,480 @@ fn contraction_kraus(b: &CMat) -> Vec<CMat> {
         }
     }
     kraus
+}
+
+#[cfg(test)]
+/// A seeded generator of [`LoweredProgram`]s for the executors' oracle
+/// tests.
+///
+/// Device unit tests cannot take programs from the compiler: a
+/// dev-dependency on `pulse-compiler` links a second `quant_device`, whose
+/// types do not match this crate's. So [`ProgramBuilder`] builds the
+/// blocks that `Lowering::lower` (`crates/core/src/lower.rs`) emits
+/// straight from a [`Calibration`]'s `cmd_def`, tracking a virtual-Z frame
+/// per qubit the way lowering does. Each [`Shape`] stands for one
+/// `lower.rs` site:
+///
+/// | Shape | `lower.rs` site |
+/// |---|---|
+/// | `Plain`: the `rx90` or `rx180` `cmd_def` buffer as is | a `U3` or `DirectX` pulse at frame 0 (`rotated` by `cis(0)`) |
+/// | `U3`: two `rx90` plays, each under its frame phase | the `Gate::U3` arm: each rx90 is `rotated` into the frame, which then advances by the pulse's `(a, c)` correction |
+/// | `DirectX`: one `rx180` play under its frame phase | the `Gate::DirectX` arm |
+/// | `DirectRx`: `direct_rx_waveform(θ)` under its frame phase | the `Gate::DirectRx` arm (the rx180 buffer scaled by θ/π, then rotated) |
+/// | `Cx`, `CxCancelled`: the `cx` or `cx_cancelled` entry behind entry phases, on a coupled pair in either direction | the `Gate::Cnot` arm through `enter_block` (`cx_cancelled` when `pop_cancellable_x` absorbed a leading DirectX) |
+/// | `Cr`, `CrCancelled`: `echoed_cr_schedule{,_cancelled}(θ)` behind entry phases | the `Gate::Cr(θ)` arm through `cr_block` and `enter_block` |
+/// | `Idle`: [`Block::Idle`] | not `lower` itself: callers append it (Fig. 13's optimized-slow padding), and `finish` renders it as a delay |
+///
+/// The display schedule is left empty: the executors never read it.
+///
+/// [`Calibration`]: crate::Calibration
+pub(crate) mod testgen {
+    use crate::calibration::Calibration;
+    use crate::device::DeviceModel;
+    use crate::executor::{Block, LoweredProgram};
+    use quant_math::C64;
+    use quant_pulse::{Channel, Instruction, Schedule, Waveform};
+    use rand::Rng;
+    use std::f64::consts::PI;
+
+    /// The block shapes of the module table, in its order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub(crate) enum Shape {
+        Plain,
+        U3,
+        DirectX,
+        DirectRx,
+        Cx,
+        CxCancelled,
+        Cr,
+        CrCancelled,
+        Idle,
+    }
+
+    impl Shape {
+        pub(crate) const ALL: [Shape; 9] = [
+            Shape::Plain,
+            Shape::U3,
+            Shape::DirectX,
+            Shape::DirectRx,
+            Shape::Cx,
+            Shape::CxCancelled,
+            Shape::Cr,
+            Shape::CrCancelled,
+            Shape::Idle,
+        ];
+    }
+
+    /// Appends lowered blocks to a program on the first `n` qubits of a
+    /// device, keeping each qubit's virtual-Z frame as lowering does.
+    pub(crate) struct ProgramBuilder<'a> {
+        device: &'a DeviceModel,
+        cal: &'a Calibration,
+        frames: Vec<f64>,
+        blocks: Vec<Block>,
+    }
+
+    impl<'a> ProgramBuilder<'a> {
+        pub(crate) fn new(device: &'a DeviceModel, cal: &'a Calibration, n: u32) -> Self {
+            ProgramBuilder {
+                device,
+                cal,
+                frames: vec![0.0; n as usize],
+                blocks: Vec::new(),
+            }
+        }
+
+        /// The program built so far.
+        pub(crate) fn finish(self) -> LoweredProgram {
+            LoweredProgram {
+                num_qubits: self.frames.len() as u32,
+                blocks: self.blocks,
+                schedule: Schedule::new("generated"),
+            }
+        }
+
+        /// A virtual `Rz(λ)`: advances the frame, plays nothing.
+        pub(crate) fn rz(&mut self, q: u32, lambda: f64) {
+            self.frames[q as usize] += -lambda;
+        }
+
+        /// Qubit `q`'s `cmd_def` buffer for `gate` (`"rx90"` or
+        /// `"rx180"`), played as is.
+        pub(crate) fn plain(&mut self, q: u32, gate: &str) {
+            let w = self.pulse(gate, q).clone();
+            self.play(q, vec![w]);
+        }
+
+        /// `U3(θ, φ, λ) = Rz(φ+π)·Rx90·Rz(θ+π)·Rx90·Rz(λ)`.
+        pub(crate) fn u3(&mut self, q: u32, theta: f64, phi: f64, lambda: f64) {
+            let (a, c) = self.cal.qubit(q).rx90_phase;
+            let rx90 = self.pulse("rx90", q);
+            let frame = self.frames[q as usize] - lambda;
+            let first = rotated(rx90, frame + c);
+            let frame = frame + a + c - (theta + PI);
+            let second = rotated(rx90, frame + c);
+            self.frames[q as usize] = frame + a + c - (phi + PI);
+            self.play(q, vec![first, second]);
+        }
+
+        /// One calibrated X pulse in the frame.
+        pub(crate) fn direct_x(&mut self, q: u32) {
+            let (a, c) = self.cal.qubit(q).rx180_phase;
+            let w = rotated(self.pulse("rx180", q), self.frames[q as usize] + c);
+            self.frames[q as usize] += a + c;
+            self.play(q, vec![w]);
+        }
+
+        /// `DirectRx(θ)`: the rx180 pulse scaled by θ/π, in the frame.
+        pub(crate) fn direct_rx(&mut self, q: u32, theta: f64) {
+            let qcal = self.cal.qubit(q);
+            let (a, c) = qcal.direct_rx_phase(theta);
+            let w = qcal
+                .direct_rx_waveform(theta, "rx")
+                .scaled_complex(C64::cis(self.frames[q as usize] + c));
+            self.frames[q as usize] += a + c;
+            self.play(q, vec![w]);
+        }
+
+        /// The pair's `cx` (or `cx_cancelled`) `cmd_def` entry.
+        pub(crate) fn cx(&mut self, control: u32, target: u32, cancelled: bool) {
+            let name = if cancelled { "cx_cancelled" } else { "cx" };
+            let entry = self
+                .cal
+                .cmd_def()
+                .get(name, &[control, target])
+                .expect("every coupled pair has both CNOT entries")
+                .clone();
+            self.enter_block(&entry, control, target);
+        }
+
+        /// The echoed `CR(θ)` block (without its leading X when
+        /// `cancelled`).
+        pub(crate) fn cr(&mut self, control: u32, target: u32, theta: f64, cancelled: bool) {
+            let (cal, device) = (self.cal, self.device);
+            let entry = if cancelled {
+                cal.echoed_cr_schedule_cancelled(device, control, target, theta)
+            } else {
+                cal.echoed_cr_schedule(device, control, target, theta)
+            }
+            .expect("a coupled pair and |θ| ≤ π/2");
+            self.enter_block(&entry, control, target);
+        }
+
+        /// An explicit idle.
+        pub(crate) fn idle(&mut self, qubit: u32, duration: u64) {
+            self.blocks.push(Block::Idle { qubit, duration });
+        }
+
+        fn pulse(&self, gate: &str, q: u32) -> &'a Waveform {
+            self.cal
+                .cmd_pulse(gate, q)
+                .expect("the calibration covers every qubit")
+        }
+
+        fn play(&mut self, qubit: u32, waveforms: Vec<Waveform>) {
+            self.blocks.push(Block::Gate1Q { qubit, waveforms });
+        }
+
+        /// Places a two-qubit entry behind the pair's entry frames (target
+        /// drive, control drive, then the control channel in the target's
+        /// frame) and advances both drives' frames by the entry's own
+        /// phases, as lowering's `enter_block` does.
+        fn enter_block(&mut self, entry: &Schedule, control: u32, target: u32) {
+            let u_ch = self
+                .device
+                .control_channel(control, target)
+                .expect("the pair is coupled");
+            let (d_c, d_t) = (Channel::Drive(control), Channel::Drive(target));
+            let (old_c, old_t) = (self.frames[control as usize], self.frames[target as usize]);
+            let phases = [(d_t, old_t), (d_c, old_c), (u_ch, old_t)];
+            let schedule = entry.behind_phases(phases.into_iter().filter(|(_, p)| *p != 0.0));
+            for ti in entry.instructions() {
+                if let Instruction::ShiftPhase { phase, channel } = ti.instruction {
+                    if channel == d_c {
+                        self.frames[control as usize] += phase;
+                    } else if channel == d_t {
+                        self.frames[target as usize] += phase;
+                    }
+                }
+            }
+            self.blocks.push(Block::Gate2Q {
+                control,
+                target,
+                schedule,
+            });
+        }
+    }
+
+    /// `w` rotated into the frame `phase`, as lowering's `rotated` does.
+    fn rotated(w: &Waveform, phase: f64) -> Waveform {
+        let z = C64::cis(phase);
+        w.mapped(w.name().to_owned(), |s| s * z)
+    }
+
+    /// A random program of `blocks` blocks on the first `n` qubits of
+    /// `device`, drawn from `rng`, with each block's shape. Most gates
+    /// follow a random virtual Z, so pulses play under varied frames.
+    /// Two-qubit shapes need a coupled pair; on one qubit they become
+    /// `U3`.
+    pub(crate) fn random_program(
+        device: &DeviceModel,
+        cal: &Calibration,
+        n: u32,
+        blocks: usize,
+        rng: &mut impl Rng,
+    ) -> (LoweredProgram, Vec<Shape>) {
+        let pairs: Vec<(u32, u32)> = device
+            .edges()
+            .iter()
+            .filter(|e| e.control < n && e.target < n)
+            .map(|e| (e.control, e.target))
+            .collect();
+        let mut b = ProgramBuilder::new(device, cal, n);
+        let mut shapes = Vec::with_capacity(blocks);
+        for _ in 0..blocks {
+            let mut shape = Shape::ALL[rng.gen_range(0..Shape::ALL.len())];
+            if pairs.is_empty() && (Shape::Cx..=Shape::CrCancelled).contains(&shape) {
+                shape = Shape::U3;
+            }
+            let q = rng.gen_range(0..n);
+            if rng.gen::<f64>() < 0.7 {
+                b.rz(q, rng.gen_range(-PI..PI));
+            }
+            let (control, target) = match pairs.len() {
+                0 => (q, q),
+                k => pairs[rng.gen_range(0..k)],
+            };
+            let angle = rng.gen_range(-PI / 2.0..PI / 2.0);
+            match shape {
+                Shape::Plain => b.plain(q, if rng.gen::<bool>() { "rx90" } else { "rx180" }),
+                Shape::U3 => b.u3(q, angle, rng.gen_range(-PI..PI), rng.gen_range(-PI..PI)),
+                Shape::DirectX => b.direct_x(q),
+                Shape::DirectRx => b.direct_rx(q, 2.0 * angle),
+                Shape::Cx => b.cx(control, target, false),
+                Shape::CxCancelled => b.cx(control, target, true),
+                Shape::Cr => b.cr(control, target, angle, false),
+                Shape::CrCancelled => b.cr(control, target, angle, true),
+                // Short idles, and long ones (up to ~0.5·T1) whose
+                // relaxation branches are likely enough that a wrong branch
+                // weight shows in the sampled counts.
+                Shape::Idle => {
+                    let long = rng.gen::<bool>();
+                    b.idle(
+                        q,
+                        rng.gen_range(if long { 20_000..200_000 } else { 1..4_000 }),
+                    )
+                }
+            }
+            shapes.push(shape);
+        }
+        (b.finish(), shapes)
+    }
+
+    /// The textbook-compiled (CNOT·Rz·CNOT) QAOA MAXCUT layer on the
+    /// line graph over `n` qubits, at angles `(γ, β)`: H on every qubit,
+    /// `CNOT·Rz(2γ)·CNOT` on each edge, then `Rx(2β)` on every qubit, each
+    /// single-qubit gate a `U3`, as the standard flow lowers it.
+    pub(crate) fn qaoa_line_program(
+        device: &DeviceModel,
+        cal: &Calibration,
+        n: u32,
+        (gamma, beta): (f64, f64),
+    ) -> LoweredProgram {
+        let mut b = ProgramBuilder::new(device, cal, n);
+        for q in 0..n {
+            b.u3(q, PI / 2.0, 0.0, PI);
+        }
+        for q in 0..n - 1 {
+            b.cx(q, q + 1, false);
+            b.rz(q + 1, 2.0 * gamma);
+            b.cx(q, q + 1, false);
+        }
+        for q in 0..n {
+            b.u3(q, 2.0 * beta, -PI / 2.0, PI / 2.0);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn generated_programs_emit_every_shape() {
+        use crate::calibration::calibrate;
+        use quant_math::seeded;
+        let mut rng = seeded(3);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..16 {
+            let (program, shapes) = random_program(&device, &cal, 3, 12, &mut rng);
+            assert_eq!(program.blocks.len(), shapes.len());
+            seen.extend(shapes);
+        }
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), Shape::ALL.to_vec());
+    }
+}
+
+#[cfg(test)]
+/// The density executor's oracle: the same run with ρ as a dense matrix
+/// and every channel applied as `Σₖ embed(Kₖ)·ρ·embed(Kₖ)†`, each
+/// relaxation as the per-stage channels of
+/// [`channels::thermal_relaxation`] instead of one composed channel —
+/// float-for-float the executor before the stride kernels. It reuses the
+/// production [`prepare`] and [`propagator`], so the kernels, the
+/// coalesced relaxation and the pooled overlap are what the tests check.
+mod oracle {
+    use super::testgen::{random_program, ProgramBuilder};
+    use super::*;
+    use crate::calibration::calibrate;
+    use quant_math::seeded;
+    use quant_sim::embed;
+
+    /// Runs `program` on `exec`'s device and noise model through the
+    /// oracle, drawing jitter from `rng` as the executor does.
+    fn run(
+        exec: &PulseExecutor,
+        program: &LoweredProgram,
+        rng: &mut impl Rng,
+    ) -> Result<ExecOutcome, ExecError> {
+        let device = exec.device;
+        let (line, cache) = prepare(device, program, exec.noisy, rng)?;
+        let flip = reset_flip(device, exec.noisy);
+        let dims = vec![2; program.num_qubits as usize];
+        let mut rho = DensityMatrix::zero(&dims).matrix().clone();
+        let mut apply = |kraus: &[CMat], targets: &[usize]| {
+            let mut out = CMat::zeros(rho.rows(), rho.cols());
+            for k in kraus {
+                let full = embed(k, targets, &dims);
+                out = &out + &(&(&full * &rho) * &full.dagger());
+            }
+            rho = out;
+        };
+        for event in &line.events {
+            let pulse = || contraction_kraus(&propagator(device, event, cache).unwrap());
+            match event {
+                Event::Spam(q) => {
+                    if let Some(flip) = &flip {
+                        apply(flip, &[*q as usize]);
+                    }
+                }
+                Event::Relax(id) => {
+                    let (q, samples) = line.relax[*id];
+                    if exec.noisy {
+                        let (p, t) = (device.qubit(q), samples as f64 * DT);
+                        for stage in channels::thermal_relaxation(t, p.t1, p.t2) {
+                            apply(&stage, &[q as usize]);
+                        }
+                    }
+                }
+                Event::Play { qubit, .. } => apply(&pulse(), &[*qubit as usize]),
+                Event::Pair {
+                    control, target, ..
+                } => apply(&pulse(), &[*control as usize, *target as usize]),
+            }
+        }
+        let probabilities = (0..rho.rows()).map(|i| rho[(i, i)].re.max(0.0)).collect();
+        Ok(exec.outcome(program.num_qubits, probabilities, line.end))
+    }
+
+    /// Runs `program` on the executor (pooled) and on the oracle with the
+    /// same jitter seed, and asserts that the probabilities agree within
+    /// 1e-12 and that `shots` sampled counts at `seed` are equal.
+    fn assert_matches_oracle(
+        exec: &PulseExecutor,
+        program: &LoweredProgram,
+        jitter: u64,
+        (seed, shots): (u64, usize),
+        what: &str,
+    ) {
+        let pool = ShotPool::from_env();
+        let fast = exec
+            .try_run_pooled(program, &mut seeded(jitter), &pool)
+            .expect("program runs");
+        let slow = run(exec, program, &mut seeded(jitter)).expect("program runs");
+        for (a, b) in fast.probabilities.iter().zip(&slow.probabilities) {
+            assert!(
+                (a - b).abs() < 1e-12,
+                "{what}: kernel path drifted: {a} vs {b}"
+            );
+        }
+        assert_eq!(fast.duration, slow.duration, "{what}: duration");
+        assert_eq!(
+            fast.sample_counts_deterministic(seed, shots),
+            slow.sample_counts_deterministic(seed, shots),
+            "{what}: kernel swap changed the sampled counts"
+        );
+    }
+
+    /// An X-then-CNOT program on a 2-qubit device (both the 1Q and the 2Q
+    /// integration paths).
+    fn bell_ish_program(device: &DeviceModel) -> LoweredProgram {
+        let cal = calibrate(device, &mut seeded(42));
+        let mut b = ProgramBuilder::new(device, &cal, 2);
+        b.plain(0, "rx180");
+        b.cx(0, 1, false);
+        b.finish()
+    }
+
+    #[test]
+    fn kernel_path_reproduces_reference_counts_bit_identically() {
+        // The stride kernels and the coalesced relaxation reassociate float
+        // arithmetic, so probabilities may differ from the embed route at
+        // the ulp level — but the sampled counts (categorical draws at a
+        // fixed seed) must be bit-identical, and the distributions must
+        // agree to simulation accuracy.
+        let device = DeviceModel::almaden_like(2, &mut seeded(23));
+        let program = bell_ish_program(&device);
+        let exec = PulseExecutor::new(&device);
+        assert_matches_oracle(&exec, &program, 55, (0xFEED, 20_000), "bell-ish");
+    }
+
+    #[test]
+    fn kernel_path_matches_reference_with_idles() {
+        // Idle-heavy program: exercises the memoized coalesced relaxation
+        // on repeated (qubit, duration) pairs against the per-stage oracle.
+        let device = DeviceModel::almaden_like(2, &mut seeded(29));
+        let mut program = bell_ish_program(&device);
+        for _ in 0..3 {
+            for qubit in [0, 1] {
+                program.blocks.push(Block::Idle {
+                    qubit,
+                    duration: 4_800,
+                });
+            }
+        }
+        let exec = PulseExecutor::new(&device);
+        assert_matches_oracle(&exec, &program, 61, (0xC0DE, 10_000), "idles");
+    }
+
+    #[test]
+    fn generated_programs_match_the_oracle() {
+        // 65 generated programs over almaden-like widths 2–6, every block
+        // shape lowering emits; every fourth one also noiseless.
+        let mut programs = 0;
+        for n in 2..=6u32 {
+            let mut rng = seeded(0x0DE5 + u64::from(n));
+            let device = DeviceModel::almaden_like(n as usize, &mut rng);
+            let cal = calibrate(&device, &mut rng);
+            for i in 0..13u64 {
+                let blocks = rng.gen_range(4..4 + 3 * n as usize);
+                let (program, shapes) = random_program(&device, &cal, n, blocks, &mut rng);
+                let what = format!("n={n} program {i} {shapes:?}");
+                let jitter = rng.gen::<u64>();
+                assert_matches_oracle(
+                    &PulseExecutor::new(&device),
+                    &program,
+                    jitter,
+                    (i, 4_000),
+                    &what,
+                );
+                if i % 4 == 0 {
+                    let exec = PulseExecutor::noiseless(&device);
+                    assert_matches_oracle(&exec, &program, jitter, (i, 4_000), &what);
+                }
+                programs += 1;
+            }
+        }
+        assert!(programs >= 64);
+    }
 }
 
 #[cfg(test)]

@@ -37,28 +37,6 @@ pub fn apply_confusion(probs: &[f64], readouts: &[ReadoutParams]) -> Vec<f64> {
     current
 }
 
-/// The 3×3 qutrit confusion matrix implied by the IQ cloud geometry under
-/// an ideal maximum-likelihood (nearest-centroid, equal covariance)
-/// discriminator: `M[measured][prepared]`.
-///
-/// Computed by Monte-Carlo over the Gaussian clouds; deterministic given
-/// the RNG.
-pub fn qutrit_confusion(r: &ReadoutParams, rng: &mut impl Rng, samples: usize) -> [[f64; 3]; 3] {
-    let centroids = [r.iq0, r.iq1, r.iq2];
-    let mut m = [[0.0f64; 3]; 3];
-    for (prepared, &c) in centroids.iter().enumerate() {
-        for _ in 0..samples {
-            let p = sample_iq_point(c, r.iq_sigma, rng);
-            let measured = classify_nearest(p, &centroids);
-            m[measured][prepared] += 1.0;
-        }
-        for row in m.iter_mut() {
-            row[prepared] /= samples as f64;
-        }
-    }
-    m
-}
-
 /// Samples one IQ point from the cloud of a given level.
 pub fn sample_iq(r: &ReadoutParams, level: usize, rng: &mut impl Rng) -> (f64, f64) {
     let c = match level {
@@ -67,11 +45,7 @@ pub fn sample_iq(r: &ReadoutParams, level: usize, rng: &mut impl Rng) -> (f64, f
         2 => r.iq2,
         _ => panic!("IQ model supports levels 0–2, got {level}"),
     };
-    sample_iq_point(c, r.iq_sigma, rng)
-}
-
-fn sample_iq_point(c: (f64, f64), sigma: f64, rng: &mut impl Rng) -> (f64, f64) {
-    (normal(rng, c.0, sigma), normal(rng, c.1, sigma))
+    (normal(rng, c.0, r.iq_sigma), normal(rng, c.1, r.iq_sigma))
 }
 
 /// Nearest-centroid classification (equal isotropic covariance ⇒ identical
@@ -90,7 +64,6 @@ pub fn classify_nearest(p: (f64, f64), centroids: &[(f64, f64)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quant_math::seeded;
 
     fn readout() -> ReadoutParams {
         ReadoutParams::almaden_like()
@@ -129,17 +102,20 @@ mod tests {
 
     #[test]
     fn iq_clouds_are_separable() {
+        // Nearest-centroid assignment of sampled IQ points recovers each
+        // level more than 90 % of the time.
         let r = readout();
-        let mut rng = seeded(21);
-        let m = qutrit_confusion(&r, &mut rng, 20_000);
-        for (prepared, row) in m.iter().enumerate() {
+        let mut rng = quant_math::seeded(21);
+        let centroids = [r.iq0, r.iq1, r.iq2];
+        for level in 0..3 {
+            let hits = (0..20_000)
+                .filter(|_| classify_nearest(sample_iq(&r, level, &mut rng), &centroids) == level)
+                .count();
+            let fidelity = hits as f64 / 20_000.0;
             assert!(
-                row[prepared] > 0.9,
-                "level {prepared} assignment fidelity {}",
-                row[prepared]
+                fidelity > 0.9,
+                "level {level} assignment fidelity {fidelity}"
             );
-            let col_sum: f64 = (0..3).map(|meas| m[meas][prepared]).sum();
-            assert!((col_sum - 1.0).abs() < 1e-9);
         }
     }
 

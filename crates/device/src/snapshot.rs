@@ -113,11 +113,6 @@ impl CalStore {
         CalStore { dir: None }
     }
 
-    /// Whether this store persists anything.
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Loads the snapshot for `key`, rebuilding the `cmd_def` pulse library
     /// against `device`. Returns `None` when disabled, absent, or on any
     /// parse failure (stale format, truncation) — callers recompute.
@@ -348,7 +343,6 @@ mod tests {
     #[test]
     fn disabled_store_is_inert() {
         let store = CalStore::disabled();
-        assert!(!store.is_enabled());
         let device = DeviceModel::ideal(1);
         assert!(store.load(123, &device).is_none());
     }

@@ -6,8 +6,8 @@
 //! as both its qubits are free, the earlier qubit idles until then, and
 //! every qubit idles until the slowest one finishes and the common
 //! measurement happens. [`timeline`] applies that rule in one pass and
-//! emits the ordered event stream that the density executor and all
-//! three trajectory routes replay:
+//! emits the ordered event stream that the density and trajectory
+//! executors (and their test oracles) replay:
 //!
 //! 1. an [`Event::Spam`] per qubit;
 //! 2. a relaxation for each `Idle` block, zero-length ones included;

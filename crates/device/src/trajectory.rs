@@ -23,24 +23,22 @@
 //! Integrate then turns each pulse into its qubit-space propagator, once
 //! per job, fanned out over the pool.
 //!
-//! # Two routes over one timeline
+//! # Shared per job, stochastic per trajectory
 //!
 //! Trajectories share those propagators read-only and keep only what is
 //! stochastic per trajectory: SPAM flips, relaxation Kraus-branch
 //! sampling, the state-vector sweeps and readout. A leaky (sub-unitary)
 //! pulse block is applied and the state renormalized, where the density
-//! executor deposits the leaked weight on a basis state. Both routes
-//! replay the timeline's events, and each event is a fixed set of
-//! random-draw sites, so the draw *sequence* of a trajectory is the same
-//! on either route. Trajectories fan over a [`ShotPool`] with
-//! one root `u64` and a `stream_seed(root, index)` RNG stream per
-//! trajectory, so counts are **bit-identical at any `OPC_THREADS`** (the
-//! same contract as the shot engine and the calibration fan-out); each
-//! worker reuses one [`StateVector`] + [`KernelScratch`], and measurement
-//! outcomes are drawn by binary search on a per-trajectory cumulative
-//! distribution.
+//! executor deposits the leaked weight on a basis state. Each event of
+//! the timeline is a fixed set of random-draw sites. Trajectories fan
+//! over a [`ShotPool`] with one root `u64` and a `stream_seed(root,
+//! index)` RNG stream per trajectory, so counts are **bit-identical at
+//! any `OPC_THREADS`** (the same contract as the shot engine and the
+//! calibration fan-out); each worker reuses one [`StateVector`] +
+//! [`KernelScratch`], and measurement outcomes are drawn by binary search
+//! on a per-trajectory cumulative distribution.
 //!
-//! # Fast route: fused
+//! # Fused replay
 //!
 //! The executor hoists a [`quant_sim::fusion::FusionPlan`] over the
 //! timeline: its unitary stream (SPAM flips, 1q pulse blocks, 2q CR
@@ -53,22 +51,19 @@
 //! state per branch, and the state is touched only when a block closes —
 //! one blocked-kernel sweep per fused block instead of several per gate
 //! and per channel stage. Normalization is folded into the Kraus branches
-//! (`K/√p` like the reference route's per-stage renormalize), so no
+//! (`K/√p`, the per-stage renormalize of an event-by-event replay), so no
 //! separate normalize sweeps remain.
 //!
-//! Branch weights agree with the reference route's to rounding, so sampled
-//! counts stay bit-identical in practice across thread counts and against
-//! the reference route (a draw landing within one ulp of a branch boundary
-//! is a vanishing coincidence; CI pins it).
+//! # Oracle
 //!
-//! # Reference route
-//!
-//! [`TrajectoryExecutor::with_reference_path`] replays the same events one
-//! at a time through the retained skip-scan reference kernels, samples
-//! each channel by trial-applying every branch to a cloned state — the
-//! cross-check (and the perfsuite baseline) for the fused route's kernels
-//! and branch sampling; it bypasses fusion entirely. Both routes read the
-//! same per-job propagators.
+//! The test-only `oracle` module at the end of this file replays the same
+//! timeline one event at a time, sampling each relaxation stage by
+//! trial-applying every branch to a cloned state, through the same
+//! prepare, integrate and sampling code. Its branch weights agree with the
+//! fused replay's to rounding, so at a fixed root its counts equal the
+//! fused counts bit for bit in practice (a draw landing within one ulp of
+//! a branch boundary is a vanishing coincidence); the oracle tests pin
+//! that over generated programs at any thread count.
 
 use crate::device::DeviceModel;
 use crate::executor::{prepare, propagator, ExecError, LoweredProgram, ShotPool};
@@ -77,6 +72,7 @@ use crate::timeline::Event;
 use quant_math::{seeded, stream_seed, CMat, C64};
 use quant_sim::fusion::{FusionPlan, OpDesc, Step, MAX_FUSED_WEIGHT};
 use quant_sim::{channels, KernelScratch, StateVector};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// One runtime fused block: the accumulating operator on the block's
@@ -123,7 +119,7 @@ impl RtBlock {
 
 /// Per-worker reusable state: one state vector, one kernel scratch, the
 /// channel-weight and cumulative-distribution buffers, and the runtime
-/// fused-block accumulators for the fused route.
+/// fused-block accumulators.
 struct TrajWorker {
     psi: StateVector,
     scratch: KernelScratch,
@@ -134,21 +130,17 @@ struct TrajWorker {
 }
 
 impl TrajWorker {
-    fn new(n: usize, fusion: Option<&FusionPlan>) -> Self {
-        let blocks = match fusion {
-            Some(plan) => plan
-                .blocks
-                .iter()
-                .map(|b| RtBlock::new(&b.targets))
-                .collect(),
-            None => Vec::new(),
-        };
+    fn new(n: usize, fusion: &FusionPlan) -> Self {
         TrajWorker {
             psi: StateVector::zero_qubits(n),
             scratch: KernelScratch::new(),
             weights: Vec::new(),
             cdf: Vec::new(),
-            blocks,
+            blocks: fusion
+                .blocks
+                .iter()
+                .map(|b| RtBlock::new(&b.targets))
+                .collect(),
             op_tmp: CMat::zeros(2, 2),
         }
     }
@@ -169,25 +161,23 @@ impl TrajWorker {
 
 /// One hoisted relaxation channel: the Kraus stages for one distinct
 /// `(qubit, samples)` of the timeline, plus each branch's precomputed
-/// `K†K` weight operator for the fused route.
+/// `K†K` weight operator.
 #[derive(Clone, Debug)]
 struct RelaxTable {
-    qubit: usize,
     stages: Vec<Vec<CMat>>,
     weight_ops: Vec<Vec<CMat>>,
 }
 
 /// The per-job hoisted plan: the timeline's events, each pulse event's
 /// propagator (by event index; `None` for SPAM and relaxation), its
-/// relaxation tables (indexed by [`Event::Relax`]), and — except on the
-/// reference route — the fusion plan over the events. Built once per
-/// [`TrajectoryExecutor::try_run_pooled`] call, before the fan-out, and
-/// shared read-only by every pool worker.
+/// relaxation tables (indexed by [`Event::Relax`]), and the fusion plan
+/// over the events. Built once per [`TrajectoryExecutor::try_run_pooled`]
+/// call, before the fan-out, and shared read-only by every pool worker.
 struct Plan<'p> {
     events: Vec<Event<'p>>,
     gates: Vec<Option<CMat>>,
     relax: Vec<RelaxTable>,
-    fusion: Option<FusionPlan>,
+    fusion: FusionPlan,
 }
 
 /// The trajectory executor.
@@ -195,29 +185,18 @@ struct Plan<'p> {
 pub struct TrajectoryExecutor<'a> {
     device: &'a DeviceModel,
     trajectories: usize,
-    reference: bool,
 }
 
 impl<'a> TrajectoryExecutor<'a> {
     /// Creates an executor that averages over `trajectories` noise
-    /// realizations on the fused route. A zero count is reported by
+    /// realizations. A zero count is reported by
     /// [`TrajectoryExecutor::try_run_pooled`] as
     /// [`ExecError::NoTrajectories`].
     pub fn new(device: &'a DeviceModel, trajectories: usize) -> Self {
         TrajectoryExecutor {
             device,
             trajectories,
-            reference: false,
         }
-    }
-
-    /// Routes every state update through the reference (skip-scan)
-    /// state-vector path instead of the fused plan replay. Both routes
-    /// read the same per-job propagators. Slow; used by the equivalence
-    /// tests and as the perfsuite baseline.
-    pub fn with_reference_path(mut self) -> Self {
-        self.reference = true;
-        self
     }
 
     /// Runs the program, sampling `shots` measurement outcomes spread over
@@ -234,9 +213,9 @@ impl<'a> TrajectoryExecutor<'a> {
     /// split across trajectories by index (`shots/T` each, the first
     /// `shots % T` taking one extra), so the returned counts depend only on
     /// `(program, jitter, shots, root)` — never on the size of `pool`. The
-    /// program's timeline, its propagators and (off the reference route)
-    /// the fusion plan over it are built once, before the fan-out, and
-    /// replayed read-only by every worker.
+    /// program's timeline, its propagators and the fusion plan over it are
+    /// built once, before the fan-out, and replayed read-only by every
+    /// worker.
     pub fn try_run_pooled(
         &self,
         program: &LoweredProgram,
@@ -244,6 +223,23 @@ impl<'a> TrajectoryExecutor<'a> {
         shots: usize,
         root: u64,
         pool: &ShotPool,
+    ) -> Result<Vec<u64>, ExecError> {
+        self.sample(program, jitter, shots, root, pool, |plan, w, rng| {
+            self.evolve_fused(plan, w, rng)
+        })
+    }
+
+    /// The body of [`TrajectoryExecutor::try_run_pooled`], with `evolve`
+    /// taking one trajectory's state from `|0…0⟩` through the plan (the
+    /// fused replay; the oracle tests pass an event-by-event replay).
+    fn sample(
+        &self,
+        program: &LoweredProgram,
+        jitter: &mut impl Rng,
+        shots: usize,
+        root: u64,
+        pool: &ShotPool,
+        evolve: impl Fn(&Plan, &mut TrajWorker, &mut StdRng) + Sync,
     ) -> Result<Vec<u64>, ExecError> {
         if self.trajectories == 0 {
             return Err(ExecError::NoTrajectories);
@@ -255,17 +251,14 @@ impl<'a> TrajectoryExecutor<'a> {
         let extra = shots % trajectories;
         let sampled = pool.map_indices_with(
             trajectories,
-            || TrajWorker::new(n, plan.fusion.as_ref()),
+            || TrajWorker::new(n, &plan.fusion),
             |w, i| {
                 let take = base + usize::from(i < extra);
                 if take == 0 {
                     return Vec::new();
                 }
                 let mut rng = seeded(stream_seed(root, i as u64));
-                match &plan.fusion {
-                    Some(fusion) => self.evolve_fused(&plan, fusion, w, &mut rng),
-                    None => self.evolve(&plan, &mut w.psi, &mut rng),
-                }
+                evolve(&plan, w, &mut rng);
                 // Per-trajectory cumulative distribution; outcomes are then
                 // one uniform draw + binary search each instead of an
                 // O(2ⁿ) categorical scan per shot. Sampling uses the
@@ -300,9 +293,8 @@ impl<'a> TrajectoryExecutor<'a> {
     /// Hoists everything trajectories share: the program's jittered
     /// timeline (register-width and topology errors surface here), each
     /// pulse's propagator integrated once over `pool`, one relaxation
-    /// table per distinct `(qubit, duration)`, and off the reference route
-    /// the fusion plan over the timeline's events — one op per random-draw
-    /// site.
+    /// table per distinct `(qubit, duration)`, and the fusion plan over the
+    /// timeline's events — one op per random-draw site.
     fn plan<'p>(
         &self,
         program: &'p LoweredProgram,
@@ -324,29 +316,23 @@ impl<'a> TrajectoryExecutor<'a> {
                     .iter()
                     .map(|stage| stage.iter().map(|k| &k.dagger() * k).collect())
                     .collect();
-                RelaxTable {
-                    qubit: qubit as usize,
-                    stages,
-                    weight_ops,
-                }
+                RelaxTable { stages, weight_ops }
             })
             .collect();
-        let fusion = (!self.reference).then(|| {
-            let descs: Vec<OpDesc> = line
-                .events
-                .iter()
-                .map(|event| match event {
-                    Event::Spam(q) => OpDesc::local(*q as usize),
-                    Event::Relax(id) => OpDesc::local(line.relax[*id].0 as usize),
-                    Event::Play { qubit, .. } => OpDesc::unitary(&[*qubit as usize]),
-                    Event::Pair {
-                        control, target, ..
-                    } => OpDesc::unitary(&[*control as usize, *target as usize]),
-                })
-                .collect();
-            let dims = vec![2usize; program.num_qubits as usize];
-            FusionPlan::build(&descs, &dims, MAX_FUSED_WEIGHT)
-        });
+        let descs: Vec<OpDesc> = line
+            .events
+            .iter()
+            .map(|event| match event {
+                Event::Spam(q) => OpDesc::local(*q as usize),
+                Event::Relax(id) => OpDesc::local(line.relax[*id].0 as usize),
+                Event::Play { qubit, .. } => OpDesc::unitary(&[*qubit as usize]),
+                Event::Pair {
+                    control, target, ..
+                } => OpDesc::unitary(&[*control as usize, *target as usize]),
+            })
+            .collect();
+        let dims = vec![2usize; program.num_qubits as usize];
+        let fusion = FusionPlan::build(&descs, &dims, MAX_FUSED_WEIGHT);
         Ok(Plan {
             events: line.events,
             gates,
@@ -358,16 +344,10 @@ impl<'a> TrajectoryExecutor<'a> {
     /// Replays the fusion plan for one stochastic trajectory: folds
     /// gates and sampled Kraus branches into the runtime block
     /// accumulators, sweeps the state only at block closes.
-    fn evolve_fused(
-        &self,
-        plan: &Plan,
-        fusion: &FusionPlan,
-        w: &mut TrajWorker,
-        rng: &mut impl Rng,
-    ) {
+    fn evolve_fused(&self, plan: &Plan, w: &mut TrajWorker, rng: &mut impl Rng) {
         w.psi.reset_zero();
         let p_reset = self.device.reset_excited_prob();
-        for step in &fusion.steps {
+        for step in &plan.fusion.steps {
             match step {
                 Step::Open { block } => {
                     let rt = &mut w.blocks[*block];
@@ -425,39 +405,6 @@ impl<'a> TrajectoryExecutor<'a> {
         }
     }
 
-    /// Evolves one stochastic trajectory in the worker's reused state by
-    /// replaying the timeline's events one by one through the reference
-    /// kernels — the reference route.
-    fn evolve(&self, plan: &Plan, psi: &mut StateVector, rng: &mut impl Rng) {
-        psi.reset_zero();
-        let p_reset = self.device.reset_excited_prob();
-        for (event, gate) in plan.events.iter().zip(&plan.gates) {
-            match (event, gate) {
-                (Event::Spam(q), _) => {
-                    if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
-                        psi.apply_unitary_ref(&quant_sim::gates::x(), &[*q as usize]);
-                    }
-                }
-                (Event::Relax(id), _) => relax_sampled(psi, &plan.relax[*id], rng),
-                // Sub-unitary contraction (leakage): renormalize.
-                (Event::Play { qubit, .. }, Some(b)) => {
-                    psi.apply_unitary_ref(b, &[*qubit as usize]);
-                    psi.normalize();
-                }
-                (
-                    Event::Pair {
-                        control, target, ..
-                    },
-                    Some(u),
-                ) => {
-                    psi.apply_unitary_ref(u, &[*control as usize, *target as usize]);
-                    psi.normalize();
-                }
-                (Event::Play { .. } | Event::Pair { .. }, None) => {}
-            }
-        }
-    }
-
     /// Classical readout error applied to a sampled outcome index.
     fn noisy_readout(&self, outcome: usize, n: usize, rng: &mut impl Rng) -> usize {
         let mut read = outcome;
@@ -470,26 +417,6 @@ impl<'a> TrajectoryExecutor<'a> {
             }
         }
         read
-    }
-}
-
-/// Samples one branch per stage of a hoisted thermal-relaxation channel
-/// on the reference route: trial-apply every branch to a cloned state,
-/// then keep the sampled one, renormalized.
-fn relax_sampled(psi: &mut StateVector, table: &RelaxTable, rng: &mut impl Rng) {
-    for stage in &table.stages {
-        let mut probs = Vec::with_capacity(stage.len());
-        let mut branches = Vec::with_capacity(stage.len());
-        for k in stage {
-            let mut trial = psi.clone();
-            let prob = trial.apply_kraus_branch_ref(k, &[table.qubit]);
-            probs.push(prob.max(0.0));
-            branches.push(trial);
-        }
-        let choice = quant_math::categorical(rng, &probs);
-        let mut chosen = branches.swap_remove(choice);
-        chosen.normalize();
-        *psi = chosen;
     }
 }
 
@@ -521,16 +448,16 @@ fn fold_op(w: &mut TrajWorker, block: usize, op: &CMat, local: &[usize]) {
 /// block's reduced density (`Tr(K†K·ρ_B)` — exact for a local operator,
 /// scale-invariant for the categorical draw), sample one, and fold the
 /// chosen branch *renormalized* (`K/√p_rel`) into the accumulator — the
-/// fused equivalent of the reference route's apply-then-normalize.
+/// fused equivalent of an event-by-event apply-then-normalize.
 ///
 /// The ρ capture is exact, not approximate: before (re)capturing, every
 /// *other* open block with pending content is flushed into the state
 /// (disjoint supports commute, so early application preserves program
 /// order), and the querying block's own accumulator is conjugated on
-/// top. The branch weights therefore match the reference route's
+/// top. The branch weights therefore match an event-by-event replay's
 /// `‖Kψ‖²` ratios to floating-point rounding, which is what keeps the
-/// categorical draws — and hence the sampled counts — aligned across
-/// the fused and reference routes.
+/// categorical draws — and hence the sampled counts — aligned with the
+/// oracle's (see the module doc).
 fn relax_stage_fused(
     w: &mut TrajWorker,
     block: usize,
@@ -599,11 +526,317 @@ fn relax_stage_fused(
 }
 
 #[cfg(test)]
+/// The trajectory executor's oracle: each trajectory replays the timeline
+/// one event at a time on the full state vector — every pulse applied and
+/// the state renormalized, every relaxation stage sampled by
+/// trial-applying each Kraus branch to a cloned state and keeping the
+/// drawn one, renormalized. It runs inside the production
+/// [`TrajectoryExecutor::sample`], so prepare, integrate, the per-trajectory
+/// seeds and the shot sampling are the executor's own; only the fused
+/// replay is swapped out.
+mod oracle {
+    use super::*;
+    use crate::calibration::calibrate;
+    use crate::executor::testgen::{qaoa_line_program, random_program, ProgramBuilder};
+    use crate::executor::Block;
+    use crate::timeline::timeline;
+    use crate::twoqubit::EXPONENTIALS;
+
+    /// [`TrajectoryExecutor::try_run_pooled`] with the event-by-event
+    /// replay in place of the fused one.
+    fn run(
+        exec: &TrajectoryExecutor,
+        program: &LoweredProgram,
+        jitter: &mut impl Rng,
+        shots: usize,
+        root: u64,
+        pool: &ShotPool,
+    ) -> Result<Vec<u64>, ExecError> {
+        // The qubit of each relaxation id: the same walk, without jitter.
+        let relax_qubits: Vec<usize> = timeline(exec.device, program, |_| ())
+            .map(|line| line.relax.iter().map(|&(q, _)| q as usize).collect())
+            .unwrap_or_default();
+        exec.sample(program, jitter, shots, root, pool, |plan, w, rng| {
+            evolve(exec, plan, &relax_qubits, w, rng)
+        })
+    }
+
+    fn evolve(
+        exec: &TrajectoryExecutor,
+        plan: &Plan,
+        relax_qubits: &[usize],
+        w: &mut TrajWorker,
+        rng: &mut StdRng,
+    ) {
+        let TrajWorker { psi, scratch, .. } = w;
+        psi.reset_zero();
+        let p_reset = exec.device.reset_excited_prob();
+        for (event, gate) in plan.events.iter().zip(&plan.gates) {
+            match (event, gate) {
+                (Event::Spam(q), _) => {
+                    if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
+                        psi.apply_unitary_scratch(&quant_sim::gates::x(), &[*q as usize], scratch);
+                    }
+                }
+                (Event::Relax(id), _) => {
+                    for stage in &plan.relax[*id].stages {
+                        relax_sampled(psi, stage, relax_qubits[*id], scratch, rng);
+                    }
+                }
+                // Sub-unitary contraction (leakage): renormalize.
+                (Event::Play { qubit, .. }, Some(b)) => {
+                    psi.apply_unitary_scratch(b, &[*qubit as usize], scratch);
+                    psi.normalize();
+                }
+                (
+                    Event::Pair {
+                        control, target, ..
+                    },
+                    Some(u),
+                ) => {
+                    let targets = [*control as usize, *target as usize];
+                    psi.apply_unitary_scratch(u, &targets, scratch);
+                    psi.normalize();
+                }
+                (Event::Play { .. } | Event::Pair { .. }, None) => {}
+            }
+        }
+    }
+
+    /// Samples one branch of a relaxation stage on qubit `q`: trial-apply
+    /// every branch to a cloned state, weigh each by `‖Kψ‖²`, then keep
+    /// the drawn one, renormalized.
+    fn relax_sampled(
+        psi: &mut StateVector,
+        stage: &[CMat],
+        q: usize,
+        scratch: &mut KernelScratch,
+        rng: &mut StdRng,
+    ) {
+        let mut probs = Vec::with_capacity(stage.len());
+        let mut branches = Vec::with_capacity(stage.len());
+        for k in stage {
+            let mut trial = psi.clone();
+            trial.apply_unitary_scratch(k, &[q], scratch);
+            let norm = trial.norm();
+            probs.push((norm * norm).max(0.0));
+            branches.push(trial);
+        }
+        let choice = quant_math::categorical(rng, &probs);
+        let mut chosen = branches.swap_remove(choice);
+        chosen.normalize();
+        *psi = chosen;
+    }
+
+    /// X on qubit 0, then a CNOT chain down the line: every 1Q, 2Q,
+    /// relaxation and readout path runs.
+    fn line_program(device: &DeviceModel, n: u32) -> LoweredProgram {
+        let cal = calibrate(device, &mut seeded(42));
+        let mut b = ProgramBuilder::new(device, &cal, n);
+        b.plain(0, "rx180");
+        for q in 0..n - 1 {
+            b.cx(q, q + 1, false);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn trajectories_do_not_integrate_pulses() {
+        // Every pulse is integrated once per job, before the fan-out: the
+        // 3×3 exponentials a serial job evaluates are the same at 1 and at
+        // 16 trajectories, on the executor and on the oracle.
+        let mut rng = seeded(13);
+        let device = DeviceModel::almaden_like(2, &mut rng);
+        let program = line_program(&device, 2);
+        for oracle in [false, true] {
+            let exponentials = |trajectories: usize| {
+                let exec = TrajectoryExecutor::new(&device, trajectories);
+                let (jitter, pool) = (&mut seeded(5), &ShotPool::serial());
+                let before = EXPONENTIALS.get();
+                if oracle {
+                    run(&exec, &program, jitter, 1_600, 9, pool).unwrap();
+                } else {
+                    exec.try_run_pooled(&program, jitter, 1_600, 9, pool)
+                        .unwrap();
+                }
+                EXPONENTIALS.get() - before
+            };
+            let one = exponentials(1);
+            assert!(one > 0, "the job integrates its CR pulse");
+            assert_eq!(exponentials(16), one, "oracle: {oracle}");
+        }
+    }
+
+    #[test]
+    fn fused_counts_match_reference_counts_bit_identically() {
+        let mut rng = seeded(11);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let mut program = line_program(&device, 3);
+        program.blocks.push(Block::Idle {
+            qubit: 0,
+            duration: 2_000,
+        });
+        let pool = ShotPool::from_env();
+        let exec = TrajectoryExecutor::new(&device, 12);
+        for root in [3u64, 0xBEEF, 0x5EED] {
+            let fused = exec
+                .try_run_pooled(&program, &mut seeded(root), 3_000, root, &pool)
+                .unwrap();
+            let reference = run(&exec, &program, &mut seeded(root), 3_000, root, &pool).unwrap();
+            assert_eq!(fused, reference, "root {root}");
+        }
+    }
+
+    #[test]
+    fn kernel_path_reproduces_reference_counts_bit_identically() {
+        // The fast path reassociates float arithmetic two ways — fused
+        // block kernels and branch weighing against a reduced density — so
+        // amplitudes may differ from the oracle's at the ulp level. But
+        // every stochastic draw consumes the same RNG stream in the same
+        // order, so at a fixed root the sampled counts must be
+        // bit-identical (an outcome flip would need a uniform draw within
+        // ~1e-12 of a branch/cdf boundary).
+        let device = DeviceModel::almaden_like(3, &mut seeded(23));
+        let program = line_program(&device, 3);
+        let exec = TrajectoryExecutor::new(&device, 6);
+        for root in [1u64, 0xFEED, 0x5EED_CAFE] {
+            let a = exec
+                .try_run_pooled(&program, &mut seeded(root), 1500, root, &ShotPool::new(4))
+                .unwrap();
+            let b = run(
+                &exec,
+                &program,
+                &mut seeded(root),
+                1500,
+                root,
+                &ShotPool::new(1),
+            )
+            .unwrap();
+            assert_eq!(a, b, "kernel swap changed the counts at root {root:#x}");
+        }
+    }
+
+    #[test]
+    fn fused_route_matches_reference_at_any_thread_count() {
+        // At a fixed root, the fused plan replay and the oracle must return
+        // the same counts, and the fused replay must not care how many
+        // threads run it. The program mixes 1Q gates, a CNOT chain (block
+        // growth + merge + close) and an explicit idle (a relaxation table
+        // entry no gate emits).
+        let device = DeviceModel::almaden_like(4, &mut seeded(47));
+        let mut program = line_program(&device, 4);
+        program.blocks.push(Block::Idle {
+            qubit: 1,
+            duration: 3_000,
+        });
+        let exec = TrajectoryExecutor::new(&device, 6);
+        let shots = 1800;
+        for root in [0x00DD_5EED_u64, 0xFACE] {
+            let counts = |pool: &ShotPool| {
+                exec.try_run_pooled(&program, &mut seeded(root), shots, root, pool)
+                    .unwrap()
+            };
+            let fused = counts(&ShotPool::new(1));
+            assert_eq!(fused.iter().sum::<u64>(), shots as u64);
+            for threads in [2, 4] {
+                assert_eq!(
+                    counts(&ShotPool::new(threads)),
+                    fused,
+                    "{threads}-thread fused counts diverged at root {root:#x}"
+                );
+            }
+            let reference = run(
+                &exec,
+                &program,
+                &mut seeded(root),
+                shots,
+                root,
+                &ShotPool::new(1),
+            )
+            .unwrap();
+            assert_eq!(
+                fused, reference,
+                "fused counts diverged from the oracle at root {root:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn oracle_reports_a_topology_error_at_any_shot_count() {
+        // The error comes from the program, not from the sampling: a run
+        // with zero shots still walks the whole program.
+        let device = DeviceModel::almaden_like(3, &mut seeded(37));
+        let mut program = line_program(&device, 3);
+        if let Some(Block::Gate2Q { target, .. }) = program.blocks.get_mut(1) {
+            *target = 2;
+        }
+        let want = ExecError::UncoupledPair {
+            control: 0,
+            target: 2,
+        };
+        let exec = TrajectoryExecutor::new(&device, 4);
+        for shots in [0, 100] {
+            let got = run(&exec, &program, &mut seeded(9), shots, 9, &ShotPool::new(1));
+            assert_eq!(got, Err(want), "oracle at {shots} shots");
+        }
+    }
+
+    #[test]
+    fn textbook_qaoa_line_at_twelve_qubits_matches_the_oracle() {
+        // Twelve qubits, past the density executor's reach: the textbook
+        // QAOA layer, 8 trajectories and 1024 shots at jitter seed and
+        // root 41.
+        let mut rng = seeded(7_012);
+        let device = DeviceModel::almaden_like(12, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let program = qaoa_line_program(&device, &cal, 12, (0.7, 0.42));
+        let exec = TrajectoryExecutor::new(&device, 8);
+        let pool = ShotPool::from_env();
+        let fused = exec
+            .try_run_pooled(&program, &mut seeded(41), 1024, 41, &pool)
+            .unwrap();
+        let reference = run(&exec, &program, &mut seeded(41), 1024, 41, &pool).unwrap();
+        assert_eq!(fused.iter().sum::<u64>(), 1024);
+        assert_eq!(fused, reference, "fused counts diverged at n=12, root 41");
+    }
+
+    #[test]
+    fn generated_programs_match_the_oracle() {
+        // 66 generated programs over almaden-like widths 2–12, every block
+        // shape lowering emits, 16 trajectories each. Enough trajectories,
+        // shots and long idles that a stale or unflushed branch weight in
+        // the fused replay moves a draw: deleting `relax_stage_fused`'s
+        // invalidation loop, or flushing only some dirty blocks before a
+        // capture, fails this test.
+        let mut programs = 0;
+        let pool = ShotPool::from_env();
+        for n in 2..=12u32 {
+            let mut rng = seeded(0x7A1 + u64::from(n));
+            let device = DeviceModel::almaden_like(n as usize, &mut rng);
+            let cal = calibrate(&device, &mut rng);
+            let exec = TrajectoryExecutor::new(&device, 16);
+            for i in 0..6 {
+                let blocks = rng.gen_range(4..4 + 4 * n as usize);
+                let (program, shapes) = random_program(&device, &cal, n, blocks, &mut rng);
+                let root = rng.gen::<u64>();
+                let fused = exec
+                    .try_run_pooled(&program, &mut seeded(root), 1_600, root, &pool)
+                    .unwrap();
+                let reference =
+                    run(&exec, &program, &mut seeded(root), 1_600, root, &pool).unwrap();
+                assert_eq!(fused, reference, "n={n} program {i} {shapes:?}");
+                programs += 1;
+            }
+        }
+        assert!(programs >= 64);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibration::calibrate;
     use crate::executor::{Block, PulseExecutor};
-    use crate::twoqubit::EXPONENTIALS;
     use quant_pulse::Schedule;
 
     #[test]
@@ -671,89 +904,6 @@ mod tests {
                 (freq - p).abs() < 0.04,
                 "outcome {i}: trajectory {freq:.3} vs density {p:.3}"
             );
-        }
-    }
-
-    #[test]
-    fn trajectories_do_not_integrate_pulses() {
-        // Every pulse is integrated once per job, before the fan-out: the
-        // 3×3 exponentials a serial job evaluates are the same at 1 and at
-        // 16 trajectories, on either route.
-        let mut rng = seeded(13);
-        let device = DeviceModel::almaden_like(2, &mut rng);
-        let cal = calibrate(&device, &mut rng);
-        let program = LoweredProgram {
-            num_qubits: 2,
-            blocks: vec![
-                Block::Gate1Q {
-                    qubit: 0,
-                    waveforms: vec![cal.qubit(0).rx180_waveform("x")],
-                },
-                Block::Gate2Q {
-                    control: 0,
-                    target: 1,
-                    schedule: cal.cmd_def().get("cx", &[0, 1]).unwrap().clone(),
-                },
-            ],
-            schedule: Schedule::new("p"),
-        };
-        for reference in [false, true] {
-            let exponentials = |trajectories: usize| {
-                let mut exec = TrajectoryExecutor::new(&device, trajectories);
-                if reference {
-                    exec = exec.with_reference_path();
-                }
-                let before = EXPONENTIALS.get();
-                exec.try_run_pooled(&program, &mut seeded(5), 1_600, 9, &ShotPool::serial())
-                    .unwrap();
-                EXPONENTIALS.get() - before
-            };
-            let one = exponentials(1);
-            assert!(one > 0, "the job integrates its CR pulse");
-            assert_eq!(exponentials(16), one, "reference route: {reference}");
-        }
-    }
-
-    #[test]
-    fn fused_counts_match_reference_counts_bit_identically() {
-        let mut rng = seeded(11);
-        let device = DeviceModel::almaden_like(3, &mut rng);
-        let cal = calibrate(&device, &mut rng);
-        let blocks = vec![
-            Block::Gate1Q {
-                qubit: 0,
-                waveforms: vec![cal.qubit(0).rx180_waveform("x")],
-            },
-            Block::Gate2Q {
-                control: 0,
-                target: 1,
-                schedule: cal.cmd_def().get("cx", &[0, 1]).unwrap().clone(),
-            },
-            Block::Gate2Q {
-                control: 1,
-                target: 2,
-                schedule: cal.cmd_def().get("cx", &[1, 2]).unwrap().clone(),
-            },
-            Block::Idle {
-                qubit: 0,
-                duration: 2_000,
-            },
-        ];
-        let program = LoweredProgram {
-            num_qubits: 3,
-            blocks,
-            schedule: Schedule::new("ghz"),
-        };
-        let pool = ShotPool::from_env();
-        for root in [3u64, 0xBEEF, 0x5EED] {
-            let fused = TrajectoryExecutor::new(&device, 12)
-                .try_run_pooled(&program, &mut seeded(root), 3_000, root, &pool)
-                .unwrap();
-            let reference = TrajectoryExecutor::new(&device, 12)
-                .with_reference_path()
-                .try_run_pooled(&program, &mut seeded(root), 3_000, root, &pool)
-                .unwrap();
-            assert_eq!(fused, reference, "root {root}");
         }
     }
 

@@ -170,73 +170,6 @@ fn cache_hits_repeated_noiseless_runs_and_drift_invalidates() {
     );
 }
 
-#[test]
-fn kernel_path_reproduces_reference_counts_bit_identically() {
-    // The stride kernels and the coalesced relaxation reassociate float
-    // arithmetic, so probabilities may differ from the embed route at the
-    // ulp level — but the sampled counts (categorical draws at a fixed
-    // seed) must be bit-identical, and the distributions must agree to
-    // simulation accuracy.
-    let mut rng = seeded(23);
-    let device = DeviceModel::almaden_like(2, &mut rng);
-    let program = bell_ish_program(&device);
-
-    let fast = PulseExecutor::new(&device)
-        .try_run(&program, &mut seeded(55))
-        .expect("program runs");
-    let slow = PulseExecutor::new(&device)
-        .with_reference_path()
-        .try_run(&program, &mut seeded(55))
-        .expect("program runs");
-
-    for (a, b) in fast.probabilities.iter().zip(&slow.probabilities) {
-        assert!((a - b).abs() < 1e-12, "kernel path drifted: {a} vs {b}");
-    }
-    let seed = 0xFEED;
-    let shots = 20_000;
-    assert_eq!(
-        fast.sample_counts_deterministic(seed, shots),
-        slow.sample_counts_deterministic(seed, shots),
-        "kernel swap changed the sampled counts"
-    );
-}
-
-#[test]
-fn kernel_path_matches_reference_with_idles() {
-    // Idle-heavy program: exercises the memoized coalesced relaxation on
-    // repeated (qubit, duration) pairs against the per-stage reference.
-    let mut rng = seeded(29);
-    let device = DeviceModel::almaden_like(2, &mut rng);
-    let mut program = bell_ish_program(&device);
-    for _ in 0..3 {
-        program.blocks.push(Block::Idle {
-            qubit: 0,
-            duration: 4_800,
-        });
-        program.blocks.push(Block::Idle {
-            qubit: 1,
-            duration: 4_800,
-        });
-    }
-    let fast = PulseExecutor::new(&device)
-        .try_run(&program, &mut seeded(61))
-        .expect("program runs");
-    let slow = PulseExecutor::new(&device)
-        .with_reference_path()
-        .try_run(&program, &mut seeded(61))
-        .expect("program runs");
-    for (a, b) in fast.probabilities.iter().zip(&slow.probabilities) {
-        assert!(
-            (a - b).abs() < 1e-12,
-            "relax coalescing drifted: {a} vs {b}"
-        );
-    }
-    assert_eq!(
-        fast.sample_counts_deterministic(0xC0DE, 10_000),
-        slow.sample_counts_deterministic(0xC0DE, 10_000),
-    );
-}
-
 /// Calibrates an `n`-qubit Almaden-like chain.
 fn chain(n: usize, seed: u64) -> (DeviceModel, Calibration) {
     let mut rng = seeded(seed);
@@ -308,10 +241,6 @@ fn pooled_density_runs_match_serial_bit_for_bit() {
         let executors = [
             ("noisy", PulseExecutor::new(&device)),
             ("noiseless", PulseExecutor::noiseless(&device)),
-            (
-                "reference",
-                PulseExecutor::new(&device).with_reference_path(),
-            ),
         ];
         for (name, exec) in &executors {
             let (serial, serial_next) = run_with(exec, &program, None);

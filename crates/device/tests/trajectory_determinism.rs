@@ -4,19 +4,14 @@
 //! job, one root `u64` plus a `stream_seed(root, index)` RNG stream per
 //! trajectory means the returned counts depend only on
 //! `(program, jitter, shots, root)` — **never** on the
-//! thread count, and not on whether the fused fast path or the
-//! retained reference path (skip-scan state-vector kernels,
-//! clone-per-branch channel sampling) did the work.
-//! These tests pin that down so a kernel or scheduler change cannot
-//! silently reorder randomness, and check the ensemble still converges to
-//! the exact density-matrix distribution.
+//! thread count. These tests pin that down so a kernel or scheduler
+//! change cannot silently reorder randomness, and check the ensemble still
+//! converges to the exact density-matrix distribution. CI runs this suite
+//! at `OPC_THREADS={1,4}`; the tests below also pin explicit pool sizes
+//! regardless of the ambient knob.
 //!
-//! The fast route is gate fusion: it replays a hoisted plan but spends
-//! every random draw at the same program point with the same (to
-//! rounding) branch weights, so its counts must match the reference route
-//! bit-for-bit at a fixed root. CI runs this suite at `OPC_THREADS={1,4}`;
-//! the tests below also pin explicit pool sizes regardless of the ambient
-//! knob.
+//! The fused replay's counts against an event-by-event oracle at a fixed
+//! root are pinned by the `oracle` tests inside `src/trajectory.rs`.
 
 use quant_device::{
     calibrate, Block, DeviceModel, ExecError, LoweredProgram, PulseExecutor, ShotPool,
@@ -80,80 +75,6 @@ fn counts_identical_across_thread_counts() {
 }
 
 #[test]
-fn kernel_path_reproduces_reference_counts_bit_identically() {
-    // The fast path reassociates float arithmetic two ways — fused
-    // block kernels and branch weighing against a reduced density — so
-    // amplitudes may differ from the reference route at the ulp level.
-    // But every stochastic draw consumes the same RNG stream in the same
-    // order, so at a fixed root the sampled counts must be bit-identical
-    // (an outcome flip would need a uniform draw within ~1e-12 of a
-    // branch/cdf boundary).
-    let mut rng = seeded(23);
-    let device = DeviceModel::almaden_like(3, &mut rng);
-    let program = line_program(&device, 3);
-
-    let fast = TrajectoryExecutor::new(&device, 6);
-    let slow = TrajectoryExecutor::new(&device, 6).with_reference_path();
-    for root in [1u64, 0xFEED, 0x5EED_CAFE] {
-        let a = fast
-            .try_run_pooled(&program, &mut seeded(root), 1500, root, &ShotPool::new(4))
-            .unwrap();
-        let b = slow
-            .try_run_pooled(&program, &mut seeded(root), 1500, root, &ShotPool::new(1))
-            .unwrap();
-        assert_eq!(a, b, "kernel swap changed the counts at root {root:#x}");
-    }
-}
-
-#[test]
-fn fused_route_matches_reference_at_any_thread_count() {
-    // The strongest form of the contract: at a fixed root, the fused
-    // plan-replay route and the reference route must return the same
-    // counts, and the fused route must not care how many threads replay
-    // the plan. The program mixes 1Q gates,
-    // a CNOT chain (block growth + merge + close) and an explicit idle
-    // (a relaxation table entry no gate emits).
-    let mut rng = seeded(47);
-    let device = DeviceModel::almaden_like(4, &mut rng);
-    let mut program = line_program(&device, 4);
-    program.blocks.push(Block::Idle {
-        qubit: 1,
-        duration: 3_000,
-    });
-
-    let shots = 1800;
-    for root in [0x00DD_5EED_u64, 0xFACE] {
-        let fused = TrajectoryExecutor::new(&device, 6)
-            .try_run_pooled(&program, &mut seeded(root), shots, root, &ShotPool::new(1))
-            .unwrap();
-        assert_eq!(fused.iter().sum::<u64>(), shots as u64);
-        for threads in [2, 4] {
-            let threaded = TrajectoryExecutor::new(&device, 6)
-                .try_run_pooled(
-                    &program,
-                    &mut seeded(root),
-                    shots,
-                    root,
-                    &ShotPool::new(threads),
-                )
-                .unwrap();
-            assert_eq!(
-                threaded, fused,
-                "{threads}-thread fused counts diverged at root {root:#x}"
-            );
-        }
-        let reference = TrajectoryExecutor::new(&device, 6)
-            .with_reference_path()
-            .try_run_pooled(&program, &mut seeded(root), shots, root, &ShotPool::new(1))
-            .unwrap();
-        assert_eq!(
-            fused, reference,
-            "fused counts diverged from the reference path at root {root:#x}"
-        );
-    }
-}
-
-#[test]
 fn uncoupled_pair_reported_as_error_not_panic() {
     let mut rng = seeded(31);
     let device = DeviceModel::almaden_like(3, &mut rng);
@@ -186,9 +107,9 @@ fn uncoupled_pair_reported_as_error_not_panic() {
 }
 
 #[test]
-fn every_route_reports_a_topology_error_at_any_shot_count() {
+fn topology_error_is_reported_at_any_shot_count() {
     // The error comes from the program, not from the sampling: a run
-    // with zero shots still walks the whole program, on every route.
+    // with zero shots still walks the whole program.
     let mut rng = seeded(37);
     let device = DeviceModel::almaden_like(3, &mut rng);
     let mut program = line_program(&device, 3);
@@ -199,15 +120,10 @@ fn every_route_reports_a_topology_error_at_any_shot_count() {
         control: 0,
         target: 2,
     };
-    let routes = [
-        TrajectoryExecutor::new(&device, 4),
-        TrajectoryExecutor::new(&device, 4).with_reference_path(),
-    ];
-    for (route, exec) in ["fused", "reference"].iter().zip(&routes) {
-        for shots in [0, 100] {
-            let got = exec.try_run_pooled(&program, &mut seeded(9), shots, 9, &ShotPool::new(1));
-            assert_eq!(got, Err(want), "{route} route at {shots} shots");
-        }
+    let exec = TrajectoryExecutor::new(&device, 4);
+    for shots in [0, 100] {
+        let got = exec.try_run_pooled(&program, &mut seeded(9), shots, 9, &ShotPool::new(1));
+        assert_eq!(got, Err(want), "{shots} shots");
     }
 }
 

@@ -208,12 +208,6 @@ impl Waveform {
             self.samples.iter().rev().map(|s| s.conj()).collect(),
         )
     }
-
-    /// Returns a copy negated in amplitude (180° phase flip), as used by the
-    /// active-cancellation half of an echoed CR pulse.
-    pub fn negated(&self) -> Waveform {
-        self.scaled(-1.0)
-    }
 }
 
 /// A Gaussian envelope `amp · exp(−(t−μ)²/2σ²)`, centred in its duration.

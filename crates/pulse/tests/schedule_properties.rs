@@ -508,7 +508,6 @@ fn recorded_peak_matches_sample_scan_on_every_path() {
             base.scaled(factor),
             base.scaled_complex(z),
             base.reversed_conj(),
-            base.negated(),
             base.renamed("other"),
             Waveform::new("raw", raw),
         ];

@@ -120,25 +120,6 @@ pub fn qutrit_dephasing(lambda: f64) -> Vec<CMat> {
     vec![k0, k1, k2]
 }
 
-/// Coherent leakage-free approximation of amplitude-dependent leakage for a
-/// *qubit-subspace* simulation: models population loss to |2⟩ as an
-/// effective amplitude-damping-like channel of strength `p_leak`, applied to
-/// the |1⟩ population, with the leaked weight deposited in |0⟩⟨0| mixing.
-///
-/// When the register models the qutrit explicitly use
-/// [`qutrit_relaxation`]-style channels instead; this is the 2-level
-/// surrogate used by the fast executor tier.
-pub fn leakage_surrogate(p_leak: f64) -> Vec<CMat> {
-    assert!((0.0..=1.0).contains(&p_leak));
-    // Treat leakage as a phase-insensitive population scrambler of weight
-    // p_leak on |1⟩: combination of amplitude damping and dephasing.
-    let k0 = CMat::from_real_rows(&[&[1.0, 0.0], &[0.0, (1.0 - p_leak).sqrt()]]);
-    let k1 = CMat::from_real_rows(&[&[0.0, (p_leak / 2.0).sqrt()], &[0.0, 0.0]]);
-    let mut k2 = CMat::zeros(2, 2);
-    k2[(1, 1)] = C64::real((p_leak / 2.0).sqrt());
-    vec![k0, k1, k2]
-}
-
 /// Verifies the Kraus completeness relation `Σ K†K = I` to tolerance.
 pub fn is_trace_preserving(kraus: &[CMat], tol: f64) -> bool {
     if kraus.is_empty() {
@@ -163,7 +144,6 @@ mod tests {
         assert!(is_trace_preserving(&depolarizing(0.25), 1e-10));
         assert!(is_trace_preserving(&qutrit_relaxation(0.2, 0.4), 1e-10));
         assert!(is_trace_preserving(&qutrit_dephasing(0.5), 1e-10));
-        assert!(is_trace_preserving(&leakage_surrogate(0.15), 1e-10));
         for stage in thermal_relaxation(10.0, 94_000.0, 88_000.0) {
             assert!(is_trace_preserving(&stage, 1e-10));
         }

@@ -39,10 +39,10 @@ pub struct DensityMatrix {
 /// Lifts an operator acting on `targets` (with target 0 as the gate's
 /// least-significant digit) to the full register space.
 ///
-/// This is the *reference* route: the stride kernels in [`crate::kernels`]
-/// apply operators without ever materializing the lifted matrix and are
-/// cross-checked against it. `embed` remains for call sites that genuinely
-/// need the full matrix (commutation probes, small algebraic checks).
+/// The stride kernels in [`crate::kernels`] apply operators without ever
+/// materializing the lifted matrix; their tests check them against dense
+/// products of `embed`. It remains for call sites that genuinely need the
+/// full matrix (commutation probes, small algebraic checks, test oracles).
 pub fn embed(op: &CMat, targets: &[usize], dims: &[usize]) -> CMat {
     let gate_dim: usize = targets.iter().map(|&t| dims[t]).product();
     assert!(
@@ -139,13 +139,6 @@ impl DensityMatrix {
         scratch.apply_conjugate(&mut self.rho, u, targets, &self.dims);
     }
 
-    /// Reference implementation of [`DensityMatrix::apply_unitary`] via
-    /// [`embed`] and dense products. Kept for kernel cross-checks.
-    pub fn apply_unitary_ref(&mut self, u: &CMat, targets: &[usize]) {
-        let full = embed(u, targets, &self.dims);
-        self.rho = &(&full * &self.rho) * &full.dagger();
-    }
-
     /// Applies a Kraus channel `ρ → Σₖ KₖρKₖ†` to the listed targets.
     ///
     /// The Kraus operators must satisfy `Σ Kₖ†Kₖ = I` (checked loosely).
@@ -180,22 +173,6 @@ impl DensityMatrix {
         );
         debug_assert_kraus_complete(kraus);
         scratch.apply_kraus(&mut self.rho, kraus, targets, &self.dims);
-    }
-
-    /// Reference implementation of [`DensityMatrix::apply_kraus`] via
-    /// [`embed`] and dense products. Kept for kernel cross-checks.
-    pub fn apply_kraus_ref(&mut self, kraus: &[CMat], targets: &[usize]) {
-        assert!(
-            !kraus.is_empty(),
-            "channel needs at least one Kraus operator"
-        );
-        debug_assert_kraus_complete(kraus);
-        let mut out = CMat::zeros(self.rho.rows(), self.rho.cols());
-        for k in kraus {
-            let full = embed(k, targets, &self.dims);
-            out = &out + &(&(&full * &self.rho) * &full.dagger());
-        }
-        self.rho = out;
     }
 
     /// Populations of the computational basis (the diagonal of ρ).
@@ -237,13 +214,6 @@ impl DensityMatrix {
         scratch: &mut KernelScratch,
     ) -> f64 {
         scratch.expectation(&self.rho, op, targets, &self.dims).re
-    }
-
-    /// Reference implementation of [`DensityMatrix::expectation`] via
-    /// [`embed`] and a dense trace. Kept for kernel cross-checks.
-    pub fn expectation_ref(&self, op: &CMat, targets: &[usize]) -> f64 {
-        let full = embed(op, targets, &self.dims);
-        (&self.rho * &full).trace().re
     }
 
     /// Reduced density matrix of a single subsystem.

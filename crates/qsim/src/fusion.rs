@@ -19,8 +19,8 @@
 //!   branches) never change block structure — they ride inside whatever
 //!   block currently owns their subsystem, opening a singleton block if
 //!   none does. The executor interleaves its random draws at these steps,
-//!   which is what keeps a fused trajectory's RNG stream identical to the
-//!   reference route's event-by-event one.
+//!   which is what keeps a fused trajectory's RNG stream identical to an
+//!   event-by-event replay's.
 //!
 //! Open blocks are pairwise disjoint by construction, so they commute and
 //! any close order is valid; the plan always opens, merges, and closes in
@@ -347,18 +347,6 @@ impl FusionPlan {
             .map(|&t| dims[t])
             .collect()
     }
-
-    /// Block ids in the order they close — the order an executor applies
-    /// their accumulators to the state.
-    pub fn close_order(&self) -> Vec<usize> {
-        self.steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Close { block } => Some(*block),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 fn locals(targets: &[usize], support: &[usize]) -> Vec<usize> {
@@ -563,7 +551,15 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(plan.close_order(), vec![0]);
+        let closes: Vec<usize> = plan
+            .steps
+            .iter()
+            .filter_map(|s| match s {
+                Step::Close { block } => Some(*block),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closes, vec![0]);
     }
 
     #[test]

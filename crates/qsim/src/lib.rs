@@ -14,9 +14,9 @@
 //! * [`channels`] — amplitude damping, dephasing, depolarizing, thermal
 //!   relaxation, leakage and qutrit channels.
 //! * [`kernels`] — in-place stride-based kernels: the superoperator fast
-//!   path behind [`DensityMatrix`] ([`embed`] is its reference) and the
-//!   state-vector fast path behind [`StateVector`] (its original skip-scan
-//!   apply is retained as the `_ref` reference route).
+//!   path behind [`DensityMatrix`] and the state-vector fast path behind
+//!   [`StateVector`]. Their tests compare against a dense oracle built on
+//!   [`embed`] (`embed(U)·ρ·embed(U)†`, `embed(U)·ψ`).
 //! * [`fusion`] — the gate-fusion planner: merges adjacent operators with
 //!   overlapping supports into fused blocks (≤ 5 qubits) that the blocked
 //!   state-vector kernels then apply in one sweep each.

@@ -119,59 +119,6 @@ impl StateVector {
         scratch.apply_state(&mut self.amps, u, targets, &self.dims);
     }
 
-    /// Reference implementation of [`StateVector::apply_unitary`]: the
-    /// original skip-scan base enumeration with per-call buffers. Kept for
-    /// kernel cross-checks (`tests/kernel_equivalence.rs`).
-    pub fn apply_unitary_ref(&mut self, u: &CMat, targets: &[usize]) {
-        let gate_dim: usize = targets.iter().map(|&t| self.dims[t]).product();
-        assert!(
-            u.is_square() && u.rows() == gate_dim,
-            "gate dimension mismatch"
-        );
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < self.dims.len(), "target {t} out of range");
-            assert!(!targets[..i].contains(&t), "duplicate target subsystem {t}");
-        }
-
-        let strides: Vec<usize> = targets.iter().map(|&t| self.stride(t)).collect();
-        let tdims: Vec<usize> = targets.iter().map(|&t| self.dims[t]).collect();
-
-        // Precompute the offset of each gate-basis index within the full
-        // register.
-        let mut offsets = vec![0usize; gate_dim];
-        for (g, offset) in offsets.iter_mut().enumerate() {
-            let mut rem = g;
-            let mut off = 0usize;
-            for (dim, stride) in tdims.iter().zip(&strides) {
-                off += (rem % dim) * stride;
-                rem /= dim;
-            }
-            *offset = off;
-        }
-
-        // Enumerate base indices where every target digit is zero.
-        let total = self.amps.len();
-        let mut scratch = vec![C64::ZERO; gate_dim];
-        'outer: for base in 0..total {
-            for (&t, &stride) in targets.iter().zip(&strides) {
-                if (base / stride) % self.dims[t] != 0 {
-                    continue 'outer;
-                }
-            }
-            // Gather, transform, scatter.
-            for (g, &off) in offsets.iter().enumerate() {
-                scratch[g] = self.amps[base + off];
-            }
-            for (r, &off) in offsets.iter().enumerate() {
-                let mut acc = C64::ZERO;
-                for (c, &sc) in scratch.iter().enumerate() {
-                    acc += u[(r, c)] * sc;
-                }
-                self.amps[base + off] = acc;
-            }
-        }
-    }
-
     /// Probability of each computational-basis outcome.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
@@ -203,21 +150,6 @@ impl StateVector {
             .re
     }
 
-    /// Reference implementation of [`StateVector::expectation`]: clone,
-    /// transform via the reference apply, inner product. Kept for kernel
-    /// cross-checks.
-    pub fn expectation_ref(&self, op: &CMat, targets: &[usize]) -> f64 {
-        let mut transformed = self.clone();
-        transformed.apply_unitary_ref(op, targets);
-        let inner: C64 = self
-            .amps
-            .iter()
-            .zip(&transformed.amps)
-            .map(|(a, b)| a.conj() * *b)
-            .sum();
-        inner.re
-    }
-
     /// The state's 2-norm (1 for physical states; less after applying a
     /// non-unitary Kraus operator via [`StateVector::apply_unitary`]).
     pub fn norm(&self) -> f64 {
@@ -235,35 +167,6 @@ impl StateVector {
         for a in &mut self.amps {
             *a = *a / n;
         }
-    }
-
-    /// Applies one Kraus operator (not necessarily unitary) to the listed
-    /// targets and returns the branch probability `‖Kψ‖²` without
-    /// renormalizing. Combine with [`StateVector::normalize`] for
-    /// trajectory sampling.
-    pub fn apply_kraus_branch(&mut self, k: &CMat, targets: &[usize]) -> f64 {
-        let mut scratch = KernelScratch::new();
-        self.apply_kraus_branch_scratch(k, targets, &mut scratch)
-    }
-
-    /// [`StateVector::apply_kraus_branch`] with a caller-owned scratch.
-    pub fn apply_kraus_branch_scratch(
-        &mut self,
-        k: &CMat,
-        targets: &[usize],
-        scratch: &mut KernelScratch,
-    ) -> f64 {
-        scratch.apply_state(&mut self.amps, k, targets, &self.dims);
-        let n = self.norm();
-        n * n
-    }
-
-    /// Reference implementation of [`StateVector::apply_kraus_branch`] via
-    /// the skip-scan apply. Kept for kernel cross-checks.
-    pub fn apply_kraus_branch_ref(&mut self, k: &CMat, targets: &[usize]) -> f64 {
-        self.apply_unitary_ref(k, targets);
-        let n = self.norm();
-        n * n
     }
 
     /// Inner product ⟨self|other⟩.

@@ -1,11 +1,12 @@
-//! Property-style equivalence tests: the stride kernels versus the
-//! `embed()` reference route, on random unitaries, random CPTP Kraus sets
-//! and random Hermitian observables over a mixed qubit/qutrit register
-//! `[2, 3, 2]` (and qubit-only registers), across every interesting target
-//! tuple including reversed orderings.
+//! Property-style equivalence tests: the stride kernels versus a dense
+//! oracle built on the public [`embed`] — `embed(U)·ρ·embed(U)†` for
+//! density matrices, `embed(U)·ψ` for state vectors — on random
+//! unitaries, random CPTP Kraus sets and random Hermitian observables over
+//! a mixed qubit/qutrit register `[2, 3, 2]` (and qubit-only registers),
+//! across every interesting target tuple including reversed orderings.
 
 use quant_math::{eigh, normal, seeded, unitary_exp, CMat, C64};
-use quant_sim::{DensityMatrix, KernelScratch};
+use quant_sim::{embed, DensityMatrix, KernelScratch, StateVector};
 use rand::rngs::StdRng;
 
 const DIMS: [usize; 3] = [2, 3, 2];
@@ -66,13 +67,54 @@ fn random_kraus(rng: &mut StdRng, n: usize, ops: usize) -> Vec<CMat> {
     raw.iter().map(|a| a * &s_inv_sqrt).collect()
 }
 
-/// A random full-rank mixed state, built through the reference path only:
-/// a global random unitary on `|0…0⟩⟨0…0|` followed by a random channel.
+/// Oracle: `Σₖ embed(Kₖ)·ρ·embed(Kₖ)†` as a dense matrix (one Kraus
+/// operator is a unitary update).
+fn oracle_channel(rho: &DensityMatrix, kraus: &[CMat], targets: &[usize]) -> CMat {
+    let mut out = CMat::zeros(rho.dim(), rho.dim());
+    for k in kraus {
+        let full = embed(k, targets, rho.dims());
+        out = &out + &(&(&full * rho.matrix()) * &full.dagger());
+    }
+    out
+}
+
+/// Oracle: `Tr(ρ·embed(O))`.
+fn oracle_expectation(rho: &DensityMatrix, op: &CMat, targets: &[usize]) -> f64 {
+    (rho.matrix() * &embed(op, targets, rho.dims())).trace().re
+}
+
+/// Oracle: the amplitudes `embed(K)·ψ`, unnormalized.
+fn oracle_state(psi: &StateVector, k: &CMat, targets: &[usize]) -> Vec<C64> {
+    embed(k, targets, psi.dims()).mul_vec(psi.amplitudes())
+}
+
+/// Oracle: `⟨ψ|embed(O)|ψ⟩`.
+fn oracle_state_expectation(psi: &StateVector, op: &CMat, targets: &[usize]) -> f64 {
+    let transformed = oracle_state(psi, op, targets);
+    let inner: C64 = psi
+        .amplitudes()
+        .iter()
+        .zip(&transformed)
+        .map(|(a, b)| a.conj() * *b)
+        .sum();
+    inner.re
+}
+
+fn max_amp_diff(a: &[C64], b: &[C64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (*x - *y).abs())
+        .fold(0.0f64, f64::max)
+}
+
+/// A random full-rank mixed state: a random pure state (built with the
+/// oracle) through a random channel on the whole register. Every test
+/// below compares a kernel and the oracle on the same input, so how the
+/// input was made does not matter.
 fn random_density(rng: &mut StdRng) -> DensityMatrix {
     let total: usize = DIMS.iter().product();
-    let mut dm = DensityMatrix::zero(&DIMS);
-    dm.apply_unitary_ref(&random_unitary(rng, total), &[0, 1, 2]);
-    dm.apply_kraus_ref(&random_kraus(rng, total, 2), &[0, 1, 2]);
+    let mut dm = DensityMatrix::from_state(&random_state(rng));
+    dm.apply_kraus(&random_kraus(rng, total, 2), &[0, 1, 2]);
     debug_assert!((dm.trace() - 1.0).abs() < 1e-9);
     dm
 }
@@ -85,10 +127,9 @@ fn unitary_kernel_matches_embed_reference() {
         for round in 0..3 {
             let u = random_unitary(&mut rng, gate_dim(&targets));
             let mut fast = random_density(&mut rng);
-            let mut slow = fast.clone();
+            let slow = oracle_channel(&fast, std::slice::from_ref(&u), &targets);
             fast.apply_unitary_scratch(&u, &targets, &mut scratch);
-            slow.apply_unitary_ref(&u, &targets);
-            let diff = fast.matrix().max_abs_diff(slow.matrix());
+            let diff = fast.matrix().max_abs_diff(&slow);
             assert!(
                 diff < 1e-12,
                 "targets {targets:?} round {round}: diff {diff:.3e}"
@@ -106,10 +147,9 @@ fn kraus_kernel_matches_embed_reference() {
         for ops in [1usize, 2, 4] {
             let kraus = random_kraus(&mut rng, gate_dim(&targets), ops);
             let mut fast = random_density(&mut rng);
-            let mut slow = fast.clone();
+            let slow = oracle_channel(&fast, &kraus, &targets);
             fast.apply_kraus_scratch(&kraus, &targets, &mut scratch);
-            slow.apply_kraus_ref(&kraus, &targets);
-            let diff = fast.matrix().max_abs_diff(slow.matrix());
+            let diff = fast.matrix().max_abs_diff(&slow);
             assert!(
                 diff < 1e-12,
                 "targets {targets:?} with {ops} ops: diff {diff:.3e}"
@@ -127,7 +167,7 @@ fn expectation_kernel_matches_embed_reference() {
         let op = random_hermitian(&mut rng, gate_dim(&targets));
         let rho = random_density(&mut rng);
         let fast = rho.expectation_scratch(&op, &targets, &mut scratch);
-        let slow = rho.expectation_ref(&op, &targets);
+        let slow = oracle_expectation(&rho, &op, &targets);
         assert!(
             (fast - slow).abs() < 1e-10,
             "targets {targets:?}: {fast} vs {slow}"
@@ -165,34 +205,28 @@ fn rng_index(rng: &mut StdRng, n: usize) -> usize {
 }
 
 /// A random normalized state over the mixed register, built through the
-/// reference path only.
-fn random_state(rng: &mut StdRng) -> quant_sim::StateVector {
+/// oracle only.
+fn random_state(rng: &mut StdRng) -> StateVector {
     let total: usize = DIMS.iter().product();
-    let mut psi = quant_sim::StateVector::zero(&DIMS);
-    psi.apply_unitary_ref(&random_unitary(rng, total), &[0, 1, 2]);
-    psi
+    let zero = StateVector::zero(&DIMS);
+    let amps = oracle_state(&zero, &random_unitary(rng, total), &[0, 1, 2]);
+    StateVector::from_amplitudes(&DIMS, amps)
 }
 
 #[test]
-fn state_vector_unitary_kernel_matches_skip_scan_reference() {
+fn state_vector_unitary_kernel_matches_embed_oracle() {
     // The trajectory executor's hot path: random (sub-)unitaries through
-    // `apply_unitary_scratch` versus the retained skip-scan reference, on
-    // every target tuple over the mixed qubit/qutrit register.
+    // `apply_unitary_scratch` versus `embed(U)·ψ`, on every target tuple
+    // over the mixed qubit/qutrit register.
     let mut rng = seeded(0x57A7E);
     let mut scratch = KernelScratch::new();
     for targets in target_sets() {
         for round in 0..3 {
             let u = random_unitary(&mut rng, gate_dim(&targets));
             let mut fast = random_state(&mut rng);
-            let mut slow = fast.clone();
+            let slow = oracle_state(&fast, &u, &targets);
             fast.apply_unitary_scratch(&u, &targets, &mut scratch);
-            slow.apply_unitary_ref(&u, &targets);
-            let diff = fast
-                .amplitudes()
-                .iter()
-                .zip(slow.amplitudes())
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0f64, f64::max);
+            let diff = max_amp_diff(fast.amplitudes(), &slow);
             assert!(
                 diff < 1e-12,
                 "targets {targets:?} round {round}: diff {diff:.3e}"
@@ -203,10 +237,11 @@ fn state_vector_unitary_kernel_matches_skip_scan_reference() {
 }
 
 #[test]
-fn state_vector_kraus_branch_kernel_matches_reference() {
-    // Branch application must agree on the post-branch state *and* the
-    // returned weight ‖Kψ‖² — the weight drives the trajectory executor's
-    // branch sampling, so a drift here would bias the ensemble.
+fn state_vector_kraus_branch_kernel_matches_embed_oracle() {
+    // A Kraus branch through the unitary kernel must agree with `embed(K)·ψ`
+    // on the post-branch state *and* the weight ‖Kψ‖² — the weight drives
+    // the trajectory executor's branch sampling, so a drift here would
+    // bias the ensemble.
     let mut rng = seeded(0xB4A9C4);
     let mut scratch = KernelScratch::new();
     for targets in target_sets() {
@@ -214,19 +249,15 @@ fn state_vector_kraus_branch_kernel_matches_reference() {
             let kraus = random_kraus(&mut rng, gate_dim(&targets), ops);
             for k in &kraus {
                 let mut fast = random_state(&mut rng);
-                let mut slow = fast.clone();
-                let wf = fast.apply_kraus_branch_scratch(k, &targets, &mut scratch);
-                let ws = slow.apply_kraus_branch_ref(k, &targets);
+                let slow = oracle_state(&fast, k, &targets);
+                fast.apply_unitary_scratch(k, &targets, &mut scratch);
+                let wf = fast.norm().powi(2);
+                let ws: f64 = slow.iter().map(|a| a.norm_sqr()).sum();
                 assert!(
                     (wf - ws).abs() < 1e-12,
                     "targets {targets:?}: weight {wf} vs {ws}"
                 );
-                let diff = fast
-                    .amplitudes()
-                    .iter()
-                    .zip(slow.amplitudes())
-                    .map(|(a, b)| (*a - *b).abs())
-                    .fold(0.0f64, f64::max);
+                let diff = max_amp_diff(fast.amplitudes(), &slow);
                 assert!(diff < 1e-12, "targets {targets:?}: diff {diff:.3e}");
             }
         }
@@ -234,14 +265,14 @@ fn state_vector_kraus_branch_kernel_matches_reference() {
 }
 
 #[test]
-fn state_vector_expectation_kernel_matches_reference() {
+fn state_vector_expectation_kernel_matches_embed_oracle() {
     let mut rng = seeded(0xE59EC7);
     let mut scratch = KernelScratch::new();
     for targets in target_sets() {
         let op = random_hermitian(&mut rng, gate_dim(&targets));
         let psi = random_state(&mut rng);
         let fast = psi.expectation_scratch(&op, &targets, &mut scratch);
-        let slow = psi.expectation_ref(&op, &targets);
+        let slow = oracle_state_expectation(&psi, &op, &targets);
         assert!(
             (fast - slow).abs() < 1e-10,
             "targets {targets:?}: {fast} vs {slow}"
@@ -253,7 +284,7 @@ fn state_vector_expectation_kernel_matches_reference() {
 fn state_vector_and_density_kernels_agree_on_circuits() {
     // Pure-state evolution through the stride kernels must match the
     // state-vector simulator exactly (both are stride-based paths).
-    use quant_sim::{gates, StateVector};
+    use quant_sim::gates;
     let mut psi = StateVector::zero(&DIMS);
     let mut rho = DensityMatrix::zero(&DIMS);
     let mut scratch = KernelScratch::new();

@@ -220,8 +220,13 @@ fn qutrit_counter_end_to_end() {
 #[test]
 fn kernel_executor_reproduces_reference_counts_on_fig12_benchmark() {
     // A Fig. 12-class workload (compiled H2 VQE on a noisy Almaden-like
-    // device): the stride-kernel executor must sample counts bit-identical
-    // to the embed-based reference path at the same seed.
+    // device), pinned: the 16,000-shot counts exactly and the
+    // probabilities within 1e-12. The pins are the values the stride-kernel
+    // executor printed at commit 0864ffc, where this test asserted that
+    // they equal the embed-based reference route's at the same seed (the
+    // counts exactly, the probabilities within 1e-12). That cross-check
+    // now runs over generated programs as quant-device's density oracle
+    // tests (`executor::oracle`).
     let mut rng = seeded(77);
     let device = DeviceModel::almaden_like(2, &mut rng);
     let cal = calibrate(&device, &mut rng);
@@ -231,19 +236,22 @@ fn kernel_executor_reproduces_reference_counts_on_fig12_benchmark() {
         .compile(&circuit)
         .unwrap();
 
-    let fast = PulseExecutor::new(&device)
+    let out = PulseExecutor::new(&device)
         .try_run(&compiled.program, &mut seeded(123))
         .expect("program runs");
-    let slow = PulseExecutor::new(&device)
-        .with_reference_path()
-        .try_run(&compiled.program, &mut seeded(123))
-        .expect("program runs");
-    for (a, b) in fast.probabilities.iter().zip(&slow.probabilities) {
+    let pinned = [
+        0.06564885025714781,
+        0.8895563147701802,
+        0.0142199962504553,
+        0.030574838722211478,
+    ];
+    assert_eq!(out.probabilities.len(), pinned.len());
+    for (a, b) in out.probabilities.iter().zip(&pinned) {
         assert!((a - b).abs() < 1e-12, "kernel drift: {a} vs {b}");
     }
     assert_eq!(
-        fast.sample_counts_deterministic(0xF16, 16_000),
-        slow.sample_counts_deterministic(0xF16, 16_000),
-        "kernel swap changed fig12-class counts"
+        out.sample_counts_deterministic(0xF16, 16_000),
+        [1036, 14236, 207, 521],
+        "fig12-class counts moved"
     );
 }
