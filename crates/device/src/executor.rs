@@ -656,42 +656,39 @@ fn jittered<'a>(w: Cow<'a, Waveform>, sigma: f64, rng: &mut impl Rng) -> Cow<'a,
     Cow::Owned(w.scaled_same_name((1.0 + xi / peak).clamp(0.0, 1.0 / peak)))
 }
 
-/// Returns a copy of a schedule with fresh additive amplitude jitter on
-/// every `Play`, each jittered pulse under its source's shared name (see
-/// [`jittered`]).
-pub(crate) fn jitter_schedule(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Schedule {
+/// Draws fresh additive amplitude jitter of `sigma` (1σ) for every `Play`
+/// of a two-qubit block, in program order: one real factor per `Play`,
+/// which `CrPair::integrate_scaled` applies to the pulse's samples as it
+/// rasterizes the block. `None`, drawing nothing, when `sigma` is 0. A
+/// `Play` whose peak is (near) zero draws nothing and keeps the factor 1.
+/// Every factor is clamped to `1/peak`, so no scaled sample leaves the
+/// unit disc.
+pub(crate) fn pair_jitter(schedule: &Schedule, sigma: f64, rng: &mut impl Rng) -> Option<Vec<f64>> {
     // opclint: allow(float-literal-eq): exact short-circuit — noiseless devices report a literal 0.0 jitter sigma
     if sigma == 0.0 {
-        return schedule.clone();
+        return None;
     }
-    let mut out = Schedule::new(schedule.name());
+    let mut factors = Vec::new();
     for ti in schedule.instructions() {
-        let instruction = match &ti.instruction {
-            Instruction::Play { waveform, channel } => {
-                let peak = waveform.peak();
-                let w = if peak < 1e-12 {
-                    waveform.clone()
-                } else {
-                    let mut factor = 1.0 + normal(rng, 0.0, sigma) / peak;
-                    // CR pulses additionally carry a calibration-transfer
-                    // error: the stretched pulse is derived from the 45°
-                    // tune-up, and the area→angle transfer on hardware is
-                    // only good to ~1.5 % (cf. the paper's Fig. 9 spread).
-                    if matches!(channel, Channel::Control(_)) {
-                        factor += normal(rng, 0.0, 0.015);
-                    }
-                    waveform.scaled_same_name(factor.clamp(0.0, 1.0 / peak))
-                };
-                Instruction::Play {
-                    waveform: w,
-                    channel: *channel,
-                }
-            }
-            other => other.clone(),
+        let Instruction::Play { waveform, channel } = &ti.instruction else {
+            continue;
         };
-        out.insert(ti.start, instruction);
+        let peak = waveform.peak();
+        if peak < 1e-12 {
+            factors.push(1.0);
+            continue;
+        }
+        let mut factor = 1.0 + normal(rng, 0.0, sigma) / peak;
+        // CR pulses additionally carry a calibration-transfer error: the
+        // stretched pulse is derived from the 45° tune-up, and the
+        // area→angle transfer on hardware is only good to ~1.5 % (cf. the
+        // paper's Fig. 9 spread).
+        if matches!(channel, Channel::Control(_)) {
+            factor += normal(rng, 0.0, 0.015);
+        }
+        factors.push(factor.clamp(0.0, 1.0 / peak));
     }
-    out
+    Some(factors)
 }
 
 /// Thermal SPAM: imperfect reset leaves residual |1⟩ population that
@@ -723,6 +720,13 @@ fn jitter_sigma(device: &DeviceModel, noisy: bool) -> f64 {
 /// program order — the one place jitter is drawn. Returns the timeline and
 /// the pulse cache, which only runs that draw no jitter use: a jittered
 /// pulse never repeats, so looking it up could only miss.
+///
+/// A single-qubit `Play` event carries a jittered copy of its waveform. A
+/// two-qubit block copies nothing: its event borrows the program's
+/// schedule and carries one jitter factor per `Play` ([`pair_jitter`]),
+/// which integration applies as it rasterizes the block. The factors are
+/// drawn from the same RNG calls, in the same order, as scaling a copy
+/// would draw them, and the rasterized samples are the same bits.
 pub(crate) fn prepare<'d, 'p>(
     device: &'d DeviceModel,
     program: &'p LoweredProgram,
@@ -748,12 +752,14 @@ pub(crate) fn prepare<'d, 'p>(
             pair,
             channel,
             schedule,
-        } if noisy => Event::Pair {
+            ..
+        } => Event::Pair {
             control,
             target,
             pair,
             channel,
-            schedule: Cow::Owned(jitter_schedule(&schedule, device.pulse_amp_jitter(), rng)),
+            schedule,
+            factors: pair_jitter(schedule, sigma, rng),
         },
         other => other,
     })?;
@@ -797,10 +803,15 @@ pub(crate) fn propagator(
             pair,
             channel,
             schedule,
+            factors,
         } => {
             let (c_drive, t_drive) = (Channel::Drive(*control), Channel::Drive(*target));
-            let integrate = || pair.integrate(schedule, c_drive, t_drive, *channel).unitary;
-            Some(match cache {
+            let channels = [c_drive, t_drive, *channel];
+            let integrate = || {
+                pair.integrate_scaled(schedule, factors.as_deref(), channels)
+                    .unitary
+            };
+            Some(match cache.filter(|_| factors.is_none()) {
                 Some(cache) => {
                     let key = crate::cache::pair_schedule_key(
                         pair.control_params(),
@@ -1366,6 +1377,48 @@ mod tests {
         };
         assert_eq!(bits(&j), bits(&want));
         assert_eq!(j.peak().to_bits(), want.peak().to_bits());
+    }
+
+    #[test]
+    fn clamped_pair_jitter_keeps_every_sample_in_the_unit_disc() {
+        // The factors scale samples during integration, where no
+        // `Waveform` norm check sees them: every factor times its
+        // waveform's recorded peak must stay within that check's
+        // `|d| ≤ 1 + 1e-9`, at the device's jitter and at one large
+        // enough that the clamp binds.
+        let mut rng = seeded(17);
+        let device = DeviceModel::almaden_like(3, &mut rng);
+        let cal = calibrate(&device, &mut rng);
+        let (mut plays, mut clamped) = (0, 0);
+        for seed in 0..6u64 {
+            let (program, _) = testgen::random_program(&device, &cal, 3, 16, &mut rng);
+            for sigma in [device.pulse_amp_jitter(), 1.0] {
+                let mut draws = seeded(seed);
+                for block in &program.blocks {
+                    let Block::Gate2Q { schedule, .. } = block else {
+                        continue;
+                    };
+                    let factors = pair_jitter(schedule, sigma, &mut draws).expect("jitter");
+                    let peaks =
+                        schedule
+                            .instructions()
+                            .iter()
+                            .filter_map(|ti| match &ti.instruction {
+                                Instruction::Play { waveform, .. } => Some(waveform.peak()),
+                                _ => None,
+                            });
+                    for (f, peak) in factors.iter().zip(peaks) {
+                        assert!(f * peak <= 1.0 + 1e-9, "{f} × peak {peak}");
+                        plays += 1;
+                        clamped += usize::from(f * peak > 1.0 - 1e-12);
+                    }
+                }
+            }
+        }
+        assert!(
+            plays > 100 && clamped > 0,
+            "{plays} plays, {clamped} clamped"
+        );
     }
 
     #[test]

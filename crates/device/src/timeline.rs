@@ -38,13 +38,16 @@ pub(crate) enum Event<'p> {
         waveform: Cow<'p, Waveform>,
     },
     /// One two-qubit block, its execution-time CR integrator and control
-    /// channel resolved from the device topology.
+    /// channel resolved from the device topology, and the amplitude
+    /// jitter factor of each of its `Play`s when the run draws jitter
+    /// (the walk emits `None`).
     Pair {
         control: u32,
         target: u32,
         pair: CrPair,
         channel: Channel,
-        schedule: Cow<'p, Schedule>,
+        schedule: &'p Schedule,
+        factors: Option<Vec<f64>>,
     },
 }
 
@@ -128,7 +131,8 @@ pub(crate) fn timeline<'p, T>(
                     target,
                     pair,
                     channel,
-                    schedule: Cow::Borrowed(schedule),
+                    schedule,
+                    factors: None,
                 });
                 let duration = schedule.duration();
                 for q in [control, target] {

@@ -420,22 +420,19 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 }
 
-/// Folds `op` into block `block`'s accumulator at the given local digit
-/// positions, keeping the cached reduced density in sync when present.
+/// Folds a gate `op` into block `block`'s accumulator at the given local
+/// digit positions, keeping the block's cached reduced density in sync
+/// when present.
 ///
-/// Any fold may be non-trace-preserving (Kraus branches outright; gate
-/// blocks through qutrit leakage), which perturbs the marginals other
-/// open blocks see — so every *other* open block's cached ρ is dropped
-/// and rebuilt (behind a flush) on its next weight query.
+/// A leaky pulse block is not trace-preserving, so it perturbs the
+/// marginals other open blocks see, yet their cached densities are left
+/// as they are: the timeline follows every pulse with a relaxation of one
+/// of its qubits, and that fold ([`relax_stage_fused`]) drops them all
+/// before any other block can weigh a branch. SPAM flips are unitary.
 fn fold_op(w: &mut TrajWorker, block: usize, op: &CMat, local: &[usize]) {
     let TrajWorker {
         scratch, blocks, ..
     } = w;
-    for (j, other) in blocks.iter_mut().enumerate() {
-        if j != block && other.open {
-            other.rho_valid = false;
-        }
-    }
     let rt = &mut blocks[block];
     scratch.apply_left(&mut rt.acc, op, local, &rt.dims);
     rt.dirty = true;
@@ -474,8 +471,9 @@ fn relax_stage_fused(
         op_tmp,
         ..
     } = w;
-    // The sampled branch below is a fold; foreign cached marginals go
-    // stale the same way they do in `fold_op`.
+    // The sampled branch below is not trace-preserving, and neither was
+    // the leaky pulse block this relaxation may follow ([`fold_op`]):
+    // every foreign cached marginal is stale.
     for (j, other) in blocks.iter_mut().enumerate() {
         if j != block && other.open {
             other.rho_valid = false;
@@ -510,6 +508,8 @@ fn relax_stage_fused(
         );
     }
     let total: f64 = weights.iter().sum();
+    #[cfg(test)]
+    record_weights(weights);
     let choice = quant_math::categorical(rng, weights);
     let rel = if total > 0.0 {
         weights[choice] / total
@@ -523,6 +523,26 @@ fn relax_stage_fused(
     scratch.apply_left(&mut rt.acc, op_tmp, &local, &rt.dims);
     scratch.apply_conjugate(&mut rt.rho, op_tmp, &local, &rt.dims);
     rt.dirty = true;
+}
+
+#[cfg(test)]
+thread_local! {
+    /// While `Some`, each relaxation stage's branch weights, scaled to
+    /// sum to 1, in draw order, as this thread's replays weigh them.
+    static BRANCH_WEIGHTS: std::cell::RefCell<Option<Vec<Vec<f64>>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Appends one stage's branch weights to [`BRANCH_WEIGHTS`] when it is
+/// recording.
+#[cfg(test)]
+fn record_weights(weights: &[f64]) {
+    BRANCH_WEIGHTS.with_borrow_mut(|log| {
+        if let Some(log) = log {
+            let total: f64 = weights.iter().sum();
+            log.push(weights.iter().map(|w| w / total).collect());
+        }
+    });
 }
 
 #[cfg(test)]
@@ -540,7 +560,7 @@ mod oracle {
     use crate::executor::testgen::{qaoa_line_program, random_program, ProgramBuilder};
     use crate::executor::Block;
     use crate::timeline::timeline;
-    use crate::twoqubit::EXPONENTIALS;
+    use crate::twoqubit::WORK;
 
     /// [`TrajectoryExecutor::try_run_pooled`] with the event-by-event
     /// replay in place of the fused one.
@@ -622,6 +642,7 @@ mod oracle {
             probs.push((norm * norm).max(0.0));
             branches.push(trial);
         }
+        record_weights(&probs);
         let choice = quant_math::categorical(rng, &probs);
         let mut chosen = branches.swap_remove(choice);
         chosen.normalize();
@@ -643,8 +664,8 @@ mod oracle {
     #[test]
     fn trajectories_do_not_integrate_pulses() {
         // Every pulse is integrated once per job, before the fan-out: the
-        // 3×3 exponentials a serial job evaluates are the same at 1 and at
-        // 16 trajectories, on the executor and on the oracle.
+        // block exponentials a serial job evaluates are the same at 1 and
+        // at 16 trajectories, on the executor and on the oracle.
         let mut rng = seeded(13);
         let device = DeviceModel::almaden_like(2, &mut rng);
         let program = line_program(&device, 2);
@@ -652,14 +673,14 @@ mod oracle {
             let exponentials = |trajectories: usize| {
                 let exec = TrajectoryExecutor::new(&device, trajectories);
                 let (jitter, pool) = (&mut seeded(5), &ShotPool::serial());
-                let before = EXPONENTIALS.get();
+                let before = WORK.get().exponentials();
                 if oracle {
                     run(&exec, &program, jitter, 1_600, 9, pool).unwrap();
                 } else {
                     exec.try_run_pooled(&program, jitter, 1_600, 9, pool)
                         .unwrap();
                 }
-                EXPONENTIALS.get() - before
+                WORK.get().exponentials() - before
             };
             let one = exponentials(1);
             assert!(one > 0, "the job integrates its CR pulse");
@@ -798,6 +819,60 @@ mod oracle {
         let reference = run(&exec, &program, &mut seeded(41), 1024, 41, &pool).unwrap();
         assert_eq!(fused.iter().sum::<u64>(), 1024);
         assert_eq!(fused, reference, "fused counts diverged at n=12, root 41");
+    }
+
+    /// The branch weights `f` draws on this thread, per relaxation stage.
+    fn weights_of(f: impl FnOnce()) -> Vec<Vec<f64>> {
+        BRANCH_WEIGHTS.set(Some(Vec::new()));
+        f();
+        BRANCH_WEIGHTS.take().unwrap_or_default()
+    }
+
+    #[test]
+    fn fused_branch_weights_match_the_oracle() {
+        // Not the counts but every relaxation stage's branch weights: the
+        // fused replay weighs a branch against a block's cached reduced
+        // density, the oracle by trial-applying it to the whole state, and
+        // the two must agree to rounding at every draw site. Generated
+        // programs over widths 2–6 carry leaky pulse blocks (CX and CR(θ)
+        // pairs leak ~1e-4 to |2⟩) and long idles, so a cached density
+        // left stale by a fold elsewhere moves a weight far past rounding
+        // even where it moves no draw: deleting `relax_stage_fused`'s
+        // invalidation loop fails this test at a 2e-8 weight difference.
+        let pool = ShotPool::serial();
+        let mut sites = 0;
+        for n in 2..=6u32 {
+            let mut rng = seeded(0x3E1 + u64::from(n));
+            let device = DeviceModel::almaden_like(n as usize, &mut rng);
+            let cal = calibrate(&device, &mut rng);
+            let exec = TrajectoryExecutor::new(&device, 3);
+            for i in 0..4 {
+                let blocks = rng.gen_range(6..6 + 4 * n as usize);
+                let (program, shapes) = random_program(&device, &cal, n, blocks, &mut rng);
+                let root = rng.gen::<u64>();
+                let fused = weights_of(|| {
+                    exec.try_run_pooled(&program, &mut seeded(root), 300, root, &pool)
+                        .unwrap();
+                });
+                let oracle = weights_of(|| {
+                    run(&exec, &program, &mut seeded(root), 300, root, &pool).unwrap();
+                });
+                assert_eq!(fused.len(), oracle.len(), "n={n} program {i} {shapes:?}");
+                for (k, (a, b)) in fused.iter().zip(&oracle).enumerate() {
+                    let d = a
+                        .iter()
+                        .zip(b)
+                        .map(|(x, y)| (x - y).abs())
+                        .fold(0.0, f64::max);
+                    assert!(
+                        a.len() == b.len() && d < 1e-10,
+                        "n={n} program {i} site {k}: {a:?} vs oracle {b:?} {shapes:?}"
+                    );
+                }
+                sites += fused.len();
+            }
+        }
+        assert!(sites > 1000, "{sites} draw sites");
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //! back, so leakage paths are kept. [`PairFrameResult`] returns the 4×4
 //! qubit block; the executor turns the leakage out of that block into a
 //! Kraus completion.
+//!
+//! Each constant-drive run is advanced with one exponential of its
+//! generator, split into the blocks its drives leave decoupled: three 3×3
+//! blocks when one qubit's drive is silent, and, when only the CR tone
+//! plays, three 2×2 blocks on the target's qubit levels plus decoupled
+//! |2⟩ scalars ([`quant_math::unitary_exp9_in_blocks_into`]'s 2×2⊕1
+//! route). The executors' per-`Play` amplitude jitter is applied as the
+//! schedule is rasterized (`CrPair::integrate_scaled`), so a jittered
+//! block needs no copy of its schedule.
 
 use crate::params::{CrParams, TransmonParams, DT};
 use quant_math::{
@@ -155,8 +164,11 @@ impl CrPair {
     /// only the control drive playing into `{3t, 3t+1, 3t+2}` (one per
     /// target level). Both assemble only the 27 in-block generator entries
     /// and advance as three 3×3 exponentials and a block-diagonal product
-    /// ([`Blocks9`]). Only runs where all three channels play at once take
-    /// the full 9×9 generator and exponential.
+    /// ([`Blocks9`]). When the CR tone plays alone, nothing couples a
+    /// target |2⟩ level to the qubit levels: each control level's block is
+    /// a 2×2 block plus a scalar, and takes the 2×2⊕1 exponential. Only
+    /// runs where all three channels play at once take the full 9×9
+    /// generator and exponential.
     ///
     /// Only the qubit block is returned, so only the four qubit-subspace
     /// input columns `{0, 1, 3, 4}` of the propagator are carried: a 9×4
@@ -177,7 +189,22 @@ impl CrPair {
         target_drive: Channel,
         cr_channel: Channel,
     ) -> PairFrameResult {
-        let raster = Raster::new(schedule, [control_drive, target_drive, cr_channel]);
+        self.integrate_scaled(schedule, None, [control_drive, target_drive, cr_channel])
+    }
+
+    /// [`CrPair::integrate`] on `channels` (`[control drive, target
+    /// drive, CR tone]`), with every sample of the schedule's `k`-th
+    /// `Play` scaled by `factors[k]` when given: the executors' per-`Play`
+    /// amplitude jitter, applied as the schedule is rasterized instead of
+    /// to a copy of it. Bit-identical to integrating a copy whose waveforms
+    /// are scaled by the same factors.
+    pub(crate) fn integrate_scaled(
+        &self,
+        schedule: &Schedule,
+        factors: Option<&[f64]>,
+        channels: [Channel; 3],
+    ) -> PairFrameResult {
+        let raster = Raster::new(schedule, factors, channels);
         let slab = self.propagate_slab(&raster, QUBIT_COLUMNS);
         raster.result(CMat::from_fn(4, 4, |r, c| slab[4 * QUBIT_LEVELS[r] + c]))
     }
@@ -251,8 +278,9 @@ impl CrPair {
     ///
     /// Three passes over the runs. The first finds them and gives a memo
     /// slot to each block-route run key (drive bits and length) that
-    /// occurs at least twice: schedules repeat drive samples exactly (the
-    /// echo X pulse plays twice, pulse edges rise and fall through
+    /// occurs at least twice, numbering keys in one linear pass over a
+    /// hash table ([`Run::find`]): schedules repeat drive samples exactly
+    /// (the echo X pulse plays twice, pulse edges rise and fall through
     /// mirrored values), and a step is a pure function of its key. The
     /// second walks backwards from the qubit rows `{0, 1, 3, 4}` the
     /// result reads and marks, per run, the blocks whose output can still
@@ -289,17 +317,18 @@ impl CrPair {
                 }
                 None => &mut fresh,
             };
-            let missing = run.live & !split.zero_blocks(&slab) & !step.have;
+            let needed = run.live & !split.zero_blocks(&slab);
+            let missing = needed & !step.have;
+            let mut small = 0;
             if missing != 0 {
                 let mut h = [[C64::ZERO; 9]; 3];
                 tables
                     .blocks(split)
                     .assemble(&hs, &coefficients(), h.as_flattened_mut());
-                unitary_exp9_in_blocks_into(&h, t, split, missing, &mut step.blocks);
+                small = unitary_exp9_in_blocks_into(&h, t, split, missing, &mut step.blocks);
                 step.have |= missing;
-                #[cfg(test)]
-                EXPONENTIALS.set(EXPONENTIALS.get() + missing.count_ones() as usize);
             }
+            tally(needed & !missing, missing, small);
             mul9_blocks_slab_into(&step.blocks, split, run.live, &slab, &mut next);
             std::mem::swap(&mut slab, &mut next);
         }
@@ -332,7 +361,11 @@ struct Raster {
 }
 
 impl Raster {
-    fn new(schedule: &Schedule, channels: [Channel; 3]) -> Self {
+    /// Rasterizes `schedule` onto `channels`, each sample of its `k`-th
+    /// `Play` (counted over every channel) taken as `(s·factors[k])·cis(φ)`
+    /// when `factors` is given and as `s·cis(φ)` when not: the two
+    /// roundings of scaling a copy of the waveform and then rasterizing it.
+    fn new(schedule: &Schedule, factors: Option<&[f64]>, channels: [Channel; 3]) -> Self {
         let total = schedule.duration() as usize;
         let mut drives = [
             vec![C64::ZERO; total],
@@ -340,7 +373,12 @@ impl Raster {
             vec![C64::ZERO; total],
         ];
         let mut frames = [0.0; 3];
+        let mut plays = 0;
         for ti in schedule.instructions() {
+            let play = plays;
+            if let Instruction::Play { .. } = ti.instruction {
+                plays += 1;
+            }
             let ch = ti.instruction.channel();
             let Some(slot) = channels.iter().position(|&c| c == ch) else {
                 continue;
@@ -349,9 +387,20 @@ impl Raster {
                 Instruction::ShiftPhase { phase, .. } => frames[slot] += phase,
                 Instruction::Play { waveform, .. } => {
                     let rot = C64::cis(frames[slot]);
-                    let buf = &mut drives[slot][ti.start as usize..];
-                    for (d, &s) in buf.iter_mut().zip(waveform.samples()) {
-                        *d += s * rot;
+                    let buf = drives[slot][ti.start as usize..].iter_mut();
+                    let samples = buf.zip(waveform.samples());
+                    match factors {
+                        Some(factors) => {
+                            let f = factors[play];
+                            for (d, &s) in samples {
+                                *d += (s * f) * rot;
+                            }
+                        }
+                        None => {
+                            for (d, &s) in samples {
+                                *d += s * rot;
+                            }
+                        }
                     }
                 }
                 // Frequency shifts are not meaningful in the effective CR
@@ -563,31 +612,96 @@ impl Run {
             k += len;
         }
         // A step is a pure function of the drive bits and the run length,
-        // so runs with equal keys share one. Sorting the keys groups them;
-        // only a block-route key that recurs gets a slot.
-        let mut keys: Vec<_> = (runs.iter().enumerate())
-            .filter(|(_, r)| r.route.is_some())
-            .map(|(i, r)| (r.key(), i))
+        // so runs with equal keys share one. One pass numbers the distinct
+        // block-route keys in order of first occurrence and counts them;
+        // only a key that recurs gets a slot, and slots follow the same
+        // order.
+        let mut table = KeyTable::new(runs.len());
+        let ids: Vec<_> = (runs.iter())
+            .map(|r| r.route.map(|_| table.number(r.key())))
             .collect();
-        keys.sort_unstable();
-        let mut recurring: Vec<_> = keys
-            .chunk_by(|a, b| a.0 == b.0)
-            .filter(|g| g.len() > 1)
+        let mut slots = 0;
+        let slot_of: Vec<_> = (table.counts.iter())
+            .map(|&count| {
+                (count > 1).then(|| {
+                    slots += 1;
+                    slots - 1
+                })
+            })
             .collect();
-        recurring.sort_unstable_by_key(|group| group[0].1);
-        for (slot, group) in recurring.iter().enumerate() {
-            for &(_, i) in *group {
-                runs[i].slot = Some(slot);
-            }
+        for (run, id) in runs.iter_mut().zip(ids) {
+            run.slot = id.and_then(|id| slot_of[id]);
         }
-        let slots = recurring.len();
         (runs, slots)
     }
 
-    fn key(&self) -> ([u64; 6], usize) {
+    fn key(&self) -> RunKey {
         let [dc, dt, du] = self.drives;
         let bits = [dc.re, dc.im, dt.re, dt.im, du.re, du.im].map(f64::to_bits);
         (bits, self.len)
+    }
+}
+
+/// A run's memo key: its drive bits and its length.
+type RunKey = ([u64; 6], usize);
+
+/// Run keys numbered in order of first occurrence, with how often each
+/// occurs: an open-addressing hash table (linear probing) over a `Vec` of
+/// at least twice as many buckets as keys it will hold, so a probe always
+/// ends at an empty bucket.
+struct KeyTable {
+    /// Per bucket: the number of the key stored there, or [`KeyTable::EMPTY`].
+    buckets: Vec<usize>,
+    /// The keys, by number.
+    keys: Vec<RunKey>,
+    /// The occurrences of each key, by number.
+    counts: Vec<usize>,
+}
+
+impl KeyTable {
+    const EMPTY: usize = usize::MAX;
+
+    /// A table for up to `n` distinct keys.
+    fn new(n: usize) -> Self {
+        KeyTable {
+            buckets: vec![Self::EMPTY; (2 * n).next_power_of_two()],
+            keys: Vec::with_capacity(n),
+            counts: Vec::with_capacity(n),
+        }
+    }
+
+    /// The number of `key`, numbering it next if it is new, with its
+    /// occurrence counted.
+    fn number(&mut self, key: RunKey) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = Self::hash(&key) as usize & mask;
+        loop {
+            match self.buckets[b] {
+                Self::EMPTY => {
+                    self.buckets[b] = self.keys.len();
+                    self.keys.push(key);
+                    self.counts.push(1);
+                    return self.keys.len() - 1;
+                }
+                id if self.keys[id] == key => {
+                    self.counts[id] += 1;
+                    return id;
+                }
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// A multiply–xorshift mix of every word of `key`, so the low bits the
+    /// table indexes by depend on every bit of the drives.
+    fn hash(&(bits, len): &RunKey) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut h = len as u64;
+        for w in bits {
+            h = (h ^ w).wrapping_mul(K);
+            h ^= h >> 32;
+        }
+        (h ^ h >> 29).wrapping_mul(K) >> 16
     }
 }
 
@@ -666,10 +780,52 @@ pub fn qubit_block_of(u9: &CMat) -> CMat {
     CMat::from_fn(4, 4, |r, c| u9[(QUBIT_LEVELS[r], QUBIT_LEVELS[c])])
 }
 
+/// The block work `propagate_slab` has done on this thread (test builds).
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// 3×3 exponentials evaluated two at a time, on two lanes.
+    pub(crate) pairs3: usize,
+    /// 3×3 exponentials evaluated alone.
+    pub(crate) singles3: usize,
+    /// Blocks exponentiated by the 2×2⊕1 route.
+    pub(crate) split: usize,
+    /// Live, nonzero blocks a run took from its memo slot.
+    pub(crate) memo_hits: usize,
+}
+
+#[cfg(test)]
+impl Work {
+    /// Every block exponentiated, on either route.
+    pub(crate) fn exponentials(&self) -> usize {
+        2 * self.pairs3 + self.singles3 + self.split
+    }
+}
+
 #[cfg(test)]
 thread_local! {
-    /// The 3×3 exponentials `propagate_slab` has evaluated on this thread.
-    pub(crate) static EXPONENTIALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static WORK: std::cell::Cell<Work> = const {
+        std::cell::Cell::new(Work { pairs3: 0, singles3: 0, split: 0, memo_hits: 0 })
+    };
+}
+
+/// Counts one block-route run's work in [`WORK`]: the blocks it took from
+/// its memo slot, the blocks it exponentiated, and which of those took the
+/// 2×2⊕1 route. Does nothing outside test builds.
+#[inline(always)]
+fn tally(hits: u8, missing: u8, small: u8) {
+    #[cfg(test)]
+    WORK.with(|w| {
+        let mut work = w.get();
+        let full = (missing & !small).count_ones() as usize;
+        work.pairs3 += full / 2;
+        work.singles3 += full % 2;
+        work.split += small.count_ones() as usize;
+        work.memo_hits += hits.count_ones() as usize;
+        w.set(work);
+    });
+    #[cfg(not(test))]
+    let _ = (hits, missing, small);
 }
 
 #[cfg(test)]
@@ -938,7 +1094,7 @@ mod tests {
     /// against the compressed-run oracle.
     fn assert_matches_reference(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
         let fast = p.integrate(s, chans[0], chans[1], chans[2]);
-        let raster = Raster::new(s, chans);
+        let raster = Raster::new(s, None, chans);
         let [c, t, u] = &raster.drives;
         let per_sample = (0..raster.total).map(|k| ([c[k], t[k], u[k]], 1));
         let slow = propagate_oracle(p, per_sample, IDENTITY9);
@@ -1009,7 +1165,7 @@ mod tests {
     /// compressed runs, bit for bit.
     fn assert_bit_identical_to_oracle(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
         let fast = p.integrate(s, chans[0], chans[1], chans[2]);
-        let oracle = propagate_oracle(p, compressed_runs(&Raster::new(s, chans)), IDENTITY9);
+        let oracle = propagate_oracle(p, compressed_runs(&Raster::new(s, None, chans)), IDENTITY9);
         for (r, &lr) in QUBIT_LEVELS.iter().enumerate() {
             for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
                 let (got, want) = (fast.unitary[(r, c)], oracle[9 * lr + lc]);
@@ -1033,13 +1189,46 @@ mod tests {
         })
     }
 
+    /// The oracle of the executors' pair jitter: a copy of `schedule`
+    /// with every `Play`'s waveform scaled by its factor, drawn as
+    /// [`pair_jitter`] draws it.
+    fn jittered_copy(schedule: &Schedule, sigma: f64, rng: &mut impl rand::Rng) -> Schedule {
+        if sigma == 0.0 {
+            return schedule.clone();
+        }
+        let mut out = Schedule::new(schedule.name());
+        for ti in schedule.instructions() {
+            let instruction = match &ti.instruction {
+                Instruction::Play { waveform, channel } => {
+                    let peak = waveform.peak();
+                    let w = if peak < 1e-12 {
+                        waveform.clone()
+                    } else {
+                        let mut factor = 1.0 + quant_math::normal(rng, 0.0, sigma) / peak;
+                        if matches!(channel, Channel::Control(_)) {
+                            factor += quant_math::normal(rng, 0.0, 0.015);
+                        }
+                        waveform.scaled_same_name(factor.clamp(0.0, 1.0 / peak))
+                    };
+                    Instruction::Play {
+                        waveform: w,
+                        channel: *channel,
+                    }
+                }
+                other => other.clone(),
+            };
+            out.insert(ti.start, instruction);
+        }
+        out
+    }
+
     /// The calibrated CX on (0, 1) with the device's per-pulse amplitude
     /// jitter drawn from `seed`, as the density executor plays it: `X_c |
     /// CR− | X_c | CR+ | rx90_t`.
     fn jittered_cx(seed: u64) -> (CrPair, Schedule, [Channel; 3]) {
         let (device, cal) = calibrated();
         let cx = cal.cmd_def().get("cx", &[0, 1]).expect("calibrated cx");
-        let s = crate::executor::jitter_schedule(cx, device.pulse_amp_jitter(), &mut seeded(seed));
+        let s = jittered_copy(cx, device.pulse_amp_jitter(), &mut seeded(seed));
         let chans = [
             Channel::Drive(0),
             Channel::Drive(1),
@@ -1080,7 +1269,7 @@ mod tests {
             (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
         for (p, s) in [(&cx_pair, &cx), (&model, &target_first)] {
-            let raster = Raster::new(s, chans);
+            let raster = Raster::new(s, None, chans);
             for pattern in 0..32 {
                 let mut u = [C64::ZERO; 81];
                 for (r, row) in u.chunks_mut(9).enumerate() {
@@ -1109,17 +1298,165 @@ mod tests {
         }
     }
 
+    /// The block work of one `integrate` of `s` on this thread.
+    fn work_of(p: &CrPair, s: &Schedule, chans: [Channel; 3]) -> Work {
+        WORK.set(Work::default());
+        p.integrate(s, chans[0], chans[1], chans[2]);
+        WORK.get()
+    }
+
     #[test]
     fn jittered_cx_exponentiates_only_live_nonzero_blocks() {
         // Every block of every memo miss would be 1926 exponentials; the
         // echo X pulses skip the target's still-zero |2⟩ block, and CR+
         // and rx90_t skip the control's |2⟩ block, which no later pulse
-        // reads.
+        // reads. The CR-tone-only runs (the CR edges) take the 2×2⊕1
+        // route, and the echo X pulses' mirrored edges hit the memo.
         let (pair, s, chans) = jittered_cx(7);
-        EXPONENTIALS.set(0);
-        pair.integrate(&s, chans[0], chans[1], chans[2]);
-        let count = EXPONENTIALS.get();
-        assert!(count <= 1365, "{count} 3×3 exponentials");
+        let work = work_of(&pair, &s, chans);
+        assert_eq!(
+            work,
+            Work {
+                pairs3: 480,
+                singles3: 0,
+                split: 405,
+                memo_hits: 395,
+            },
+            "jittered CX"
+        );
+        // An echoed CR(0.7) block with jitter drawn from the same seed.
+        let (device, cal) = calibrated();
+        let cr = cal
+            .echoed_cr_schedule_cancelled(device, 0, 1, 0.7)
+            .expect("coupled pair");
+        let cr = jittered_copy(&cr, device.pulse_amp_jitter(), &mut seeded(7));
+        let work = work_of(&pair, &cr, chans);
+        assert_eq!(
+            work,
+            Work {
+                pairs3: 160,
+                singles3: 0,
+                split: 324,
+                memo_hits: 316,
+            },
+            "echoed CR(0.7)"
+        );
+    }
+
+    /// Every two-qubit block of generated programs at several seeds, as
+    /// `(pair, schedule, channels)`, over almaden-like widths 2–4: the
+    /// `Cx`, `CxCancelled`, `Cr` and `CrCancelled` shapes, each behind
+    /// its entry frame phases.
+    fn generated_pair_blocks() -> Vec<(CrPair, Schedule, [Channel; 3])> {
+        use crate::executor::testgen::random_program;
+        use crate::executor::Block;
+        let mut out = Vec::new();
+        for n in 2..=4u32 {
+            let mut rng = seeded(0x2B10 + u64::from(n));
+            let device = DeviceModel::almaden_like(n as usize, &mut rng);
+            let cal = calibrate(&device, &mut rng);
+            for _ in 0..4 {
+                let (program, _) = random_program(&device, &cal, n, 12, &mut rng);
+                for block in program.blocks {
+                    if let Block::Gate2Q {
+                        control,
+                        target,
+                        schedule,
+                    } = block
+                    {
+                        let pair = device.pair_exec(control, target).expect("coupled");
+                        let u = device.control_channel(control, target).expect("coupled");
+                        let chans = [Channel::Drive(control), Channel::Drive(target), u];
+                        out.push((pair, schedule, chans));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The memo slots of `runs` as the sort-based plan numbered them:
+    /// sort the block-route keys, keep the groups that recur, and number
+    /// those in order of first occurrence.
+    fn sorted_slots(runs: &[Run]) -> Vec<Option<usize>> {
+        let mut keys: Vec<_> = (runs.iter().enumerate())
+            .filter(|(_, r)| r.route.is_some())
+            .map(|(i, r)| (r.key(), i))
+            .collect();
+        keys.sort_unstable();
+        let mut recurring: Vec<_> = keys
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|g| g.len() > 1)
+            .collect();
+        recurring.sort_unstable_by_key(|group| group[0].1);
+        let mut slots = vec![None; runs.len()];
+        for (slot, group) in recurring.iter().enumerate() {
+            for &(_, i) in *group {
+                slots[i] = Some(slot);
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn linear_run_plan_numbers_slots_as_the_sorted_plan() {
+        let (device, cal) = calibrated();
+        let sigma = device.pulse_amp_jitter();
+        let mut schedules: Vec<_> = generated_pair_blocks()
+            .into_iter()
+            .map(|(_, s, chans)| (s, chans))
+            .collect();
+        for seed in 1..=4 {
+            let (_, cx, chans) = jittered_cx(seed);
+            schedules.push((cx, chans));
+            for theta in [-FRAC_PI_2, 0.7] {
+                let cr = cal
+                    .echoed_cr_schedule_cancelled(device, 0, 1, theta)
+                    .expect("coupled pair");
+                schedules.push((jittered_copy(&cr, sigma, &mut seeded(seed)), chans));
+                schedules.push((cr, chans));
+            }
+        }
+        let mut recurring = 0;
+        for (s, chans) in &schedules {
+            let (runs, slots) = Run::find(&Raster::new(s, None, *chans));
+            let linear: Vec<_> = runs.iter().map(|r| r.slot).collect();
+            assert_eq!(linear, sorted_slots(&runs), "{}", s.name());
+            assert_eq!(slots, linear.iter().flatten().max().map_or(0, |&m| m + 1));
+            recurring += slots;
+        }
+        assert!(schedules.len() > 40 && recurring > 0, "{}", schedules.len());
+    }
+
+    #[test]
+    fn jitter_in_the_raster_equals_the_raster_of_a_jittered_copy() {
+        // The factors the executors draw, applied while rasterizing,
+        // against the raster of a copy whose waveforms carry them — from
+        // the same RNG stream, bit for bit, at the device's jitter and at
+        // one large enough that the 1/peak clamp binds.
+        let (device, _) = calibrated();
+        let mut blocks = 0;
+        for (k, (_, s, chans)) in generated_pair_blocks().iter().enumerate() {
+            for (seed, sigma) in [(1, device.pulse_amp_jitter()), (2, 0.3), (k as u64, 0.01)] {
+                let factors = crate::executor::pair_jitter(s, sigma, &mut seeded(seed));
+                let lazy = Raster::new(s, factors.as_deref(), *chans);
+                let copy = jittered_copy(s, sigma, &mut seeded(seed));
+                let eager = Raster::new(&copy, None, *chans);
+                assert_eq!(lazy.total, eager.total);
+                assert_eq!(
+                    lazy.frames.map(f64::to_bits),
+                    eager.frames.map(f64::to_bits)
+                );
+                for (a, b) in lazy.drives.iter().zip(&eager.drives) {
+                    let bits = |d: &[C64]| -> Vec<_> {
+                        d.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                    };
+                    assert_eq!(bits(a), bits(b), "{} seed {seed}", s.name());
+                }
+                blocks += 1;
+            }
+        }
+        assert!(blocks > 100, "{blocks}");
     }
 
     /// An uncalibrated X on the target, then one on the control.

@@ -8,6 +8,18 @@
 //! Taylor series with scaling-and-squaring reaches the same 1e-12-level
 //! accuracy at a fraction of the cost, and — with the scratch buffers held
 //! here — performs **zero** heap allocations per propagator after warm-up.
+//!
+//! Every exponential is a degree-12 Taylor sum in Paterson–Stockmeyer
+//! form: `M²` and `M³`, four Horner steps in `M³` and one product per
+//! squaring, so 6 + `squarings` matrix products. The pair integrator's
+//! block route ([`unitary_exp9_in_blocks_into`]) does less where its
+//! generators allow, with every entry equal (`==`) to the plain route's:
+//! a tridiagonal 3×3 block (a drive ladder) of an anti-Hermitian scaled
+//! generator forms `M²` from its upper triangle, skips the zero couplings'
+//! terms in `M²` and `M³` and starts Horner at `c₁₂·M³` (5 + `squarings`
+//! products, the first two lighter), and a block that is a 2×2 block plus
+//! a decoupled scalar takes 2×2 products and a scalar chain instead of
+//! 3×3 products (9 complex multiplications per product instead of 27).
 
 use crate::complex::C64;
 use crate::mat::CMat;
@@ -120,7 +132,8 @@ impl PropagatorScratch {
             assert_eq!(out.cols(), 3, "output column mismatch");
             let mut a = [C64::ZERO; 9];
             a.copy_from_slice(self.a.as_slice());
-            out.as_mut_slice().copy_from_slice(&expm3(&a, squarings));
+            out.as_mut_slice()
+                .copy_from_slice(&expm3::<_, false>(&a, squarings));
             return;
         }
         let c = &INV_FACTORIAL;
@@ -185,6 +198,8 @@ trait Entry: Copy + Add<Output = Self> + Mul<Output = Self> + AddAssign {
     const ZERO: Self;
     /// `x + 0i`, in every lane.
     fn real(x: f64) -> Self;
+    /// The complex conjugate, in every lane.
+    fn conj(self) -> Self;
 }
 
 impl Entry for C64 {
@@ -192,6 +207,10 @@ impl Entry for C64 {
     #[inline(always)]
     fn real(x: f64) -> Self {
         C64::real(x)
+    }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        C64::conj(self)
     }
 }
 
@@ -255,6 +274,13 @@ impl Entry for C64x2 {
             im: [0.0; 2],
         }
     }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        C64x2 {
+            re: self.re,
+            im: [-self.im[0], -self.im[1]],
+        }
+    }
 }
 
 /// Degree-12 Paterson–Stockmeyer `exp` specialized to 3×3, entirely on
@@ -262,7 +288,23 @@ impl Entry for C64x2 {
 /// the scaling at the end. Same evaluation order as the generic path, so
 /// the two agree to rounding. On [`C64x2`] entries it evaluates two
 /// generators at once, each lane bit-identical to the [`C64`] instance.
-fn expm3<T: Entry>(a: &[T; 9], squarings: u32) -> [T; 9] {
+///
+/// With `TRI`, `a` must be anti-Hermitian, as a Hermitian generator
+/// scaled by `−i·t` is (up to the signs of zero parts), and tridiagonal:
+/// its couplings `a[2]` and `a[6]` between indices 0 and 2 are exactly
+/// zero, as a transmon drive ladder's are. Then `M²` is formed on and
+/// above its diagonal and mirrored below it (`M²` is Hermitian), the
+/// products with `M` skip the terms its zero couplings make `±0`, and
+/// Horner starts at `c₁₂·M³` instead of the product `(c₁₂·I)·M³`. Every
+/// entry equals (`==`) the plain evaluation's: each mirrored term is the
+/// conjugate of a product of the same two numbers, negated twice, and
+/// every term left out is `±0`, whose sum with the others can differ only
+/// in the sign of a zero. That is 12 + 21 complex multiplications for
+/// `M²` and `M³` instead of 27 + 27, and one product fewer.
+// Kept out of line: inlined into its callers, whose two-lane paths
+// dispatch over several kernels, it measured slower.
+#[inline(never)]
+fn expm3<T: Entry, const TRI: bool>(a: &[T; 9], squarings: u32) -> [T; 9] {
     #[inline(always)]
     fn mul3<T: Entry>(a: &[T; 9], b: &[T; 9]) -> [T; 9] {
         let mut o = [T::ZERO; 9];
@@ -274,17 +316,62 @@ fn expm3<T: Entry>(a: &[T; 9], squarings: u32) -> [T; 9] {
         }
         o
     }
+    /// [`mul3`] of `m` by itself, `m` anti-Hermitian and tridiagonal: the
+    /// entries on and above the diagonal without their `±0` terms, the
+    /// rest their conjugates.
+    #[inline(always)]
+    fn square3_tri<T: Entry>(m: &[T; 9]) -> [T; 9] {
+        let (o1, o2, o5) = (
+            m[0] * m[1] + m[1] * m[4],
+            m[1] * m[5],
+            m[4] * m[5] + m[5] * m[8],
+        );
+        [
+            m[0] * m[0] + m[1] * m[3],
+            o1,
+            o2,
+            o1.conj(),
+            m[3] * m[1] + m[4] * m[4] + m[5] * m[7],
+            o5,
+            o2.conj(),
+            o5.conj(),
+            m[7] * m[5] + m[8] * m[8],
+        ]
+    }
+    /// [`mul3`] of `a` by a tridiagonal `m`, without the `±0` terms.
+    #[inline(always)]
+    fn mul3_by_tri<T: Entry>(a: &[T; 9], m: &[T; 9]) -> [T; 9] {
+        let mut o = [T::ZERO; 9];
+        for r in 0..3 {
+            let (a0, a1, a2) = (a[3 * r], a[3 * r + 1], a[3 * r + 2]);
+            o[3 * r] = a0 * m[0] + a1 * m[3];
+            o[3 * r + 1] = a0 * m[1] + a1 * m[4] + a2 * m[7];
+            o[3 * r + 2] = a1 * m[5] + a2 * m[8];
+        }
+        o
+    }
     let c = &INV_FACTORIAL;
     let m = *a;
-    let m2 = mul3(&m, &m);
-    let m3 = mul3(&m2, &m);
-    // Horner in M³, innermost group first: start from c₁₂·I.
+    let (m2, m3);
     let mut sum = [T::ZERO; 9];
-    for i in 0..3 {
-        sum[4 * i] = T::real(c[12]);
+    if TRI {
+        m2 = square3_tri(&m);
+        m3 = mul3_by_tri(&m2, &m);
+        // Horner in M³, innermost group first, from c₁₂·M³: the first
+        // product is already taken.
+        sum = m3.map(|x| T::real(c[12]) * x);
+    } else {
+        m2 = mul3(&m, &m);
+        m3 = mul3(&m2, &m);
+        // Horner in M³, innermost group first: start from c₁₂·I.
+        for i in 0..3 {
+            sum[4 * i] = T::real(c[12]);
+        }
     }
     for j in (0..4).rev() {
-        sum = mul3(&sum, &m3);
+        if !TRI || j < 3 {
+            sum = mul3(&sum, &m3);
+        }
         for i in 0..9 {
             sum[i] += m[i] * T::real(c[3 * j + 1]) + m2[i] * T::real(c[3 * j + 2]);
         }
@@ -298,14 +385,101 @@ fn expm3<T: Entry>(a: &[T; 9], squarings: u32) -> [T; 9] {
     sum
 }
 
-/// [`expm3`] of two scaled generators sharing one squaring count, on two
-/// lanes: bit-identical to two scalar calls.
-fn expm3_x2(a: [[C64; 9]; 2], squarings: u32) -> [[C64; 9]; 2] {
+/// [`expm3`] restricted to a 3×3 block that is a 2×2 block on local
+/// indices `{0, 1}` plus a decoupled scalar at index 2 (its four
+/// couplings to index 2 exactly zero, of either sign). `a` is the
+/// already-scaled block, `squarings` undoes the scaling; the four
+/// coupling entries of the result are written as `+0`.
+///
+/// Equal to [`expm3`] on every entry (`==`; a zero may come out `+0`
+/// where [`expm3`] forms `−0`). Each product and sum below is one that
+/// [`expm3`] forms in the same order; what it drops are terms with a
+/// zero factor, and adding `±0` leaves a nonzero sum unchanged and can
+/// flip only the sign of a zero one. For the same reason Horner starts at
+/// `c₁₂·M³` instead of the product `(c₁₂·I)·M³`. That is 9 complex
+/// products per matrix product instead of 27, and one product fewer.
+#[inline(never)]
+fn expm2p1<T: Entry>(a: &[T; 9], squarings: u32) -> [T; 9] {
+    #[inline(always)]
+    fn mul2<T: Entry>(a: &[T; 4], b: &[T; 4]) -> [T; 4] {
+        [
+            a[0] * b[0] + a[1] * b[2],
+            a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2],
+            a[2] * b[1] + a[3] * b[3],
+        ]
+    }
+    let c = &INV_FACTORIAL;
+    let (m, z) = ([a[0], a[1], a[3], a[4]], a[8]);
+    let (m2, z2) = (mul2(&m, &m), z * z);
+    let (m3, z3) = (mul2(&m2, &m), z2 * z);
+    let mut sum = m3.map(|x| T::real(c[12]) * x);
+    let mut s = T::real(c[12]) * z3;
+    for j in (0..4).rev() {
+        if j < 3 {
+            sum = mul2(&sum, &m3);
+            s = s * z3;
+        }
+        for i in 0..4 {
+            sum[i] += m[i] * T::real(c[3 * j + 1]) + m2[i] * T::real(c[3 * j + 2]);
+        }
+        s += z * T::real(c[3 * j + 1]) + z2 * T::real(c[3 * j + 2]);
+        sum[0] += T::real(c[3 * j]);
+        sum[3] += T::real(c[3 * j]);
+        s += T::real(c[3 * j]);
+    }
+    for _ in 0..squarings {
+        sum = mul2(&sum, &sum);
+        s = s * s;
+    }
+    let o = T::ZERO;
+    [sum[0], sum[1], o, sum[2], sum[3], o, o, o, s]
+}
+
+/// The kernel a Hermitian row-major 3×3 block of the pair integrator
+/// takes: [`expm2p1`] when its four couplings to local index 2 are
+/// exactly zero (of either sign), else the tridiagonal [`expm3`] when its
+/// two couplings between indices 0 and 2 are, else the plain one.
+fn block_kernel(h: &[C64; 9]) -> Kernel {
+    let zero = |k: &[usize]| k.iter().all(|&k| h[k] == C64::ZERO);
+    if zero(&[2, 5, 6, 7]) {
+        Kernel::Split
+    } else if zero(&[2, 6]) {
+        Kernel::Tri
+    } else {
+        Kernel::Dense
+    }
+}
+
+/// The evaluations of a scaled 3×3 generator's exponential.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`expm3`] on any generator.
+    Dense,
+    /// [`expm3`] on an anti-Hermitian tridiagonal generator (`TRI`).
+    Tri,
+    /// [`expm2p1`].
+    Split,
+}
+
+/// `exp(a)` by `kernel`.
+#[inline(always)]
+fn expm_block<T: Entry>(a: &[T; 9], squarings: u32, kernel: Kernel) -> [T; 9] {
+    match kernel {
+        Kernel::Dense => expm3::<T, false>(a, squarings),
+        Kernel::Tri => expm3::<T, true>(a, squarings),
+        Kernel::Split => expm2p1(a, squarings),
+    }
+}
+
+/// [`expm_block`] of two scaled generators sharing one squaring count, on
+/// two lanes: bit-identical to two scalar calls.
+fn expm_block_x2(a: [[C64; 9]; 2], squarings: u32, kernel: Kernel) -> [[C64; 9]; 2] {
     let lanes = std::array::from_fn(|k| C64x2 {
         re: [a[0][k].re, a[1][k].re],
         im: [a[0][k].im, a[1][k].im],
     });
-    let e = expm3(&lanes, squarings);
+    let e = expm_block(&lanes, squarings, kernel);
     std::array::from_fn(|l| std::array::from_fn(|k| C64::new(e[k].re[l], e[k].im[l])))
 }
 
@@ -322,7 +496,7 @@ fn scaled3(h: &[C64; 9], t: f64) -> ([C64; 9], u32) {
 /// `h`).
 pub fn unitary_exp3(h: &[C64; 9], t: f64) -> [C64; 9] {
     let (a, squarings) = scaled3(h, t);
-    expm3(&a, squarings)
+    expm3::<_, false>(&a, squarings)
 }
 
 /// [`unitary_exp3`] of two generators at once, each result bit-identical
@@ -331,9 +505,9 @@ pub fn unitary_exp3(h: &[C64; 9], t: f64) -> [C64; 9] {
 pub fn unitary_exp3_pair(h: &[[C64; 9]; 2], t: f64) -> [[C64; 9]; 2] {
     let ((a0, s0), (a1, s1)) = (scaled3(&h[0], t), scaled3(&h[1], t));
     if s0 == s1 {
-        expm3_x2([a0, a1], s0)
+        expm_block_x2([a0, a1], s0, Kernel::Dense)
     } else {
-        [expm3(&a0, s0), expm3(&a1, s1)]
+        [expm3::<_, false>(&a0, s0), expm3::<_, false>(&a1, s1)]
     }
 }
 
@@ -464,26 +638,38 @@ impl Blocks9 {
 /// Writes `exp(-i·h·t)` of a Hermitian 9×9 generator that is
 /// block-diagonal under `blocks`, given and returned as its three 3×3
 /// blocks: `h[b]` and `out[b]` are block `b` in row-major order. Only the
-/// blocks in `mask` (bit `b` = block `b`) are exponentiated, two at a time
-/// on two SIMD lanes and an odd one alone; the other blocks of `out` are
-/// left as they are. The 54 entries outside the blocks are zero and are
-/// never formed.
+/// blocks in `mask` (bit `b` = block `b`) are exponentiated; the other
+/// blocks of `out` are left as they are. The 54 entries outside the
+/// blocks are zero and are never formed. Returns the mask of the blocks
+/// that took the 2×2⊕1 route.
 ///
-/// Bit-identical, inside the blocks written, to [`unitary_exp9_into`] on
-/// the full generator. The squaring count comes from the Frobenius norm
-/// summed over all 27 in-block entries (masked or not) in the full
-/// matrix's row-major order, which is the sum that route forms once its
-/// off-block zeros add nothing. Each block then runs the same
-/// Paterson–Stockmeyer evaluation, whose zero-skipping 9×9 products reduce
-/// to exactly the 3×3 products here, and each lane of the two-lane
-/// evaluation repeats the scalar one.
+/// A block whose four couplings to its local index 2 are exactly zero (a
+/// 2×2 block plus a decoupled scalar, as every block of a run with only
+/// the CR tone playing is) takes the 2×2⊕1 kernel `expm2p1`. A block
+/// whose couplings between its local indices 0 and 2 are exactly zero (a
+/// drive ladder, as every other block of a lowered program is) takes the
+/// 3×3 `expm3` for anti-Hermitian tridiagonal generators (`h` is
+/// Hermitian), and any other block the plain `expm3`. Within
+/// each route the blocks are exponentiated two at a time on two SIMD
+/// lanes and an odd one alone.
+///
+/// Equal (`==`), inside the blocks written, to [`unitary_exp9_into`] on
+/// the full generator: a zero may come out `+0` where that route forms
+/// `−0`, which a consumer that skips zero coefficients, as
+/// [`mul9_blocks_slab_into`] does, cannot tell apart. The squaring
+/// count comes from the Frobenius norm summed over all 27 in-block
+/// entries (masked or not) in the full matrix's row-major order, which is
+/// the sum that route forms once its off-block zeros add nothing. Each
+/// block then runs the same Paterson–Stockmeyer evaluation, whose
+/// zero-skipping 9×9 products reduce to exactly the 3×3 products here,
+/// and each lane of the two-lane evaluation repeats the scalar one.
 pub fn unitary_exp9_in_blocks_into(
     h: &[[C64; 9]; 3],
     t: f64,
     blocks: Blocks9,
     mask: u8,
     out: &mut [[C64; 9]; 3],
-) {
+) -> u8 {
     let mut norm2 = 0.0;
     for r in 0..9 {
         let (b, i) = blocks.locate(r);
@@ -493,13 +679,21 @@ pub fn unitary_exp9_in_blocks_into(
     }
     let (factor, squarings) = step_scaling(norm2, t);
     let scaled = |b: usize| h[b].map(|z| z * factor);
-    let mut picked = (0..3).filter(|&b| mask & 1 << b != 0);
-    while let Some(b0) = picked.next() {
-        match picked.next() {
-            Some(b1) => [out[b0], out[b1]] = expm3_x2([scaled(b0), scaled(b1)], squarings),
-            None => out[b0] = expm3(&scaled(b0), squarings),
+    let kernels = h.each_ref().map(block_kernel);
+    for kernel in [Kernel::Split, Kernel::Tri, Kernel::Dense] {
+        let mut picked = (0..3).filter(|&b| mask & 1 << b != 0 && kernels[b] == kernel);
+        while let Some(b0) = picked.next() {
+            match picked.next() {
+                Some(b1) => {
+                    [out[b0], out[b1]] = expm_block_x2([scaled(b0), scaled(b1)], squarings, kernel)
+                }
+                None => out[b0] = expm_block(&scaled(b0), squarings, kernel),
+            }
         }
     }
+    (0..3).fold(0, |m, b| {
+        m | u8::from(mask & 1 << b != 0 && kernels[b] == Kernel::Split) << b
+    })
 }
 
 /// `out = a · u` for a row-major 9×9 `a` and a row-major 9×4 slab `u`
@@ -727,18 +921,25 @@ mod tests {
 
     /// A random Hermitian 9×9 generator at the pair integrator's scale
     /// (entries ~1e9 rad/s), block-diagonal under `blocks`, or diagonal
-    /// when `blocks` is `None`. Off-block entries are exact zeros.
+    /// when `blocks` is `None`. Off-block entries are exact zeros, and so,
+    /// half the time, are the couplings between each block's indices 0
+    /// and 2 (drive ladders).
     fn block_hermitian(blocks: Option<Blocks9>, next: &mut impl FnMut() -> f64) -> [C64; 81] {
         let mut h = [C64::ZERO; 81];
         for i in 0..9 {
             h[10 * i] = C64::real(4e9 * next());
         }
         if let Some(blocks) = blocks {
+            let ladder = next() > 0.0;
             for b in 0..3 {
                 for i in 0..3 {
                     for j in i + 1..3 {
                         let (r, c) = (blocks.index(b, i), blocks.index(b, j));
-                        let z = C64::new(2e9 * next(), 2e9 * next());
+                        let z = if ladder && j == i + 2 {
+                            signed_zero(next)
+                        } else {
+                            C64::new(2e9 * next(), 2e9 * next())
+                        };
                         h[9 * r + c] = z;
                         h[9 * c + r] = z.conj();
                     }
@@ -762,6 +963,7 @@ mod tests {
             (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
         let shapes = [Some(Blocks9::Strided), Some(Blocks9::Contiguous), None];
+        let mut kernels_seen = Vec::new();
         for shape in shapes {
             // A dense starting operator, so the product sees every column.
             let mut u_full = [C64::ZERO; 81];
@@ -799,6 +1001,7 @@ mod tests {
                         }
                     }
                 }
+                kernels_seen.extend(h_blocks.each_ref().map(block_kernel));
                 let mut step = [[C64::ZERO; 9]; 3];
                 unitary_exp9_in_blocks_into(&h_blocks, t, blocks, 0b111, &mut step);
                 let mut in_block = [false; 81];
@@ -864,6 +1067,9 @@ mod tests {
             }
             assert!(most_squarings >= 10, "only {most_squarings} squarings");
         }
+        for kernel in [Kernel::Dense, Kernel::Tri, Kernel::Split] {
+            assert!(kernels_seen.contains(&kernel), "{kernel:?} untested");
+        }
     }
 
     /// The bit patterns of a run of complex entries.
@@ -872,30 +1078,127 @@ mod tests {
     }
 
     /// A random Hermitian 3×3 block at the pair integrator's scale, with
-    /// each off-diagonal pair and each diagonal entry exactly zero about
-    /// one time in three.
+    /// each off-diagonal pair and each diagonal entry exactly zero, of
+    /// either sign, about one time in three.
     fn sparse_hermitian3(next: &mut impl FnMut() -> f64) -> [C64; 9] {
         let mut h = [C64::ZERO; 9];
         for i in 0..3 {
-            if next() > -0.17 {
-                h[4 * i] = C64::real(4e9 * next());
-            }
+            h[4 * i] = if next() > -0.17 {
+                C64::real(4e9 * next())
+            } else {
+                signed_zero(next)
+            };
             for j in i + 1..3 {
-                if next() > -0.17 {
-                    let z = C64::new(2e9 * next(), 2e9 * next());
-                    h[3 * i + j] = z;
-                    h[3 * j + i] = z.conj();
-                }
+                let z = if next() > -0.17 {
+                    C64::new(2e9 * next(), 2e9 * next())
+                } else {
+                    signed_zero(next)
+                };
+                h[3 * i + j] = z;
+                h[3 * j + i] = z.conj();
             }
         }
         h
+    }
+
+    /// `+0` or `−0` in each part, at random.
+    fn signed_zero(next: &mut impl FnMut() -> f64) -> C64 {
+        let zero = |x: f64| if x > 0.0 { 0.0 } else { -0.0 };
+        C64::new(zero(next()), zero(next()))
+    }
+
+    #[test]
+    fn split_route_equals_the_3x3_and_9x9_routes() {
+        // Strided generators shaped like a CR-tone-only run: blocks 0 and
+        // 1 a 2×2 block on local indices {0, 1} plus a decoupled scalar,
+        // block 2 diagonal. The couplings to index 2 are zeros of either
+        // sign, and so, in some cases, are the 2×2 off-diagonals and
+        // diagonals. Runs of one sample up to thousands take 0 to ≥ 10
+        // squarings. Every step entry must equal (`==`) the 3×3 route's
+        // and the full 9×9 route's.
+        const DT: f64 = 2.0 / 9.0 * 1e-9;
+        let mut rng_state = 0x5851F42D4C957F2Du64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let blocks = Blocks9::Strided;
+        let mut squarings_seen = std::collections::BTreeSet::new();
+        for run in [1u32, 2, 3, 17, 160, 999, 1000, 4096] {
+            let t = DT * f64::from(run);
+            for case in 0..40 {
+                // Half the cases at a tenth of the integrator's scale, so
+                // single samples take no squaring.
+                let scale = if case % 2 == 0 { 1e8 } else { 1e9 };
+                let mut h = [[C64::ZERO; 9]; 3];
+                for (b, hb) in h.iter_mut().enumerate() {
+                    for i in 0..3 {
+                        hb[4 * i] = if case % 7 == b {
+                            signed_zero(&mut next)
+                        } else {
+                            C64::real(4.0 * scale * next())
+                        };
+                    }
+                    let z = if b == 2 || case % 5 == b {
+                        signed_zero(&mut next)
+                    } else {
+                        C64::new(2.0 * scale * next(), 2.0 * scale * next())
+                    };
+                    hb[1] = z;
+                    hb[3] = z.conj();
+                    for k in [2, 5, 6, 7] {
+                        hb[k] = signed_zero(&mut next);
+                    }
+                }
+                let mut split = [[C64::new(f64::NAN, 7.0); 9]; 3];
+                let routed = unitary_exp9_in_blocks_into(&h, t, blocks, 0b111, &mut split);
+                assert_eq!(routed, 0b111, "run {run} case {case}: every block splits");
+
+                let mut full = [C64::ZERO; 81];
+                for (b, hb) in h.iter().enumerate() {
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            full[9 * blocks.index(b, i) + blocks.index(b, j)] = hb[3 * i + j];
+                        }
+                    }
+                }
+                let (factor, squarings) = step_scaling(norm_sqr_sum(&full), t);
+                squarings_seen.insert(squarings);
+                let mut full_step = [C64::ZERO; 81];
+                unitary_exp9_into(&full, t, &mut full_step);
+                for (b, got) in split.iter().enumerate() {
+                    let route3 = expm3::<_, false>(&h[b].map(|z| z * factor), squarings);
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            let k = 3 * i + j;
+                            let nine = full_step[9 * blocks.index(b, i) + blocks.index(b, j)];
+                            for (route, want) in [("3×3", route3[k]), ("9×9", nine)] {
+                                assert!(
+                                    got[k].re == want.re && got[k].im == want.im,
+                                    "run {run} case {case} block {b} ({i},{j}): \
+                                     {:?} vs {route} {want:?}",
+                                    got[k]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(squarings_seen.contains(&0), "{squarings_seen:?}");
+        assert!(
+            squarings_seen.iter().any(|&s| s >= 10),
+            "{squarings_seen:?}"
+        );
     }
 
     #[test]
     fn two_lane_exponential_is_bit_identical_to_scalar() {
         // Pairs of blocks scaled by the integrator's step policy, for runs
         // of one sample up to thousands, so the squaring stage runs from 0
-        // to ≥ 10 times; each lane must reproduce the scalar kernel's bits.
+        // to ≥ 10 times; each lane must reproduce the scalar kernel's bits,
+        // on every kernel (the 2×2⊕1 one reads only the 2×2 block and the
+        // scalar of these dense blocks).
         const DT: f64 = 2.0 / 9.0 * 1e-9;
         let mut rng_state = 0xD1B54A32D192ED03u64;
         let mut next = || {
@@ -903,6 +1206,7 @@ mod tests {
             (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
         let mut squarings_seen = std::collections::BTreeSet::new();
+        let mut kernels_seen = std::collections::BTreeSet::new();
         for run in [1u32, 2, 5, 16, 40, 160, 640, 1000, 2500, 4096] {
             for _ in 0..20 {
                 let pair = [sparse_hermitian3(&mut next), sparse_hermitian3(&mut next)];
@@ -910,9 +1214,26 @@ mod tests {
                 let (factor, squarings) = step_scaling(norm2, DT * f64::from(run));
                 squarings_seen.insert(squarings);
                 let scaled = pair.map(|h| h.map(|z| z * factor));
-                let lanes = expm3_x2(scaled, squarings);
-                for (lane, a) in lanes.iter().zip(&scaled) {
-                    assert_eq!(bits(lane), bits(&expm3(a, squarings)), "run {run}");
+                for kernel in [Kernel::Dense, Kernel::Tri, Kernel::Split] {
+                    let lanes = expm_block_x2(scaled, squarings, kernel);
+                    for (lane, a) in lanes.iter().zip(&scaled) {
+                        let scalar = expm_block(a, squarings, kernel);
+                        assert_eq!(bits(lane), bits(&scalar), "run {run} {kernel:?}");
+                    }
+                }
+                // The kernel each block takes equals the plain one entry
+                // for entry (a zero's sign aside).
+                for (h, a) in pair.iter().zip(&scaled) {
+                    let kernel = block_kernel(h);
+                    kernels_seen.insert(format!("{kernel:?}"));
+                    let got = expm_block(a, squarings, kernel);
+                    let dense = expm3::<_, false>(a, squarings);
+                    for (x, y) in got.iter().zip(&dense) {
+                        assert!(
+                            x.re == y.re && x.im == y.im,
+                            "run {run} {kernel:?}: {x:?} vs {y:?}"
+                        );
+                    }
                 }
             }
         }
@@ -921,6 +1242,7 @@ mod tests {
             squarings_seen.iter().any(|&s| s >= 10),
             "{squarings_seen:?}"
         );
+        assert_eq!(kernels_seen.len(), 3, "{kernels_seen:?}");
     }
 
     #[test]
