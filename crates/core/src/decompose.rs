@@ -64,7 +64,7 @@ impl NativeGate {
     }
 
     /// Cost charged per application (Table 2 counts √iSWAP as 0.5).
-    pub fn cost_per_use(&self) -> f64 {
+    fn cost_per_use(&self) -> f64 {
         match self {
             NativeGate::SqrtISwap => 0.5,
             _ => 1.0,

@@ -197,26 +197,6 @@ pub fn ripple_adder(bits: u32, a: u64, b: u64) -> Circuit {
     c
 }
 
-/// The basis state [`ripple_adder`] leaves the register in (little-endian
-/// bit index over the full `2·bits + 2` wires) — used by tests and the
-/// fidelity probe.
-pub fn ripple_adder_output_index(bits: u32, a: u64, b: u64) -> usize {
-    let sum = a + b;
-    let mut idx = 0usize;
-    for i in 0..bits {
-        if (a >> i) & 1 == 1 {
-            idx |= 1 << (1 + 2 * i); // a register is restored
-        }
-        if (sum >> i) & 1 == 1 {
-            idx |= 1 << (2 + 2 * i); // sum bits land on the b wires
-        }
-    }
-    if (sum >> bits) & 1 == 1 {
-        idx |= 1 << (2 * bits + 1); // carry out
-    }
-    idx
-}
-
 /// Seeded random Clifford layers: per layer a uniform 1-qubit Clifford on
 /// every wire, then CX/CZ bricks on alternating adjacent pairs.
 pub fn random_clifford(n: u32, layers: u32, seed: u64) -> Circuit {
@@ -374,6 +354,25 @@ pub fn generate(tier: Tier) -> Vec<CorpusEntry> {
 mod tests {
     use super::*;
     use quant_math::CMat;
+
+    /// The basis state [`ripple_adder`] leaves the register in (little-endian
+    /// bit index over the full `2·bits + 2` wires).
+    fn ripple_adder_output_index(bits: u32, a: u64, b: u64) -> usize {
+        let sum = a + b;
+        let mut idx = 0usize;
+        for i in 0..bits {
+            if (a >> i) & 1 == 1 {
+                idx |= 1 << (1 + 2 * i); // a register is restored
+            }
+            if (sum >> i) & 1 == 1 {
+                idx |= 1 << (2 + 2 * i); // sum bits land on the b wires
+            }
+        }
+        if (sum >> bits) & 1 == 1 {
+            idx |= 1 << (2 * bits + 1); // carry out
+        }
+        idx
+    }
 
     #[test]
     fn qft_matches_dft_matrix() {

@@ -121,13 +121,7 @@ impl QubitCalibration {
     }
 
     /// Appends the phase-corrected rx180 pulse to a schedule on `channel`.
-    pub fn append_rx180(
-        &self,
-        s: &mut Schedule,
-        channel: Channel,
-        barrier: &[Channel],
-        name: &str,
-    ) {
+    fn append_rx180(&self, s: &mut Schedule, channel: Channel, barrier: &[Channel], name: &str) {
         append_corrected(
             s,
             self.rx180_waveform(name),
@@ -305,6 +299,7 @@ impl Calibration {
         let pairs = pool.map(device.edges(), |_, edge| {
             calibrate_pair(device, &qubits, edge.control, edge.target, opts)
         });
+        crate::twoqubit::release_scratch();
         let mut cal = Calibration::from_parts(qubits, pairs, opts.measure_duration);
         cal.rebuild_cmd_def(device);
         store.save(key, &cal);

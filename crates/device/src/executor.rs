@@ -423,8 +423,10 @@ impl<'a> PulseExecutor<'a> {
 /// sampling from an outcome distribution). `ShotPool` fans both across OS
 /// threads with a determinism contract: **every job is keyed by its index
 /// alone** — job `i` writes slot `i` and derives any randomness from a
-/// per-index stream (`seeded(seed ^ i)`) — so results are bit-identical to
-/// a serial run at any thread count.
+/// per-index stream (`seeded(quant_math::stream_seed(seed, i))`) — so
+/// results are bit-identical to a serial run at any thread count. A plain
+/// `seeded(seed ^ i)` would give seeds that differ only in their low bits
+/// the same set of streams.
 ///
 /// The thread count comes from the `OPC_THREADS` environment variable when
 /// constructed via [`ShotPool::from_env`] (unset or `0` → all available
@@ -466,8 +468,9 @@ impl ShotPool {
 
     /// Evaluates `f(0), f(1), …, f(n-1)` across the pool and returns the
     /// results in index order. `f` must depend only on its index argument
-    /// (derive randomness as `seeded(seed ^ index)`); the output is then
-    /// independent of the thread count.
+    /// (derive randomness as
+    /// `seeded(`[`quant_math::stream_seed`]`(seed, index))`); the output is
+    /// then independent of the thread count.
     ///
     /// Scheduling is work-stealing: workers pull the next unclaimed index
     /// from a shared atomic counter, so unequal per-index costs (e.g. RB

@@ -165,11 +165,6 @@ impl ReadoutParams {
             [self.p1_given_0, 1.0 - self.p0_given_1],
         ]
     }
-
-    /// Mean assignment error `(p1_given_0 + p0_given_1)/2`.
-    pub fn mean_error(&self) -> f64 {
-        (self.p1_given_0 + self.p0_given_1) / 2.0
-    }
 }
 
 /// Calibration-quality model: how precisely the daily tune-up lands on the
@@ -243,8 +238,6 @@ mod tests {
         let m = r.confusion();
         assert!((m[0][0] + m[1][0] - 1.0).abs() < 1e-12);
         assert!((m[0][1] + m[1][1] - 1.0).abs() < 1e-12);
-        // Mean error matches Almaden's published 3.8 %.
-        assert!((r.mean_error() - 0.038).abs() < 1e-12);
     }
 
     #[test]

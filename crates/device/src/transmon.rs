@@ -78,6 +78,20 @@ pub struct DriveState {
     pub static_phase: f64,
 }
 
+/// `a · b` for row-major 3×3 operands: [`CMat::mul_into`]'s 3×3 kernel,
+/// term for term.
+#[inline(always)]
+fn mul3(a: &[C64; 9], b: &[C64; 9]) -> [C64; 9] {
+    let mut o = [C64::ZERO; 9];
+    for r in 0..3 {
+        let (a0, a1, a2) = (a[3 * r], a[3 * r + 1], a[3 * r + 2]);
+        o[3 * r] = a0 * b[0] + a1 * b[3] + a2 * b[6];
+        o[3 * r + 1] = a0 * b[1] + a1 * b[4] + a2 * b[7];
+        o[3 * r + 2] = a0 * b[2] + a1 * b[5] + a2 * b[8];
+    }
+    o
+}
+
 /// A three-level transmon integrator.
 #[derive(Clone, Debug)]
 pub struct Transmon {
@@ -119,18 +133,28 @@ impl Transmon {
     ///
     /// The exponentials of consecutive samples are evaluated two at a
     /// time on two SIMD lanes ([`quant_math::unitary_exp3_pair`], which
-    /// falls back to two scalar calls when the samples' squaring counts
-    /// differ); the product chain still takes one sample at a time, in
-    /// order, so every bit equals a per-sample loop.
+    /// falls back to two scalar calls when the samples' squaring counts or
+    /// kernels differ), each on the kernel its generator's structure
+    /// allows: a drive sample's ladder is tridiagonal, and a zero sample
+    /// leaves a 2×2 block plus a decoupled |2⟩ scalar. The drive's
+    /// rotation `cis(φ_frame − φ_mod)` is recomputed only when that phase
+    /// moves, and the product chain runs on stack arrays, one sample at a
+    /// time, in order, so every bit equals a per-sample loop on the plain
+    /// kernel.
     pub fn integrate_play(&self, state: &mut DriveState, waveform: &quant_pulse::Waveform) -> CMat {
         let omega = TAU * self.params.rabi_hz_per_amp;
-        let mut u = CMat::identity(3);
-        Self::flush_static(&mut u, state);
+        let mut start = CMat::identity(3);
+        Self::flush_static(&mut start, state);
+        let mut u = [C64::ZERO; 9];
+        u.copy_from_slice(start.as_slice());
         // The static Hamiltonian (rad/s) in the f01 rotating frame is
         // 2π·α·|2⟩⟨2|.
         let h0 = TAU * self.params.alpha;
         let half = omega / 2.0;
         let half_sqrt2 = half * std::f64::consts::SQRT_2;
+        let mod_step = TAU * state.freq_offset * DT;
+        // `cis` of the last phase seen, keyed by its bits.
+        let mut rotation = (f64::NAN.to_bits(), C64::ZERO);
         // One sample's generator (row-major 3×3), advancing the
         // modulation phase past the sample.
         let mut generator = |sample: C64| {
@@ -139,7 +163,10 @@ impl Transmon {
             // ShiftFrequency(α) resonant with the 1↔2 transition (see
             // module docs and unit tests).
             let phase = state.frame_phase - state.mod_phase;
-            let d_eff = sample * C64::cis(phase);
+            if phase.to_bits() != rotation.0 {
+                rotation = (phase.to_bits(), C64::cis(phase));
+            }
+            let d_eff = sample * rotation.1;
             let mut h = [C64::ZERO; 9];
             h[8] = C64::real(h0);
             // (Ω/2)(d̃ a† + d̃* a); a has elements 1, √2.
@@ -147,16 +174,10 @@ impl Transmon {
             h[1] += d_eff.conj() * half;
             h[7] += d_eff * half_sqrt2;
             h[5] += d_eff.conj() * half_sqrt2;
-            state.mod_phase += TAU * state.freq_offset * DT;
+            state.mod_phase += mod_step;
             h
         };
-        let mut step = CMat::zeros(3, 3);
-        let mut next = CMat::zeros(3, 3);
-        let mut chain = |e: &[C64; 9]| {
-            step.as_mut_slice().copy_from_slice(e);
-            step.mul_into(&u, &mut next);
-            std::mem::swap(&mut u, &mut next);
-        };
+        let mut chain = |e: &[C64; 9]| u = mul3(e, &u);
         let mut pairs = waveform.samples().chunks_exact(2);
         for pair in &mut pairs {
             let h = [generator(pair[0]), generator(pair[1])];
@@ -167,7 +188,7 @@ impl Transmon {
         if let [last] = pairs.remainder() {
             chain(&unitary_exp3(&generator(*last), DT));
         }
-        u
+        CMat::from_fn(3, 3, |r, c| u[3 * r + c])
     }
 
     /// Updates the drive state for a zero-duration instruction; returns

@@ -33,17 +33,19 @@
 //! blocks when one qubit's drive is silent, and, when only the CR tone
 //! plays, three 2×2 blocks on the target's qubit levels plus decoupled
 //! |2⟩ scalars ([`quant_math::unitary_exp9_in_blocks_into`]'s 2×2⊕1
-//! route). The executors' per-`Play` amplitude jitter is applied as the
-//! schedule is rasterized (`CrPair::integrate_scaled`), so a jittered
+//! route). The runs are read from the schedule's instructions without a
+//! per-sample raster, and the executors' per-`Play` amplitude jitter is
+//! applied as they are read (`CrPair::integrate_scaled`), so a jittered
 //! block needs no copy of its schedule.
 
 use crate::params::{CrParams, TransmonParams, DT};
 use quant_math::{
     mul9_blocks_slab_into, mul9_slab_into, unitary_exp9_in_blocks_into, unitary_exp9_into, Blocks9,
-    CMat, C64,
+    CMat, Slab9x4, C64,
 };
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::gates;
+use std::cell::Cell;
 use std::f64::consts::TAU;
 use std::sync::OnceLock;
 
@@ -154,7 +156,10 @@ impl CrPair {
     /// `exp(-i·H·m·dt)` (one scaling-and-squaring pass, `O(log m)` products)
     /// instead of `m` per-sample exponentials. Echoed-CR schedules are
     /// mostly flat top, which makes this the difference between the
-    /// trajectory executor being integration-bound or not.
+    /// trajectory executor being integration-bound or not. The runs are
+    /// read straight from the schedule's instructions, a chunk of samples
+    /// at a time, into scratch this thread reuses for every block; no
+    /// per-sample raster of the schedule is kept.
     ///
     /// Each run's step also follows the block structure of its generator.
     /// The ZX, IX and ZI terms, the static ZZ and the target drive are all
@@ -162,7 +167,8 @@ impl CrPair {
     /// the target level. So a run with the control drive silent splits into
     /// the blocks `{c, c+3, c+6}` (one per control level), and a run with
     /// only the control drive playing into `{3t, 3t+1, 3t+2}` (one per
-    /// target level). Both assemble only the 27 in-block generator entries
+    /// target level). Both assemble only the 27 in-block generator entries,
+    /// from a term table filtered for the split and the channels that play,
     /// and advance as three 3×3 exponentials and a block-diagonal product
     /// ([`Blocks9`]). When the CR tone plays alone, nothing couples a
     /// target |2⟩ level to the qubit levels: each control level's block is
@@ -172,16 +178,17 @@ impl CrPair {
     ///
     /// Only the qubit block is returned, so only the four qubit-subspace
     /// input columns `{0, 1, 3, 4}` of the propagator are carried: a 9×4
-    /// slab. Its rows are followed only while they can reach the qubit
-    /// rows: a block whose output no later run reads is not exponentiated
-    /// (after the last control pulse, say, the control's |2⟩ block), and
-    /// neither is a block whose input rows are all exactly zero (the
-    /// target's |2⟩ block before the first target pulse). The remaining
-    /// blocks are exponentiated two at a time. Steps are memoized only for
-    /// run keys (drive bits and length) that recur in the schedule. Every
-    /// route is bit-identical to the same entries of the full 9×9 product,
-    /// so neither the dispatch, the slab nor the skipped blocks change a
-    /// result.
+    /// slab ([`Slab9x4`], whose four columns the block product runs as
+    /// SIMD lanes). Its rows are followed only while they can reach the
+    /// qubit rows: a block whose output no later run reads is not
+    /// exponentiated (after the last control pulse, say, the control's
+    /// |2⟩ block), and neither is a block whose input rows are all exactly
+    /// zero (the target's |2⟩ block before the first target pulse). The
+    /// remaining blocks are exponentiated two at a time. Steps are memoized
+    /// only for run keys (drive bits and length) that recur in the
+    /// schedule. Every route is bit-identical to the same entries of the
+    /// full 9×9 product, so neither the dispatch, the slab nor the skipped
+    /// blocks change a result.
     pub fn integrate(
         &self,
         schedule: &Schedule,
@@ -195,8 +202,8 @@ impl CrPair {
     /// [`CrPair::integrate`] on `channels` (`[control drive, target
     /// drive, CR tone]`), with every sample of the schedule's `k`-th
     /// `Play` scaled by `factors[k]` when given: the executors' per-`Play`
-    /// amplitude jitter, applied as the schedule is rasterized instead of
-    /// to a copy of it. Bit-identical to integrating a copy whose waveforms
+    /// amplitude jitter, applied as the runs are read instead of to a copy
+    /// of the schedule. Bit-identical to integrating a copy whose waveforms
     /// are scaled by the same factors.
     pub(crate) fn integrate_scaled(
         &self,
@@ -204,9 +211,20 @@ impl CrPair {
         factors: Option<&[f64]>,
         channels: [Channel; 3],
     ) -> PairFrameResult {
-        let raster = Raster::new(schedule, factors, channels);
-        let slab = self.propagate_slab(&raster, QUBIT_COLUMNS);
-        raster.result(CMat::from_fn(4, 4, |r, c| slab[4 * QUBIT_LEVELS[r] + c]))
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.take();
+            let plan = &mut scratch.plan;
+            plan.read(schedule, factors, channels);
+            let slab = self.propagate_slab(plan, &mut scratch.memo, QUBIT_COLUMNS);
+            let result = PairFrameResult {
+                unitary: CMat::from_fn(4, 4, |r, c| slab.get(QUBIT_LEVELS[r], c)),
+                control_frame: plan.frames[0],
+                target_frame: plan.frames[1],
+                duration: plan.total as u64,
+            };
+            cell.set(scratch);
+            result
+        })
     }
 
     /// The drive-free Hamiltonian (anharmonicity of each qutrit plus the
@@ -233,106 +251,108 @@ impl CrPair {
 
     /// The drive coefficients of the Hamiltonian for one drive triple
     /// `[control drive, target drive, CR tone]`, indexed like
-    /// `Generators::drive` and added to the static part in that order.
-    /// Silent channels contribute none.
-    fn drive_coefficients(&self, drives: [C64; 3]) -> [Option<C64>; 9] {
-        let [dc, dt, du] = drives;
-        let om_c = TAU * self.control.rabi_hz_per_amp;
-        let om_t = TAU * self.target.rabi_hz_per_amp;
-        let om_u_x = TAU * self.cr.zx_hz_per_amp / 2.0;
-        let om_u_ix = TAU * self.cr.ix_hz_per_amp / 2.0;
-        let om_u_zi = TAU * self.cr.zi_hz_per_amp / 2.0;
-        let coefficients = [
-            om_c / 2.0 * dc.re,
-            om_c / 2.0 * dc.im,
-            om_t / 2.0 * dt.re,
-            om_t / 2.0 * dt.im,
-            om_u_x * du.re,
-            om_u_x * du.im,
-            om_u_ix * du.re,
-            om_u_ix * du.im,
+    /// `Generators::drive`, for the channels in `playing` (bit `ch` =
+    /// channel `ch`). A silent channel's coefficients are left at 0: its
+    /// terms are not in the table that reads them.
+    fn drive_coefficients(&self, [dc, dt, du]: [C64; 3], playing: u8) -> [f64; 9] {
+        let mut k = [0.0; 9];
+        if playing & 1 != 0 {
+            let om_c = TAU * self.control.rabi_hz_per_amp;
+            k[0] = om_c / 2.0 * dc.re;
+            k[1] = om_c / 2.0 * dc.im;
+        }
+        if playing & 2 != 0 {
+            let om_t = TAU * self.target.rabi_hz_per_amp;
+            k[2] = om_t / 2.0 * dt.re;
+            k[3] = om_t / 2.0 * dt.im;
+        }
+        if playing & 4 != 0 {
+            let om_u_x = TAU * self.cr.zx_hz_per_amp / 2.0;
+            let om_u_ix = TAU * self.cr.ix_hz_per_amp / 2.0;
+            let om_u_zi = TAU * self.cr.zi_hz_per_amp / 2.0;
+            k[4] = om_u_x * du.re;
+            k[5] = om_u_x * du.im;
+            k[6] = om_u_ix * du.re;
+            k[7] = om_u_ix * du.im;
             // The ZI term is the control's own AC-Stark shift: it scales
             // with the drive *power envelope* (phase- and
             // sign-independent), which is exactly why the echo's X flip
             // refocuses it.
-            om_u_zi * du.abs(),
-        ];
-        let mut terms = [None; 9];
-        for (d, range) in [(dc, 0..2), (dt, 2..4), (du, 4..9)] {
-            if d == C64::ZERO {
-                continue;
-            }
-            for i in range {
-                terms[i] = Some(C64::real(coefficients[i]));
-            }
+            k[8] = om_u_zi * du.abs();
         }
-        terms
+        k
     }
 
-    /// The propagator applied to the 9×4 slab `slab`
-    /// ([`QUBIT_COLUMNS`] for the qubit-subspace columns of the
-    /// propagator, `slab[4·r + c]` being entry `(r, QUBIT_LEVELS[c])`), on
-    /// stack arrays, advancing each constant-drive run with one step. Only
+    /// The propagator of `plan`'s runs applied to the 9×4 slab `slab`
+    /// (`slab[4·r + c]` being entry `(r, QUBIT_LEVELS[c])`;
+    /// [`QUBIT_COLUMNS`] for the qubit-subspace columns of the
+    /// propagator), advancing each constant-drive run with one step. Only
     /// the rows `QUBIT_LEVELS` of the returned slab are meaningful: rows
     /// that cannot reach them are left stale.
     ///
-    /// Three passes over the runs. The first finds them and gives a memo
-    /// slot to each block-route run key (drive bits and length) that
-    /// occurs at least twice, numbering keys in one linear pass over a
-    /// hash table ([`Run::find`]): schedules repeat drive samples exactly
-    /// (the echo X pulse plays twice, pulse edges rise and fall through
-    /// mirrored values), and a step is a pure function of its key. The
-    /// second walks backwards from the qubit rows `{0, 1, 3, 4}` the
-    /// result reads and marks, per run, the blocks whose output can still
-    /// reach them. The third propagates, exponentiating only the live
-    /// blocks whose input rows are not all exactly zero; a slot fills the
-    /// blocks it lacks on first need. Full 9×9 runs, which no lowered
-    /// program contains, are not memoized.
-    fn propagate_slab(&self, raster: &Raster, mut slab: [C64; 36]) -> [C64; 36] {
+    /// The plan ([`Plan::read`]) has found the runs, marked the blocks of
+    /// each that can reach the result and given a memo slot to each
+    /// block-route run key that recurs. This pass exponentiates only the
+    /// live blocks whose input rows are not all exactly zero; a slot fills
+    /// the blocks it lacks on first need, and a run without a slot reuses
+    /// one scratch step. Each run checks the slab's zero blocks once and
+    /// hands the mask to the block product, and the two slabs swap by
+    /// reference. Full 9×9 runs, which no lowered program contains, are
+    /// not memoized.
+    fn propagate_slab(&self, plan: &Plan, memo: &mut Vec<BlockStep>, slab: [C64; 36]) -> Slab9x4 {
         let tables = generator_tables();
         let hs = self.static_hamiltonian();
-        let (mut runs, slots) = Run::find(raster);
-        mark_live_blocks(&mut runs);
-        let mut next = [C64::ZERO; 36];
-        let mut memo: Vec<BlockStep> = Vec::with_capacity(slots);
-        for run in &runs {
+        let hs_blocks = [Blocks9::Strided, Blocks9::Contiguous]
+            .map(|split| in_block_entries(split).map(|block| block.map(|e| hs[e])));
+        if memo.len() < plan.slots {
+            memo.resize(plan.slots, BlockStep::EMPTY);
+        }
+        for step in &mut memo[..plan.slots] {
+            step.have = 0;
+        }
+        let mut fresh = BlockStep::EMPTY;
+        let mut slabs = [Slab9x4::from_rows(&slab), Slab9x4::ZERO];
+        let [a, b] = &mut slabs;
+        let (mut slab, mut next) = (a, b);
+        for run in &plan.runs {
             let t = DT * run.len as f64;
-            let coefficients = || self.drive_coefficients(run.drives);
+            let coefficients = || self.drive_coefficients(run.drives, run.playing);
             let Some(split) = run.route else {
-                let mut h = [C64::ZERO; 81];
-                tables.full.assemble(&hs, &coefficients(), &mut h);
+                let mut h = hs;
+                tables.full(run.playing).add_terms(&coefficients(), &mut h);
                 let mut step = [C64::ZERO; 81];
                 unitary_exp9_into(&h, t, &mut step);
-                mul9_slab_into(&step, &slab, &mut next);
+                let mut out = [C64::ZERO; 36];
+                mul9_slab_into(&step, &slab.to_rows(), &mut out);
+                *next = Slab9x4::from_rows(&out);
                 std::mem::swap(&mut slab, &mut next);
+                tally_run(81);
                 continue;
             };
-            let mut fresh = BlockStep::EMPTY;
             let step = match run.slot {
-                Some(s) => {
-                    if s == memo.len() {
-                        memo.push(BlockStep::EMPTY);
-                    }
-                    &mut memo[s]
+                Some(s) => &mut memo[s],
+                None => {
+                    fresh.have = 0;
+                    &mut fresh
                 }
-                None => &mut fresh,
             };
-            let needed = run.live & !split.zero_blocks(&slab);
+            let zero = split.zero_blocks(slab);
+            let needed = run.live & !zero;
             let missing = needed & !step.have;
             let mut small = 0;
             if missing != 0 {
-                let mut h = [[C64::ZERO; 9]; 3];
-                tables
-                    .blocks(split)
-                    .assemble(&hs, &coefficients(), h.as_flattened_mut());
+                let mut h = hs_blocks[route_of(split)];
+                (tables.blocks(split, run.playing))
+                    .add_terms(&coefficients(), h.as_flattened_mut());
                 small = unitary_exp9_in_blocks_into(&h, t, split, missing, &mut step.blocks);
                 step.have |= missing;
             }
             tally(needed & !missing, missing, small);
-            mul9_blocks_slab_into(&step.blocks, split, run.live, &slab, &mut next);
+            tally_run(if missing != 0 { 27 } else { 0 });
+            mul9_blocks_slab_into(&step.blocks, split, run.live, zero, slab, next);
             std::mem::swap(&mut slab, &mut next);
         }
-        slab
+        *slab
     }
 }
 
@@ -351,30 +371,85 @@ const QUBIT_COLUMNS: [C64; 36] = {
     slab
 };
 
-/// A pair schedule rasterized onto its three channels `[control drive,
-/// target drive, CR tone]`: per-sample complex drives with every frame
-/// phase applied, and each channel's frame phase left at the end.
-struct Raster {
-    drives: [Vec<C64>; 3],
-    frames: [f64; 3],
-    total: usize,
+thread_local! {
+    /// The pair integrator's plan and memo, reused by every block this
+    /// thread integrates (taken out while one is integrated).
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
 }
 
-impl Raster {
-    /// Rasterizes `schedule` onto `channels`, each sample of its `k`-th
-    /// `Play` (counted over every channel) taken as `(s·factors[k])·cis(φ)`
-    /// when `factors` is given and as `s·cis(φ)` when not: the two
-    /// roundings of scaling a copy of the waveform and then rasterizing it.
-    fn new(schedule: &Schedule, factors: Option<&[f64]>, channels: [Channel; 3]) -> Self {
-        let total = schedule.duration() as usize;
-        let mut drives = [
-            vec![C64::ZERO; total],
-            vec![C64::ZERO; total],
-            vec![C64::ZERO; total],
-        ];
-        let mut frames = [0.0; 3];
+/// Frees this thread's pair-integration scratch. The calibration tune-up
+/// integrates its pair probes partly on the calling thread; it calls this
+/// once they are done, so setup leaves no buffers resident there.
+pub(crate) fn release_scratch() {
+    drop(SCRATCH.take());
+}
+
+/// Scratch that [`CrPair::integrate_scaled`] refills for every block.
+#[derive(Default)]
+struct Scratch {
+    plan: Plan,
+    /// The memoized steps, by slot.
+    memo: Vec<BlockStep>,
+}
+
+/// A pair schedule read onto its three channels `[control drive, target
+/// drive, CR tone]`: its constant-drive runs in time order, with their
+/// live blocks and memo slots, and each channel's frame phase left at the
+/// end.
+#[derive(Default)]
+struct Plan {
+    runs: Vec<Run>,
+    /// The number of memo slots the runs use.
+    slots: usize,
+    frames: [f64; 3],
+    /// The schedule's duration in samples.
+    total: usize,
+    /// Scratch for [`Plan::read`]: the `Play`s on the three channels, the
+    /// times where one starts or ends, and the run-key table.
+    plays: Vec<PlayWindow>,
+    bounds: Vec<usize>,
+    table: KeyTable,
+}
+
+/// One `Play` on a pair channel, as [`Plan::read`] walks it.
+#[derive(Clone, Copy)]
+struct PlayWindow {
+    /// Its index in the schedule's instructions.
+    instruction: usize,
+    /// Its channel's position in `[control drive, target drive, CR tone]`.
+    slot: usize,
+    /// Its samples `[start, end)`, clipped to the schedule.
+    start: usize,
+    end: usize,
+    /// Its jitter factor, when the block is jittered.
+    factor: Option<f64>,
+    /// `cis` of its channel's frame phase when it starts.
+    rotation: C64,
+}
+
+/// Samples [`Plan::read`] forms at a time, per channel.
+const CHUNK: usize = 64;
+
+impl Plan {
+    /// Reads `schedule` onto `channels`: each sample of its `k`-th `Play`
+    /// (counted over every channel) is taken as `(s·factors[k])·cis(φ)`
+    /// when `factors` is given and as `s·cis(φ)` when not (the two
+    /// roundings of scaling a copy of the waveform and then rasterizing
+    /// it), summed from `+0` over the `Play`s that cover it in instruction
+    /// order. The samples are formed a chunk at a time and folded straight
+    /// into runs of `==`-equal drive triples; a stretch that no `Play`
+    /// covers is one silent run without being formed. Then numbers the
+    /// memo slots and marks the live blocks.
+    fn read(&mut self, schedule: &Schedule, factors: Option<&[f64]>, channels: [Channel; 3]) {
+        let instructions = schedule.instructions();
+        self.total = schedule.duration() as usize;
+        self.frames = [0.0; 3];
+        self.runs.clear();
+        self.plays.clear();
+        self.bounds.clear();
+        self.bounds.extend([0, self.total]);
         let mut plays = 0;
-        for ti in schedule.instructions() {
+        for (instruction, ti) in instructions.iter().enumerate() {
             let play = plays;
             if let Instruction::Play { .. } = ti.instruction {
                 plays += 1;
@@ -384,45 +459,73 @@ impl Raster {
                 continue;
             };
             match &ti.instruction {
-                Instruction::ShiftPhase { phase, .. } => frames[slot] += phase,
+                Instruction::ShiftPhase { phase, .. } => self.frames[slot] += phase,
                 Instruction::Play { waveform, .. } => {
-                    let rot = C64::cis(frames[slot]);
-                    let buf = drives[slot][ti.start as usize..].iter_mut();
-                    let samples = buf.zip(waveform.samples());
-                    match factors {
-                        Some(factors) => {
-                            let f = factors[play];
-                            for (d, &s) in samples {
-                                *d += (s * f) * rot;
-                            }
-                        }
-                        None => {
-                            for (d, &s) in samples {
-                                *d += s * rot;
-                            }
-                        }
-                    }
+                    let start = ti.start as usize;
+                    let end = (start + waveform.samples().len()).min(self.total);
+                    self.plays.push(PlayWindow {
+                        instruction,
+                        slot,
+                        start,
+                        end,
+                        factor: factors.map(|f| f[play]),
+                        rotation: C64::cis(self.frames[slot]),
+                    });
+                    self.bounds.extend([start, end]);
                 }
                 // Frequency shifts are not meaningful in the effective CR
                 // model; delays/acquires just occupy time.
                 _ => {}
             }
         }
-        Raster {
-            drives,
-            frames,
-            total,
+        self.bounds.sort_unstable();
+        self.bounds.dedup();
+        let mut open: Option<([C64; 3], usize)> = None;
+        let mut extend = |runs: &mut Vec<Run>, drives: [C64; 3], len: usize| match &mut open {
+            Some((d, n)) if *d == drives => *n += len,
+            _ => {
+                if let Some((d, n)) = open.replace((drives, len)) {
+                    runs.push(Run::new(d, n));
+                }
+            }
+        };
+        let mut samples = [[C64::ZERO; CHUNK]; 3];
+        for w in 1..self.bounds.len() {
+            let (lo, hi) = (self.bounds[w - 1], self.bounds[w]);
+            // No bound falls inside [lo, hi), so the same Plays cover it all.
+            if !self.plays.iter().any(|p| p.start <= lo && lo < p.end) {
+                extend(&mut self.runs, [C64::ZERO; 3], hi - lo);
+                continue;
+            }
+            for k in (lo..hi).step_by(CHUNK) {
+                let n = CHUNK.min(hi - k);
+                for channel in &mut samples {
+                    channel[..n].fill(C64::ZERO);
+                }
+                for p in self.plays.iter().filter(|p| p.start <= k && k < p.end) {
+                    let Instruction::Play { waveform, .. } =
+                        &instructions[p.instruction].instruction
+                    else {
+                        continue;
+                    };
+                    let source = &waveform.samples()[k - p.start..][..n];
+                    let out = samples[p.slot][..n].iter_mut().zip(source);
+                    match p.factor {
+                        Some(f) => out.for_each(|(d, &s)| *d += (s * f) * p.rotation),
+                        None => out.for_each(|(d, &s)| *d += s * p.rotation),
+                    }
+                }
+                let [c, t, u] = samples.each_ref().map(|channel| &channel[..n]);
+                for ((&c, &t), &u) in c.iter().zip(t).zip(u) {
+                    extend(&mut self.runs, [c, t, u], 1);
+                }
+            }
         }
-    }
-
-    /// The result for the qubit block `unitary` of this schedule.
-    fn result(&self, unitary: CMat) -> PairFrameResult {
-        PairFrameResult {
-            unitary,
-            control_frame: self.frames[0],
-            target_frame: self.frames[1],
-            duration: self.total as u64,
+        if let Some((d, n)) = open {
+            self.runs.push(Run::new(d, n));
         }
+        self.slots = self.table.number_slots(&mut self.runs);
+        mark_live_blocks(&mut self.runs);
     }
 }
 
@@ -469,19 +572,40 @@ impl Generators {
 struct Tables {
     /// The static ZZ coupling, row-major.
     zz: [C64; 81],
-    /// The 27 in-block entries of each block split, and all 81 entries.
-    strided: Assembly,
-    contiguous: Assembly,
-    full: Assembly,
+    /// Per route (strided blocks, contiguous blocks, full) and set of
+    /// playing channels (bit `ch` = channel `ch`): the 27 in-block entries
+    /// of the split, or all 81 entries, with the terms of those channels.
+    assemblies: [[Assembly; 8]; 3],
 }
 
 impl Tables {
-    fn blocks(&self, split: Blocks9) -> &Assembly {
-        match split {
-            Blocks9::Strided => &self.strided,
-            Blocks9::Contiguous => &self.contiguous,
-        }
+    fn blocks(&self, split: Blocks9, playing: u8) -> &Assembly {
+        &self.assemblies[route_of(split)][usize::from(playing)]
     }
+
+    fn full(&self, playing: u8) -> &Assembly {
+        &self.assemblies[2][usize::from(playing)]
+    }
+}
+
+/// The channel (bit `ch` = channel `ch` of `[control drive, target
+/// drive, CR tone]`) of each drive term, indexed like `Generators::drive`.
+const TERM_CHANNEL: [u8; 9] = [1, 1, 2, 2, 4, 4, 4, 4, 4];
+
+/// The position of a block split in [`Tables::assemblies`].
+fn route_of(split: Blocks9) -> usize {
+    match split {
+        Blocks9::Strided => 0,
+        Blocks9::Contiguous => 1,
+    }
+}
+
+/// The row-major 9-space indices of the entries inside `split`'s blocks,
+/// block by block, each block row-major.
+fn in_block_entries(split: Blocks9) -> [[usize; 9]; 3] {
+    std::array::from_fn(|b| {
+        std::array::from_fn(|k| 9 * split.index(b, k / 3) + split.index(b, k % 3))
+    })
 }
 
 fn generator_tables() -> &'static Tables {
@@ -490,80 +614,82 @@ fn generator_tables() -> &'static Tables {
         let gens = Generators::build();
         let mut zz = [C64::ZERO; 81];
         zz.copy_from_slice(gens.zz.as_slice());
-        let in_blocks = |split: Blocks9| {
-            let mut entries = Vec::with_capacity(27);
-            for b in 0..3 {
-                for i in 0..3 {
-                    for j in 0..3 {
-                        entries.push(9 * split.index(b, i) + split.index(b, j));
-                    }
-                }
-            }
-            Assembly::new(&gens.drive, entries)
-        };
+        let routes = [
+            in_block_entries(Blocks9::Strided).as_flattened().to_vec(),
+            in_block_entries(Blocks9::Contiguous)
+                .as_flattened()
+                .to_vec(),
+            (0..81).collect(),
+        ];
         Tables {
             zz,
-            strided: in_blocks(Blocks9::Strided),
-            contiguous: in_blocks(Blocks9::Contiguous),
-            full: Assembly::new(&gens.drive, (0..81).collect()),
+            assemblies: routes.map(|entries| {
+                std::array::from_fn(|playing| Assembly::new(&gens.drive, &entries, playing as u8))
+            }),
         }
     })
 }
 
-/// The generator entries one route assembles, in the order it stores
-/// them, each with its nonzero drive-generator values.
+/// The drive terms of the generator entries one route assembles, in the
+/// order it stores them: the nonzero parts of the drive-generator values
+/// of the channels that play.
 struct Assembly {
-    /// Per entry: its row-major 9-space index, and the end of its pairs in
-    /// `terms` (each entry's pairs start where the previous one's end).
-    entries: Vec<(usize, usize)>,
-    /// `(term, value)` pairs, in term order within each entry.
-    terms: Vec<(usize, C64)>,
+    /// `(entry, term, part)` for each nonzero real part of a generator
+    /// value, in term order within each entry.
+    re: Vec<(usize, usize, f64)>,
+    /// The same for each nonzero imaginary part.
+    im: Vec<(usize, usize, f64)>,
 }
 
 impl Assembly {
-    fn new(drive: &[CMat; 9], indices: Vec<usize>) -> Self {
-        let mut terms = Vec::new();
-        let entries = indices
-            .into_iter()
-            .map(|e| {
-                for (g, m) in drive.iter().enumerate() {
-                    let value = m.as_slice()[e];
-                    if value != C64::ZERO {
-                        terms.push((g, value));
+    /// The terms of the entries `indices` (row-major 9-space indices) for
+    /// the channels in `playing`.
+    fn new(drive: &[CMat; 9], indices: &[usize], playing: u8) -> Self {
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        for (k, &e) in indices.iter().enumerate() {
+            for (g, m) in drive.iter().enumerate() {
+                let value = m.as_slice()[e];
+                if playing & TERM_CHANNEL[g] == 0 {
+                    continue;
+                }
+                for (part, parts) in [(value.re, &mut re), (value.im, &mut im)] {
+                    // opclint: allow(float-literal-eq): exact zero test — a ±0 part adds nothing to a sum that is never −0
+                    if part != 0.0 {
+                        parts.push((k, g, part));
                     }
                 }
-                (e, terms.len())
-            })
-            .collect();
-        Assembly { entries, terms }
+            }
+        }
+        Assembly { re, im }
     }
 
-    /// Writes each entry of the generator into `out`: the static part
-    /// `hs`, plus value × coefficient for each playing term, added in term
-    /// order. Leaving out the zero values is exact: their products are
-    /// `±0`, and no accumulator is ever `−0` (each starts at `+0` or
-    /// nonzero, and a round-to-nearest sum is `−0` only of two `−0`s), so
-    /// adding them would change nothing.
-    fn assemble(&self, hs: &[C64; 81], coefficients: &[Option<C64>; 9], out: &mut [C64]) {
-        let mut start = 0;
-        for (z, &(e, end)) in out.iter_mut().zip(&self.entries) {
-            let mut h = hs[e];
-            for &(g, value) in &self.terms[start..end] {
-                if let Some(coefficient) = coefficients[g] {
-                    h += value * coefficient;
-                }
-            }
-            *z = h;
-            start = end;
+    /// Adds value × coefficient for each term to `out`, which holds the
+    /// static part of each entry, each part in term order. This is the
+    /// complex sum `h += value · (coefficient + 0i)` over every term of
+    /// every channel without its `±0` terms: the products of a zero value
+    /// or of a silent channel's coefficient, and the parts of a product
+    /// that a zero part of the value or of the coefficient makes. No
+    /// accumulator is ever `−0` (each starts at `+0` or nonzero, and a
+    /// round-to-nearest sum is `−0` only of two `−0`s), so adding a `±0`
+    /// would change nothing.
+    fn add_terms(&self, coefficients: &[f64; 9], out: &mut [C64]) {
+        for &(k, g, part) in &self.re {
+            out[k].re += part * coefficients[g];
+        }
+        for &(k, g, part) in &self.im {
+            out[k].im += part * coefficients[g];
         }
     }
 }
 
-/// One constant-drive run of a rasterized schedule: flat pulse tops,
-/// delays and dead time all have a constant Hamiltonian.
+/// One constant-drive run of a pair schedule: flat pulse tops, delays and
+/// dead time all have a constant Hamiltonian.
 struct Run {
     drives: [C64; 3],
     len: usize,
+    /// The channels that play (bit `ch` = channel `ch`): those whose drive
+    /// is not exactly zero.
+    playing: u8,
     /// The split of the run's block-diagonal generator, or `None` when all
     /// three channels play and it takes the full 9×9 route. Every CR and
     /// target-drive term is diagonal in the control level, and the control
@@ -578,61 +704,21 @@ struct Run {
 }
 
 impl Run {
-    /// The runs of `raster` in time order, and the number of memo slots.
-    fn find(raster: &Raster) -> (Vec<Run>, usize) {
-        let [drive_c, drive_t, drive_u] = &raster.drives;
-        let total = raster.total;
-        let mut runs = Vec::new();
-        let mut k = 0;
-        while k < total {
-            let drives = [drive_c[k], drive_t[k], drive_u[k]];
-            let [dc, dt, du] = drives;
-            let mut len = 1;
-            while k + len < total
-                && drive_c[k + len] == dc
-                && drive_t[k + len] == dt
-                && drive_u[k + len] == du
-            {
-                len += 1;
-            }
-            let route = if dc == C64::ZERO {
-                Some(Blocks9::Strided)
-            } else if dt == C64::ZERO && du == C64::ZERO {
-                Some(Blocks9::Contiguous)
-            } else {
-                None
-            };
-            runs.push(Run {
-                drives,
-                len,
-                route,
-                live: 0,
-                slot: None,
-            });
-            k += len;
+    fn new(drives: [C64; 3], len: usize) -> Self {
+        let playing = (0..3).fold(0, |m, ch| m | u8::from(drives[ch] != C64::ZERO) << ch);
+        let route = match playing {
+            0b000 | 0b010 | 0b100 | 0b110 => Some(Blocks9::Strided),
+            0b001 => Some(Blocks9::Contiguous),
+            _ => None,
+        };
+        Run {
+            drives,
+            len,
+            playing,
+            route,
+            live: 0,
+            slot: None,
         }
-        // A step is a pure function of the drive bits and the run length,
-        // so runs with equal keys share one. One pass numbers the distinct
-        // block-route keys in order of first occurrence and counts them;
-        // only a key that recurs gets a slot, and slots follow the same
-        // order.
-        let mut table = KeyTable::new(runs.len());
-        let ids: Vec<_> = (runs.iter())
-            .map(|r| r.route.map(|_| table.number(r.key())))
-            .collect();
-        let mut slots = 0;
-        let slot_of: Vec<_> = (table.counts.iter())
-            .map(|&count| {
-                (count > 1).then(|| {
-                    slots += 1;
-                    slots - 1
-                })
-            })
-            .collect();
-        for (run, id) in runs.iter_mut().zip(ids) {
-            run.slot = id.and_then(|id| slot_of[id]);
-        }
-        (runs, slots)
     }
 
     fn key(&self) -> RunKey {
@@ -648,7 +734,8 @@ type RunKey = ([u64; 6], usize);
 /// Run keys numbered in order of first occurrence, with how often each
 /// occurs: an open-addressing hash table (linear probing) over a `Vec` of
 /// at least twice as many buckets as keys it will hold, so a probe always
-/// ends at an empty bucket.
+/// ends at an empty bucket. Its `Vec`s are refilled for every schedule.
+#[derive(Default)]
 struct KeyTable {
     /// Per bucket: the number of the key stored there, or [`KeyTable::EMPTY`].
     buckets: Vec<usize>,
@@ -656,18 +743,40 @@ struct KeyTable {
     keys: Vec<RunKey>,
     /// The occurrences of each key, by number.
     counts: Vec<usize>,
+    /// The memo slot of each key, by number: recurring keys only.
+    slot_of: Vec<Option<usize>>,
 }
 
 impl KeyTable {
     const EMPTY: usize = usize::MAX;
 
-    /// A table for up to `n` distinct keys.
-    fn new(n: usize) -> Self {
-        KeyTable {
-            buckets: vec![Self::EMPTY; (2 * n).next_power_of_two()],
-            keys: Vec::with_capacity(n),
-            counts: Vec::with_capacity(n),
+    /// Gives each block-route run of `runs` whose key recurs a memo slot,
+    /// numbering the distinct keys in one pass in order of first
+    /// occurrence and then the recurring ones in the same order, and
+    /// returns the number of slots. A step is a pure function of the
+    /// drive bits and the run length, so runs with equal keys share one.
+    fn number_slots(&mut self, runs: &mut [Run]) -> usize {
+        self.buckets.clear();
+        self.buckets
+            .resize((2 * runs.len()).next_power_of_two(), Self::EMPTY);
+        self.keys.clear();
+        self.counts.clear();
+        // Each block-route run's key number, parked in its slot field.
+        for run in runs.iter_mut() {
+            run.slot = run.route.map(|_| self.number(run.key()));
         }
+        let mut slots = 0;
+        self.slot_of.clear();
+        self.slot_of.extend(self.counts.iter().map(|&count| {
+            (count > 1).then(|| {
+                slots += 1;
+                slots - 1
+            })
+        }));
+        for run in runs {
+            run.slot = run.slot.and_then(|id| self.slot_of[id]);
+        }
+        slots
     }
 
     /// The number of `key`, numbering it next if it is new, with its
@@ -710,6 +819,10 @@ impl KeyTable {
 /// rows is live after the run, and the rows live before the run are the
 /// rows of its live blocks. A full 9×9 run reads every row.
 fn mark_live_blocks(runs: &mut [Run]) {
+    let rows_of = |split: Blocks9| -> [u16; 3] {
+        std::array::from_fn(|b| (0..3).fold(0, |m, i| m | 1 << split.index(b, i)))
+    };
+    let block_rows = [rows_of(Blocks9::Strided), rows_of(Blocks9::Contiguous)];
     let mut live_rows: u16 = QUBIT_LEVELS.iter().fold(0, |m, &r| m | 1 << r);
     for run in runs.iter_mut().rev() {
         let Some(split) = run.route else {
@@ -717,8 +830,7 @@ fn mark_live_blocks(runs: &mut [Run]) {
             continue;
         };
         let mut before = 0;
-        for b in 0..3 {
-            let rows = (0..3).fold(0u16, |m, i| m | 1 << split.index(b, i));
+        for (b, rows) in block_rows[route_of(split)].into_iter().enumerate() {
             if live_rows & rows != 0 {
                 run.live |= 1 << b;
                 before |= rows;
@@ -792,6 +904,11 @@ pub(crate) struct Work {
     pub(crate) split: usize,
     /// Live, nonzero blocks a run took from its memo slot.
     pub(crate) memo_hits: usize,
+    /// Slab products, one per run (block-diagonal or full).
+    pub(crate) slab_products: usize,
+    /// Generator entries assembled: 27 per block-route run that
+    /// exponentiates, 81 per full run.
+    pub(crate) entries_assembled: usize,
 }
 
 #[cfg(test)]
@@ -804,8 +921,15 @@ impl Work {
 
 #[cfg(test)]
 thread_local! {
-    pub(crate) static WORK: std::cell::Cell<Work> = const {
-        std::cell::Cell::new(Work { pairs3: 0, singles3: 0, split: 0, memo_hits: 0 })
+    pub(crate) static WORK: Cell<Work> = const {
+        Cell::new(Work {
+            pairs3: 0,
+            singles3: 0,
+            split: 0,
+            memo_hits: 0,
+            slab_products: 0,
+            entries_assembled: 0,
+        })
     };
 }
 
@@ -828,6 +952,21 @@ fn tally(hits: u8, missing: u8, small: u8) {
     let _ = (hits, missing, small);
 }
 
+/// Counts one run's slab product and the generator `entries` it
+/// assembled in [`WORK`]. Does nothing outside test builds.
+#[inline(always)]
+fn tally_run(entries: usize) {
+    #[cfg(test)]
+    WORK.with(|w| {
+        let mut work = w.get();
+        work.slab_products += 1;
+        work.entries_assembled += entries;
+        w.set(work);
+    });
+    #[cfg(not(test))]
+    let _ = entries;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,6 +982,164 @@ mod tests {
             TransmonParams::almaden_like(),
             CrParams::almaden_like(),
         )
+    }
+
+    /// A pair schedule rasterized onto its three channels `[control drive,
+    /// target drive, CR tone]`: per-sample complex drives with every frame
+    /// phase applied, and each channel's frame phase left at the end. The
+    /// oracle of [`Plan::read`].
+    struct Raster {
+        drives: [Vec<C64>; 3],
+        frames: [f64; 3],
+        total: usize,
+    }
+
+    impl Raster {
+        /// Rasterizes `schedule` onto `channels`, each sample of its `k`-th
+        /// `Play` (counted over every channel) taken as
+        /// `(s·factors[k])·cis(φ)` when `factors` is given and as
+        /// `s·cis(φ)` when not.
+        fn new(schedule: &Schedule, factors: Option<&[f64]>, channels: [Channel; 3]) -> Self {
+            let total = schedule.duration() as usize;
+            let mut drives = [
+                vec![C64::ZERO; total],
+                vec![C64::ZERO; total],
+                vec![C64::ZERO; total],
+            ];
+            let mut frames = [0.0; 3];
+            let mut plays = 0;
+            for ti in schedule.instructions() {
+                let play = plays;
+                if let Instruction::Play { .. } = ti.instruction {
+                    plays += 1;
+                }
+                let ch = ti.instruction.channel();
+                let Some(slot) = channels.iter().position(|&c| c == ch) else {
+                    continue;
+                };
+                match &ti.instruction {
+                    Instruction::ShiftPhase { phase, .. } => frames[slot] += phase,
+                    Instruction::Play { waveform, .. } => {
+                        let rot = C64::cis(frames[slot]);
+                        let buf = drives[slot][ti.start as usize..].iter_mut();
+                        let samples = buf.zip(waveform.samples());
+                        match factors {
+                            Some(factors) => {
+                                let f = factors[play];
+                                for (d, &s) in samples {
+                                    *d += (s * f) * rot;
+                                }
+                            }
+                            None => {
+                                for (d, &s) in samples {
+                                    *d += s * rot;
+                                }
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            Raster {
+                drives,
+                frames,
+                total,
+            }
+        }
+
+        /// The constant-drive runs of the raster, each sample compared
+        /// (`==`) with its run's first: the per-sample scan
+        /// [`Plan::read`] replaced.
+        fn runs(&self) -> Vec<([C64; 3], usize)> {
+            let [drive_c, drive_t, drive_u] = &self.drives;
+            let mut runs = Vec::new();
+            let mut k = 0;
+            while k < self.total {
+                let drives = [drive_c[k], drive_t[k], drive_u[k]];
+                let mut len = 1;
+                while k + len < self.total
+                    && [drive_c[k + len], drive_t[k + len], drive_u[k + len]] == drives
+                {
+                    len += 1;
+                }
+                runs.push((drives, len));
+                k += len;
+            }
+            runs
+        }
+    }
+
+    /// The plan `integrate_scaled` reads for `s`.
+    fn plan_of(s: &Schedule, factors: Option<&[f64]>, chans: [Channel; 3]) -> Plan {
+        let mut plan = Plan::default();
+        plan.read(s, factors, chans);
+        plan
+    }
+
+    /// The bits of a run list.
+    fn run_bits(runs: impl IntoIterator<Item = ([C64; 3], usize)>) -> Vec<([u64; 6], usize)> {
+        (runs.into_iter())
+            .map(|(d, len)| (d.map(|z| [z.re.to_bits(), z.im.to_bits()]).concat(), len))
+            .map(|(b, len)| (b.try_into().expect("six words"), len))
+            .collect()
+    }
+
+    /// The drive coefficients as the run loop formed them before its
+    /// term tables were filtered by channel: every term's coefficient as
+    /// `x + 0i`, `None` for each term of a silent channel. The oracle of
+    /// [`CrPair::drive_coefficients`] and [`Assembly::assemble`].
+    fn oracle_coefficients(p: &CrPair, drives: [C64; 3]) -> [Option<C64>; 9] {
+        let [dc, dt, du] = drives;
+        let om_c = TAU * p.control.rabi_hz_per_amp;
+        let om_t = TAU * p.target.rabi_hz_per_amp;
+        let om_u_x = TAU * p.cr.zx_hz_per_amp / 2.0;
+        let om_u_ix = TAU * p.cr.ix_hz_per_amp / 2.0;
+        let om_u_zi = TAU * p.cr.zi_hz_per_amp / 2.0;
+        let coefficients = [
+            om_c / 2.0 * dc.re,
+            om_c / 2.0 * dc.im,
+            om_t / 2.0 * dt.re,
+            om_t / 2.0 * dt.im,
+            om_u_x * du.re,
+            om_u_x * du.im,
+            om_u_ix * du.re,
+            om_u_ix * du.im,
+            om_u_zi * du.abs(),
+        ];
+        let mut terms = [None; 9];
+        for (d, range) in [(dc, 0..2), (dt, 2..4), (du, 4..9)] {
+            if d == C64::ZERO {
+                continue;
+            }
+            for i in range {
+                terms[i] = Some(C64::real(coefficients[i]));
+            }
+        }
+        terms
+    }
+
+    /// The generator entries `indices` as the unfiltered, `Option`-checked
+    /// term table assembled them: the static part, plus value ×
+    /// coefficient for each nonzero generator value whose channel plays.
+    fn assemble_oracle(p: &CrPair, drives: [C64; 3], indices: &[usize]) -> Vec<C64> {
+        let gens = Generators::build();
+        let hs = p.static_hamiltonian();
+        let coefficients = oracle_coefficients(p, drives);
+        (indices.iter())
+            .map(|&e| {
+                let mut h = hs[e];
+                for (g, m) in gens.drive.iter().enumerate() {
+                    let value = m.as_slice()[e];
+                    if value == C64::ZERO {
+                        continue;
+                    }
+                    if let Some(coefficient) = coefficients[g] {
+                        h += value * coefficient;
+                    }
+                }
+                h
+            })
+            .collect()
     }
 
     /// A CR flat-top pulse whose ZX area is θ (rad) for the given pair.
@@ -1122,14 +1419,6 @@ mod tests {
         u
     };
 
-    /// The runs of `raster` as [`Run::find`] compresses them.
-    fn compressed_runs(raster: &Raster) -> impl Iterator<Item = ([C64; 3], usize)> {
-        Run::find(raster)
-            .0
-            .into_iter()
-            .map(|run| (run.drives, run.len))
-    }
-
     /// The oracle route: the constant-drive `runs` applied to `u`, with the
     /// full 9×9 propagator, the dense generator (every playing term added
     /// to every entry) and the production 9×9 kernels `unitary_exp9_into`
@@ -1143,7 +1432,7 @@ mod tests {
         let gens = Generators::build();
         let hs = p.static_hamiltonian();
         for (drives, len) in runs {
-            let coefficients = p.drive_coefficients(drives);
+            let coefficients = oracle_coefficients(p, drives);
             let mut h = hs;
             for (e, z) in h.iter_mut().enumerate() {
                 for (g, coefficient) in coefficients.iter().enumerate() {
@@ -1165,7 +1454,7 @@ mod tests {
     /// compressed runs, bit for bit.
     fn assert_bit_identical_to_oracle(p: &CrPair, s: &Schedule, chans: [Channel; 3]) {
         let fast = p.integrate(s, chans[0], chans[1], chans[2]);
-        let oracle = propagate_oracle(p, compressed_runs(&Raster::new(s, None, chans)), IDENTITY9);
+        let oracle = propagate_oracle(p, Raster::new(s, None, chans).runs().into_iter(), IDENTITY9);
         for (r, &lr) in QUBIT_LEVELS.iter().enumerate() {
             for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
                 let (got, want) = (fast.unitary[(r, c)], oracle[9 * lr + lc]);
@@ -1281,11 +1570,11 @@ mod tests {
                     }
                 }
                 let slab = std::array::from_fn(|i| u[9 * (i / 4) + QUBIT_LEVELS[i % 4]]);
-                let fast = p.propagate_slab(&raster, slab);
-                let oracle = propagate_oracle(p, compressed_runs(&raster), u);
+                let fast = p.propagate_slab(&plan_of(s, None, chans), &mut Vec::new(), slab);
+                let oracle = propagate_oracle(p, raster.runs().into_iter(), u);
                 for &r in &QUBIT_LEVELS {
                     for (c, &lc) in QUBIT_LEVELS.iter().enumerate() {
-                        let (got, want) = (fast[4 * r + c], oracle[9 * r + lc]);
+                        let (got, want) = (fast.get(r, c), oracle[9 * r + lc]);
                         assert!(
                             got.re.to_bits() == want.re.to_bits()
                                 && got.im.to_bits() == want.im.to_bits(),
@@ -1321,6 +1610,8 @@ mod tests {
                 singles3: 0,
                 split: 405,
                 memo_hits: 395,
+                slab_products: 800,
+                entries_assembled: 17334,
             },
             "jittered CX"
         );
@@ -1338,6 +1629,8 @@ mod tests {
                 singles3: 0,
                 split: 324,
                 memo_hits: 316,
+                slab_products: 480,
+                entries_assembled: 8694,
             },
             "echoed CR(0.7)"
         );
@@ -1419,18 +1712,34 @@ mod tests {
         }
         let mut recurring = 0;
         for (s, chans) in &schedules {
-            let (runs, slots) = Run::find(&Raster::new(s, None, *chans));
-            let linear: Vec<_> = runs.iter().map(|r| r.slot).collect();
-            assert_eq!(linear, sorted_slots(&runs), "{}", s.name());
-            assert_eq!(slots, linear.iter().flatten().max().map_or(0, |&m| m + 1));
-            recurring += slots;
+            let plan = plan_of(s, None, *chans);
+            let linear: Vec<_> = plan.runs.iter().map(|r| r.slot).collect();
+            assert_eq!(linear, sorted_slots(&plan.runs), "{}", s.name());
+            assert_eq!(
+                plan.slots,
+                linear.iter().flatten().max().map_or(0, |&m| m + 1)
+            );
+            recurring += plan.slots;
         }
         assert!(schedules.len() > 40 && recurring > 0, "{}", schedules.len());
     }
 
+    /// Asserts that `plan` holds the runs, frames and duration of `raster`,
+    /// bit for bit.
+    fn assert_plan_reads_raster(plan: &Plan, raster: &Raster, what: &str) {
+        assert_eq!(plan.total, raster.total, "{what}");
+        assert_eq!(
+            plan.frames.map(f64::to_bits),
+            raster.frames.map(f64::to_bits),
+            "{what}"
+        );
+        let runs = plan.runs.iter().map(|r| (r.drives, r.len));
+        assert_eq!(run_bits(runs), run_bits(raster.runs()), "{what}");
+    }
+
     #[test]
-    fn jitter_in_the_raster_equals_the_raster_of_a_jittered_copy() {
-        // The factors the executors draw, applied while rasterizing,
+    fn jitter_in_the_plan_equals_the_raster_of_a_jittered_copy() {
+        // The factors the executors draw, applied while the runs are read,
         // against the raster of a copy whose waveforms carry them — from
         // the same RNG stream, bit for bit, at the device's jitter and at
         // one large enough that the 1/peak clamp binds.
@@ -1439,24 +1748,156 @@ mod tests {
         for (k, (_, s, chans)) in generated_pair_blocks().iter().enumerate() {
             for (seed, sigma) in [(1, device.pulse_amp_jitter()), (2, 0.3), (k as u64, 0.01)] {
                 let factors = crate::executor::pair_jitter(s, sigma, &mut seeded(seed));
-                let lazy = Raster::new(s, factors.as_deref(), *chans);
+                let plan = plan_of(s, factors.as_deref(), *chans);
                 let copy = jittered_copy(s, sigma, &mut seeded(seed));
-                let eager = Raster::new(&copy, None, *chans);
-                assert_eq!(lazy.total, eager.total);
-                assert_eq!(
-                    lazy.frames.map(f64::to_bits),
-                    eager.frames.map(f64::to_bits)
-                );
-                for (a, b) in lazy.drives.iter().zip(&eager.drives) {
-                    let bits = |d: &[C64]| -> Vec<_> {
-                        d.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-                    };
-                    assert_eq!(bits(a), bits(b), "{} seed {seed}", s.name());
-                }
+                let what = format!("{} seed {seed}", s.name());
+                assert_plan_reads_raster(&plan, &Raster::new(&copy, None, *chans), &what);
                 blocks += 1;
             }
         }
         assert!(blocks > 100, "{blocks}");
+    }
+
+    #[test]
+    fn plan_reads_the_runs_of_the_raster() {
+        // Calibrated blocks, and schedules that stress the chunked read:
+        // plays that overlap on one channel (their samples add), frame
+        // shifts between plays, a play on a channel the pair does not
+        // drive, dead time, runs that cross chunk boundaries, and the
+        // empty schedule.
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2, 0.3);
+        let mut overlapping = Schedule::new("overlapping plays on one channel");
+        play_at(&mut overlapping, 0, gs.waveform("cr"), Channel::Control(0));
+        play_at(
+            &mut overlapping,
+            3,
+            x_pulse(&p.control),
+            Channel::Control(0),
+        );
+        play_at(&mut overlapping, 150, x_pulse(&p.target), Channel::Drive(1));
+        let mut shifted = Schedule::new("frame shifts");
+        shifted.insert(
+            0,
+            Instruction::ShiftPhase {
+                phase: 0.4,
+                channel: Channel::Drive(0),
+            },
+        );
+        play_at(&mut shifted, 10, x_pulse(&p.control), Channel::Drive(0));
+        shifted.insert(
+            300,
+            Instruction::ShiftPhase {
+                phase: -1.1,
+                channel: Channel::Drive(0),
+            },
+        );
+        play_at(&mut shifted, 300, x_pulse(&p.control), Channel::Drive(0));
+        play_at(&mut shifted, 40, x_pulse(&p.target), Channel::Drive(5));
+        shifted.insert(
+            700,
+            Instruction::Delay {
+                duration: 129,
+                channel: Channel::Drive(1),
+            },
+        );
+        let mut schedules: Vec<_> = generated_pair_blocks()
+            .into_iter()
+            .map(|(_, s, chans)| (s, chans))
+            .collect();
+        for s in [
+            overlapping,
+            shifted,
+            target_then_control(&p),
+            Schedule::new("empty"),
+        ] {
+            schedules.push((s, PAIR_CHANNELS));
+        }
+        let (_, cx, chans) = jittered_cx(5);
+        schedules.push((cx, chans));
+        for (s, chans) in &schedules {
+            let plan = plan_of(s, None, *chans);
+            assert_plan_reads_raster(&plan, &Raster::new(s, None, *chans), s.name());
+        }
+        // One plan refilled for every schedule, as a thread's scratch is.
+        let mut plan = Plan::default();
+        for (s, chans) in schedules.iter().rev() {
+            plan.read(s, None, *chans);
+            assert_plan_reads_raster(&plan, &Raster::new(s, None, *chans), s.name());
+            let fresh = plan_of(s, None, *chans);
+            let slots = |p: &Plan| p.runs.iter().map(|r| (r.slot, r.live)).collect::<Vec<_>>();
+            assert_eq!(slots(&plan), slots(&fresh), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn filtered_assembly_is_bit_identical_to_the_option_checked_table() {
+        // Every route and every set of playing channels, at drives with
+        // both quadratures, one quadrature zero (of either sign) or the
+        // CR tone's amplitude negative, for the pair's own rates and for
+        // rates with a zero term.
+        let mut rng_state = 0x3C6E_F372_FE94_F82Bu64;
+        let mut next = || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut no_ix = CrParams::almaden_like();
+        no_ix.ix_hz_per_amp = 0.0;
+        let pairs = [
+            pair(),
+            CrPair::new(
+                TransmonParams::armonk_like(),
+                TransmonParams::almaden_like(),
+                no_ix,
+            ),
+        ];
+        let tables = generator_tables();
+        let routes: [Vec<usize>; 3] = [
+            in_block_entries(Blocks9::Strided).as_flattened().to_vec(),
+            in_block_entries(Blocks9::Contiguous)
+                .as_flattened()
+                .to_vec(),
+            (0..81).collect(),
+        ];
+        let mut cases = 0;
+        for p in &pairs {
+            let hs = p.static_hamiltonian();
+            for case in 0..24 {
+                for playing in 0..8u8 {
+                    let drives: [C64; 3] = std::array::from_fn(|ch| {
+                        if playing & 1 << ch == 0 {
+                            return C64::ZERO;
+                        }
+                        let (re, im) = (next(), next());
+                        match (case + ch) % 6 {
+                            0 => C64::new(re, 0.0),
+                            1 => C64::new(-0.0, im),
+                            2 => C64::new(0.0, im),
+                            3 => C64::new(re, -0.0),
+                            _ => C64::new(re, im),
+                        }
+                    });
+                    assert_eq!(Run::new(drives, 1).playing, playing);
+                    let coefficients = p.drive_coefficients(drives, playing);
+                    for (route, entries) in routes.iter().enumerate() {
+                        let table = &tables.assemblies[route][usize::from(playing)];
+                        let mut got: Vec<_> = entries.iter().map(|&e| hs[e]).collect();
+                        table.add_terms(&coefficients, &mut got);
+                        let want = assemble_oracle(p, drives, entries);
+                        let bits = |z: &[C64]| -> Vec<_> {
+                            z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "route {route} playing {playing:03b}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 24 * 8 * 3);
     }
 
     /// An uncalibrated X on the target, then one on the control.

@@ -315,32 +315,12 @@ impl Schedule {
     }
 
     /// Timed instructions grouped per channel, each sorted by start time.
-    pub fn per_channel(&self) -> BTreeMap<Channel, Vec<&TimedInstruction>> {
+    fn per_channel(&self) -> BTreeMap<Channel, Vec<&TimedInstruction>> {
         let mut map: BTreeMap<Channel, Vec<&TimedInstruction>> = BTreeMap::new();
         for ti in &self.instructions {
             map.entry(ti.instruction.channel()).or_default().push(ti);
         }
         map
-    }
-
-    /// Rasterizes one channel into per-`dt` complex samples over the whole
-    /// schedule duration (overlapping plays add). Frame and frequency
-    /// instructions are *not* resolved — this is the raw envelope stream,
-    /// the quantity the paper's pulse-schedule figures plot.
-    pub fn rasterize(&self, channel: Channel) -> Vec<quant_math::C64> {
-        let total = self.duration() as usize;
-        let mut samples = vec![quant_math::C64::ZERO; total];
-        for ti in self.instructions() {
-            if ti.instruction.channel() != channel {
-                continue;
-            }
-            if let Instruction::Play { waveform, .. } = &ti.instruction {
-                for (k, &s) in waveform.samples().iter().enumerate() {
-                    samples[ti.start as usize + k] += s;
-                }
-            }
-        }
-        samples
     }
 
     /// Renders an ASCII timeline, one row per channel — the textual stand-in
@@ -595,24 +575,6 @@ mod tests {
         assert!(art.contains("d0"));
         assert!(art.contains('#'));
         assert!(art.contains("100 dt"));
-    }
-
-    #[test]
-    fn rasterize_respects_offsets() {
-        let mut s = Schedule::new("r");
-        let ch = Channel::Drive(0);
-        s.append(Instruction::Delay {
-            duration: 10,
-            channel: ch,
-        });
-        s.append(Instruction::Play {
-            waveform: pulse(20),
-            channel: ch,
-        });
-        let raster = s.rasterize(ch);
-        assert_eq!(raster.len(), 30);
-        assert!(raster[..10].iter().all(|c| c.abs() < 1e-12));
-        assert!(raster[10..30].iter().any(|c| c.abs() > 1e-3));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! Every exponential is a degree-12 Taylor sum in Paterson–Stockmeyer
 //! form: `M²` and `M³`, four Horner steps in `M³` and one product per
 //! squaring, so 6 + `squarings` matrix products. The pair integrator's
-//! block route ([`unitary_exp9_in_blocks_into`]) does less where its
-//! generators allow, with every entry equal (`==`) to the plain route's:
+//! block route ([`unitary_exp9_in_blocks_into`]) and the transmon's
+//! per-sample [`unitary_exp3`] do less where their generators allow, with
+//! every entry equal (`==`) to the plain route's:
 //! a tridiagonal 3×3 block (a drive ladder) of an anti-Hermitian scaled
 //! generator forms `M²` from its upper triangle, skips the zero couplings'
 //! terms in `M²` and `M³` and starts Horner at `c₁₂·M³` (5 + `squarings`
@@ -93,7 +94,9 @@ impl PropagatorScratch {
             assert_eq!(out.cols(), 3, "output column mismatch");
             let mut h3 = [C64::ZERO; 9];
             h3.copy_from_slice(&h.as_slice()[..9]);
-            out.as_mut_slice().copy_from_slice(&unitary_exp3(&h3, t));
+            let (a, squarings) = scaled3(&h3, t);
+            out.as_mut_slice()
+                .copy_from_slice(&expm3::<_, false>(&a, squarings));
             return;
         }
         // A = -i·t·H.
@@ -490,24 +493,30 @@ fn scaled3(h: &[C64; 9], t: f64) -> ([C64; 9], u32) {
     (h.map(|z| z * factor), squarings)
 }
 
-/// `exp(−i·h·t)` of a row-major 3×3 Hermitian generator on stack arrays:
-/// the qutrit route of [`PropagatorScratch::unitary_exp_into`], bit for
-/// bit (the `−i·t` scaling and the norm estimate fold into one pass over
-/// `h`).
+/// `exp(−i·h·t)` of a row-major 3×3 Hermitian generator on stack arrays,
+/// on the kernel its structure allows, as for a block of
+/// [`unitary_exp9_in_blocks_into`]: a transmon's drive ladder is
+/// tridiagonal, and a zero drive sample leaves a 2×2 block plus a
+/// decoupled |2⟩ scalar. Equal (`==`) entry for entry to the qutrit route
+/// of [`PropagatorScratch::unitary_exp_into`] (the `−i·t` scaling and the
+/// norm estimate fold into one pass over `h`); a zero may come out with
+/// the other sign.
 pub fn unitary_exp3(h: &[C64; 9], t: f64) -> [C64; 9] {
     let (a, squarings) = scaled3(h, t);
-    expm3::<_, false>(&a, squarings)
+    expm_block(&a, squarings, block_kernel(h))
 }
 
 /// [`unitary_exp3`] of two generators at once, each result bit-identical
 /// to its own scalar call: one two-lane evaluation when both take the
-/// same squaring count, two scalar ones when they do not.
+/// same squaring count and the same kernel, two scalar ones when they do
+/// not.
 pub fn unitary_exp3_pair(h: &[[C64; 9]; 2], t: f64) -> [[C64; 9]; 2] {
     let ((a0, s0), (a1, s1)) = (scaled3(&h[0], t), scaled3(&h[1], t));
-    if s0 == s1 {
-        expm_block_x2([a0, a1], s0, Kernel::Dense)
+    let (k0, k1) = (block_kernel(&h[0]), block_kernel(&h[1]));
+    if s0 == s1 && k0 == k1 {
+        expm_block_x2([a0, a1], s0, k0)
     } else {
-        [expm3::<_, false>(&a0, s0), expm3::<_, false>(&a1, s1)]
+        [expm_block(&a0, s0, k0), expm_block(&a1, s1, k1)]
     }
 }
 
@@ -618,20 +627,80 @@ impl Blocks9 {
         }
     }
 
-    /// The blocks whose three rows of the row-major 9×4 slab `u` are all
-    /// exactly zero, of either sign: bit `b` of the mask is block `b`.
-    pub fn zero_blocks(self, u: &[C64; 36]) -> u8 {
+    /// The blocks whose three rows of the slab `u` are all exactly zero,
+    /// of either sign: bit `b` of the mask is block `b`.
+    pub fn zero_blocks(self, u: &Slab9x4) -> u8 {
         let mut mask = 0;
         for b in 0..3 {
-            let zero = (0..3).all(|i| {
-                let r = self.index(b, i);
-                u[4 * r..4 * r + 4].iter().all(|&z| z == C64::ZERO)
-            });
-            if zero {
+            if (0..3).all(|i| u.rows[self.index(b, i)] == Row4::ZERO) {
                 mask |= 1 << b;
             }
         }
         mask
+    }
+}
+
+/// Four columns of a 9×9 complex operand, a 9×4 slab, stored
+/// structure-of-arrays: per row, the four real parts and then the four
+/// imaginary parts. [`mul9_blocks_slab_into`] runs the four columns as
+/// lanes, with the same operations in each lane, which LLVM maps onto
+/// SSE2 register pairs at the baseline x86-64 target.
+#[derive(Clone, Copy, Debug)]
+pub struct Slab9x4 {
+    rows: [Row4; 9],
+}
+
+/// One row of a [`Slab9x4`]: lane `c` is column `c`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Row4 {
+    re: [f64; 4],
+    im: [f64; 4],
+}
+
+impl Row4 {
+    const ZERO: Row4 = Row4 {
+        re: [0.0; 4],
+        im: [0.0; 4],
+    };
+
+    /// `self += s·u` in every lane: the [`C64`] product and sum, in their
+    /// order, so each lane's bits equal `*x += s * u[c]` on [`C64`]s.
+    #[inline(always)]
+    fn add_mul(&mut self, s: C64, u: &Row4) {
+        for c in 0..4 {
+            self.re[c] += s.re * u.re[c] - s.im * u.im[c];
+            self.im[c] += s.re * u.im[c] + s.im * u.re[c];
+        }
+    }
+}
+
+impl Slab9x4 {
+    /// The all-zero slab.
+    pub const ZERO: Slab9x4 = Slab9x4 {
+        rows: [Row4::ZERO; 9],
+    };
+
+    /// The slab of a row-major 9×4 array (`u[4·r + c]` is row `r`,
+    /// column `c`).
+    pub fn from_rows(u: &[C64; 36]) -> Self {
+        Slab9x4 {
+            rows: std::array::from_fn(|r| Row4 {
+                re: std::array::from_fn(|c| u[4 * r + c].re),
+                im: std::array::from_fn(|c| u[4 * r + c].im),
+            }),
+        }
+    }
+
+    /// The row-major 9×4 array of the slab, the inverse of
+    /// [`Slab9x4::from_rows`].
+    pub fn to_rows(&self) -> [C64; 36] {
+        std::array::from_fn(|k| self.get(k / 4, k % 4))
+    }
+
+    /// Entry `(r, c)`.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> C64 {
+        C64::new(self.rows[r].re[c], self.rows[r].im[c])
     }
 }
 
@@ -721,51 +790,51 @@ pub fn mul9_slab_into(a: &[C64; 81], u: &[C64; 36], out: &mut [C64; 36]) {
 
 /// `out = step · u` on the rows that must be written, where `step` is the
 /// block-diagonal 9×9 matrix whose blocks under `blocks` are `step[b]` (as
-/// written by [`unitary_exp9_in_blocks_into`]) and `u` is a row-major 9×4
-/// slab. Block `b`'s rows of `out` are written when its input rows of `u`
-/// are all zero ([`Blocks9::zero_blocks`]), as `+0` without reading
-/// `step[b]`, or else when bit `b` of `live` is set, as the product. Every
-/// other row of `out` is left as it is.
+/// written by [`unitary_exp9_in_blocks_into`]) and `u` is a 9×4 slab.
+/// `zero` must be `blocks.zero_blocks(u)`, which the caller has already
+/// formed. Block `b`'s rows of `out` are written when its input rows of
+/// `u` are all zero, as `+0` without reading `step[b]`, or else when bit
+/// `b` of `live` is set, as the product. Every other row of `out` is left
+/// as it is.
 ///
 /// Bit-identical on the rows it writes to [`mul9_slab_into`] (and so to
 /// [`mul9_into`]) on the full block-diagonal matrix: each output row
 /// accumulates its block's terms in ascending column order and skips zero
 /// coefficients, which is what that product does once its own zero-skip
-/// drops the off-block terms. On zero input rows every term is `±0` and
-/// each accumulator starts at `+0`, so that product writes `+0` too.
+/// drops the off-block terms, and each of the four column lanes repeats
+/// its [`C64`] operations. On zero input rows every term is `±0` and each
+/// accumulator starts at `+0`, so that product writes `+0` too.
 pub fn mul9_blocks_slab_into(
     step: &[[C64; 9]; 3],
     blocks: Blocks9,
     live: u8,
-    u: &[C64; 36],
-    out: &mut [C64; 36],
+    zero: u8,
+    u: &Slab9x4,
+    out: &mut Slab9x4,
 ) {
-    let zero = blocks.zero_blocks(u);
+    debug_assert_eq!(zero, blocks.zero_blocks(u), "stale zero-block mask");
     for (b, block) in step.iter().enumerate() {
+        let rows: [usize; 3] = std::array::from_fn(|i| blocks.index(b, i));
         if zero & 1 << b != 0 {
-            for i in 0..3 {
-                let r = blocks.index(b, i);
-                out[4 * r..4 * r + 4].fill(C64::ZERO);
+            for r in rows {
+                out.rows[r] = Row4::ZERO;
             }
             continue;
         }
         if live & 1 << b == 0 {
             continue;
         }
-        for i in 0..3 {
-            let mut acc = [C64::ZERO; 4];
-            for j in 0..3 {
+        let input = rows.map(|r| u.rows[r]);
+        for (i, r) in rows.into_iter().enumerate() {
+            let mut acc = Row4::ZERO;
+            for (j, row) in input.iter().enumerate() {
                 let sij = block[3 * i + j];
                 if sij == C64::ZERO {
                     continue;
                 }
-                let k = blocks.index(b, j);
-                for (x, &uv) in acc.iter_mut().zip(&u[4 * k..4 * k + 4]) {
-                    *x += sij * uv;
-                }
+                acc.add_mul(sij, row);
             }
-            let r = blocks.index(b, i);
-            out[4 * r..4 * r + 4].copy_from_slice(&acc);
+            out.rows[r] = acc;
         }
     }
 }
@@ -831,9 +900,10 @@ mod tests {
     #[test]
     fn paired_3x3_exponentials_equal_scalar_calls_bit_for_bit() {
         // Independent pairs over runs of one sample up to thousands, so
-        // the two lanes sometimes share a squaring count (one two-lane
-        // evaluation) and sometimes not (two scalar ones); each result
-        // must carry the scalar route's bits, heap route included.
+        // the two lanes sometimes share a squaring count and a kernel (one
+        // two-lane evaluation) and sometimes not (two scalar ones); each
+        // result must carry the scalar route's bits, and equal (`==`) the
+        // heap route's plain kernel.
         const DT: f64 = 2.0 / 9.0 * 1e-9;
         let mut rng_state = 0x2545F4914F6CDD1Du64;
         let mut next = || {
@@ -843,12 +913,15 @@ mod tests {
         let mut scratch = PropagatorScratch::new(3);
         let mut heap = CMat::zeros(3, 3);
         let mut shared = std::collections::BTreeSet::new();
+        let mut kernels_seen = Vec::new();
         for run in [1u32, 2, 5, 16, 160, 1000] {
             let t = DT * f64::from(run);
             for _ in 0..20 {
                 let h = [sparse_hermitian3(&mut next), sparse_hermitian3(&mut next)];
                 let squarings = h.map(|h| step_scaling(norm_sqr_sum(&h), t).1);
-                shared.insert(squarings[0] == squarings[1]);
+                let kernels = h.each_ref().map(block_kernel);
+                shared.insert(squarings[0] == squarings[1] && kernels[0] == kernels[1]);
+                kernels_seen.extend(kernels);
                 let pair = unitary_exp3_pair(&h, t);
                 for (lane, hl) in pair.iter().zip(&h) {
                     assert_eq!(bits(lane), bits(&unitary_exp3(hl, t)), "run {run}");
@@ -857,15 +930,16 @@ mod tests {
                         t,
                         &mut heap,
                     );
-                    assert_eq!(bits(lane), bits(heap.as_slice()), "run {run}, heap route");
+                    for (x, y) in lane.iter().zip(heap.as_slice()) {
+                        assert!(x.re == y.re && x.im == y.im, "run {run}, heap route");
+                    }
                 }
             }
         }
-        assert_eq!(
-            shared.len(),
-            2,
-            "pairs with equal and unequal squaring counts"
-        );
+        assert_eq!(shared.len(), 2, "pairs on one and on two evaluations");
+        for kernel in [Kernel::Dense, Kernel::Tri, Kernel::Split] {
+            assert!(kernels_seen.contains(&kernel), "{kernel:?} untested");
+        }
     }
 
     #[test]
@@ -1044,8 +1118,11 @@ mod tests {
                 }
                 let mut next_full = [C64::ZERO; 81];
                 mul9_into(&full, &u_full, &mut next_full);
-                let mut next_block = [C64::ZERO; 36];
-                mul9_blocks_slab_into(&step, blocks, 0b111, &slab_block, &mut next_block);
+                let mut next_block = Slab9x4::ZERO;
+                let slab = Slab9x4::from_rows(&slab_block);
+                let zero = blocks.zero_blocks(&slab);
+                mul9_blocks_slab_into(&step, blocks, 0b111, zero, &slab, &mut next_block);
+                let next_block = next_block.to_rows();
                 let mut next_slab = [C64::ZERO; 36];
                 mul9_slab_into(&full, &slab_full, &mut next_slab);
                 for r in 0..9 {
@@ -1246,11 +1323,13 @@ mod tests {
     }
 
     #[test]
-    fn masked_block_product_is_bit_identical_to_full_product() {
+    fn soa_block_product_is_bit_identical_to_full_product() {
         // Every block's input rows are all zero (some as −0), zero but for
-        // one row, or dense, under every live mask. A written block must
-        // carry the full block-diagonal product's bits; any other row of
-        // `out` must keep what it held.
+        // one row, or dense, under every live mask. Steps are random with
+        // some zero entries, or shaped like a 2×2⊕1 step: couplings to
+        // local index 2 zero of either sign. A written block must carry
+        // the AoS product of the full block-diagonal matrix's bits in
+        // every lane; any other row of `out` must keep what it held.
         let mut rng_state = 0x94D049BB133111EBu64;
         let mut next = || {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1258,11 +1337,18 @@ mod tests {
         };
         let sentinel = C64::new(f64::NAN, -3.0);
         for blocks in [Blocks9::Strided, Blocks9::Contiguous] {
-            for case in 0..200 {
+            for case in 0..250 {
+                let split_shaped = case % 2 == 1;
                 let mut step = [[C64::ZERO; 9]; 3];
-                for z in step.iter_mut().flatten() {
-                    if next() > -0.3 {
-                        *z = C64::new(next(), next());
+                for block in step.iter_mut() {
+                    for (k, z) in block.iter_mut().enumerate() {
+                        *z = if split_shaped && [2, 5, 6, 7].contains(&k) {
+                            signed_zero(&mut next)
+                        } else if next() > -0.3 {
+                            C64::new(next(), next())
+                        } else {
+                            signed_zero(&mut next)
+                        };
                     }
                 }
                 let mut full = [C64::ZERO; 81];
@@ -1288,20 +1374,21 @@ mod tests {
                         for z in &mut u[4 * r..4 * r + 4] {
                             *z = if dense {
                                 C64::new(next(), next())
-                            } else if next() > 0.0 {
-                                C64::new(-0.0, -0.0)
                             } else {
-                                C64::ZERO
+                                signed_zero(&mut next)
                             };
                         }
                     }
                 }
-                assert_eq!(blocks.zero_blocks(&u), zero, "case {case}");
+                let slab = Slab9x4::from_rows(&u);
+                assert_eq!(bits(&slab.to_rows()), bits(&u), "case {case}: round trip");
+                assert_eq!(blocks.zero_blocks(&slab), zero, "case {case}");
                 let mut want = [C64::ZERO; 36];
                 mul9_slab_into(&full, &u, &mut want);
                 for live in 0..8u8 {
-                    let mut got = [sentinel; 36];
-                    mul9_blocks_slab_into(&step, blocks, live, &u, &mut got);
+                    let mut got = Slab9x4::from_rows(&[sentinel; 36]);
+                    mul9_blocks_slab_into(&step, blocks, live, zero, &slab, &mut got);
+                    let got = got.to_rows();
                     for b in 0..3 {
                         let written = (zero | live) & 1 << b != 0;
                         for i in 0..3 {
