@@ -739,8 +739,8 @@ type RunKey = ([u64; 6], usize);
 struct KeyTable {
     /// Per bucket: the number of the key stored there, or [`KeyTable::EMPTY`].
     buckets: Vec<usize>,
-    /// The keys, by number.
-    keys: Vec<RunKey>,
+    /// The first run with each key, by number.
+    first: Vec<usize>,
     /// The occurrences of each key, by number.
     counts: Vec<usize>,
     /// The memo slot of each key, by number: recurring keys only.
@@ -759,11 +759,13 @@ impl KeyTable {
         self.buckets.clear();
         self.buckets
             .resize((2 * runs.len()).next_power_of_two(), Self::EMPTY);
-        self.keys.clear();
+        self.first.clear();
         self.counts.clear();
         // Each block-route run's key number, parked in its slot field.
-        for run in runs.iter_mut() {
-            run.slot = run.route.map(|_| self.number(run.key()));
+        for i in 0..runs.len() {
+            if runs[i].route.is_some() {
+                runs[i].slot = Some(self.number(runs, i));
+            }
         }
         let mut slots = 0;
         self.slot_of.clear();
@@ -779,20 +781,21 @@ impl KeyTable {
         slots
     }
 
-    /// The number of `key`, numbering it next if it is new, with its
-    /// occurrence counted.
-    fn number(&mut self, key: RunKey) -> usize {
+    /// The number of run `i`'s key, numbering it next if it is new, with
+    /// its occurrence counted.
+    fn number(&mut self, runs: &[Run], i: usize) -> usize {
+        let key = runs[i].key();
         let mask = self.buckets.len() - 1;
         let mut b = Self::hash(&key) as usize & mask;
         loop {
             match self.buckets[b] {
                 Self::EMPTY => {
-                    self.buckets[b] = self.keys.len();
-                    self.keys.push(key);
+                    self.buckets[b] = self.first.len();
+                    self.first.push(i);
                     self.counts.push(1);
-                    return self.keys.len() - 1;
+                    return self.first.len() - 1;
                 }
-                id if self.keys[id] == key => {
+                id if runs[self.first[id]].key() == key => {
                     self.counts[id] += 1;
                     return id;
                 }
