@@ -603,6 +603,7 @@ fn cmd_corpus(rest: &[String]) -> ! {
     }
     // Wall-clock columns come from an injected clock: the corpus library
     // itself is clock-free per the determinism lint.
+    // opclint: allow(nondeterminism): the report's wall-clock columns only; golden summaries exclude them.
     let t0 = std::time::Instant::now();
     options.clock = Some(Arc::new(move || t0.elapsed().as_millis() as u64));
     let report = match quant_corpus::run_corpus(&options, &ShotPool::from_env()) {

@@ -2,7 +2,7 @@
 //!
 //! The environment is offline (no serde), and the bench harness only ever
 //! *writes* JSON — a small value tree with a deterministic pretty printer
-//! covers everything `write_json` and the perf suite need.
+//! covers everything `write_json` needs.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

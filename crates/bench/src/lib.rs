@@ -21,7 +21,6 @@ use quant_math::seeded;
 use rand::Rng;
 
 pub mod json;
-pub mod timing;
 
 /// A calibrated simulated backend.
 pub struct Setup {
@@ -90,14 +89,13 @@ impl Setup {
     }
 }
 
-/// The depth-1 line-graph MAXCUT QAOA circuit shared by the perfsuite
-/// trajectory rows and the `extra_qaoa_scaling` experiment.
+/// The depth-1 line-graph MAXCUT QAOA circuit shared by Fig. 12's
+/// 12-qubit trajectory row and the `extra_qaoa_scaling` experiment.
 ///
 /// With `angles = None` the `(γ, β)` pair is optimized on the ideal
 /// simulator ([`LineGraph::solve_p1`] — an exponential-cost state-vector
-/// search, tractable through ~8 qubits); fixed angles keep the 12–20-qubit
-/// perfsuite workloads off the solve, whose quality is irrelevant to a
-/// wall-clock row.
+/// search, tractable through ~8 qubits); fixed angles keep wider circuits
+/// off that solve.
 pub fn qaoa_line_circuit(n: usize, angles: Option<(f64, f64)>) -> Circuit {
     let g = LineGraph::new(n);
     let angles = angles.unwrap_or_else(|| g.solve_p1().0);

@@ -38,8 +38,7 @@
 //!
 //! **Switch.** Both caches are on by default. [`ExactCache::with_enabled`]
 //! and [`ExactCache::set_enabled`] turn one off — the exactness tests
-//! compare results with and without, and perfsuite times raw integrator
-//! throughput that way.
+//! compare results with and without.
 
 use crate::params::{CrParams, TransmonParams};
 use crate::transmon::{DriveState, FrameResult};

@@ -96,7 +96,6 @@ fn run() -> Result<ExitCode, String> {
                 fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
             let ctx = FileCtx {
                 crate_name: "adhoc".to_string(),
-                entropy_exempt: false,
                 is_test: false,
             };
             findings.extend(lint_file(&f.to_string_lossy(), &text, &ctx).findings);

@@ -13,8 +13,10 @@
 //!   why.
 //! * `nondeterminism` — no ambient entropy or wall-clock in simulation
 //!   paths: `thread_rng`, `from_entropy`, `SystemTime::now`,
-//!   `Instant::now` are banned outside the bench crate and test code.
-//!   All randomness must derive from caller seeds (`qmath::stream_seed`).
+//!   `Instant::now` are banned outside test code. All randomness must
+//!   derive from caller seeds (`qmath::stream_seed`); a binary that
+//!   reports wall-clock time (the `opc` corpus clock) reads it on one
+//!   waived line and injects it.
 //! * `float-cmp-unwrap` — `partial_cmp(…).unwrap()` panics on the first
 //!   NaN; `f64::total_cmp` is the total order to sort/max by.
 //! * `panic-budget` — `unwrap()` / `expect()` / `panic!` are counted per
@@ -100,9 +102,6 @@ impl fmt::Display for Finding {
 pub struct FileCtx {
     /// Owning crate (baseline key for `panic-budget`).
     pub crate_name: String,
-    /// True for the bench crate, whose whole point is wall-clock timing:
-    /// `nondeterminism` does not apply there.
-    pub entropy_exempt: bool,
     /// True when the entire file is test scope (under a `tests/` dir):
     /// only `panic-budget` counting is skipped *and* no rules run.
     pub is_test: bool,
@@ -140,9 +139,7 @@ pub fn lint_file(path: &str, src: &str, ctx: &FileCtx) -> FileReport {
 
     let toks = &lexed.tokens;
     rule_unordered_iter(path, toks, &in_test, &waived, &mut report.findings);
-    if !ctx.entropy_exempt {
-        rule_nondeterminism(path, toks, &in_test, &waived, &mut report.findings);
-    }
+    rule_nondeterminism(path, toks, &in_test, &waived, &mut report.findings);
     rule_float_cmp_unwrap(path, toks, &in_test, &waived, &mut report.findings);
     rule_env_read(
         path,
@@ -465,7 +462,7 @@ fn rule_nondeterminism(
         {
             (
                 format!("{}::now", t.text),
-                "wall-clock reads belong in the bench crate; simulation results must be a pure function of seeds",
+                "simulation results must be a pure function of seeds; inject a clock from a waived line in a binary",
             )
         } else {
             continue;

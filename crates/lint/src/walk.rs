@@ -12,10 +12,6 @@ use crate::rules::FileCtx;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The bench crate may read wall-clocks (that is its job); everything
-/// else must not.
-const ENTROPY_EXEMPT_CRATES: [&str; 1] = ["repro-bench"];
-
 /// One file scheduled for linting.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
@@ -89,7 +85,6 @@ pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
         let name = package_name(&member.join("Cargo.toml"))
             .ok_or_else(|| format!("no package name in {}", member.join("Cargo.toml").display()))?;
         let ctx = FileCtx {
-            entropy_exempt: ENTROPY_EXEMPT_CRATES.contains(&name.as_str()),
             crate_name: name,
             is_test: false,
         };
@@ -99,7 +94,6 @@ pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     if let Some(name) = package_name(&root.join("Cargo.toml")) {
         let ctx = FileCtx {
             crate_name: name,
-            entropy_exempt: false,
             is_test: false,
         };
         push_rs_files(root, &root.join("src"), &ctx, &mut files)?;

@@ -1,5 +1,5 @@
-//! Fixture: justified waivers on lookup-only unordered collections.
-//! Must produce zero findings.
+//! Fixture: justified waivers on lookup-only unordered collections and
+//! on a binary's injected wall clock. Must produce zero findings.
 
 use std::collections::HashMap;
 
@@ -24,4 +24,10 @@ impl Memo {
     pub fn put(&mut self, k: u64, v: f64) {
         self.table.insert(k, v);
     }
+}
+
+pub fn report_clock() -> impl Fn() -> u128 {
+    // opclint: allow(nondeterminism): a report's wall-clock column, kept out of every checksum.
+    let t0 = std::time::Instant::now();
+    move || t0.elapsed().as_millis()
 }

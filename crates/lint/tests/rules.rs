@@ -19,7 +19,6 @@ fn lint_fixture(name: &str) -> FileReport {
 fn lib_ctx() -> FileCtx {
     FileCtx {
         crate_name: "fixture".to_string(),
-        entropy_exempt: false,
         is_test: false,
     }
 }
@@ -68,15 +67,16 @@ fn nondeterminism_fixture_flags_every_source() {
 }
 
 #[test]
-fn nondeterminism_is_waived_for_the_bench_crate() {
+fn nondeterminism_applies_to_the_bench_crate() {
     let src = "pub fn t() -> std::time::Instant { std::time::Instant::now() }";
     let bench = FileCtx {
         crate_name: "repro-bench".to_string(),
-        entropy_exempt: true,
         is_test: false,
     };
-    assert!(lint_file("timing.rs", src, &bench).findings.is_empty());
-    assert_eq!(lint_file("timing.rs", src, &lib_ctx()).findings.len(), 1);
+    assert_eq!(
+        rules_of(&lint_file("opc.rs", src, &bench).findings),
+        vec!["nondeterminism"]
+    );
 }
 
 #[test]
