@@ -4,7 +4,6 @@
 use crate::pauli::PauliSum;
 use quant_circuit::Circuit;
 use quant_math::{unitary_exp, CMat};
-use quant_sim::StateVector;
 
 /// Builds the first-order Trotter circuit `(Π_j exp(−i·c_j·P_j·t/n))ⁿ`
 /// approximating `exp(−iHt)`. Identity terms contribute only global phase
@@ -36,21 +35,22 @@ pub fn exact_propagator(hamiltonian: &PauliSum, time: f64) -> CMat {
     unitary_exp(&hamiltonian.matrix(), time)
 }
 
-/// Fidelity between the Trotterized state and the exact evolution from
-/// `|0…0⟩`.
-pub fn trotter_state_fidelity(hamiltonian: &PauliSum, time: f64, steps: usize) -> f64 {
-    let n = hamiltonian.num_qubits();
-    let approx = trotter_circuit(hamiltonian, time, steps).simulate();
-    let mut exact = StateVector::zero_qubits(n);
-    let targets: Vec<usize> = (0..n).collect();
-    exact.apply_unitary(&exact_propagator(hamiltonian, time), &targets);
-    approx.fidelity(&exact)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::molecules;
+    use quant_sim::StateVector;
+
+    /// Fidelity between the Trotterized state and the exact evolution from
+    /// `|0…0⟩`.
+    fn trotter_state_fidelity(hamiltonian: &PauliSum, time: f64, steps: usize) -> f64 {
+        let n = hamiltonian.num_qubits();
+        let approx = trotter_circuit(hamiltonian, time, steps).simulate();
+        let mut exact = StateVector::zero_qubits(n);
+        let targets: Vec<usize> = (0..n).collect();
+        exact.apply_unitary(&exact_propagator(hamiltonian, time), &targets);
+        approx.fidelity(&exact)
+    }
 
     #[test]
     fn trotter_converges_with_steps() {

@@ -17,8 +17,9 @@
 use quant_algos::{group_commuting, molecules, vqe};
 use quant_char::{counts_to_distribution, Mitigator};
 use quant_corpus::{run_circuit, PipelineConfig, PipelineError};
-use quant_device::{Calibration, CalibrationOptions, DeviceModel, ShotPool};
+use quant_device::{CalStore, Calibration, CalibrationOptions, DeviceModel, ProbeCache, ShotPool};
 use quant_math::{linear_least_squares, seeded, stream_seed};
+use rand::Rng;
 
 /// Measures ⟨H⟩ with everything stretched by λ.
 fn energy_at_stretch(
@@ -38,7 +39,15 @@ fn energy_at_stretch(
         cr_amp: base.cr_amp / lambda, // slower CR rate → longer flat top
         ..base
     };
-    let calibration = Calibration::run(device, &opts, &mut seeded(seed));
+    let pool = ShotPool::from_env();
+    let calibration = Calibration::run_seeded_with(
+        device,
+        &opts,
+        seeded(seed).gen(),
+        &CalStore::from_env(),
+        &pool,
+        &ProbeCache::new(),
+    );
     // Readout mitigation (λ-independent, as in any real ZNE experiment —
     // extrapolation only removes noise that scales with the stretch).
     let mitigator = Mitigator::from_calibration(
@@ -62,7 +71,7 @@ fn energy_at_stretch(
             seed: stream_seed(seed, g as u64),
             ..PipelineConfig::default()
         };
-        let run = run_circuit(device, &calibration, &c, &config, &ShotPool::from_env())?;
+        let run = run_circuit(device, &calibration, &c, &config, &pool)?;
         let probs = mitigator.mitigate(&counts_to_distribution(&run.counts));
         energy += group.expectation_from_distribution(&probs);
     }

@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! opc compile [--mode standard|optimized] [--shots N] [--seed N]
-//!             [--noiseless] [--trajectories N] program.qasm
+//!             [--noiseless] [--trajectories N] [--no-verify] program.qasm
 //! opc corpus  [--tier smoke|full] [--shots N] [--seed N]
 //!             [--device-seed N] [--out DIR] [--check]
 //! opc verify  [--tier smoke|full] [--device-seed N]
@@ -32,9 +32,10 @@
 //!
 //! `opc compile` runs QASM → routing → compilation → pulse schedule →
 //! simulated execution → counts + Hellinger fidelity in one shot
-//! (`quant_corpus::run_qasm`). `opc corpus` runs the generated benchmark
-//! corpus under both compilation flows and writes `CORPUS_REPORT.json` +
-//! `CORPUS_REPORT.md`; `--check` exits nonzero unless pulse-level
+//! (`qasm::parse`, then `quant_corpus::run_circuit`). `opc corpus` runs
+//! the generated benchmark corpus under both compilation flows and writes
+//! `CORPUS_REPORT.json` + `CORPUS_REPORT.md`; `--check` exits nonzero
+//! unless pulse-level
 //! compilation beats gate-level on schedule duration for ≥ 3 families.
 //! `opc verify` compiles every corpus circuit (full tier by default) in
 //! both flows without executing it and runs `pulse::verify` on each
@@ -64,109 +65,94 @@ use quant_device::{calibrate, Calibration, DeviceModel, ShotPool, DT};
 use quant_math::{seeded, stream_seed};
 use quant_service::{wire, CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
-struct Args {
-    path: Option<String>,
-    run: bool,
-    shots: usize,
-    seed: u64,
-    modes: Vec<CompileMode>,
+/// Reads one command's arguments in order. Every malformed argument is a
+/// usage error: `prefix` (the command's `opc <sub>: `, empty for bare
+/// `opc`) and the message go to stderr, and the process exits 2.
+struct Flags<'a> {
+    prefix: &'static str,
+    args: std::slice::Iter<'a, String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        path: None,
-        run: false,
-        shots: 4000,
-        seed: 7,
-        modes: vec![CompileMode::Standard, CompileMode::Optimized],
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--run" => args.run = true,
-            "--shots" => {
-                args.shots = iter
-                    .next()
-                    .ok_or("--shots needs a value")?
-                    .parse()
-                    .map_err(|_| "--shots needs an integer")?;
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?;
-            }
-            "--standard-only" => args.modes = vec![CompileMode::Standard],
-            "--optimized-only" => args.modes = vec![CompileMode::Optimized],
-            "--help" | "-h" => {
-                return Err("usage: opc [--run] [--shots N] [--seed N] \
-                            [--standard-only|--optimized-only] [program.qasm]"
-                    .to_string())
-            }
-            other if !other.starts_with('-') => args.path = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+impl<'a> Flags<'a> {
+    fn new(prefix: &'static str, args: &'a [String]) -> Self {
+        Flags {
+            prefix,
+            args: args.iter(),
         }
     }
-    Ok(args)
+
+    /// The next argument, flag or not.
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The value that follows `flag`.
+    fn value(&mut self, flag: &str) -> &'a str {
+        self.next()
+            .unwrap_or_else(|| self.usage(&format!("{flag} needs a value")))
+    }
+
+    /// The integer that follows `flag`.
+    fn int<T: FromStr>(&mut self, flag: &str) -> T {
+        self.value(flag)
+            .parse()
+            .unwrap_or_else(|_| self.usage(&format!("{flag} needs an integer")))
+    }
+
+    /// The corpus tier that follows `flag`.
+    fn tier(&mut self, flag: &str) -> Tier {
+        let name = self.value(flag);
+        Tier::parse(name).unwrap_or_else(|| self.usage(&format!("unknown tier `{name}`")))
+    }
+
+    fn usage(&self, msg: &str) -> ! {
+        eprintln!("{}{msg}", self.prefix);
+        std::process::exit(2);
+    }
+}
+
+/// Reports a run that could not finish (exit 1; usage errors exit 2).
+fn fail(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Prints measurement counts as little-endian bit strings.
+fn print_counts(counts: &[u64], width: u32) {
+    for (idx, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            let bits: String = (0..width)
+                .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
+                .collect();
+            println!("  |{bits}⟩ (q0 first): {c}");
+        }
+    }
 }
 
 /// `opc serve`: a `CompileService` behind the wire protocol.
-fn cmd_serve(rest: &[String]) -> ! {
-    let mut addr = "127.0.0.1:7878".to_string();
+fn cmd_serve(rest: &[String]) -> ExitCode {
+    let mut addr = "127.0.0.1:7878";
     let mut cfg = ServiceConfig::default();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        let take = |it: &mut std::slice::Iter<'_, String>, what: &str| -> String {
-            match it.next() {
-                Some(v) => v.clone(),
-                None => {
-                    eprintln!("opc serve: {what} needs a value");
-                    std::process::exit(2);
-                }
-            }
-        };
-        match arg.as_str() {
-            "--addr" => addr = take(&mut iter, "--addr"),
-            "--workers" => match take(&mut iter, "--workers").parse() {
-                Ok(n) => cfg.workers = n,
-                Err(_) => {
-                    eprintln!("opc serve: --workers needs an integer");
-                    std::process::exit(2);
-                }
-            },
-            "--queue" => match take(&mut iter, "--queue").parse() {
-                Ok(n) => cfg.queue_capacity = n,
-                Err(_) => {
-                    eprintln!("opc serve: --queue needs an integer");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("opc serve: unknown flag `{other}`");
-                std::process::exit(2);
-            }
+    let mut flags = Flags::new("opc serve: ", rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value("--addr"),
+            "--workers" => cfg.workers = flags.int("--workers"),
+            "--queue" => cfg.queue_capacity = flags.int("--queue"),
+            other => flags.usage(&format!("unknown flag `{other}`")),
         }
     }
-    let service = match CompileService::new(cfg) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("opc serve: {e}");
-            std::process::exit(1);
-        }
-    };
-    let listener = match TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("opc serve: cannot bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let service =
+        Arc::new(CompileService::new(cfg).unwrap_or_else(|e| fail(format!("opc serve: {e}"))));
+    let listener = TcpListener::bind(addr)
+        .unwrap_or_else(|e| fail(format!("opc serve: cannot bind {addr}: {e}")));
     println!(
         "opc serve: listening on {addr} ({} workers, queue {})",
         service.config().workers,
@@ -205,79 +191,7 @@ fn cmd_serve(rest: &[String]) -> ! {
             eprintln!("opc serve: spawn failed: {e}");
         }
     }
-    std::process::exit(0);
-}
-
-struct SubmitArgs {
-    addr: Option<String>,
-    device: DeviceKind,
-    qubits: Option<u32>,
-    device_seed: u64,
-    seed: u64,
-    shots: usize,
-    noisy: bool,
-    mode: CompileMode,
-    paths: Vec<String>,
-}
-
-fn parse_submit_args(rest: &[String]) -> Result<SubmitArgs, String> {
-    let mut args = SubmitArgs {
-        addr: None,
-        device: DeviceKind::Almaden,
-        qubits: None,
-        device_seed: 7,
-        seed: 7,
-        shots: 4000,
-        noisy: true,
-        mode: CompileMode::Optimized,
-        paths: Vec::new(),
-    };
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |what: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => args.addr = Some(take("--addr")?),
-            "--device" => {
-                let v = take("--device")?;
-                args.device = DeviceKind::parse(&v)
-                    .ok_or_else(|| format!("unknown device `{v}` (armonk|almaden)"))?;
-            }
-            "--qubits" => {
-                args.qubits = Some(
-                    take("--qubits")?
-                        .parse()
-                        .map_err(|_| "--qubits needs an integer".to_string())?,
-                )
-            }
-            "--device-seed" => {
-                args.device_seed = take("--device-seed")?
-                    .parse()
-                    .map_err(|_| "--device-seed needs an integer".to_string())?
-            }
-            "--seed" => {
-                args.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
-            "--shots" => {
-                args.shots = take("--shots")?
-                    .parse()
-                    .map_err(|_| "--shots needs an integer".to_string())?
-            }
-            "--noiseless" => args.noisy = false,
-            "--standard" => args.mode = CompileMode::Standard,
-            other if !other.starts_with('-') => args.paths.push(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.paths.is_empty() {
-        return Err("opc submit needs at least one .qasm file".to_string());
-    }
-    Ok(args)
+    ExitCode::SUCCESS
 }
 
 fn print_output(path: &str, out: &quant_service::JobOutput) {
@@ -285,47 +199,61 @@ fn print_output(path: &str, out: &quant_service::JobOutput) {
         "{path}: ok — key {:016x}, {} pulses, {} dt, fidelity {:.4}",
         out.key, out.pulse_count, out.duration_dt, out.fidelity
     );
-    for (idx, &c) in out.counts.iter().enumerate() {
-        if c > 0 {
-            let bits: String = (0..out.num_qubits)
-                .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
-                .collect();
-            println!("  |{bits}⟩ (q0 first): {c}");
-        }
-    }
+    print_counts(&out.counts, out.num_qubits);
 }
 
 /// `opc submit`: jobs to a remote server, or through an in-process
 /// service when no `--addr` is given.
-fn cmd_submit(rest: &[String]) -> ! {
-    let args = match parse_submit_args(rest) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("opc submit: {msg}");
-            std::process::exit(2);
+fn cmd_submit(rest: &[String]) -> ExitCode {
+    let mut addr = None;
+    let mut device_kind = DeviceKind::Almaden;
+    let mut qubits: Option<u32> = None;
+    let mut device_seed = 7;
+    let mut seed = 7;
+    let mut shots = 4000;
+    let mut noisy = true;
+    let mut mode = CompileMode::Optimized;
+    let mut paths = Vec::new();
+    let mut flags = Flags::new("opc submit: ", rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = Some(flags.value("--addr")),
+            "--device" => {
+                let v = flags.value("--device");
+                device_kind = DeviceKind::parse(v).unwrap_or_else(|| {
+                    flags.usage(&format!("unknown device `{v}` (armonk|almaden)"))
+                });
+            }
+            "--qubits" => qubits = Some(flags.int("--qubits")),
+            "--device-seed" => device_seed = flags.int("--device-seed"),
+            "--seed" => seed = flags.int("--seed"),
+            "--shots" => shots = flags.int("--shots"),
+            "--noiseless" => noisy = false,
+            "--standard" => mode = CompileMode::Standard,
+            other if !other.starts_with('-') => paths.push(other),
+            other => flags.usage(&format!("unknown flag `{other}`")),
         }
-    };
+    }
+    if paths.is_empty() {
+        flags.usage("pass at least one program.qasm");
+    }
     let mut failed = false;
-    let jobs: Vec<(String, JobSpec)> = args
-        .paths
+    let jobs: Vec<(&str, JobSpec)> = paths
         .iter()
-        .filter_map(|path| match std::fs::read_to_string(path) {
+        .filter_map(|&path| match std::fs::read_to_string(path) {
             Ok(source) => {
                 // Width defaults to the parsed register size so small
                 // programs do not pay for a 10-qubit tune-up.
-                let qubits = args
-                    .qubits
-                    .or_else(|| qasm::parse(&source).ok().map(|c| c.num_qubits()));
-                let device = DeviceSpec::new(args.device, qubits.unwrap_or(1), args.device_seed);
+                let width = qubits.or_else(|| qasm::parse(&source).ok().map(|c| c.num_qubits()));
                 let spec = JobSpec {
-                    device,
+                    device: DeviceSpec::new(device_kind, width.unwrap_or(1), device_seed),
                     circuit: quant_service::CircuitSource::Qasm(source),
-                    mode: args.mode,
-                    shots: args.shots,
-                    seed: args.seed,
-                    noisy: args.noisy,
+                    mode,
+                    shots,
+                    seed,
+                    noisy,
                 };
-                Some((path.clone(), spec))
+                Some((path, spec))
             }
             Err(e) => {
                 eprintln!("opc submit: cannot read {path}: {e}");
@@ -335,22 +263,13 @@ fn cmd_submit(rest: &[String]) -> ! {
         })
         .collect();
 
-    match &args.addr {
+    match addr {
         Some(addr) => {
-            let stream = match TcpStream::connect(addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("opc submit: cannot connect to {addr}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let reader_stream = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("opc submit: clone failed: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let stream = TcpStream::connect(addr)
+                .unwrap_or_else(|e| fail(format!("opc submit: cannot connect to {addr}: {e}")));
+            let reader_stream = stream
+                .try_clone()
+                .unwrap_or_else(|e| fail(format!("opc submit: clone failed: {e}")));
             let mut reader = BufReader::new(reader_stream);
             let mut writer = BufWriter::new(stream);
             for (path, spec) in &jobs {
@@ -363,27 +282,19 @@ fn cmd_submit(rest: &[String]) -> ! {
                         eprintln!("{path}: {kind} error — {msg}");
                         failed = true;
                     }
-                    Err(e) => {
-                        eprintln!("{path}: transport error — {e}");
-                        std::process::exit(1);
-                    }
+                    Err(e) => fail(format!("{path}: transport error — {e}")),
                 }
             }
         }
         None => {
-            let service = match CompileService::new(ServiceConfig::default()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("opc submit: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let service = CompileService::new(ServiceConfig::default())
+                .unwrap_or_else(|e| fail(format!("opc submit: {e}")));
             let tickets: Vec<_> = jobs
                 .iter()
                 .map(|(path, spec)| (path, service.submit(spec.clone())))
                 .collect();
             for (path, ticket) in tickets {
-                match ticket.and_then(|t| t.wait().map(|out| (*out).clone())) {
+                match ticket.and_then(|t| t.wait()) {
                     Ok(out) => print_output(path, &out),
                     Err(e) => {
                         eprintln!("{path}: {e}");
@@ -393,110 +304,68 @@ fn cmd_submit(rest: &[String]) -> ! {
             }
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
-/// Prints measurement counts as little-endian bit strings.
-fn print_counts(counts: &[u64], width: u32) {
-    for (idx, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            let bits: String = (0..width)
-                .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
-                .collect();
-            println!("  |{bits}⟩ (q0 first): {c}");
-        }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
 /// `opc compile`: the one-command QASM → pulses → counts pipeline.
-fn die_compile(msg: &str) -> ! {
-    eprintln!("opc compile: {msg}");
-    std::process::exit(2);
-}
-
-fn cmd_compile(rest: &[String]) -> ! {
-    let die = die_compile;
+fn cmd_compile(rest: &[String]) -> ExitCode {
     let mut config = PipelineConfig::default();
-    let mut path: Option<String> = None;
+    let mut path = None;
     let mut device_seed = 7u64;
     let mut trajectories_requested = false;
     let mut verify = true;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |what: &str| -> String {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
-        match arg.as_str() {
+    let mut flags = Flags::new("opc compile: ", rest);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--mode" => {
-                config.mode = match take("--mode").as_str() {
+                config.mode = match flags.value("--mode") {
                     "standard" => CompileMode::Standard,
                     "optimized" => CompileMode::Optimized,
-                    other => die(&format!("unknown mode `{other}`")),
+                    other => flags.usage(&format!("unknown mode `{other}`")),
                 }
             }
-            "--shots" => {
-                config.shots = take("--shots")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shots needs an integer"))
-            }
+            "--shots" => config.shots = flags.int("--shots"),
             "--seed" => {
-                config.seed = take("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed needs an integer"));
+                config.seed = flags.int("--seed");
                 device_seed = config.seed;
             }
             "--trajectories" => {
-                config.trajectories = take("--trajectories")
-                    .parse()
-                    .unwrap_or_else(|_| die("--trajectories needs an integer"));
+                config.trajectories = flags.int("--trajectories");
                 trajectories_requested = true;
             }
             "--noiseless" => config.noisy = false,
             "--verify" => verify = true,
             "--no-verify" => verify = false,
-            "--help" | "-h" => die(
+            "--help" | "-h" => flags.usage(
                 "usage: opc compile [--mode standard|optimized] [--shots N] \
                  [--seed N] [--noiseless] [--trajectories N] [--no-verify] program.qasm",
             ),
-            other if !other.starts_with('-') => path = Some(other.to_string()),
-            other => die(&format!("unknown flag `{other}` (try --help)")),
+            other if !other.starts_with('-') => path = Some(other),
+            other => flags.usage(&format!("unknown flag `{other}` (try --help)")),
         }
     }
     let Some(path) = path else {
-        die("pass a program.qasm")
+        flags.usage("pass a program.qasm")
     };
-    let source = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("opc compile: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let circuit = match qasm::parse(&source) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("opc compile: parse error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let source = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("opc compile: cannot read {path}: {e}")));
+    let circuit =
+        qasm::parse(&source).unwrap_or_else(|e| fail(format!("opc compile: parse error: {e}")));
     let mut rng = seeded(device_seed);
     let device = DeviceModel::almaden_like(circuit.num_qubits() as usize, &mut rng);
     let calibration = calibrate(&device, &mut rng);
-    let run = match quant_corpus::run_circuit(
+    let run = quant_corpus::run_circuit(
         &device,
         &calibration,
         &circuit,
         &config,
         &ShotPool::from_env(),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("opc compile: {e}");
-            std::process::exit(1);
-        }
-    };
+    )
+    .unwrap_or_else(|e| fail(format!("opc compile: {e}")));
     println!(
         "compiled {} ({:?} flow): {} ops on {} qubits, {} swaps inserted, routed depth {}",
         path,
@@ -514,18 +383,17 @@ fn cmd_compile(rest: &[String]) -> ! {
     );
     if verify {
         let findings = quant_pulse::verify(&run.compiled.program.schedule, &device.verify_spec());
-        if findings.is_empty() {
-            println!(
-                "schedule verified clean ({} static rules)",
-                quant_pulse::VERIFY_RULES.len()
-            );
-        } else {
+        if !findings.is_empty() {
             eprintln!("opc compile: schedule failed verification:");
             for f in &findings {
                 eprintln!("  {f}");
             }
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
+        println!(
+            "schedule verified clean ({} static rules)",
+            quant_pulse::VERIFY_RULES.len()
+        );
     }
     println!("{}", run.compiled.program.schedule.ascii_art(72));
     if trajectories_requested && run.executor == quant_corpus::ExecutorKind::Density {
@@ -544,84 +412,51 @@ fn cmd_compile(rest: &[String]) -> ! {
         run.fidelity
     );
     print_counts(&run.counts, circuit.num_qubits());
-    std::process::exit(0);
-}
-
-fn parse_tier(name: &str, die: fn(&str) -> !) -> Tier {
-    Tier::parse(name).unwrap_or_else(|| die(&format!("unknown tier `{name}`")))
+    ExitCode::SUCCESS
 }
 
 /// `opc corpus`: the comparative benchmark platform.
-fn die_corpus(msg: &str) -> ! {
-    eprintln!("opc corpus: {msg}");
-    std::process::exit(2);
-}
-
-fn cmd_corpus(rest: &[String]) -> ! {
-    let die = die_corpus;
+fn cmd_corpus(rest: &[String]) -> ExitCode {
     let mut options = CorpusOptions::default();
-    let mut out_dir = String::from(".");
+    let mut out_dir = ".";
     let mut check = false;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |what: &str| -> String {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
-        match arg.as_str() {
-            "--tier" => options.tier = parse_tier(&take("--tier"), die),
-            "--shots" => {
-                options.shots = take("--shots")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shots needs an integer"))
-            }
-            "--seed" => {
-                options.seed = take("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed needs an integer"))
-            }
-            "--device-seed" => {
-                options.device_seed = take("--device-seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--device-seed needs an integer"))
-            }
-            "--out" => out_dir = take("--out"),
+    let mut flags = Flags::new("opc corpus: ", rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--tier" => options.tier = flags.tier("--tier"),
+            "--shots" => options.shots = flags.int("--shots"),
+            "--seed" => options.seed = flags.int("--seed"),
+            "--device-seed" => options.device_seed = flags.int("--device-seed"),
+            "--out" => out_dir = flags.value("--out"),
             "--check" => check = true,
-            "--help" | "-h" => die(
+            "--help" | "-h" => flags.usage(
                 "usage: opc corpus [--tier smoke|full] [--shots N] [--seed N] \
                  [--device-seed N] [--out DIR] [--check]",
             ),
-            other => die(&format!("unknown flag `{other}` (try --help)")),
+            other => flags.usage(&format!("unknown flag `{other}` (try --help)")),
         }
     }
     // Create the output directory up front, so a bad path fails before the
     // corpus run rather than after it.
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("opc corpus: create {out_dir}: {e}");
-        std::process::exit(1);
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        fail(format!("opc corpus: create {out_dir}: {e}"));
     }
     // Wall-clock columns come from an injected clock: the corpus library
     // itself is clock-free per the determinism lint.
     // opclint: allow(nondeterminism): the report's wall-clock columns only; golden summaries exclude them.
     let t0 = std::time::Instant::now();
     options.clock = Some(Arc::new(move || t0.elapsed().as_millis() as u64));
-    let report = match quant_corpus::run_corpus(&options, &ShotPool::from_env()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("opc corpus: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = quant_corpus::run_corpus(&options, &ShotPool::from_env())
+        .unwrap_or_else(|e| fail(format!("opc corpus: {e}")));
     let json_path = format!("{out_dir}/CORPUS_REPORT.json");
     let md_path = format!("{out_dir}/CORPUS_REPORT.md");
-    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
-        eprintln!("opc corpus: write {json_path}: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&md_path, report.to_markdown()) {
-        eprintln!("opc corpus: write {md_path}: {e}");
-        std::process::exit(1);
+    for (path, text) in [
+        (&json_path, report.to_json()),
+        (&md_path, report.to_markdown()),
+    ] {
+        if let Err(e) = std::fs::write(path, text) {
+            fail(format!("opc corpus: write {path}: {e}"));
+        }
     }
     print!("{}", report.to_markdown());
     println!("\nwrote {json_path} and {md_path}");
@@ -631,37 +466,24 @@ fn cmd_corpus(rest: &[String]) -> ! {
             "opc corpus: CHECK FAILED — pulse-level compilation beats gate-level \
              on duration for only {wins}/5 families (need ≥ 3)"
         );
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
-    std::process::exit(0);
+    ExitCode::SUCCESS
 }
 
 /// `opc verify`: static schedule verification over the corpus.
-fn die_verify(msg: &str) -> ! {
-    eprintln!("opc verify: {msg}");
-    std::process::exit(2);
-}
-
-fn cmd_verify(rest: &[String]) -> ! {
-    let die = die_verify;
+fn cmd_verify(rest: &[String]) -> ExitCode {
     let mut tier = Tier::Full;
     let mut device_seed = 7u64;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |what: &str| -> String {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
-        match arg.as_str() {
-            "--tier" => tier = parse_tier(&take("--tier"), die),
-            "--device-seed" => {
-                device_seed = take("--device-seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--device-seed needs an integer"))
+    let mut flags = Flags::new("opc verify: ", rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--tier" => tier = flags.tier("--tier"),
+            "--device-seed" => device_seed = flags.int("--device-seed"),
+            "--help" | "-h" => {
+                flags.usage("usage: opc verify [--tier smoke|full] [--device-seed N]")
             }
-            "--help" | "-h" => die("usage: opc verify [--tier smoke|full] [--device-seed N]"),
-            other => die(&format!("unknown flag `{other}` (try --help)")),
+            other => flags.usage(&format!("unknown flag `{other}` (try --help)")),
         }
     }
     let entries = quant_corpus::generate(tier);
@@ -677,14 +499,13 @@ fn cmd_verify(rest: &[String]) -> ! {
         });
         let spec = device.verify_spec();
         for mode in [CompileMode::Standard, CompileMode::Optimized] {
-            let cc = match quant_corpus::compile_circuit(device, calibration, &entry.circuit, mode)
-            {
-                Ok(cc) => cc,
-                Err(e) => {
-                    eprintln!("opc verify: {} ({mode:?}): compile failed: {e}", entry.name);
-                    std::process::exit(1);
-                }
-            };
+            let cc =
+                compile_circuit(device, calibration, &entry.circuit, mode).unwrap_or_else(|e| {
+                    fail(format!(
+                        "opc verify: {} ({mode:?}): compile failed: {e}",
+                        entry.name
+                    ))
+                });
             schedules += 1;
             let findings = quant_pulse::verify(&cc.compiled.program.schedule, &spec);
             if !findings.is_empty() {
@@ -706,7 +527,7 @@ fn cmd_verify(rest: &[String]) -> ! {
             "opc verify: {total_findings} finding(s) across {schedules} schedule(s) \
              ({tier_name} tier)"
         );
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     println!(
         "opc verify: {schedules} schedule(s) across {} {tier_name}-tier circuit(s) \
@@ -714,71 +535,58 @@ fn cmd_verify(rest: &[String]) -> ! {
         entries.len(),
         quant_pulse::VERIFY_RULES.len()
     );
-    std::process::exit(0);
+    ExitCode::SUCCESS
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&argv[1..]),
-        Some("submit") => cmd_submit(&argv[1..]),
-        Some("compile") => cmd_compile(&argv[1..]),
-        Some("corpus") => cmd_corpus(&argv[1..]),
-        Some("verify") => cmd_verify(&argv[1..]),
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
+/// Bare `opc`: every stage of both flows, optionally executed.
+fn cmd_stages(argv: &[String]) -> ExitCode {
+    let mut path = None;
+    let mut run = false;
+    let mut shots = 4000;
+    let mut seed = 7;
+    let mut modes = vec![CompileMode::Standard, CompileMode::Optimized];
+    let mut flags = Flags::new("", argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--run" => run = true,
+            "--shots" => shots = flags.int("--shots"),
+            "--seed" => seed = flags.int("--seed"),
+            "--standard-only" => modes = vec![CompileMode::Standard],
+            "--optimized-only" => modes = vec![CompileMode::Optimized],
+            "--help" | "-h" => flags.usage(
+                "usage: opc [--run] [--shots N] [--seed N] \
+                 [--standard-only|--optimized-only] [program.qasm]",
+            ),
+            other if !other.starts_with('-') => path = Some(other),
+            other => flags.usage(&format!("unknown flag `{other}` (try --help)")),
         }
-    };
-
-    let source = match &args.path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("opc: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        },
+    }
+    let source = match path {
+        Some(path) => std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("opc: cannot read {path}: {e}"))),
         None => {
             let mut buf = String::new();
             if std::io::stdin().read_to_string(&mut buf).is_err() || buf.trim().is_empty() {
-                eprintln!("opc: no input (pass a .qasm file or pipe a program on stdin)");
-                std::process::exit(1);
+                fail("opc: no input (pass a .qasm file or pipe a program on stdin)");
             }
             buf
         }
     };
-
-    let circuit = match qasm::parse(&source) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("opc: parse error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let circuit = qasm::parse(&source).unwrap_or_else(|e| fail(format!("opc: parse error: {e}")));
     println!(
         "parsed {} operations on {} qubits",
         circuit.len(),
         circuit.num_qubits()
     );
 
-    let mut rng = seeded(args.seed);
+    let mut rng = seeded(seed);
     let device = DeviceModel::almaden_like(circuit.num_qubits() as usize, &mut rng);
     let calibration = calibrate(&device, &mut rng);
 
     let pool = ShotPool::from_env();
-    for &mode in &args.modes {
-        let cc = match compile_circuit(&device, &calibration, &circuit, mode) {
-            Ok(cc) => cc,
-            Err(e) => {
-                eprintln!("opc: {mode:?} compile error: {e}");
-                std::process::exit(1);
-            }
-        };
+    for mode in modes {
+        let cc = compile_circuit(&device, &calibration, &circuit, mode)
+            .unwrap_or_else(|e| fail(format!("opc: {mode:?} compile error: {e}")));
         let compiled = &cc.compiled;
         println!("\n================ {mode:?} ================");
         if cc.routed.swaps_inserted > 0 {
@@ -799,29 +607,31 @@ fn main() {
             compiled.duration() as f64 * DT * 1e6
         );
         println!("{}", compiled.program.schedule.ascii_art(72));
-        if args.run {
+        if run {
             let config = PipelineConfig {
                 mode,
-                shots: args.shots,
-                seed: args.seed,
+                shots,
+                seed,
                 ..PipelineConfig::default()
             };
-            let counts = match execute_compiled(&device, &cc, &config, &pool) {
-                Ok((_, counts)) => counts,
-                Err(e) => {
-                    eprintln!("opc: {mode:?} execution error: {e}");
-                    std::process::exit(1);
-                }
-            };
-            println!("-- execution ({} shots, noisy) --", args.shots);
-            for (idx, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    let bits: String = (0..circuit.num_qubits())
-                        .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
-                        .collect();
-                    println!("  |{bits}⟩ (q0 first): {c}");
-                }
-            }
+            let (_, counts) = execute_compiled(&device, &cc, &config, &pool)
+                .unwrap_or_else(|e| fail(format!("opc: {mode:?} execution error: {e}")));
+            println!("-- execution ({shots} shots, noisy) --");
+            print_counts(&counts, circuit.num_qubits());
         }
+    }
+    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        Some("serve") => cmd_serve(rest),
+        Some("submit") => cmd_submit(rest),
+        Some("compile") => cmd_compile(rest),
+        Some("corpus") => cmd_corpus(rest),
+        Some("verify") => cmd_verify(rest),
+        _ => cmd_stages(&argv),
     }
 }

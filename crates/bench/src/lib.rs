@@ -20,8 +20,6 @@ use quant_device::{calibrate, Calibration, DeviceModel, ShotPool};
 use quant_math::seeded;
 use rand::Rng;
 
-pub mod json;
-
 /// A calibrated simulated backend.
 pub struct Setup {
     /// The device model.
@@ -193,35 +191,26 @@ pub struct ExperimentRecord {
     pub comparison: Comparison,
 }
 
-/// Writes experiment records as pretty JSON next to the text outputs.
+/// Writes experiment records as pretty JSON next to the text outputs
+/// (hand-rolled, as `quant_corpus`'s report is; no serde in-tree).
 pub fn write_json(path: &str, records: &[ExperimentRecord]) -> std::io::Result<()> {
-    let items: Vec<json::Json> = records
+    let items: Vec<String> = records
         .iter()
         .map(|r| {
-            json::object([
-                ("name", json::string(&r.name)),
-                (
-                    "comparison",
-                    json::object([
-                        ("error_standard", json::number(r.comparison.error_standard)),
-                        (
-                            "error_optimized",
-                            json::number(r.comparison.error_optimized),
-                        ),
-                        (
-                            "duration_standard",
-                            json::number(r.comparison.duration_standard as f64),
-                        ),
-                        (
-                            "duration_optimized",
-                            json::number(r.comparison.duration_optimized as f64),
-                        ),
-                    ]),
-                ),
-            ])
+            let c = &r.comparison;
+            format!(
+                "  {{\n    \"name\": \"{}\",\n    \"comparison\": {{\n      \
+                 \"error_standard\": {},\n      \"error_optimized\": {},\n      \
+                 \"duration_standard\": {},\n      \"duration_optimized\": {}\n    }}\n  }}",
+                r.name,
+                c.error_standard,
+                c.error_optimized,
+                c.duration_standard,
+                c.duration_optimized
+            )
         })
         .collect();
-    std::fs::write(path, json::array(items).pretty())
+    std::fs::write(path, format!("[\n{}\n]\n", items.join(",\n")))
 }
 
 /// Renders a simple ASCII series plot (one row per sample).

@@ -1,7 +1,7 @@
 //! Characterization and error-analysis tooling for the reproduction.
 //!
 //! * [`metrics`] — Hellinger distance/fidelity (the paper's top-level
-//!   error metric) and total variation.
+//!   error metric).
 //! * [`tomography`] — single-qubit state tomography (X/Y/Z axes), Bloch
 //!   vectors, and the meridian-deviation quantity of Figs. 6–7.
 //! * [`mitigation`] — measurement-error mitigation by confusion-matrix
@@ -24,17 +24,11 @@
 pub mod lda;
 pub mod metrics;
 pub mod mitigation;
-pub mod process;
 pub mod rb;
 pub mod tomography;
 
 pub use lda::Lda;
-pub use metrics::{
-    counts_to_distribution, hellinger_distance, hellinger_fidelity, total_variation,
-};
+pub use metrics::{counts_to_distribution, hellinger_distance, hellinger_fidelity};
 pub use mitigation::Mitigator;
-pub use process::{
-    entanglement_fidelity_from_average, kraus_process_fidelity, monte_carlo_process_fidelity,
-};
 pub use rb::{interleaved_gate_fidelity, interleaved_rb_sequence, rb_sequence, RbData};
 pub use tomography::{bloch_from_p0, Axis, BlochVector};

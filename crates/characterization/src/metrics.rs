@@ -23,12 +23,6 @@ pub fn hellinger_fidelity(p: &[f64], q: &[f64]) -> f64 {
     (1.0 - h2).powi(2)
 }
 
-/// Total variation distance `½·Σ|pᵢ − qᵢ|`.
-pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len());
-    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
-}
-
 /// Normalizes counts into a probability distribution.
 pub fn counts_to_distribution(counts: &[u64]) -> Vec<f64> {
     let total: u64 = counts.iter().sum();
@@ -45,7 +39,6 @@ mod tests {
         let p = [0.25, 0.75];
         assert!(hellinger_distance(&p, &p) < 1e-12);
         assert!((hellinger_fidelity(&p, &p) - 1.0).abs() < 1e-12);
-        assert!(total_variation(&p, &p) < 1e-12);
     }
 
     #[test]
@@ -54,7 +47,6 @@ mod tests {
         let q = [0.0, 1.0];
         assert!((hellinger_distance(&p, &q) - 1.0).abs() < 1e-12);
         assert!(hellinger_fidelity(&p, &q) < 1e-12);
-        assert!((total_variation(&p, &q) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -46,26 +46,6 @@ impl Mitigator {
         self.per_qubit.len()
     }
 
-    /// Applies the *forward* confusion model to an ideal distribution
-    /// (useful in tests).
-    pub fn apply_forward(&self, probs: &[f64]) -> Vec<f64> {
-        let n = self.num_qubits();
-        assert_eq!(probs.len(), 1 << n);
-        let mut cur = probs.to_vec();
-        for (q, m) in self.per_qubit.iter().enumerate() {
-            let mut next = vec![0.0; cur.len()];
-            for (i, &p) in cur.iter().enumerate() {
-                let bit = (i >> q) & 1;
-                for (meas, row) in m.iter().enumerate() {
-                    let j = (i & !(1 << q)) | (meas << q);
-                    next[j] += p * row[bit];
-                }
-            }
-            cur = next;
-        }
-        cur
-    }
-
     /// Mitigates a measured distribution: applies each per-qubit inverse
     /// and projects back onto the probability simplex (clip + renormalize).
     pub fn mitigate(&self, measured: &[f64]) -> Vec<f64> {
@@ -101,6 +81,26 @@ impl Mitigator {
 mod tests {
     use super::*;
 
+    /// Applies the *forward* confusion model of `m` to an ideal
+    /// distribution.
+    fn apply_forward(m: &Mitigator, probs: &[f64]) -> Vec<f64> {
+        let n = m.num_qubits();
+        assert_eq!(probs.len(), 1 << n);
+        let mut cur = probs.to_vec();
+        for (q, conf) in m.per_qubit.iter().enumerate() {
+            let mut next = vec![0.0; cur.len()];
+            for (i, &p) in cur.iter().enumerate() {
+                let bit = (i >> q) & 1;
+                for (meas, row) in conf.iter().enumerate() {
+                    let j = (i & !(1 << q)) | (meas << q);
+                    next[j] += p * row[bit];
+                }
+            }
+            cur = next;
+        }
+        cur
+    }
+
     fn mitigator2() -> Mitigator {
         Mitigator::from_calibration(&[0.02, 0.03], &[0.06, 0.05])
     }
@@ -109,7 +109,7 @@ mod tests {
     fn forward_then_mitigate_recovers_ideal() {
         let m = mitigator2();
         let ideal = [0.5, 0.0, 0.0, 0.5];
-        let noisy = m.apply_forward(&ideal);
+        let noisy = apply_forward(&m, &ideal);
         assert!(noisy[0] < 0.5, "forward model must mix");
         let recovered = m.mitigate(&noisy);
         for (a, b) in ideal.iter().zip(&recovered) {
@@ -132,7 +132,7 @@ mod tests {
     fn mitigation_reduces_hellinger_error() {
         let m = mitigator2();
         let ideal = [0.125, 0.375, 0.375, 0.125];
-        let noisy = m.apply_forward(&ideal);
+        let noisy = apply_forward(&m, &ideal);
         let h_before = crate::metrics::hellinger_distance(&ideal, &noisy);
         let h_after = crate::metrics::hellinger_distance(&ideal, &m.mitigate(&noisy));
         assert!(h_after < h_before * 0.05, "{h_before} → {h_after}");

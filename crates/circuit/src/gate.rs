@@ -245,14 +245,6 @@ impl Gate {
                 | Gate::FSim(..)
         )
     }
-
-    /// Whether the gate belongs to the paper's augmented basis set.
-    pub fn is_augmented(&self) -> bool {
-        matches!(
-            self,
-            Gate::DirectX | Gate::DirectRx(_) | Gate::Cr(_) | Gate::SqrtISwap
-        )
-    }
 }
 
 impl fmt::Display for Gate {
@@ -353,14 +345,6 @@ mod tests {
         assert!(Gate::Cz.is_diagonal());
         assert!(!Gate::Rx(0.5).is_diagonal());
         assert!(!Gate::Cnot.is_diagonal());
-    }
-
-    #[test]
-    fn augmented_classification() {
-        assert!(Gate::DirectX.is_augmented());
-        assert!(Gate::Cr(0.2).is_augmented());
-        assert!(!Gate::Cnot.is_augmented());
-        assert!(!Gate::X.is_augmented());
     }
 
     #[test]

@@ -40,29 +40,6 @@ impl CouplingMap {
         CouplingMap::new(n, &edges)
     }
 
-    /// An Almaden-like 20-qubit lattice: four rows of five with vertical
-    /// couplers on alternating columns (the heavy-square family IBM's
-    /// 20-qubit Penguin devices used; the exact published map differs in a
-    /// couple of couplers but has the same connectivity character).
-    pub fn almaden_twenty() -> Self {
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for row in 0..4u32 {
-            for col in 0..4u32 {
-                edges.push((row * 5 + col, row * 5 + col + 1));
-            }
-        }
-        // Vertical couplers: columns 0, 2, 4 between rows 0–1 and 2–3;
-        // columns 1, 3 between rows 1–2.
-        for &col in &[0u32, 2, 4] {
-            edges.push((col, col + 5));
-            edges.push((10 + col, 15 + col));
-        }
-        for &col in &[1u32, 3] {
-            edges.push((5 + col, 10 + col));
-        }
-        CouplingMap::new(20, &edges)
-    }
-
     /// Number of physical qubits.
     pub fn num_qubits(&self) -> u32 {
         self.n
@@ -228,6 +205,29 @@ fn swap_layout(layout: &mut [u32], pa: u32, pb: u32) {
 mod tests {
     use super::*;
 
+    /// An Almaden-like 20-qubit lattice: four rows of five with vertical
+    /// couplers on alternating columns (the heavy-square family IBM's
+    /// 20-qubit Penguin devices used; the exact published map differs in a
+    /// couple of couplers but has the same connectivity character).
+    fn almaden_twenty() -> CouplingMap {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for row in 0..4u32 {
+            for col in 0..4u32 {
+                edges.push((row * 5 + col, row * 5 + col + 1));
+            }
+        }
+        // Vertical couplers: columns 0, 2, 4 between rows 0–1 and 2–3;
+        // columns 1, 3 between rows 1–2.
+        for &col in &[0u32, 2, 4] {
+            edges.push((col, col + 5));
+            edges.push((10 + col, 15 + col));
+        }
+        for &col in &[1u32, 3] {
+            edges.push((5 + col, 10 + col));
+        }
+        CouplingMap::new(20, &edges)
+    }
+
     /// Remaps a logical output distribution through the final layout so it
     /// can be compared with the routed circuit's physical distribution.
     fn remap_distribution(logical: &[f64], layout: &[u32], physical_qubits: u32) -> Vec<f64> {
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn random_style_circuit_on_almaden20() {
-        let map = CouplingMap::almaden_twenty();
+        let map = almaden_twenty();
         assert_eq!(map.num_qubits(), 20);
         // A 8-qubit circuit with long-range interactions (fits the lattice
         // top rows; full 20-qubit state vectors are fine but slower).
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn almaden_lattice_is_connected() {
-        let map = CouplingMap::almaden_twenty();
+        let map = almaden_twenty();
         for q in 1..20u32 {
             assert!(map.path(0, q).is_some(), "qubit {q} unreachable");
         }

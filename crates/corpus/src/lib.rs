@@ -7,7 +7,7 @@
 //!    adders, random Cliffords, QAOA and VQE lines) at growing widths;
 //!    [`generators::generate`] yields the fixed corpus for a
 //!    [`generators::Tier`].
-//! 2. [`pipeline`] — QASM (or a built circuit) → linear-chain routing →
+//! 2. [`pipeline`] — a parsed or built circuit → linear-chain routing →
 //!    gate-level or pulse-level compilation (`pulse-compiler`) → density
 //!    or trajectory execution (`quant-device`) → counts + Hellinger
 //!    fidelity. The one path from a circuit to counts outside the
@@ -33,8 +33,8 @@ pub mod report;
 
 pub use generators::{generate, CorpusEntry, Family, Tier};
 pub use pipeline::{
-    compile_circuit, execute_compiled, run_circuit, run_qasm, CompiledCircuit, ExecutorKind,
-    PipelineConfig, PipelineError, PipelineRun,
+    compile_circuit, execute_compiled, run_circuit, CompiledCircuit, ExecutorKind, PipelineConfig,
+    PipelineError, PipelineRun,
 };
 pub use report::{
     run_corpus, CircuitReport, Clock, CorpusError, CorpusOptions, CorpusReport, FamilySummary,

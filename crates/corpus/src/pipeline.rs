@@ -1,12 +1,12 @@
-//! The one path from a circuit to counts: QASM (or a built circuit) →
+//! The one path from a circuit to counts: a parsed or built circuit →
 //! routing → gate/pulse compilation → simulated execution → counts and
 //! fidelity.
 //!
 //! Every caller outside the compile service runs on this spine: `opc
 //! compile` and bare `opc`, the corpus platform in [`crate::report`], the
 //! experiment harness (`repro-bench`'s `compare_flows` and the figure
-//! binaries) and the examples. One function owns the parse → route →
-//! compile → execute → score sequence, so those callers cannot drift.
+//! binaries) and the examples. One function owns the route → compile →
+//! execute → score sequence, so those callers cannot drift.
 //!
 //! Everything is deterministic from `(device, calibration, circuit,
 //! config)`: jitter, sampling, and trajectory roots are lanes 0, 1 and 2
@@ -25,7 +25,7 @@
 
 use pulse_compiler::{route, CompileMode, Compiled, Compiler, CouplingMap, LowerError, RouteError};
 use quant_char::{counts_to_distribution, hellinger_fidelity};
-use quant_circuit::{qasm, Circuit};
+use quant_circuit::Circuit;
 use quant_device::{
     Calibration, DeviceModel, ExecError, PulseExecutor, ShotPool, TrajectoryExecutor,
 };
@@ -34,8 +34,6 @@ use quant_math::{seeded, stream_seed};
 /// Any failure along the pipeline, tagged by stage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PipelineError {
-    /// The QASM frontend rejected the program.
-    Parse(qasm::QasmError),
     /// Routing failed (circuit wider than the device, or disconnected).
     Route(RouteError),
     /// Lowering to pulses failed.
@@ -51,7 +49,6 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PipelineError::Parse(e) => write!(f, "parse: {e}"),
             PipelineError::Route(e) => write!(f, "route: {e}"),
             PipelineError::Lower(e) => write!(f, "lower: {e}"),
             PipelineError::Exec(e) => write!(f, "execute: {e}"),
@@ -62,12 +59,6 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<qasm::QasmError> for PipelineError {
-    fn from(e: qasm::QasmError) -> Self {
-        PipelineError::Parse(e)
-    }
-}
 
 impl From<RouteError> for PipelineError {
     fn from(e: RouteError) -> Self {
@@ -270,19 +261,6 @@ pub fn run_circuit(
     })
 }
 
-/// [`run_circuit`] with an OpenQASM source frontend — the `opc compile`
-/// entry point.
-pub fn run_qasm(
-    device: &DeviceModel,
-    calibration: &Calibration,
-    source: &str,
-    config: &PipelineConfig,
-    pool: &ShotPool,
-) -> Result<PipelineRun, PipelineError> {
-    let circuit = qasm::parse(source)?;
-    run_circuit(device, calibration, &circuit, config, pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,9 +277,10 @@ mod tests {
     fn bell_pipeline_end_to_end() {
         let (device, calibration) = setup(2);
         let src = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n";
+        let circuit = quant_circuit::qasm::parse(src).expect("bell parses");
         let cfg = PipelineConfig::default();
-        let run =
-            run_qasm(&device, &calibration, src, &cfg, &ShotPool::serial()).expect("bell pipeline");
+        let run = run_circuit(&device, &calibration, &circuit, &cfg, &ShotPool::serial())
+            .expect("bell pipeline");
         assert_eq!(run.executor, ExecutorKind::Density);
         assert_eq!(run.counts.iter().sum::<u64>(), cfg.shots as u64);
         assert!(run.duration_dt > 0 && run.pulse_count > 0);
@@ -328,23 +307,6 @@ mod tests {
             o.duration_dt,
             s.duration_dt
         );
-    }
-
-    #[test]
-    fn parse_errors_surface_with_position() {
-        let (device, calibration) = setup(2);
-        let err = run_qasm(
-            &device,
-            &calibration,
-            "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n",
-            &PipelineConfig::default(),
-            &ShotPool::serial(),
-        )
-        .expect_err("unknown gate must fail");
-        match err {
-            PipelineError::Parse(e) => assert_eq!(e.line, 3),
-            other => panic!("expected parse error, got {other}"),
-        }
     }
 
     #[test]

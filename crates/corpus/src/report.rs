@@ -16,7 +16,7 @@ use crate::pipeline::{
 };
 use pulse_compiler::CompileMode;
 use quant_char::{counts_to_distribution, hellinger_fidelity};
-use quant_device::{Calibration, CalibrationOptions, DeviceModel, ShotPool};
+use quant_device::{CalStore, Calibration, CalibrationOptions, DeviceModel, ProbeCache, ShotPool};
 use quant_math::{fnv1a, seeded, stream_seed, FNV_OFFSET};
 use rand::Rng;
 use std::fmt;
@@ -402,15 +402,23 @@ impl Backends {
         }
     }
 
-    /// Index of the setup for `width`, building it on first use.
-    fn index_of(&mut self, width: u32) -> usize {
+    /// Index of the setup for `width`, building it on first use; the
+    /// tune-up fans out over `pool`.
+    fn index_of(&mut self, width: u32, pool: &ShotPool) -> usize {
         if let Some(i) = self.setups.iter().position(|(w, _, _)| *w == width) {
             return i;
         }
         let mut rng = seeded(stream_seed(self.device_seed, width as u64));
         let device = DeviceModel::almaden_like(width as usize, &mut rng);
         let root = rng.gen::<u64>();
-        let calibration = Calibration::run_seeded(&device, &CalibrationOptions::default(), root);
+        let calibration = Calibration::run_seeded_with(
+            &device,
+            &CalibrationOptions::default(),
+            root,
+            &CalStore::from_env(),
+            pool,
+            &ProbeCache::new(),
+        );
         self.setups.push((width, device, calibration));
         self.setups.len() - 1
     }
@@ -468,7 +476,7 @@ pub fn run_corpus(options: &CorpusOptions, pool: &ShotPool) -> Result<CorpusRepo
             seed: stream_seed(options.seed, i as u64),
             ..PipelineConfig::default()
         };
-        let idx = backends.index_of(entry.width);
+        let idx = backends.index_of(entry.width, pool);
         let (_, device, calibration) = &backends.setups[idx];
         let standard = run_flow(
             entry,

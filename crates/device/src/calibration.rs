@@ -240,36 +240,10 @@ impl Default for CalibrationOptions {
 }
 
 impl Calibration {
-    /// Runs the full calibration suite against the device's
-    /// calibration-time parameters.
-    ///
-    /// Draws exactly one root seed from `rng` (on cache hit *and* miss, so
-    /// the caller's stream continues identically either way) and delegates
-    /// to [`Calibration::run_seeded`]: every tune-up task derives its own
-    /// RNG stream from the root, so the result is bit-identical at any
-    /// `OPC_THREADS` value.
-    pub fn run(device: &DeviceModel, opts: &CalibrationOptions, rng: &mut impl Rng) -> Self {
-        let root = rng.gen::<u64>();
-        Self::run_seeded(device, opts, root)
-    }
-
-    /// Runs the calibration from an explicit root seed, with the snapshot
-    /// store and thread pool taken from the environment (`OPC_CAL_CACHE`,
-    /// `OPC_THREADS`) and a fresh, enabled probe cache.
-    pub fn run_seeded(device: &DeviceModel, opts: &CalibrationOptions, root: u64) -> Self {
-        Self::run_seeded_with(
-            device,
-            opts,
-            root,
-            &CalStore::from_env(),
-            &ShotPool::from_env(),
-            &ProbeCache::new(),
-        )
-    }
-
-    /// Fully explicit calibration entry point: every fast-path collaborator
-    /// is a parameter, so tests and benches can pin the store, the thread
-    /// count and the probe cache without touching process-global state.
+    /// The explicit calibration entry point ([`calibrate`] is the
+    /// defaults-and-environment convenience): every fast-path collaborator
+    /// is a parameter, so callers can pin the store, the thread count and
+    /// the probe cache without touching process-global state.
     ///
     /// The tune-up itself is a two-phase fan-out over `pool`: qubits first
     /// (task `q` runs on `seeded(stream_seed(root, q))`, its sweeps batched
@@ -886,9 +860,24 @@ fn echo_schedule(
     s
 }
 
-/// One-call convenience: calibrate with default options.
+/// One-call convenience: calibrate with default options, the snapshot
+/// store and thread pool taken from the environment (`OPC_CAL_CACHE`,
+/// `OPC_THREADS`) and a fresh, enabled probe cache.
+///
+/// Draws exactly one root seed from `rng` (on cache hit *and* miss, so
+/// the caller's stream continues identically either way) and hands it to
+/// [`Calibration::run_seeded_with`]: every tune-up task derives its own
+/// RNG stream from the root, so the result is bit-identical at any
+/// `OPC_THREADS` value.
 pub fn calibrate(device: &DeviceModel, rng: &mut impl Rng) -> Calibration {
-    Calibration::run(device, &CalibrationOptions::default(), rng)
+    Calibration::run_seeded_with(
+        device,
+        &CalibrationOptions::default(),
+        rng.gen(),
+        &CalStore::from_env(),
+        &ShotPool::from_env(),
+        &ProbeCache::new(),
+    )
 }
 
 #[cfg(test)]

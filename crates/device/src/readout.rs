@@ -48,22 +48,22 @@ pub fn sample_iq(r: &ReadoutParams, level: usize, rng: &mut impl Rng) -> (f64, f
     (normal(rng, c.0, r.iq_sigma), normal(rng, c.1, r.iq_sigma))
 }
 
-/// Nearest-centroid classification (equal isotropic covariance ⇒ identical
-/// to the pooled-covariance LDA decision rule).
-pub fn classify_nearest(p: (f64, f64), centroids: &[(f64, f64)]) -> usize {
-    let mut best = (0, f64::INFINITY);
-    for (k, &c) in centroids.iter().enumerate() {
-        let d = (p.0 - c.0).powi(2) + (p.1 - c.1).powi(2);
-        if d < best.1 {
-            best = (k, d);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nearest-centroid classification (equal isotropic covariance ⇒ identical
+    /// to the pooled-covariance LDA decision rule).
+    fn classify_nearest(p: (f64, f64), centroids: &[(f64, f64)]) -> usize {
+        let mut best = (0, f64::INFINITY);
+        for (k, &c) in centroids.iter().enumerate() {
+            let d = (p.0 - c.0).powi(2) + (p.1 - c.1).powi(2);
+            if d < best.1 {
+                best = (k, d);
+            }
+        }
+        best.0
+    }
 
     fn readout() -> ReadoutParams {
         ReadoutParams::almaden_like()

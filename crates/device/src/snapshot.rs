@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version of the calibration algorithm baked into every snapshot key.
 ///
-/// Bump this whenever a change alters what [`Calibration::run_seeded`]
+/// Bump this whenever a change alters what [`Calibration::run_seeded_with`]
 /// computes for a fixed device and root seed — different RNG draw order,
 /// different sweep grids, different search logic. Version 2 was the
 /// per-task-stream parallel tune-up (one RNG stream per qubit derived from

@@ -114,7 +114,7 @@ fn snapshot_round_trip_and_invalidation() {
 
 #[test]
 fn run_draws_one_root_from_caller_rng_on_hit_and_miss() {
-    // `Calibration::run` must leave the caller's RNG in the same state
+    // `calibrate` must leave the caller's RNG in the same state
     // whether the snapshot store hit or missed, so downstream draws (e.g.
     // drift redraws, shot sampling) are unaffected by cache warmth.
     let dir = std::env::temp_dir().join(format!("opc-cal-root-{}", std::process::id()));

@@ -59,7 +59,7 @@ pub fn lint_workspace(root: &Path) -> Result<WorkspaceReport, String> {
     for s in &sources {
         let text = fs::read_to_string(&s.path)
             .map_err(|e| format!("cannot read {}: {e}", s.path.display()))?;
-        let file_report = lint_file(&s.rel, &text, &s.ctx);
+        let file_report = lint_file(&s.rel, &text);
         report.findings.extend(file_report.findings);
         *report
             .panic_counts

@@ -15,7 +15,7 @@
 //! so CI annotations and editor integrations don't have to scrape the
 //! human format. Exit semantics are unchanged.
 
-use opclint::{baseline, lint_file, lint_workspace, FileCtx, Finding};
+use opclint::{baseline, lint_file, lint_workspace, Finding};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -94,11 +94,7 @@ fn run() -> Result<ExitCode, String> {
         for f in &args.files {
             let text =
                 fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
-            let ctx = FileCtx {
-                crate_name: "adhoc".to_string(),
-                is_test: false,
-            };
-            findings.extend(lint_file(&f.to_string_lossy(), &text, &ctx).findings);
+            findings.extend(lint_file(&f.to_string_lossy(), &text).findings);
         }
         if args.json {
             println!("{}", render_json(&findings, &[], args.files.len(), None));

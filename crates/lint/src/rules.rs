@@ -97,14 +97,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Where a file sits in the workspace — decides which rules apply.
+/// Which crate a file belongs to; every rule applies to every library file.
 #[derive(Clone, Debug, Default)]
 pub struct FileCtx {
     /// Owning crate (baseline key for `panic-budget`).
     pub crate_name: String,
-    /// True when the entire file is test scope (under a `tests/` dir):
-    /// only `panic-budget` counting is skipped *and* no rules run.
-    pub is_test: bool,
 }
 
 /// Per-file lint result.
@@ -126,12 +123,9 @@ struct Allow {
 }
 
 /// Lints one file's source text.
-pub fn lint_file(path: &str, src: &str, ctx: &FileCtx) -> FileReport {
+pub fn lint_file(path: &str, src: &str) -> FileReport {
     let lexed = lex(src);
     let mut report = FileReport::default();
-    if ctx.is_test {
-        return report;
-    }
     let test_lines = test_line_ranges(&lexed.tokens);
     let in_test = |line: u32| test_lines.iter().any(|&(a, b)| line >= a && line <= b);
     let allows = parse_allows(path, &lexed.tokens, &lexed.comments, &mut report.findings);

@@ -19,7 +19,7 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Workspace-relative path used in findings.
     pub rel: String,
-    /// Rule context.
+    /// Owning crate (the `panic-budget` key).
     pub ctx: FileCtx,
 }
 
@@ -84,18 +84,12 @@ pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     for member in members {
         let name = package_name(&member.join("Cargo.toml"))
             .ok_or_else(|| format!("no package name in {}", member.join("Cargo.toml").display()))?;
-        let ctx = FileCtx {
-            crate_name: name,
-            is_test: false,
-        };
+        let ctx = FileCtx { crate_name: name };
         push_rs_files(root, &member.join("src"), &ctx, &mut files)?;
     }
     // The root package's own src/.
     if let Some(name) = package_name(&root.join("Cargo.toml")) {
-        let ctx = FileCtx {
-            crate_name: name,
-            is_test: false,
-        };
+        let ctx = FileCtx { crate_name: name };
         push_rs_files(root, &root.join("src"), &ctx, &mut files)?;
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));

@@ -3,7 +3,7 @@
 //! waived code passes, literals never fire, and the baseline ratchet
 //! rejects growth.
 
-use opclint::rules::{lint_file, FileCtx, FileReport};
+use opclint::rules::{lint_file, FileReport};
 use opclint::{baseline, Finding};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -13,14 +13,7 @@ fn lint_fixture(name: &str) -> FileReport {
         .join("tests/fixtures")
         .join(name);
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name}: {e}"));
-    lint_file(name, &src, &lib_ctx())
-}
-
-fn lib_ctx() -> FileCtx {
-    FileCtx {
-        crate_name: "fixture".to_string(),
-        is_test: false,
-    }
+    lint_file(name, &src)
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&str> {
@@ -69,12 +62,8 @@ fn nondeterminism_fixture_flags_every_source() {
 #[test]
 fn nondeterminism_applies_to_the_bench_crate() {
     let src = "pub fn t() -> std::time::Instant { std::time::Instant::now() }";
-    let bench = FileCtx {
-        crate_name: "repro-bench".to_string(),
-        is_test: false,
-    };
     assert_eq!(
-        rules_of(&lint_file("opc.rs", src, &bench).findings),
+        rules_of(&lint_file("crates/bench/src/bin/opc.rs", src).findings),
         vec!["nondeterminism"]
     );
 }
@@ -119,13 +108,11 @@ fn env_read_fixture_flags_opc_reads_outside_knobs() {
 #[test]
 fn env_reads_in_a_knobs_module_are_the_designated_home() {
     let src = r#"pub fn f() -> bool { std::env::var("OPC_FUSION").is_ok() }"#;
-    assert!(lint_file("crates/device/src/knobs.rs", src, &lib_ctx())
+    assert!(lint_file("crates/device/src/knobs.rs", src)
         .findings
         .is_empty());
     assert_eq!(
-        lint_file("crates/device/src/other.rs", src, &lib_ctx())
-            .findings
-            .len(),
+        lint_file("crates/device/src/other.rs", src).findings.len(),
         1
     );
 }
@@ -175,14 +162,6 @@ fn literals_comments_and_test_modules_never_fire() {
 }
 
 #[test]
-fn test_files_are_fully_exempt() {
-    let mut ctx = lib_ctx();
-    ctx.is_test = true;
-    let src = "pub fn f() { rand::thread_rng(); }";
-    assert!(lint_file("tests/x.rs", src, &ctx).findings.is_empty());
-}
-
-#[test]
 fn cfg_test_module_boundaries_are_token_precise() {
     // Same banned call before, inside, and after the test module: the
     // inside one is exempt, the outer two are not.
@@ -194,7 +173,7 @@ mod tests {
 }
 pub fn after() { rand::thread_rng(); }
 ";
-    let report = lint_file("lib.rs", src, &lib_ctx());
+    let report = lint_file("lib.rs", src);
     let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, vec![1, 6], "{:#?}", report.findings);
 }
@@ -202,7 +181,7 @@ pub fn after() { rand::thread_rng(); }
 #[test]
 fn cfg_not_test_is_not_exempt() {
     let src = "#[cfg(not(test))]\npub fn f() { rand::thread_rng(); }";
-    assert_eq!(lint_file("lib.rs", src, &lib_ctx()).findings.len(), 1);
+    assert_eq!(lint_file("lib.rs", src).findings.len(), 1);
 }
 
 #[test]
@@ -214,14 +193,14 @@ pub fn f(x: f64) -> bool {
     x == 0.0
 }
 ";
-    let report = lint_file("lib.rs", src, &lib_ctx());
+    let report = lint_file("lib.rs", src);
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
 }
 
 #[test]
 fn prose_mentioning_opclint_in_a_block_comment_is_not_a_directive() {
     let src = "/* see the opclint: allow(...) docs */\npub fn f(x: f64) -> bool { x == 0.0 }";
-    let report = lint_file("lib.rs", src, &lib_ctx());
+    let report = lint_file("lib.rs", src);
     assert_eq!(
         rules_of(&report.findings),
         vec!["float-literal-eq"],
@@ -234,30 +213,26 @@ fn prose_mentioning_opclint_in_a_block_comment_is_not_a_directive() {
 fn crlf_line_endings_keep_line_numbers_and_waivers_accurate() {
     // Unwaived: the finding lands on the CRLF-terminated line 2.
     let bad = "pub fn f(x: f64) -> bool {\r\n    x == 0.0\r\n}\r\n";
-    let report = lint_file("lib.rs", bad, &lib_ctx());
+    let report = lint_file("lib.rs", bad);
     assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
     assert_eq!(report.findings[0].line, 2);
 
     // A trailing waiver's justification must survive the stray `\r`.
     let trailing =
         "pub fn f(x: f64) -> bool {\r\n    x == 0.0 // opclint: allow(float-literal-eq): exact sentinel\r\n}\r\n";
-    assert!(lint_file("lib.rs", trailing, &lib_ctx())
-        .findings
-        .is_empty());
+    assert!(lint_file("lib.rs", trailing).findings.is_empty());
 
     // And an own-line waiver still binds to the next code line.
     let own_line =
         "pub fn f(x: f64) -> bool {\r\n    // opclint: allow(float-literal-eq): exact sentinel\r\n    x == 0.0\r\n}\r\n";
-    assert!(lint_file("lib.rs", own_line, &lib_ctx())
-        .findings
-        .is_empty());
+    assert!(lint_file("lib.rs", own_line).findings.is_empty());
 }
 
 #[test]
 fn waiver_on_the_last_line_without_a_newline_still_applies() {
     let src =
         "pub fn f(x: f64) -> bool { x == 0.0 } // opclint: allow(float-literal-eq): exact sentinel";
-    let report = lint_file("lib.rs", src, &lib_ctx());
+    let report = lint_file("lib.rs", src);
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
 }
 
@@ -272,7 +247,7 @@ mod tests {
     fn helper(x: f64) -> bool { x == 0.0 }
 }
 ";
-    let report = lint_file("lib.rs", src, &lib_ctx());
+    let report = lint_file("lib.rs", src);
     assert_eq!(
         rules_of(&report.findings),
         vec!["allow-syntax"],

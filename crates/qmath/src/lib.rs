@@ -3,8 +3,8 @@
 //! Everything the rest of the workspace needs and nothing more: complex
 //! numbers, dense complex matrices, Hermitian eigendecomposition and matrix
 //! exponentials, polynomial root finding (for Weyl-chamber analysis),
-//! derivative-free optimizers (Nelder–Mead and a COBYLA-style method, used
-//! for gate-decomposition searches and variational algorithm loops),
+//! a derivative-free optimizer (Nelder–Mead, used for gate-decomposition
+//! searches and variational algorithm loops),
 //! least-squares curve fitting, and seeded randomness helpers.
 //!
 //! # Example
@@ -35,10 +35,7 @@ pub use eig::{eigh, expm, unitary_exp, HermitianEig};
 pub use fit::{fit_cosine, fit_exp_decay, linear_least_squares, CosineFit, ExpDecayFit};
 pub use fnv::{fnv1a, fnv1a_bytes, FNV_OFFSET};
 pub use mat::CMat;
-pub use optimize::{
-    cobyla_lite, nelder_mead, nelder_mead_multistart, CobylaOptions, Constraint, NelderMeadOptions,
-    OptimizeResult,
-};
+pub use optimize::{nelder_mead, NelderMeadOptions, OptimizeResult};
 pub use poly::{characteristic_polynomial, durand_kerner, eigenvalues};
 pub use prop::{
     mul9_blocks_slab_into, mul9_into, mul9_slab_into, unitary_exp3, unitary_exp3_pair,

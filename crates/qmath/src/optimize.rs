@@ -1,16 +1,10 @@
 //! Derivative-free optimization.
 //!
 //! The paper computes Table 2's parametrized-gate decompositions with SciPy's
-//! COBYLA under a ≥99.9 % fidelity constraint. We provide two from-scratch
-//! equivalents:
-//!
-//! * [`nelder_mead`] — the classic simplex method, used with random restarts
-//!   for the compiler's decomposition searches and the VQE/QAOA classical
-//!   outer loops.
-//! * [`cobyla_lite`] — a linear-approximation trust-region method in the
-//!   spirit of COBYLA (Powell 2007): it fits a linear model of the objective
-//!   on a simplex and steps within a shrinking trust radius, supporting
-//!   inequality constraints through an exact penalty.
+//! COBYLA under a ≥99.9 % fidelity constraint. Our from-scratch stand-in is
+//! [`nelder_mead`], the classic simplex method, run from random restarts by
+//! the compiler's decomposition searches and the VQE/QAOA classical outer
+//! loops.
 
 /// Options controlling a [`nelder_mead`] run.
 #[derive(Clone, Debug)]
@@ -153,121 +147,6 @@ pub fn nelder_mead(
     }
 }
 
-/// An inequality constraint `g(x) ≥ 0` for [`cobyla_lite`].
-pub type Constraint<'a> = &'a dyn Fn(&[f64]) -> f64;
-
-/// Options controlling a [`cobyla_lite`] run.
-#[derive(Clone, Debug)]
-pub struct CobylaOptions {
-    /// Initial trust-region radius.
-    pub rho_start: f64,
-    /// Final trust-region radius (convergence threshold).
-    pub rho_end: f64,
-    /// Maximum objective evaluations.
-    pub max_evals: usize,
-    /// Weight of the exact constraint-violation penalty.
-    pub penalty: f64,
-}
-
-impl Default for CobylaOptions {
-    fn default() -> Self {
-        CobylaOptions {
-            rho_start: 0.5,
-            rho_end: 1e-8,
-            max_evals: 6000,
-            penalty: 1e3,
-        }
-    }
-}
-
-/// Minimizes `f` subject to `g_i(x) ≥ 0` with a COBYLA-style
-/// linear-approximation trust-region iteration.
-///
-/// The merit function is `f(x) + penalty · Σ max(0, −g_i(x))`. A linear model
-/// of the merit is fit on an `n+1`-point simplex by least squares; the method
-/// steps along the model's descent direction, clipped to the trust radius,
-/// shrinking the radius when no progress is made — the essential mechanics of
-/// Powell's method without the specialized linear-programming subproblem.
-pub fn cobyla_lite(
-    mut f: impl FnMut(&[f64]) -> f64,
-    constraints: &[Constraint<'_>],
-    x0: &[f64],
-    opts: &CobylaOptions,
-) -> OptimizeResult {
-    let n = x0.len();
-    assert!(n > 0, "cannot optimize a zero-dimensional problem");
-    let mut evals = 0usize;
-    let mut merit = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let mut m = f(x);
-        for g in constraints {
-            let v = g(x);
-            if v < 0.0 {
-                m += opts.penalty * (-v);
-            }
-        }
-        m
-    };
-
-    let mut rho = opts.rho_start;
-    let mut x = x0.to_vec();
-    let mut fx = merit(&x, &mut evals);
-
-    while rho > opts.rho_end && evals < opts.max_evals {
-        // Sample a simplex of radius rho around x and fit a linear model
-        // m(d) = fx + g·d by least squares on the differences.
-        let mut grad = vec![0.0; n];
-        for i in 0..n {
-            let mut xp = x.clone();
-            xp[i] += rho;
-            let fp = merit(&xp, &mut evals);
-            grad[i] = (fp - fx) / rho;
-        }
-        let gnorm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-        if gnorm < 1e-300 {
-            rho *= 0.5;
-            continue;
-        }
-        // Step along -grad, clipped to the trust radius.
-        let candidate: Vec<f64> = x
-            .iter()
-            .zip(&grad)
-            .map(|(xi, gi)| xi - rho * gi / gnorm)
-            .collect();
-        let f_cand = merit(&candidate, &mut evals);
-        if f_cand < fx - 1e-15 {
-            x = candidate;
-            fx = f_cand;
-        } else {
-            rho *= 0.5;
-        }
-    }
-
-    OptimizeResult { x, fx, evals }
-}
-
-/// Runs [`nelder_mead`] from several starting points and keeps the best
-/// result. `starts` supplies the initial points.
-pub fn nelder_mead_multistart(
-    mut f: impl FnMut(&[f64]) -> f64,
-    starts: &[Vec<f64>],
-    opts: &NelderMeadOptions,
-) -> OptimizeResult {
-    assert!(!starts.is_empty(), "need at least one start point");
-    let mut best: Option<OptimizeResult> = None;
-    let mut total_evals = 0usize;
-    for s in starts {
-        let r = nelder_mead(&mut f, s, opts);
-        total_evals += r.evals;
-        if best.as_ref().is_none_or(|b| r.fx < b.fx) {
-            best = Some(r);
-        }
-    }
-    let mut best = best.unwrap();
-    best.evals = total_evals;
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,41 +172,6 @@ mod tests {
         };
         let r = nelder_mead(rosen, &[-1.2, 1.0], &opts);
         assert!(r.fx < 1e-8, "rosenbrock fx = {}", r.fx);
-    }
-
-    #[test]
-    fn cobyla_respects_constraint() {
-        // Minimize x² + y² subject to x + y ≥ 1 → optimum at (0.5, 0.5).
-        let g = |x: &[f64]| x[0] + x[1] - 1.0;
-        let r = cobyla_lite(
-            |x| x[0] * x[0] + x[1] * x[1],
-            &[&g],
-            &[2.0, 2.0],
-            &CobylaOptions::default(),
-        );
-        assert!(g(&r.x) > -1e-4, "constraint violated: {}", g(&r.x));
-        assert!((r.x[0] - 0.5).abs() < 0.05, "x = {:?}", r.x);
-        assert!((r.x[1] - 0.5).abs() < 0.05, "x = {:?}", r.x);
-    }
-
-    #[test]
-    fn cobyla_unconstrained_matches_nm() {
-        let obj = |x: &[f64]| (x[0] + 3.0).powi(2) + 1.25;
-        let r = cobyla_lite(obj, &[], &[10.0], &CobylaOptions::default());
-        assert!((r.x[0] + 3.0).abs() < 1e-3, "x = {:?}", r.x);
-        assert!((r.fx - 1.25).abs() < 1e-5);
-    }
-
-    #[test]
-    fn multistart_escapes_local_minimum() {
-        // Double well; the +0.5·v tilt makes the negative well global.
-        let f = |x: &[f64]| {
-            let v = x[0];
-            (v * v - 4.0).powi(2) + 0.5 * v
-        };
-        let starts = vec![vec![3.0], vec![-3.0]];
-        let r = nelder_mead_multistart(f, &starts, &NelderMeadOptions::default());
-        assert!(r.x[0] < 0.0, "should find the global (negative) well");
     }
 
     #[test]

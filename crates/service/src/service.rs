@@ -225,13 +225,6 @@ impl JobSlot {
         }
     }
 
-    fn ready(result: Result<Arc<JobOutput>, ServiceError>) -> Self {
-        JobSlot {
-            done: Mutex::new(Some(result)),
-            cv: Condvar::new(),
-        }
-    }
-
     fn fill(&self, result: Result<Arc<JobOutput>, ServiceError>) {
         let mut done = lock(&self.done);
         if done.is_none() {
@@ -264,20 +257,16 @@ struct ShardData {
     calibration: Calibration,
 }
 
-struct Shard {
-    data: OnceLock<ShardData>,
-}
+/// A shard's data, built once by whichever worker first needs it.
+type Shard = OnceLock<Arc<ShardData>>;
 
 struct QueueState {
     queue: VecDeque<Pending>,
-    // Key → slot of each not-yet-completed computation, for in-flight
-    // coalescing. Lookup/insert/remove by key only — never iterated.
-    // opclint: allow(unordered-iter): dedup index; per-key lookups only, no iteration
-    inflight: HashMap<u64, Arc<JobSlot>>,
-    // Bounded completed-result memo; `memo_order` provides deterministic
-    // FIFO eviction so the map itself is never iterated.
-    // opclint: allow(unordered-iter): result memo; per-key lookups only, eviction via memo_order
-    memo: HashMap<u64, Arc<JobOutput>>,
+    // Key → slot of every job in flight and of the last `MEMO_ENTRIES`
+    // that completed `Ok`, for coalescing; `memo_order` (oldest first)
+    // evicts the latter, so the map itself is never iterated.
+    // opclint: allow(unordered-iter): dedup index; per-key lookups only, eviction via `memo_order`
+    slots: HashMap<u64, Arc<JobSlot>>,
     memo_order: VecDeque<u64>,
     shutdown: bool,
 }
@@ -338,9 +327,7 @@ impl CompileService {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 // opclint: allow(unordered-iter): constructor of the lookup-only dedup index declared above.
-                inflight: HashMap::new(),
-                // opclint: allow(unordered-iter): constructor of the lookup-only result memo declared above.
-                memo: HashMap::new(),
+                slots: HashMap::new(),
                 memo_order: VecDeque::new(),
                 shutdown: false,
             }),
@@ -392,15 +379,7 @@ impl CompileService {
         if st.shutdown {
             return Err(ServiceError::ShutDown);
         }
-        if let Some(out) = st.memo.get(&key) {
-            self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Ticket {
-                slot: Arc::new(JobSlot::ready(Ok(Arc::clone(out)))),
-                key,
-                deduped: true,
-            });
-        }
-        if let Some(slot) = st.inflight.get(&key) {
+        if let Some(slot) = st.slots.get(&key) {
             self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Ticket {
                 slot: Arc::clone(slot),
@@ -415,7 +394,7 @@ impl CompileService {
             });
         }
         let slot = Arc::new(JobSlot::empty());
-        st.inflight.insert(key, Arc::clone(&slot));
+        st.slots.insert(key, Arc::clone(&slot));
         st.queue.push_back(Pending {
             key,
             job,
@@ -531,7 +510,7 @@ impl Drop for CompileService {
         }
         for pending in abandoned {
             let mut st = lock(&self.inner.state);
-            st.inflight.remove(&pending.key);
+            st.slots.remove(&pending.key);
             drop(st);
             pending.slot.fill(Err(ServiceError::ShutDown));
         }
@@ -588,20 +567,19 @@ fn drain_one(inner: &ServiceInner) -> bool {
     }
     let shard = shard_for(inner, &batch[0].job.device);
     for pending in batch {
-        let result = execute(inner, &shard, &pending.job);
+        let result = execute(inner, &shard, &pending.job, pending.key);
         inner.completed.fetch_add(1, Ordering::Relaxed);
         {
             let mut st = lock(&inner.state);
-            st.inflight.remove(&pending.key);
-            if let Ok(out) = &result {
-                if st.memo.insert(pending.key, Arc::clone(out)).is_none() {
-                    st.memo_order.push_back(pending.key);
-                }
+            if result.is_ok() {
+                st.memo_order.push_back(pending.key);
                 while st.memo_order.len() > MEMO_ENTRIES {
                     if let Some(evicted) = st.memo_order.pop_front() {
-                        st.memo.remove(&evicted);
+                        st.slots.remove(&evicted);
                     }
                 }
+            } else {
+                st.slots.remove(&pending.key);
             }
         }
         pending.slot.fill(result);
@@ -614,17 +592,10 @@ fn drain_one(inner: &ServiceInner) -> bool {
 /// the shard's own `OnceLock`, so concurrent workers needing the same
 /// device block on one tune-up instead of racing duplicates, while
 /// workers on other shards proceed untouched.
-fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<Shard> {
+fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<ShardData> {
     let key = spec.shard_key();
-    let shard = {
-        let mut shards = lock(&inner.shards);
-        Arc::clone(shards.entry(key).or_insert_with(|| {
-            Arc::new(Shard {
-                data: OnceLock::new(),
-            })
-        }))
-    };
-    shard.data.get_or_init(|| {
+    let shard = Arc::clone(lock(&inner.shards).entry(key).or_default());
+    let data = shard.get_or_init(|| {
         let (device, root) = spec.build();
         let calibration = Calibration::run_seeded_with(
             &device,
@@ -634,28 +605,24 @@ fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<Shard> {
             &ShotPool::from_env(),
             &inner.probes,
         );
-        ShardData {
+        Arc::new(ShardData {
             device,
             calibration,
-        }
+        })
     });
-    shard
+    Arc::clone(data)
 }
 
-/// Compile + execute + sample one job against its shard. Pure function of
-/// `(shard data, job)`: randomness comes from the job's own seed streams,
-/// so the result is independent of which worker runs it, when, and in
-/// which batch.
+/// Compile + execute + sample one job against its shard; `key` is the
+/// job's key from submission. Pure function of `(shard data, job)`:
+/// randomness comes from the job's own seed streams, so the result is
+/// independent of which worker runs it, when, and in which batch.
 fn execute(
     inner: &ServiceInner,
-    shard: &Shard,
+    data: &ShardData,
     job: &ResolvedJob,
+    key: u64,
 ) -> Result<Arc<JobOutput>, ServiceError> {
-    let Some(data) = shard.data.get() else {
-        // Unreachable: `shard_for` initializes before handing the shard
-        // out. Kept as a typed error rather than an unwrap.
-        return Err(ServiceError::InvalidRequest("shard not initialized".into()));
-    };
     inner.compiles.fetch_add(1, Ordering::Relaxed);
     let compiled = Compiler::new(&data.device, &data.calibration, job.mode)
         .compile(&job.circuit)
@@ -685,14 +652,6 @@ fn execute(
     let ideal = job.circuit.output_distribution();
     let measured = counts_to_distribution(&counts);
     let fidelity = hellinger_fidelity(&ideal, &measured);
-    let key = job_key(
-        &job.device,
-        &job.circuit,
-        job.mode,
-        job.shots,
-        job.seed,
-        job.noisy,
-    );
     Ok(Arc::new(JobOutput {
         key,
         num_qubits: job.circuit.num_qubits(),
