@@ -38,9 +38,10 @@
 //! unless pulse-level
 //! compilation beats gate-level on schedule duration for ≥ 3 families.
 //! `opc verify` compiles every corpus circuit (full tier by default) in
-//! both flows without executing it and runs `pulse::verify` on each
-//! schedule; it exits 1 on a compile failure or any finding, 2 on a
-//! usage error.
+//! both flows without executing it; each compile runs `pulse::verify` on
+//! its schedule. It exits 1 on a compile failure or any finding, 2 on a
+//! usage error. `opc compile` is verified the same way; its
+//! `--no-verify` only omits the line that confirms it.
 //!
 //! Two service subcommands turn the same pipeline into a job engine
 //! (see `quant-service`):
@@ -58,9 +59,11 @@
 //! without `--addr`, runs them through an in-process service, so the
 //! request path is testable with no socket at all.
 
-use pulse_compiler::CompileMode;
+use pulse_compiler::{CompileMode, LowerError};
 use quant_circuit::qasm;
-use quant_corpus::{compile_circuit, execute_compiled, CorpusOptions, PipelineConfig, Tier};
+use quant_corpus::{
+    compile_circuit, execute_compiled, CorpusOptions, PipelineConfig, PipelineError, Tier,
+};
 use quant_device::{calibrate, Calibration, DeviceModel, ShotPool, DT};
 use quant_math::{seeded, stream_seed};
 use quant_service::{wire, CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
@@ -136,10 +139,19 @@ fn print_counts(counts: &[u64], width: u32) {
     }
 }
 
+/// The service's defaults, with `workers` (which also sizes each shard's
+/// tune-up pool) from `OPC_THREADS` like every other pool in `opc`.
+fn service_config() -> ServiceConfig {
+    ServiceConfig {
+        workers: ShotPool::from_env().threads(),
+        ..ServiceConfig::default()
+    }
+}
+
 /// `opc serve`: a `CompileService` behind the wire protocol.
 fn cmd_serve(rest: &[String]) -> ExitCode {
     let mut addr = "127.0.0.1:7878";
-    let mut cfg = ServiceConfig::default();
+    let mut cfg = service_config();
     let mut flags = Flags::new("opc serve: ", rest);
     while let Some(arg) = flags.next() {
         match arg {
@@ -287,7 +299,7 @@ fn cmd_submit(rest: &[String]) -> ExitCode {
             }
         }
         None => {
-            let service = CompileService::new(ServiceConfig::default())
+            let service = CompileService::new(service_config())
                 .unwrap_or_else(|e| fail(format!("opc submit: {e}")));
             let tickets: Vec<_> = jobs
                 .iter()
@@ -381,15 +393,8 @@ fn cmd_compile(rest: &[String]) -> ExitCode {
         run.duration_dt,
         run.duration_dt as f64 * DT * 1e6
     );
+    // The compile verified the schedule; `--no-verify` only omits this line.
     if verify {
-        let findings = quant_pulse::verify(&run.compiled.program.schedule, &device.verify_spec());
-        if !findings.is_empty() {
-            eprintln!("opc compile: schedule failed verification:");
-            for f in &findings {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
         println!(
             "schedule verified clean ({} static rules)",
             quant_pulse::VERIFY_RULES.len()
@@ -497,17 +502,18 @@ fn cmd_verify(rest: &[String]) -> ExitCode {
             let calibration = calibrate(&device, &mut rng);
             (device, calibration)
         });
-        let spec = device.verify_spec();
         for mode in [CompileMode::Standard, CompileMode::Optimized] {
-            let cc =
-                compile_circuit(device, calibration, &entry.circuit, mode).unwrap_or_else(|e| {
-                    fail(format!(
-                        "opc verify: {} ({mode:?}): compile failed: {e}",
-                        entry.name
-                    ))
-                });
+            // `Compiler::compile` verifies each schedule; its findings come
+            // back as the compile's error.
+            let findings = match compile_circuit(device, calibration, &entry.circuit, mode) {
+                Ok(_) => Vec::new(),
+                Err(PipelineError::Lower(LowerError::InvalidSchedule(findings))) => findings,
+                Err(e) => fail(format!(
+                    "opc verify: {} ({mode:?}): compile failed: {e}",
+                    entry.name
+                )),
+            };
             schedules += 1;
-            let findings = quant_pulse::verify(&cc.compiled.program.schedule, &spec);
             if !findings.is_empty() {
                 total_findings += findings.len();
                 println!(

@@ -11,6 +11,9 @@
 //!      │  lowering (virtual-Z frames, cmd_def pulses, cancellation peephole)
 //!      ▼
 //!   pulse schedule (LoweredProgram)
+//!      │  static verification against the device (`pulse::verify`)
+//!      ▼
+//!   verified pulse schedule
 //! ```
 //!
 //! [`CompileMode::Standard`] reproduces the stock Qiskit flow the paper
@@ -80,7 +83,9 @@ impl<'a> Compiler<'a> {
         self.mode
     }
 
-    /// Compiles a circuit down to a pulse program.
+    /// Compiles a circuit down to a pulse program. Every program is
+    /// statically verified against the device once, right after lowering;
+    /// a finding is a [`LowerError::InvalidSchedule`].
     pub fn compile(&self, circuit: &Circuit) -> Result<Compiled, LowerError> {
         let (assembly, kind, lower_opts) = match self.mode {
             CompileMode::Standard => (
@@ -101,6 +106,10 @@ impl<'a> Compiler<'a> {
         let basis = to_basis(&assembly, kind);
         let lowering = Lowering::new(self.device, self.calibration, lower_opts);
         let program = lowering.lower(&basis)?;
+        let findings = quant_pulse::verify(&program.schedule, &self.device.verify_spec());
+        if !findings.is_empty() {
+            return Err(LowerError::InvalidSchedule(findings));
+        }
         Ok(Compiled {
             assembly,
             basis,
@@ -112,7 +121,9 @@ impl<'a> Compiler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quant_device::{calibrate, PulseExecutor};
+    use quant_device::{
+        calibrate, CalStore, CalibrationOptions, ProbeCache, PulseExecutor, ShotPool,
+    };
     use quant_math::seeded;
 
     fn setup(n: usize) -> (DeviceModel, Calibration) {
@@ -193,6 +204,40 @@ mod tests {
                 .phase_invariant_diff(&compiled.basis.unitary())
                 < 1e-9
         );
+    }
+
+    #[test]
+    fn schedule_findings_fail_the_compile() {
+        // A calibration whose pulse template spans zero samples lowers to
+        // zero-length plays; the verification stage of `compile` turns
+        // them into an `InvalidSchedule` instead of a program.
+        let device = DeviceModel::ideal(1);
+        let options = CalibrationOptions {
+            pulse_duration: 0,
+            ..CalibrationOptions::default()
+        };
+        let cal = Calibration::run_seeded_with(
+            &device,
+            &options,
+            5,
+            &CalStore::disabled(),
+            &ShotPool::serial(),
+            &ProbeCache::new(),
+        );
+        let mut c = Circuit::new(1);
+        c.h(0);
+        for mode in [CompileMode::Standard, CompileMode::Optimized] {
+            match Compiler::new(&device, &cal, mode).compile(&c) {
+                Err(LowerError::InvalidSchedule(findings)) => {
+                    assert!(!findings.is_empty(), "{mode:?}");
+                    assert!(
+                        findings.iter().all(|f| f.rule == "zero-duration"),
+                        "{mode:?}"
+                    );
+                }
+                other => panic!("{mode:?}: expected InvalidSchedule, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   the pair's ramps, which the calibration keeps; the block is built
 //!   once per distinct θ in a call and placed like a CNOT after that.
 //! * `finish` copies every instruction once more, by reference, into the
-//!   display schedule, sorts it by start and verifies it.
+//!   display schedule and sorts it by start. [`crate::Compiler::compile`]
+//!   verifies that schedule once, after lowering.
 
 use quant_circuit::{Circuit, Gate};
 use quant_device::{
@@ -68,9 +69,9 @@ pub enum LowerError {
     /// A `CR(θ)` (carried) whose stretched half pulses could exceed
     /// [`MAX_CR_HALF_SAMPLES`], or a non-finite θ.
     CrTooLong(f64),
-    /// The lowered schedule failed static verification (`pulse::verify`).
-    /// Carries every finding; the lowering that produced them is a
-    /// compiler bug, not a user error.
+    /// The lowered schedule failed static verification (`pulse::verify`,
+    /// run by [`crate::Compiler::compile`]). Carries every finding; the
+    /// lowering that produced them is a compiler bug, not a user error.
     InvalidSchedule(Vec<ScheduleFinding>),
 }
 
@@ -248,7 +249,7 @@ impl<'a> Lowering<'a> {
                 }
             }
         }
-        self.finish(n, blocks)
+        Ok(Self::finish(n, blocks))
     }
 
     /// Places a two-qubit block — a `cmd_def` entry or a `CR(θ)` block — in
@@ -303,9 +304,8 @@ impl<'a> Lowering<'a> {
     }
 
     /// Wraps the final block list (blocks may have been popped by the
-    /// cancellation peephole) into a program with its display schedule,
-    /// which must pass static verification.
-    fn finish(&self, num_qubits: u32, blocks: Vec<Block>) -> Result<LoweredProgram, LowerError> {
+    /// cancellation peephole) into a program with its display schedule.
+    fn finish(num_qubits: u32, blocks: Vec<Block>) -> LoweredProgram {
         let capacity = blocks
             .iter()
             .map(|block| match block {
@@ -365,25 +365,11 @@ impl<'a> Lowering<'a> {
             }
         }
 
-        let display = display.build();
-
-        // Mandatory post-lowering pass: the schedule the compiler just
-        // built must verify clean against the device it targets. Any
-        // finding here is a compiler bug surfaced at compile time instead
-        // of a corrupted simulation. `OPC_VERIFY=0` skips the pass (e.g.
-        // to inspect a deliberately broken lowering).
-        if quant_device::knobs::verify() {
-            let findings = quant_pulse::verify(&display, &self.device.verify_spec());
-            if !findings.is_empty() {
-                return Err(LowerError::InvalidSchedule(findings));
-            }
-        }
-
-        Ok(LoweredProgram {
+        LoweredProgram {
             num_qubits,
             blocks,
-            schedule: display,
-        })
+            schedule: display.build(),
+        }
     }
 
     /// The calibrated `gate` pulse of qubit `q` (`"rx90"` or `"rx180"`,
@@ -692,9 +678,9 @@ mod tests {
 
     #[test]
     fn lowered_schedules_pass_static_verification() {
-        // The mandatory post-lowering pass inside lower() would already
-        // have failed the compile; pin the invariant explicitly so it
-        // survives even with OPC_VERIFY=0 in the ambient environment.
+        // `lower` does not verify: `Compiler::compile` does, once per
+        // program. Pin that what lowering emits is clean on its own, for
+        // callers that lower without compiling.
         let c2 = ctx(2);
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1).rz(1, 0.7).cnot(0, 1);
@@ -836,7 +822,7 @@ mod tests {
                 ref other => return Err(LowerError::UnsupportedGate(other.to_string())),
             }
         }
-        l.finish(circuit.num_qubits(), blocks)
+        Ok(Lowering::finish(circuit.num_qubits(), blocks))
     }
 
     /// The block placement lowering used before it built each block in one

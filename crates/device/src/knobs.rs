@@ -4,14 +4,17 @@
 //! accessor here, so the determinism surface stays auditable in one
 //! place: opclint's `env-read` rule confines `std::env::var("OPC_*")`
 //! reads to designated `knobs` modules. Knobs only toggle *strategies*
-//! (caching, fan-out, verification) — results are bit-identical across
-//! every setting; that invariant is what CI's `OPC_THREADS` matrix pins.
+//! (caching, fan-out) — results are bit-identical across every setting;
+//! that invariant is what CI's `OPC_THREADS` matrix pins. They are read
+//! through [`crate::ShotPool::from_env`] and [`crate::CalStore::from_env`]
+//! (and [`crate::calibrate`], which calls both), at the edge: binaries,
+//! examples and tests. The compiler, service and corpus crates take their
+//! pool and store by value.
 //!
 //! | knob | accessor | default |
 //! |---|---|---|
 //! | `OPC_CAL_CACHE` | [`cal_cache`] | default store under `target/` |
 //! | `OPC_THREADS` | [`threads`] | unset (available parallelism) |
-//! | `OPC_VERIFY` | [`verify`] | on (off only at `0`) |
 
 /// Resolved `OPC_CAL_CACHE` setting for the persistent calibration store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,13 +43,4 @@ pub fn threads() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&t| t > 0)
-}
-
-/// `OPC_VERIFY`: the mandatory post-lowering schedule verification pass.
-/// On unless the variable is set to `0`.
-pub fn verify() -> bool {
-    match std::env::var("OPC_VERIFY") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
 }

@@ -37,8 +37,6 @@ pub struct OptimizeResult {
     pub x: Vec<f64>,
     /// Objective value at `x`.
     pub fx: f64,
-    /// Number of objective evaluations used.
-    pub evals: usize,
 }
 
 /// Minimizes `f` with the Nelder–Mead simplex method starting from `x0`.
@@ -143,7 +141,6 @@ pub fn nelder_mead(
     OptimizeResult {
         x: simplex[0].0.clone(),
         fx: simplex[0].1,
-        evals,
     }
 }
 

@@ -96,10 +96,12 @@ impl std::error::Error for ServiceError {}
 /// Service tuning knobs.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Worker threads. `0` spawns none — jobs queue until the caller
-    /// drives them with [`CompileService::run_pending`] (deterministic
-    /// single-threaded mode, used by tests and `opc submit` without a
-    /// server).
+    /// Worker threads, and the pool each shard's tune-up fans out over
+    /// (`ShotPool::new(workers)`; results do not depend on it). The
+    /// default is the host's core count. `0` spawns none — jobs queue
+    /// until the caller drives them with [`CompileService::run_pending`]
+    /// (deterministic single-threaded mode, used by tests and `opc submit`
+    /// without a server) and shards tune up on one thread.
     pub workers: usize,
     /// Maximum queued (not yet claimed) jobs before submissions are
     /// rejected with [`ServiceError::Overloaded`].
@@ -114,7 +116,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: ShotPool::from_env().threads(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 256,
             clock: None,
         }
@@ -591,7 +593,9 @@ fn drain_one(inner: &ServiceInner) -> bool {
 /// covers only the `Arc<Shard>` lookup; the expensive build runs inside
 /// the shard's own `OnceLock`, so concurrent workers needing the same
 /// device block on one tune-up instead of racing duplicates, while
-/// workers on other shards proceed untouched.
+/// workers on other shards proceed untouched. The tune-up fans out over
+/// `cfg.workers` threads and keeps no snapshot on disk, so no setting of
+/// the service comes from the environment.
 fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<ShardData> {
     let key = spec.shard_key();
     let shard = Arc::clone(lock(&inner.shards).entry(key).or_default());
@@ -601,8 +605,8 @@ fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<ShardData> {
             &device,
             &CalibrationOptions::default(),
             root,
-            &CalStore::from_env(),
-            &ShotPool::from_env(),
+            &CalStore::disabled(),
+            &ShotPool::new(inner.cfg.workers),
             &inner.probes,
         );
         Arc::new(ShardData {
@@ -630,13 +634,6 @@ fn execute(
             pulse_compiler::LowerError::InvalidSchedule(findings) => ServiceError::Verify(findings),
             other => ServiceError::Compile(other.to_string()),
         })?;
-    // Belt and braces: re-verify the compiled schedule here so the
-    // service boundary rejects invalid work even when the in-compiler
-    // pass is disabled via `OPC_VERIFY=0` in this process.
-    let findings = quant_pulse::verify(&compiled.program.schedule, &data.device.verify_spec());
-    if !findings.is_empty() {
-        return Err(ServiceError::Verify(findings));
-    }
     let executor = if job.noisy {
         PulseExecutor::new(&data.device)
     } else {

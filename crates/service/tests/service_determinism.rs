@@ -1,7 +1,9 @@
 //! Service-level guarantees: bit-identical results at any worker count,
 //! single-computation dedup, typed backpressure, and 4xx-style rejection
-//! of bad input. Run in CI at `OPC_THREADS=1` and `4` (the env pool feeds
-//! shard calibration, so both execution and tune-up fan-out vary).
+//! of bad input. The service reads no environment: `workers` sizes both
+//! the job workers and each shard's tune-up pool, so
+//! `results_bit_identical_at_any_worker_count` (1 vs 4 workers) varies
+//! execution and tune-up fan-out together.
 
 use pulse_compiler::CompileMode;
 use quant_circuit::Circuit;
