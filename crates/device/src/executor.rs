@@ -267,9 +267,10 @@ impl<'a> PulseExecutor<'a> {
     /// back to back. Phases 1 and 2 are the functions the
     /// [`TrajectoryExecutor`](crate::TrajectoryExecutor) runs too.
     ///
-    /// The compile service calls the serial [`PulseExecutor::try_run`]
-    /// per job on purpose: its workers already occupy every core, and a
-    /// nested fan-out would oversubscribe them.
+    /// The compile service runs each job here on a pool sized from its
+    /// core budget: the job's own worker plus the cores idle workers
+    /// leave free, so a lone job fans out and a saturated service runs
+    /// every job on one thread.
     pub fn try_run_pooled(
         &self,
         program: &LoweredProgram,

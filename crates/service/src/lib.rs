@@ -9,10 +9,13 @@
 //! traffic through four mechanisms:
 //!
 //! * **Bounded queue + worker pool.** Jobs wait in a FIFO queue drained by
-//!   `workers` OS threads. A full queue rejects with
-//!   [`ServiceError::Overloaded`] instead of growing without bound — the
-//!   service never panics on load (building on the executor's
-//!   `try_run → Result` path).
+//!   `workers` OS threads. `workers` also bounds the cores a job may
+//!   borrow: a job's execution fans its pulse integrations out over its
+//!   own worker plus the cores idle workers leave free, so a lone job
+//!   uses the whole budget and a saturated service runs each job
+//!   serially. A full queue rejects with [`ServiceError::Overloaded`]
+//!   instead of growing without bound — the service never panics on load
+//!   (building on the executor's `try_run_pooled → Result` path).
 //! * **Content-addressed dedup.** Every job is keyed by an FNV-1a hash of
 //!   its full semantic content (device spec, circuit ops, compile mode,
 //!   shots, seed, noise flag — like the calibration `snapshot_key`).

@@ -13,7 +13,7 @@ use quant_math::{seeded, stream_seed};
 use quant_pulse::ScheduleFinding;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// The RNG stream index jobs draw execution randomness from
@@ -96,12 +96,14 @@ impl std::error::Error for ServiceError {}
 /// Service tuning knobs.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Worker threads, and the pool each shard's tune-up fans out over
-    /// (`ShotPool::new(workers)`; results do not depend on it). The
-    /// default is the host's core count. `0` spawns none — jobs queue
-    /// until the caller drives them with [`CompileService::run_pending`]
-    /// (deterministic single-threaded mode, used by tests and `opc submit`
-    /// without a server) and shards tune up on one thread.
+    /// Worker threads, and the service's core budget: a job borrows the
+    /// cores idle workers leave free to fan its pulse integrations out
+    /// over, and each shard's tune-up fans out over `ShotPool::new(workers)`
+    /// (results depend on neither). The default is the host's core count.
+    /// `0` spawns none — jobs queue until the caller drives them with
+    /// [`CompileService::run_pending`] (deterministic single-threaded mode,
+    /// used by tests and `opc submit` without a server), each job runs on
+    /// the calling thread alone, and shards tune up on one thread.
     pub workers: usize,
     /// Maximum queued (not yet claimed) jobs before submissions are
     /// rejected with [`ServiceError::Overloaded`].
@@ -273,8 +275,58 @@ struct QueueState {
     shutdown: bool,
 }
 
+/// The service's `cfg.workers` cores, shared between the workers and the
+/// helper threads a job's execution borrows. A worker that starts
+/// executing a job counts itself and claims every core still free, at
+/// most `workers − 1` helpers; at saturation each job runs serially on
+/// its own core, so the service never runs more than `2·workers − 1`
+/// integrating threads.
+struct CoreBudget {
+    cores: usize,
+    in_use: AtomicUsize,
+}
+
+impl CoreBudget {
+    fn new(cores: usize) -> Self {
+        CoreBudget {
+            cores,
+            in_use: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims the calling thread's own core plus every free one. The
+    /// count publishes no other data, so `Relaxed` suffices.
+    fn claim(&self) -> CoreGrant<'_> {
+        // Counting itself takes `in_use` to `in_use + 1`; the free cores
+        // beyond that take it to `cores`.
+        let claimed = |in_use: usize| (in_use + 1).max(self.cores);
+        let before = self
+            .in_use
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| Some(claimed(n)))
+            .unwrap_or_else(|n| n);
+        CoreGrant {
+            budget: self,
+            cores: claimed(before) - before,
+        }
+    }
+}
+
+/// Cores claimed from a [`CoreBudget`] (at least the claimant's own);
+/// dropping the grant hands them all back.
+struct CoreGrant<'a> {
+    budget: &'a CoreBudget,
+    cores: usize,
+}
+
+impl Drop for CoreGrant<'_> {
+    fn drop(&mut self) {
+        self.budget.in_use.fetch_sub(self.cores, Ordering::Relaxed);
+    }
+}
+
 struct ServiceInner {
     cfg: ServiceConfig,
+    cores: CoreBudget,
     state: Mutex<QueueState>,
     /// Signals workers that the queue gained work (or shutdown began).
     work_cv: Condvar,
@@ -326,6 +378,7 @@ impl CompileService {
         let workers = cfg.workers;
         let inner = Arc::new(ServiceInner {
             cfg,
+            cores: CoreBudget::new(workers),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 // opclint: allow(unordered-iter): constructor of the lookup-only dedup index declared above.
@@ -640,11 +693,14 @@ fn execute(
         PulseExecutor::noiseless(&data.device)
     };
     let mut rng = seeded(stream_seed(job.seed, EXEC_STREAM));
-    // Serial per job: the workers already occupy every core, so the
-    // pooled executor would only oversubscribe them.
-    let outcome = executor
-        .try_run(&compiled.program, &mut rng)
-        .map_err(ServiceError::Exec)?;
+    // The integrations fan out over the cores idle workers leave free
+    // (none at saturation); the grant hands them back however the run
+    // ends. Counts are bit-identical at every pool size.
+    let outcome = {
+        let grant = inner.cores.claim();
+        executor.try_run_pooled(&compiled.program, &mut rng, &ShotPool::new(grant.cores))
+    }
+    .map_err(ServiceError::Exec)?;
     let counts = outcome.sample_counts_deterministic(job.seed, job.shots);
     let ideal = job.circuit.output_distribution();
     let measured = counts_to_distribution(&counts);
@@ -659,4 +715,104 @@ fn execute(
         fidelity,
         completed_tick: inner.cfg.clock.as_ref().map_or(0, |clock| clock()),
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn in_use(budget: &CoreBudget) -> usize {
+        budget.in_use.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn claims_borrow_only_the_cores_no_running_job_counts() {
+        let budget = CoreBudget::new(4);
+        let first = budget.claim();
+        assert_eq!(first.cores, 4, "a lone job borrows every other core");
+        let second = budget.claim();
+        assert_eq!(second.cores, 1, "a job always gets its own core");
+        assert_eq!(in_use(&budget), 5);
+        drop(first);
+        let third = budget.claim();
+        assert_eq!(third.cores, 3, "the running job keeps its core");
+        assert_eq!(in_use(&budget), 4);
+        drop((second, third));
+        assert_eq!(in_use(&budget), 0);
+    }
+
+    #[test]
+    fn concurrent_claims_never_borrow_more_than_the_free_cores() {
+        const WORKERS: usize = 4;
+        let budget = CoreBudget::new(WORKERS);
+        let borrowed = AtomicUsize::new(0);
+        // Each round every worker claims at once and holds its grant until
+        // all have claimed: whatever the order, one grant borrows the
+        // three free cores and the rest get their own core alone. The
+        // threads only record what they see, so a failure cannot strand
+        // the others at the barrier.
+        let all = std::sync::Barrier::new(WORKERS);
+        let seen: Vec<(usize, usize, usize)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        for _ in 0..200 {
+                            let grant = budget.claim();
+                            let helpers = grant.cores.saturating_sub(1);
+                            borrowed.fetch_add(helpers, Ordering::Relaxed);
+                            all.wait();
+                            let held = borrowed.load(Ordering::Relaxed);
+                            seen.push((grant.cores, held, in_use(&budget)));
+                            all.wait();
+                            borrowed.fetch_sub(helpers, Ordering::Relaxed);
+                            drop(grant);
+                            all.wait();
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().expect("claiming thread"))
+                .collect()
+        });
+        for (cores, held, in_use) in seen {
+            assert!(cores >= 1, "a job always gets its own core");
+            assert_eq!(held, WORKERS - 1, "helpers held at once");
+            assert_eq!(in_use, 2 * WORKERS - 1);
+        }
+        assert_eq!(in_use(&budget), 0, "every grant handed its cores back");
+    }
+
+    #[test]
+    fn a_grant_hands_its_cores_back_on_an_early_return() {
+        fn run(budget: &CoreBudget, outcome: Result<(), ExecError>) -> Result<usize, ExecError> {
+            let grant = budget.claim();
+            outcome?;
+            Ok(grant.cores)
+        }
+        let budget = CoreBudget::new(3);
+        assert_eq!(run(&budget, Ok(())).ok(), Some(3));
+        assert_eq!(in_use(&budget), 0);
+        let failed = ExecError::RegisterWidth {
+            program: 2,
+            device: 1,
+        };
+        assert!(run(&budget, Err(failed)).is_err());
+        assert_eq!(in_use(&budget), 0);
+    }
+
+    #[test]
+    fn a_workerless_service_grants_no_helpers() {
+        let svc = CompileService::new(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .expect("service start");
+        let first = svc.inner.cores.claim();
+        let second = svc.inner.cores.claim();
+        assert_eq!((first.cores, second.cores), (1, 1));
+    }
 }

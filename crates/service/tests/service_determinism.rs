@@ -1,9 +1,11 @@
 //! Service-level guarantees: bit-identical results at any worker count,
 //! single-computation dedup, typed backpressure, and 4xx-style rejection
-//! of bad input. The service reads no environment: `workers` sizes both
-//! the job workers and each shard's tune-up pool, so
-//! `results_bit_identical_at_any_worker_count` (1 vs 4 workers) varies
-//! execution and tune-up fan-out together.
+//! of bad input. The service reads no environment: `workers` sizes the
+//! job workers, the core budget a job's execution borrows helper threads
+//! from, and each shard's tune-up pool, so
+//! `results_bit_identical_at_any_worker_count` (0 workers driven by
+//! `run_pending`, then 1, 2 and 4) varies execution fan-out, job
+//! concurrency and tune-up fan-out together.
 
 use pulse_compiler::CompileMode;
 use quant_circuit::Circuit;
@@ -56,6 +58,10 @@ fn run_all(workers: usize) -> Vec<(u64, Vec<u64>, u64, f64)> {
         .into_iter()
         .map(|job| svc.submit(job).expect("submit"))
         .collect();
+    if workers == 0 {
+        // The calling thread runs every job, each on its own core alone.
+        assert_eq!(svc.run_pending(), 2, "one batch per device shard");
+    }
     tickets
         .into_iter()
         .map(|t| {
@@ -67,14 +73,22 @@ fn run_all(workers: usize) -> Vec<(u64, Vec<u64>, u64, f64)> {
 
 #[test]
 fn results_bit_identical_at_any_worker_count() {
-    let at_one = run_all(1);
-    let at_four = run_all(4);
-    assert_eq!(at_one.len(), at_four.len());
-    for (i, (a, b)) in at_one.iter().zip(&at_four).enumerate() {
-        assert_eq!(a.0, b.0, "job {i}: key");
-        assert_eq!(a.1, b.1, "job {i}: counts");
-        assert_eq!(a.2, b.2, "job {i}: duration");
-        assert_eq!(a.3.to_bits(), b.3.to_bits(), "job {i}: fidelity bits");
+    // 2 is opcbench's width; at 2 and 4 a lone job borrows the idle
+    // workers' cores.
+    let serial = run_all(0);
+    for workers in [1, 2, 4] {
+        let got = run_all(workers);
+        assert_eq!(serial.len(), got.len(), "{workers} workers");
+        for (i, (a, b)) in serial.iter().zip(&got).enumerate() {
+            assert_eq!(a.0, b.0, "{workers} workers, job {i}: key");
+            assert_eq!(a.1, b.1, "{workers} workers, job {i}: counts");
+            assert_eq!(a.2, b.2, "{workers} workers, job {i}: duration");
+            assert_eq!(
+                a.3.to_bits(),
+                b.3.to_bits(),
+                "{workers} workers, job {i}: fidelity bits"
+            );
+        }
     }
 }
 
