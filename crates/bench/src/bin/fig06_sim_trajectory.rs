@@ -11,6 +11,11 @@ use quant_math::C64;
 use quant_sim::StateVector;
 use repro_bench::{ascii_series, Setup};
 
+/// Bloch components at or below this are read as zero: at 180° what is
+/// left is the tune-up's residual (~1e-11), whose sign is rounding noise
+/// and would otherwise read as a zero crossing.
+const NOISE_FLOOR: f64 = 1e-7;
+
 fn main() {
     let setup = Setup::ideal(1, 606);
     let transmon = setup.device.transmon_cal(0);
@@ -32,7 +37,9 @@ fn main() {
             let u = transmon.integrate_waveform(&base.scaled(s)).unitary;
             let amps: Vec<C64> = (0..3).map(|r| u[(r, 0)]).collect();
             let psi = StateVector::from_amplitudes(&[3], amps);
-            psi.bloch(0)
+            let (x, y, z) = psi.bloch(0);
+            let floor = |v: f64| if v.abs() <= NOISE_FLOOR { 0.0 } else { v };
+            (floor(x), floor(y), floor(z))
         };
         println!("{s:>6.3} {x:>9.5} {y:>9.5} {z:>9.5} {x:>11.5}");
         scales.push(s * 180.0);
@@ -52,7 +59,7 @@ fn main() {
     // Count sign changes — a sinusoidal pattern crosses zero in the middle.
     let crossings = xs
         .windows(2)
-        .filter(|w| w[0].signum() != w[1].signum() && w[0].abs() > 1e-7)
+        .filter(|w| w[0].signum() != w[1].signum() && w[0].abs() > NOISE_FLOOR)
         .count();
     println!("max |X-deviation| = {max_dev:.5}, zero crossings: {crossings}");
     println!("paper reference: small sinusoidal deviation, zero at 0°/90°/180°");

@@ -11,6 +11,12 @@
 //! The pinned value was computed before lowering shared its renders
 //! between gates. A deliberate change to the emitted pulses, such as a new
 //! tune-up that calibrates different amplitudes, re-pins it.
+//!
+//! Re-pinned once, `0x4a2a_bd18_aaad_d25e` → `0x5574_7855_268f_e39e`, when
+//! the 3×3 block exponentials moved to kernels that use Hermiticity (a
+//! `cos − i·sin` series and a closed-form 2×2⊕1 block). The tune-up
+//! integrates its probes on them, so calibrated amplitudes moved by ulps;
+//! no count-level output moved.
 
 use pulse_compiler::CompileMode;
 use quant_corpus::{compile_circuit, generate, Tier};
@@ -23,7 +29,7 @@ use quant_pulse::{Instruction, Schedule};
 use rand::Rng;
 
 /// Digest of the smoke tier lowered on the corpus's default device seed.
-const PINNED: u64 = 0x4a2a_bd18_aaad_d25e;
+const PINNED: u64 = 0x5574_7855_268f_e39e;
 
 fn fold_schedule(mut h: u64, schedule: &Schedule) -> u64 {
     h = fnv1a(h, schedule.instructions().len() as u64);

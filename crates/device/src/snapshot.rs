@@ -50,8 +50,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// different sweep grids, different search logic. Version 2 was the
 /// per-task-stream parallel tune-up (one RNG stream per qubit derived from
 /// the root seed, quantized probe inputs). Version 3 tunes each pulse's
-/// amplitude and detuning with one 2-D Newton solve.
-pub const CAL_ALGO_VERSION: u64 = 3;
+/// amplitude and detuning with one 2-D Newton solve. Version 4 integrates
+/// the probes on the Hermitian block exponentials (`quant_math::prop`),
+/// which move calibrated amplitudes by ulps.
+pub const CAL_ALGO_VERSION: u64 = 4;
 
 /// The snapshot key for calibrating `device` with `opts` from `root`.
 ///
@@ -311,10 +313,12 @@ mod tests {
     #[test]
     fn key_value_is_pinned() {
         // On-disk snapshots are named by this key: a hash change orphans
-        // every stored calibration, so the value itself is pinned.
+        // every stored calibration, so the value itself is pinned. It moves
+        // with `CAL_ALGO_VERSION` (at version 3 it was
+        // `0xbfea_b87f_f800_6516`).
         let device = DeviceModel::almaden_like(2, &mut seeded(3));
         let key = snapshot_key(&device, &CalibrationOptions::default(), 77);
-        assert_eq!(key, 0xbfea_b87f_f800_6516);
+        assert_eq!(key, 0xad7b_b334_b33d_e659);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! every timescale in the problem.
 
 use crate::params::{TransmonParams, DT};
-use quant_math::{unitary_exp3, unitary_exp3_pair, CMat, C64};
+use quant_math::{unitary_exp3, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule};
 use std::f64::consts::TAU;
 
@@ -131,16 +131,13 @@ impl Transmon {
     /// 3×3 propagator (including any pending free evolution) and advancing
     /// the state.
     ///
-    /// The exponentials of consecutive samples are evaluated two at a
-    /// time on two SIMD lanes ([`quant_math::unitary_exp3_pair`], which
-    /// falls back to two scalar calls when the samples' squaring counts or
-    /// kernels differ), each on the kernel its generator's structure
-    /// allows: a drive sample's ladder is tridiagonal, and a zero sample
-    /// leaves a 2×2 block plus a decoupled |2⟩ scalar. The drive's
-    /// rotation `cis(φ_frame − φ_mod)` is recomputed only when that phase
-    /// moves, and the product chain runs on stack arrays, one sample at a
-    /// time, in order, so every bit equals a per-sample loop on the plain
-    /// kernel.
+    /// Each sample's step is one [`quant_math::unitary_exp3`] of its
+    /// Hermitian generator: a drive sample's ladder takes the `cos − i·sin`
+    /// series, and a zero sample, which leaves a 2×2 block plus a
+    /// decoupled |2⟩ scalar, the closed form. The drive's rotation
+    /// `cis(φ_frame − φ_mod)` is recomputed only when that phase moves,
+    /// and the product chain runs on stack arrays, one sample at a time,
+    /// in order.
     pub fn integrate_play(&self, state: &mut DriveState, waveform: &quant_pulse::Waveform) -> CMat {
         let omega = TAU * self.params.rabi_hz_per_amp;
         let mut start = CMat::identity(3);
@@ -177,16 +174,8 @@ impl Transmon {
             state.mod_phase += mod_step;
             h
         };
-        let mut chain = |e: &[C64; 9]| u = mul3(e, &u);
-        let mut pairs = waveform.samples().chunks_exact(2);
-        for pair in &mut pairs {
-            let h = [generator(pair[0]), generator(pair[1])];
-            for e in &unitary_exp3_pair(&h, DT) {
-                chain(e);
-            }
-        }
-        if let [last] = pairs.remainder() {
-            chain(&unitary_exp3(&generator(*last), DT));
+        for &sample in waveform.samples() {
+            u = mul3(&unitary_exp3(&generator(sample), DT), &u);
         }
         CMat::from_fn(3, 3, |r, c| u[3 * r + c])
     }
@@ -304,13 +293,15 @@ mod tests {
         .waveform("const")
     }
 
-    /// The per-sample loop [`Transmon::integrate_play`] replaced: one
-    /// scalar exponential per sample through the heap scratch. The laned
-    /// integrator's test oracle.
+    /// [`Transmon::integrate_play`] as a plain per-sample loop on heap
+    /// matrices, each sample's step `exp(h)` of its generator `h`:
+    /// [`quant_math::unitary_exp3`] for the integrator's own kernel, or
+    /// the degree-12 heap route for the reference.
     fn integrate_play_oracle(
         t: &Transmon,
         state: &mut DriveState,
         waveform: &quant_pulse::Waveform,
+        exp: fn(&CMat) -> CMat,
     ) -> CMat {
         let p = t.params();
         let omega = TAU * p.rabi_hz_per_amp;
@@ -318,9 +309,7 @@ mod tests {
         Transmon::flush_static(&mut u, state);
         let h0 = CMat::diag(&[C64::ZERO, C64::ZERO, C64::real(TAU * p.alpha)]);
         let mut h = CMat::zeros(3, 3);
-        let mut step = CMat::zeros(3, 3);
         let mut next = CMat::zeros(3, 3);
-        let mut scratch = quant_math::PropagatorScratch::new(3);
         let half = omega / 2.0;
         let half_sqrt2 = half * std::f64::consts::SQRT_2;
         for &sample in waveform.samples() {
@@ -331,12 +320,26 @@ mod tests {
             h[(0, 1)] += d_eff.conj() * half;
             h[(2, 1)] += d_eff * half_sqrt2;
             h[(1, 2)] += d_eff.conj() * half_sqrt2;
-            scratch.unitary_exp_into(&h, DT, &mut step);
-            step.mul_into(&u, &mut next);
+            exp(&h).mul_into(&u, &mut next);
             std::mem::swap(&mut u, &mut next);
             state.mod_phase += TAU * state.freq_offset * DT;
         }
         u
+    }
+
+    /// One sample's step on the integrator's kernel.
+    fn kernel_step(h: &CMat) -> CMat {
+        let mut h3 = [C64::ZERO; 9];
+        h3.copy_from_slice(h.as_slice());
+        let e = unitary_exp3(&h3, DT);
+        CMat::from_fn(3, 3, |r, c| e[3 * r + c])
+    }
+
+    /// One sample's step on the degree-12 heap route.
+    fn reference_step(h: &CMat) -> CMat {
+        let mut out = CMat::zeros(3, 3);
+        quant_math::PropagatorScratch::new(3).unitary_exp_into(h, DT, &mut out);
+        out
     }
 
     /// `exp(−i·h·dt)` squaring count of one sample's generator: 0 while
@@ -358,8 +361,15 @@ mod tests {
         p
     }
 
+    /// Entrywise bound, per sample, of [`Transmon::integrate_play`]
+    /// against the degree-12 heap route: each step is within the
+    /// propagator contract's `2e-14·2ˢ` (the closed form of a zero sample
+    /// against the reference's own truncation error; `s ≤ 1` here) of the
+    /// reference, and the chain adds the steps' errors.
+    const PER_SAMPLE_VS_REFERENCE: f64 = 4e-14;
+
     #[test]
-    fn laned_integrator_is_bit_identical_to_per_sample_oracle() {
+    fn integrator_is_bit_identical_to_per_sample_kernel_loop() {
         use quant_pulse::Waveform;
         let mut rng = quant_math::seeded(0x1A4E);
         let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rand::Rng::gen::<f64>(&mut rng);
@@ -438,9 +448,16 @@ mod tests {
                         },
                     ];
                     for start in starts {
-                        let (mut laned, mut scalar) = (start, start);
-                        let got = t.integrate_play(&mut laned, w);
-                        let want = integrate_play_oracle(&t, &mut scalar, w);
+                        let (mut integrated, mut scalar, mut heap) = (start, start, start);
+                        let got = t.integrate_play(&mut integrated, w);
+                        let want = integrate_play_oracle(&t, &mut scalar, w, kernel_step);
+                        let reference = integrate_play_oracle(&t, &mut heap, w, reference_step);
+                        let d = got.max_abs_diff(&reference);
+                        assert!(
+                            d <= PER_SAMPLE_VS_REFERENCE * len as f64,
+                            "{} len {len} from {start:?}: {d:e} from the reference",
+                            w.name()
+                        );
                         let bits = |m: &CMat| -> Vec<(u64, u64)> {
                             m.as_slice()
                                 .iter()
@@ -453,8 +470,11 @@ mod tests {
                             "{} len {len} from {start:?}",
                             w.name()
                         );
-                        assert_eq!(laned.mod_phase.to_bits(), scalar.mod_phase.to_bits());
-                        assert_eq!(laned.static_phase.to_bits(), scalar.static_phase.to_bits());
+                        assert_eq!(integrated.mod_phase.to_bits(), scalar.mod_phase.to_bits());
+                        assert_eq!(
+                            integrated.static_phase.to_bits(),
+                            scalar.static_phase.to_bits()
+                        );
                         cases += 1;
                     }
                 }

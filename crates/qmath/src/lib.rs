@@ -38,7 +38,7 @@ pub use mat::CMat;
 pub use optimize::{nelder_mead, NelderMeadOptions, OptimizeResult};
 pub use poly::{characteristic_polynomial, durand_kerner, eigenvalues};
 pub use prop::{
-    mul9_blocks_slab_into, mul9_into, mul9_slab_into, unitary_exp3, unitary_exp3_pair,
-    unitary_exp9_in_blocks_into, unitary_exp9_into, Blocks9, PropagatorScratch, Slab9x4,
+    mul9_blocks_slab_into, mul9_into, mul9_slab_into, unitary_exp3, unitary_exp9_in_blocks_into,
+    unitary_exp9_into, Blocks9, PropagatorScratch, Slab9x4,
 };
 pub use rng::{categorical, normal, seeded, stream_seed};

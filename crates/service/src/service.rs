@@ -329,6 +329,8 @@ struct ServiceInner {
     cores: CoreBudget,
     state: Mutex<QueueState>,
     /// Signals workers that the queue gained work (or shutdown began).
+    /// Idle workers are its only waiters: each submission wakes one, and
+    /// `Drop` wakes them all.
     work_cv: Condvar,
     // Device-spec key → shard. Lookup/insert by key only — never iterated.
     // opclint: allow(unordered-iter): shard index; per-key lookups only, no iteration
@@ -457,10 +459,10 @@ impl CompileService {
         });
         drop(st);
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        // `work_cv` has two waiter classes (idle workers, blocked
-        // submitters); broadcast so a wakeup is never swallowed by the
-        // wrong class.
-        self.inner.work_cv.notify_all();
+        // Only idle workers wait on `work_cv` (a full queue refuses a
+        // submission instead of blocking it), and one job needs one of
+        // them; a busy worker re-checks the queue before it waits.
+        self.inner.work_cv.notify_one();
         Ok(Ticket {
             slot,
             key,
@@ -614,9 +616,6 @@ fn drain_one(inner: &ServiceInner) -> bool {
         }
         batch
     };
-    // Queue space was freed; wake blocked submitters (and idle workers,
-    // which simply re-check and sleep).
-    inner.work_cv.notify_all();
     if batch.len() > 1 {
         inner.batches.fetch_add(1, Ordering::Relaxed);
     }
